@@ -3,8 +3,8 @@
 //! simulated/second) through the unified `Scenario`/`Backend` API.
 //!
 //! The cluster scenarios are the canonical anchors from
-//! [`rocket_bench::anchors`] — the same configurations the committed
-//! `BENCH_8.json` snapshot and the shard-equivalence tests use, so a
+//! [`rocket_bench::anchors`] — the same configurations the `benchmark/`
+//! harness and the shard-equivalence tests use, so a
 //! bench regression and a correctness regression point at the same
 //! scenario.
 
@@ -93,7 +93,8 @@ fn bench_thousand_nodes(c: &mut Criterion) {
     // single-GPU nodes, 523 776 pairs, cloud-scale network latency.
     // Sequential vs 8 shards on the steal pool — the results are
     // byte-identical, only wall-clock differs (the parallel win needs
-    // hardware threads; see BENCH_8.json's host_parallelism field).
+    // hardware threads; the benchmark harness labels every number with
+    // host_parallelism).
     let mut group = c.benchmark_group("cluster_sim");
     group.sample_size(10);
     let n = 1024u64;

@@ -1,9 +1,9 @@
 //! Canonical benchmark scenarios ("anchors") shared by the criterion
-//! benches (`benches/des.rs`), the `rocket-bench-snapshot` binary, and the
+//! benches (`benches/des.rs`), the `benchmark/` harness, and the
 //! simulator's shard-equivalence tests.
 //!
-//! Keeping these in one place means the committed snapshot
-//! (`BENCH_8.json`), the CI smoke runs, and the equivalence suite all
+//! Keeping these in one place means the repo's benchmark
+//! (`BENCHMARK.json`), the CI smoke runs, and the equivalence suite all
 //! exercise the *same* configurations — a bench regression and a
 //! correctness regression point at the same scenario.
 

@@ -35,7 +35,7 @@ use rocket_core::{
 use rocket_gpu::DeviceProfile;
 use rocket_sim::{model, SimBackend};
 use rocket_stats::{Distribution, Histogram, OnlineStats, Xoshiro256};
-use rocket_trace::TaskKind;
+use rocket_trace::{PerfKind, PerfLog, PerfQuery};
 
 use crate::anchors;
 use crate::util::{fmt_bytes, fmt_secs, write_result, Table};
@@ -277,7 +277,7 @@ pub fn run_experiment(exp: Experiment, opts: &ExpOptions) -> StudyReport {
 // ---------------------------------------------------------------------------
 
 /// Per-application facts Table 1 reports beyond the unified run report
-/// (per-stage span statistics need the typed [`rocket_core::AppReport`]).
+/// (per-stage duration statistics come from the run's perf log).
 struct AppRun {
     name: &'static str,
     items: u64,
@@ -295,7 +295,7 @@ struct AppRun {
 /// scenario's workload name — what lets Table 1 run as a single study
 /// with an `app` axis even though each application is a different
 /// [`ThreadedBackend`] type. Each run stashes the figure-specific
-/// [`AppRun`] facts (from the typed report's trace) for the driver.
+/// [`AppRun`] facts (from the typed report and the perf log) for the driver.
 struct Table1Backend {
     forensics: ThreadedBackend<ForensicsApp>,
     bio: ThreadedBackend<BioApp>,
@@ -312,12 +312,13 @@ impl Table1Backend {
     where
         A::Output: std::fmt::Debug,
     {
-        let app_report = backend.run_app(scenario)?;
-        let timeline = app_report.timeline();
-        let stat_of = |kind: TaskKind| {
+        let perf = PerfLog::enabled();
+        let app_report = backend.run_app_with_perf(scenario, &perf)?;
+        let records = perf.take();
+        let stat_of = |kind: PerfKind| {
             let mut s = OnlineStats::new();
-            for span in timeline.spans().iter().filter(|sp| sp.kind == kind) {
-                s.push(span.duration_ns() as f64 / 1e6); // ms
+            for rec in PerfQuery::new(&records).kind(kind).iter() {
+                s.push(rec.value as f64 / 1e6); // ms
             }
             s
         };
@@ -328,9 +329,9 @@ impl Table1Backend {
             raw_bytes: backend.store().total_bytes(),
             item_bytes: app.item_bytes() as u64,
             pairs: app_report.outputs.len() as u64,
-            parse: stat_of(TaskKind::Parse),
-            preprocess: app.has_preprocess().then(|| stat_of(TaskKind::Preprocess)),
-            compare: stat_of(TaskKind::Compare),
+            parse: stat_of(PerfKind::Parse),
+            preprocess: app.has_preprocess().then(|| stat_of(PerfKind::Preprocess)),
+            compare: stat_of(PerfKind::Compare),
             r_factor: app_report.r_factor(),
             failed: app_report.failed().len(),
         });
@@ -414,7 +415,6 @@ fn table1(opts: &ExpOptions) -> StudyReport {
         ))
         .job_limit(16)
         .cpu_threads(2)
-        .tracing(true)
         .seed(opts.seed)
         .build();
     let sweep = Sweep::over(base)
@@ -1382,9 +1382,9 @@ const SCALE1K_SHARDS: [usize; 4] = [1, 2, 4, 8];
 /// 1024-node scenario simulated at 1/2/4/8 shards. Virtual-time results
 /// are byte-identical across shard counts (asserted here; the simulator's
 /// shard-equivalence suite covers it exhaustively) — only wall-clock
-/// differs, and the note and CSV report it per shard count. The committed
-/// `BENCH_8.json` snapshot records the same measurement from the bench
-/// side.
+/// differs, and the note and CSV report it per shard count. The
+/// `des-seq` / `des-shard` workloads of `BENCHMARK.json` record the same
+/// measurement from the bench side.
 fn scale1k(opts: &ExpOptions) -> StudyReport {
     let scale = opts.extra_scale.max(1);
     let mut base = anchors::thousand_nodes();

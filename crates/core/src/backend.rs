@@ -9,12 +9,14 @@
 //!   the scenario's workload profile in virtual time.
 //!
 //! Both produce the same [`RunReport`], so drivers (experiments, the
-//! [`crate::Replications`] runner, examples) are backend-agnostic.
+//! [`crate::Replications`] runner, examples) are backend-agnostic, and
+//! both record natively into the same perf log: the [`PerfLog`] handed to
+//! [`Backend::run_with_perf`] is the one switch that turns profiling on.
 
 use std::sync::Arc;
 
 use rocket_storage::ObjectStore;
-use rocket_trace::{PerfKind, PerfLog, PerfRecord, TaskKind};
+use rocket_trace::PerfLog;
 
 use crate::app::Application;
 use crate::cluster::{AppReport, Rocket};
@@ -87,6 +89,21 @@ impl<A: Application> ThreadedBackend<A> {
     /// runtime sizes every structure from the app, so a mismatch means
     /// the topology/caches were designed for a different data set.
     pub fn run_app(&self, scenario: &Scenario) -> Result<AppReport<A::Output>, RocketError> {
+        self.run_app_with_perf(scenario, &PerfLog::disabled())
+    }
+
+    /// [`ThreadedBackend::run_app`] while recording into `perf`: an enabled
+    /// log makes every resource thread time its tasks (one stage record
+    /// per task, stamped at completion on a clock all nodes share, `value`
+    /// = duration) and receives the records once the run is complete.
+    /// [`Backend::run_with_perf`] is this plus [`AppReport::unified`].
+    /// Recording changes only the report's busy times, never the computed
+    /// results.
+    pub fn run_app_with_perf(
+        &self,
+        scenario: &Scenario,
+        perf: &PerfLog,
+    ) -> Result<AppReport<A::Output>, RocketError> {
         scenario.validate().map_err(RocketError::Config)?;
         if scenario.workload.items != self.app.item_count() {
             return Err(RocketError::Config(format!(
@@ -96,12 +113,17 @@ impl<A: Application> ThreadedBackend<A> {
                 self.app.item_count()
             )));
         }
-        Rocket::run_cluster_with(
+        let report = Rocket::run_cluster_recorded(
             Arc::clone(&self.app),
             Arc::clone(&self.store),
             scenario.node_configs(),
             scenario.transport,
-        )
+            perf.is_enabled(),
+        )?;
+        for node in &report.nodes {
+            perf.extend(node.perf.iter().copied());
+        }
+        Ok(report)
     }
 }
 
@@ -114,41 +136,7 @@ impl<A: Application> Backend for ThreadedBackend<A> {
         Ok(self.run_app(scenario)?.unified(scenario))
     }
 
-    /// Forces task tracing on and converts the recorded spans into perf
-    /// records (timestamp = span end, value = duration; `RemoteFetch`
-    /// spans become directory-probe hits, `RemoteServe` spans are the
-    /// serving side of the same probe and are skipped). Forcing tracing
-    /// changes only the report's busy-time/trace-derived fields, never
-    /// the computed results.
     fn run_with_perf(&self, scenario: &Scenario, perf: &PerfLog) -> Result<RunReport, RocketError> {
-        if !perf.is_enabled() {
-            return self.run(scenario);
-        }
-        let mut traced = scenario.clone();
-        traced.tracing = true;
-        let report = self.run_app(&traced)?;
-        for node in &report.nodes {
-            perf.extend(node.spans.iter().filter_map(|s| {
-                let kind = match s.kind {
-                    TaskKind::Read => PerfKind::Read,
-                    TaskKind::Parse => PerfKind::Parse,
-                    TaskKind::Preprocess => PerfKind::Preprocess,
-                    TaskKind::Compare => PerfKind::Compare,
-                    TaskKind::CopyIn => PerfKind::CopyIn,
-                    TaskKind::CopyOut => PerfKind::CopyOut,
-                    TaskKind::Postprocess => PerfKind::Postprocess,
-                    TaskKind::RemoteFetch => PerfKind::ProbeHit,
-                    TaskKind::RemoteServe => return None,
-                    TaskKind::Steal => PerfKind::Steal,
-                };
-                Some(PerfRecord {
-                    t_ns: s.end_ns,
-                    kind,
-                    node: node.node as u32,
-                    value: s.duration_ns(),
-                })
-            }));
-        }
-        Ok(report.unified(&traced))
+        Ok(self.run_app_with_perf(scenario, perf)?.unified(scenario))
     }
 }

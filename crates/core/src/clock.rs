@@ -26,6 +26,11 @@ impl Stopwatch {
         self.0.elapsed()
     }
 
+    /// `elapsed` as nanoseconds (the unit perf-log records carry).
+    pub fn elapsed_ns(&self) -> u64 {
+        self.0.elapsed().as_nanos() as u64
+    }
+
     /// `elapsed` as seconds (the unit `RunReport::elapsed` carries).
     pub fn elapsed_secs(&self) -> f64 {
         self.0.elapsed().as_secs_f64()

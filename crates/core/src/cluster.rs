@@ -10,12 +10,13 @@ use rocket_cache::{CacheStats, DirectoryStats};
 use rocket_comm::{CommSnapshot, Transport, TransportKind};
 use rocket_steal::{Pair, StealPool, StealPoolConfig, StealStats, WorkerTopology};
 use rocket_storage::ObjectStore;
-use rocket_trace::Timeline;
+use rocket_trace::PerfKind;
 
 use crate::app::Application;
 use crate::clock;
 use crate::config::RocketConfig;
 use crate::engine::node::{spawn_node, NodeReport};
+use crate::engine::resource::Recording;
 use crate::error::RocketError;
 use crate::report::{BusyTimes, RunReport};
 use crate::scenario::Scenario;
@@ -109,39 +110,27 @@ impl<O> AppReport<O> {
         v
     }
 
-    /// A merged timeline of all nodes' trace spans.
-    pub fn timeline(&self) -> Timeline {
-        Timeline::new(
-            self.nodes
-                .iter()
-                .flat_map(|n| n.spans.iter().copied())
-                .collect(),
-        )
-    }
-
     /// Folds this typed report into the backend-agnostic [`RunReport`].
     ///
     /// `scenario` supplies the topology (to roll per-worker steal counters
     /// up into per-node pair counts) and the transport kind (which names
     /// the backend — `"threaded"` or `"threaded+socket"`). Busy times come
-    /// from the trace when tracing was enabled, zero otherwise;
+    /// from the nodes' perf records when the run was recorded, zero otherwise;
     /// `net_bytes` is the cluster-wide transport payload traffic, and
     /// `io_bytes` is not tracked by the threaded runtime (reports zero).
     pub fn unified(&self, scenario: &Scenario) -> RunReport {
-        use rocket_trace::TaskKind;
-        let timeline = self.timeline();
-        // One pass over the (O(pairs)-sized) span list folds every class.
+        // One pass over the (O(pairs)-sized) record list folds every class.
         let mut busy = BusyTimes::default();
-        for span in timeline.spans() {
-            let secs = span.duration_ns() as f64 / 1e9;
-            match span.kind {
-                TaskKind::Preprocess => busy.preprocess += secs,
-                TaskKind::Compare => busy.compare += secs,
-                TaskKind::CopyIn => busy.h2d += secs,
-                TaskKind::CopyOut => busy.d2h += secs,
-                TaskKind::Parse | TaskKind::Postprocess => busy.cpu += secs,
-                TaskKind::Read => busy.io += secs,
-                // Network/steal overheads have no BusyTimes row.
+        for rec in self.nodes.iter().flat_map(|n| &n.perf) {
+            let secs = rec.value as f64 / 1e9;
+            match rec.kind {
+                PerfKind::Preprocess => busy.preprocess += secs,
+                PerfKind::Compare => busy.compare += secs,
+                PerfKind::CopyIn => busy.h2d += secs,
+                PerfKind::CopyOut => busy.d2h += secs,
+                PerfKind::Parse | PerfKind::Postprocess => busy.cpu += secs,
+                PerfKind::Read => busy.io += secs,
+                // Event-valued kinds carry no duration.
                 _ => {}
             }
         }
@@ -230,6 +219,19 @@ impl Rocket {
         configs: Vec<RocketConfig>,
         transport: TransportKind,
     ) -> Result<AppReport<A::Output>, RocketError> {
+        Self::run_cluster_recorded(app, store, configs, transport, false)
+    }
+
+    /// The one cluster driver. With `record` on, every resource thread
+    /// logs its tasks into [`NodeReport::perf`] against the stopwatch that
+    /// also measures [`AppReport::elapsed`], so all nodes share one clock.
+    pub(crate) fn run_cluster_recorded<A: Application>(
+        app: Arc<A>,
+        store: Arc<dyn ObjectStore>,
+        configs: Vec<RocketConfig>,
+        transport: TransportKind,
+        record: bool,
+    ) -> Result<AppReport<A::Output>, RocketError> {
         if configs.is_empty() {
             return Err(RocketError::Config("at least one node required".into()));
         }
@@ -275,6 +277,10 @@ impl Rocket {
                     Arc::clone(&store),
                     endpoints[node_id].take(),
                     Arc::clone(&outputs),
+                    record.then_some(Recording {
+                        clock: start,
+                        node: node_id as u32,
+                    }),
                 )
             })
             .collect();

@@ -312,7 +312,6 @@ impl Wire for Scenario {
         w.put_f64(self.net_latency);
         put_usize(w, self.io_retries);
         w.put_u32(self.max_item_failures);
-        put_bool(w, self.tracing);
         put_bool(w, self.record_completions);
         put_bool(w, self.calendar_queue);
         put_usize(w, self.sim_shards);
@@ -336,7 +335,6 @@ impl Wire for Scenario {
             net_latency: r.get_f64()?,
             io_retries: get_usize(r)?,
             max_item_failures: r.get_u32()?,
-            tracing: get_bool(r)?,
             record_completions: get_bool(r)?,
             calendar_queue: get_bool(r)?,
             sim_shards: get_usize(r)?,
@@ -456,7 +454,6 @@ mod tests {
             .network(6e9, 25e-6)
             .io_retries(4)
             .max_item_failures(9)
-            .tracing(true)
             .record_completions(true)
             .calendar_queue(true)
             .sim_shards(3)

@@ -33,8 +33,6 @@ pub struct RocketConfig {
     pub max_item_failures: u32,
     /// Root seed for all randomized decisions.
     pub seed: u64,
-    /// Record a task trace (the paper's optional profiling flag).
-    pub tracing: bool,
 }
 
 const SEED_DEFAULT: u64 = 0x52_6f_63_6b_65_74_21_21; // "Rocket!!"
@@ -97,7 +95,6 @@ impl Default for RocketConfigBuilder {
                 io_retries: 2,
                 max_item_failures: 5,
                 seed: SEED_DEFAULT,
-                tracing: true,
             },
         }
     }
@@ -182,12 +179,6 @@ impl RocketConfigBuilder {
         self
     }
 
-    /// Enables/disables tracing.
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.config.tracing = on;
-        self
-    }
-
     /// Finalizes the configuration (panics on invalid settings; use
     /// [`RocketConfigBuilder::try_build`] for fallible construction).
     pub fn build(self) -> RocketConfig {
@@ -198,40 +189,6 @@ impl RocketConfigBuilder {
     pub fn try_build(self) -> Result<RocketConfig, String> {
         self.config.validate()?;
         Ok(self.config)
-    }
-}
-
-/// Summary of a configuration (for experiment manifests). Plain data so a
-/// serializer can be layered on once one is available offline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigSummary {
-    /// Device names.
-    pub devices: Vec<String>,
-    /// Device cache slots.
-    pub device_cache_slots: usize,
-    /// Host cache slots.
-    pub host_cache_slots: usize,
-    /// Concurrent job limit.
-    pub concurrent_job_limit: usize,
-    /// Distributed cache on/off.
-    pub distributed_cache: bool,
-    /// Hop limit.
-    pub distributed_hops: usize,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl From<&RocketConfig> for ConfigSummary {
-    fn from(c: &RocketConfig) -> Self {
-        Self {
-            devices: c.devices.iter().map(|d| d.name.clone()).collect(),
-            device_cache_slots: c.device_cache_slots,
-            host_cache_slots: c.host_cache_slots,
-            concurrent_job_limit: c.concurrent_job_limit,
-            distributed_cache: c.distributed_cache,
-            distributed_hops: c.distributed_hops,
-            seed: c.seed,
-        }
     }
 }
 
@@ -280,13 +237,5 @@ mod tests {
             .distributed_hops(0)
             .try_build()
             .is_err());
-    }
-
-    #[test]
-    fn summary_reflects_config() {
-        let c = RocketConfig::builder().devices(2).seed(7).build();
-        let s = ConfigSummary::from(&c);
-        assert_eq!(s.devices.len(), 2);
-        assert_eq!(s.seed, 7);
     }
 }

@@ -46,12 +46,12 @@ use rocket_comm::{CommSnapshot, RecvError, Transport, Wire};
 use rocket_gpu::{BufferId, VirtualDevice};
 use rocket_steal::{JobLimiter, Pair};
 use rocket_storage::ObjectStore;
-use rocket_trace::{Span, TaskKind, ThreadClass, TraceRecorder};
+use rocket_trace::{PerfKind, PerfRecord};
 
 use crate::app::Application;
 use crate::config::RocketConfig;
 use crate::engine::messages::NodeMsg;
-use crate::engine::resource::Resource;
+use crate::engine::resource::{Recording, Resource};
 
 /// Job identifier within one node.
 type JobId = u64;
@@ -179,8 +179,9 @@ pub struct NodeReport {
     pub remote_fetches: u64,
     /// Pairs that failed permanently, with causes.
     pub failed: Vec<(Pair, String)>,
-    /// Recorded trace spans (empty when tracing is off).
-    pub spans: Vec<Span>,
+    /// One stage record per task the node's resource threads executed,
+    /// stamped on the run-wide clock (empty unless the run is recorded).
+    pub perf: Vec<PerfRecord>,
     /// Transport traffic counters (zero on single-node runs).
     pub comm: CommSnapshot,
 }
@@ -220,7 +221,9 @@ impl NodeHandle {
 type SharedOutputs<A> = Arc<Mutex<Vec<(Pair, <A as Application>::Output)>>>;
 
 /// Spawns a node: conductor thread + resource threads (+ comm thread when a
-/// transport is given).
+/// transport is given). `recording` carries the run-wide clock of a
+/// recorded run; `None` records nothing and reads no clock.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_node<A: Application>(
     app: Arc<A>,
     cfg: RocketConfig,
@@ -229,6 +232,7 @@ pub(crate) fn spawn_node<A: Application>(
     store: Arc<dyn ObjectStore>,
     transport: Option<Box<dyn Transport>>,
     outputs: SharedOutputs<A>,
+    recording: Option<Recording>,
 ) -> NodeHandle {
     let (events_tx, events_rx) = unbounded::<Event>();
     let counters = Arc::new(NodeCounters::default());
@@ -237,7 +241,6 @@ pub(crate) fn spawn_node<A: Application>(
     // keeps tiny-cache configurations free of eviction livelock.
     let lease_cap = (cfg.devices.len() * (cfg.device_cache_slots / 2)).max(1);
     let limiter = Arc::new(JobLimiter::new(cfg.concurrent_job_limit.min(lease_cap)));
-    let recorder = Arc::new(TraceRecorder::new(cfg.tracing));
 
     // The conductor sends, the comm thread receives; both share one
     // transport handle (the receive side stays single-consumer — the comm
@@ -286,7 +289,7 @@ pub(crate) fn spawn_node<A: Application>(
             .spawn(move || {
                 let conductor = Conductor::new(
                     app, cfg, node_id, nodes, store, transport, outputs, counters, limiter,
-                    events_rx, events_tx, recorder,
+                    events_rx, events_tx, recording,
                 );
                 conductor.run()
             })
@@ -350,7 +353,6 @@ struct Conductor<A: Application> {
     events_rx: Receiver<Event>,
     #[allow(dead_code)]
     events_tx: Sender<Event>,
-    recorder: Arc<TraceRecorder>,
     shutdown: bool,
 }
 
@@ -368,7 +370,7 @@ impl<A: Application> Conductor<A> {
         limiter: Arc<JobLimiter>,
         events_rx: Receiver<Event>,
         events_tx: Sender<Event>,
-        recorder: Arc<TraceRecorder>,
+        recording: Option<Recording>,
     ) -> Self {
         let n_dev = cfg.devices.len();
         let item_count = app.item_count() as usize;
@@ -422,58 +424,14 @@ impl<A: Application> Conductor<A> {
             .map(|_| Arc::new(Mutex::named("host_slots", vec![0u8; item_bytes as usize])))
             .collect();
 
-        let io = Resource::spawn(
-            "io",
-            ThreadClass::Io,
-            0,
-            1,
-            events_tx.clone(),
-            Arc::clone(&recorder),
-        );
-        let cpu = Resource::spawn(
-            "cpu",
-            ThreadClass::Cpu,
-            0,
-            cfg.cpu_threads,
-            events_tx.clone(),
-            Arc::clone(&recorder),
-        );
-        let gpu: Vec<_> = (0..n_dev)
-            .map(|d| {
-                Resource::spawn(
-                    "gpu",
-                    ThreadClass::Gpu,
-                    d as u32,
-                    1,
-                    events_tx.clone(),
-                    Arc::clone(&recorder),
-                )
-            })
-            .collect();
-        let h2d: Vec<_> = (0..n_dev)
-            .map(|d| {
-                Resource::spawn(
-                    "h2d",
-                    ThreadClass::CpuToGpu,
-                    d as u32,
-                    1,
-                    events_tx.clone(),
-                    Arc::clone(&recorder),
-                )
-            })
-            .collect();
-        let d2h: Vec<_> = (0..n_dev)
-            .map(|d| {
-                Resource::spawn(
-                    "d2h",
-                    ThreadClass::GpuToCpu,
-                    d as u32,
-                    1,
-                    events_tx.clone(),
-                    Arc::clone(&recorder),
-                )
-            })
-            .collect();
+        let spawn = |name: &str, threads: usize| {
+            Resource::spawn(name, threads, events_tx.clone(), recording)
+        };
+        let io = spawn("io", 1);
+        let cpu = spawn("cpu", cfg.cpu_threads);
+        let gpu: Vec<_> = (0..n_dev).map(|_| spawn("gpu", 1)).collect();
+        let h2d: Vec<_> = (0..n_dev).map(|_| spawn("h2d", 1)).collect();
+        let d2h: Vec<_> = (0..n_dev).map(|_| spawn("d2h", 1)).collect();
 
         let directory = Directory::new(node_id, nodes, cfg.distributed_hops);
         let staging_queue = vec![VecDeque::new(); n_dev];
@@ -518,7 +476,6 @@ impl<A: Application> Conductor<A> {
             limiter,
             events_rx,
             events_tx,
-            recorder,
             shutdown: false,
         }
     }
@@ -541,7 +498,16 @@ impl<A: Application> Conductor<A> {
         for c in &self.dev_cache {
             device_cache.merge(&c.stats());
         }
-        let report = NodeReport {
+        // Resource threads finish what is still queued, then hand back
+        // what they recorded.
+        let perf = [self.io, self.cpu]
+            .into_iter()
+            .chain(self.gpu)
+            .chain(self.h2d)
+            .chain(self.d2h)
+            .flat_map(Resource::shutdown)
+            .collect();
+        NodeReport {
             node: self.node_id,
             device_cache,
             host_cache: self.host_cache.stats(),
@@ -549,25 +515,13 @@ impl<A: Application> Conductor<A> {
             loads: self.loads,
             remote_fetches: self.remote_fetches,
             failed: self.failed,
-            spans: self.recorder.take(),
+            perf,
             comm: self
                 .transport
                 .as_ref()
                 .map(|t| t.stats().snapshot())
                 .unwrap_or_default(),
-        };
-        self.io.shutdown();
-        self.cpu.shutdown();
-        for r in self.gpu {
-            r.shutdown();
         }
-        for r in self.h2d {
-            r.shutdown();
-        }
-        for r in self.d2h {
-            r.shutdown();
-        }
-        report
     }
 
     fn handle(&mut self, event: Event) {
@@ -713,8 +667,7 @@ impl<A: Application> Conductor<A> {
         let device = Arc::clone(&self.devices[dev]);
         let app = Arc::clone(&self.app);
         self.gpu[dev].submit(
-            TaskKind::Compare,
-            id,
+            PerfKind::Compare,
             Box::new(move || {
                 let result = device
                     .launch(&[left_buf, right_buf], result_buf, |ins, out| {
@@ -735,8 +688,7 @@ impl<A: Application> Conductor<A> {
                 let result_bytes = self.app.result_bytes();
                 let device = Arc::clone(&self.devices[dev]);
                 self.d2h[dev].submit(
-                    TaskKind::CopyOut,
-                    id,
+                    PerfKind::CopyOut,
                     Box::new(move || {
                         let mut out = Vec::with_capacity(result_bytes);
                         let result = device
@@ -763,8 +715,7 @@ impl<A: Application> Conductor<A> {
                 let app = Arc::clone(&self.app);
                 let outputs = Arc::clone(&self.outputs);
                 self.cpu.submit(
-                    TaskKind::Postprocess,
-                    id,
+                    PerfKind::Postprocess,
                     Box::new(move || {
                         let out = app.postprocess(pair, &bytes);
                         outputs.lock().push((pair, out));
@@ -833,8 +784,7 @@ impl<A: Application> Conductor<A> {
                 let payload = Arc::clone(&self.host_slots[hslot]);
                 let device = Arc::clone(&self.devices[dev]);
                 self.h2d[dev].submit(
-                    TaskKind::CopyIn,
-                    item,
+                    PerfKind::CopyIn,
                     Box::new(move || {
                         let data = payload.lock();
                         let result = device.copy_h2d(&data, dbuf).map_err(|e| e.to_string());
@@ -920,8 +870,7 @@ impl<A: Application> Conductor<A> {
         let store = Arc::clone(&self.store);
         let retries = self.cfg.io_retries;
         self.io.submit(
-            TaskKind::Read,
-            item,
+            PerfKind::Read,
             Box::new(move || {
                 let mut last_err = String::new();
                 for _ in 0..=retries {
@@ -958,8 +907,7 @@ impl<A: Application> Conductor<A> {
         if app.has_preprocess() {
             let parsed_bytes = app.parsed_bytes();
             self.cpu.submit(
-                TaskKind::Parse,
-                item,
+                PerfKind::Parse,
                 Box::new(move || {
                     let mut parsed = vec![0u8; parsed_bytes];
                     let result = app
@@ -973,8 +921,7 @@ impl<A: Application> Conductor<A> {
             // No GPU pre-processing: parse straight into the host slot.
             let payload = Arc::clone(&self.host_slots[fill.hslot]);
             self.cpu.submit(
-                TaskKind::Parse,
-                item,
+                PerfKind::Parse,
                 Box::new(move || {
                     let mut buf = payload.lock();
                     let result = app.parse(item, &raw, &mut buf).map_err(|e| e.to_string());
@@ -1011,8 +958,7 @@ impl<A: Application> Conductor<A> {
         let parsed = fill.parsed.take().expect("parsed bytes present");
         let device = Arc::clone(&self.devices[dev]);
         self.h2d[dev].submit(
-            TaskKind::CopyIn,
-            item,
+            PerfKind::CopyIn,
             Box::new(move || {
                 let result = device.copy_h2d(&parsed, staging).map_err(|e| e.to_string());
                 Some(Event::StagingUploaded { item, result })
@@ -1036,8 +982,7 @@ impl<A: Application> Conductor<A> {
         let device = Arc::clone(&self.devices[dev]);
         let app = Arc::clone(&self.app);
         self.gpu[dev].submit(
-            TaskKind::Preprocess,
-            item,
+            PerfKind::Preprocess,
             Box::new(move || {
                 let result = device
                     .launch(&[staging], dbuf, |ins, out| {
@@ -1082,8 +1027,7 @@ impl<A: Application> Conductor<A> {
                 let payload = Arc::clone(&self.host_slots[fill.hslot]);
                 let device = Arc::clone(&self.devices[dev]);
                 self.d2h[dev].submit(
-                    TaskKind::CopyOut,
-                    item,
+                    PerfKind::CopyOut,
                     Box::new(move || {
                         let mut tmp = Vec::new();
                         let result = device

@@ -4,72 +4,80 @@
 //! different resources never contend: CPU pool, one kernel-launch thread
 //! per GPU, one H2D and one D2H copy thread per GPU, and one I/O thread.
 //! Each thread executes closures sent by the conductor and posts the
-//! resulting event back; trace spans are recorded around every task.
+//! resulting event back. When the run is recorded, every thread keeps a
+//! private buffer of one [`PerfRecord`] per task and hands it back at
+//! shutdown; an unrecorded run reads no clock.
 
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rocket_trace::{TaskKind, ThreadClass, TraceRecorder};
+use rocket_trace::{PerfKind, PerfRecord};
+
+use crate::clock::Stopwatch;
 
 /// A task executed on a resource thread, yielding an event for the
 /// conductor (or `None` for fire-and-forget tasks).
 pub(crate) type Task<E> = Box<dyn FnOnce() -> Option<E> + Send>;
 
-enum TaskMsg<E> {
-    Run {
-        kind: TaskKind,
-        tag: u64,
-        task: Task<E>,
-    },
-    Stop,
+/// What a recorded run stamps its records with: the run-wide clock every
+/// node shares, and the node the resource belongs to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Recording {
+    pub clock: Stopwatch,
+    pub node: u32,
 }
 
 /// Handle to one resource (a thread or a pool sharing a queue).
 pub(crate) struct Resource<E> {
-    tx: Sender<TaskMsg<E>>,
-    threads: Vec<JoinHandle<()>>,
-    #[allow(dead_code)]
-    class: ThreadClass,
-    #[allow(dead_code)]
-    lane: u32,
+    tx: Sender<(PerfKind, Task<E>)>,
+    threads: Vec<JoinHandle<Vec<PerfRecord>>>,
 }
 
 impl<E: Send + 'static> Resource<E> {
-    /// Spawns `threads` workers of `class`/`lane` sharing one task queue.
-    /// Completed events go to `events`.
+    /// Spawns `threads` workers sharing one task queue. Completed events
+    /// go to `events`; tasks are timed only when `recording` is given.
     pub fn spawn(
         name: &str,
-        class: ThreadClass,
-        lane: u32,
         threads: usize,
         events: Sender<E>,
-        recorder: Arc<TraceRecorder>,
+        recording: Option<Recording>,
     ) -> Self {
         assert!(threads >= 1);
-        let (tx, rx): (Sender<TaskMsg<E>>, Receiver<TaskMsg<E>>) = unbounded();
+        let (tx, rx): (Sender<(PerfKind, Task<E>)>, Receiver<_>) = unbounded();
         let handles = (0..threads)
             .map(|i| {
                 let rx = rx.clone();
                 let events = events.clone();
-                let recorder = Arc::clone(&recorder);
                 std::thread::Builder::new()
                     .name(format!("rocket-{name}-{i}"))
                     .spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                TaskMsg::Run { kind, tag, task } => {
-                                    let event = recorder.scope(class, lane, kind, tag, task);
-                                    if let Some(e) = event {
-                                        // The conductor may already be gone
-                                        // during shutdown; dropping the
-                                        // event is fine then.
-                                        let _ = events.send(e);
-                                    }
+                        let mut perf = Vec::new();
+                        // Runs until `shutdown` drops the only sender and
+                        // the queue is drained.
+                        while let Ok((kind, task)) = rx.recv() {
+                            let event = match recording {
+                                None => task(),
+                                Some(Recording { clock, node }) => {
+                                    let start = clock.elapsed_ns();
+                                    let event = task();
+                                    let t_ns = clock.elapsed_ns();
+                                    perf.push(PerfRecord {
+                                        t_ns,
+                                        kind,
+                                        node,
+                                        value: t_ns - start,
+                                    });
+                                    event
                                 }
-                                TaskMsg::Stop => break,
+                            };
+                            if let Some(e) = event {
+                                // The conductor may already be gone
+                                // during shutdown; dropping the
+                                // event is fine then.
+                                let _ = events.send(e);
                             }
                         }
+                        perf
                     })
                     .expect("failed to spawn resource thread")
             })
@@ -77,72 +85,64 @@ impl<E: Send + 'static> Resource<E> {
         Self {
             tx,
             threads: handles,
-            class,
-            lane,
         }
     }
 
-    /// Queues a task.
-    pub fn submit(&self, kind: TaskKind, tag: u64, task: Task<E>) {
-        self.tx
-            .send(TaskMsg::Run { kind, tag, task })
-            .expect("resource thread gone");
+    /// Queues a task; `kind` is the stage a recorded run logs it as.
+    pub fn submit(&self, kind: PerfKind, task: Task<E>) {
+        self.tx.send((kind, task)).expect("resource thread gone");
     }
 
-    /// The resource's thread class.
-    #[allow(dead_code)]
-    pub fn class(&self) -> ThreadClass {
-        self.class
-    }
-
-    /// The resource's lane (device index).
-    #[allow(dead_code)]
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// Stops all workers and joins them.
-    pub fn shutdown(self) {
-        for _ in 0..self.threads.len() {
-            let _ = self.tx.send(TaskMsg::Stop);
-        }
-        for h in self.threads {
-            let _ = h.join();
-        }
+    /// Stops all workers after the tasks already queued, joins them, and
+    /// returns what they recorded (empty for an unrecorded run).
+    pub fn shutdown(self) -> Vec<PerfRecord> {
+        drop(self.tx);
+        self.threads
+            .into_iter()
+            .flat_map(|h| h.join().expect("resource thread panicked"))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn executes_tasks_and_posts_events() {
         let (etx, erx) = unbounded::<u32>();
-        let rec = TraceRecorder::shared();
-        let r = Resource::spawn("test", ThreadClass::Cpu, 0, 1, etx, Arc::clone(&rec));
+        let recording = Recording {
+            clock: clock::stopwatch(),
+            node: 3,
+        };
+        let r = Resource::spawn("test", 1, etx, Some(recording));
         for i in 0..5u32 {
-            r.submit(TaskKind::Parse, i as u64, Box::new(move || Some(i * 2)));
+            r.submit(PerfKind::Parse, Box::new(move || Some(i * 2)));
         }
         let mut got: Vec<u32> = (0..5).map(|_| erx.recv().unwrap()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 2, 4, 6, 8]);
-        r.shutdown();
-        assert_eq!(rec.len(), 5);
+        let perf = r.shutdown();
+        assert_eq!(perf.len(), 5);
+        let end = recording.clock.elapsed_ns();
+        for rec in &perf {
+            assert_eq!((rec.kind, rec.node), (PerfKind::Parse, 3));
+            assert!(rec.value <= rec.t_ns && rec.t_ns <= end, "{rec:?}");
+        }
     }
 
     #[test]
     fn pool_shares_queue() {
         let (etx, erx) = unbounded::<()>();
-        let rec = TraceRecorder::disabled();
         let seen = Arc::new(AtomicU32::new(0));
-        let r = Resource::spawn("pool", ThreadClass::Cpu, 0, 3, etx, rec);
+        let r = Resource::spawn("pool", 3, etx, None);
         for _ in 0..30 {
             let seen = Arc::clone(&seen);
             r.submit(
-                TaskKind::Parse,
-                0,
+                PerfKind::Parse,
                 Box::new(move || {
                     seen.fetch_add(1, Ordering::Relaxed);
                     Some(())
@@ -153,26 +153,28 @@ mod tests {
             erx.recv().unwrap();
         }
         assert_eq!(seen.load(Ordering::Relaxed), 30);
-        r.shutdown();
+        assert!(r.shutdown().is_empty(), "unrecorded run keeps nothing");
     }
 
     #[test]
     fn fire_and_forget_tasks() {
         let (etx, erx) = unbounded::<u8>();
-        let r = Resource::spawn("ff", ThreadClass::Io, 0, 1, etx, TraceRecorder::disabled());
-        r.submit(TaskKind::Read, 0, Box::new(|| None));
-        r.submit(TaskKind::Read, 0, Box::new(|| Some(1)));
+        let r = Resource::spawn("ff", 1, etx, None);
+        r.submit(PerfKind::Read, Box::new(|| None));
+        r.submit(PerfKind::Read, Box::new(|| Some(1)));
         assert_eq!(erx.recv().unwrap(), 1);
         r.shutdown();
         assert!(erx.try_recv().is_err());
     }
 
     #[test]
-    fn shutdown_joins_cleanly() {
-        let (etx, _erx) = unbounded::<()>();
-        let r = Resource::<()>::spawn("s", ThreadClass::Gpu, 2, 2, etx, TraceRecorder::disabled());
-        assert_eq!(r.class(), ThreadClass::Gpu);
-        assert_eq!(r.lane(), 2);
+    fn shutdown_runs_queued_tasks_then_joins() {
+        let (etx, erx) = unbounded::<u8>();
+        let r = Resource::spawn("s", 2, etx, None);
+        for i in 0..8 {
+            r.submit(PerfKind::Compare, Box::new(move || Some(i)));
+        }
         r.shutdown();
+        assert_eq!((0..8).filter(|_| erx.try_recv().is_ok()).count(), 8);
     }
 }

@@ -75,7 +75,7 @@ pub mod workload;
 pub use app::{bytesutil, Application};
 pub use backend::{Backend, ThreadedBackend};
 pub use cluster::{AppReport, Rocket};
-pub use config::{ConfigSummary, RocketConfig, RocketConfigBuilder};
+pub use config::{RocketConfig, RocketConfigBuilder};
 pub use engine::NodeReport;
 pub use error::{AppError, RocketError};
 pub use replications::{AdaptiveReplications, ReplicationReport, Replications};

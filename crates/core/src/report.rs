@@ -96,7 +96,8 @@ impl BusyTimes {
 /// `elapsed` is wall-clock seconds for the threaded runtime and virtual
 /// (simulated) seconds for the DES backend; every other field has the same
 /// meaning on both. Counters a backend cannot observe are zero (`io_bytes`
-/// / `net_bytes` / busy times on the threaded runtime when tracing is off).
+/// on the threaded runtime, and its busy times unless the run is recorded
+/// through `Backend::run_with_perf`).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Name of the backend that produced the report.

@@ -96,8 +96,6 @@ pub struct Scenario {
     pub io_retries: usize,
     /// Attempts to load an item before failing dependent jobs (threaded).
     pub max_item_failures: u32,
-    /// Record a task trace (threaded) / per-GPU completion series (DES).
-    pub tracing: bool,
     /// Record per-GPU completion timestamps (Fig 14; DES backend).
     pub record_completions: bool,
     /// Use the calendar-queue event scheduler (DES backend; results are
@@ -225,7 +223,6 @@ impl Scenario {
                 io_retries: self.io_retries,
                 max_item_failures: self.max_item_failures,
                 seed: self.seed,
-                tracing: self.tracing,
             })
             .collect()
     }
@@ -256,7 +253,6 @@ impl Default for ScenarioBuilder {
                 net_latency: 20e-6,
                 io_retries: 2,
                 max_item_failures: 5,
-                tracing: false,
                 record_completions: false,
                 calendar_queue: false,
                 sim_shards: 1,
@@ -374,12 +370,6 @@ impl ScenarioBuilder {
     /// Sets the per-item failure budget (threaded runtime).
     pub fn max_item_failures(mut self, n: u32) -> Self {
         self.scenario.max_item_failures = n;
-        self
-    }
-
-    /// Enables/disables task tracing (threaded runtime).
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.scenario.tracing = on;
         self
     }
 
@@ -510,7 +500,6 @@ mod tests {
             .hops(2)
             .distributed_cache(false)
             .leaf_pairs(5)
-            .tracing(true)
             .seed(42)
             .build();
         let configs = s.node_configs();
@@ -526,7 +515,6 @@ mod tests {
             assert!(!c.distributed_cache);
             assert_eq!(c.leaf_pairs, 5);
             assert_eq!(c.seed, 42);
-            assert!(c.tracing);
         }
     }
 

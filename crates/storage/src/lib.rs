@@ -7,9 +7,6 @@
 //!
 //! * [`MemStore`] — in-memory objects (synthetic data sets, tests),
 //! * [`DirStore`] — a directory on the local filesystem,
-//! * [`ModeledStore`] — wraps any store with request latency and a shared
-//!   bandwidth cap, emulating a loaded central file server; it also keeps the
-//!   aggregate I/O counters behind the paper's Fig 12 (average I/O usage),
 //! * [`FaultStore`] — deterministic failure injection for robustness tests,
 //! * [`RetryStore`] — composes any store with a bounded backoff-and-jitter
 //!   [`rocket_stats::Retry`] policy so transient faults are absorbed.
@@ -17,9 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod modeled;
 pub mod store;
 
 pub use fault::{FaultStore, RetryStore};
-pub use modeled::{IoStats, ModeledStore};
 pub use store::{DirStore, MemStore, ObjectStore, StorageError};

@@ -1,10 +1,14 @@
-//! Task tracing and timeline analysis for Rocket (§4.3 of the paper).
+//! Profiling records for Rocket (§4.3 of the paper).
 //!
 //! Rocket's runtime launches one thread (class) per resource — CPU pool, GPU
 //! kernel launch, H2D copy, D2H copy, I/O — and an optional profiling flag
-//! records every task each thread executes. The paper uses those traces for
+//! records every task each thread executes. The paper uses those records for
 //! Fig 6 (timeline), Fig 8/10 (per-thread busy time), and Fig 14 (throughput
 //! over time).
+//!
+//! There is one record stream: the [`perflog`]. Both engines write it
+//! natively and a caller switches it on by passing an enabled [`PerfLog`];
+//! [`chrome`] renders it for a trace viewer.
 //!
 //! Timestamps are `u64` nanoseconds relative to the start of a run, which
 //! lets the same machinery serve both the threaded runtime (wall-clock) and
@@ -14,15 +18,9 @@
 
 pub mod chrome;
 pub mod perflog;
-pub mod recorder;
-pub mod span;
 pub mod throughput;
-pub mod timeline;
 
 pub use perflog::{
     PerfClass, PerfKind, PerfLog, PerfMeta, PerfQuery, PerfRecord, PerfRollup, StageStats,
 };
-pub use recorder::TraceRecorder;
-pub use span::{Span, TaskKind, ThreadClass};
 pub use throughput::ThroughputSeries;
-pub use timeline::{BusyTime, Timeline};

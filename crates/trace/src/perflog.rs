@@ -1,12 +1,12 @@
 //! Structured performance logs: per-stage / per-resource samples behind a
 //! near-zero-cost-when-disabled handle.
 //!
-//! Where [`crate::chrome`] renders spans for a human in a trace viewer,
-//! the perf log is the *machine-queryable* side of observability: flat
+//! The perf log is the one record stream both engines write: flat
 //! [`PerfRecord`]s (timestamp, kind, node, value) recorded during a run,
 //! written as versioned JSONL, and rolled up through [`PerfQuery`] /
 //! [`PerfRollup`] into p50/p99 stage latencies and event rates that
-//! studies and CI gates can compare across commits.
+//! studies and CI gates can compare across commits. [`crate::chrome`]
+//! renders the same records for a human in a trace viewer.
 //!
 //! Three invariants the rest of the workspace relies on:
 //!
@@ -672,6 +672,27 @@ mod tests {
         assert_eq!(q.kind(PerfKind::Steal).total(), 4);
         // 5 events over 50 ns.
         assert!((q.rate_per_sec(50) - 1e8).abs() < 1e-6);
+    }
+
+    #[test]
+    fn busy_time_is_the_per_kind_sum_of_stage_durations() {
+        // What Fig 8's bars plot: total time of the tasks each resource ran.
+        let records = vec![
+            rec(10, PerfKind::Compare, 0, 10),
+            rec(30, PerfKind::Compare, 1, 20),
+            rec(35, PerfKind::Preprocess, 0, 5),
+            rec(7, PerfKind::Parse, 1, 7),
+            rec(35, PerfKind::DevHit, 0, 99),
+        ];
+        let q = PerfQuery::new(&records);
+        assert_eq!(q.kind(PerfKind::Compare).total(), 30);
+        assert_eq!(q.kind(PerfKind::Compare).node(1).total(), 20);
+        assert_eq!(q.kind(PerfKind::Preprocess).total(), 5);
+        assert_eq!(q.kind(PerfKind::Read).total(), 0);
+        assert_eq!(q.class(PerfClass::Stage).total(), 42);
+        let roll = PerfRollup::from_records(&records);
+        assert_eq!(roll.span_ns, 35, "makespan is the latest completion");
+        assert_eq!(roll.stage(PerfKind::Compare).map(|s| s.count), Some(2));
     }
 
     #[test]

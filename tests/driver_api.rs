@@ -12,6 +12,7 @@ use rocket::core::{
 use rocket::sim::SimBackend;
 use rocket::stats::Dist;
 use rocket::storage::MemStore;
+use rocket::trace::{chrome, PerfClass, PerfLog, PerfQuery};
 
 /// A stochastic simulation workload: randomized stage times make the
 /// replication statistics non-degenerate.
@@ -241,7 +242,6 @@ fn threaded_backend_reports_unified_shape() {
         .node(NodeSpec::uniform(1, 4, 8))
         .job_limit(4)
         .cpu_threads(2)
-        .tracing(true)
         .build();
     let backend = ThreadedBackend::new(Arc::new(ByteSum { files: 8 }), Arc::new(store));
 
@@ -251,7 +251,9 @@ fn threaded_backend_reports_unified_shape() {
     assert!(app_report.failed().is_empty());
 
     // Unified path: same aggregate shape as the simulator's.
-    let report = backend.run(&scenario).expect("unified run");
+    let report = backend
+        .run_with_perf(&scenario, &PerfLog::enabled())
+        .expect("unified run");
     assert_eq!(report.backend, "threaded");
     assert_eq!(report.items, 8);
     assert_eq!(report.pairs, 28);
@@ -259,9 +261,25 @@ fn threaded_backend_reports_unified_shape() {
     assert_eq!(report.loads, 8, "full caches load every item once");
     assert!((report.r_factor() - 1.0).abs() < 1e-12);
     assert_eq!(report.pairs_per_node, vec![28]);
-    // Tracing was on: the compare busy time is observable.
+    // The run was recorded: the compare busy time is observable.
     assert!(report.busy.compare > 0.0);
     assert!(report.busy.cpu > 0.0);
+}
+
+#[test]
+fn chrome_export_accepts_a_simulator_log() {
+    let perf = PerfLog::enabled();
+    SimBackend::new()
+        .run_with_perf(&sim_scenario(), &perf)
+        .expect("sim run");
+    let records = perf.take();
+    let stages = PerfQuery::new(&records).class(PerfClass::Stage).count();
+    assert!(stages > 0 && (stages as usize) < records.len());
+    let json = chrome::to_chrome_json(&records);
+    assert!(json.starts_with('[') && json.ends_with(']'));
+    assert_eq!(json.matches("\"ph\":\"X\"").count() as u64, stages);
+    // Both nodes of the scenario appear as trace processes.
+    assert!(json.contains("\"pid\":0,") && json.contains("\"pid\":1,"));
 }
 
 #[test]

@@ -8,8 +8,12 @@ use rocket::apps::{
     BioApp, BioConfig, BioDataset, ForensicsApp, ForensicsConfig, ForensicsDataset, MicroscopyApp,
     MicroscopyConfig, MicroscopyDataset,
 };
-use rocket::core::{AppReport, Application, Pair, Rocket, RocketConfig};
+use rocket::core::{
+    AppReport, Application, Backend, NodeSpec, Pair, Rocket, RocketConfig, Scenario,
+    ThreadedBackend,
+};
 use rocket::storage::{FaultStore, MemStore, ObjectStore};
+use rocket::trace::{chrome, PerfKind, PerfLog, PerfQuery};
 
 fn small_config() -> RocketConfig {
     RocketConfig::builder()
@@ -279,8 +283,9 @@ fn missing_files_fail_only_dependent_pairs() {
     assert_eq!(report.outputs.len(), 8 * 7 / 2 - 7);
 }
 
-#[test]
-fn tracing_captures_all_pipeline_stages() {
+/// The 8-image forensics fixture behind a [`ThreadedBackend`], with the
+/// scenario equivalent of [`small_config`].
+fn forensics_fixture() -> (Scenario, ThreadedBackend<ForensicsApp>) {
     let cfg = ForensicsConfig {
         images: 8,
         cameras: 2,
@@ -289,22 +294,82 @@ fn tracing_captures_all_pipeline_stages() {
         ..Default::default()
     };
     let ds = ForensicsDataset::generate(cfg.clone());
-    let report = Rocket::new(small_config())
-        .run(Arc::new(ForensicsApp::new(&cfg)), Arc::new(ds.store))
-        .expect("run");
-    let timeline = report.timeline();
-    use rocket::trace::TaskKind;
+    let scenario = Scenario::builder()
+        .items(8)
+        .node(NodeSpec::uniform(1, 8, 16))
+        .job_limit(6)
+        .cpu_threads(2)
+        .build();
+    let backend = ThreadedBackend::new(Arc::new(ForensicsApp::new(&cfg)), Arc::new(ds.store));
+    (scenario, backend)
+}
+
+#[test]
+fn perf_log_captures_all_pipeline_stages() {
+    let (scenario, backend) = forensics_fixture();
+    let perf = PerfLog::enabled();
+    let report = backend
+        .run_app_with_perf(&scenario, &perf)
+        .expect("recorded run");
+    let records = perf.take();
+    let q = PerfQuery::new(&records);
     assert_eq!(report.outputs.len(), 28);
-    assert_eq!(timeline.count_kind(TaskKind::Compare), 28);
-    assert_eq!(timeline.count_kind(TaskKind::Postprocess), 28);
-    assert!(timeline.count_kind(TaskKind::Read) >= 8);
-    assert!(timeline.count_kind(TaskKind::Parse) >= 8);
-    assert!(timeline.count_kind(TaskKind::Preprocess) >= 8);
-    assert!(!timeline.has_lane_overlap(), "same-lane spans overlap");
-    // Chrome export is well-formed and non-trivial.
-    let json = rocket::trace::chrome::to_chrome_json(timeline.spans());
-    assert!(json.len() > 100);
+    assert_eq!(q.kind(PerfKind::Compare).count(), 28);
+    assert_eq!(q.kind(PerfKind::Postprocess).count(), 28);
+    assert!(q.kind(PerfKind::Read).count() >= 8);
+    assert!(q.kind(PerfKind::Parse).count() >= 8);
+    assert!(q.kind(PerfKind::Preprocess).count() >= 8);
+    // No resource is busier than its servers allow: the summed stage
+    // durations fit into elapsed × servers (one node, one GPU here).
+    let elapsed_ns = report.elapsed.as_nanos() as u64;
+    let gpus = scenario.total_gpus() as u64;
+    let resources: [(&str, &[PerfKind], u64); 5] = [
+        (
+            "CPU",
+            &[PerfKind::Parse, PerfKind::Postprocess],
+            scenario.cpu_threads as u64,
+        ),
+        ("GPU", &[PerfKind::Preprocess, PerfKind::Compare], gpus),
+        ("CPU→GPU", &[PerfKind::CopyIn], gpus),
+        ("GPU→CPU", &[PerfKind::CopyOut], gpus),
+        ("IO", &[PerfKind::Read], 1),
+    ];
+    for (name, kinds, servers) in resources {
+        let busy: u64 = kinds.iter().map(|&k| q.kind(k).total()).sum();
+        assert!(busy > 0, "{name} recorded no busy time");
+        assert!(
+            busy <= elapsed_ns * servers,
+            "{name}: {busy} ns busy exceeds {elapsed_ns} ns × {servers} servers"
+        );
+    }
+    // Chrome export is well-formed and carries one event per task.
+    let json = chrome::to_chrome_json(&records);
     assert!(json.starts_with('[') && json.ends_with(']'));
+    assert_eq!(json.matches("\"ph\":\"X\"").count(), records.len());
+}
+
+#[test]
+fn recording_never_changes_results() {
+    let (scenario, backend) = forensics_fixture();
+    let plain = backend.run_app(&scenario).expect("plain run");
+    let perf = PerfLog::enabled();
+    let recorded = backend
+        .run_app_with_perf(&scenario, &perf)
+        .expect("recorded run");
+    assert!(!perf.is_empty());
+    assert!(plain.nodes.iter().all(|n| n.perf.is_empty()));
+    assert_eq!(plain.sorted_outputs(), recorded.sorted_outputs());
+    assert_eq!(plain.total_loads(), recorded.total_loads());
+    let (plain, recorded) = (plain.unified(&scenario), recorded.unified(&scenario));
+    assert_eq!((plain.pairs, plain.loads), (recorded.pairs, recorded.loads));
+    assert!(recorded.busy.compare > 0.0 && plain.busy.compare == 0.0);
+
+    // A disabled log is the same run as `run`: nothing is recorded.
+    let off = PerfLog::disabled();
+    let report = backend.run_with_perf(&scenario, &off).expect("run");
+    assert!(off.is_empty());
+    assert_eq!((report.pairs, report.loads), (plain.pairs, plain.loads));
+    assert!(report.busy.rows().iter().all(|&(_, secs)| secs == 0.0));
 }
 
 #[test]

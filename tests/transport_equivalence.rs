@@ -8,9 +8,12 @@ use std::sync::Arc;
 use rocket::cache::DirectoryMsg;
 use rocket::comm::{encode_frame, FrameDecoder, TransportKind, Wire};
 use rocket::core::engine::messages::NodeMsg;
-use rocket::core::{AppError, Application, NodeSpec, Pair, RunReport, Scenario, ThreadedBackend};
+use rocket::core::{
+    AppError, Application, Backend, NodeSpec, Pair, RunReport, Scenario, ThreadedBackend,
+};
 use rocket::stats::Xoshiro256;
 use rocket::storage::MemStore;
+use rocket::trace::PerfLog;
 
 /// Toy application: sums bytes, compares sums (deterministic outputs).
 struct ByteSum {
@@ -63,7 +66,11 @@ impl Application for ByteSum {
 
 const ITEMS: u64 = 24;
 
-fn run_with(kind: TransportKind, distributed_cache: bool) -> (RunReport, Vec<(Pair, i64)>) {
+fn cluster(
+    kind: TransportKind,
+    nodes: usize,
+    distributed_cache: bool,
+) -> (Scenario, ThreadedBackend<ByteSum>) {
     // Static partition makes per-node pair counts a pure function of the
     // topology (no timing-dependent stealing), so both transports must
     // produce byte-identical distributions. Host caches hold the full
@@ -71,7 +78,7 @@ fn run_with(kind: TransportKind, distributed_cache: bool) -> (RunReport, Vec<(Pa
     // the distributed cache is off.
     let scenario = Scenario::builder()
         .items(ITEMS)
-        .nodes(4, NodeSpec::uniform(1, 6, ITEMS as usize))
+        .nodes(nodes, NodeSpec::uniform(1, 6, ITEMS as usize))
         .job_limit(8)
         .cpu_threads(2)
         .leaf_pairs(8)
@@ -83,6 +90,11 @@ fn run_with(kind: TransportKind, distributed_cache: bool) -> (RunReport, Vec<(Pa
     let store =
         MemStore::from_iter((0..ITEMS).map(|i| (format!("{i}.bin"), vec![i as u8 + 1; 32])));
     let backend = ThreadedBackend::new(Arc::new(ByteSum { files: ITEMS }), Arc::new(store));
+    (scenario, backend)
+}
+
+fn run_with(kind: TransportKind, distributed_cache: bool) -> (RunReport, Vec<(Pair, i64)>) {
+    let (scenario, backend) = cluster(kind, 4, distributed_cache);
     let report = backend.run_app(&scenario).expect("cluster run");
     let outputs = report
         .sorted_outputs()
@@ -130,6 +142,35 @@ fn socket_matches_local_exactly_when_deterministic() {
     assert_eq!(local.loads, socket.loads);
     assert_eq!(local.r_factor(), socket.r_factor());
     assert_eq!(local_out, socket_out);
+}
+
+#[test]
+fn perf_records_cover_every_node_on_one_clock() {
+    for kind in [TransportKind::Local, TransportKind::Socket] {
+        let (scenario, backend) = cluster(kind, 2, true);
+        let perf = PerfLog::enabled();
+        let report = backend
+            .run_with_perf(&scenario, &perf)
+            .expect("recorded run");
+        let records = perf.take();
+        assert_eq!(report.pairs, ITEMS * (ITEMS - 1) / 2);
+        for node in 0..2 {
+            assert!(
+                records.iter().any(|r| r.node == node),
+                "{kind:?}: node {node} recorded nothing"
+            );
+        }
+        // One run-wide clock: no record is stamped after the run ended or
+        // started before it began, whichever node wrote it.
+        let elapsed_ns = (report.elapsed * 1e9) as u64;
+        for r in &records {
+            assert!(r.kind.is_stage(), "{kind:?}: {r:?}");
+            assert!(
+                r.node < 2 && r.value <= r.t_ns && r.t_ns <= elapsed_ns,
+                "{kind:?}: {r:?}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
