@@ -4,23 +4,38 @@
 //! The backend owns the driver endpoint of a cluster mesh (rank 0; the
 //! workers are ranks 1..p) and a dispatcher thread that multiplexes any
 //! number of concurrent [`Backend::run`] calls over the workers — which
-//! is exactly what a parallel `Study` produces. Each `run` call ships the
-//! scenario as a [`ToWorker::Job`] frame, and blocks until the
-//! dispatcher folds the worker's [`ToDriver::Done`] report back to it.
+//! is exactly what a parallel `Study` produces. Each `run` call encodes
+//! the scenario as a [`ToWorker::Job`] frame, queues it, and blocks until
+//! the dispatcher folds the worker's [`ToDriver::Done`] report back to it.
 //!
-//! Failure handling, in the order the dispatcher applies it each tick:
+//! The dispatcher is event-driven: its one wait point is the transport
+//! inbox, and everything that creates work arrives there. Worker frames
+//! do by nature; `run` (after queueing its request) and `Drop` (after
+//! raising the shutdown flag) send a self-addressed empty message — a
+//! wake token, recognisable by its `from` rank, which the transport sets
+//! and a worker therefore cannot forge. The block is bounded by whatever
+//! is actually due next — a ping, a liveness expiry, a job timeout — so
+//! no step of a job waits on a timer, and an idle cluster wakes the
+//! dispatcher once per `ping_interval` and no more. (A token lost by a
+//! faulty transport delays its request to that next wake; it cannot
+//! strand it.)
+//!
+//! Failure handling, in the order the dispatcher applies it each time it
+//! wakes:
 //!
 //! 1. **Positive disconnects** — [`Transport::peer_alive`] turning false
 //!    (a reader thread saw the connection die) loses the worker at the
-//!    next tick, far faster than any timeout.
+//!    next wake: at once under traffic, within `ping_interval` on a quiet
+//!    mesh, and either way well before the heartbeat deadline. A failed
+//!    `send` (job or ping) loses the worker immediately.
 //! 2. **Heartbeats** — [`rocket_comm::Liveness`] pings every worker each
 //!    `ping_interval`; a worker silent past `liveness_timeout` is lost
 //!    even if its TCP connection still looks healthy (`kill -9`,
 //!    network partition).
 //! 3. **Re-dealing** — a lost worker's unacknowledged job returns to the
-//!    queue and is re-sent to a surviving worker. Job ids make delivery
-//!    idempotent: a late duplicate report for a completed id is dropped,
-//!    never double-counted.
+//!    queue and the same encoded frame is re-sent to a surviving worker.
+//!    Job ids make delivery idempotent: a late duplicate report for a
+//!    completed id is dropped, never double-counted.
 //! 4. **Job timeouts** — a job outstanding past `job_timeout` is re-dealt
 //!    too; the original worker keeps its busy mark (a stuck worker gets
 //!    no new work) until it reports something or is lost.
@@ -36,9 +51,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rocket_comm::wire::Wire;
-use rocket_comm::{Liveness, RecvError, SocketTransport, Transport};
+use rocket_comm::{Incoming, Liveness, RecvError, SocketTransport, Transport};
 use rocket_core::{Backend, RocketError, RunReport, Scenario};
 use rocket_sanitize::Mutex;
 
@@ -47,18 +63,20 @@ use crate::protocol::{ToDriver, ToWorker, DRIVER_RANK, PROTOCOL_VERSION};
 /// Tuning knobs of the [`ClusterBackend`] dispatcher.
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
-    /// Heartbeat ping cadence per worker.
+    /// Heartbeat ping cadence per worker — and, because pings are the
+    /// only thing due on a quiet mesh, the longest the dispatcher sleeps:
+    /// a dropped connection nobody was talking to is noticed within it.
     pub ping_interval: Duration,
-    /// Silence after which a worker is declared lost.
+    /// Silence after which a worker is declared lost. Must outlast
+    /// `ping_interval`.
     pub liveness_timeout: Duration,
-    /// Time a single job may stay outstanding before it is re-dealt.
+    /// Time a single job may stay outstanding on one worker before it is
+    /// re-dealt; the dispatcher wakes exactly when the earliest expires.
     pub job_timeout: Duration,
     /// Minimum live workers for non-degraded reports; `None` means a
     /// majority of the configured workers. Falling below the quorum does
     /// not stop the sweep — completions are flagged degraded instead.
     pub quorum: Option<usize>,
-    /// Dispatcher tick (transport receive timeout).
-    pub poll: Duration,
 }
 
 impl Default for ClusterOptions {
@@ -68,7 +86,6 @@ impl Default for ClusterOptions {
             liveness_timeout: Duration::from_secs(2),
             job_timeout: Duration::from_secs(60),
             quorum: None,
-            poll: Duration::from_millis(10),
         }
     }
 }
@@ -127,6 +144,8 @@ pub enum ClusterEvent {
 /// failure semantics.
 pub struct ClusterBackend {
     jobs_tx: Sender<JobRequest>,
+    /// The endpoint the dispatcher blocks on; held here only to wake it.
+    transport: Arc<dyn Transport>,
     shared: Arc<Shared>,
     dispatcher: Option<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
@@ -140,7 +159,8 @@ struct Shared {
 
 struct JobRequest {
     id: u64,
-    scenario: Scenario,
+    /// The encoded [`ToWorker::Job`] frame.
+    frame: Bytes,
     reply: Sender<Result<RunReport, RocketError>>,
 }
 
@@ -171,7 +191,9 @@ impl ClusterBackend {
         });
         let shutdown = Arc::new(AtomicBool::new(false));
         let (jobs_tx, jobs_rx) = unbounded();
+        let transport: Arc<dyn Transport> = Arc::from(transport);
         let dispatcher = {
+            let transport = Arc::clone(&transport);
             let shared = Arc::clone(&shared);
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
@@ -181,6 +203,7 @@ impl ClusterBackend {
         };
         Ok(Self {
             jobs_tx,
+            transport,
             shared,
             dispatcher: Some(dispatcher),
             shutdown,
@@ -202,6 +225,14 @@ impl ClusterBackend {
     /// Number of workers the mesh was built with (live or not).
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Wakes the dispatcher out of its transport wait with a
+    /// self-addressed empty message (self-sends are delivered in memory).
+    /// Best effort: a dispatcher that never sees the token still wakes at
+    /// its next deadline.
+    fn wake(&self) {
+        let _ = self.transport.send(DRIVER_RANK, Bytes::new());
     }
 
     /// Everything noteworthy the dispatcher has recorded so far.
@@ -257,17 +288,21 @@ impl Backend for ClusterBackend {
     fn run(&self, scenario: &Scenario) -> Result<RunReport, RocketError> {
         scenario.validate().map_err(RocketError::Config)?;
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
+        // Encoded once, here on the caller's thread; the dispatcher only
+        // ever forwards the buffer.
+        let frame = ToWorker::Job {
+            id,
+            scenario: scenario.clone(),
+        }
+        .to_bytes();
         let (reply, result) = unbounded();
         self.jobs_tx
-            .send(JobRequest {
-                id,
-                scenario: scenario.clone(),
-                reply,
-            })
+            .send(JobRequest { id, frame, reply })
             .map_err(|_| RocketError::WorkerLost {
                 worker: DRIVER_RANK,
                 cause: "cluster dispatcher is shut down".into(),
             })?;
+        self.wake();
         result.recv().unwrap_or_else(|_| {
             Err(RocketError::WorkerLost {
                 worker: DRIVER_RANK,
@@ -280,6 +315,7 @@ impl Backend for ClusterBackend {
 impl Drop for ClusterBackend {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.wake();
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
@@ -288,7 +324,8 @@ impl Drop for ClusterBackend {
 
 /// One outstanding `run` call inside the dispatcher.
 struct Inflight {
-    scenario: Scenario,
+    /// The encoded job frame; a re-deal resends the same buffer.
+    frame: Bytes,
     reply: Sender<Result<RunReport, RocketError>>,
     /// Dispatches so far (1 = first send; >1 = re-dealt).
     attempts: u32,
@@ -298,7 +335,7 @@ struct Inflight {
 }
 
 struct Dispatcher {
-    transport: Box<dyn Transport>,
+    transport: Arc<dyn Transport>,
     opts: ClusterOptions,
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
@@ -313,8 +350,9 @@ struct Dispatcher {
     ready: HashSet<usize>,
     /// Worker → job it is (believed to be) running.
     busy: HashMap<usize, u64>,
+    /// Worker → jobs dealt to it so far (placement balance).
+    dealt: HashMap<usize, u64>,
     lost: HashSet<usize>,
-    completed: HashSet<u64>,
     /// Set once every worker is gone: `(last worker, cause)`.
     all_lost: Option<(usize, String)>,
     below_quorum_reported: bool,
@@ -323,7 +361,7 @@ struct Dispatcher {
 
 impl Dispatcher {
     fn new(
-        transport: Box<dyn Transport>,
+        transport: Arc<dyn Transport>,
         opts: ClusterOptions,
         shared: Arc<Shared>,
         shutdown: Arc<AtomicBool>,
@@ -350,8 +388,8 @@ impl Dispatcher {
             pending: VecDeque::new(),
             ready: HashSet::new(),
             busy: HashMap::new(),
+            dealt: HashMap::new(),
             lost: HashSet::new(),
-            completed: HashSet::new(),
             all_lost: None,
             below_quorum_reported: false,
             nonce: 0,
@@ -360,8 +398,8 @@ impl Dispatcher {
 
     fn run(mut self) {
         while !self.shutdown.load(Ordering::SeqCst) {
-            self.ingest_requests();
             self.pump_transport();
+            self.ingest_requests();
             let now = Instant::now();
             self.detect_disconnects();
             self.heartbeat(now);
@@ -399,7 +437,7 @@ impl Dispatcher {
             self.inflight.insert(
                 req.id,
                 Inflight {
-                    scenario: req.scenario,
+                    frame: req.frame,
                     reply: req.reply,
                     attempts: 0,
                     assigned_to: None,
@@ -410,40 +448,53 @@ impl Dispatcher {
         }
     }
 
+    /// How long the dispatcher may sleep: until the next ping is due, the
+    /// next liveness deadline expires, or the earliest dispatched job
+    /// times out. With every worker lost nothing is due ever again and
+    /// the wait falls back to `ping_interval` — only a wake token (a
+    /// submission to fail fast, or shutdown) is still worth waking for.
+    fn idle_for(&self, now: Instant) -> Duration {
+        let job_timeout = self
+            .inflight
+            .values()
+            .filter(|job| job.assigned_to.is_some())
+            .map(|job| job.deadline.saturating_duration_since(now))
+            .min();
+        self.liveness
+            .next_deadline(now)
+            .into_iter()
+            .chain(job_timeout)
+            .min()
+            .unwrap_or(self.opts.ping_interval)
+    }
+
+    /// The dispatcher's only wait: blocks until a frame or a wake token
+    /// arrives or something comes due, then drains whatever else is
+    /// already queued without blocking again.
     fn pump_transport(&mut self) {
-        // Drain everything queued, then block one poll interval so the
-        // loop is quiet when the cluster is.
-        let mut blocked = false;
-        loop {
-            let msg = if blocked {
-                break;
-            } else {
-                match self.transport.try_recv() {
-                    Some(m) => m,
-                    None => {
-                        blocked = true;
-                        match self.transport.recv_timeout(self.opts.poll) {
-                            Ok(m) => m,
-                            Err(RecvError::Timeout) => break,
-                            Err(RecvError::Disconnected) => {
-                                // Every connection is gone and the inbox
-                                // is drained.
-                                for w in 1..=self.workers {
-                                    self.mark_lost(w, "transport disconnected".into());
-                                }
-                                break;
-                            }
-                        }
-                    }
+        let mut next = match self.transport.recv_timeout(self.idle_for(Instant::now())) {
+            Ok(msg) => Some(msg),
+            Err(RecvError::Timeout) => None,
+            Err(RecvError::Disconnected) => {
+                // Every connection is gone and the inbox is drained.
+                for w in 1..=self.workers {
+                    self.mark_lost(w, "transport disconnected".into());
                 }
-            };
-            let now = Instant::now();
-            let from = msg.from;
-            self.liveness.observe(from, now);
-            match ToDriver::from_bytes(msg.payload) {
-                Ok(frame) => self.handle_frame(from, frame),
-                Err(_) => { /* undecodable frame: ignore, liveness noted */ }
+                None
             }
+        };
+        while let Some(Incoming { from, payload }) = next {
+            // The driver's own rank marks a wake token from `run` or
+            // `Drop`: what it announces is in `jobs_rx` or the shutdown
+            // flag, which the caller looks at next.
+            if from != DRIVER_RANK {
+                self.liveness.observe(from, Instant::now());
+                match ToDriver::from_bytes(payload) {
+                    Ok(frame) => self.handle_frame(from, frame),
+                    Err(_) => { /* undecodable frame: ignore, liveness noted */ }
+                }
+            }
+            next = self.transport.try_recv();
         }
     }
 
@@ -479,14 +530,16 @@ impl Dispatcher {
                 self.ready.insert(from);
             }
         }
-        if self.completed.contains(&id) {
-            self.event(ClusterEvent::DuplicateDropped { job: id, from });
-            return;
-        }
         let Some(job) = self.inflight.remove(&id) else {
-            return; // unknown id (e.g. from a previous backend instance)
+            // Ids come from one monotonic counter, so one this backend has
+            // issued and no longer holds in flight already completed or
+            // failed: a late duplicate. One it never issued (e.g. from a
+            // previous backend instance) is not ours to classify.
+            if id < self.shared.next_id.load(Ordering::SeqCst) {
+                self.event(ClusterEvent::DuplicateDropped { job: id, from });
+            }
+            return;
         };
-        self.completed.insert(id);
         self.pending.retain(|&p| p != id);
         let result = result.map(|mut report| {
             let live = self.workers - self.lost.len();
@@ -592,10 +645,18 @@ impl Dispatcher {
         }
     }
 
+    /// The idle worker to deal to next: fewest jobs dealt so far, then
+    /// lowest rank. Jobs are dealt the moment they arrive, so rank alone
+    /// would hand a stream of short jobs to rank 1 only (it is idle again
+    /// before the next one is submitted). Placement stays deterministic
+    /// when no faults occur, which keeps no-fault runs reproducible.
+    fn next_worker(&self) -> Option<usize> {
+        let dealt = |w: &usize| self.dealt.get(w).copied().unwrap_or(0);
+        self.ready.iter().copied().min_by_key(|w| (dealt(w), *w))
+    }
+
     fn dispatch(&mut self, now: Instant) {
-        // Lowest rank first: deterministic placement when no faults
-        // occur, which keeps no-fault runs reproducible.
-        while let Some(&worker) = self.ready.iter().min() {
+        while let Some(worker) = self.next_worker() {
             let Some(id) = self.pending.pop_front() else {
                 break;
             };
@@ -603,17 +664,14 @@ impl Dispatcher {
                 continue;
             };
             job.attempts += 1;
-            let frame = ToWorker::Job {
-                id,
-                scenario: job.scenario.clone(),
-            };
-            match self.transport.send(worker, frame.to_bytes()) {
+            match self.transport.send(worker, job.frame.clone()) {
                 Ok(()) => {
                     job.assigned_to = Some(worker);
                     job.deadline = now + self.opts.job_timeout;
                     let attempt = job.attempts;
                     self.ready.remove(&worker);
                     self.busy.insert(worker, id);
+                    *self.dealt.entry(worker).or_default() += 1;
                     if attempt > 1 {
                         self.event(ClusterEvent::Redealt {
                             job: id,

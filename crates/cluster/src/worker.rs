@@ -1,25 +1,26 @@
 //! The worker side of the cluster protocol: a serve loop around any
 //! in-process [`Backend`].
 //!
-//! [`serve`] announces readiness, then pumps the transport: pings are
-//! answered immediately, jobs run on their own threads (so heartbeats
-//! keep flowing during long cells — a busy worker is not a dead worker),
-//! and results stream back as [`ToDriver::Done`] / [`ToDriver::Failed`]
-//! frames. The loop exits on [`ToWorker::Shutdown`] or when the driver's
-//! connection drops, joining in-flight jobs before returning.
+//! [`serve`] announces readiness, then blocks on the transport: pings are
+//! answered immediately and jobs run on their own threads (so heartbeats
+//! keep flowing during long cells — a busy worker is not a dead worker).
+//! The job thread itself encodes and sends the [`ToDriver::Done`] /
+//! [`ToDriver::Failed`] frame the moment its backend returns; no result
+//! waits for the serve loop to come round. The loop exits on
+//! [`ToWorker::Shutdown`] or when the driver's connection drops, joining
+//! in-flight jobs before returning.
 
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
 use rocket_comm::wire::Wire;
 use rocket_comm::{RecvError, Transport};
-use rocket_core::{Backend, RocketError, RunReport};
+use rocket_core::Backend;
 
 use crate::protocol::{ToDriver, ToWorker, DRIVER_RANK, PROTOCOL_VERSION};
 
-/// How often the serve loop wakes to flush finished jobs when the
-/// transport is quiet.
-const POLL: Duration = Duration::from_millis(20);
+/// How often an otherwise idle serve loop looks up to see whether the
+/// driver has vanished. Nothing on the job path waits for it.
+const DRIVER_CHECK: Duration = Duration::from_millis(100);
 
 /// What a serve loop did before exiting (for logs and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,72 +42,52 @@ pub struct ServeReport {
 /// worker process, which is what `rocket-node --serve` does.
 pub fn serve(transport: &dyn Transport, backend: &dyn Backend) -> ServeReport {
     let mut out = ServeReport::default();
-    let (done_tx, done_rx) = unbounded::<(u64, Result<RunReport, RocketError>)>();
     let _ = send(
         transport,
         &ToDriver::Ready {
             version: PROTOCOL_VERSION,
         },
     );
-    std::thread::scope(|scope| {
-        'serve: loop {
-            // Flush finished jobs first so results are never starved by a
-            // chatty driver.
-            while let Ok((id, result)) = done_rx.try_recv() {
-                let frame = match result {
-                    Ok(report) => ToDriver::Done { id, report },
-                    Err(e) => ToDriver::Failed {
-                        id,
-                        error: e.to_string(),
-                    },
-                };
-                if send(transport, &frame).is_err() {
-                    break 'serve;
+    // The scope joins every job thread before `serve` returns.
+    std::thread::scope(|scope| loop {
+        match transport.recv_timeout(DRIVER_CHECK) {
+            Ok(msg) => match ToWorker::from_bytes(msg.payload) {
+                Ok(ToWorker::Ping { nonce }) => {
+                    out.pings += 1;
+                    if send(transport, &ToDriver::Pong { nonce }).is_err() {
+                        break;
+                    }
                 }
-            }
-            match transport.recv_timeout(POLL) {
-                Ok(msg) => match ToWorker::from_bytes(msg.payload) {
-                    Ok(ToWorker::Ping { nonce }) => {
-                        out.pings += 1;
-                        if send(transport, &ToDriver::Pong { nonce }).is_err() {
-                            break 'serve;
-                        }
-                    }
-                    Ok(ToWorker::Job { id, scenario }) => {
-                        out.jobs += 1;
-                        let tx = done_tx.clone();
-                        scope.spawn(move || {
-                            let _ = tx.send((id, backend.run(&scenario)));
-                        });
-                    }
-                    Ok(ToWorker::Shutdown) => {
-                        out.clean_exit = true;
-                        break 'serve;
-                    }
-                    // A frame this revision cannot decode is dropped, not
-                    // fatal: the driver's version check keeps genuinely
-                    // incompatible peers out.
-                    Err(_) => {}
-                },
-                Err(RecvError::Timeout) => {}
-                Err(RecvError::Disconnected) => break 'serve,
-            }
+                Ok(ToWorker::Job { id, scenario }) => {
+                    out.jobs += 1;
+                    scope.spawn(move || {
+                        let frame = match backend.run(&scenario) {
+                            Ok(report) => ToDriver::Done { id, report },
+                            Err(e) => ToDriver::Failed {
+                                id,
+                                error: e.to_string(),
+                            },
+                        };
+                        // Best effort: if the driver is gone the serve
+                        // loop finds out on its own.
+                        let _ = send(transport, &frame);
+                    });
+                }
+                Ok(ToWorker::Shutdown) => {
+                    out.clean_exit = true;
+                    break;
+                }
+                // A frame this revision cannot decode is dropped, not
+                // fatal: the driver's version check keeps genuinely
+                // incompatible peers out.
+                Err(_) => {}
+            },
+            // A report the job thread could not deliver shows up here as
+            // the driver's connection being down.
+            Err(RecvError::Timeout) if transport.peer_alive(DRIVER_RANK) => {}
+            Err(RecvError::Timeout | RecvError::Disconnected) => break,
         }
     });
-    // The scope joined all job threads; flush any results that finished
-    // after the loop broke (best effort — the driver may be gone).
-    while let Ok((id, result)) = done_rx.try_recv() {
-        let frame = match result {
-            Ok(report) => ToDriver::Done { id, report },
-            Err(e) => ToDriver::Failed {
-                id,
-                error: e.to_string(),
-            },
-        };
-        if send(transport, &frame).is_err() {
-            break;
-        }
-    }
     out
 }
 
@@ -117,8 +98,9 @@ fn send(transport: &dyn Transport, frame: &ToDriver) -> Result<(), RecvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::{unbounded, Receiver, Sender};
     use rocket_comm::TransportKind;
-    use rocket_core::{NodeSpec, Scenario};
+    use rocket_core::{NodeSpec, RocketError, RunReport, Scenario};
     use rocket_sim::SimBackend;
 
     fn scenario(seed: u64) -> Scenario {
@@ -176,6 +158,71 @@ mod tests {
         let report = handle.join().unwrap();
         assert_eq!(report.jobs, 1);
         assert_eq!(report.pings, 1);
+        assert!(report.clean_exit);
+    }
+
+    /// A backend whose every run announces itself, then blocks until the
+    /// test lets it go.
+    struct Gated {
+        started: Sender<()>,
+        release: Receiver<()>,
+    }
+
+    impl Backend for Gated {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+
+        fn run(&self, scenario: &Scenario) -> Result<RunReport, RocketError> {
+            self.started.send(()).expect("test is listening");
+            self.release.recv().expect("test releases the run");
+            SimBackend::new().run(scenario)
+        }
+    }
+
+    #[test]
+    fn heartbeats_flow_during_a_cell_and_the_job_thread_reports() {
+        let mut eps = TransportKind::Local.connect(2).unwrap();
+        let worker_ep = eps.pop().unwrap();
+        let driver = eps.pop().unwrap();
+        let (started_tx, started) = unbounded();
+        let (release, release_rx) = unbounded();
+        let backend = Gated {
+            started: started_tx,
+            release: release_rx,
+        };
+        let handle = std::thread::spawn(move || serve(worker_ep.as_ref(), &backend));
+        assert!(matches!(
+            recv_frame(driver.as_ref()),
+            ToDriver::Ready { .. }
+        ));
+
+        let job = ToWorker::Job {
+            id: 3,
+            scenario: scenario(2),
+        };
+        driver.send(1, job.to_bytes()).unwrap();
+        started.recv().expect("the cell is running");
+        driver
+            .send(1, ToWorker::Ping { nonce: 8 }.to_bytes())
+            .unwrap();
+        // The cell is still blocked, so the next frame can only be the pong.
+        assert!(matches!(
+            recv_frame(driver.as_ref()),
+            ToDriver::Pong { nonce: 8 }
+        ));
+
+        // From here the driver says nothing: the report must arrive on the
+        // job thread's own initiative.
+        release.send(()).unwrap();
+        assert!(matches!(
+            recv_frame(driver.as_ref()),
+            ToDriver::Done { id: 3, .. }
+        ));
+
+        driver.send(1, ToWorker::Shutdown.to_bytes()).unwrap();
+        let report = handle.join().unwrap();
+        assert_eq!((report.jobs, report.pings), (1, 1));
         assert!(report.clean_exit);
     }
 

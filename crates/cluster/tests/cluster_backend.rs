@@ -1,12 +1,15 @@
 //! Integration tests for [`ClusterBackend`]: equivalence with in-process
-//! backends, and the worker-failure matrix (killed before handshake /
-//! during a cell / duplicate late reports / job timeouts / total loss /
-//! below-quorum degradation), over both transports.
+//! backends, the event-driven control plane (neither a step of a cell
+//! nor shutdown waits on a timer), and the worker-failure matrix (killed
+//! before handshake / during a cell / duplicate late reports / job
+//! timeouts / total loss / below-quorum degradation), over both
+//! transports.
 
 use std::time::{Duration, Instant};
 
 use rocket_cluster::{
-    serve, ClusterBackend, ClusterEvent, ClusterOptions, ToDriver, ToWorker, PROTOCOL_VERSION,
+    serve, ClusterBackend, ClusterEvent, ClusterOptions, ServeReport, ToDriver, ToWorker,
+    PROTOCOL_VERSION,
 };
 use rocket_comm::wire::Wire;
 use rocket_comm::TransportKind;
@@ -35,7 +38,17 @@ fn fast() -> ClusterOptions {
         liveness_timeout: Duration::from_millis(150),
         job_timeout: Duration::from_secs(30),
         quorum: None,
-        poll: Duration::from_millis(2),
+    }
+}
+
+/// Timers so slow that none can fire inside a test: whatever completes
+/// quickly under these completed because something woke the dispatcher.
+fn no_timers() -> ClusterOptions {
+    ClusterOptions {
+        ping_interval: Duration::from_secs(30),
+        liveness_timeout: Duration::from_secs(60),
+        job_timeout: Duration::from_secs(60),
+        quorum: None,
     }
 }
 
@@ -55,20 +68,17 @@ fn ready_workers(backend: &ClusterBackend) -> usize {
         .count()
 }
 
-/// A driver plus `workers` real serve loops over local channels.
-fn local_cluster(
+/// A driver plus `workers` real serve loops over a mesh of `kind`.
+fn cluster_over(
+    kind: TransportKind,
     workers: usize,
     opts: ClusterOptions,
-) -> (ClusterBackend, Vec<std::thread::JoinHandle<()>>) {
-    let mut eps = TransportKind::Local.connect(workers + 1).unwrap();
+) -> (ClusterBackend, Vec<std::thread::JoinHandle<ServeReport>>) {
+    let mut eps = kind.connect(workers + 1).unwrap();
     let driver_ep = eps.remove(0);
     let handles = eps
         .into_iter()
-        .map(|ep| {
-            std::thread::spawn(move || {
-                serve(ep.as_ref(), &SimBackend::new());
-            })
-        })
+        .map(|ep| std::thread::spawn(move || serve(ep.as_ref(), &SimBackend::new())))
         .collect();
     let backend = ClusterBackend::over(driver_ep, opts).unwrap();
     (backend, handles)
@@ -76,7 +86,7 @@ fn local_cluster(
 
 #[test]
 fn study_on_cluster_matches_local_sim() {
-    let (backend, handles) = local_cluster(3, fast());
+    let (backend, handles) = cluster_over(TransportKind::Local, 3, fast());
     let sweep = Sweep::over(toy_scenario(11))
         .axis(Axis::items([8, 10, 12]))
         .axis(Axis::hops([1, 2]))
@@ -105,6 +115,70 @@ fn study_on_cluster_matches_local_sim() {
     drop(backend);
     for h in handles {
         h.join().unwrap();
+    }
+}
+
+#[test]
+fn no_step_of_a_cell_waits_for_a_timer() {
+    const RUNS: u64 = 200;
+    // The smallest cell there is, so the control plane is all the test
+    // times — in a debug build too.
+    let cell = |seed| {
+        Scenario::builder()
+            .items(4)
+            .node(NodeSpec::uniform(1, 4, 8))
+            .seed(seed)
+            .build()
+    };
+    let local: Vec<String> = (0..RUNS)
+        .map(|seed| format!("{:?}", SimBackend::new().run(&cell(seed)).unwrap()))
+        .collect();
+    for kind in [TransportKind::Local, TransportKind::Socket] {
+        let (backend, handles) = cluster_over(kind, 1, no_timers());
+        // A lone cell is submit -> deal -> run -> report -> reply. Were any
+        // of those hand-offs picked up by a tick instead of a wake-up (the
+        // old dispatcher needed three ticks of >= 10 ms per cell), 200
+        // cells in sequence would take over 6 s; event-driven they take
+        // about 0.15 s. The bound sits an order of magnitude from both.
+        let started = Instant::now();
+        for (seed, want) in (0..RUNS).zip(&local) {
+            let report = backend.run(&cell(seed)).expect("cluster run");
+            assert_eq!(&format!("{report:?}"), want, "{kind:?}, seed {seed}");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "{RUNS} sequential cells over {kind:?} took {elapsed:?}"
+        );
+        assert!(backend.fault_summary().contains("no faults"));
+
+        // Shutdown neither: the dispatcher is asleep until the first ping
+        // comes due, half a minute from here, and Drop has to wake it.
+        let started = Instant::now();
+        drop(backend);
+        for h in handles {
+            assert!(h.join().unwrap().clean_exit);
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "shutdown over {kind:?} took {elapsed:?}"
+        );
+    }
+}
+
+#[test]
+fn sequential_jobs_are_spread_over_every_worker() {
+    let (backend, handles) = cluster_over(TransportKind::Local, 2, no_timers());
+    wait_for(|| ready_workers(&backend) == 2, "both workers ready");
+    // Each job is done before the next is submitted, so both workers are
+    // idle at every deal: rank alone would give all six to rank 1.
+    for seed in 0..6 {
+        backend.run(&toy_scenario(seed)).expect("cluster run");
+    }
+    drop(backend);
+    for h in handles {
+        assert_eq!(h.join().unwrap().jobs, 3);
     }
 }
 

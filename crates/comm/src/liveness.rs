@@ -94,6 +94,20 @@ impl Liveness {
             .collect()
     }
 
+    /// How long after `now` the owner next has something to do: the
+    /// earliest ping coming due or silence deadline expiring among the
+    /// peers still alive (zero when one already has). `None` when no peer
+    /// is alive — nothing will ever come due. This is the timeout an
+    /// owner that blocks on its transport should block with.
+    pub fn next_deadline(&self, now: Instant) -> Option<Duration> {
+        self.peers
+            .iter()
+            .filter(|p| !p.lost)
+            .map(|p| (p.last_ping + self.ping_interval).min(p.last_seen + self.deadline))
+            .min()
+            .map(|due| due.saturating_duration_since(now))
+    }
+
     /// Declares `peer` lost immediately (e.g. a send to it failed).
     /// Returns true if the peer was alive until now.
     pub fn mark_lost(&mut self, peer: NodeId) -> bool {
@@ -179,6 +193,38 @@ mod tests {
             l.peers_to_ping(t0 + 100 * MS).is_empty(),
             "no pings to the dead"
         );
+    }
+
+    #[test]
+    fn next_deadline_is_the_earliest_ping_or_expiry() {
+        let t0 = Instant::now();
+        let mut l = Liveness::new([1, 2], 10 * MS, 45 * MS, t0);
+        // Fresh peers: the ping comes due long before anyone expires.
+        assert_eq!(l.next_deadline(t0), Some(10 * MS));
+        assert_eq!(l.next_deadline(t0 + 4 * MS), Some(6 * MS));
+        assert_eq!(l.next_deadline(t0 + 12 * MS), Some(Duration::ZERO));
+        // Pinged on schedule but never heard from: the silence deadline
+        // (t0 + 45) now precedes the next ping (t0 + 50).
+        for tick in 1..=4 {
+            assert_eq!(l.peers_to_ping(t0 + tick * 10 * MS), vec![1, 2]);
+        }
+        assert_eq!(l.next_deadline(t0 + 44 * MS), Some(MS));
+        // Peer 2 speaks up; silent peer 1 still sets the deadline.
+        l.observe(2, t0 + 44 * MS);
+        assert_eq!(l.next_deadline(t0 + 44 * MS), Some(MS));
+        assert_eq!(l.newly_lost(t0 + 45 * MS), vec![1]);
+        // Lost peers contribute nothing: only peer 2's ping is left.
+        assert_eq!(l.next_deadline(t0 + 45 * MS), Some(5 * MS));
+    }
+
+    #[test]
+    fn next_deadline_is_none_without_live_peers() {
+        let t0 = Instant::now();
+        let none = Liveness::new([], 10 * MS, 50 * MS, t0);
+        assert_eq!(none.next_deadline(t0), None);
+        let mut l = Liveness::new([4], 10 * MS, 50 * MS, t0);
+        l.mark_lost(4);
+        assert_eq!(l.next_deadline(t0 + 100 * MS), None);
     }
 
     #[test]

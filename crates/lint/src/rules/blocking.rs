@@ -13,7 +13,7 @@
 //!   carries the witness call chain.
 //!
 //! Hold ranges are block-scoped for `let`-bound guards and
-//! statement-scoped for temporaries (see [`crate::callgraph`]); an early
+//! statement-scoped for temporaries (see `crate::callgraph`); an early
 //! `drop(guard)` is invisible, so deliberate wait-under-lock patterns
 //! (condvars *require* one) carry `lint:allow(RL-B001)` with a
 //! rationale.

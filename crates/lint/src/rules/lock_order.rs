@@ -3,7 +3,7 @@
 //! Rocket holds several locks on its hot paths (cache slot tables, steal
 //! deques, the directory). A deadlock needs two threads acquiring the
 //! same pair of locks in opposite orders; this rule approximates that
-//! check statically on the shared call graph ([`crate::callgraph`]):
+//! check statically on the shared call graph (`crate::callgraph`):
 //!
 //! 1. For every non-test function in scope, record the ordered sequence
 //!    of lock acquisitions with their hold ranges (block-scoped for

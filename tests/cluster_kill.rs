@@ -88,7 +88,6 @@ fn sigkilled_worker_does_not_sink_the_sweep() {
             liveness_timeout: Duration::from_millis(500),
             job_timeout: Duration::from_secs(10),
             quorum: None, // majority of 3 = 2; one loss stays at quorum
-            poll: Duration::from_millis(2),
         },
     )
     .expect("driver joins the mesh");
