@@ -115,8 +115,8 @@ pub struct SimConfig {
     /// advancing in lock-step windows on the steal pool. Results are
     /// byte-identical for every value (clamped to the node count).
     pub shards: usize,
-    /// Worker threads for sharded runs. `0` picks the machine's available
-    /// parallelism, capped at the shard count.
+    /// Threads for sharded runs, the calling thread included. `0` picks the
+    /// machine's available parallelism, capped at the shard count.
     pub shard_threads: usize,
     /// Perf-sample sink. Disabled by default; when enabled the engine
     /// buffers records per shard and folds them in after the result is

@@ -3,8 +3,8 @@
 //! The sequential simulator pops one global event queue. This module shards
 //! that queue: nodes are partitioned into `K` contiguous shards, each with
 //! its own [`EventQueue`] and its own slice of per-node state, and all
-//! shards advance in lock-step *time windows* on
-//! [`StealPool::run_rounds`].
+//! shards advance in lock-step *time windows* on [`StealPool::run_rounds`]:
+//! shard `i` always runs on thread `i % threads`, the barrier on the caller.
 //!
 //! # Why the window width is safe
 //!
@@ -420,8 +420,8 @@ fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: 
 }
 
 /// `K > 1`: lock-step windows on [`StealPool::run_rounds`]. Each round runs
-/// every shard's current window in parallel; `between` holds all shard
-/// locks and plays the barrier (deliver, flush, steal, advance).
+/// every shard's current window, each shard on the thread that owns it;
+/// `between` then plays the barrier (deliver, flush, steal, advance).
 fn run_windowed<Q>(ctx: &Ctx, shards: Vec<ShardState<Q>>, drv: &mut Driver) -> Vec<ShardState<Q>>
 where
     Q: EventQueue<Ev> + Send,
@@ -457,9 +457,9 @@ where
         k,
         threads,
         |i| {
-            // lint:allow(blocking) — the cell lock is per-shard and taken
-            // only by the worker that owns the shard this window, so the
-            // modeled IO inside run_window blocks nobody else.
+            // lint:allow(blocking) — run_rounds pins shard `i` to one
+            // thread for the whole run, so this lock is never contended
+            // and the modeled IO inside run_window blocks nobody else.
             // lint:allow(lock-order) — the static edges out of `cells`
             // here are name-merge artifacts (`handle` resolves to every
             // in-scope fn of that name); the runtime witness records no

@@ -1,6 +1,6 @@
 //! Threaded hierarchical work-stealing pool over `crossbeam-deque`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use rand::rngs::StdRng;
@@ -139,20 +139,24 @@ impl StealPool {
         });
     }
 
-    /// Runs `tasks` index-addressed tasks per *round* on up to `threads`
-    /// persistent worker threads, calling `between()` exclusively on the
-    /// caller thread after every round. Rounds repeat until `between`
-    /// returns `false`.
+    /// Runs `tasks` index-addressed tasks per *round* on `threads` threads
+    /// — the calling thread plus `threads − 1` persistent workers — and
+    /// calls `between()` on the calling thread after every round. Rounds
+    /// repeat until `between` returns `false`.
     ///
     /// This is the barrier-style sibling of [`StealPool::run_tasks`] for
     /// lock-step algorithms (e.g. conservative time-window simulation):
     /// `run_tasks` spawns and joins threads per call, which is far too
     /// expensive to do once per window, so `run_rounds` keeps the workers
-    /// alive across rounds and synchronizes them on a spin barrier. Within
-    /// a round each index is claimed by exactly one worker (work-sharing
-    /// over an atomic cursor); `between` runs while every worker is parked
-    /// at the barrier, so it has exclusive access to whatever state the
+    /// alive across rounds. Task `i` runs on thread `i % threads` in every
+    /// round (the caller is thread 0), so whatever state task `i` touches
+    /// stays in one core's cache and is never contended. `between` runs
+    /// after every thread has finished the round and before any is released
+    /// into the next, so it has exclusive access to whatever state the
     /// tasks touched.
+    ///
+    /// A panic in `task` or `between` ends the rounds on every thread and
+    /// propagates out of this call with its original payload.
     pub fn run_rounds<T, B>(tasks: usize, threads: usize, task: T, mut between: B)
     where
         T: Fn(usize) + Sync,
@@ -169,37 +173,43 @@ impl StealPool {
                 }
             }
         }
-        let cursor = AtomicU64::new(0);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        // Two barrier phases per round: `start` releases the workers into
-        // the round, `end` hands control back to the caller for `between`.
-        let start = SpinBarrier::new(threads + 1);
-        let end = SpinBarrier::new(threads + 1);
+        let sync = RoundSync::default();
+        let workers = (threads - 1) as u64;
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                        if i >= tasks {
-                            break;
+            let handles: Vec<_> = (1..threads)
+                .map(|w| {
+                    let (sync, task) = (&sync, &task);
+                    scope.spawn(move || {
+                        let _leave = LeaveOnDrop(&sync.left);
+                        for round in 1u64.. {
+                            if !sync.wait(|| sync.released.load(Ordering::Acquire) >= round) {
+                                return;
+                            }
+                            for i in (w..tasks).step_by(threads) {
+                                task(i);
+                            }
+                            sync.finished.fetch_add(1, Ordering::Release);
                         }
+                    })
+                })
+                .collect();
+            {
+                let _leave = LeaveOnDrop(&sync.left);
+                for round in 1u64.. {
+                    sync.released.store(round, Ordering::Release);
+                    for i in (0..tasks).step_by(threads) {
                         task(i);
                     }
-                    end.wait();
-                });
+                    let gathered =
+                        sync.wait(|| sync.finished.load(Ordering::Acquire) == round * workers);
+                    if !gathered || !between() {
+                        break;
+                    }
+                }
             }
-            loop {
-                cursor.store(0, Ordering::Relaxed);
-                start.wait();
-                end.wait();
-                if !between() {
-                    stop.store(true, Ordering::Release);
-                    start.wait();
-                    break;
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
                 }
             }
         });
@@ -341,46 +351,56 @@ impl StealPool {
     }
 }
 
-/// A reusable spin barrier for tightly-coupled round synchronization.
+/// Polls of a round's wait loop before it starts yielding the core.
+const WAIT_POLLS: u32 = 10_000;
+
+/// What the threads of one [`StealPool::run_rounds`] call synchronise on:
+/// the caller *releases* round `r` by storing `r`, each worker reports a
+/// *finished* round by incrementing a running total, and any thread that
+/// leaves — the caller once `between` says stop, anyone by panicking —
+/// raises `left` so nobody waits for it.
 ///
 /// `std::sync::Barrier` parks threads in the kernel, which costs tens of
-/// microseconds per crossing — longer than an entire simulation window.
-/// This barrier spins (with `spin_loop` hints, degrading to `yield_now`)
-/// on a generation counter instead, keeping a barrier crossing in the
-/// sub-microsecond range when all parties arrive promptly.
-struct SpinBarrier {
-    parties: usize,
-    arrived: std::sync::atomic::AtomicUsize,
-    generation: AtomicU64,
+/// microseconds per crossing — longer than an entire simulation window —
+/// so waiting is a poll. It is a plain load with no `spin_loop` hint: the
+/// bound before yielding is counted in polls, and a hinted poll measured
+/// ≈14 ns on the two-thread virtualised host this was sized on, so a
+/// waiter held its core ≈140 µs before giving it to the thread it was
+/// waiting for (4 threads on 2 cores: 388 µs a round hinted, 23 µs bare).
+/// Past [`WAIT_POLLS`] the loop yields, so more threads than cores still
+/// make progress.
+#[derive(Default)]
+struct RoundSync {
+    released: AtomicU64,
+    finished: AtomicU64,
+    left: AtomicBool,
 }
 
-impl SpinBarrier {
-    fn new(parties: usize) -> Self {
-        Self {
-            parties,
-            arrived: std::sync::atomic::AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            // Last arrival: reset the count and release the generation.
-            self.arrived.store(0, Ordering::Release);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            return;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            spins += 1;
-            if spins < 10_000 {
-                std::hint::spin_loop();
+impl RoundSync {
+    /// Waits until `ready()`; `false` means a thread left first.
+    fn wait(&self, ready: impl Fn() -> bool) -> bool {
+        let mut polls = 0u32;
+        while !ready() {
+            if self.left.load(Ordering::Acquire) {
+                return false;
+            }
+            if polls < WAIT_POLLS {
+                polls += 1;
             } else {
                 std::thread::yield_now();
             }
         }
+        true
+    }
+}
+
+/// Raises a [`RoundSync`]'s `left` flag when its thread leaves the rounds,
+/// by return or by unwinding.
+struct LeaveOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for LeaveOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
@@ -414,6 +434,7 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     #[test]
     fn partition_covers_all_pairs_disjointly() {
@@ -563,19 +584,26 @@ mod tests {
         assert_eq!(seen.load(Ordering::Relaxed), 32 * 31 / 2);
     }
 
-    /// Every round must see all task indices exactly once, and `between`
-    /// must run with every worker parked (exclusive access).
+    /// Every round must see all task indices exactly once, each on the
+    /// thread that ran it in round one, and `between` must run on the
+    /// caller with every thread done (exclusive access).
     fn check_run_rounds(tasks: usize, threads: usize) {
         let rounds = 5usize;
         let hits: Vec<AtomicU64> = (0..tasks).map(|_| AtomicU64::new(0)).collect();
+        let owners: Vec<Mutex<Option<ThreadId>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        let caller = std::thread::current().id();
         let mut round = 0usize;
         StealPool::run_rounds(
             tasks,
             threads,
             |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
+                let me = std::thread::current().id();
+                let owner = *owners[i].lock().get_or_insert(me);
+                assert_eq!(owner, me, "task {i} changed threads");
             },
             || {
+                assert_eq!(std::thread::current().id(), caller);
                 round += 1;
                 // Exclusive: every task has run exactly `round` times.
                 for h in &hits {
@@ -588,6 +616,20 @@ mod tests {
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), rounds as u64);
         }
+        // Fixed stride: tasks `i` and `j` share a thread iff they are
+        // congruent modulo the effective thread count; the caller is
+        // thread 0.
+        let owners: Vec<ThreadId> = owners
+            .into_iter()
+            .map(|o| o.into_inner().expect("every task ran"))
+            .collect();
+        let threads = threads.clamp(1, tasks.max(1));
+        for (i, owner) in owners.iter().enumerate() {
+            assert_eq!(*owner == caller, i % threads == 0, "task {i}");
+            assert_eq!(*owner, owners[i % threads], "task {i}");
+        }
+        let distinct: HashSet<ThreadId> = owners.into_iter().collect();
+        assert_eq!(distinct.len(), threads.min(tasks));
     }
 
     #[test]
@@ -598,7 +640,15 @@ mod tests {
     #[test]
     fn run_rounds_parallel() {
         check_run_rounds(8, 4);
+        check_run_rounds(13, 2); // one thread owns several tasks
         check_run_rounds(3, 8); // more threads than tasks
+        check_run_rounds(0, 4); // nothing to run: only `between`
+    }
+
+    #[test]
+    fn run_rounds_oversubscribed_host_makes_progress() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        check_run_rounds(4 * cores, 4 * cores);
     }
 
     #[test]
@@ -614,6 +664,74 @@ mod tests {
             },
         );
         assert_eq!(calls, 3);
+    }
+
+    /// Runs `f` on a helper thread and re-raises its panic here; a `f`
+    /// that neither returns nor panics within the timeout fails the test
+    /// instead of hanging the suite.
+    fn panics_within_timeout(f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let helper = std::thread::spawn(move || {
+            let _done = tx; // dropped on return and on unwind
+            f();
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+            other => panic!("run_rounds hung instead of propagating: {other:?}"),
+        }
+        if let Err(panic) = helper.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// Four tasks on two threads, the task at `bad` panicking in round two.
+    fn panic_in_task(bad: usize) {
+        panics_within_timeout(move || {
+            let round = AtomicU64::new(0);
+            StealPool::run_rounds(
+                4,
+                2,
+                |i| {
+                    if i == bad && round.load(Ordering::Relaxed) == 1 {
+                        panic!("task {i} failed");
+                    }
+                },
+                || {
+                    round.fetch_add(1, Ordering::Relaxed);
+                    true
+                },
+            );
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "task 2 failed")]
+    fn run_rounds_propagates_a_panic_in_a_caller_owned_task() {
+        panic_in_task(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 failed")]
+    fn run_rounds_propagates_a_panic_in_a_worker_owned_task() {
+        panic_in_task(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation stalled")]
+    fn run_rounds_propagates_a_panic_in_between() {
+        panics_within_timeout(|| {
+            let mut rounds = 0;
+            StealPool::run_rounds(
+                4,
+                2,
+                |_| {},
+                || {
+                    rounds += 1;
+                    assert!(rounds < 3, "simulation stalled");
+                    true
+                },
+            );
+        });
     }
 
     #[test]
