@@ -45,7 +45,12 @@ use crate::transport::{CommStats, Incoming, NodeId, RecvError, Transport};
 /// Handshake magic: `b"RKT1"` little-endian.
 const MAGIC: u32 = u32::from_le_bytes(*b"RKT1");
 
-/// Poll interval while waiting for higher-ranked peers to dial in.
+/// First poll interval while waiting for higher-ranked peers to dial in.
+/// Peers on one host dial within microseconds, so the wait starts short
+/// and doubles up to [`CONNECT_RETRY`] for peers that are slow to start.
+const ACCEPT_BACKOFF: Duration = Duration::from_micros(50);
+
+/// Longest poll interval while waiting for higher-ranked peers to dial in.
 const CONNECT_RETRY: Duration = Duration::from_millis(20);
 
 /// Cap on one handshake read and on the whole accept phase — without it a
@@ -415,10 +420,12 @@ fn establish_mesh(
     let expected = p - rank - 1;
     let mut accepted = 0;
     let deadline = std::time::Instant::now() + HANDSHAKE_TIMEOUT;
+    let mut backoff = ACCEPT_BACKOFF;
     listener.set_nonblocking(true)?;
     while accepted < expected {
         match listener.accept() {
             Ok((mut stream, _)) => {
+                backoff = ACCEPT_BACKOFF;
                 stream.set_nonblocking(false)?;
                 stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
                 match recv_hello(&mut stream, p) {
@@ -451,7 +458,8 @@ fn establish_mesh(
                         ),
                     ));
                 }
-                std::thread::sleep(CONNECT_RETRY);
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(CONNECT_RETRY);
             }
             Err(e) => return Err(e),
         }

@@ -336,10 +336,16 @@ pub(crate) struct SimNode {
     /// back, so a straggler's tail can still migrate to idle nodes.
     pub(crate) deque: TaskDeque,
     /// Open row the owner is streaming pairs from, kept out of the deque so
-    /// consuming a pair costs no deque traffic. Always a single-row block.
-    /// Normalized (pushed back) before any steal snapshot so the tail stays
-    /// stealable and deque state matches the one-block-per-pair scheme.
+    /// consuming a pair costs no deque traffic. Always a single-row block,
+    /// and logically the deque's newest entry: the owner consumes it before
+    /// popping, and a thief takes it only once the deque is empty, so the
+    /// tail stays stealable exactly as in the one-block-per-pair scheme.
     pub(crate) cursor: Option<Block>,
+    /// Stealable blocks: deque entries plus the open cursor.
+    pub(crate) blocks: usize,
+    /// Un-started pairs across the deque and the cursor. A split leaves it
+    /// unchanged; every pair taken drops it by one.
+    pub(crate) pending: u64,
     pub(crate) gpus: Vec<SimGpu>,
     pub(crate) host_cache: SlotCache<Tok>,
     pub(crate) cpu: Pool,

@@ -20,7 +20,7 @@
 //!   barrier, where they are submitted to the shared storage engine in
 //!   global `(time, prio)` order.
 //! * **Work stealing** happens only at barriers, matched deterministically
-//!   over a snapshot of every node's deque.
+//!   over per-shard victim bitsets that every shard keeps current.
 //!
 //! With windows of width `min(net_latency, service + storage_latency)`,
 //! every cross-shard event produced inside window `W` lands at or after the
@@ -102,6 +102,9 @@ pub(crate) struct Ctx<'a> {
     gpu_gid_base: Vec<usize>,
     /// Owning shard of each global node.
     node_shard: Vec<usize>,
+    /// Backlog (pairs) at which a victim is "rich": see
+    /// [`RICH_BACKLOG_DIVISOR`].
+    rich_pairs: u64,
 }
 
 /// One shard: a contiguous slice of nodes plus its own event queue.
@@ -129,11 +132,19 @@ pub(crate) struct ShardState<Q> {
     /// a dense side array: `next_prio` runs on every schedule, and two hot
     /// cache lines beat a scattered read into each node's struct.
     seqs: Vec<u64>,
-    /// Deque blocks plus open row cursors across this shard's nodes. Zero
-    /// means nothing here is stealable, letting `steal_match` skip its
-    /// whole-cluster snapshot — which is most boundaries late in a run,
-    /// when all remaining work is in flight and hungry nodes can only wait.
+    /// Σ `SimNode::blocks` over this shard. Zero everywhere means nothing
+    /// is stealable, letting `steal_match` return at once — which is most
+    /// boundaries late in a run, when all remaining work is in flight and
+    /// hungry nodes can only wait.
     work_blocks: usize,
+    /// Victim index, one bit per local node (`nodes[i]` ↔ bit `i % 64` of
+    /// word `i / 64`): `any` marks nodes with a stealable block, `rich`
+    /// those whose backlog also reaches `Ctx::rich_pairs`, and `hungry`
+    /// mirrors `SimNode::hungry`. Shard-local, so windowed shards keep
+    /// them current in parallel and `steal_match` never scans nodes.
+    any: Vec<u64>,
+    rich: Vec<u64>,
+    hungry: Vec<u64>,
     /// Perf-sample buffer (`Some` iff `cfg.perf` is enabled). Records stay
     /// shard-local during the run and fold into `cfg.perf` in `finish`,
     /// after the result is final — so instrumentation can never perturb
@@ -152,10 +163,9 @@ struct Driver {
     loads: Vec<(SimTime, u64, usize, u64)>,
     /// Scratch: merged cross-shard messages, sorted by `(at, prio)`.
     msgs: Vec<(SimTime, u64, usize, usize, Msg)>,
-    /// Scratch: deque depth per global node for steal matching.
-    lens: Vec<usize>,
-    /// Scratch: pending pairs per global node for steal matching.
-    pair_lens: Vec<u64>,
+    /// Scratch: this boundary's thieves, whose victim bits wait until the
+    /// match ends.
+    thieves: Vec<usize>,
     /// Perf samples produced at barriers (storage reads, boundary steals).
     perf: Option<Vec<PerfRecord>>,
 }
@@ -191,8 +201,7 @@ where
         windows: 0,
         loads: Vec::new(),
         msgs: Vec::new(),
-        lens: Vec::new(),
-        pair_lens: Vec::new(),
+        thieves: Vec::new(),
         perf: cfg.perf.is_enabled().then(Vec::new),
     };
     if ctx.total_pairs > 0 {
@@ -242,6 +251,9 @@ fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
     let window_ns = net_lat_ns
         .max(1)
         .min((load_service_ns + storage_lat_ns).max(1));
+    let total_pairs = n * n.saturating_sub(1) / 2;
+    let leaf = cfg.leaf_pairs.max(1);
+    let rich_pairs = leaf * (total_pairs / (p as u64 * RICH_BACKLOG_DIVISOR * leaf)).max(1);
     Ctx {
         cfg,
         stages: StageDists {
@@ -250,13 +262,14 @@ fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
             compare: cfg.workload.compare.clone(),
             postprocess: cfg.workload.postprocess.clone(),
         },
-        total_pairs: n * n.saturating_sub(1) / 2,
+        total_pairs,
         window_ns,
         net_lat_ns,
         storage_lat_ns,
         load_service_ns,
         gpu_gid_base,
         node_shard,
+        rich_pairs,
     }
 }
 
@@ -280,6 +293,8 @@ where
                 SimNode {
                     deque: TaskDeque::new(),
                     cursor: None,
+                    blocks: 0,
+                    pending: 0,
                     gpus: nc
                         .gpus
                         .iter()
@@ -316,6 +331,7 @@ where
             })
             .collect();
         let seqs = vec![0; nodes.len()];
+        let words = nodes.len().div_ceil(64);
         let mut shard = ShardState {
             id: sid,
             base,
@@ -332,14 +348,17 @@ where
             pairs_started: 0,
             seqs,
             work_blocks: 0,
+            any: vec![0; words],
+            rich: vec![0; words],
+            hungry: vec![0; words],
             perf: cfg.perf.is_enabled().then(Vec::new),
         };
         if ctx.total_pairs > 0 {
             // The master node spawns the root task (§4.2); every node
             // starts with a keyed Pull at t = 0.
             if base == 0 {
-                shard.nodes[0].deque.push(Block::root(n));
-                shard.work_blocks += 1;
+                shard.push_block(0, Block::root(n));
+                shard.index_victim(ctx, 0);
             }
             for g in shard.base..shard.base + shard.nodes.len() {
                 let prio = shard.next_prio(g);
@@ -384,7 +403,7 @@ fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: 
             shard.handle(ctx, ev);
             shard.drain_wakes(ctx);
             #[cfg(debug_assertions)]
-            shard.validate();
+            shard.validate(ctx);
             continue;
         }
         // Bounded mode: deferred storage requests flush as soon as virtual
@@ -415,7 +434,7 @@ fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: 
         shard.handle(ctx, ev);
         shard.drain_wakes(ctx);
         #[cfg(debug_assertions)]
-        shard.validate();
+        shard.validate(ctx);
     }
 }
 
@@ -571,11 +590,19 @@ fn flush_loads<Q: EventQueue<Ev>>(ctx: &Ctx, shards: &mut [&mut ShardState<Q>], 
     drv.loads = loads;
 }
 
-/// Matches hungry nodes (out of local work) with victims over a snapshot
-/// of every deque's depth, in ascending global node order. The thief's
-/// fresh block is not re-offered within the same boundary; a robbed
-/// victim's depth drops immediately. The RNG advances only on a match, so
-/// boundaries without steal pressure cost no randomness.
+/// Matches hungry nodes (out of local work) with victims, in ascending
+/// global node order, over the shards' victim bitsets. A robbed victim's
+/// bits update at once; a thief's fresh block is not re-offered within the
+/// same boundary (its bits update after the loop). A hungry node owns no
+/// block, so it is never its own candidate. The RNG advances only on a
+/// match, so boundaries without steal pressure cost no randomness.
+///
+/// Victim tiers. Rich victims (backlog ≥ `Ctx::rich_pairs`) are always
+/// fair game — moving whole quadrants is what stealing is for. Sub-leaf
+/// remnants only feed thieves starved for `REMNANT_STEAL_DELAY_NS`:
+/// remnant steals drag the victim's items along for a handful of pairs, so
+/// they must stay a last resort against genuine stragglers, not fire at
+/// every boundary. See `RICH_BACKLOG_DIVISOR` for the threshold.
 fn steal_match<Q: EventQueue<Ev>>(
     ctx: &Ctx,
     shards: &mut [&mut ShardState<Q>],
@@ -585,101 +612,99 @@ fn steal_match<Q: EventQueue<Ev>>(
     if shards.iter().map(|s| s.hungry_count).sum::<usize>() == 0 {
         return;
     }
-    // No block anywhere means no possible victim: the full scan below
-    // would normalize nothing, see every deque empty, and match nobody.
-    // Skipping it is therefore result-identical (and state-based, so
-    // shard-count-invariant) — and it is the common case late in a run,
-    // when every remaining pair is in flight and thieves just wait.
+    // No block anywhere means no possible victim. It is the common case
+    // late in a run, when every remaining pair is in flight and thieves
+    // just wait.
     if shards.iter().map(|s| s.work_blocks).sum::<usize>() == 0 {
         return;
     }
-    // Fold every open row cursor back into its deque before snapshotting,
-    // so remnants are visible (and stealable) exactly as if each pair had
-    // gone through the deque. Hunger is shard-count-invariant, so every K
-    // normalizes at the same boundaries and deque states stay identical.
-    for s in shards.iter_mut() {
-        s.normalize_cursors();
-    }
-    drv.lens.clear();
-    drv.pair_lens.clear();
-    for s in shards.iter() {
-        for n in &s.nodes {
-            drv.lens.push(n.deque.len());
-            drv.pair_lens.push(n.deque.pending_pairs());
-        }
-    }
-    debug_assert_eq!(
-        drv.lens.iter().sum::<usize>(),
-        shards.iter().map(|s| s.work_blocks).sum::<usize>(),
-        "work_blocks counter drifted from actual deque contents"
-    );
-    let leaf = ctx.cfg.leaf_pairs;
-    let rich_pairs =
-        leaf * (ctx.total_pairs / (drv.lens.len() as u64 * RICH_BACKLOG_DIVISOR * leaf)).max(1);
-    for g in 0..drv.lens.len() {
-        let sg = ctx.node_shard[g];
-        let node = &shards[sg].nodes[g - shards[sg].base];
-        if !node.hungry {
-            continue;
-        }
-        // Victim tiers. Rich victims ([`RICH_STEAL_MIN_LEAVES`] whole
-        // leaves of un-started backlog) are always fair game — moving
-        // whole quadrants is what stealing is for. Sub-leaf remnants only
-        // feed thieves starved for REMNANT_STEAL_DELAY_NS: remnant steals
-        // drag the victim's items along for a handful of pairs, so they
-        // must stay a last resort against genuine stragglers, not fire at
-        // every boundary. See `RICH_BACKLOG_DIVISOR` for the threshold.
-        let rich = |v: usize, l: usize| v != g && l > 0 && drv.pair_lens[v] >= rich_pairs;
-        let any = |v: usize, l: usize| v != g && l > 0;
-        let mut count = drv
-            .lens
-            .iter()
-            .enumerate()
-            .filter(|&(v, &l)| rich(v, l))
-            .count();
-        let mut eligible: &dyn Fn(usize, usize) -> bool = &rich;
-        if count == 0 {
-            if boundary < node.hungry_since + REMNANT_STEAL_DELAY_NS {
-                continue;
+    let mut thieves = std::mem::take(&mut drv.thieves);
+    for sg in 0..shards.len() {
+        for w in 0..shards[sg].hungry.len() {
+            // Only thieves leave the hungry set during the match, each at
+            // its own turn, so a copy of the word is exact.
+            let mut word = shards[sg].hungry[w];
+            while word != 0 {
+                let l = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let g = shards[sg].base + l;
+                let mut rich = true;
+                let mut count = count_victims(shards, rich);
+                if count == 0 {
+                    if boundary < shards[sg].nodes[l].hungry_since + REMNANT_STEAL_DELAY_NS {
+                        continue;
+                    }
+                    rich = false;
+                    count = count_victims(shards, rich);
+                    if count == 0 {
+                        continue;
+                    }
+                }
+                let victim = select_victim(shards, rich, drv.steal_rng.below(count));
+                let block = shards[ctx.node_shard[victim]].give_block(ctx, victim);
+                drv.steals += 1;
+                // Thief's node id, pairs moved.
+                drv.perf(boundary, PerfKind::Steal, g, block.count());
+                let s = &mut shards[sg];
+                s.push_block(g, block);
+                s.set_hungry(g, false);
+                let p = s.next_prio(g);
+                s.queue.schedule_keyed(boundary, p, Ev::Pull { node: g });
+                thieves.push(g);
             }
-            count = drv
-                .lens
+        }
+    }
+    for g in thieves.drain(..) {
+        let s = &mut shards[ctx.node_shard[g]];
+        s.index_victim(ctx, g - s.base);
+    }
+    drv.thieves = thieves;
+}
+
+/// Candidate victims cluster-wide in one tier: a popcount per word.
+fn count_victims<Q: EventQueue<Ev>>(shards: &[&mut ShardState<Q>], rich: bool) -> usize {
+    shards
+        .iter()
+        .map(|s| {
+            s.victims(rich)
                 .iter()
-                .enumerate()
-                .filter(|&(v, &l)| any(v, l))
-                .count();
-            if count == 0 {
-                continue;
-            }
-            eligible = &any;
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+        })
+        .sum()
+}
+
+/// Global id of the `k`-th (0-based) candidate victim in one tier, in
+/// ascending node order: shards hold contiguous, ascending node ranges.
+fn select_victim<Q: EventQueue<Ev>>(
+    shards: &[&mut ShardState<Q>],
+    rich: bool,
+    mut k: usize,
+) -> usize {
+    for s in shards {
+        match select_bit(s.victims(rich), k) {
+            Ok(l) => return s.base + l,
+            Err(rest) => k = rest,
         }
-        let pick = drv.steal_rng.below(count);
-        let victim = drv
-            .lens
-            .iter()
-            .enumerate()
-            .filter(|&(v, &l)| eligible(v, l))
-            .nth(pick)
-            .expect("pick < count")
-            .0;
-        let sv = ctx.node_shard[victim];
-        let block = shards[sv].nodes[victim - shards[sv].base]
-            .deque
-            .steal()
-            .expect("victim deque non-empty");
-        shards[sv].work_blocks -= 1;
-        drv.lens[victim] -= 1;
-        drv.pair_lens[victim] -= block.count();
-        drv.steals += 1;
-        // Thief's node id, pairs moved.
-        drv.perf(boundary, PerfKind::Steal, g, block.count());
-        let s = &mut shards[sg];
-        s.nodes[g - s.base].deque.push(block);
-        s.work_blocks += 1;
-        s.set_hungry(g, false);
-        let p = s.next_prio(g);
-        s.queue.schedule_keyed(boundary, p, Ev::Pull { node: g });
     }
+    unreachable!("pick below the victim count")
+}
+
+/// Position of the `k`-th (0-based) set bit of `words`, or `Err` with
+/// `k` minus the bits set, when fewer than `k + 1` are.
+fn select_bit(words: &[u64], mut k: usize) -> Result<usize, usize> {
+    for (i, &w) in words.iter().enumerate() {
+        let ones = w.count_ones() as usize;
+        if k < ones {
+            let mut w = w;
+            for _ in 0..k {
+                w &= w - 1;
+            }
+            return Ok(i * 64 + w.trailing_zeros() as usize);
+        }
+        k -= ones;
+    }
+    Err(k)
 }
 
 fn stall_panic<Q: EventQueue<Ev>>(
@@ -712,12 +737,12 @@ fn stall_panic<Q: EventQueue<Ev>>(
                 .map(|g| g.fills.iter().filter(|f| f.h2d_lease.is_some()).count())
                 .sum();
             diag.push_str(&format!(
-                "\n node {i}: jobs={} inflight={} deque={} ({} pairs) hungry={} hostfills={} \
+                "\n node {i}: jobs={} inflight={} blocks={} ({} pairs) hungry={} hostfills={} \
                  devfills={} h2d_leases={} host(cap_waiters={} evictable={} occ={}/{})",
                 node.live_jobs(),
                 node.jobs_in_flight,
-                node.deque.len(),
-                node.deque.pending_pairs(),
+                node.blocks,
+                node.pending,
                 node.hungry,
                 node.host_fill.iter().flatten().count(),
                 dev_fills,
@@ -841,7 +866,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             self.handle(ctx, ev);
             self.drain_wakes(ctx);
             #[cfg(debug_assertions)]
-            self.validate();
+            self.validate(ctx);
         }
     }
 
@@ -856,16 +881,51 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
         ((g as u64) << PRIO_SEQ_BITS) | seq
     }
 
-    /// Pushes every open row cursor back onto its owner's deque (at the
-    /// tail, where the one-block-per-pair scheme would have left it).
-    /// Called before steal snapshots; the owner simply pops it back off
-    /// on its next pull, so consumption order is unaffected.
-    fn normalize_cursors(&mut self) {
-        for node in &mut self.nodes {
-            if let Some(row) = node.cursor.take() {
-                node.deque.push(row);
-            }
+    /// Re-derives local node `l`'s `any`/`rich` victim bits from its
+    /// counters.
+    #[inline]
+    fn index_victim(&mut self, ctx: &Ctx, l: usize) {
+        let node = &self.nodes[l];
+        let (any, rich) = (node.blocks > 0, node.pending >= ctx.rich_pairs);
+        let (w, bit) = (l / 64, 1u64 << (l % 64));
+        self.any[w] = (self.any[w] & !bit) | if any { bit } else { 0 };
+        self.rich[w] = (self.rich[w] & !bit) | if any && rich { bit } else { 0 };
+    }
+
+    /// One victim tier's bitset.
+    #[inline]
+    fn victims(&self, rich: bool) -> &[u64] {
+        if rich {
+            &self.rich
+        } else {
+            &self.any
         }
+    }
+
+    /// Queues `block` on node `g`'s deque. Victim bits are the caller's.
+    fn push_block(&mut self, g: usize, block: Block) {
+        let node = &mut self.nodes[g - self.base];
+        node.deque.push(block);
+        node.blocks += 1;
+        node.pending += block.count();
+        self.work_blocks += 1;
+    }
+
+    /// Takes victim `g`'s oldest block: the deque front or, once the
+    /// deque is empty, the open cursor (the deque's logical newest entry).
+    fn give_block(&mut self, ctx: &Ctx, g: usize) -> Block {
+        let l = g - self.base;
+        let node = &mut self.nodes[l];
+        let block = node
+            .deque
+            .steal()
+            .or_else(|| node.cursor.take())
+            .expect("victim owns a block");
+        node.blocks -= 1;
+        node.pending -= block.count();
+        self.work_blocks -= 1;
+        self.index_victim(ctx, l);
+        block
     }
 
     /// Appends a perf record when instrumentation is on — one branch, no
@@ -885,9 +945,11 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     #[inline]
     fn set_hungry(&mut self, g: usize, flag: bool) {
         let now = self.queue.now();
-        let node = &mut self.nodes[g - self.base];
+        let l = g - self.base;
+        let node = &mut self.nodes[l];
         if node.hungry != flag {
             node.hungry = flag;
+            self.hungry[l / 64] ^= 1u64 << (l % 64);
             if flag {
                 node.hungry_since = now;
                 self.hungry_count += 1;
@@ -961,66 +1023,79 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
         }
     }
 
+    /// Takes node `node`'s next pair, keeping its `blocks`/`pending`
+    /// counters, `work_blocks` and its victim bits exact.
     #[inline]
     fn next_pair(&mut self, ctx: &Ctx, node: usize) -> Option<Pair> {
         let l = node - self.base;
+        let n = &mut self.nodes[l];
         // Stream from the open row first: the cursor is exactly the
         // rest-of-row block the one-block-per-pair scheme would have
         // pushed to (and immediately popped back off) the deque tail, so
         // consumption order is unchanged while each pair costs an
-        // increment instead of deque traffic. `normalize_cursors` pushes
-        // the remnant back before any steal snapshot reads the deques.
-        if let Some(row) = self.nodes[l].cursor.as_mut() {
+        // increment instead of deque traffic. It stays the deque's logical
+        // newest entry: a thief takes it only once the deque is empty.
+        let pair = if let Some(row) = n.cursor.as_mut() {
             let pair = Pair {
                 left: row.row_lo,
                 right: row.col_lo,
             };
             row.col_lo += 1;
             if row.col_lo == row.col_hi {
-                self.nodes[l].cursor = None;
+                n.cursor = None;
+                n.blocks -= 1;
                 self.work_blocks -= 1;
             }
-            return Some(pair);
-        }
-        loop {
-            // Depth-first descent into the quadrant tree. No inline
-            // stealing: hungry nodes wait for the deterministic boundary
-            // match (`steal_match`).
-            let block = self.nodes[l].deque.pop()?;
-            self.work_blocks -= 1;
-            if block.count() <= ctx.cfg.leaf_pairs {
-                // Take the first pair (row-major, matching `Block::pairs`),
-                // push the rows below back as a block, and keep the rest of
-                // the current row as the owner's cursor — row-major order
-                // for the owner while the un-started tail of the leaf
-                // remains stealable at window boundaries (a straggler's
-                // backlog can still migrate instead of being locked in).
-                let pair = block.pairs().next().expect("queued blocks are non-empty");
-                let below = Block {
-                    row_lo: pair.left + 1,
-                    ..block
-                };
-                if below.count() > 0 {
-                    self.nodes[l].deque.push(below);
+            pair
+        } else {
+            loop {
+                // Depth-first descent into the quadrant tree. No inline
+                // stealing: hungry nodes wait for the deterministic
+                // boundary match (`steal_match`).
+                let block = n.deque.pop()?;
+                n.blocks -= 1;
+                self.work_blocks -= 1;
+                if block.count() <= ctx.cfg.leaf_pairs {
+                    // Take the first pair (row-major, matching
+                    // `Block::pairs`), push the rows below back as a
+                    // block, and keep the rest of the current row as the
+                    // owner's cursor — row-major order for the owner while
+                    // the un-started tail of the leaf remains stealable at
+                    // window boundaries (a straggler's backlog can still
+                    // migrate instead of being locked in).
+                    let pair = block.pairs().next().expect("queued blocks are non-empty");
+                    let below = Block {
+                        row_lo: pair.left + 1,
+                        ..block
+                    };
+                    if below.count() > 0 {
+                        n.deque.push(below);
+                        n.blocks += 1;
+                        self.work_blocks += 1;
+                    }
+                    let row = Block {
+                        row_lo: pair.left,
+                        row_hi: pair.left + 1,
+                        col_lo: pair.right + 1,
+                        col_hi: block.col_hi,
+                    };
+                    if row.count() > 0 {
+                        n.cursor = Some(row);
+                        n.blocks += 1;
+                        self.work_blocks += 1;
+                    }
+                    break pair;
+                }
+                for child in block.split() {
+                    n.deque.push(child);
+                    n.blocks += 1;
                     self.work_blocks += 1;
                 }
-                let row = Block {
-                    row_lo: pair.left,
-                    row_hi: pair.left + 1,
-                    col_lo: pair.right + 1,
-                    col_hi: block.col_hi,
-                };
-                if row.count() > 0 {
-                    self.nodes[l].cursor = Some(row);
-                    self.work_blocks += 1;
-                }
-                return Some(pair);
             }
-            for child in block.split() {
-                self.nodes[l].deque.push(child);
-                self.work_blocks += 1;
-            }
-        }
+        };
+        n.pending -= 1;
+        self.index_victim(ctx, l);
+        Some(pair)
     }
 
     fn start_job(&mut self, ctx: &Ctx, node: usize, pair: Pair) {
@@ -1495,11 +1570,47 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     /// Debug-build cross-check: every device-cache read lease is owned by
-    /// exactly one job lease, every host lease by one in-flight H2D copy.
+    /// exactly one job lease, every host lease by one in-flight H2D copy;
+    /// the steal index (per-node counters, victim and hungry bits) matches
+    /// the deques it summarizes.
     #[cfg(debug_assertions)]
-    fn validate(&self) {
+    fn validate(&self, ctx: &Ctx) {
+        let bit = |words: &[u64], l: usize| words[l / 64] >> (l % 64) & 1 == 1;
+        let ones = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        assert_eq!(
+            ones(&self.hungry),
+            self.hungry_count,
+            "hungry bits vs hungry_count"
+        );
+        assert_eq!(
+            self.nodes.iter().map(|n| n.blocks).sum::<usize>(),
+            self.work_blocks,
+            "work_blocks vs Σ blocks"
+        );
         for (li, node) in self.nodes.iter().enumerate() {
             let ni = self.base + li;
+            let cursor = node.cursor.as_ref();
+            assert_eq!(
+                node.blocks,
+                node.deque.len() + usize::from(cursor.is_some()),
+                "node {ni}: blocks counter drifted"
+            );
+            assert_eq!(
+                node.pending,
+                node.deque.pending_pairs() + cursor.map_or(0, Block::count),
+                "node {ni}: pending counter drifted"
+            );
+            assert_eq!(bit(&self.any, li), node.blocks > 0, "node {ni}: any bit");
+            assert_eq!(
+                bit(&self.rich, li),
+                node.blocks > 0 && node.pending >= ctx.rich_pairs,
+                "node {ni}: rich bit"
+            );
+            assert_eq!(bit(&self.hungry, li), node.hungry, "node {ni}: hungry bit");
+            assert!(
+                !node.hungry || node.blocks == 0,
+                "node {ni}: hungry with work"
+            );
             let mut dev_readers: Vec<Vec<u32>> = node
                 .gpus
                 .iter()
@@ -1630,6 +1741,46 @@ mod tests {
         s.run_window(&ctx);
         assert_eq!(s.ev_counts[0], 2, "boundary event runs in next window");
         assert_eq!(s.queue.peek_time(), None);
+    }
+
+    /// Victim rank/select over per-shard bitsets agrees with a linear
+    /// filter over global node ids, for every rank, on random bitsets of
+    /// assorted densities split unevenly across shards (ranges that cross
+    /// word boundaries and shards with an empty tier included).
+    #[test]
+    fn victim_select_matches_a_linear_filter() {
+        let cfg = toy_config(0, 200, 4);
+        let ctx = build_ctx(&cfg, 3);
+        let mut shards = build_shards::<SlabEventQueue<Ev>>(&cfg, &ctx, 3);
+        let mut rng = SeedSequence::new(7).rng("bits");
+        for density in [0u32, 1, 2, 4, 8, 64] {
+            for s in &mut shards {
+                let len = s.nodes.len();
+                for (w, word) in s.any.iter_mut().enumerate() {
+                    // AND of `density` random words: each bit set w.p. 2^-density.
+                    let mut bits = (0..density).fold(!0u64, |acc, _| acc & rng.next());
+                    if len - w * 64 < 64 {
+                        bits &= (1u64 << (len - w * 64)) - 1;
+                    }
+                    *word = bits;
+                }
+            }
+            let sh: Vec<&mut ShardState<_>> = shards.iter_mut().collect();
+            let want: Vec<usize> = (0..200)
+                .filter(|&g| {
+                    let s = &sh[ctx.node_shard[g]];
+                    let l = g - s.base;
+                    s.any[l / 64] >> (l % 64) & 1 == 1
+                })
+                .collect();
+            assert_eq!(count_victims(&sh, false), want.len(), "density {density}");
+            for (k, &g) in want.iter().enumerate() {
+                assert_eq!(select_victim(&sh, false, k), g, "density {density}, k {k}");
+            }
+            let words = &sh[0].any;
+            let local: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(select_bit(words, local + 3), Err(3));
+        }
     }
 
     #[test]

@@ -115,6 +115,90 @@ fn calendar_queue_reproduces_slab_heap_reports() {
     }
 }
 
+/// Steal decisions pinned to recorded values. Every other test here
+/// compares a build with itself, so a change to victim order (or to which
+/// nodes count as victims) would pass them; these numbers were recorded
+/// before `steal_match` moved to per-shard victim bitsets and must not
+/// move without a deliberate re-record. Two steal-heavy configurations:
+/// `des-shard`'s 64 nodes with 1 ms links, and the 16-node 4-GPU anchor.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "heavy: runs in release (CI tests --release)"
+)]
+fn steal_decisions_match_recorded_golden() {
+    struct Golden {
+        steals: u64,
+        windows: u64,
+        loads: u64,
+        remote_fetches: u64,
+        makespan_bits: u64,
+        pairs_per_node: &'static [u64],
+    }
+    let mut cloud = SimConfig::cluster(
+        bench_workload(256),
+        vec![SimNodeConfig::uniform(1, 8, 16); 64],
+    );
+    cloud.net_latency = 1e-3;
+    let anchor = SimConfig::cluster(
+        bench_workload(256),
+        vec![SimNodeConfig::uniform(4, 24, 96); 16],
+    );
+    let cases = [
+        (
+            "64 nodes, 1 ms links",
+            cloud,
+            Golden {
+                steals: 447,
+                windows: 2995,
+                loads: 3550,
+                remote_fetches: 4671,
+                makespan_bits: 0x4007_f56a_9a75_032f,
+                pairs_per_node: &[
+                    608, 428, 516, 416, 392, 568, 396, 524, 516, 536, 412, 632, 520, 500, 524, 580,
+                    548, 456, 516, 584, 575, 508, 500, 455, 644, 580, 468, 508, 576, 548, 524, 504,
+                    516, 524, 588, 616, 584, 452, 348, 364, 476, 524, 580, 524, 560, 508, 504, 540,
+                    520, 524, 496, 452, 460, 448, 416, 452, 552, 520, 444, 542, 500, 524, 464, 556,
+                ],
+            },
+        ),
+        (
+            "16-node 4-GPU anchor",
+            anchor,
+            Golden {
+                steals: 70,
+                windows: 18425,
+                loads: 655,
+                remote_fetches: 1603,
+                makespan_bits: 0x3feb_2eaa_f35e_310e,
+                pairs_per_node: &[
+                    1712, 1845, 2353, 1800, 2112, 2355, 2304, 1720, 2280, 2240, 1800, 1912, 2055,
+                    2064, 2240, 1848,
+                ],
+            },
+        ),
+    ];
+    for (label, cfg, want) in cases {
+        let r = simulate(&cfg);
+        assert_eq!(r.steals, want.steals, "{label}: steals");
+        assert_eq!(r.windows, want.windows, "{label}: windows");
+        assert_eq!(r.loads, want.loads, "{label}: loads");
+        assert_eq!(
+            r.remote_fetches, want.remote_fetches,
+            "{label}: remote_fetches"
+        );
+        assert_eq!(
+            r.makespan.to_bits(),
+            want.makespan_bits,
+            "{label}: makespan"
+        );
+        assert_eq!(
+            r.pairs_per_node, want.pairs_per_node,
+            "{label}: pairs_per_node"
+        );
+    }
+}
+
 #[test]
 fn completions_recorded_runs_identically() {
     // `record_completions` adds the per-GPU timestamp series to the report;
