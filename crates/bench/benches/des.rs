@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the discrete-event simulator: raw event-queue
-//! throughput (both schedulers) and full cluster-simulation rate (pairs
-//! simulated/second) through the unified `Scenario`/`Backend` API.
+//! throughput (the engine's slab heap and the unused calendar queue) and
+//! full cluster-simulation rate (pairs simulated/second) through the
+//! unified `Scenario`/`Backend` API.
 //!
 //! The cluster scenarios are the canonical anchors from
 //! [`rocket_bench::anchors`] — the same configurations the `benchmark/`
@@ -70,19 +71,13 @@ fn bench_cluster(c: &mut Criterion) {
 
 fn bench_large_cluster(c: &mut Criterion) {
     // The scaling configuration the hot-path overhaul targets: 64 GPUs over
-    // 16 nodes, n=256 items (32 640 pairs), distributed cache on — once per
-    // event scheduler (results are identical; speed may differ).
+    // 16 nodes, n=256 items (32 640 pairs), distributed cache on.
     let mut group = c.benchmark_group("cluster_sim");
     group.sample_size(10);
     let n = 256u64;
     group.throughput(Throughput::Elements(n * (n - 1) / 2));
     group.bench_function("sixteen_nodes_4gpu_n256_distcache", |b| {
         let s = anchors::sixteen_nodes_4gpu_n256_distcache();
-        b.iter(|| run_pairs(&SimBackend::new(), &s));
-    });
-    group.bench_function("sixteen_nodes_4gpu_n256_distcache_calendar", |b| {
-        let mut s = anchors::sixteen_nodes_4gpu_n256_distcache();
-        s.calendar_queue = true;
         b.iter(|| run_pairs(&SimBackend::new(), &s));
     });
     group.finish();

@@ -1082,22 +1082,9 @@ fn cartesius96(opts: &ExpOptions) -> StudyReport {
     };
 
     // The grid: distributed cache on/off × node count, one run per cell.
-    // The calendar queue is built for exactly the largest population size;
-    // results are identical to the slab heap (tested), so the sweep
-    // doubles as a large-scale exercise of that scheduler.
     let grid = Sweep::over(scenario_of(&w, vec![node.clone()], opts))
         .axis(Axis::distributed_cache([true, false]))
-        .axis(Axis::points(
-            "nodes",
-            C96_NODES.into_iter().map(|p| {
-                (AxisValue::from(p), move |s: &mut Scenario| {
-                    if let Some(template) = s.nodes.first().cloned() {
-                        s.nodes = vec![template; p];
-                    }
-                    s.calendar_queue = p >= 48;
-                })
-            }),
-        ))
+        .axis(Axis::nodes(C96_NODES))
         .axis(Axis::tag("policy", ["once"]))
         .try_build()
         .expect("cartesius96 sweep");
@@ -1131,8 +1118,7 @@ fn cartesius96(opts: &ExpOptions) -> StudyReport {
 
     let mut out = format!(
         "Cartesius 96-GPU sweep — bioinformatics-large (scale 1/{scale}),\n\
-         2x Tesla K40m per node, distributed cache on vs off, calendar-queue\n\
-         scheduler at the largest sizes\n\n",
+         2x Tesla K40m per node, distributed cache on vs off\n\n",
     );
     let mut csv = String::from("dist_cache,nodes,gpus,runtime_s,r_factor,throughput,io_mbps\n");
     let mut t = Table::new(&[
@@ -1396,23 +1382,19 @@ fn scale1k(opts: &ExpOptions) -> StudyReport {
     base.nodes.truncate(nodes);
     base.seed = opts.seed;
 
-    // One single-cell study per shard count so each cell's wall-clock can
-    // be measured around its run; concatenated under a `sim_shards` axis.
+    // One single-cell study per shard count, each on its own
+    // `SimBackend::sharded(k)`, so each cell's wall-clock can be measured
+    // around its run; concatenated under a `sim_shards` tag axis.
     let mut parts = Vec::new();
     let mut walls = Vec::new();
     for k in SCALE1K_SHARDS {
         let sweep = Sweep::over(base.clone())
-            .axis(Axis::points(
-                "sim_shards",
-                [(AxisValue::from(k), move |s: &mut Scenario| {
-                    s.sim_shards = k;
-                })],
-            ))
+            .axis(Axis::tag("sim_shards", [k]))
             .try_build()
             .expect("scale1k sweep");
         let sw = stopwatch();
         let part = study(format!("scale1k-k{k}"), opts)
-            .run(&SimBackend::new(), &sweep)
+            .run(&SimBackend::sharded(k), &sweep)
             .expect("scale1k study");
         walls.push(sw.elapsed_secs());
         parts.push(part);
@@ -1578,7 +1560,6 @@ mod tests {
         // The driver itself asserts identical virtual-time results across
         // shard counts; here check the surfaced shard metadata and files.
         for (cell, k) in report.cells.iter().zip(SCALE1K_SHARDS) {
-            assert_eq!(cell.scenario.sim_shards, k);
             assert_eq!(cell.run().sim_shards, k as u32);
             assert!(cell.run().sim_windows > 0, "K = {k} counted no windows");
         }

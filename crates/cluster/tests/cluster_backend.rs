@@ -1,10 +1,12 @@
 //! Integration tests for [`ClusterBackend`]: equivalence with in-process
 //! backends, the event-driven control plane (neither a step of a cell
-//! nor shutdown waits on a timer), and the worker-failure matrix (killed
-//! before handshake / during a cell / duplicate late reports / job
-//! timeouts / total loss / below-quorum degradation), over both
-//! transports.
+//! nor shutdown waits on a timer), and the worker-failure matrix (wrong
+//! protocol version / killed before handshake / during a cell / duplicate
+//! late reports / job timeouts / total loss / below-quorum degradation),
+//! over both transports.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rocket_cluster::{
@@ -180,6 +182,59 @@ fn sequential_jobs_are_spread_over_every_worker() {
     for h in handles {
         assert_eq!(h.join().unwrap().jobs, 3);
     }
+}
+
+#[test]
+fn worker_speaking_an_older_protocol_is_refused() {
+    let mut eps = TransportKind::Local.connect(3).unwrap();
+    let driver_ep = eps.remove(0);
+    let stale = eps.remove(0);
+    let w2 = eps.remove(0);
+
+    // Rank 1 announces the previous protocol revision, then counts the
+    // jobs it is dealt until the test stops it.
+    let stop = Arc::new(AtomicBool::new(false));
+    let stub_stop = Arc::clone(&stop);
+    let h1 = std::thread::spawn(move || {
+        let version = PROTOCOL_VERSION - 1;
+        stale
+            .send(0, ToDriver::Ready { version }.to_bytes())
+            .unwrap();
+        let mut jobs = 0;
+        while !stub_stop.load(Ordering::SeqCst) {
+            if let Ok(msg) = stale.recv_timeout(Duration::from_millis(10)) {
+                let frame = ToWorker::from_bytes(msg.payload).unwrap();
+                jobs += usize::from(matches!(frame, ToWorker::Job { .. }));
+            }
+        }
+        jobs
+    });
+    let h2 = std::thread::spawn(move || serve(w2.as_ref(), &SimBackend::new()));
+    let opts = ClusterOptions {
+        quorum: Some(1),
+        ..no_timers()
+    };
+    let backend = ClusterBackend::over(driver_ep, opts).unwrap();
+    let ready = || backend.lost_workers() == [1] && ready_workers(&backend) == 1;
+    wait_for(ready, "rank 1 refused and rank 2 ready");
+    let v = PROTOCOL_VERSION;
+    let cause = format!("speaks protocol v{}, driver speaks v{v}", v - 1);
+    let refused = ClusterEvent::WorkerLost {
+        worker: 1,
+        cause,
+        requeued: None,
+    };
+    let events = backend.events();
+    assert!(events.contains(&refused), "{events:?}");
+
+    let report = backend.run(&toy_scenario(81)).expect("cluster run");
+    let local = SimBackend::new().run(&toy_scenario(81)).unwrap();
+    assert_eq!(format!("{report:?}"), format!("{local:?}"));
+
+    drop(backend);
+    stop.store(true, Ordering::SeqCst);
+    assert_eq!(h1.join().unwrap(), 0, "the refused worker was dealt a job");
+    assert_eq!(h2.join().unwrap().jobs, 1);
 }
 
 #[test]

@@ -313,8 +313,6 @@ impl Wire for Scenario {
         put_usize(w, self.io_retries);
         w.put_u32(self.max_item_failures);
         put_bool(w, self.record_completions);
-        put_bool(w, self.calendar_queue);
-        put_usize(w, self.sim_shards);
         w.put_u64(self.seed);
     }
 
@@ -336,8 +334,6 @@ impl Wire for Scenario {
             io_retries: get_usize(r)?,
             max_item_failures: r.get_u32()?,
             record_completions: get_bool(r)?,
-            calendar_queue: get_bool(r)?,
-            sim_shards: get_usize(r)?,
             seed: r.get_u64()?,
         })
     }
@@ -455,8 +451,6 @@ mod tests {
             .io_retries(4)
             .max_item_failures(9)
             .record_completions(true)
-            .calendar_queue(true)
-            .sim_shards(3)
             .seed(0xC0FFEE)
             .build()
     }

@@ -98,15 +98,6 @@ pub struct Scenario {
     pub max_item_failures: u32,
     /// Record per-GPU completion timestamps (Fig 14; DES backend).
     pub record_completions: bool,
-    /// Use the calendar-queue event scheduler (DES backend; results are
-    /// identical, the calendar targets very large clusters).
-    pub calendar_queue: bool,
-    /// Shards of the parallel DES backend: nodes are partitioned into this
-    /// many shards advancing in lock-step time windows on a steal pool.
-    /// Results are byte-identical for every value; `1` (the default) is the
-    /// sequential engine. Clamped to the node count at run time. The
-    /// threaded runtime ignores this knob.
-    pub sim_shards: usize,
     /// Root seed for every randomized decision.
     pub seed: u64,
 }
@@ -177,9 +168,6 @@ impl Scenario {
         }
         if self.leaf_pairs < 1 {
             return Err("leaf tasks must hold at least one pair".into());
-        }
-        if self.sim_shards < 1 {
-            return Err("simulator shard count must be at least 1".into());
         }
         if self.transport == TransportKind::Socket && self.nodes.len() > MAX_SOCKET_NODES {
             return Err(format!(
@@ -254,8 +242,6 @@ impl Default for ScenarioBuilder {
                 io_retries: 2,
                 max_item_failures: 5,
                 record_completions: false,
-                calendar_queue: false,
-                sim_shards: 1,
                 seed: 0x9E3779B97F4A7C15,
             },
         }
@@ -379,19 +365,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the calendar-queue event scheduler (DES backend).
-    pub fn calendar_queue(mut self, on: bool) -> Self {
-        self.scenario.calendar_queue = on;
-        self
-    }
-
-    /// Sets the shard count of the parallel DES backend (results are
-    /// byte-identical for every value; clamped to the node count).
-    pub fn sim_shards(mut self, shards: usize) -> Self {
-        self.scenario.sim_shards = shards;
-        self
-    }
-
     /// Sets the root seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.scenario.seed = seed;
@@ -475,8 +448,6 @@ mod tests {
         assert!(valid().storage(f64::NAN, 1e-3).try_build().is_err());
         assert!(valid().storage(1e9, f64::NAN).try_build().is_err());
         assert!(valid().job_limit(0).try_build().is_err());
-        assert!(valid().sim_shards(0).try_build().is_err());
-        assert!(valid().sim_shards(8).try_build().is_ok());
         assert!(valid().cpu_threads(0).try_build().is_err());
         assert!(valid().leaf_pairs(0).try_build().is_err());
         assert!(valid().storage(0.0, 1e-3).try_build().is_err());

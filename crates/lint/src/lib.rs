@@ -170,7 +170,7 @@ pub fn cross_check_witness(
     let witness = rules::witness::Witness::load(witness_path)?;
     let files = load_scope(root, &cfg.lock_order.paths, &cfg.lock_order.allow_files)?;
     let mut out = Vec::new();
-    rules::witness::check(&files, &witness, &witness_path.to_string_lossy(), &mut out);
+    rules::witness::check(&files, &witness, &rel_display(root, witness_path), &mut out);
     diag::sort(&mut out);
     Ok(out)
 }

@@ -301,6 +301,9 @@ fn witness_gap_flags_underived_runtime_edge() {
     let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
     assert_eq!(codes, ["RL-X002"], "{diags:?}");
     assert!(diags[0].message.contains("`ledger` -> `journal`"));
+    // Root-relative like every other rule's path, so the golden holds in
+    // any checkout.
+    assert_eq!(diags[0].path, "gap.json");
     check_golden("witness_gap.json", &diags);
 }
 

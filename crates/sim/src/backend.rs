@@ -9,33 +9,35 @@
 use rocket_core::{Backend, BusyTimes, PerfLog, RocketError, RunReport, Scenario};
 
 use crate::cluster::{simulate, SimConfig, SimNodeConfig, SimResult};
-use crate::engine::Scheduler;
 
 /// The DES execution engine (stateless; share one instance freely).
 ///
-/// By default the shard count comes from the scenario's `sim_shards` knob;
-/// [`SimBackend::sharded`] overrides it for every scenario the instance
-/// runs (handy for benches that sweep shard counts over a fixed scenario).
-/// Results are byte-identical either way — sharding changes wall-clock
-/// time only.
-#[derive(Debug, Clone, Copy, Default)]
+/// The shard count is a property of the engine, not of the scenario:
+/// [`SimBackend::new`] runs the sequential engine and
+/// [`SimBackend::sharded`] runs every scenario on `k` shards. Reports are
+/// byte-identical for every `k` except `RunReport::sim_shards` — sharding
+/// changes wall-clock time only.
+#[derive(Debug, Clone, Copy)]
 pub struct SimBackend {
-    /// When set, overrides `Scenario::sim_shards`.
-    shards: Option<usize>,
+    shards: usize,
+}
+
+impl Default for SimBackend {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SimBackend {
-    /// A backend that honours each scenario's own `sim_shards` knob.
+    /// The sequential engine (one shard).
     pub fn new() -> Self {
-        Self::default()
+        Self::sharded(1)
     }
 
-    /// A backend that runs every scenario on `shards` shards, ignoring the
-    /// scenario's `sim_shards` knob.
+    /// The windowed engine on `shards` shards (clamped to the node count;
+    /// `0` and `1` run sequentially).
     pub fn sharded(shards: usize) -> Self {
-        Self {
-            shards: Some(shards),
-        }
+        Self { shards }
     }
 }
 
@@ -63,12 +65,7 @@ impl From<&Scenario> for SimConfig {
             net_latency: s.net_latency,
             seed: s.seed,
             record_completions: s.record_completions,
-            scheduler: if s.calendar_queue {
-                Scheduler::Calendar
-            } else {
-                Scheduler::SlabHeap
-            },
-            shards: s.sim_shards,
+            shards: 1,
             shard_threads: 0,
             perf: PerfLog::disabled(),
         }
@@ -124,9 +121,7 @@ impl Backend for SimBackend {
     fn run_with_perf(&self, scenario: &Scenario, perf: &PerfLog) -> Result<RunReport, RocketError> {
         scenario.validate().map_err(RocketError::Config)?;
         let mut cfg = SimConfig::from(scenario);
-        if let Some(shards) = self.shards {
-            cfg.shards = shards;
-        }
+        cfg.shards = self.shards;
         cfg.perf = perf.clone();
         let shards = cfg.effective_shards() as u32;
         Ok(unified(simulate(&cfg), shards))
@@ -159,13 +154,7 @@ mod tests {
         assert_eq!(cfg.nodes.len(), 2);
         assert_eq!(cfg.workload.items, 16);
         assert_eq!(cfg.seed, s.seed);
-        assert_eq!(cfg.scheduler, Scheduler::SlabHeap);
-        let cal = SimConfig::from(&{
-            let mut s = s.clone();
-            s.calendar_queue = true;
-            s
-        });
-        assert_eq!(cal.scheduler, Scheduler::Calendar);
+        assert_eq!(cfg.shards, 1);
     }
 
     #[test]
@@ -197,29 +186,5 @@ mod tests {
         // Everything but the shard count itself is byte-identical.
         par.sim_shards = seq.sim_shards;
         assert_eq!(format!("{seq:?}"), format!("{par:?}"));
-    }
-
-    #[test]
-    fn scenario_shard_knob_flows_through() {
-        let mut s = toy_scenario();
-        s.sim_shards = 2;
-        let cfg = SimConfig::from(&s);
-        assert_eq!(cfg.shards, 2);
-        let r = SimBackend::new().run(&s).unwrap();
-        assert_eq!(r.sim_shards, 2);
-    }
-
-    #[test]
-    fn calendar_and_heap_schedulers_agree() {
-        let s = toy_scenario();
-        let heap = SimBackend::new().run(&s).unwrap();
-        let cal = SimBackend::new()
-            .run(&{
-                let mut s = s.clone();
-                s.calendar_queue = true;
-                s
-            })
-            .unwrap();
-        assert_eq!(format!("{heap:?}"), format!("{cal:?}"));
     }
 }

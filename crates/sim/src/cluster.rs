@@ -52,7 +52,7 @@ use rocket_stats::{Dist, Distribution, Xoshiro256};
 use rocket_steal::{Block, Pair, TaskDeque};
 use rocket_trace::{PerfLog, ThroughputSeries};
 
-use crate::engine::{secs_to_ns, CalendarQueue, Scheduler, SimTime, SlabEventQueue};
+use crate::engine::{secs_to_ns, SimTime};
 use crate::server::{Engine, Pool};
 use crate::shard;
 
@@ -107,9 +107,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Record per-GPU completion timestamps (Fig 14).
     pub record_completions: bool,
-    /// Event-scheduling structure (results are identical either way; the
-    /// calendar queue targets very large clusters).
-    pub scheduler: Scheduler,
     /// Event-engine shards for the conservative time-window parallel DES.
     /// `1` runs sequentially; `k > 1` partitions nodes over `k` shards
     /// advancing in lock-step windows on the steal pool. Results are
@@ -147,7 +144,6 @@ impl SimConfig {
             net_latency: 20e-6,
             seed: 0x9E3779B97F4A7C15,
             record_completions: false,
-            scheduler: Scheduler::default(),
             shards: 1,
             shard_threads: 0,
             perf: PerfLog::disabled(),
@@ -435,13 +431,10 @@ pub(crate) enum Ev {
     Net { to: usize, from: usize, msg: Msg },
 }
 
-/// Runs one simulation to completion on the configured scheduler and
-/// shard count (see `crate::shard` for the engine).
+/// Runs one simulation to completion on the configured shard count (see
+/// `crate::shard` for the engine).
 pub fn simulate(config: &SimConfig) -> SimResult {
-    match config.scheduler {
-        Scheduler::SlabHeap => shard::run::<SlabEventQueue<Ev>>(config),
-        Scheduler::Calendar => shard::run::<CalendarQueue<Ev>>(config),
-    }
+    shard::run(config)
 }
 
 /// Workload stage-time distributions, resolved once at construction so the

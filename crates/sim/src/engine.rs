@@ -1,22 +1,19 @@
 //! Deterministic discrete-event core.
 //!
-//! Event scheduling is abstracted behind the [`EventQueue`] trait so the
-//! simulator can swap scheduling structures without touching the cluster
-//! model. Two implementations ship:
+//! The [`EventQueue`] trait states the scheduling contract; the engine runs
+//! on one implementation of it, [`SlabEventQueue`], a slab-backed binary
+//! heap whose sift operations move compact `(time, seq, slot)` keys while
+//! payloads stay parked in a free-list slab.
 //!
-//! * [`SlabEventQueue`] — the slab-backed binary heap (the default): heap
-//!   sift operations compare and move compact `(time, seq, slot)` keys
-//!   while payloads stay parked in a free-list slab,
-//! * [`CalendarQueue`] — a classic calendar queue (Brown 1988): events
-//!   hash into time buckets, giving amortized O(1) schedule/pop when the
-//!   event population is large and time-dense — the regime of very large
-//!   (Cartesius-scale, 96-GPU) cluster simulations.
+//! [`CalendarQueue`] (Brown 1988) implements the same contract and drains
+//! any schedule in the same order, but the engine does not use it: it wins
+//! its schedule/pop kernel and loses end to end (equal `wall_s` and +3.5 %
+//! peak RSS on the 1024-node anchor, +18 % `wall_s` on the 64-node sharded
+//! workload). It is kept only because the benchmark harness times it.
 //!
-//! Determinism: both implementations order events by `(time, seq)` where
-//! `seq` increments on every insertion, so ties in time break by insertion
-//! order and a simulation remains a pure function of its configuration and
-//! seed — *identical* across queue implementations, which the test suite
-//! asserts.
+//! Determinism: events order by `(time, seq)` where `seq` increments on
+//! every insertion, so ties in time break by insertion order and a
+//! simulation remains a pure function of its configuration and seed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,16 +62,6 @@ pub trait EventQueue<E> {
     }
 }
 
-/// Scheduling structure selector for a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Slab-backed binary heap ([`SlabEventQueue`]); the default.
-    #[default]
-    SlabHeap,
-    /// Calendar queue ([`CalendarQueue`]) for very large clusters.
-    Calendar,
-}
-
 /// Parks a payload in the free-list slab layout both queues share,
 /// returning its slot (new or recycled).
 fn park_payload<E>(slab: &mut Vec<Option<E>>, free: &mut Vec<u32>, event: E) -> u32 {
@@ -96,7 +83,7 @@ fn park_payload<E>(slab: &mut Vec<Option<E>>, free: &mut Vec<u32>, event: E) -> 
 // Slab-backed binary heap
 // ---------------------------------------------------------------------------
 
-/// The slab-backed binary-heap scheduler.
+/// The slab-backed binary-heap scheduler: the simulator's event queue.
 ///
 /// Event payloads are parked in a free-list slab and never move after
 /// insertion, while the binary heap orders only compact
@@ -178,6 +165,9 @@ impl<E> EventQueue<E> for SlabEventQueue<E> {
 
 /// A deterministic calendar queue.
 ///
+/// Not used by the engine; kept for the benchmark row that times it
+/// (`sim.calendar_queue_ns`). See the module docs for why.
+///
 /// Events hash into `(t / width) mod buckets` time buckets; a pop scans
 /// the current "day" forward. Each bucket keeps its keys sorted in
 /// *descending* `(time, seq)` order so the bucket minimum is `Vec::pop`
@@ -188,7 +178,7 @@ impl<E> EventQueue<E> for SlabEventQueue<E> {
 /// Payloads live in the same free-list slab layout as
 /// [`SlabEventQueue`]; only `(time, seq, slot)` keys move through the
 /// calendar. Ordering is by `(time, seq)` exactly like the heap queue, so
-/// simulations produce identical results on either scheduler.
+/// both drain any schedule in the same order.
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
     /// `buckets[i]` holds keys sorted descending; `last()` is the minimum.

@@ -12,8 +12,8 @@
 //! Modules:
 //!
 //! * [`engine`] — deterministic event scheduling over virtual nanoseconds:
-//!   the [`EventQueue`] trait with slab-heap and calendar-queue
-//!   implementations,
+//!   the [`EventQueue`] trait and [`SlabEventQueue`], the one queue the
+//!   engine runs on,
 //! * [`server`] — FIFO engines and k-server pools,
 //! * [`cluster`] — the simulated Rocket cluster: [`cluster::simulate`]
 //!   turns a [`cluster::SimConfig`] into a [`cluster::SimResult`] with the
@@ -40,8 +40,6 @@ mod shard;
 
 pub use backend::SimBackend;
 pub use cluster::{simulate, SimConfig, SimNodeConfig, SimResult};
-pub use engine::{
-    ns_to_secs, secs_to_ns, CalendarQueue, EventQueue, Scheduler, SimTime, SlabEventQueue,
-};
+pub use engine::{ns_to_secs, secs_to_ns, CalendarQueue, EventQueue, SimTime, SlabEventQueue};
 pub use model::{capacity, system_efficiency, t_cpu, t_gpu, t_io, t_min, t_model};
 pub use server::{Engine, Pool};

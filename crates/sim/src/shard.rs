@@ -2,7 +2,7 @@
 //!
 //! The sequential simulator pops one global event queue. This module shards
 //! that queue: nodes are partitioned into `K` contiguous shards, each with
-//! its own [`EventQueue`] and its own slice of per-node state, and all
+//! its own [`SlabEventQueue`] and its own slice of per-node state, and all
 //! shards advance in lock-step *time windows* on [`StealPool::run_rounds`]:
 //! shard `i` always runs on thread `i % threads`, the barrier on the caller.
 //!
@@ -39,8 +39,7 @@
 //! from barriers, in a schedule that the sequential engine replays exactly
 //! (it flushes storage requests whenever virtual time advances past them —
 //! the same sorted batches, concatenated). `tests/shard_equivalence.rs`
-//! fuzzes the claim over shard counts, thread counts, and both queue
-//! implementations.
+//! fuzzes the claim over shard counts and thread counts.
 
 use rocket_sanitize::Mutex;
 use std::collections::VecDeque;
@@ -54,7 +53,7 @@ use crate::cluster::{
     sample_ns, transfer_ns, DevFill, Ev, GpuRates, HostFill, Msg, SimConfig, SimGpu, SimJob,
     SimNode, SimResult, StageDists, Tok,
 };
-use crate::engine::{ns_to_secs, secs_to_ns, EventQueue, SimTime};
+use crate::engine::{ns_to_secs, secs_to_ns, EventQueue, SimTime, SlabEventQueue};
 use crate::server::{Engine, Pool};
 
 /// Virtual nanoseconds without a pair completion before declaring deadlock.
@@ -108,12 +107,12 @@ pub(crate) struct Ctx<'a> {
 }
 
 /// One shard: a contiguous slice of nodes plus its own event queue.
-pub(crate) struct ShardState<Q> {
+pub(crate) struct ShardState {
     id: usize,
     /// Global index of `nodes[0]`.
     base: usize,
     nodes: Vec<SimNode>,
-    queue: Q,
+    queue: SlabEventQueue<Ev>,
     /// Same-node wake tokens, drained after every event (global node ids).
     wakes: VecDeque<(usize, Tok)>,
     /// Cross-shard messages produced this window: `(at, prio, to, from, msg)`.
@@ -187,13 +186,10 @@ impl Driver {
 
 /// Runs one simulation to completion on `K = cfg.effective_shards()`
 /// shards (sequentially for `K = 1`, on the steal pool otherwise).
-pub(crate) fn run<Q>(cfg: &SimConfig) -> SimResult
-where
-    Q: EventQueue<Ev> + Default + Send,
-{
+pub(crate) fn run(cfg: &SimConfig) -> SimResult {
     let k = cfg.effective_shards();
     let ctx = build_ctx(cfg, k);
-    let mut shards = build_shards::<Q>(cfg, &ctx, k);
+    let mut shards = build_shards(cfg, &ctx, k);
     let mut drv = Driver {
         storage: Engine::new(),
         steal_rng: SeedSequence::new(cfg.seed).rng("steal"),
@@ -273,10 +269,7 @@ fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
     }
 }
 
-fn build_shards<Q>(cfg: &SimConfig, ctx: &Ctx, k: usize) -> Vec<ShardState<Q>>
-where
-    Q: EventQueue<Ev> + Default,
-{
+fn build_shards(cfg: &SimConfig, ctx: &Ctx, k: usize) -> Vec<ShardState> {
     let n = cfg.workload.items;
     let p = cfg.nodes.len();
     let seeds = SeedSequence::new(cfg.seed);
@@ -336,7 +329,7 @@ where
             id: sid,
             base,
             nodes,
-            queue: Q::default(),
+            queue: SlabEventQueue::new(),
             wakes: VecDeque::new(),
             outbox: Vec::new(),
             load_reqs: Vec::new(),
@@ -375,7 +368,15 @@ where
 /// `K = 1`: a plain sequential event loop that still replays the exact
 /// barrier schedule of the windowed driver (same storage submission order,
 /// same boundary steals, same window count) so results stay byte-identical.
-fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: &mut Driver) {
+///
+/// Why a second driver loop: it skips the barrier wherever no node is
+/// hungry and no storage request is pending, which `run_windowed` cannot.
+/// Routing `K = 1` through `run_windowed` was measured on the harness's
+/// `cluster-study` workload (≈130 k tiny windows a repetition, 2 hardware
+/// threads): the plain fold cost +22 % `wall_s` and +23 % `cpu_s`, and a
+/// fold with no lock or allocation per window still cost +9 % `wall_s` and
+/// +14 % `cpu_s`, slower in 10 of 10 alternating pairs.
+fn run_sequential(ctx: &Ctx, shard: &mut ShardState, drv: &mut Driver) {
     let win = ctx.window_ns;
     let mut last = (0u64, 0u64); // (pairs_done, virtual ns)
     while shard.pairs_done < ctx.total_pairs {
@@ -441,10 +442,7 @@ fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: 
 /// `K > 1`: lock-step windows on [`StealPool::run_rounds`]. Each round runs
 /// every shard's current window, each shard on the thread that owns it;
 /// `between` then plays the barrier (deliver, flush, steal, advance).
-fn run_windowed<Q>(ctx: &Ctx, shards: Vec<ShardState<Q>>, drv: &mut Driver) -> Vec<ShardState<Q>>
-where
-    Q: EventQueue<Ev> + Send,
-{
+fn run_windowed(ctx: &Ctx, shards: Vec<ShardState>, drv: &mut Driver) -> Vec<ShardState> {
     let k = shards.len();
     let threads = if ctx.cfg.shard_threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -453,7 +451,7 @@ where
     }
     .min(k)
     .max(1);
-    let cells: Vec<Mutex<ShardState<Q>>> = shards
+    let cells: Vec<Mutex<ShardState>> = shards
         .into_iter()
         .map(|s| Mutex::named("cells", s))
         .collect();
@@ -487,7 +485,7 @@ where
         },
         || {
             let mut guards: Vec<_> = cells.iter().map(|c| c.lock()).collect();
-            let mut sh: Vec<&mut ShardState<Q>> = guards.iter_mut().map(|g| &mut **g).collect();
+            let mut sh: Vec<&mut ShardState> = guards.iter_mut().map(|g| &mut **g).collect();
             let boundary = sh[0].window_end;
             barrier_step(ctx, &mut sh, drv, boundary);
             let done: u64 = sh.iter().map(|s| s.pairs_done).sum();
@@ -516,12 +514,7 @@ where
 /// The window barrier, identical for the sequential replay and the
 /// parallel driver: merge cross-shard messages, submit deferred storage
 /// requests in global order, match steals, count the window.
-fn barrier_step<Q: EventQueue<Ev>>(
-    ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
-    drv: &mut Driver,
-    boundary: SimTime,
-) {
+fn barrier_step(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &mut Driver, boundary: SimTime) {
     deliver_messages(ctx, shards, drv);
     flush_loads(ctx, shards, drv);
     steal_match(ctx, shards, drv, boundary);
@@ -535,7 +528,7 @@ fn barrier_step<Q: EventQueue<Ev>>(
 /// (no hungry nodes, no pending loads) record nothing, so gauge *timing*
 /// is a property of the engine configuration — unlike node-level records,
 /// which are identical for every shard count.
-fn record_gauges<Q: EventQueue<Ev>>(shards: &mut [&mut ShardState<Q>], boundary: SimTime) {
+fn record_gauges(shards: &mut [&mut ShardState], boundary: SimTime) {
     for s in shards.iter_mut() {
         if s.perf.is_some() {
             let sid = s.id;
@@ -547,11 +540,7 @@ fn record_gauges<Q: EventQueue<Ev>>(shards: &mut [&mut ShardState<Q>], boundary:
     }
 }
 
-fn deliver_messages<Q: EventQueue<Ev>>(
-    ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
-    drv: &mut Driver,
-) {
+fn deliver_messages(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &mut Driver) {
     let mut msgs = std::mem::take(&mut drv.msgs);
     for s in shards.iter_mut() {
         msgs.append(&mut s.outbox);
@@ -569,7 +558,7 @@ fn deliver_messages<Q: EventQueue<Ev>>(
     drv.msgs = msgs;
 }
 
-fn flush_loads<Q: EventQueue<Ev>>(ctx: &Ctx, shards: &mut [&mut ShardState<Q>], drv: &mut Driver) {
+fn flush_loads(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &mut Driver) {
     let mut loads = std::mem::take(&mut drv.loads);
     for s in shards.iter_mut() {
         loads.append(&mut s.load_reqs);
@@ -603,12 +592,7 @@ fn flush_loads<Q: EventQueue<Ev>>(ctx: &Ctx, shards: &mut [&mut ShardState<Q>], 
 /// remnant steals drag the victim's items along for a handful of pairs, so
 /// they must stay a last resort against genuine stragglers, not fire at
 /// every boundary. See `RICH_BACKLOG_DIVISOR` for the threshold.
-fn steal_match<Q: EventQueue<Ev>>(
-    ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
-    drv: &mut Driver,
-    boundary: SimTime,
-) {
+fn steal_match(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &mut Driver, boundary: SimTime) {
     if shards.iter().map(|s| s.hungry_count).sum::<usize>() == 0 {
         return;
     }
@@ -662,7 +646,7 @@ fn steal_match<Q: EventQueue<Ev>>(
 }
 
 /// Candidate victims cluster-wide in one tier: a popcount per word.
-fn count_victims<Q: EventQueue<Ev>>(shards: &[&mut ShardState<Q>], rich: bool) -> usize {
+fn count_victims(shards: &[&mut ShardState], rich: bool) -> usize {
     shards
         .iter()
         .map(|s| {
@@ -676,11 +660,7 @@ fn count_victims<Q: EventQueue<Ev>>(shards: &[&mut ShardState<Q>], rich: bool) -
 
 /// Global id of the `k`-th (0-based) candidate victim in one tier, in
 /// ascending node order: shards hold contiguous, ascending node ranges.
-fn select_victim<Q: EventQueue<Ev>>(
-    shards: &[&mut ShardState<Q>],
-    rich: bool,
-    mut k: usize,
-) -> usize {
+fn select_victim(shards: &[&mut ShardState], rich: bool, mut k: usize) -> usize {
     for s in shards {
         match select_bit(s.victims(rich), k) {
             Ok(l) => return s.base + l,
@@ -707,12 +687,7 @@ fn select_bit(words: &[u64], mut k: usize) -> Result<usize, usize> {
     Err(k)
 }
 
-fn stall_panic<Q: EventQueue<Ev>>(
-    ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
-    drv: &Driver,
-    why: &str,
-) -> ! {
+fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &str) -> ! {
     let mut diag = String::new();
     let mut ev_counts = [0u64; 11];
     let mut queue_len = 0usize;
@@ -782,7 +757,7 @@ fn stall_panic<Q: EventQueue<Ev>>(
 
 /// Folds per-node state in global node order into a [`SimResult`] — the
 /// fold never depends on the shard count, only on the node order.
-fn finish<Q: EventQueue<Ev>>(ctx: &Ctx, shards: Vec<ShardState<Q>>, drv: Driver) -> SimResult {
+fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> SimResult {
     let mut r = SimResult {
         makespan: 0.0,
         items: ctx.cfg.workload.items,
@@ -855,7 +830,7 @@ fn finish<Q: EventQueue<Ev>>(ctx: &Ctx, shards: Vec<ShardState<Q>>, drv: Driver)
 // node's monotonic sequence, and the three cross-shard channels (messages,
 // storage, steals) defer to the barrier instead of acting inline.
 
-impl<Q: EventQueue<Ev>> ShardState<Q> {
+impl ShardState {
     /// Executes every event strictly before `window_end`.
     fn run_window(&mut self, ctx: &Ctx) {
         while let Some(t) = self.queue.peek_time() {
@@ -1657,7 +1632,6 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
 mod tests {
     use super::*;
     use crate::cluster::{simulate, SimNodeConfig};
-    use crate::engine::SlabEventQueue;
     use rocket_core::WorkloadProfile;
     use rocket_stats::Dist;
 
@@ -1722,7 +1696,7 @@ mod tests {
         // queues start empty.
         let cfg = toy_config(0, 2, 4);
         let ctx = build_ctx(&cfg, 2);
-        let mut shards = build_shards::<SlabEventQueue<Ev>>(&cfg, &ctx, 2);
+        let mut shards = build_shards(&cfg, &ctx, 2);
         let win = ctx.window_ns;
         let s = &mut shards[0];
         s.window_end = win;
@@ -1751,7 +1725,7 @@ mod tests {
     fn victim_select_matches_a_linear_filter() {
         let cfg = toy_config(0, 200, 4);
         let ctx = build_ctx(&cfg, 3);
-        let mut shards = build_shards::<SlabEventQueue<Ev>>(&cfg, &ctx, 3);
+        let mut shards = build_shards(&cfg, &ctx, 3);
         let mut rng = SeedSequence::new(7).rng("bits");
         for density in [0u32, 1, 2, 4, 8, 64] {
             for s in &mut shards {
@@ -1765,7 +1739,7 @@ mod tests {
                     *word = bits;
                 }
             }
-            let sh: Vec<&mut ShardState<_>> = shards.iter_mut().collect();
+            let sh: Vec<&mut ShardState> = shards.iter_mut().collect();
             let want: Vec<usize> = (0..200)
                 .filter(|&g| {
                     let s = &sh[ctx.node_shard[g]];

@@ -2,15 +2,15 @@
 //!
 //! The conservative time-window parallel engine (`SimConfig::shards > 1`)
 //! promises results byte-identical to the sequential engine for *every*
-//! shard count and thread count, on both event-queue implementations.
-//! These tests pin that promise on the benchmarked configurations
-//! (`rocket_bench::anchors` builds the same clusters through the
-//! `Scenario` API) and fuzz it over the full knob grid on a stochastic
-//! heterogeneous cluster — the case most likely to expose ordering
-//! divergence, since stage times come from per-node RNG streams.
+//! shard count and thread count. These tests pin that promise on the
+//! benchmarked configurations (`rocket_bench::anchors` builds the same
+//! clusters through the `Scenario` API) and fuzz it over the shard ×
+//! thread grid on a stochastic heterogeneous cluster — the case most
+//! likely to expose ordering divergence, since stage times come from
+//! per-node RNG streams.
 
 use rocket_apps::WorkloadProfile;
-use rocket_sim::{simulate, Scheduler, SimConfig, SimNodeConfig, SimResult};
+use rocket_sim::{simulate, SimConfig, SimNodeConfig, SimResult};
 use rocket_stats::Dist;
 
 /// The `benches/des.rs` anchor workload, duplicated at the `SimConfig`
@@ -60,26 +60,23 @@ fn noisy_workload(items: u64) -> WorkloadProfile {
 /// Debug covers every field of the result — counters, busy times,
 /// per-node series, window count — so equality here is byte-identical
 /// results, not just matching headline numbers.
-fn run_bytes(mut cfg: SimConfig, shards: usize, threads: usize, scheduler: Scheduler) -> String {
+fn run_bytes(mut cfg: SimConfig, shards: usize, threads: usize) -> String {
     cfg.shards = shards;
     cfg.shard_threads = threads;
-    cfg.scheduler = scheduler;
     format!("{:?}", simulate(&cfg))
 }
 
 fn assert_equivalent(cfg: &SimConfig, label: &str) {
-    let baseline = run_bytes(cfg.clone(), 1, 1, Scheduler::SlabHeap);
-    for scheduler in [Scheduler::SlabHeap, Scheduler::Calendar] {
-        for shards in [1usize, 2, 4, 8, 13] {
-            // Two threads make one thread own several shards at K ≥ 4.
-            for threads in [1usize, 2, 4] {
-                let got = run_bytes(cfg.clone(), shards, threads, scheduler);
-                assert_eq!(
-                    got, baseline,
-                    "{label}: K = {shards}, threads = {threads}, {scheduler:?} \
-                     diverged from the sequential engine"
-                );
-            }
+    let baseline = run_bytes(cfg.clone(), 1, 1);
+    for shards in [1usize, 2, 4, 8, 13] {
+        // Two threads make one thread own several shards at K ≥ 4.
+        for threads in [1usize, 2, 4] {
+            let got = run_bytes(cfg.clone(), shards, threads);
+            assert_eq!(
+                got, baseline,
+                "{label}: K = {shards}, threads = {threads} \
+                 diverged from the sequential engine"
+            );
         }
     }
 }
@@ -126,8 +123,8 @@ fn sixteen_node_anchor_spot_check() {
         bench_workload(256),
         vec![SimNodeConfig::uniform(4, 24, 96); 16],
     );
-    let seq = run_bytes(cfg.clone(), 1, 1, Scheduler::SlabHeap);
-    let par = run_bytes(cfg.clone(), 8, 4, Scheduler::SlabHeap);
+    let seq = run_bytes(cfg.clone(), 1, 1);
+    let par = run_bytes(cfg.clone(), 8, 4);
     assert_eq!(par, seq, "sixteen-node anchor diverged at K = 8");
 }
 

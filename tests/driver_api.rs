@@ -1,7 +1,6 @@
 //! Integration tests of the unified `Scenario`/`Backend`/`Replications`
-//! driver API: replication determinism across thread-pool sizes, backend
-//! report parity, and scheduler equivalence — all through the public
-//! facade.
+//! driver API: replication determinism across thread-pool sizes and
+//! backend report parity — all through the public facade.
 
 use std::sync::Arc;
 
@@ -101,17 +100,6 @@ fn explicit_seed_sets_reproduce_single_runs() {
     assert_eq!(format!("{:?}", reps.runs[0]), format!("{single:?}"));
     assert_eq!(format!("{:?}", reps.runs[1]), format!("{single:?}"));
     assert_eq!(reps.elapsed.ci95_half_width(), 0.0);
-}
-
-#[test]
-fn calendar_queue_scenario_matches_default_scheduler() {
-    let scenario = sim_scenario();
-    let mut calendar = scenario.clone();
-    calendar.calendar_queue = true;
-    let backend = SimBackend::new();
-    let a = backend.run(&scenario).expect("heap run");
-    let b = backend.run(&calendar).expect("calendar run");
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]
