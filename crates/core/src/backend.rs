@@ -19,7 +19,7 @@ use rocket_storage::ObjectStore;
 use rocket_trace::PerfLog;
 
 use crate::app::Application;
-use crate::cluster::{AppReport, Rocket};
+use crate::cluster::{self, AppReport};
 use crate::error::RocketError;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
@@ -113,13 +113,7 @@ impl<A: Application> ThreadedBackend<A> {
                 self.app.item_count()
             )));
         }
-        let report = Rocket::run_cluster_recorded(
-            Arc::clone(&self.app),
-            Arc::clone(&self.store),
-            scenario.node_configs(),
-            scenario.transport,
-            perf.is_enabled(),
-        )?;
+        let report = cluster::run(&self.app, &self.store, scenario, perf.is_enabled())?;
         for node in &report.nodes {
             perf.extend(node.perf.iter().copied());
         }

@@ -14,7 +14,6 @@ use rocket_trace::PerfKind;
 
 use crate::app::Application;
 use crate::clock;
-use crate::config::RocketConfig;
 use crate::engine::node::{spawn_node, NodeReport};
 use crate::engine::resource::Recording;
 use crate::error::RocketError;
@@ -23,9 +22,6 @@ use crate::scenario::Scenario;
 
 /// Outcome of a full all-pairs run of a real [`Application`], including
 /// the typed per-pair outputs.
-///
-/// (Formerly named `RunReport`; that name now denotes the backend-agnostic
-/// aggregate report, which [`AppReport::unified`] produces.)
 #[derive(Debug)]
 pub struct AppReport<O> {
     /// Number of items in the data set.
@@ -174,150 +170,98 @@ impl<O> AppReport<O> {
     }
 }
 
-/// The Rocket runtime front door.
+/// The threaded cluster driver behind [`crate::ThreadedBackend`]: spawns
+/// one node engine per [`crate::NodeSpec`], deals the pair triangle to one
+/// work-stealing worker per GPU, and waits for every node to drain. The
+/// caller has validated `scenario`.
 ///
-/// `Rocket::new(config).run(app, store)` executes the all-pairs problem on
-/// one node; [`Rocket::run_cluster`] runs an in-process cluster with one
-/// configuration per node (heterogeneous setups pass different device
-/// profiles per node).
-pub struct Rocket {
-    config: RocketConfig,
-}
+/// With `record` on, every resource thread logs its tasks into
+/// [`NodeReport::perf`] against the stopwatch that also measures
+/// [`AppReport::elapsed`], so all nodes share one clock.
+pub(crate) fn run<A: Application>(
+    app: &Arc<A>,
+    store: &Arc<dyn ObjectStore>,
+    scenario: &Scenario,
+    record: bool,
+) -> Result<AppReport<A::Output>, RocketError> {
+    let scenario = Arc::new(scenario.clone());
+    let nodes = scenario.nodes.len();
+    let n = app.item_count();
+    let outputs = Arc::new(Mutex::named("outputs", Vec::new()));
+    let start = clock::stopwatch();
 
-impl Rocket {
-    /// Creates a runtime with the given single-node configuration.
-    pub fn new(config: RocketConfig) -> Self {
-        Self { config }
-    }
+    let mut endpoints: Vec<Option<Box<dyn Transport>>> = if nodes > 1 {
+        scenario
+            .transport
+            .connect(nodes)
+            .map_err(RocketError::Config)?
+            .into_iter()
+            .map(Some)
+            .collect()
+    } else {
+        vec![None]
+    };
 
-    /// Runs an application on one node.
-    pub fn run<A: Application>(
-        &self,
-        app: Arc<A>,
-        store: Arc<dyn ObjectStore>,
-    ) -> Result<AppReport<A::Output>, RocketError> {
-        Self::run_cluster(app, store, vec![self.config.clone()])
-    }
-
-    /// Runs an application on an in-process cluster, one configuration per
-    /// node, communicating over the default in-process transport. All
-    /// nodes share `store` (the paper's central file server).
-    pub fn run_cluster<A: Application>(
-        app: Arc<A>,
-        store: Arc<dyn ObjectStore>,
-        configs: Vec<RocketConfig>,
-    ) -> Result<AppReport<A::Output>, RocketError> {
-        Self::run_cluster_with(app, store, configs, TransportKind::Local)
-    }
-
-    /// [`Rocket::run_cluster`] with an explicit cluster transport: the
-    /// in-process channels of [`TransportKind::Local`] or real loopback
-    /// TCP sockets with [`TransportKind::Socket`].
-    pub fn run_cluster_with<A: Application>(
-        app: Arc<A>,
-        store: Arc<dyn ObjectStore>,
-        configs: Vec<RocketConfig>,
-        transport: TransportKind,
-    ) -> Result<AppReport<A::Output>, RocketError> {
-        Self::run_cluster_recorded(app, store, configs, transport, false)
-    }
-
-    /// The one cluster driver. With `record` on, every resource thread
-    /// logs its tasks into [`NodeReport::perf`] against the stopwatch that
-    /// also measures [`AppReport::elapsed`], so all nodes share one clock.
-    pub(crate) fn run_cluster_recorded<A: Application>(
-        app: Arc<A>,
-        store: Arc<dyn ObjectStore>,
-        configs: Vec<RocketConfig>,
-        transport: TransportKind,
-        record: bool,
-    ) -> Result<AppReport<A::Output>, RocketError> {
-        if configs.is_empty() {
-            return Err(RocketError::Config("at least one node required".into()));
+    // Worker topology: one work-stealing worker per GPU (§4.2).
+    let mut worker_map = Vec::new();
+    for (node, spec) in scenario.nodes.iter().enumerate() {
+        for dev in 0..spec.gpus.len() {
+            worker_map.push((node, dev));
         }
-        for c in &configs {
-            c.validate().map_err(RocketError::Config)?;
-        }
-        let nodes = configs.len();
-        let n = app.item_count();
-        let outputs = Arc::new(Mutex::named("outputs", Vec::new()));
-        let start = clock::stopwatch();
+    }
+    let topology = WorkerTopology {
+        node_of: worker_map.iter().map(|&(n, _)| n).collect(),
+    };
 
-        let mut endpoints: Vec<Option<Box<dyn Transport>>> = if nodes > 1 {
-            transport
-                .connect(nodes)
-                .map_err(RocketError::Config)?
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            vec![None]
-        };
-
-        // Worker topology: one work-stealing worker per GPU (§4.2).
-        let mut worker_map = Vec::new();
-        for (node, cfg) in configs.iter().enumerate() {
-            for dev in 0..cfg.devices.len() {
-                worker_map.push((node, dev));
-            }
-        }
-        let topology = WorkerTopology {
-            node_of: worker_map.iter().map(|&(n, _)| n).collect(),
-        };
-
-        let handles: Vec<_> = configs
-            .iter()
-            .enumerate()
-            .map(|(node_id, cfg)| {
-                spawn_node(
-                    Arc::clone(&app),
-                    cfg.clone(),
-                    node_id,
-                    nodes,
-                    Arc::clone(&store),
-                    endpoints[node_id].take(),
-                    Arc::clone(&outputs),
-                    record.then_some(Recording {
-                        clock: start,
-                        node: node_id as u32,
-                    }),
-                )
-            })
-            .collect();
-
-        let pool_cfg = StealPoolConfig {
-            leaf_pairs: configs[0].leaf_pairs,
-            seed: configs[0].seed,
-            static_partition: configs[0].static_partition,
-            ..Default::default()
-        };
-        let steal = StealPool::run(n, &topology, &pool_cfg, |worker, pair| {
-            let (node, dev) = worker_map[worker];
-            // Back-pressure: one permit per in-flight job on the target node.
-            handles[node].limiter.acquire();
-            handles[node].submit(pair, dev);
-        });
-
-        // All pairs submitted; wait for every node to drain its jobs.
-        loop {
-            if handles.iter().all(|h| h.counters.is_drained()) {
-                break;
-            }
-            clock::pace(Duration::from_millis(1));
-        }
-
-        let node_reports: Vec<NodeReport> = handles.into_iter().map(|h| h.finish()).collect();
-        let elapsed = start.elapsed();
-        let outputs = Arc::try_unwrap(outputs)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
-
-        Ok(AppReport {
-            items: n,
-            outputs,
-            elapsed,
-            nodes: node_reports,
-            steal,
+    let handles: Vec<_> = (0..nodes)
+        .map(|node_id| {
+            spawn_node(
+                Arc::clone(app),
+                Arc::clone(&scenario),
+                node_id,
+                Arc::clone(store),
+                endpoints[node_id].take(),
+                Arc::clone(&outputs),
+                record.then_some(Recording {
+                    clock: start,
+                    node: node_id as u32,
+                }),
+            )
         })
+        .collect();
+
+    let pool_cfg = StealPoolConfig {
+        leaf_pairs: scenario.leaf_pairs,
+        seed: scenario.seed,
+        static_partition: scenario.static_partition,
+        ..Default::default()
+    };
+    let steal = StealPool::run(n, &topology, &pool_cfg, |worker, pair| {
+        let (node, dev) = worker_map[worker];
+        // Back-pressure: one permit per in-flight job on the target node.
+        handles[node].limiter.acquire();
+        handles[node].submit(pair, dev);
+    });
+
+    // All pairs submitted; wait for every node to drain its jobs.
+    loop {
+        if handles.iter().all(|h| h.counters.is_drained()) {
+            break;
+        }
+        clock::pace(Duration::from_millis(1));
     }
+
+    let node_reports: Vec<NodeReport> = handles.into_iter().map(|h| h.finish()).collect();
+    let elapsed = start.elapsed();
+    let outputs = Arc::try_unwrap(outputs)
+        .map(|m| m.into_inner())
+        .unwrap_or_default();
+
+    Ok(AppReport {
+        items: n,
+        outputs,
+        elapsed,
+        nodes: node_reports,
+        steal,
+    })
 }

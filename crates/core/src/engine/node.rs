@@ -49,9 +49,9 @@ use rocket_storage::ObjectStore;
 use rocket_trace::{PerfKind, PerfRecord};
 
 use crate::app::Application;
-use crate::config::RocketConfig;
 use crate::engine::messages::NodeMsg;
 use crate::engine::resource::{Recording, Resource};
+use crate::scenario::Scenario;
 
 /// Job identifier within one node.
 type JobId = u64;
@@ -220,15 +220,14 @@ impl NodeHandle {
 /// Shared sink for completed pair outputs, appended by every worker.
 type SharedOutputs<A> = Arc<Mutex<Vec<(Pair, <A as Application>::Output)>>>;
 
-/// Spawns a node: conductor thread + resource threads (+ comm thread when a
-/// transport is given). `recording` carries the run-wide clock of a
-/// recorded run; `None` records nothing and reads no clock.
-#[allow(clippy::too_many_arguments)]
+/// Spawns node `node_id` of `scenario`: conductor thread + resource threads
+/// (+ comm thread when a transport is given). `recording` carries the
+/// run-wide clock of a recorded run; `None` records nothing and reads no
+/// clock.
 pub(crate) fn spawn_node<A: Application>(
     app: Arc<A>,
-    cfg: RocketConfig,
+    scenario: Arc<Scenario>,
     node_id: usize,
-    nodes: usize,
     store: Arc<dyn ObjectStore>,
     transport: Option<Box<dyn Transport>>,
     outputs: SharedOutputs<A>,
@@ -239,8 +238,9 @@ pub(crate) fn spawn_node<A: Application>(
     // Each job pins up to two device-cache slots; capping in-flight jobs at
     // slots/2 per device guarantees all leases fit simultaneously, which
     // keeps tiny-cache configurations free of eviction livelock.
-    let lease_cap = (cfg.devices.len() * (cfg.device_cache_slots / 2)).max(1);
-    let limiter = Arc::new(JobLimiter::new(cfg.concurrent_job_limit.min(lease_cap)));
+    let spec = &scenario.nodes[node_id];
+    let lease_cap = (spec.gpus.len() * (spec.device_slots / 2)).max(1);
+    let limiter = Arc::new(JobLimiter::new(scenario.job_limit.min(lease_cap)));
 
     // The conductor sends, the comm thread receives; both share one
     // transport handle (the receive side stays single-consumer — the comm
@@ -288,7 +288,7 @@ pub(crate) fn spawn_node<A: Application>(
             .name(format!("rocket-conductor-{node_id}"))
             .spawn(move || {
                 let conductor = Conductor::new(
-                    app, cfg, node_id, nodes, store, transport, outputs, counters, limiter,
+                    app, scenario, node_id, store, transport, outputs, counters, limiter,
                     events_rx, events_tx, recording,
                 );
                 conductor.run()
@@ -308,9 +308,8 @@ pub(crate) fn spawn_node<A: Application>(
 
 struct Conductor<A: Application> {
     app: Arc<A>,
-    cfg: RocketConfig,
+    scenario: Arc<Scenario>,
     node_id: usize,
-    nodes: usize,
     store: Arc<dyn ObjectStore>,
     transport: Option<Arc<dyn Transport>>,
 
@@ -360,9 +359,8 @@ impl<A: Application> Conductor<A> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         app: Arc<A>,
-        cfg: RocketConfig,
+        scenario: Arc<Scenario>,
         node_id: usize,
-        nodes: usize,
         store: Arc<dyn ObjectStore>,
         transport: Option<Arc<dyn Transport>>,
         outputs: SharedOutputs<A>,
@@ -372,24 +370,25 @@ impl<A: Application> Conductor<A> {
         events_tx: Sender<Event>,
         recording: Option<Recording>,
     ) -> Self {
-        let n_dev = cfg.devices.len();
+        let spec = &scenario.nodes[node_id];
+        let n_dev = spec.gpus.len();
         let item_count = app.item_count() as usize;
         let item_bytes = app.item_bytes() as u64;
         let parsed_bytes = app.parsed_bytes() as u64;
         let result_bytes = app.result_bytes() as u64;
         let staging_per_dev = if app.has_preprocess() { 4 } else { 0 };
-        let results_per_dev = cfg.concurrent_job_limit.clamp(1, 64);
+        let results_per_dev = scenario.job_limit.clamp(1, 64);
 
         let mut devices = Vec::with_capacity(n_dev);
         let mut dev_cache = Vec::with_capacity(n_dev);
         let mut dev_slot_bufs = Vec::with_capacity(n_dev);
         let mut staging_pool = Vec::with_capacity(n_dev);
         let mut result_pool = Vec::with_capacity(n_dev);
-        for profile in &cfg.devices {
+        for profile in &spec.gpus {
             // The threaded runtime treats the configured slot count as
             // authoritative: expand virtual memory if the profile is too
             // small (the simulator models capacities faithfully instead).
-            let needed = cfg.device_cache_slots as u64 * item_bytes
+            let needed = spec.device_slots as u64 * item_bytes
                 + staging_per_dev as u64 * parsed_bytes
                 + results_per_dev as u64 * result_bytes;
             let profile = if profile.memory_bytes < needed {
@@ -398,7 +397,7 @@ impl<A: Application> Conductor<A> {
                 profile.clone()
             };
             let device = Arc::new(VirtualDevice::new(profile));
-            let slots: Vec<BufferId> = (0..cfg.device_cache_slots)
+            let slots: Vec<BufferId> = (0..spec.device_slots)
                 .map(|_| device.alloc(item_bytes).expect("device slot alloc"))
                 .collect();
             let staging: Vec<BufferId> = (0..staging_per_dev)
@@ -411,16 +410,13 @@ impl<A: Application> Conductor<A> {
             // Dense item map: application items are 0..n, so the cache's
             // O(1) array-indexed table applies (same mode the simulator
             // runs in) instead of hashing every lookup.
-            dev_cache.push(SlotCache::with_item_space(
-                cfg.device_cache_slots,
-                item_count,
-            ));
+            dev_cache.push(SlotCache::with_item_space(spec.device_slots, item_count));
             dev_slot_bufs.push(slots);
             staging_pool.push(staging);
             result_pool.push(results);
         }
 
-        let host_slots: Vec<Arc<Mutex<Vec<u8>>>> = (0..cfg.host_cache_slots)
+        let host_slots: Vec<Arc<Mutex<Vec<u8>>>> = (0..spec.host_slots)
             .map(|_| Arc::new(Mutex::named("host_slots", vec![0u8; item_bytes as usize])))
             .collect();
 
@@ -428,20 +424,19 @@ impl<A: Application> Conductor<A> {
             Resource::spawn(name, threads, events_tx.clone(), recording)
         };
         let io = spawn("io", 1);
-        let cpu = spawn("cpu", cfg.cpu_threads);
+        let cpu = spawn("cpu", scenario.cpu_threads);
         let gpu: Vec<_> = (0..n_dev).map(|_| spawn("gpu", 1)).collect();
         let h2d: Vec<_> = (0..n_dev).map(|_| spawn("h2d", 1)).collect();
         let d2h: Vec<_> = (0..n_dev).map(|_| spawn("d2h", 1)).collect();
 
-        let directory = Directory::new(node_id, nodes, cfg.distributed_hops);
+        let directory = Directory::new(node_id, scenario.nodes.len(), scenario.hops);
         let staging_queue = vec![VecDeque::new(); n_dev];
         let result_queue = vec![VecDeque::new(); n_dev];
 
         Self {
             app,
-            cfg,
+            scenario,
             node_id,
-            nodes,
             store,
             transport,
             io,
@@ -857,7 +852,7 @@ impl<A: Application> Conductor<A> {
                 parsed: None,
             },
         );
-        if self.cfg.distributed_cache && self.nodes > 1 {
+        if self.scenario.distributed_cache && self.scenario.nodes.len() > 1 {
             let (to, msg) = self.directory.begin_lookup(item);
             self.send_to(to, NodeMsg::Dir(msg));
         } else {
@@ -868,7 +863,7 @@ impl<A: Application> Conductor<A> {
     fn local_load(&mut self, item: ItemId) {
         let path = self.app.file_for(item);
         let store = Arc::clone(&self.store);
-        let retries = self.cfg.io_retries;
+        let retries = self.scenario.io_retries;
         self.io.submit(
             PerfKind::Read,
             Box::new(move || {
@@ -1068,7 +1063,7 @@ impl<A: Application> Conductor<A> {
     fn item_failure(&mut self, item: ItemId, cause: String) {
         let failures = self.item_failures.entry(item).or_insert(0);
         *failures += 1;
-        if *failures < self.cfg.max_item_failures {
+        if *failures < self.scenario.max_item_failures {
             // Transient: restart the load pipeline from storage.
             if let Some(fill) = self.host_fills.get(&item) {
                 let dev = fill.origin_dev;

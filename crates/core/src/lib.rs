@@ -3,12 +3,13 @@
 //! Rocket executes a user-defined pairwise function over every pair of a
 //! data set on (virtual) GPU platforms. Users implement the
 //! [`Application`] trait — parse (CPU), pre-process (GPU), compare (GPU),
-//! post-process (CPU) — and call [`Rocket::run`]; the runtime handles
-//! network communication, data transfers, memory management, scheduling,
-//! data reuse, load balancing, and overlapping computation with I/O.
+//! post-process (CPU) — describe the run as a [`Scenario`], and hand both
+//! to [`ThreadedBackend::run_app`]; the runtime handles network
+//! communication, data transfers, memory management, scheduling, data
+//! reuse, load balancing, and overlapping computation with I/O.
 //!
 //! ```
-//! use rocket_core::{Application, AppError, Rocket, RocketConfig};
+//! use rocket_core::{Application, AppError, NodeSpec, Scenario, ThreadedBackend};
 //! use rocket_core::Pair;
 //! use rocket_storage::MemStore;
 //! use std::sync::Arc;
@@ -44,13 +45,14 @@
 //! }
 //!
 //! let store = MemStore::from_iter((0..4).map(|i| (format!("{i}.bin"), vec![i as u8; 10])));
-//! let config = RocketConfig::builder()
-//!     .devices(1)
-//!     .device_cache_slots(4)
-//!     .host_cache_slots(8)
-//!     .concurrent_job_limit(4)
+//! // One node with one GPU, 4 device-cache slots and 8 host-cache slots.
+//! let scenario = Scenario::builder()
+//!     .items(4)
+//!     .node(NodeSpec::uniform(1, 4, 8))
+//!     .job_limit(4)
 //!     .build();
-//! let report = Rocket::new(config).run(Arc::new(ByteSum), Arc::new(store)).unwrap();
+//! let backend = ThreadedBackend::new(Arc::new(ByteSum), Arc::new(store));
+//! let report = backend.run_app(&scenario).unwrap();
 //! assert_eq!(report.outputs.len(), 6); // C(4,2) pairs
 //! assert!(report.failed().is_empty());
 //! ```
@@ -62,7 +64,6 @@ pub mod backend;
 pub mod clock;
 pub mod cluster;
 pub mod codec;
-pub mod config;
 pub mod engine;
 pub mod error;
 pub mod replications;
@@ -74,8 +75,7 @@ pub mod workload;
 
 pub use app::{bytesutil, Application};
 pub use backend::{Backend, ThreadedBackend};
-pub use cluster::{AppReport, Rocket};
-pub use config::{RocketConfig, RocketConfigBuilder};
+pub use cluster::AppReport;
 pub use engine::NodeReport;
 pub use error::{AppError, RocketError};
 pub use replications::{AdaptiveReplications, ReplicationReport, Replications};

@@ -4,10 +4,10 @@
 //! A [`Scenario`] describes *what* to run (a [`WorkloadProfile`]), *where*
 //! to run it (cluster topology: [`NodeSpec`]s of GPUs × cache slots), and
 //! *how* (runtime knobs, platform model, seed) — independent of the
-//! execution engine. Any [`crate::Backend`] consumes the same scenario:
-//! the threaded runtime derives per-node `RocketConfig`s from it, the
-//! discrete-event simulator derives its `SimConfig`, and the
-//! [`crate::Replications`] runner re-seeds it per replication.
+//! execution engine. Any [`crate::Backend`] consumes the same scenario —
+//! the threaded runtime and the discrete-event simulator both read it
+//! directly — and the [`crate::Replications`] runner re-seeds it per
+//! replication.
 //!
 //! Build scenarios with [`Scenario::builder`]; invalid topologies are
 //! rejected by [`ScenarioBuilder::try_build`].
@@ -15,7 +15,6 @@
 use rocket_comm::TransportKind;
 use rocket_gpu::DeviceProfile;
 
-use crate::config::RocketConfig;
 use crate::workload::WorkloadProfile;
 
 /// Largest socket-transport cluster the builder accepts: the full mesh
@@ -191,28 +190,6 @@ impl Scenario {
             return Err("latencies must be non-negative".into());
         }
         Ok(())
-    }
-
-    /// Derives the per-node configuration the threaded runtime consumes
-    /// (one [`RocketConfig`] per [`NodeSpec`]).
-    pub fn node_configs(&self) -> Vec<RocketConfig> {
-        self.nodes
-            .iter()
-            .map(|node| RocketConfig {
-                devices: node.gpus.clone(),
-                device_cache_slots: node.device_slots,
-                host_cache_slots: node.host_slots,
-                concurrent_job_limit: self.job_limit,
-                cpu_threads: self.cpu_threads,
-                distributed_hops: self.hops,
-                distributed_cache: self.distributed_cache,
-                leaf_pairs: self.leaf_pairs,
-                static_partition: self.static_partition,
-                io_retries: self.io_retries,
-                max_item_failures: self.max_item_failures,
-                seed: self.seed,
-            })
-            .collect()
     }
 }
 
@@ -462,34 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn node_configs_mirror_scenario() {
-        let s = Scenario::builder()
-            .items(32)
-            .uniform_cluster(3, 2, 8, 16)
-            .job_limit(7)
-            .cpu_threads(3)
-            .hops(2)
-            .distributed_cache(false)
-            .leaf_pairs(5)
-            .seed(42)
-            .build();
-        let configs = s.node_configs();
-        assert_eq!(configs.len(), 3);
-        for c in &configs {
-            assert!(c.validate().is_ok());
-            assert_eq!(c.devices.len(), 2);
-            assert_eq!(c.device_cache_slots, 8);
-            assert_eq!(c.host_cache_slots, 16);
-            assert_eq!(c.concurrent_job_limit, 7);
-            assert_eq!(c.cpu_threads, 3);
-            assert_eq!(c.distributed_hops, 2);
-            assert!(!c.distributed_cache);
-            assert_eq!(c.leaf_pairs, 5);
-            assert_eq!(c.seed, 42);
-        }
-    }
-
-    #[test]
     fn transport_knob_defaults_local_and_validates() {
         let s = valid().build();
         assert_eq!(s.transport, TransportKind::Local);
@@ -500,7 +449,6 @@ mod tests {
             .build();
         assert_eq!(s.transport, TransportKind::Socket);
         assert!(s.static_partition);
-        assert!(s.node_configs()[0].static_partition);
         // Socket meshes are capped: the full in-process mesh holds
         // p·(p−1)/2 live loopback connections.
         let err = Scenario::builder()

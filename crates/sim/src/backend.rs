@@ -1,22 +1,22 @@
 //! The discrete-event simulator as a [`Backend`].
 //!
-//! [`SimBackend`] turns a [`Scenario`] into the simulator's internal
-//! [`SimConfig`], runs [`crate::simulate`], and folds the [`SimResult`]
-//! into the unified [`RunReport`] — the same shape the threaded runtime
-//! reports, so experiment drivers and the replication runner treat both
-//! engines interchangeably.
+//! [`SimBackend`] is the only way to run the simulator: the engine reads
+//! the [`Scenario`] as is and reports the unified [`RunReport`] — the same
+//! shape the threaded runtime reports, so experiment drivers and the
+//! replication runner treat both engines interchangeably.
 
-use rocket_core::{Backend, BusyTimes, PerfLog, RocketError, RunReport, Scenario};
+use rocket_core::{Backend, PerfLog, RocketError, RunReport, Scenario};
 
-use crate::cluster::{simulate, SimConfig, SimNodeConfig, SimResult};
+use crate::shard;
 
 /// The DES execution engine (stateless; share one instance freely).
 ///
 /// The shard count is a property of the engine, not of the scenario:
 /// [`SimBackend::new`] runs the sequential engine and
-/// [`SimBackend::sharded`] runs every scenario on `k` shards. Reports are
-/// byte-identical for every `k` except `RunReport::sim_shards` — sharding
-/// changes wall-clock time only.
+/// [`SimBackend::sharded`] runs every scenario on `k` shards, on as many
+/// threads as the machine has cores (capped at `k`, the calling thread
+/// included). Reports are byte-identical for every `k` except
+/// `RunReport::sim_shards` — sharding changes wall-clock time only.
 #[derive(Debug, Clone, Copy)]
 pub struct SimBackend {
     shards: usize,
@@ -41,70 +41,6 @@ impl SimBackend {
     }
 }
 
-impl From<&Scenario> for SimConfig {
-    fn from(s: &Scenario) -> Self {
-        SimConfig {
-            workload: s.workload.clone(),
-            nodes: s
-                .nodes
-                .iter()
-                .map(|n| SimNodeConfig {
-                    gpus: n.gpus.clone(),
-                    device_slots: n.device_slots,
-                    host_slots: n.host_slots,
-                })
-                .collect(),
-            distributed_cache: s.distributed_cache,
-            hops: s.hops,
-            job_limit: s.job_limit,
-            cpu_threads: s.cpu_threads,
-            leaf_pairs: s.leaf_pairs,
-            storage_bandwidth: s.storage_bandwidth,
-            storage_latency: s.storage_latency,
-            net_bandwidth: s.net_bandwidth,
-            net_latency: s.net_latency,
-            seed: s.seed,
-            record_completions: s.record_completions,
-            shards: 1,
-            shard_threads: 0,
-            perf: PerfLog::disabled(),
-        }
-    }
-}
-
-/// Folds a [`SimResult`] into the unified report shape.
-fn unified(r: SimResult, sim_shards: u32) -> RunReport {
-    RunReport {
-        backend: "sim",
-        elapsed: r.makespan,
-        items: r.items,
-        pairs: r.pairs,
-        failed_pairs: 0, // the simulator models no storage faults
-        loads: r.loads,
-        remote_fetches: r.remote_fetches,
-        io_bytes: r.io_bytes,
-        net_bytes: r.net_bytes,
-        net_msgs: r.directory.messages_sent,
-        steals: r.steals,
-        busy: BusyTimes {
-            preprocess: r.busy_preprocess,
-            compare: r.busy_compare,
-            h2d: r.busy_h2d,
-            d2h: r.busy_d2h,
-            cpu: r.busy_cpu,
-            io: r.busy_io,
-        },
-        device_cache: r.device_cache,
-        host_cache: r.host_cache,
-        directory: r.directory,
-        pairs_per_node: r.pairs_per_node,
-        completions: r.completions,
-        sim_shards,
-        sim_windows: r.windows,
-        degraded: false,
-    }
-}
-
 impl Backend for SimBackend {
     fn name(&self) -> &'static str {
         "sim"
@@ -116,15 +52,12 @@ impl Backend for SimBackend {
 
     /// Same run, with the engine's perf instrumentation streaming into
     /// `perf`. The simulator buffers records out-of-band and folds them
-    /// in after [`SimResult`] is final, so the report is byte-identical
+    /// in after the report is final, so the report is byte-identical
     /// with recording on or off (`crates/sim/tests/perflog.rs` pins it).
     fn run_with_perf(&self, scenario: &Scenario, perf: &PerfLog) -> Result<RunReport, RocketError> {
         scenario.validate().map_err(RocketError::Config)?;
-        let mut cfg = SimConfig::from(scenario);
-        cfg.shards = self.shards;
-        cfg.perf = perf.clone();
-        let shards = cfg.effective_shards() as u32;
-        Ok(unified(simulate(&cfg), shards))
+        // 0 threads: the machine's parallelism, capped at the shard count.
+        Ok(shard::run(scenario, self.shards, 0, perf))
     }
 }
 
@@ -145,16 +78,6 @@ mod tests {
             .workload(workload)
             .nodes(2, NodeSpec::uniform(1, 8, 16))
             .build()
-    }
-
-    #[test]
-    fn scenario_round_trips_into_sim_config() {
-        let s = toy_scenario();
-        let cfg = SimConfig::from(&s);
-        assert_eq!(cfg.nodes.len(), 2);
-        assert_eq!(cfg.workload.items, 16);
-        assert_eq!(cfg.seed, s.seed);
-        assert_eq!(cfg.shards, 1);
     }
 
     #[test]

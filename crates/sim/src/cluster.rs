@@ -14,11 +14,13 @@
 //! host fill → distributed lookup → load pipeline), so simulator results
 //! are explanatory for the real runtime.
 //!
-//! This module owns the *model*: configuration, per-node state tables, and
-//! the result fold. The event engine lives in `crate::shard` — a
-//! conservative time-window design that runs the same model on one shard
-//! (sequential) or many (parallel over the steal pool) with byte-identical
-//! results; see `SimConfig::shards`.
+//! This module owns the *model*: the per-node state tables and the
+//! sampling helpers. The [`rocket_core::Scenario`] is the configuration,
+//! read as is. The event engine and the report fold live in `crate::shard`
+//! — a conservative time-window design that runs the same model on one
+//! shard (sequential) or many (parallel over the steal pool) with
+//! byte-identical results; the shard count belongs to
+//! [`crate::SimBackend`].
 //!
 //! # Dense-table state layout
 //!
@@ -45,205 +47,13 @@
 //! — a few MB for the largest scenario sweeps — in exchange for removing
 //! every hash and every `Dist` clone from the per-event path.
 
-use rocket_cache::{CacheStats, Directory, DirectoryMsg, DirectoryStats, SlotCache, SlotIdx};
-use rocket_core::WorkloadProfile;
+use rocket_cache::{Directory, DirectoryMsg, SlotCache, SlotIdx};
 use rocket_gpu::DeviceProfile;
 use rocket_stats::{Dist, Distribution, Xoshiro256};
 use rocket_steal::{Block, Pair, TaskDeque};
-use rocket_trace::{PerfLog, ThroughputSeries};
 
 use crate::engine::{secs_to_ns, SimTime};
 use crate::server::{Engine, Pool};
-use crate::shard;
-
-/// Configuration of one simulated node.
-#[derive(Debug, Clone)]
-pub struct SimNodeConfig {
-    /// The GPUs of this node.
-    pub gpus: Vec<DeviceProfile>,
-    /// Device-cache slots per GPU.
-    pub device_slots: usize,
-    /// Host-cache slots for the node.
-    pub host_slots: usize,
-}
-
-impl SimNodeConfig {
-    /// `gpus` identical baseline GPUs with the given cache sizes.
-    pub fn uniform(gpus: usize, device_slots: usize, host_slots: usize) -> Self {
-        Self {
-            gpus: (0..gpus).map(|_| DeviceProfile::titanx_maxwell()).collect(),
-            device_slots,
-            host_slots,
-        }
-    }
-}
-
-/// Full simulation configuration.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// The workload (items, sizes, stage-time distributions).
-    pub workload: WorkloadProfile,
-    /// One entry per node.
-    pub nodes: Vec<SimNodeConfig>,
-    /// Level-3 distributed cache on/off (Fig 12 compares both).
-    pub distributed_cache: bool,
-    /// Maximum lookup hops `h`.
-    pub hops: usize,
-    /// Concurrent job limit per node.
-    pub job_limit: usize,
-    /// CPU pool size per node.
-    pub cpu_threads: usize,
-    /// Pairs per leaf task.
-    pub leaf_pairs: u64,
-    /// Central storage bandwidth, bytes/second (shared by all nodes).
-    pub storage_bandwidth: f64,
-    /// Per-request storage latency, seconds.
-    pub storage_latency: f64,
-    /// Inter-node network bandwidth per NIC, bytes/second.
-    pub net_bandwidth: f64,
-    /// One-way network message latency, seconds.
-    pub net_latency: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Record per-GPU completion timestamps (Fig 14).
-    pub record_completions: bool,
-    /// Event-engine shards for the conservative time-window parallel DES.
-    /// `1` runs sequentially; `k > 1` partitions nodes over `k` shards
-    /// advancing in lock-step windows on the steal pool. Results are
-    /// byte-identical for every value (clamped to the node count).
-    pub shards: usize,
-    /// Threads for sharded runs, the calling thread included. `0` picks the
-    /// machine's available parallelism, capped at the shard count.
-    pub shard_threads: usize,
-    /// Perf-sample sink. Disabled by default; when enabled the engine
-    /// buffers records per shard and folds them in after the result is
-    /// final, so enabling it never changes [`SimResult`].
-    pub perf: PerfLog,
-}
-
-impl SimConfig {
-    /// A single-node configuration with paper-style defaults: DAS-5-like
-    /// storage (InfiniBand MinIO) and network.
-    pub fn single_node(workload: WorkloadProfile, node: SimNodeConfig) -> Self {
-        Self::cluster(workload, vec![node])
-    }
-
-    /// A multi-node configuration with paper-style defaults.
-    pub fn cluster(workload: WorkloadProfile, nodes: Vec<SimNodeConfig>) -> Self {
-        Self {
-            workload,
-            nodes,
-            distributed_cache: true,
-            hops: 1,
-            job_limit: 64,
-            cpu_threads: 16,
-            leaf_pairs: 64,
-            storage_bandwidth: 1.2e9, // ~10 Gb/s effective object store
-            storage_latency: 2e-3,
-            net_bandwidth: 7.0e9, // 56 Gb/s InfiniBand FDR
-            net_latency: 20e-6,
-            seed: 0x9E3779B97F4A7C15,
-            record_completions: false,
-            shards: 1,
-            shard_threads: 0,
-            perf: PerfLog::disabled(),
-        }
-    }
-
-    /// Total GPUs in the cluster.
-    pub fn total_gpus(&self) -> usize {
-        self.nodes.iter().map(|n| n.gpus.len()).sum()
-    }
-
-    /// All device profiles, flattened (for the performance model).
-    pub fn all_gpus(&self) -> Vec<DeviceProfile> {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.gpus.iter().cloned())
-            .collect()
-    }
-
-    /// The shard count actually used: at least 1, at most one shard per
-    /// node (empty shards would only pay barrier overhead).
-    pub fn effective_shards(&self) -> usize {
-        self.shards.max(1).min(self.nodes.len().max(1))
-    }
-}
-
-/// Outcome of one simulated run.
-#[derive(Debug, Clone)]
-pub struct SimResult {
-    /// Virtual run time, seconds.
-    pub makespan: f64,
-    /// Items in the data set.
-    pub items: u64,
-    /// Pairs processed.
-    pub pairs: u64,
-    /// Executions of the load pipeline cluster-wide.
-    pub loads: u64,
-    /// Items fetched from remote host caches.
-    pub remote_fetches: u64,
-    /// Bytes read from central storage.
-    pub io_bytes: u64,
-    /// Bytes moved between nodes (item fetches).
-    pub net_bytes: u64,
-    /// Work-steal count (blocks moved between nodes).
-    pub steals: u64,
-    /// Lock-step time windows the event engine executed. Invariant under
-    /// the shard count: one shard counts the same windows many would run.
-    pub windows: u64,
-    /// Busy seconds: GPU pre-processing.
-    pub busy_preprocess: f64,
-    /// Busy seconds: GPU comparisons.
-    pub busy_compare: f64,
-    /// Busy seconds: H2D copy engines.
-    pub busy_h2d: f64,
-    /// Busy seconds: D2H copy engines.
-    pub busy_d2h: f64,
-    /// Busy seconds: CPU pools.
-    pub busy_cpu: f64,
-    /// Busy seconds: storage pipe.
-    pub busy_io: f64,
-    /// Merged device-cache counters.
-    pub device_cache: CacheStats,
-    /// Merged host-cache counters.
-    pub host_cache: CacheStats,
-    /// Merged distributed-lookup counters (Fig 11).
-    pub directory: DirectoryStats,
-    /// Pairs completed per node.
-    pub pairs_per_node: Vec<u64>,
-    /// Per-GPU completion timestamps (only when recorded; Fig 14).
-    pub completions: Option<ThroughputSeries>,
-}
-
-impl SimResult {
-    /// The paper's R metric.
-    pub fn r_factor(&self) -> f64 {
-        if self.items == 0 {
-            0.0
-        } else {
-            self.loads as f64 / self.items as f64
-        }
-    }
-
-    /// Average I/O usage in MB/s (Fig 12 bottom row).
-    pub fn avg_io_mbps(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            0.0
-        } else {
-            self.io_bytes as f64 / 1e6 / self.makespan
-        }
-    }
-
-    /// Average throughput in pairs/second (Fig 13's metric).
-    pub fn throughput(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            0.0
-        } else {
-            self.pairs as f64 / self.makespan
-        }
-    }
-}
 
 /// Waiter token: which state machine to resume on wake-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -431,12 +241,6 @@ pub(crate) enum Ev {
     Net { to: usize, from: usize, msg: Msg },
 }
 
-/// Runs one simulation to completion on the configured shard count (see
-/// `crate::shard` for the engine).
-pub fn simulate(config: &SimConfig) -> SimResult {
-    shard::run(config)
-}
-
 /// Workload stage-time distributions, resolved once at construction so the
 /// per-event handlers sample through `&Dist` with zero clones.
 pub(crate) struct StageDists {
@@ -463,8 +267,11 @@ pub(crate) fn transfer_ns(bytes: u64, bytes_per_sec: f64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use rocket_core::{Backend, NodeSpec, RunReport, Scenario, WorkloadProfile};
+    use rocket_gpu::DeviceProfile;
     use rocket_stats::Dist;
+
+    use crate::SimBackend;
 
     /// A tiny regular workload with constant service times for exact math.
     fn toy_workload(items: u64) -> WorkloadProfile {
@@ -482,25 +289,29 @@ mod tests {
         }
     }
 
-    fn toy_config(items: u64, nodes: usize, slots: usize) -> SimConfig {
-        let node = SimNodeConfig::uniform(1, slots, slots * 2);
-        SimConfig::cluster(toy_workload(items), vec![node; nodes])
+    fn toy_scenario(items: u64, nodes: usize, slots: usize) -> Scenario {
+        Scenario::builder()
+            .workload(toy_workload(items))
+            .nodes(nodes, NodeSpec::uniform(1, slots, slots * 2))
+            .build()
+    }
+
+    fn sim(s: &Scenario) -> RunReport {
+        SimBackend::new().run(s).expect("sim run")
     }
 
     #[test]
     fn all_pairs_complete() {
-        let cfg = toy_config(20, 1, 32);
-        let r = simulate(&cfg);
+        let r = sim(&toy_scenario(20, 1, 32));
         assert_eq!(r.pairs, 190);
-        assert!(r.makespan > 0.0);
-        assert!(r.windows > 0);
+        assert!(r.elapsed > 0.0);
+        assert!(r.sim_windows > 0);
     }
 
     #[test]
     fn perfect_cache_gives_r_one() {
         // Slots >= items on one node: every item loads exactly once.
-        let cfg = toy_config(16, 1, 64);
-        let r = simulate(&cfg);
+        let r = sim(&toy_scenario(16, 1, 64));
         assert_eq!(r.loads, 16);
         assert!((r.r_factor() - 1.0).abs() < 1e-12);
     }
@@ -508,30 +319,30 @@ mod tests {
     #[test]
     fn makespan_close_to_model_when_r_is_one() {
         use crate::model;
-        let cfg = toy_config(24, 1, 64);
-        let r = simulate(&cfg);
-        let tmin = model::t_min(&cfg.workload);
+        let s = toy_scenario(24, 1, 64);
+        let r = sim(&s);
+        let tmin = model::t_min(&s.workload);
         // Asynchronous overlap should put the makespan within ~15% of the
         // GPU-bound lower bound.
         assert!(
-            r.makespan < tmin * 1.15 && r.makespan >= tmin * 0.99,
+            r.elapsed < tmin * 1.15 && r.elapsed >= tmin * 0.99,
             "makespan {} vs tmin {tmin}",
-            r.makespan
+            r.elapsed
         );
     }
 
     #[test]
     fn small_cache_increases_r() {
-        let big = simulate(&toy_config(32, 1, 64));
-        let small = simulate(&toy_config(32, 1, 4));
+        let big = sim(&toy_scenario(32, 1, 64));
+        let small = sim(&toy_scenario(32, 1, 4));
         assert!(small.loads > big.loads, "{} vs {}", small.loads, big.loads);
         assert!(small.r_factor() > 1.5);
-        assert!(small.makespan > big.makespan);
+        assert!(small.elapsed > big.elapsed);
     }
 
     #[test]
     fn multi_node_splits_work() {
-        let r = simulate(&toy_config(32, 4, 32));
+        let r = sim(&toy_scenario(32, 4, 32));
         assert_eq!(r.pairs, 32 * 31 / 2);
         let active = r.pairs_per_node.iter().filter(|&&c| c > 0).count();
         assert!(active >= 3, "pairs per node: {:?}", r.pairs_per_node);
@@ -540,12 +351,12 @@ mod tests {
 
     #[test]
     fn distributed_cache_reduces_loads() {
-        let mut with = toy_config(32, 4, 8);
+        let mut with = toy_scenario(32, 4, 8);
         with.distributed_cache = true;
         let mut without = with.clone();
         without.distributed_cache = false;
-        let rw = simulate(&with);
-        let ro = simulate(&without);
+        let rw = sim(&with);
+        let ro = sim(&without);
         assert!(
             rw.loads < ro.loads,
             "distributed cache must reduce loads: {} vs {}",
@@ -562,32 +373,28 @@ mod tests {
         // Large enough that comparisons dominate over the fixed load cost;
         // tiny instances genuinely do not scale (quadratic work, linear
         // loads — the paper's premise).
-        let mut c1 = toy_config(64, 1, 64);
-        c1.leaf_pairs = 16;
-        let mut c4 = toy_config(64, 4, 64);
-        c4.leaf_pairs = 16;
-        let t1 = simulate(&c1).makespan;
-        let t4 = simulate(&c4).makespan;
+        let mut s1 = toy_scenario(64, 1, 64);
+        s1.leaf_pairs = 16;
+        let mut s4 = toy_scenario(64, 4, 64);
+        s4.leaf_pairs = 16;
+        let t1 = sim(&s1).elapsed;
+        let t4 = sim(&s4).elapsed;
         let speedup = t1 / t4;
         assert!(speedup > 3.0, "4-node speedup only {speedup:.2}");
     }
 
     #[test]
     fn faster_gpu_does_more_pairs() {
-        let w = toy_workload(24);
-        let nodes = vec![
-            SimNodeConfig {
-                gpus: vec![DeviceProfile::k20m()],
-                device_slots: 24,
-                host_slots: 24,
-            },
-            SimNodeConfig {
-                gpus: vec![DeviceProfile::rtx2080ti()],
-                device_slots: 24,
-                host_slots: 24,
-            },
-        ];
-        let r = simulate(&SimConfig::cluster(w, nodes));
+        let s = Scenario::builder()
+            .workload(toy_workload(24))
+            .node(NodeSpec::with_gpus(vec![DeviceProfile::k20m()], 24, 24))
+            .node(NodeSpec::with_gpus(
+                vec![DeviceProfile::rtx2080ti()],
+                24,
+                24,
+            ))
+            .build();
+        let r = sim(&s);
         // RTX (scale 2.0) should process clearly more pairs than K20m (0.52).
         assert!(
             r.pairs_per_node[1] > r.pairs_per_node[0],
@@ -598,39 +405,38 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let cfg = toy_config(20, 2, 16);
-        let a = simulate(&cfg);
-        let b = simulate(&cfg);
-        assert_eq!(a.makespan, b.makespan);
+        let s = toy_scenario(20, 2, 16);
+        let a = sim(&s);
+        let b = sim(&s);
+        assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.loads, b.loads);
         assert_eq!(a.pairs_per_node, b.pairs_per_node);
     }
 
     #[test]
     fn completions_recorded_when_asked() {
-        let mut cfg = toy_config(10, 1, 16);
-        cfg.record_completions = true;
-        let r = simulate(&cfg);
+        let mut s = toy_scenario(10, 1, 16);
+        s.record_completions = true;
+        let r = sim(&s);
         let series = r.completions.expect("completions");
         assert_eq!(series.total(0), 45);
     }
 
     #[test]
     fn busy_times_accounted() {
-        let cfg = toy_config(16, 1, 64);
-        let r = simulate(&cfg);
+        let r = sim(&toy_scenario(16, 1, 64));
         // 16 loads × 5 ms preprocess; 120 pairs × 1 ms compare.
-        assert!((r.busy_preprocess - 16.0 * 5e-3).abs() < 1e-9);
-        assert!((r.busy_compare - 120.0 * 1e-3).abs() < 1e-9);
-        assert!(r.busy_cpu > 0.0);
-        assert!(r.busy_io > 0.0);
+        assert!((r.busy.preprocess - 16.0 * 5e-3).abs() < 1e-9);
+        assert!((r.busy.compare - 120.0 * 1e-3).abs() < 1e-9);
+        assert!(r.busy.cpu > 0.0);
+        assert!(r.busy.io > 0.0);
     }
 
     #[test]
     fn hop_stats_populate_with_multiple_nodes() {
-        let mut cfg = toy_config(24, 4, 6);
-        cfg.hops = 3;
-        let r = simulate(&cfg);
+        let mut s = toy_scenario(24, 4, 6);
+        s.hops = 3;
+        let r = sim(&s);
         assert!(r.directory.lookups() > 0);
         // With h=3 the hits_at_hop vector never exceeds 3 entries.
         assert!(r.directory.hits_at_hop.len() <= 3);
@@ -652,13 +458,11 @@ mod tests {
             paper_device_slots: 28,
             paper_host_slots: 104,
         };
-        let node = SimNodeConfig {
-            gpus: vec![DeviceProfile::titanx_maxwell()],
-            device_slots: 7,
-            host_slots: 25,
-        };
-        let cfg = SimConfig::cluster(w, vec![node; 4]);
-        let r = simulate(&cfg);
+        let s = Scenario::builder()
+            .workload(w)
+            .nodes(4, NodeSpec::uniform(1, 7, 25))
+            .build();
+        let r = sim(&s);
         assert_eq!(r.pairs, 80 * 79 / 2);
     }
 
@@ -666,10 +470,13 @@ mod tests {
     fn no_preprocess_workload_runs() {
         let mut w = toy_workload(12);
         w.preprocess = None;
-        let node = SimNodeConfig::uniform(1, 16, 16);
-        let r = simulate(&SimConfig::cluster(w, vec![node]));
+        let s = Scenario::builder()
+            .workload(w)
+            .node(NodeSpec::uniform(1, 16, 16))
+            .build();
+        let r = sim(&s);
         assert_eq!(r.pairs, 66);
-        assert_eq!(r.busy_preprocess, 0.0);
+        assert_eq!(r.busy.preprocess, 0.0);
         assert_eq!(r.loads, 12);
     }
 }

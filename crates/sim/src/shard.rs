@@ -39,19 +39,21 @@
 //! from barriers, in a schedule that the sequential engine replays exactly
 //! (it flushes storage requests whenever virtual time advances past them —
 //! the same sorted batches, concatenated). `tests/shard_equivalence.rs`
-//! fuzzes the claim over shard counts and thread counts.
+//! fuzzes the claim over shard counts through `SimBackend::sharded`; this
+//! module's tests cover thread counts, which have no public knob.
 
 use rocket_sanitize::Mutex;
 use std::collections::VecDeque;
 
 use rocket_cache::{CacheStats, Directory, DirectoryMsg, DirectoryStats, Lookup, Resolution};
+use rocket_core::{BusyTimes, RunReport, Scenario};
 use rocket_stats::SeedSequence;
 use rocket_steal::{Block, Pair, StealPool, TaskDeque};
-use rocket_trace::{PerfKind, PerfRecord, ThroughputSeries};
+use rocket_trace::{PerfKind, PerfLog, PerfRecord, ThroughputSeries};
 
 use crate::cluster::{
-    sample_ns, transfer_ns, DevFill, Ev, GpuRates, HostFill, Msg, SimConfig, SimGpu, SimJob,
-    SimNode, SimResult, StageDists, Tok,
+    sample_ns, transfer_ns, DevFill, Ev, GpuRates, HostFill, Msg, SimGpu, SimJob, SimNode,
+    StageDists, Tok,
 };
 use crate::engine::{ns_to_secs, secs_to_ns, EventQueue, SimTime, SlabEventQueue};
 use crate::server::{Engine, Pool};
@@ -88,7 +90,9 @@ const PRIO_SEQ_BITS: u32 = 40;
 
 /// Read-only run context shared by every shard (and the barrier driver).
 pub(crate) struct Ctx<'a> {
-    cfg: &'a SimConfig,
+    cfg: &'a Scenario,
+    /// Perf-sample sink; records fold into it once the report is final.
+    perf: &'a PerfLog,
     stages: StageDists,
     total_pairs: u64,
     /// Lock-step window width in ns: the conservative lookahead.
@@ -144,11 +148,11 @@ pub(crate) struct ShardState {
     any: Vec<u64>,
     rich: Vec<u64>,
     hungry: Vec<u64>,
-    /// Perf-sample buffer (`Some` iff `cfg.perf` is enabled). Records stay
-    /// shard-local during the run and fold into `cfg.perf` in `finish`,
-    /// after the result is final — so instrumentation can never perturb
-    /// `SimResult`, and the fold order (shard order, then driver) is
-    /// byte-stable across thread counts.
+    /// Perf-sample buffer (`Some` iff `Ctx::perf` is enabled). Records
+    /// stay shard-local during the run and fold into `Ctx::perf` in
+    /// `finish`, after the report is final — so instrumentation can never
+    /// perturb the `RunReport`, and the fold order (shard order, then
+    /// driver) is byte-stable across thread counts.
     perf: Option<Vec<PerfRecord>>,
 }
 
@@ -184,27 +188,33 @@ impl Driver {
     }
 }
 
-/// Runs one simulation to completion on `K = cfg.effective_shards()`
-/// shards (sequentially for `K = 1`, on the steal pool otherwise).
-pub(crate) fn run(cfg: &SimConfig) -> SimResult {
-    let k = cfg.effective_shards();
-    let ctx = build_ctx(cfg, k);
-    let mut shards = build_shards(cfg, &ctx, k);
+/// Runs one simulation of `scenario` to completion and folds it into the
+/// unified report, streaming perf samples into `perf`.
+///
+/// `shards` is clamped to `1..=nodes` (empty shards would only pay barrier
+/// overhead); `K = 1` runs sequentially, `K > 1` on the steal pool with
+/// `threads` threads, the calling thread included (`0` picks the machine's
+/// available parallelism). Neither changes a byte of the report except
+/// `sim_shards`, which records the clamped `K`.
+pub(crate) fn run(scenario: &Scenario, shards: usize, threads: usize, perf: &PerfLog) -> RunReport {
+    let k = shards.max(1).min(scenario.nodes.len().max(1));
+    let ctx = build_ctx(scenario, perf, k);
+    let mut shards = build_shards(scenario, &ctx, k);
     let mut drv = Driver {
         storage: Engine::new(),
-        steal_rng: SeedSequence::new(cfg.seed).rng("steal"),
+        steal_rng: SeedSequence::new(scenario.seed).rng("steal"),
         steals: 0,
         windows: 0,
         loads: Vec::new(),
         msgs: Vec::new(),
         thieves: Vec::new(),
-        perf: cfg.perf.is_enabled().then(Vec::new),
+        perf: perf.is_enabled().then(Vec::new),
     };
     if ctx.total_pairs > 0 {
         if k == 1 {
             run_sequential(&ctx, &mut shards[0], &mut drv);
         } else {
-            shards = run_windowed(&ctx, shards, &mut drv);
+            shards = run_windowed(&ctx, shards, threads, &mut drv);
         }
     }
     finish(&ctx, shards, drv)
@@ -223,7 +233,7 @@ fn shard_ranges(p: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
+fn build_ctx<'a>(cfg: &'a Scenario, perf: &'a PerfLog, k: usize) -> Ctx<'a> {
     assert!(!cfg.nodes.is_empty(), "cluster needs nodes");
     let n = cfg.workload.items;
     let p = cfg.nodes.len();
@@ -252,6 +262,7 @@ fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
     let rich_pairs = leaf * (total_pairs / (p as u64 * RICH_BACKLOG_DIVISOR * leaf)).max(1);
     Ctx {
         cfg,
+        perf,
         stages: StageDists {
             parse: cfg.workload.parse.clone(),
             preprocess: cfg.workload.preprocess.clone(),
@@ -269,7 +280,7 @@ fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
     }
 }
 
-fn build_shards(cfg: &SimConfig, ctx: &Ctx, k: usize) -> Vec<ShardState> {
+fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
     let n = cfg.workload.items;
     let p = cfg.nodes.len();
     let seeds = SeedSequence::new(cfg.seed);
@@ -344,7 +355,7 @@ fn build_shards(cfg: &SimConfig, ctx: &Ctx, k: usize) -> Vec<ShardState> {
             any: vec![0; words],
             rich: vec![0; words],
             hungry: vec![0; words],
-            perf: cfg.perf.is_enabled().then(Vec::new),
+            perf: ctx.perf.is_enabled().then(Vec::new),
         };
         if ctx.total_pairs > 0 {
             // The master node spawns the root task (§4.2); every node
@@ -442,12 +453,17 @@ fn run_sequential(ctx: &Ctx, shard: &mut ShardState, drv: &mut Driver) {
 /// `K > 1`: lock-step windows on [`StealPool::run_rounds`]. Each round runs
 /// every shard's current window, each shard on the thread that owns it;
 /// `between` then plays the barrier (deliver, flush, steal, advance).
-fn run_windowed(ctx: &Ctx, shards: Vec<ShardState>, drv: &mut Driver) -> Vec<ShardState> {
+fn run_windowed(
+    ctx: &Ctx,
+    shards: Vec<ShardState>,
+    threads: usize,
+    drv: &mut Driver,
+) -> Vec<ShardState> {
     let k = shards.len();
-    let threads = if ctx.cfg.shard_threads == 0 {
+    let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
-        ctx.cfg.shard_threads
+        threads
     }
     .min(k)
     .max(1);
@@ -755,33 +771,36 @@ fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &st
     );
 }
 
-/// Folds per-node state in global node order into a [`SimResult`] — the
+/// Folds per-node state in global node order into the [`RunReport`] — the
 /// fold never depends on the shard count, only on the node order.
-fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> SimResult {
-    let mut r = SimResult {
-        makespan: 0.0,
+fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
+    let mut r = RunReport {
+        backend: "sim",
+        elapsed: 0.0,
         items: ctx.cfg.workload.items,
         pairs: 0,
+        failed_pairs: 0, // the simulator models no storage faults
         loads: 0,
         remote_fetches: 0,
         io_bytes: 0,
         net_bytes: 0,
+        net_msgs: 0,
         steals: drv.steals,
-        windows: drv.windows,
-        busy_preprocess: 0.0,
-        busy_compare: 0.0,
-        busy_h2d: 0.0,
-        busy_d2h: 0.0,
-        busy_cpu: 0.0,
-        busy_io: ns_to_secs(drv.storage.busy_ns()),
+        busy: BusyTimes {
+            io: ns_to_secs(drv.storage.busy_ns()),
+            ..BusyTimes::default()
+        },
         device_cache: CacheStats::default(),
         host_cache: CacheStats::default(),
         directory: DirectoryStats::default(),
         pairs_per_node: Vec::with_capacity(ctx.node_shard.len()),
         completions: ctx.cfg.record_completions.then(ThroughputSeries::new),
+        sim_shards: shards.len() as u32,
+        sim_windows: drv.windows,
+        degraded: false,
     };
     let mut makespan_ns: SimTime = 0;
-    let mut perf_records = ctx.cfg.perf.is_enabled().then(Vec::new);
+    let mut perf_records = ctx.perf.is_enabled().then(Vec::new);
     for mut shard in shards {
         // Shards are ordered by `base`, so this walks global node order —
         // and folds perf buffers in the same order, making the record
@@ -800,24 +819,25 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> SimResult {
             r.io_bytes += node.io_bytes;
             r.net_bytes += node.net_bytes;
             r.pairs_per_node.push(node.pairs_done);
-            r.busy_cpu += ns_to_secs(node.cpu.busy_ns());
+            r.busy.cpu += ns_to_secs(node.cpu.busy_ns());
             r.host_cache.merge(&node.host_cache.stats());
             r.directory.merge(node.directory.stats());
             for gpu in &node.gpus {
-                r.busy_preprocess += ns_to_secs(gpu.pre_busy_ns);
-                r.busy_compare += ns_to_secs(gpu.cmp_busy_ns);
-                r.busy_h2d += ns_to_secs(gpu.h2d.busy_ns());
-                r.busy_d2h += ns_to_secs(gpu.d2h.busy_ns());
+                r.busy.preprocess += ns_to_secs(gpu.pre_busy_ns);
+                r.busy.compare += ns_to_secs(gpu.cmp_busy_ns);
+                r.busy.h2d += ns_to_secs(gpu.h2d.busy_ns());
+                r.busy.d2h += ns_to_secs(gpu.d2h.busy_ns());
                 r.device_cache.merge(&gpu.cache.stats());
             }
         }
     }
-    r.makespan = ns_to_secs(makespan_ns);
+    r.elapsed = ns_to_secs(makespan_ns);
+    r.net_msgs = r.directory.messages_sent;
     if let Some(mut records) = perf_records {
         if let Some(barrier) = drv.perf {
             records.extend(barrier);
         }
-        ctx.cfg.perf.extend(records);
+        ctx.perf.extend(records);
     }
     r
 }
@@ -1631,9 +1651,9 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{simulate, SimNodeConfig};
-    use rocket_core::WorkloadProfile;
+    use rocket_core::{NodeSpec, WorkloadProfile};
     use rocket_stats::Dist;
+    use rocket_trace::PerfRollup;
 
     fn toy_workload(items: u64) -> WorkloadProfile {
         WorkloadProfile {
@@ -1650,9 +1670,56 @@ mod tests {
         }
     }
 
-    fn toy_config(items: u64, nodes: usize, slots: usize) -> SimConfig {
-        let node = SimNodeConfig::uniform(1, slots, slots * 2);
-        SimConfig::cluster(toy_workload(items), vec![node; nodes])
+    fn toy_scenario(items: u64, nodes: usize, slots: usize) -> Scenario {
+        let mut s = Scenario::builder()
+            .workload(toy_workload(items.max(2)))
+            .nodes(nodes, NodeSpec::uniform(1, slots, slots * 2))
+            .build();
+        // Engine-level tests may drive a data set the builder rejects.
+        s.workload.items = items;
+        s
+    }
+
+    /// The `crates/bench` anchor workload (constant stage times).
+    fn bench_workload(items: u64) -> WorkloadProfile {
+        WorkloadProfile {
+            name: "bench",
+            paper_device_slots: 16,
+            paper_host_slots: 64,
+            ..toy_workload(items)
+        }
+    }
+
+    /// Stochastic stage times: shard-order bugs that constant stage times
+    /// mask (ties everywhere) show up as RNG-stream divergence.
+    fn noisy_workload(items: u64) -> WorkloadProfile {
+        WorkloadProfile {
+            name: "noisy",
+            parse: Dist::Uniform {
+                lo: 5e-3,
+                hi: 15e-3,
+            },
+            preprocess: Some(Dist::Normal {
+                mean: 5e-3,
+                std: 1e-3,
+            }),
+            compare: Dist::Uniform {
+                lo: 0.5e-3,
+                hi: 1.5e-3,
+            },
+            postprocess: Dist::Constant(0.1e-3),
+            ..bench_workload(items)
+        }
+    }
+
+    /// Debug covers every field of the report, so string equality is
+    /// byte-identical results. `sim_shards` records `K` itself and is
+    /// checked, then blanked.
+    fn report_bytes(s: &Scenario, shards: usize, threads: usize, perf: &PerfLog) -> String {
+        let mut r = run(s, shards, threads, perf);
+        assert_eq!(r.sim_shards as usize, shards.min(s.nodes.len()));
+        r.sim_shards = 0;
+        format!("{r:?}")
     }
 
     #[test]
@@ -1672,18 +1739,19 @@ mod tests {
 
     #[test]
     fn window_width_respects_both_lookahead_channels() {
-        let cfg = toy_config(4, 2, 4);
-        let ctx = build_ctx(&cfg, 2);
+        let off = PerfLog::disabled();
+        let cfg = toy_scenario(4, 2, 4);
+        let ctx = build_ctx(&cfg, &off, 2);
         let net = secs_to_ns(cfg.net_latency);
         let storage = secs_to_ns(cfg.workload.file_bytes as f64 / cfg.storage_bandwidth)
             + secs_to_ns(cfg.storage_latency);
         assert_eq!(ctx.window_ns, net.min(storage).max(1));
         // A storage-latency-free config must shrink the window to the
         // storage floor, not trust net_latency alone.
-        let mut fast_storage = toy_config(4, 2, 4);
+        let mut fast_storage = toy_scenario(4, 2, 4);
         fast_storage.storage_latency = 0.0;
         fast_storage.storage_bandwidth = 1e15;
-        let ctx2 = build_ctx(&fast_storage, 2);
+        let ctx2 = build_ctx(&fast_storage, &off, 2);
         assert!(ctx2.window_ns <= secs_to_ns(1e-9).max(1) || ctx2.window_ns < net);
     }
 
@@ -1694,8 +1762,9 @@ mod tests {
     fn boundary_event_lands_in_the_next_window() {
         // items = 0: no root work, so Pull handlers are inert and the
         // queues start empty.
-        let cfg = toy_config(0, 2, 4);
-        let ctx = build_ctx(&cfg, 2);
+        let off = PerfLog::disabled();
+        let cfg = toy_scenario(0, 2, 4);
+        let ctx = build_ctx(&cfg, &off, 2);
         let mut shards = build_shards(&cfg, &ctx, 2);
         let win = ctx.window_ns;
         let s = &mut shards[0];
@@ -1723,8 +1792,9 @@ mod tests {
     /// word boundaries and shards with an empty tier included).
     #[test]
     fn victim_select_matches_a_linear_filter() {
-        let cfg = toy_config(0, 200, 4);
-        let ctx = build_ctx(&cfg, 3);
+        let off = PerfLog::disabled();
+        let cfg = toy_scenario(0, 200, 4);
+        let ctx = build_ctx(&cfg, &off, 3);
         let mut shards = build_shards(&cfg, &ctx, 3);
         let mut rng = SeedSequence::new(7).rng("bits");
         for density in [0u32, 1, 2, 4, 8, 64] {
@@ -1759,21 +1829,89 @@ mod tests {
 
     #[test]
     fn sharded_toy_run_matches_sequential_byte_for_byte() {
-        let seq = toy_config(24, 4, 12);
-        let mut sharded = seq.clone();
-        sharded.shards = 4;
-        sharded.shard_threads = 2;
-        let a = format!("{:?}", simulate(&seq));
-        let b = format!("{:?}", simulate(&sharded));
-        assert_eq!(a, b);
+        let s = toy_scenario(24, 4, 12);
+        let off = PerfLog::disabled();
+        assert_eq!(report_bytes(&s, 4, 2, &off), report_bytes(&s, 1, 1, &off));
     }
 
     #[test]
     fn shard_count_beyond_nodes_is_clamped() {
-        let mut cfg = toy_config(12, 2, 16);
-        cfg.shards = 64;
-        assert_eq!(cfg.effective_shards(), 2);
-        let r = simulate(&cfg);
+        let r = run(&toy_scenario(12, 2, 16), 64, 0, &PerfLog::disabled());
+        assert_eq!(r.sim_shards, 2);
         assert_eq!(r.pairs, 66);
+    }
+
+    /// The thread count is a wall-clock knob only: every shard × thread
+    /// cell reproduces the sequential report. Two threads make one thread
+    /// own several shards at K ≥ 4.
+    fn assert_thread_invariant(s: &Scenario, label: &str) {
+        let off = PerfLog::disabled();
+        let baseline = report_bytes(s, 1, 1, &off);
+        for shards in [2usize, 4, 8, 13] {
+            for threads in [1usize, 2, 4] {
+                assert_eq!(
+                    report_bytes(s, shards, threads, &off),
+                    baseline,
+                    "{label}: K = {shards}, threads = {threads} \
+                     diverged from the sequential engine"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn four_node_bench_anchor_is_thread_invariant() {
+        let s = Scenario::builder()
+            .workload(bench_workload(48))
+            .nodes(4, NodeSpec::uniform(1, 16, 32))
+            .build();
+        assert_thread_invariant(&s, "four_nodes_n48_distcache");
+    }
+
+    #[test]
+    fn heterogeneous_noisy_cluster_is_thread_invariant() {
+        // 13 nodes of three shapes: shard counts {2, 4, 8, 13} all split
+        // this cluster unevenly, and 13 shards means one node per shard.
+        let mut b = Scenario::builder().workload(noisy_workload(64));
+        for i in 0..13usize {
+            b = b.node(match i % 3 {
+                0 => NodeSpec::uniform(1, 8, 16),
+                1 => NodeSpec::uniform(2, 12, 24),
+                _ => NodeSpec::uniform(4, 16, 32),
+            });
+        }
+        let mut s = b.build();
+        s.net_latency = 200e-6; // cloud-scale lookahead, many short windows
+        assert_thread_invariant(&s, "heterogeneous_noisy_13_nodes");
+    }
+
+    #[test]
+    fn record_stream_is_thread_invariant() {
+        // Same shard count, different worker thread counts: the fold order
+        // is shard order then driver, so both the report and the record
+        // stream must be byte-identical.
+        let s = Scenario::builder()
+            .workload(noisy_workload(32))
+            .nodes(4, NodeSpec::uniform(1, 8, 16))
+            .build();
+        let record = |threads: usize| {
+            let perf = PerfLog::enabled();
+            let report = report_bytes(&s, 4, threads, &perf);
+            (report, perf.take())
+        };
+        let (res1, rec1) = record(1);
+        let (res4, rec4) = record(4);
+        assert_eq!(res1, res4, "results diverged across thread counts");
+        assert!(!rec1.is_empty());
+        assert_eq!(
+            format!("{rec1:?}"),
+            format!("{rec4:?}"),
+            "record stream diverged across thread counts"
+        );
+        // The rollup (percentiles included) is therefore byte-stable too.
+        assert_eq!(
+            PerfRollup::from_records(&rec1).to_json(),
+            PerfRollup::from_records(&rec4).to_json()
+        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The hot-path overhaul (slab-backed event queue, dense state tables,
 //! zero-clone samplers) must not perturb simulation results: a run is a
-//! pure function of its `SimConfig` + seed. These tests lock that in by
+//! pure function of its `Scenario` + seed. These tests lock that in by
 //! requiring *byte-identical* full reports — every counter, busy time, and
 //! per-node series — across repeated runs of the exact configurations the
 //! `des` criterion benchmarks measure, plus recorded steal decisions that a
@@ -10,7 +10,8 @@
 //! queue, so there is no queue axis to cross-check.
 
 use rocket_apps::WorkloadProfile;
-use rocket_sim::{simulate, SimConfig, SimNodeConfig, SimResult};
+use rocket_core::{Backend, NodeSpec, RunReport, Scenario};
+use rocket_sim::SimBackend;
 use rocket_stats::Dist;
 
 /// The `benches/des.rs` workload, duplicated here so the regression pins
@@ -30,33 +31,46 @@ fn bench_workload(items: u64) -> WorkloadProfile {
     }
 }
 
+/// `nodes` copies of `node` running `workload`, on the builder defaults.
+fn cluster(workload: WorkloadProfile, nodes: usize, node: NodeSpec) -> Scenario {
+    Scenario::builder()
+        .workload(workload)
+        .nodes(nodes, node)
+        .build()
+}
+
+fn sim(s: &Scenario) -> RunReport {
+    SimBackend::new().run(s).expect("sim run")
+}
+
 /// Renders every field of the report (Debug covers the whole struct) so a
 /// comparison is sensitive to any divergence, not just headline numbers.
-fn report_bytes(r: &SimResult) -> String {
+fn report_bytes(r: &RunReport) -> String {
     format!("{r:?}")
+}
+
+/// FNV-1a, 64 bit: a dependency-free digest of a whole rendered report.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
 fn single_node_n96_same_seed_identical_report() {
-    let cfg = SimConfig::cluster(bench_workload(96), vec![SimNodeConfig::uniform(1, 32, 64)]);
-    let a = simulate(&cfg);
-    let b = simulate(&cfg);
+    let s = cluster(bench_workload(96), 1, NodeSpec::uniform(1, 32, 64));
+    let a = sim(&s);
+    let b = sim(&s);
     assert_eq!(a.pairs, 96 * 95 / 2);
     assert_eq!(report_bytes(&a), report_bytes(&b));
 }
 
 #[test]
 fn four_nodes_n96_distcache_same_seed_identical_report() {
-    let cfg = SimConfig::cluster(
-        bench_workload(96),
-        vec![SimNodeConfig::uniform(1, 16, 32); 4],
-    );
-    assert!(
-        cfg.distributed_cache,
-        "cluster defaults enable the distcache"
-    );
-    let a = simulate(&cfg);
-    let b = simulate(&cfg);
+    let s = cluster(bench_workload(96), 4, NodeSpec::uniform(1, 16, 32));
+    assert!(s.distributed_cache, "builder defaults enable the distcache");
+    let a = sim(&s);
+    let b = sim(&s);
     assert_eq!(a.pairs, 96 * 95 / 2);
     assert!(a.steals > 0, "multi-node run must exercise work stealing");
     assert_eq!(report_bytes(&a), report_bytes(&b));
@@ -74,13 +88,13 @@ fn stochastic_stage_times_same_seed_identical_report() {
         std: 0.4e-3,
     };
     workload.postprocess = Dist::Exponential { mean: 0.2e-3 };
-    let mut cfg = SimConfig::cluster(workload, vec![SimNodeConfig::uniform(2, 16, 32); 2]);
-    let a = simulate(&cfg);
-    let b = simulate(&cfg);
+    let mut s = cluster(workload, 2, NodeSpec::uniform(2, 16, 32));
+    let a = sim(&s);
+    let b = sim(&s);
     assert_eq!(report_bytes(&a), report_bytes(&b));
 
-    cfg.seed ^= 1;
-    let c = simulate(&cfg);
+    s.seed ^= 1;
+    let c = sim(&s);
     assert_ne!(
         report_bytes(&a),
         report_bytes(&c),
@@ -93,7 +107,13 @@ fn stochastic_stage_times_same_seed_identical_report() {
 /// nodes count as victims) would pass them; these numbers were recorded
 /// before `steal_match` moved to per-shard victim bitsets and must not
 /// move without a deliberate re-record. Two steal-heavy configurations:
-/// `des-shard`'s 64 nodes with 1 ms links, and the 16-node 4-GPU anchor.
+/// `des-shard`'s 64 nodes with 1 ms links, and the 16-node 4-GPU anchor
+/// with completion recording on.
+///
+/// `report_fnv` digests the whole rendered report, so it also pins every
+/// field the six others do not: busy-time floats, cache and hop counters,
+/// and the merged completion series. It was recorded before the engine
+/// built `RunReport` directly instead of folding a private result type.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -107,16 +127,12 @@ fn steal_decisions_match_recorded_golden() {
         remote_fetches: u64,
         makespan_bits: u64,
         pairs_per_node: &'static [u64],
+        report_fnv: u64,
     }
-    let mut cloud = SimConfig::cluster(
-        bench_workload(256),
-        vec![SimNodeConfig::uniform(1, 8, 16); 64],
-    );
+    let mut cloud = cluster(bench_workload(256), 64, NodeSpec::uniform(1, 8, 16));
     cloud.net_latency = 1e-3;
-    let anchor = SimConfig::cluster(
-        bench_workload(256),
-        vec![SimNodeConfig::uniform(4, 24, 96); 16],
-    );
+    let mut anchor = cluster(bench_workload(256), 16, NodeSpec::uniform(4, 24, 96));
+    anchor.record_completions = true;
     let cases = [
         (
             "64 nodes, 1 ms links",
@@ -133,6 +149,7 @@ fn steal_decisions_match_recorded_golden() {
                     516, 524, 588, 616, 584, 452, 348, 364, 476, 524, 580, 524, 560, 508, 504, 540,
                     520, 524, 496, 452, 460, 448, 416, 452, 552, 520, 444, 542, 500, 524, 464, 556,
                 ],
+                report_fnv: 0xb42a_b5e4_2b7d_7a69,
             },
         ),
         (
@@ -148,26 +165,28 @@ fn steal_decisions_match_recorded_golden() {
                     1712, 1845, 2353, 1800, 2112, 2355, 2304, 1720, 2280, 2240, 1800, 1912, 2055,
                     2064, 2240, 1848,
                 ],
+                report_fnv: 0x763c_3824_d742_271e,
             },
         ),
     ];
-    for (label, cfg, want) in cases {
-        let r = simulate(&cfg);
+    for (label, s, want) in cases {
+        let r = sim(&s);
         assert_eq!(r.steals, want.steals, "{label}: steals");
-        assert_eq!(r.windows, want.windows, "{label}: windows");
+        assert_eq!(r.sim_windows, want.windows, "{label}: windows");
         assert_eq!(r.loads, want.loads, "{label}: loads");
         assert_eq!(
             r.remote_fetches, want.remote_fetches,
             "{label}: remote_fetches"
         );
-        assert_eq!(
-            r.makespan.to_bits(),
-            want.makespan_bits,
-            "{label}: makespan"
-        );
+        assert_eq!(r.elapsed.to_bits(), want.makespan_bits, "{label}: makespan");
         assert_eq!(
             r.pairs_per_node, want.pairs_per_node,
             "{label}: pairs_per_node"
+        );
+        assert_eq!(
+            fnv1a64(report_bytes(&r).as_bytes()),
+            want.report_fnv,
+            "{label}: whole report"
         );
     }
 }
@@ -176,13 +195,10 @@ fn steal_decisions_match_recorded_golden() {
 fn completions_recorded_runs_identically() {
     // `record_completions` adds the per-GPU timestamp series to the report;
     // it must be deterministic too (Fig 14 reproductions depend on it).
-    let mut cfg = SimConfig::cluster(
-        bench_workload(32),
-        vec![SimNodeConfig::uniform(2, 16, 32); 2],
-    );
-    cfg.record_completions = true;
-    let a = simulate(&cfg);
-    let b = simulate(&cfg);
+    let mut s = cluster(bench_workload(32), 2, NodeSpec::uniform(2, 16, 32));
+    s.record_completions = true;
+    let a = sim(&s);
+    let b = sim(&s);
     assert!(a.completions.is_some());
     assert_eq!(report_bytes(&a), report_bytes(&b));
 }

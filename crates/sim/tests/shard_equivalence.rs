@@ -1,21 +1,22 @@
 //! Sequential vs sharded engine: byte-identical results, always.
 //!
-//! The conservative time-window parallel engine (`SimConfig::shards > 1`)
-//! promises results byte-identical to the sequential engine for *every*
-//! shard count and thread count. These tests pin that promise on the
-//! benchmarked configurations (`rocket_bench::anchors` builds the same
-//! clusters through the `Scenario` API) and fuzz it over the shard ×
-//! thread grid on a stochastic heterogeneous cluster — the case most
-//! likely to expose ordering divergence, since stage times come from
-//! per-node RNG streams.
+//! The conservative time-window parallel engine (`SimBackend::sharded(k)`
+//! with `k > 1`) promises results byte-identical to the sequential engine
+//! for *every* shard count and thread count. These tests pin that promise
+//! on the benchmarked configurations (`rocket_bench::anchors` builds the
+//! same clusters) and fuzz it over shard counts on a stochastic
+//! heterogeneous cluster — the case most likely to expose ordering
+//! divergence, since stage times come from per-node RNG streams. The
+//! thread axis has no public knob; `shard.rs`'s unit tests cover it.
 
 use rocket_apps::WorkloadProfile;
-use rocket_sim::{simulate, SimConfig, SimNodeConfig, SimResult};
+use rocket_core::{Backend, NodeSpec, RunReport, Scenario};
+use rocket_sim::SimBackend;
 use rocket_stats::Dist;
 
-/// The `benches/des.rs` anchor workload, duplicated at the `SimConfig`
-/// level (rocket-bench depends on rocket-sim, so this crate cannot import
-/// the anchors module without a cycle).
+/// The `benches/des.rs` anchor workload, duplicated here (rocket-bench
+/// depends on rocket-sim, so this crate cannot import the anchors module
+/// without a cycle).
 fn bench_workload(items: u64) -> WorkloadProfile {
     WorkloadProfile {
         name: "bench",
@@ -57,27 +58,29 @@ fn noisy_workload(items: u64) -> WorkloadProfile {
     }
 }
 
-/// Debug covers every field of the result — counters, busy times,
-/// per-node series, window count — so equality here is byte-identical
-/// results, not just matching headline numbers.
-fn run_bytes(mut cfg: SimConfig, shards: usize, threads: usize) -> String {
-    cfg.shards = shards;
-    cfg.shard_threads = threads;
-    format!("{:?}", simulate(&cfg))
+fn run(s: &Scenario, shards: usize) -> RunReport {
+    SimBackend::sharded(shards).run(s).expect("sim run")
 }
 
-fn assert_equivalent(cfg: &SimConfig, label: &str) {
-    let baseline = run_bytes(cfg.clone(), 1, 1);
-    for shards in [1usize, 2, 4, 8, 13] {
-        // Two threads make one thread own several shards at K ≥ 4.
-        for threads in [1usize, 2, 4] {
-            let got = run_bytes(cfg.clone(), shards, threads);
-            assert_eq!(
-                got, baseline,
-                "{label}: K = {shards}, threads = {threads} \
-                 diverged from the sequential engine"
-            );
-        }
+/// Debug covers every field of the report — counters, busy times,
+/// per-node series, window count — so equality here is byte-identical
+/// results, not just matching headline numbers. `sim_shards` records the
+/// clamped shard count itself and is checked, then blanked.
+fn run_bytes(s: &Scenario, shards: usize) -> String {
+    let mut r = run(s, shards);
+    assert_eq!(r.sim_shards as usize, shards.min(s.nodes.len()));
+    r.sim_shards = 0;
+    format!("{r:?}")
+}
+
+fn assert_equivalent(s: &Scenario, label: &str) {
+    let baseline = run_bytes(s, 1);
+    for shards in [2usize, 4, 8, 13] {
+        assert_eq!(
+            run_bytes(s, shards),
+            baseline,
+            "{label}: K = {shards} diverged from the sequential engine"
+        );
     }
 }
 
@@ -86,28 +89,28 @@ fn four_node_bench_anchor_is_shard_invariant() {
     // The four-node bench anchor's cluster at n = 48 — the 30-cell knob
     // grid keeps the full anchor (n = 96) out of debug-build reach, and
     // shard invariance does not depend on the item count.
-    let cfg = SimConfig::cluster(
-        bench_workload(48),
-        vec![SimNodeConfig::uniform(1, 16, 32); 4],
-    );
-    assert_equivalent(&cfg, "four_nodes_n48_distcache");
+    let s = Scenario::builder()
+        .workload(bench_workload(48))
+        .nodes(4, NodeSpec::uniform(1, 16, 32))
+        .build();
+    assert_equivalent(&s, "four_nodes_n48_distcache");
 }
 
 #[test]
 fn heterogeneous_noisy_cluster_is_shard_invariant() {
     // 13 nodes of three shapes: shard counts {2, 4, 8, 13} all split this
     // cluster unevenly, and 13 shards means one node per shard.
-    let mut nodes = Vec::new();
+    let mut b = Scenario::builder().workload(noisy_workload(64));
     for i in 0..13usize {
-        nodes.push(match i % 3 {
-            0 => SimNodeConfig::uniform(1, 8, 16),
-            1 => SimNodeConfig::uniform(2, 12, 24),
-            _ => SimNodeConfig::uniform(4, 16, 32),
+        b = b.node(match i % 3 {
+            0 => NodeSpec::uniform(1, 8, 16),
+            1 => NodeSpec::uniform(2, 12, 24),
+            _ => NodeSpec::uniform(4, 16, 32),
         });
     }
-    let mut cfg = SimConfig::cluster(noisy_workload(64), nodes);
-    cfg.net_latency = 200e-6; // cloud-scale lookahead, many short windows
-    assert_equivalent(&cfg, "heterogeneous_noisy_13_nodes");
+    let mut s = b.build();
+    s.net_latency = 200e-6; // cloud-scale lookahead, many short windows
+    assert_equivalent(&s, "heterogeneous_noisy_13_nodes");
 }
 
 #[test]
@@ -119,30 +122,26 @@ fn sixteen_node_anchor_spot_check() {
     // The large bench anchor (64 GPUs, n = 256, 32 640 pairs) once at
     // K = 8: too heavy for the full grid in debug builds, but the headline
     // configuration deserves a direct sequential-vs-sharded comparison.
-    let cfg = SimConfig::cluster(
-        bench_workload(256),
-        vec![SimNodeConfig::uniform(4, 24, 96); 16],
+    let s = Scenario::builder()
+        .workload(bench_workload(256))
+        .nodes(16, NodeSpec::uniform(4, 24, 96))
+        .build();
+    assert_eq!(
+        run_bytes(&s, 8),
+        run_bytes(&s, 1),
+        "sixteen-node anchor diverged at K = 8"
     );
-    let seq = run_bytes(cfg.clone(), 1, 1);
-    let par = run_bytes(cfg.clone(), 8, 4);
-    assert_eq!(par, seq, "sixteen-node anchor diverged at K = 8");
 }
 
 #[test]
 fn window_count_is_shard_invariant_and_reported() {
-    let cfg = SimConfig::cluster(
-        bench_workload(32),
-        vec![SimNodeConfig::uniform(1, 8, 16); 4],
-    );
-    let count = |shards: usize| -> SimResult {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        c.shard_threads = 1;
-        simulate(&c)
-    };
-    let seq = count(1);
-    assert!(seq.windows > 0, "sequential run counted no windows");
+    let s = Scenario::builder()
+        .workload(bench_workload(32))
+        .nodes(4, NodeSpec::uniform(1, 8, 16))
+        .build();
+    let seq = run(&s, 1);
+    assert!(seq.sim_windows > 0, "sequential run counted no windows");
     for shards in [2usize, 4, 13] {
-        assert_eq!(count(shards).windows, seq.windows, "K = {shards}");
+        assert_eq!(run(&s, shards).sim_windows, seq.sim_windows, "K = {shards}");
     }
 }

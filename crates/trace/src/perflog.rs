@@ -15,7 +15,7 @@
 //!   and never pay allocation or locking unless a caller opted in.
 //! * **Recording never changes results.** The handle is write-only during
 //!   a run; engines buffer records out-of-band and fold them after the
-//!   result is final (`crates/sim` pins `SimResult` byte-equality with
+//!   result is final (`crates/sim` pins `RunReport` byte-equality with
 //!   logging on).
 //! * **Determinism.** Rollups use nearest-rank percentiles over integer
 //!   nanoseconds — no floating-point accumulation order to vary — so the

@@ -19,7 +19,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | the framework: [`core::Application`] trait, runtime, config |
+//! | [`core`] | the framework: [`core::Application`] trait, [`core::Scenario`], runtime |
 //! | [`apps`] | forensics / bioinformatics / microscopy applications |
 //! | [`cache`] | slot caches and the distributed cache directory |
 //! | [`steal`] | quadrant decomposition + work-stealing scheduler |

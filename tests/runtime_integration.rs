@@ -9,20 +9,36 @@ use rocket::apps::{
     MicroscopyConfig, MicroscopyDataset,
 };
 use rocket::core::{
-    AppReport, Application, Backend, NodeSpec, Pair, Rocket, RocketConfig, Scenario,
-    ThreadedBackend,
+    AppReport, Application, Backend, NodeSpec, Pair, Scenario, ScenarioBuilder, ThreadedBackend,
 };
 use rocket::storage::{FaultStore, MemStore, ObjectStore};
 use rocket::trace::{chrome, PerfKind, PerfLog, PerfQuery};
 
-fn small_config() -> RocketConfig {
-    RocketConfig::builder()
-        .devices(1)
-        .device_cache_slots(8)
-        .host_cache_slots(16)
-        .concurrent_job_limit(6)
+/// `nodes` one-GPU nodes with the given cache slots, two CPU threads each,
+/// and single-pair leaf tasks: many small tasks keep every node of a
+/// multi-node run stealing.
+fn cluster(items: u64, nodes: usize, device_slots: usize, host_slots: usize) -> ScenarioBuilder {
+    Scenario::builder()
+        .items(items)
+        .nodes(nodes, NodeSpec::uniform(1, device_slots, host_slots))
         .cpu_threads(2)
-        .build()
+        .leaf_pairs(1)
+}
+
+/// One node: 8 device slots, 16 host slots, 6 jobs in flight.
+fn small_scenario(items: u64) -> Scenario {
+    cluster(items, 1, 8, 16).job_limit(6).build()
+}
+
+/// Runs `app` over `store` on the threaded backend.
+fn run<A: Application>(
+    app: A,
+    store: impl ObjectStore + 'static,
+    scenario: &Scenario,
+) -> AppReport<A::Output> {
+    ThreadedBackend::new(Arc::new(app), Arc::new(store))
+        .run_app(scenario)
+        .expect("run")
 }
 
 /// Sequential oracle: run the application's stages directly, no runtime.
@@ -95,9 +111,7 @@ fn forensics_matches_sequential_oracle() {
     let ds = ForensicsDataset::generate(cfg.clone());
     let app = ForensicsApp::new(&cfg);
     let expected = oracle(&app, &ds.store);
-    let report = Rocket::new(small_config())
-        .run(Arc::new(app), Arc::new(ds.store))
-        .expect("run");
+    let report = run(app, ds.store, &small_scenario(14));
     assert_outputs_match_oracle(&report, &expected);
     assert_eq!(report.outputs.len(), 14 * 13 / 2);
 }
@@ -113,9 +127,7 @@ fn bioinformatics_matches_sequential_oracle() {
     let ds = BioDataset::generate(cfg.clone());
     let app = BioApp::new(&cfg);
     let expected = oracle(&app, &ds.store);
-    let report = Rocket::new(small_config())
-        .run(Arc::new(app), Arc::new(ds.store))
-        .expect("run");
+    let report = run(app, ds.store, &small_scenario(12));
     assert_outputs_match_oracle(&report, &expected);
     // Distances are symmetric-by-construction and in [0, 1].
     for &(_, d) in report.sorted_outputs().into_iter() {
@@ -132,9 +144,7 @@ fn microscopy_runs_without_preprocess_stage() {
     let ds = MicroscopyDataset::generate(cfg.clone());
     let app = MicroscopyApp::new(&cfg);
     let expected = oracle(&app, &ds.store);
-    let report = Rocket::new(small_config())
-        .run(Arc::new(app), Arc::new(ds.store))
-        .expect("run");
+    let report = run(app, ds.store, &small_scenario(8));
     assert_outputs_match_oracle(&report, &expected);
 }
 
@@ -151,19 +161,11 @@ fn multi_node_cluster_produces_identical_results() {
     let app = ForensicsApp::new(&cfg);
     let expected = oracle(&app, &ds.store);
     // Three nodes, tiny caches, distributed cache on.
-    let node_cfg = RocketConfig::builder()
-        .devices(1)
-        .device_cache_slots(6)
-        .host_cache_slots(8)
-        .concurrent_job_limit(4)
+    let scenario = cluster(12, 3, 6, 8)
+        .job_limit(4)
         .distributed_cache(true)
         .build();
-    let report = Rocket::run_cluster(
-        Arc::new(app),
-        Arc::new(ds.store),
-        vec![node_cfg.clone(), node_cfg.clone(), node_cfg],
-    )
-    .expect("cluster run");
+    let report = run(app, ds.store, &scenario);
     assert_outputs_match_oracle(&report, &expected);
     assert_eq!(report.nodes.len(), 3);
     // All nodes participated.
@@ -185,38 +187,32 @@ fn distributed_cache_reduces_cluster_loads() {
         height: 32,
         ..Default::default()
     };
+    // Static partition: both runs compare the same pairs on the same
+    // nodes, so each node needs the same items in both. The host cache
+    // holds the whole set, so each node fills each item it needs once —
+    // from storage (a load) or from a peer (a remote fetch) — whatever
+    // the thread schedule.
     let make = |dist: bool| {
         let ds = ForensicsDataset::generate(cfg.clone());
-        let app = ForensicsApp::new(&cfg);
-        let node_cfg = RocketConfig::builder()
-            .devices(1)
-            .device_cache_slots(8)
-            .host_cache_slots(16) // whole set fits per node
-            .concurrent_job_limit(4)
+        let scenario = cluster(16, 4, 8, 16)
+            .job_limit(4)
             .distributed_cache(dist)
+            .static_partition(true)
             .build();
-        Rocket::run_cluster(
-            Arc::new(app),
-            Arc::new(ds.store),
-            vec![
-                node_cfg.clone(),
-                node_cfg.clone(),
-                node_cfg.clone(),
-                node_cfg,
-            ],
-        )
-        .expect("cluster run")
+        run(ForensicsApp::new(&cfg), ds.store, &scenario)
     };
     let with = make(true);
     let without = make(false);
     assert!(with.failed().is_empty() && without.failed().is_empty());
-    assert!(
-        with.total_loads() < without.total_loads(),
-        "distributed cache must reduce loads: {} vs {}",
-        with.total_loads(),
-        without.total_loads()
+    assert_eq!(
+        with.total_loads() + with.total_remote_fetches(),
+        without.total_loads(),
+        "every item a node needs is filled once, locally or remotely"
     );
-    assert!(with.total_remote_fetches() > 0);
+    assert!(
+        with.total_remote_fetches() > 0,
+        "the distributed cache must replace some loads"
+    );
     assert_eq!(without.total_remote_fetches(), 0);
 }
 
@@ -234,16 +230,8 @@ fn transient_storage_faults_are_retried() {
     let expected = oracle(&app, &ds.store);
     // Every 5th read fails; io_retries handles it transparently.
     let flaky = FaultStore::every(ds.store, 5);
-    let config = RocketConfig::builder()
-        .devices(1)
-        .device_cache_slots(4)
-        .host_cache_slots(8)
-        .concurrent_job_limit(4)
-        .io_retries(3)
-        .build();
-    let report = Rocket::new(config)
-        .run(Arc::new(app), Arc::new(flaky))
-        .expect("run");
+    let scenario = cluster(8, 1, 4, 8).job_limit(4).io_retries(3).build();
+    let report = run(app, flaky, &scenario);
     assert_outputs_match_oracle(&report, &expected);
 }
 
@@ -264,17 +252,12 @@ fn missing_files_fail_only_dependent_pairs() {
             partial.put(key.clone(), ds.store.read(&key).unwrap());
         }
     }
-    let config = RocketConfig::builder()
-        .devices(1)
-        .device_cache_slots(4)
-        .host_cache_slots(8)
-        .concurrent_job_limit(4)
+    let scenario = cluster(8, 1, 4, 8)
+        .job_limit(4)
         .io_retries(1)
         .max_item_failures(2)
         .build();
-    let report = Rocket::new(config)
-        .run(Arc::new(ForensicsApp::new(&cfg)), Arc::new(partial))
-        .expect("run");
+    let report = run(ForensicsApp::new(&cfg), partial, &scenario);
     assert_eq!(report.failed().len(), 7, "failed: {:?}", report.failed());
     assert!(report
         .failed()
@@ -283,8 +266,8 @@ fn missing_files_fail_only_dependent_pairs() {
     assert_eq!(report.outputs.len(), 8 * 7 / 2 - 7);
 }
 
-/// The 8-image forensics fixture behind a [`ThreadedBackend`], with the
-/// scenario equivalent of [`small_config`].
+/// The 8-image forensics fixture behind a [`ThreadedBackend`], on
+/// [`small_scenario`].
 fn forensics_fixture() -> (Scenario, ThreadedBackend<ForensicsApp>) {
     let cfg = ForensicsConfig {
         images: 8,
@@ -294,12 +277,7 @@ fn forensics_fixture() -> (Scenario, ThreadedBackend<ForensicsApp>) {
         ..Default::default()
     };
     let ds = ForensicsDataset::generate(cfg.clone());
-    let scenario = Scenario::builder()
-        .items(8)
-        .node(NodeSpec::uniform(1, 8, 16))
-        .job_limit(6)
-        .cpu_threads(2)
-        .build();
+    let scenario = small_scenario(8);
     let backend = ThreadedBackend::new(Arc::new(ForensicsApp::new(&cfg)), Arc::new(ds.store));
     (scenario, backend)
 }
@@ -383,15 +361,8 @@ fn tiny_caches_still_complete() {
         ..Default::default()
     };
     let ds = ForensicsDataset::generate(cfg.clone());
-    let config = RocketConfig::builder()
-        .devices(1)
-        .device_cache_slots(2)
-        .host_cache_slots(2)
-        .concurrent_job_limit(8)
-        .build();
-    let report = Rocket::new(config)
-        .run(Arc::new(ForensicsApp::new(&cfg)), Arc::new(ds.store))
-        .expect("run");
+    let scenario = cluster(10, 1, 2, 2).job_limit(8).build();
+    let report = run(ForensicsApp::new(&cfg), ds.store, &scenario);
     assert!(report.failed().is_empty());
     assert_eq!(report.outputs.len(), 45);
     // With 2 slots, items are reloaded constantly.

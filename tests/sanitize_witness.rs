@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rocket::apps::{ForensicsApp, ForensicsConfig, ForensicsDataset};
 use rocket::core::sanitize::{self, Mutex};
-use rocket::core::{Rocket, RocketConfig};
+use rocket::core::{NodeSpec, Scenario, ThreadedBackend};
 use rocket::steal::JobLimiter;
 
 /// One test fn: the global witness graph is process-wide, so the phases
@@ -30,17 +30,16 @@ fn witnessed_locks_agree_with_the_static_model() {
     };
     let ds = ForensicsDataset::generate(cfg.clone());
     let app = ForensicsApp::new(&cfg);
-    let report = Rocket::new(
-        RocketConfig::builder()
-            .devices(1)
-            .device_cache_slots(8)
-            .host_cache_slots(16)
-            .concurrent_job_limit(6)
-            .cpu_threads(2)
-            .build(),
-    )
-    .run(Arc::new(app), Arc::new(ds.store))
-    .expect("instrumented run");
+    let scenario = Scenario::builder()
+        .items(10)
+        .node(NodeSpec::uniform(1, 8, 16))
+        .job_limit(6)
+        .cpu_threads(2)
+        .leaf_pairs(1)
+        .build();
+    let report = ThreadedBackend::new(Arc::new(app), Arc::new(ds.store))
+        .run_app(&scenario)
+        .expect("instrumented run");
     assert_eq!(report.outputs.len(), 10 * 9 / 2);
 
     let limiter = JobLimiter::new(2);
