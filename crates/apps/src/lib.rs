@@ -17,7 +17,9 @@
 
 pub mod bioinfo;
 pub mod forensics;
-pub mod json;
+/// JSON for particle files and the benchmark harness — the workspace's
+/// one JSON module, defined in `rocket-trace` (see [`rocket_core::json`]).
+pub use rocket_core::json;
 pub mod microscopy;
 pub mod phylo;
 pub mod profiles;

@@ -2,6 +2,8 @@
 
 use std::path::{Path, PathBuf};
 
+use rocket_core::study::csv_field;
+
 /// A simple fixed-width text table builder for terminal reports.
 #[derive(Debug, Default)]
 pub struct Table {
@@ -34,24 +36,9 @@ impl Table {
     /// Renders as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+        for row in std::iter::once(&self.header).chain(&self.rows) {
+            let fields: Vec<_> = row.iter().map(|c| csv_field(c)).collect();
+            out.push_str(&fields.join(","));
             out.push('\n');
         }
         out

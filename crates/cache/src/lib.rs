@@ -34,4 +34,4 @@ pub use directory::{
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use lru::LruList;
 pub use slot::{ItemId, Lookup, SlotCache, SlotIdx};
-pub use stats::{CacheStats, ReuseStats};
+pub use stats::CacheStats;

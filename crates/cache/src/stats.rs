@@ -1,4 +1,4 @@
-//! Cache and data-reuse statistics.
+//! Cache statistics.
 
 /// Counters for one [`crate::SlotCache`] instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,38 +46,6 @@ impl CacheStats {
     }
 }
 
-/// Tracks the paper's R metric: the number of load-pipeline executions
-/// relative to the data-set size (§6.1). `R = 1` is perfect reuse: every
-/// item loaded exactly once cluster-wide.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReuseStats {
-    /// Number of items in the data set (n).
-    pub items: u64,
-    /// Total executions of the load pipeline ℓ across all nodes.
-    pub loads: u64,
-}
-
-impl ReuseStats {
-    /// Creates reuse stats for a data set of `n` items.
-    pub fn new(items: u64) -> Self {
-        Self { items, loads: 0 }
-    }
-
-    /// Records one execution of ℓ.
-    pub fn record_load(&mut self) {
-        self.loads += 1;
-    }
-
-    /// The relative number of loads R = loads / n.
-    pub fn r_factor(&self) -> f64 {
-        if self.items == 0 {
-            0.0
-        } else {
-            self.loads as f64 / self.items as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +80,5 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.hits, 2);
         assert_eq!(a.aborts, 12);
-    }
-
-    #[test]
-    fn r_factor_basics() {
-        let mut r = ReuseStats::new(100);
-        for _ in 0..430 {
-            r.record_load();
-        }
-        assert!((r.r_factor() - 4.3).abs() < 1e-12);
-        assert_eq!(ReuseStats::new(0).r_factor(), 0.0);
     }
 }

@@ -92,6 +92,8 @@ pub use rocket_comm::{CommSnapshot, TransportKind};
 /// Inert unless built with the workspace `sanitize` feature.
 pub use rocket_sanitize as sanitize;
 pub use rocket_steal::Pair;
+/// The one JSON escaper, number policy and parser every report writer uses.
+pub use rocket_trace::json;
 pub use rocket_trace::{
     PerfClass, PerfKind, PerfLog, PerfMeta, PerfQuery, PerfRecord, PerfRollup, StageStats,
 };

@@ -17,10 +17,11 @@ use rocket_sanitize::Mutex;
 
 use rocket_stats::{splitmix64, OnlineStats};
 use rocket_steal::StealPool;
+use rocket_trace::json;
 
 use crate::backend::Backend;
 use crate::error::RocketError;
-use crate::report::{json_f64, push_json_str, RunReport};
+use crate::report::RunReport;
 use crate::scenario::Scenario;
 
 /// Runs N seeds of a scenario in parallel and aggregates the reports.
@@ -252,15 +253,15 @@ impl ReplicationReport {
             format!(
                 "{{\"n\":{},\"mean\":{},\"ci95\":{},\"min\":{},\"max\":{}}}",
                 s.count(),
-                json_f64(s.mean()),
-                json_f64(s.ci95_half_width()),
-                json_f64(if s.count() == 0 { 0.0 } else { s.min() }),
-                json_f64(if s.count() == 0 { 0.0 } else { s.max() }),
+                json::num(s.mean()),
+                json::num(s.ci95_half_width()),
+                json::num(if s.count() == 0 { 0.0 } else { s.min() }),
+                json::num(if s.count() == 0 { 0.0 } else { s.max() }),
             )
         };
         let mut out = String::with_capacity(1024);
         out.push_str("{\"backend\":");
-        push_json_str(&mut out, self.backend);
+        json::push_str(&mut out, self.backend);
         out.push_str(&format!(",\"replications\":{}", self.replications()));
         out.push_str(",\"seeds\":[");
         for (i, s) in self.seeds.iter().enumerate() {

@@ -6,34 +6,8 @@
 //! aggregate one shape regardless of how a scenario was executed.
 
 use rocket_cache::{CacheStats, DirectoryStats};
+use rocket_trace::json;
 use rocket_trace::ThroughputSeries;
-
-/// Formats an `f64` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-/// Appends `s` as a JSON string literal (with escaping).
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_u64_array(out: &mut String, values: impl Iterator<Item = u64>) {
     out.push('[');
@@ -56,7 +30,7 @@ fn push_cache_json(out: &mut String, s: &CacheStats) {
         s.capacity_stalls,
         s.evictions,
         s.aborts,
-        json_f64(s.hit_ratio()),
+        json::num(s.hit_ratio()),
     ));
 }
 
@@ -187,12 +161,12 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push_str("{\"backend\":");
-        push_json_str(&mut out, self.backend);
+        json::push_str(&mut out, self.backend);
         out.push_str(&format!(
             ",\"elapsed_s\":{},\"items\":{},\"pairs\":{},\"failed_pairs\":{},\
              \"loads\":{},\"remote_fetches\":{},\"io_bytes\":{},\"net_bytes\":{},\
              \"net_msgs\":{},\"steals\":{},\"r_factor\":{},\"throughput_pairs_s\":{}",
-            json_f64(self.elapsed),
+            json::num(self.elapsed),
             self.items,
             self.pairs,
             self.failed_pairs,
@@ -202,18 +176,18 @@ impl RunReport {
             self.net_bytes,
             self.net_msgs,
             self.steals,
-            json_f64(self.r_factor()),
-            json_f64(self.throughput()),
+            json::num(self.r_factor()),
+            json::num(self.throughput()),
         ));
         out.push_str(&format!(
             ",\"busy_s\":{{\"preprocess\":{},\"compare\":{},\"h2d\":{},\"d2h\":{},\
              \"cpu\":{},\"io\":{}}}",
-            json_f64(self.busy.preprocess),
-            json_f64(self.busy.compare),
-            json_f64(self.busy.h2d),
-            json_f64(self.busy.d2h),
-            json_f64(self.busy.cpu),
-            json_f64(self.busy.io),
+            json::num(self.busy.preprocess),
+            json::num(self.busy.compare),
+            json::num(self.busy.h2d),
+            json::num(self.busy.d2h),
+            json::num(self.busy.cpu),
+            json::num(self.busy.io),
         ));
         out.push_str(",\"device_cache\":");
         push_cache_json(&mut out, &self.device_cache);
@@ -332,16 +306,6 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-    }
-
-    #[test]
-    fn json_strings_escaped_and_nonfinite_nulled() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
     }
 
     #[test]

@@ -46,18 +46,20 @@
 //! println!("{}", report.render());
 //! ```
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 
 use rocket_sanitize::Mutex;
 
 use rocket_steal::StealPool;
+use rocket_trace::json;
 use rocket_trace::perflog::write_jsonl;
 use rocket_trace::{PerfKind, PerfLog, PerfMeta, PerfRollup};
 
 use crate::backend::Backend;
 use crate::error::RocketError;
 use crate::replications::{ReplicationReport, Replications};
-use crate::report::{json_f64, push_json_str, RunReport};
+use crate::report::RunReport;
 use crate::scenario::Scenario;
 use crate::sweep::{AxisValue, Sweep};
 
@@ -349,7 +351,7 @@ impl CellReport {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, name);
+            json::push_str(&mut out, name);
             out.push(':');
             out.push_str(&value.to_json());
         }
@@ -441,15 +443,15 @@ impl StudyReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"experiment\":");
-        push_json_str(&mut out, &self.experiment);
+        json::push_str(&mut out, &self.experiment);
         out.push_str(",\"backend\":");
-        push_json_str(&mut out, &self.backend);
+        json::push_str(&mut out, &self.backend);
         out.push_str(",\"axes\":[");
         for (i, axis) in self.axes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, axis);
+            json::push_str(&mut out, axis);
         }
         out.push_str("],\"cells\":[");
         for (i, cell) in self.cells.iter().enumerate() {
@@ -480,7 +482,7 @@ impl StudyReport {
             .map(|cell| {
                 let mut out = String::with_capacity(1024);
                 out.push_str("{\"experiment\":");
-                push_json_str(&mut out, &self.experiment);
+                json::push_str(&mut out, &self.experiment);
                 out.push_str(&format!(
                     ",\"cell\":{},\"coords\":{},\"report\":{}",
                     cell.cell,
@@ -499,17 +501,10 @@ impl StudyReport {
     /// Renders the study as CSV: one row per cell, one column per axis,
     /// then the headline replication statistics.
     pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
         let mut out = String::from("experiment,cell");
         for axis in &self.axes {
             out.push(',');
-            out.push_str(&esc(axis));
+            out.push_str(&csv_field(axis));
         }
         out.push_str(
             ",replications,pairs,elapsed_s_mean,elapsed_s_ci95,r_factor_mean,\
@@ -526,25 +521,25 @@ impl StudyReport {
         }
         out.push('\n');
         for cell in &self.cells {
-            out.push_str(&esc(&self.experiment));
+            out.push_str(&csv_field(&self.experiment));
             out.push_str(&format!(",{}", cell.cell));
             for axis in &self.axes {
                 out.push(',');
                 let value = cell.coord(axis).map(|v| v.to_string()).unwrap_or_default();
-                out.push_str(&esc(&value));
+                out.push_str(&csv_field(&value));
             }
             let r = &cell.report;
             out.push_str(&format!(
                 ",{},{},{},{},{},{},{},{},{},{}",
                 r.replications(),
                 cell.run().pairs,
-                json_f64(r.elapsed.mean()),
-                json_f64(r.elapsed.ci95_half_width()),
-                json_f64(r.r_factor.mean()),
-                json_f64(r.r_factor.ci95_half_width()),
-                json_f64(r.throughput.mean()),
-                json_f64(r.throughput.ci95_half_width()),
-                json_f64(r.loads.mean()),
+                json::num(r.elapsed.mean()),
+                json::num(r.elapsed.ci95_half_width()),
+                json::num(r.r_factor.mean()),
+                json::num(r.r_factor.ci95_half_width()),
+                json::num(r.throughput.mean()),
+                json::num(r.throughput.ci95_half_width()),
+                json::num(r.loads.mean()),
                 cell.degraded(),
             ));
             if with_perf {
@@ -562,11 +557,11 @@ impl StudyReport {
                     stage(PerfKind::Compare),
                     cell.perf
                         .as_ref()
-                        .map(|p| json_f64(p.steal_per_sec))
+                        .map(|p| json::num(p.steal_per_sec).to_string())
                         .unwrap_or_default(),
                     cell.perf
                         .as_ref()
-                        .map(|p| json_f64(p.probe_per_sec))
+                        .map(|p| json::num(p.probe_per_sec).to_string())
                         .unwrap_or_default(),
                 ));
             }
@@ -664,6 +659,17 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
         fmt_row(row, &mut out);
     }
     out
+}
+
+/// `s` as one CSV field: quoted, with `"` doubled, when it holds a comma
+/// or a quote. The one CSV escaper of the workspace — [`StudyReport::to_csv`]
+/// uses it, and so does the experiment harness's `Table` builder.
+pub fn csv_field(s: &str) -> Cow<'_, str> {
+    if s.contains(',') || s.contains('"') {
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 #[cfg(test)]

@@ -44,8 +44,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use rocket_comm::TransportKind;
+use rocket_trace::json;
 
-use crate::report::{json_f64, push_json_str};
 use crate::scenario::Scenario;
 
 /// One coordinate value of a sweep cell — printable, comparable, and
@@ -67,11 +67,11 @@ impl AxisValue {
     pub fn to_json(&self) -> String {
         match self {
             AxisValue::U64(v) => v.to_string(),
-            AxisValue::F64(v) => json_f64(*v),
+            AxisValue::F64(v) => json::num(*v).to_string(),
             AxisValue::Bool(v) => v.to_string(),
             AxisValue::Str(s) => {
                 let mut out = String::new();
-                push_json_str(&mut out, s);
+                json::push_str(&mut out, s);
                 out
             }
         }

@@ -10,6 +10,9 @@
 //! natively and a caller switches it on by passing an enabled [`PerfLog`];
 //! [`chrome`] renders it for a trace viewer.
 //!
+//! [`json`] is the workspace's one JSON module (escaper, number policy,
+//! lexer); it lives here, the lowest crate every report writer reaches.
+//!
 //! Timestamps are `u64` nanoseconds relative to the start of a run, which
 //! lets the same machinery serve both the threaded runtime (wall-clock) and
 //! the discrete-event simulator (virtual time).
@@ -17,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod json;
 pub mod perflog;
 pub mod throughput;
 

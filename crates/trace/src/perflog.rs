@@ -21,10 +21,13 @@
 //!   nanoseconds — no floating-point accumulation order to vary — so the
 //!   same records give byte-identical rollups on any thread count.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+
+use crate::json;
 
 /// Version of the JSONL schema ([`write_jsonl`] stamps it, the parser
 /// rejects anything newer).
@@ -269,17 +272,14 @@ pub struct PerfMeta {
 /// one record per line (`{"t":…,"k":"…","n":…,"v":…}`).
 pub fn write_jsonl(meta: &PerfMeta, records: &[PerfRecord]) -> String {
     let mut out = String::with_capacity(64 + records.len() * 48);
-    out.push_str(&format!("{{\"perflog\":{PERFLOG_SCHEMA},\"run\":\""));
-    // Run/backend names are identifiers; escape the two JSON-breaking
-    // characters anyway so a hostile name cannot corrupt the file.
-    out.push_str(&meta.run.replace('\\', "\\\\").replace('"', "\\\""));
-    out.push_str("\",");
+    out.push_str(&format!("{{\"perflog\":{PERFLOG_SCHEMA},\"run\":"));
+    json::push_str(&mut out, &meta.run);
     if let Some(cell) = meta.cell {
-        out.push_str(&format!("\"cell\":{cell},"));
+        out.push_str(&format!(",\"cell\":{cell}"));
     }
-    out.push_str("\"backend\":\"");
-    out.push_str(&meta.backend.replace('\\', "\\\\").replace('"', "\\\""));
-    out.push_str(&format!("\",\"records\":{}}}\n", records.len()));
+    out.push_str(",\"backend\":");
+    json::push_str(&mut out, &meta.backend);
+    out.push_str(&format!(",\"records\":{}}}\n", records.len()));
     for r in records {
         out.push_str(&format!(
             "{{\"t\":{},\"k\":\"{}\",\"n\":{},\"v\":{}}}\n",
@@ -292,62 +292,64 @@ pub fn write_jsonl(meta: &PerfMeta, records: &[PerfRecord]) -> String {
     out
 }
 
-/// Extracts the unsigned integer following `key` in a single JSON line.
-fn field_u64(line: &str, key: &str) -> Result<u64, String> {
-    let at = line
-        .find(key)
-        .ok_or_else(|| format!("missing {key} in {line:?}"))?;
-    let digits: String = line[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits
-        .parse()
-        .map_err(|_| format!("non-numeric {key} in {line:?}"))
+/// A required `u64` field, read exactly from its digits (never through
+/// `f64`).
+fn uint(key: &str, value: Option<json::Scalar<'_>>) -> Result<u64, String> {
+    match value {
+        Some(json::Scalar::Num(text)) => text.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("field {key:?} is missing or not a u64"))
 }
 
-/// Extracts the string value following `key` in a single JSON line.
-fn field_str<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let at = line
-        .find(key)
-        .ok_or_else(|| format!("missing {key} in {line:?}"))?;
-    let rest = &line[at + key.len()..];
-    let end = rest
-        .find('"')
-        .ok_or_else(|| format!("unterminated {key} in {line:?}"))?;
-    Ok(&rest[..end])
+/// A required string field.
+fn string<'a>(key: &str, value: Option<json::Scalar<'a>>) -> Result<Cow<'a, str>, String> {
+    match value {
+        Some(json::Scalar::Str(s)) => Some(s),
+        _ => None,
+    }
+    .ok_or_else(|| format!("field {key:?} is missing or not a string"))
 }
 
-/// Parses a perf log produced by [`write_jsonl`]. Strict: unknown kinds,
-/// a schema bump, or a record-count mismatch are errors — the committed
-/// artifacts must not drift silently.
+fn parse_record(line: &str) -> Result<PerfRecord, String> {
+    let [t, k, n, v] = json::read_flat(line, ["t", "k", "n", "v"]).map_err(|e| e.to_string())?;
+    let label = string("k", k)?;
+    let node = uint("n", n)?;
+    Ok(PerfRecord {
+        t_ns: uint("t", t)?,
+        kind: PerfKind::from_label(&label).ok_or_else(|| format!("unknown perf kind {label:?}"))?,
+        node: u32::try_from(node).map_err(|_| format!("node {node} exceeds u32"))?,
+        value: uint("v", v)?,
+    })
+}
+
+/// Parses a perf log produced by [`write_jsonl`]. Strict: malformed JSON,
+/// a missing, repeated or unknown field, unknown kinds, a schema bump, or
+/// a record-count mismatch are errors — the committed artifacts must not
+/// drift silently, and hostile input never panics.
 pub fn parse_jsonl(text: &str) -> Result<(PerfMeta, Vec<PerfRecord>), String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("empty perf log")?;
-    let schema = field_u64(header, "\"perflog\":")?;
+    let keys = ["perflog", "run", "cell", "backend", "records"];
+    let [schema, run, cell, backend, declared] =
+        json::read_flat(header, keys).map_err(|e| format!("header: {e}"))?;
+    let schema = uint("perflog", schema)?;
     if schema > u64::from(PERFLOG_SCHEMA) {
         return Err(format!(
             "perf log schema {schema} is newer than supported {PERFLOG_SCHEMA}"
         ));
     }
     let meta = PerfMeta {
-        run: field_str(header, "\"run\":\"")?.to_string(),
-        cell: field_u64(header, "\"cell\":").ok(),
-        backend: field_str(header, "\"backend\":\"")?.to_string(),
+        run: string("run", run)?.into_owned(),
+        cell: cell.map(|c| uint("cell", Some(c))).transpose()?,
+        backend: string("backend", backend)?.into_owned(),
     };
-    let declared = field_u64(header, "\"records\":")?;
-    let mut records = Vec::with_capacity(declared as usize);
-    for line in lines {
-        let label = field_str(line, "\"k\":\"")?;
-        let kind =
-            PerfKind::from_label(label).ok_or_else(|| format!("unknown perf kind {label:?}"))?;
-        records.push(PerfRecord {
-            t_ns: field_u64(line, "\"t\":")?,
-            kind,
-            node: field_u64(line, "\"n\":")? as u32,
-            value: field_u64(line, "\"v\":")?,
-        });
-    }
+    let declared = uint("records", declared)?;
+    // Grown by the lines present, never sized by the (untrusted) declared count.
+    let records = lines
+        .enumerate()
+        .map(|(i, line)| parse_record(line).map_err(|e| format!("record {}: {e}", i + 1)))
+        .collect::<Result<Vec<_>, _>>()?;
     if records.len() as u64 != declared {
         return Err(format!(
             "perf log declares {declared} records but carries {}",
@@ -553,16 +555,9 @@ impl PerfRollup {
         self.stages.iter().find(|s| s.kind == kind)
     }
 
-    /// Serializes the rollup as one JSON object (hand-rolled; the
-    /// workspace links no serde).
+    /// Serializes the rollup as one JSON object (floats under the
+    /// [`json::num`] policy).
     pub fn to_json(&self) -> String {
-        let f = |x: f64| {
-            if x.fract() == 0.0 && x.abs() < 1e15 {
-                format!("{x:.1}")
-            } else {
-                format!("{x}")
-            }
-        };
         let mut out = String::from("{\"stages\":{");
         for (i, s) in self.stages.iter().enumerate() {
             if i > 0 {
@@ -582,11 +577,11 @@ impl PerfRollup {
             self.records,
             self.span_ns,
             self.steals,
-            f(self.steal_per_sec),
+            json::num(self.steal_per_sec),
             self.probes,
-            f(self.probe_per_sec),
-            f(self.dev_hit_ratio),
-            f(self.host_hit_ratio),
+            json::num(self.probe_per_sec),
+            json::num(self.dev_hit_ratio),
+            json::num(self.host_hit_ratio),
         ));
         out
     }
@@ -743,6 +738,81 @@ mod tests {
         let short = "{\"perflog\":1,\"run\":\"x\",\"backend\":\"sim\",\"records\":2}\n\
                      {\"t\":1,\"k\":\"compare\",\"n\":0,\"v\":2}\n";
         assert!(parse_jsonl(short).unwrap_err().contains("declares 2"));
+        let header = "{\"perflog\":1,\"run\":\"x\",\"backend\":\"sim\",\"records\":1}\n";
+        for (line, why) in [
+            (
+                "{\"t\":1,\"k\":\"compare\",\"n\":0}",
+                "field \"v\" is missing",
+            ),
+            (
+                "{\"t\":1,\"k\":\"compare\",\"n\":0,\"v\":2,\"t\":3}",
+                "repeated field \"t\"",
+            ),
+            (
+                "{\"t\":1,\"k\":\"compare\",\"n\":0,\"v\":2,\"x\":3}",
+                "unknown field \"x\"",
+            ),
+            ("{\"t\":1.5,\"k\":\"compare\",\"n\":0,\"v\":2}", "not a u64"),
+            ("{\"t\":-1,\"k\":\"compare\",\"n\":0,\"v\":2}", "not a u64"),
+            (
+                "{\"t\":\"1\",\"k\":\"compare\",\"n\":0,\"v\":2}",
+                "not a u64",
+            ),
+            (
+                "{\"t\":[1],\"k\":\"compare\",\"n\":0,\"v\":2}",
+                "unexpected '['",
+            ),
+        ] {
+            let err = parse_jsonl(&format!("{header}{line}\n")).unwrap_err();
+            assert!(err.contains(why), "{line}: {err}");
+        }
+        let no_run = "{\"perflog\":1,\"backend\":\"sim\",\"records\":0}\n";
+        assert!(parse_jsonl(no_run)
+            .unwrap_err()
+            .contains("field \"run\" is missing"));
+    }
+
+    #[test]
+    fn hostile_names_round_trip() {
+        for name in ["a\"b", "a\nb", "x\"cell\":7", "\u{1}", "ä→"] {
+            let meta = PerfMeta {
+                run: name.into(),
+                cell: None,
+                backend: format!("{name}{name}"),
+            };
+            let records = vec![rec(1, PerfKind::Compare, 0, 2)];
+            let text = write_jsonl(&meta, &records);
+            assert!(
+                !text.trim_end().contains(|c: char| c < ' ' && c != '\n'),
+                "{name:?} wrote a raw control character"
+            );
+            assert_eq!(parse_jsonl(&text), Ok((meta, records)), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn declared_count_never_sizes_the_allocation() {
+        let text = "{\"perflog\":1,\"run\":\"x\",\"backend\":\"sim\",\"records\":1000000000000}\n\
+                    {\"t\":1,\"k\":\"compare\",\"n\":0,\"v\":2}\n";
+        let err = parse_jsonl(text).unwrap_err();
+        assert!(
+            err.contains("declares 1000000000000 records but carries 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn integers_read_back_exactly() {
+        let meta = PerfMeta::default();
+        for x in [u64::MAX, (1 << 53) + 1] {
+            let records = vec![rec(x, PerfKind::Steal, u32::MAX, x)];
+            let (_, back) = parse_jsonl(&write_jsonl(&meta, &records)).expect("parse");
+            assert_eq!(back, records);
+        }
+        // A node id wider than u32 is an error, not a silent truncation.
+        let text = "{\"perflog\":1,\"run\":\"\",\"backend\":\"\",\"records\":1}\n\
+                    {\"t\":1,\"k\":\"steal\",\"n\":9007199254740993,\"v\":2}\n";
+        assert!(parse_jsonl(text).unwrap_err().contains("exceeds u32"));
     }
 
     #[test]
