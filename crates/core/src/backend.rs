@@ -93,9 +93,10 @@ impl<A: Application> ThreadedBackend<A> {
     }
 
     /// [`ThreadedBackend::run_app`] while recording into `perf`: an enabled
-    /// log makes every resource thread time its tasks (one stage record
-    /// per task, stamped at completion on a clock all nodes share, `value`
-    /// = duration) and receives the records once the run is complete.
+    /// log makes every resource thread time its tasks and each conductor
+    /// its post-processes (one stage record per task, stamped at completion
+    /// on a clock all nodes share, `value` = duration); it receives the
+    /// records once the run is complete.
     /// [`Backend::run_with_perf`] is this plus [`AppReport::unified`].
     /// Recording changes only the report's busy times, never the computed
     /// results.

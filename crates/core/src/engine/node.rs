@@ -11,22 +11,25 @@
 //! ## Pipelines (the paper's Fig 2 / Fig 4)
 //!
 //! A job `(i, j)` bound to device `d` acquires read leases on both items in
-//! `d`'s device cache, then: compare kernel (GPU) → result copy (D2H) →
-//! post-process (CPU) → output. A device-cache miss starts a *device fill*:
-//! host-cache hit → H2D copy; host-cache miss → *host fill*: distributed
-//! lookup → remote fetch, or the full load pipeline — read (I/O) → parse
-//! (CPU) → staging upload (H2D) → pre-process (GPU, directly into the device
-//! slot) → write-back (D2H) into the host slot. Items are therefore always
-//! written to both the device and host caches, which is what the level-3
-//! distributed cache relies on.
+//! `d`'s device cache, then: compare + result read-back (GPU thread) →
+//! post-process (conductor) → output. A device-cache miss starts a *device
+//! fill*: host-cache hit → H2D copy; host-cache miss → *host fill*:
+//! distributed lookup → remote fetch, or the full load pipeline — read
+//! (I/O) → parse (CPU) → staging upload (H2D) → pre-process (GPU, directly
+//! into the device slot) → write-back (D2H) into the host slot. Items are
+//! therefore always written to both the device and host caches, which is
+//! what the level-3 distributed cache relies on.
 //!
 //! ## Deadlock freedom
 //!
 //! Jobs acquire leases in `(left, right)` order and *release everything*
 //! before parking when the cache reports `Busy`, so no job holds-and-waits
-//! on cache capacity. Fill pipelines never wait on jobs. Pool resources
-//! (staging and result buffers) are drained by queues that make progress
-//! whenever a pipeline stage completes.
+//! on cache capacity. Fill pipelines never wait on jobs. Staging buffers
+//! are drained by a queue that makes progress whenever a pipeline stage
+//! completes. A write-back pins its device slot with a read lease only
+//! until its D2H copy completes, and the copy depends on nothing, so the
+//! pin is transient: a job that finds the slot pinned parks as a capacity
+//! waiter and the unpin wakes it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,8 +98,10 @@ pub(crate) enum Event {
         item: ItemId,
         result: Result<(), String>,
     },
-    /// Device slot was written back into the host slot.
+    /// Device slot `dslot` was written back into the host slot.
     ItemCopiedToHost {
+        dev: usize,
+        dslot: SlotIdx,
         item: ItemId,
         result: Result<(), String>,
     },
@@ -106,18 +111,11 @@ pub(crate) enum Event {
         item: ItemId,
         result: Result<(), String>,
     },
-    /// Comparison kernel finished.
+    /// Comparison kernel finished and its result is on the host.
     CompareDone {
-        job: JobId,
-        result: Result<(), String>,
-    },
-    /// Result buffer arrived on the host.
-    ResultCopied {
         job: JobId,
         result: Result<Vec<u8>, String>,
     },
-    /// Post-processing delivered the output.
-    PostDone { job: JobId },
     /// A message from a peer node (with the sender's rank from the
     /// transport envelope).
     Remote { from: usize, msg: NodeMsg },
@@ -130,7 +128,6 @@ struct Job {
     dev: usize,
     left: Option<SlotIdx>,
     right: Option<SlotIdx>,
-    result_buf: Option<BufferId>,
     /// The item this job last stalled on for capacity. Retries acquire it
     /// first so the retry consumes the slot freed by our own release —
     /// guaranteeing progress instead of live-locking on the other item.
@@ -180,7 +177,8 @@ pub struct NodeReport {
     /// Pairs that failed permanently, with causes.
     pub failed: Vec<(Pair, String)>,
     /// One stage record per task the node's resource threads executed,
-    /// stamped on the run-wide clock (empty unless the run is recorded).
+    /// plus one per post-process the conductor ran, stamped on the
+    /// run-wide clock (empty unless the run is recorded).
     pub perf: Vec<PerfRecord>,
     /// Transport traffic counters (zero on single-node runs).
     pub comm: CommSnapshot,
@@ -237,7 +235,10 @@ pub(crate) fn spawn_node<A: Application>(
     let counters = Arc::new(NodeCounters::default());
     // Each job pins up to two device-cache slots; capping in-flight jobs at
     // slots/2 per device guarantees all leases fit simultaneously, which
-    // keeps tiny-cache configurations free of eviction livelock.
+    // keeps tiny-cache configurations free of eviction livelock. A
+    // write-back's pin can take a slot beyond that budget, but only until
+    // its D2H copy completes; a job it crowds out parks as a capacity
+    // waiter and the unpin wakes it.
     let spec = &scenario.nodes[node_id];
     let lease_cap = (spec.gpus.len() * (spec.device_slots / 2)).max(1);
     let limiter = Arc::new(JobLimiter::new(scenario.job_limit.min(lease_cap)));
@@ -327,8 +328,10 @@ struct Conductor<A: Application> {
 
     staging_pool: Vec<Vec<BufferId>>,
     staging_queue: Vec<VecDeque<ItemId>>,
-    result_pool: Vec<Vec<BufferId>>,
-    result_queue: Vec<VecDeque<JobId>>,
+    /// One result buffer per device: compares on a device run one at a
+    /// time on its launch thread, each reading its result back before the
+    /// next one starts.
+    result_bufs: Vec<BufferId>,
 
     // Fx-hashed tables: deterministic hasher, so any incidental iteration
     // order is a pure function of the insertion sequence (lint RL-D001).
@@ -347,6 +350,9 @@ struct Conductor<A: Application> {
     remote_fetches: u64,
     failed: Vec<(Pair, String)>,
     outputs: SharedOutputs<A>,
+    recording: Option<Recording>,
+    /// The conductor's own post-process records (recorded runs only).
+    post_perf: Vec<PerfRecord>,
     counters: Arc<NodeCounters>,
     limiter: Arc<JobLimiter>,
     events_rx: Receiver<Event>,
@@ -377,20 +383,19 @@ impl<A: Application> Conductor<A> {
         let parsed_bytes = app.parsed_bytes() as u64;
         let result_bytes = app.result_bytes() as u64;
         let staging_per_dev = if app.has_preprocess() { 4 } else { 0 };
-        let results_per_dev = scenario.job_limit.clamp(1, 64);
 
         let mut devices = Vec::with_capacity(n_dev);
         let mut dev_cache = Vec::with_capacity(n_dev);
         let mut dev_slot_bufs = Vec::with_capacity(n_dev);
         let mut staging_pool = Vec::with_capacity(n_dev);
-        let mut result_pool = Vec::with_capacity(n_dev);
+        let mut result_bufs = Vec::with_capacity(n_dev);
         for profile in &spec.gpus {
             // The threaded runtime treats the configured slot count as
             // authoritative: expand virtual memory if the profile is too
             // small (the simulator models capacities faithfully instead).
             let needed = spec.device_slots as u64 * item_bytes
                 + staging_per_dev as u64 * parsed_bytes
-                + results_per_dev as u64 * result_bytes;
+                + result_bytes;
             let profile = if profile.memory_bytes < needed {
                 profile.clone().with_memory(needed)
             } else {
@@ -403,9 +408,7 @@ impl<A: Application> Conductor<A> {
             let staging: Vec<BufferId> = (0..staging_per_dev)
                 .map(|_| device.alloc(parsed_bytes).expect("staging alloc"))
                 .collect();
-            let results: Vec<BufferId> = (0..results_per_dev)
-                .map(|_| device.alloc(result_bytes).expect("result alloc"))
-                .collect();
+            result_bufs.push(device.alloc(result_bytes).expect("result alloc"));
             devices.push(device);
             // Dense item map: application items are 0..n, so the cache's
             // O(1) array-indexed table applies (same mode the simulator
@@ -413,7 +416,6 @@ impl<A: Application> Conductor<A> {
             dev_cache.push(SlotCache::with_item_space(spec.device_slots, item_count));
             dev_slot_bufs.push(slots);
             staging_pool.push(staging);
-            result_pool.push(results);
         }
 
         let host_slots: Vec<Arc<Mutex<Vec<u8>>>> = (0..spec.host_slots)
@@ -431,7 +433,6 @@ impl<A: Application> Conductor<A> {
 
         let directory = Directory::new(node_id, scenario.nodes.len(), scenario.hops);
         let staging_queue = vec![VecDeque::new(); n_dev];
-        let result_queue = vec![VecDeque::new(); n_dev];
 
         Self {
             app,
@@ -451,8 +452,7 @@ impl<A: Application> Conductor<A> {
             host_slots,
             staging_pool,
             staging_queue,
-            result_pool,
-            result_queue,
+            result_bufs,
             jobs: FxHashMap::default(),
             next_job: 0,
             pending_conts: VecDeque::new(),
@@ -467,6 +467,8 @@ impl<A: Application> Conductor<A> {
             remote_fetches: 0,
             failed: Vec::new(),
             outputs,
+            recording,
+            post_perf: Vec::new(),
             counters,
             limiter,
             events_rx,
@@ -501,6 +503,7 @@ impl<A: Application> Conductor<A> {
             .chain(self.h2d)
             .chain(self.d2h)
             .flat_map(Resource::shutdown)
+            .chain(self.post_perf)
             .collect();
         NodeReport {
             node: self.node_id,
@@ -536,16 +539,25 @@ impl<A: Application> Conductor<A> {
                 Err(e) => self.item_failure(item, e),
             },
             Event::PreprocessDone { item, result } => self.on_preprocess_done(item, result),
-            Event::ItemCopiedToHost { item, result } => match result {
-                Ok(()) => self.publish_host(item),
-                Err(e) => self.item_failure(item, e),
-            },
+            Event::ItemCopiedToHost {
+                dev,
+                dslot,
+                item,
+                result,
+            } => {
+                // Unpin the device slot whether or not the copy succeeded.
+                if let Some(cont) = self.dev_cache[dev].release(dslot) {
+                    self.run_cont(cont);
+                }
+                match result {
+                    Ok(()) => self.publish_host(item),
+                    Err(e) => self.item_failure(item, e),
+                }
+            }
             Event::DeviceFillCopied { dev, item, result } => {
                 self.on_device_fill_copied(dev, item, result)
             }
             Event::CompareDone { job, result } => self.on_compare_done(job, result),
-            Event::ResultCopied { job, result } => self.on_result_copied(job, result),
-            Event::PostDone { job } => self.finish_job(job),
             Event::Remote { from, msg } => self.on_remote(from, msg),
             Event::Shutdown => self.shutdown = true,
         }
@@ -563,7 +575,6 @@ impl<A: Application> Conductor<A> {
                 dev,
                 left: None,
                 right: None,
-                result_buf: None,
                 stalled: None,
                 comparing: false,
             },
@@ -648,90 +659,53 @@ impl<A: Application> Conductor<A> {
     }
 
     fn start_compare(&mut self, id: JobId) {
-        let job = self.jobs.get(&id).expect("job exists");
-        let dev = job.dev;
-        let Some(result_buf) = self.result_pool[dev].pop() else {
-            self.result_queue[dev].push_back(id);
-            return;
-        };
-        let job = self.jobs.get_mut(&id).expect("job exists");
-        job.result_buf = Some(result_buf);
-        let (pair, left, right) = (job.pair, job.left.unwrap(), job.right.unwrap());
-        let left_buf = self.dev_slot_bufs[dev][left];
-        let right_buf = self.dev_slot_bufs[dev][right];
+        let job = &self.jobs[&id];
+        let (pair, dev) = (job.pair, job.dev);
+        let left_buf = self.dev_slot_bufs[dev][job.left.expect("left lease held")];
+        let right_buf = self.dev_slot_bufs[dev][job.right.expect("right lease held")];
+        let result_buf = self.result_bufs[dev];
         let device = Arc::clone(&self.devices[dev]);
         let app = Arc::clone(&self.app);
         self.gpu[dev].submit(
             PerfKind::Compare,
             Box::new(move || {
+                let mut out = Vec::with_capacity(app.result_bytes());
                 let result = device
                     .launch(&[left_buf, right_buf], result_buf, |ins, out| {
                         app.compare((pair.left, ins[0]), (pair.right, ins[1]), out)
                     })
                     .map_err(|e| e.to_string())
-                    .and_then(|r| r.map_err(|e| e.to_string()));
+                    .and_then(|r| r.map_err(|e| e.to_string()))
+                    .and_then(|()| {
+                        device
+                            .copy_d2h(result_buf, &mut out)
+                            .map_err(|e| format!("result copy: {e}"))
+                    })
+                    .map(|()| out);
                 Some(Event::CompareDone { job: id, result })
             }),
         );
     }
 
-    fn on_compare_done(&mut self, id: JobId, result: Result<(), String>) {
-        match result {
-            Ok(()) => {
-                let job = self.jobs.get(&id).expect("job exists");
-                let (dev, result_buf) = (job.dev, job.result_buf.expect("result buffer"));
-                let result_bytes = self.app.result_bytes();
-                let device = Arc::clone(&self.devices[dev]);
-                self.d2h[dev].submit(
-                    PerfKind::CopyOut,
-                    Box::new(move || {
-                        let mut out = Vec::with_capacity(result_bytes);
-                        let result = device
-                            .copy_d2h(result_buf, &mut out)
-                            .map(|()| out)
-                            .map_err(|e| e.to_string());
-                        Some(Event::ResultCopied { job: id, result })
-                    }),
-                );
-            }
-            Err(e) => self.fail_job(id, format!("compare failed: {e}")),
-        }
-    }
-
-    fn on_result_copied(&mut self, id: JobId, result: Result<Vec<u8>, String>) {
-        // The device-side resources are free as soon as the result is on the
-        // host: release leases and the result buffer before post-processing.
+    fn on_compare_done(&mut self, id: JobId, result: Result<Vec<u8>, String>) {
+        // The result is on the host: the device slots are free again.
         self.release_job_leases(id);
-        self.return_result_buf(id);
         match result {
             Ok(bytes) => {
-                let job = self.jobs.get(&id).expect("job exists");
-                let pair = job.pair;
-                let app = Arc::clone(&self.app);
-                let outputs = Arc::clone(&self.outputs);
-                self.cpu.submit(
-                    PerfKind::Postprocess,
-                    Box::new(move || {
-                        let out = app.postprocess(pair, &bytes);
-                        outputs.lock().push((pair, out));
-                        Some(Event::PostDone { job: id })
-                    }),
-                );
+                // Decoding a result takes nanoseconds: cheaper here than a
+                // round trip through the CPU pool.
+                let pair = self.jobs[&id].pair;
+                let post = || {
+                    let out = self.app.postprocess(pair, &bytes);
+                    self.outputs.lock().push((pair, out));
+                };
+                match self.recording {
+                    None => post(),
+                    Some(r) => r.time(PerfKind::Postprocess, &mut self.post_perf, post),
+                }
+                self.finish_job(id);
             }
-            Err(e) => self.fail_job(id, format!("result copy failed: {e}")),
-        }
-    }
-
-    fn return_result_buf(&mut self, id: JobId) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        let dev = job.dev;
-        if let Some(buf) = job.result_buf.take() {
-            self.result_pool[dev].push(buf);
-            if let Some(waiting) = self.result_queue[dev].pop_front() {
-                self.start_compare(waiting);
-            }
+            Err(e) => self.fail_job(id, format!("compare failed: {e}")),
         }
     }
 
@@ -743,7 +717,6 @@ impl<A: Application> Conductor<A> {
 
     fn fail_job(&mut self, id: JobId, cause: String) {
         self.release_job_leases(id);
-        self.return_result_buf(id);
         if let Some(job) = self.jobs.get(&id) {
             self.failed.push((job.pair, cause));
         }
@@ -800,16 +773,23 @@ impl<A: Application> Conductor<A> {
             }
         }
         match result {
-            Ok(()) => self.complete_dev_fill(dev, item),
+            Ok(()) => self.complete_dev_fill(dev, item, false),
             Err(e) => self.item_failure(item, format!("H2D copy failed: {e}")),
         }
     }
 
-    fn complete_dev_fill(&mut self, dev: usize, item: ItemId) {
+    /// Publishes a filled device slot and wakes its waiters. With `pin`, the
+    /// conductor keeps a read lease on the slot (no hit is counted); the
+    /// caller releases it.
+    fn complete_dev_fill(&mut self, dev: usize, item: ItemId, pin: bool) {
         let Some(dslot) = self.dev_fills.remove(&(dev, item)) else {
             return;
         };
-        let waiters = self.dev_cache[dev].publish(dslot);
+        let waiters = if pin {
+            self.dev_cache[dev].publish_and_read(dslot)
+        } else {
+            self.dev_cache[dev].publish(dslot)
+        };
         for w in waiters {
             self.run_cont(w);
         }
@@ -818,8 +798,9 @@ impl<A: Application> Conductor<A> {
                 self.run_cont(w);
             }
         }
-        // The published slot is evictable until a reader takes it: fresh
-        // capacity, so one parked capacity waiter gets a retry.
+        // An unpinned published slot is evictable until a reader takes it:
+        // fresh capacity, so one parked capacity waiter gets a retry (a
+        // pinned slot hands its waiter over at the unpin instead).
         if let Some(w) = self.dev_cache[dev].pop_capacity_waiter() {
             self.run_cont(w);
         }
@@ -1013,11 +994,14 @@ impl<A: Application> Conductor<A> {
                 // The item is ready on the device: publish the device slot
                 // first (jobs can start comparing), then write it back to
                 // the host slot (Fig 4's "copy device slot to host slot").
+                // The D2H thread reads the slot, so the write-back pins it
+                // until `ItemCopiedToHost`; unpinned, an eviction could
+                // refill it mid-copy.
                 let Some(&dslot) = self.dev_fills.get(&(dev, item)) else {
                     return;
                 };
                 let dbuf = self.dev_slot_bufs[dev][dslot];
-                self.complete_dev_fill(dev, item);
+                self.complete_dev_fill(dev, item, true);
                 let fill = self.host_fills.get(&item).expect("host fill present");
                 let payload = Arc::clone(&self.host_slots[fill.hslot]);
                 let device = Arc::clone(&self.devices[dev]);
@@ -1033,7 +1017,12 @@ impl<A: Application> Conductor<A> {
                                 buf[..n].copy_from_slice(&tmp[..n]);
                             })
                             .map_err(|e| e.to_string());
-                        Some(Event::ItemCopiedToHost { item, result })
+                        Some(Event::ItemCopiedToHost {
+                            dev,
+                            dslot,
+                            item,
+                            result,
+                        })
                     }),
                 );
             }

@@ -27,6 +27,23 @@ pub(crate) struct Recording {
     pub node: u32,
 }
 
+impl Recording {
+    /// Runs `f` and appends its duration to `perf` as one `kind` record,
+    /// stamped at completion.
+    pub fn time<R>(self, kind: PerfKind, perf: &mut Vec<PerfRecord>, f: impl FnOnce() -> R) -> R {
+        let start = self.clock.elapsed_ns();
+        let r = f();
+        let t_ns = self.clock.elapsed_ns();
+        perf.push(PerfRecord {
+            t_ns,
+            kind,
+            node: self.node,
+            value: t_ns - start,
+        });
+        r
+    }
+}
+
 /// Handle to one resource (a thread or a pool sharing a queue).
 pub(crate) struct Resource<E> {
     tx: Sender<(PerfKind, Task<E>)>,
@@ -57,18 +74,7 @@ impl<E: Send + 'static> Resource<E> {
                         while let Ok((kind, task)) = rx.recv() {
                             let event = match recording {
                                 None => task(),
-                                Some(Recording { clock, node }) => {
-                                    let start = clock.elapsed_ns();
-                                    let event = task();
-                                    let t_ns = clock.elapsed_ns();
-                                    perf.push(PerfRecord {
-                                        t_ns,
-                                        kind,
-                                        node,
-                                        value: t_ns - start,
-                                    });
-                                    event
-                                }
+                                Some(r) => r.time(kind, &mut perf, task),
                             };
                             if let Some(e) = event {
                                 // The conductor may already be gone

@@ -46,12 +46,8 @@ fn workspace_suppressions_are_the_known_set() {
             // A shard's cell lock is private to its owning worker for the
             // window; modeled IO inside run_window blocks nobody else.
             "RL-B002:crates/sim/src/shard.rs",
-            // The job limiter's condvar waits release `available`
+            // The job limiter's condvar wait releases `available`
             // atomically — blocking here is the semaphore's purpose.
-            "RL-B001:crates/steal/src/limiter.rs",
-            // Wall-clock deadline for acquire_timeout back-pressure.
-            "RL-D002:crates/steal/src/limiter.rs",
-            // Second condvar wait (the bounded acquire_timeout loop).
             "RL-B001:crates/steal/src/limiter.rs",
             // Monotonic progress counter: a stale Relaxed read delays the
             // exit check one iteration, never un-finishes the pool.

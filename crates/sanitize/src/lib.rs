@@ -30,7 +30,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use parking_lot::WaitTimeoutResult;
 
@@ -231,15 +231,6 @@ impl Condvar {
         condition: impl FnMut(&mut T) -> bool,
     ) {
         self.0.wait_while(&mut guard.inner, condition);
-    }
-
-    /// Blocks until notified or `deadline` passes.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        self.0.wait_until(&mut guard.inner, deadline)
     }
 
     /// Blocks until notified or `timeout` elapses.

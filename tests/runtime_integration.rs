@@ -178,6 +178,38 @@ fn multi_node_cluster_produces_identical_results() {
     assert!(active >= 2, "workers: {:?}", report.steal.pairs_per_worker);
 }
 
+/// A write-back reads its device slot on the D2H thread after the slot is
+/// published, so the slot must stay pinned until that copy completes.
+/// Unpinned, a fill can evict and overwrite it mid-copy: the host cache,
+/// and every peer that fetches from it, then holds another item's bytes.
+/// Four device slots on each of two nodes keep that window wide; without
+/// the pin about one run in seven corrupts a score, hence the repetitions.
+#[test]
+fn write_back_never_reads_a_refilled_device_slot() {
+    let cfg = ForensicsConfig {
+        images: 24,
+        cameras: 4,
+        width: 128,
+        height: 128,
+        ..Default::default()
+    };
+    let ds = ForensicsDataset::generate(cfg.clone());
+    let app = ForensicsApp::new(&cfg);
+    let expected = oracle(&app, &ds.store);
+    let scenario = Scenario::builder()
+        .items(24)
+        .nodes(2, NodeSpec::uniform(1, 4, 8))
+        .cpu_threads(1)
+        .job_limit(16)
+        .distributed_cache(true)
+        .build();
+    let backend = ThreadedBackend::new(Arc::new(app), Arc::new(ds.store));
+    for _ in 0..40 {
+        let report = backend.run_app(&scenario).expect("run");
+        assert_outputs_match_oracle(&report, &expected);
+    }
+}
+
 #[test]
 fn distributed_cache_reduces_cluster_loads() {
     let cfg = ForensicsConfig {
