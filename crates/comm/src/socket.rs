@@ -324,9 +324,6 @@ impl Drop for SocketTransport {
     fn drop(&mut self) {
         for writer in self.writers.iter().flatten() {
             let stream = writer.lock();
-            // lint:allow(blocking) — TcpStream::shutdown is a non-blocking
-            // teardown syscall; the reported chain aliases the resource
-            // executor's thread-joining `shutdown` by name.
             let _ = stream.shutdown(Shutdown::Both);
         }
         for handle in self.readers.drain(..) {

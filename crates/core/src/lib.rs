@@ -88,7 +88,7 @@ pub use workload::WorkloadProfile;
 // Re-export the types users need at the API boundary.
 pub use rocket_cache::ItemId;
 pub use rocket_comm::{CommSnapshot, TransportKind};
-/// The lock-witness sanitizer (`rocket_core::sanitize::Mutex` etc.).
+/// The lock-order sanitizer (`rocket_core::sanitize::Mutex` etc.).
 /// Inert unless built with the workspace `sanitize` feature.
 pub use rocket_sanitize as sanitize;
 pub use rocket_steal::Pair;

@@ -35,27 +35,12 @@ pub struct WireDriftConfig {
     pub protocol_fingerprint: String,
 }
 
-/// Configuration for the hot-path allocation family: a scope plus the
-/// root functions whose transitive callees form the hot set.
-#[derive(Debug, Clone, Default)]
-pub struct HotPathConfig {
-    pub paths: Vec<String>,
-    pub allow_files: Vec<String>,
-    /// Function (or named-closure) names that anchor the hot set. Names
-    /// that resolve to no function in `paths` are a config error.
-    pub hot_fns: Vec<String>,
-}
-
 /// Whole-run configuration (one section per rule family).
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     pub determinism: RuleScope,
     pub panic_path: RuleScope,
-    pub lock_order: RuleScope,
     pub wire_drift: WireDriftConfig,
-    pub blocking: RuleScope,
-    pub shared_state: RuleScope,
-    pub hot_path: HotPathConfig,
 }
 
 /// A parsed TOML-subset value.
@@ -198,25 +183,16 @@ impl LintConfig {
         let mut cfg = LintConfig::default();
         for (section, keys) in &doc {
             match section.as_str() {
-                "determinism" | "panic_path" | "lock_order" | "blocking" | "shared_state" => {
+                "determinism" | "panic_path" => {
                     let scope = RuleScope {
                         paths: take_array(keys, section, "paths")?,
                         allow_files: take_array(keys, section, "allow_files")?,
                     };
-                    match section.as_str() {
-                        "determinism" => cfg.determinism = scope,
-                        "panic_path" => cfg.panic_path = scope,
-                        "lock_order" => cfg.lock_order = scope,
-                        "blocking" => cfg.blocking = scope,
-                        _ => cfg.shared_state = scope,
+                    if section == "determinism" {
+                        cfg.determinism = scope;
+                    } else {
+                        cfg.panic_path = scope;
                     }
-                }
-                "hot_path" => {
-                    cfg.hot_path = HotPathConfig {
-                        paths: take_array(keys, section, "paths")?,
-                        allow_files: take_array(keys, section, "allow_files")?,
-                        hot_fns: take_array(keys, section, "hot_fns")?,
-                    };
                 }
                 "wire_drift" => {
                     cfg.wire_drift = WireDriftConfig {
@@ -253,9 +229,6 @@ paths = [
     "crates/comm/src/socket.rs",
 ]
 
-[lock_order]
-paths = ["crates/steal/src"]
-
 [wire_drift]
 struct_paths = ["crates/core/src"]
 structs = ["Scenario", "RunReport"]
@@ -274,28 +247,13 @@ protocol_fingerprint = "0123456789abcdef"
     }
 
     #[test]
-    fn parses_new_family_sections() {
-        let src = r#"
-[blocking]
-paths = ["crates/comm/src"]
-
-[shared_state]
-paths = ["crates/steal/src"]
-allow_files = ["crates/steal/src/shim.rs"]
-
-[hot_path]
-paths = ["crates/sim/src/shard.rs"]
-hot_fns = ["handle", "run_worker"]
-"#;
-        let cfg = LintConfig::parse(src).unwrap();
-        assert_eq!(cfg.blocking.paths, ["crates/comm/src"]);
-        assert_eq!(cfg.shared_state.allow_files.len(), 1);
-        assert_eq!(cfg.hot_path.hot_fns, ["handle", "run_worker"]);
-    }
-
-    #[test]
     fn unknown_section_is_an_error() {
-        assert!(LintConfig::parse("[typo]\npaths = []\n").is_err());
+        // The sections of the retired families included: a stale
+        // lint.toml must fail loudly rather than silently pass.
+        for section in ["typo", "lock_order", "blocking", "shared_state", "hot_path"] {
+            let src = format!("[{section}]\npaths = []\n");
+            assert!(LintConfig::parse(&src).is_err(), "[{section}] accepted");
+        }
     }
 
     #[test]

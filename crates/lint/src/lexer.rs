@@ -194,8 +194,8 @@ pub fn lex(src: &str) -> Lexed {
                 // Raw identifier: `r#ident` (exactly one hash, no byte
                 // prefix). Lexed as one Ident token — splitting it into
                 // `r` `#` `ident` would fabricate a keyword token (e.g.
-                // `r#fn` -> `fn`) that corrupts fn-span and test-mask
-                // recovery downstream.
+                // `r#fn` -> `fn`) that corrupts test-mask recovery
+                // downstream.
                 if j == i
                     && hashes == 1
                     && bytes
@@ -417,7 +417,7 @@ mod tests {
         assert_eq!(lx.toks.len(), 1);
         assert_eq!(lx.toks[0].kind, TokKind::Ident);
         // The keyword must never leak out of a raw identifier: `r#fn`
-        // yielding an `fn` token would fabricate a phantom fn-span.
+        // yielding an `fn` token would fabricate a phantom item.
         assert!(lex("let x = r#fn;").toks.iter().all(|t| t.text != "fn"));
         // Raw strings with one hash still lex as strings, not raw idents.
         let lx = lex("r#\"text\"#");

@@ -2,12 +2,13 @@
 //!
 //! Rocket's correctness claims rest on properties the compiler does not
 //! check: bit-identical replay for a fixed seed, fault paths that degrade
-//! instead of aborting, a consistent lock order, and a wire codec that
-//! covers every field it claims to ship. This crate enforces all four as
-//! a CI gate, with no dependency on `syn`, `rustc` internals, or the
-//! network — it tokenizes the source directly ([`lexer`]) and runs four
-//! rule families ([`rules`]) over the scopes named in `lint.toml`
-//! ([`config`]).
+//! instead of aborting, and a wire codec that covers every field it
+//! claims to ship. This crate enforces all three as a CI gate, with no
+//! dependency on `syn`, `rustc` internals, or the network — it tokenizes
+//! the source directly ([`lexer`]) and runs three rule families
+//! ([`rules`]) over the scopes named in `lint.toml` ([`config`]). Lock
+//! order is checked at run time instead, by `rocket-sanitize`'s online
+//! cycle assertion under `--features sanitize`.
 //!
 //! Findings carry stable codes (`RL-D001`, ...) and can be excused in
 //! place with a `// lint:allow(<rule-or-code>) — rationale` comment on
@@ -18,7 +19,6 @@
 //! The `rocket-lint` binary (in the workspace root crate) is the CLI:
 //! exit 0 when clean, 1 on unsuppressed diagnostics, 2 on config errors.
 
-pub(crate) mod callgraph;
 pub mod config;
 pub mod diag;
 pub mod lexer;
@@ -115,23 +115,6 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<Vec<Diagnostic>, String> {
             rules::panic_path::check(&file, &mut out);
         }
     }
-    if !cfg.lock_order.paths.is_empty() {
-        let files = load_scope(root, &cfg.lock_order.paths, &cfg.lock_order.allow_files)?;
-        rules::lock_order::check(&files, &mut out);
-    }
-    if !cfg.blocking.paths.is_empty() {
-        let files = load_scope(root, &cfg.blocking.paths, &cfg.blocking.allow_files)?;
-        rules::blocking::check(&files, &mut out);
-    }
-    if !cfg.shared_state.paths.is_empty() {
-        for file in load_scope(root, &cfg.shared_state.paths, &cfg.shared_state.allow_files)? {
-            rules::shared_state::check(&file, &mut out);
-        }
-    }
-    if !cfg.hot_path.paths.is_empty() {
-        let files = load_scope(root, &cfg.hot_path.paths, &cfg.hot_path.allow_files)?;
-        rules::hot_path::check(&files, &cfg.hot_path.hot_fns, &mut out)?;
-    }
     let wd = &cfg.wire_drift;
     if !wd.structs.is_empty() {
         let struct_files = load_scope(root, &wd.struct_paths, &[])?;
@@ -153,26 +136,6 @@ pub fn run_with_config_file(root: &Path, config_path: &Path) -> Result<Vec<Diagn
         .map_err(|e| format!("read {}: {e}", config_path.display()))?;
     let cfg = LintConfig::parse(&src)?;
     run(root, &cfg)
-}
-
-/// Cross-checks the static lock-order model against a runtime witness
-/// (a `witness-*.json` file from a `--features sanitize` test run, or a
-/// directory of them, merged). Returns only the RL-X diagnostics; the
-/// CLI appends them to the regular `run` output.
-pub fn cross_check_witness(
-    root: &Path,
-    cfg: &LintConfig,
-    witness_path: &Path,
-) -> Result<Vec<Diagnostic>, String> {
-    if cfg.lock_order.paths.is_empty() {
-        return Err("--witness needs a [lock_order] scope in lint.toml".to_string());
-    }
-    let witness = rules::witness::Witness::load(witness_path)?;
-    let files = load_scope(root, &cfg.lock_order.paths, &cfg.lock_order.allow_files)?;
-    let mut out = Vec::new();
-    rules::witness::check(&files, &witness, &rel_display(root, witness_path), &mut out);
-    diag::sort(&mut out);
-    Ok(out)
 }
 
 /// Computes the protocol file's fingerprint and version — the values

@@ -1,4 +1,4 @@
-//! The seven rule families.
+//! The three rule families.
 //!
 //! | Family         | Codes            | What it enforces                          |
 //! |----------------|------------------|-------------------------------------------|
@@ -6,39 +6,19 @@
 //! |                |                  | sleeps, or unseeded RNG in sim/core/steal  |
 //! | `panic-path`   | RL-P001..P003    | no unwrap/expect/panic/indexing on fault   |
 //! |                |                  | paths                                      |
-//! | `lock-order`   | RL-L001,         | no lock-acquisition cycles; static edges   |
-//! |                | RL-X001/X002     | agree with the runtime lock witness        |
 //! | `wire-drift`   | RL-W001..W003    | codec covers every struct field; protocol  |
 //! |                |                  | edits bump `PROTOCOL_VERSION`              |
-//! | `blocking`     | RL-B001/B002     | no blocking ops (recv/join/wait/IO/sleep)  |
-//! |                |                  | while a lock is held, interprocedurally    |
-//! | `shared-state` | RL-S001..S004    | no static mut, non-Sync statics, Relaxed   |
-//! |                |                  | control-flow loads, or Arc::get_mut        |
-//! | `hot-path`     | RL-A001/A002     | no heap allocation reachable from the      |
-//! |                |                  | configured per-event hot functions         |
+//!
+//! Each family is a per-file (or, for `wire-drift`, per-file-set) token
+//! scan; none needs a call graph. `docs/lint-rules.md` records why these
+//! three are the ones kept.
 
-pub mod blocking;
 pub mod determinism;
-pub mod hot_path;
-pub mod lock_order;
 pub mod panic_path;
-pub mod shared_state;
 pub mod wire_drift;
-pub mod witness;
 
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;
-
-/// Rule family names as used in diagnostics and `lint:allow` markers.
-pub const FAMILIES: [&str; 7] = [
-    "determinism",
-    "panic-path",
-    "lock-order",
-    "wire-drift",
-    "blocking",
-    "shared-state",
-    "hot-path",
-];
 
 /// Pushes a diagnostic, marking it suppressed when an in-source
 /// `lint:allow` marker covers it.

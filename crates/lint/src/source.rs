@@ -1,5 +1,5 @@
 //! Item-level structure recovered from the token stream: which tokens
-//! belong to test code, and where function bodies begin and end.
+//! belong to test code, and where bracket groups close.
 
 use crate::lexer::{Lexed, Tok, TokKind};
 
@@ -12,16 +12,6 @@ pub struct SourceFile {
     /// `mask[i]` is true when token `i` lies inside test-only code
     /// (a `#[cfg(test)]` module or a `#[test]` function).
     pub test_mask: Vec<bool>,
-}
-
-/// One function body: name plus the token range of its `{ ... }` block
-/// (inclusive of the braces).
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    pub name: String,
-    pub body_start: usize,
-    pub body_end: usize,
-    pub line: u32,
 }
 
 impl SourceFile {
@@ -38,14 +28,6 @@ impl SourceFile {
     /// Whether token `i` is test-only code.
     pub fn is_test(&self, i: usize) -> bool {
         self.test_mask.get(i).copied().unwrap_or(false)
-    }
-
-    /// Non-test function bodies in the file.
-    pub fn fns(&self) -> Vec<FnSpan> {
-        fn_spans(&self.lexed.toks)
-            .into_iter()
-            .filter(|f| !self.is_test(f.body_start))
-            .collect()
     }
 }
 
@@ -111,132 +93,6 @@ fn test_mask(toks: &[Tok]) -> Vec<bool> {
     mask
 }
 
-/// Extracts `fn name ... { body }` spans (all of them; callers filter by
-/// test mask). Trait-method declarations without bodies are skipped.
-/// Named closures with block bodies (`let worker = move |x| { ... };`)
-/// are picked up too, so graph passes can treat them as functions —
-/// the steal pool's worker loop lives in one.
-fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].kind == TokKind::Ident && toks[i].text == "let" {
-            if let Some(span) = closure_span(toks, i) {
-                out.push(span);
-                // Continue scanning *inside* the closure body (nested
-                // lets, nested closures).
-                i += 2;
-                continue;
-            }
-        }
-        if toks[i].kind == TokKind::Ident && toks[i].text == "fn" {
-            let Some(name_tok) = toks.get(i + 1) else {
-                break;
-            };
-            if name_tok.kind != TokKind::Ident {
-                i += 1;
-                continue;
-            }
-            // Scan the signature for `{` (body) or `;` (declaration).
-            // Parentheses are skipped wholesale so closures or default
-            // expressions inside the argument list cannot confuse us.
-            let mut j = i + 2;
-            let mut open = None;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "(" => j = matching(toks, j, "(", ")") + 1,
-                    "{" => {
-                        open = Some(j);
-                        break;
-                    }
-                    ";" => break,
-                    _ => j += 1,
-                }
-            }
-            if let Some(open) = open {
-                let end = matching(toks, open, "{", "}");
-                out.push(FnSpan {
-                    name: name_tok.text.clone(),
-                    body_start: open,
-                    body_end: end,
-                    line: toks[i].line,
-                });
-                // Continue *inside* the body too: nested fns are rare but
-                // cheap to pick up.
-                i += 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Matches `let [mut] NAME = [move] |params| [-> Ty] { body }` starting
-/// at the `let` token. Only block-bodied closures count: an expression
-/// body has no brace span to attribute steps to.
-fn closure_span(toks: &[Tok], let_idx: usize) -> Option<FnSpan> {
-    let mut j = let_idx + 1;
-    if toks.get(j).is_some_and(|t| t.text == "mut") {
-        j += 1;
-    }
-    let name_tok = toks.get(j)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    let name = name_tok.text.clone();
-    let line = toks[let_idx].line;
-    j += 1;
-    if toks.get(j)?.text != "=" {
-        return None;
-    }
-    j += 1;
-    if toks.get(j).is_some_and(|t| t.text == "move") {
-        j += 1;
-    }
-    // `||` lexes as two `|` puncts; `|args|` starts with one.
-    if toks.get(j)?.text != "|" {
-        return None;
-    }
-    // Find the closing `|` of the parameter list (skip bracket groups so
-    // pattern params like `|(a, b)|` cannot confuse us).
-    let mut k = j + 1;
-    loop {
-        let t = toks.get(k)?;
-        match t.text.as_str() {
-            "|" => break,
-            "(" => k = matching(toks, k, "(", ")") + 1,
-            "[" => k = matching(toks, k, "[", "]") + 1,
-            // A `{`, `;` or `=` before the closing `|` means this was a
-            // bitwise-or expression, not a closure.
-            "{" | ";" | "=" => return None,
-            _ => k += 1,
-        }
-    }
-    // Optional `-> Ty`, then the opening brace must follow directly.
-    let mut m = k + 1;
-    if toks.get(m).is_some_and(|t| t.text == "-") && toks.get(m + 1).is_some_and(|t| t.text == ">")
-    {
-        m += 2;
-        while m < toks.len() && toks[m].text != "{" {
-            if matches!(toks[m].text.as_str(), ";" | "|" | ")" | "}") {
-                return None;
-            }
-            m += 1;
-        }
-    }
-    if toks.get(m)?.text != "{" {
-        return None;
-    }
-    let end = matching(toks, m, "{", "}");
-    Some(FnSpan {
-        name,
-        body_start: m,
-        body_end: end,
-        line,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,39 +126,5 @@ mod tests {
         let src = "#[derive(Debug)]\nstruct S;\nfn f() {}\n";
         let f = SourceFile::new("a.rs".into(), src);
         assert!(f.test_mask.iter().all(|&m| !m));
-    }
-
-    #[test]
-    fn fn_spans_found_with_names() {
-        let src = "fn alpha() { beta(); }\nimpl T { fn beta(&self) -> u32 { 1 } }\ntrait Q { fn decl(&self); }\n";
-        let f = SourceFile::new("a.rs".into(), src);
-        let names: Vec<_> = f.fns().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, ["alpha", "beta"]);
-    }
-
-    #[test]
-    fn named_block_closures_become_spans() {
-        let src = "fn run() {\n    let worker = move |ix: usize| -> u32 {\n        work(ix)\n    };\n    let sum = a | b;\n    let alias = &worker;\n    let expr_body = |x| x + 1;\n}\n";
-        let f = SourceFile::new("a.rs".into(), src);
-        let names: Vec<_> = f.fns().into_iter().map(|s| s.name).collect();
-        // Only the block-bodied closure: bitwise-or, reference aliases and
-        // expression-bodied closures are not spans.
-        assert_eq!(names, ["run", "worker"]);
-    }
-
-    #[test]
-    fn closure_with_pattern_params() {
-        let src = "fn f() { let each = |(a, b): (u32, u32)| { a + b }; }\n";
-        let f = SourceFile::new("a.rs".into(), src);
-        let names: Vec<_> = f.fns().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, ["f", "each"]);
-    }
-
-    #[test]
-    fn test_fns_excluded_from_fns() {
-        let src = "fn live() {}\n#[cfg(test)]\nmod tests { fn t() {} }\n";
-        let f = SourceFile::new("a.rs".into(), src);
-        let names: Vec<_> = f.fns().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, ["live"]);
     }
 }

@@ -39,19 +39,6 @@ fn workspace_suppressions_are_the_known_set() {
     assert_eq!(
         suppressed,
         [
-            // TcpStream::shutdown in Drop aliases the resource executor's
-            // thread-joining `shutdown` by name; the real call is a
-            // non-blocking teardown syscall.
-            "RL-B002:crates/comm/src/socket.rs",
-            // A shard's cell lock is private to its owning worker for the
-            // window; modeled IO inside run_window blocks nobody else.
-            "RL-B002:crates/sim/src/shard.rs",
-            // The job limiter's condvar wait releases `available`
-            // atomically — blocking here is the semaphore's purpose.
-            "RL-B001:crates/steal/src/limiter.rs",
-            // Monotonic progress counter: a stale Relaxed read delays the
-            // exit check one iteration, never un-finishes the pool.
-            "RL-S003:crates/steal/src/pool.rs",
             // Host-timed sleep in the steal backoff (paced, not timed).
             "RL-D003:crates/steal/src/pool.rs",
         ],

@@ -1,9 +1,7 @@
-//! Lock-witness sanitizer: the dynamic half of `rocket-lint`'s
-//! lock-order analysis.
+//! Lock-order sanitizer: the workspace's only lock-order check, made at
+//! run time.
 //!
-//! The static pass (`rocket-lint`, RL-L001/RL-B*) models lock
-//! acquisition orders by name. This crate closes the loop at runtime:
-//! instrumented code replaces `parking_lot::Mutex::new(v)` with
+//! Instrumented code replaces `parking_lot::Mutex::new(v)` with
 //! [`Mutex::named("label", v)`](Mutex::named), and every acquisition
 //! then records *(held, acquired)* edges in a process-global graph,
 //! asserting acyclicity online — a real lock-order inversion panics
@@ -22,11 +20,8 @@
 //! - a thread-local stack tracks which named locks the current thread
 //!   holds; acquiring records edges from every held lock to the new one
 //!   *before* blocking on it (so a deadlock-to-be still reports);
-//! - the global graph is checked for cycles on every new edge;
-//! - if `ROCKET_WITNESS_DIR` is set, each process keeps
-//!   `witness-<pid>.json` there up to date (schema 1: `locks`,
-//!   `edges`), which `rocket-lint --witness DIR` cross-checks against
-//!   the static model (RL-X001/RL-X002).
+//! - the global graph is checked for cycles on every new edge, and the
+//!   panic message names the locks on the cycle.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -34,8 +29,8 @@ use std::time::Duration;
 
 pub use parking_lot::WaitTimeoutResult;
 
-/// A named mutex. The name is the identity the witness graph records —
-/// keep it in sync with the field name the static analyzer sees.
+/// A named mutex. The name is the identity the witness graph records and
+/// the label a cycle panic prints.
 pub struct Mutex<T: ?Sized> {
     name: &'static str,
     inner: parking_lot::Mutex<T>,
@@ -254,14 +249,12 @@ impl Condvar {
 }
 
 #[cfg(feature = "enabled")]
-pub use track::{edges, locks, reset, write_witness};
+pub use track::{edges, locks, reset};
 
 #[cfg(feature = "enabled")]
 mod track {
     use std::cell::RefCell;
     use std::collections::BTreeSet;
-    use std::io;
-    use std::path::Path;
     use std::sync::{Mutex, OnceLock, PoisonError};
 
     /// Proof of a witnessed acquisition; dropping it pops the lock from
@@ -308,7 +301,6 @@ mod track {
                         cycle.join(" -> ")
                     );
                 }
-                dump_if_configured(&g);
             }
         }
         HELD.with(|h| h.borrow_mut().push(name));
@@ -360,49 +352,6 @@ mod track {
         None
     }
 
-    fn render(g: &Graph) -> String {
-        let mut out = String::from("{\n  \"schema\": 1,\n  \"locks\": [");
-        for (i, l) in g.locks.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{l}\""));
-        }
-        out.push_str("],\n  \"edges\": [");
-        for (i, (a, b)) in g.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {{\"from\": \"{a}\", \"to\": \"{b}\"}}"));
-        }
-        if !g.edges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Rewrites this process's `witness-<pid>.json` when the graph grows
-    /// and `ROCKET_WITNESS_DIR` is set (atomic temp + rename, so the
-    /// lint cross-check never reads a torn file). This crate's own unit
-    /// tests fabricate locks that would pollute a shared witness dir, so
-    /// the test build of the lib never dumps (`cfg!(test)` is false in
-    /// the lib every downstream crate links).
-    fn dump_if_configured(g: &Graph) {
-        if cfg!(test) {
-            return;
-        }
-        let Ok(dir) = std::env::var("ROCKET_WITNESS_DIR") else {
-            return;
-        };
-        let _ = std::fs::create_dir_all(&dir);
-        let path = format!("{dir}/witness-{}.json", std::process::id());
-        let tmp = format!("{path}.tmp");
-        if std::fs::write(&tmp, render(g)).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
-    }
-
     /// The witnessed edges so far, for in-process assertions.
     pub fn edges() -> Vec<(String, String)> {
         let g = graph().lock().unwrap_or_else(PoisonError::into_inner);
@@ -418,20 +367,12 @@ mod track {
         g.locks.iter().map(|l| l.to_string()).collect()
     }
 
-    /// Writes the current witness JSON to `path`.
-    pub fn write_witness(path: &Path) -> io::Result<()> {
-        let g = graph().lock().unwrap_or_else(PoisonError::into_inner);
-        std::fs::write(path, render(&g))
-    }
-
-    /// Clears the global graph (single-threaded test harness use only),
-    /// and rewrites this process's witness dump so fabricated test locks
-    /// do not outlive the experiment that created them.
+    /// Clears the global graph (single-threaded test harness use only), so
+    /// a deliberately cyclic experiment does not trip later acquisitions.
     pub fn reset() {
         let mut g = graph().lock().unwrap_or_else(PoisonError::into_inner);
         g.locks.clear();
         g.edges.clear();
-        dump_if_configured(&g);
     }
 }
 

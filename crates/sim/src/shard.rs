@@ -490,13 +490,9 @@ fn run_windowed(
         k,
         threads,
         |i| {
-            // lint:allow(blocking) — run_rounds pins shard `i` to one
-            // thread for the whole run, so this lock is never contended
-            // and the modeled IO inside run_window blocks nobody else.
-            // lint:allow(lock-order) — the static edges out of `cells`
-            // here are name-merge artifacts (`handle` resolves to every
-            // in-scope fn of that name); the runtime witness records no
-            // nesting under a cell lock, and RL-X001 confirms the gap.
+            // run_rounds pins shard `i` to one thread for the whole run,
+            // so this lock is never contended and the modeled IO inside
+            // run_window blocks nobody else.
             cells[i].lock().run_window(ctx);
         },
         || {

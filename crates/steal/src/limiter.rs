@@ -46,8 +46,8 @@ impl JobLimiter {
         let mut avail = self.available.lock();
         if *avail == 0 {
             self.peak_waits.fetch_add(1, Ordering::Relaxed);
-            // lint:allow(blocking) — the semaphore exists to block here;
-            // the wait atomically releases `available` while parked.
+            // The semaphore exists to block here; the wait atomically
+            // releases `available` while parked.
             self.cond.wait_while(&mut avail, |a| *a == 0);
         }
         *avail -= 1;

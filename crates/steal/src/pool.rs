@@ -287,9 +287,9 @@ impl StealPool {
                     // is done — nobody steals, nobody donates.
                     break;
                 }
-                // lint:allow(shared-state) — monotonic progress counter:
-                // a stale read only delays this exit check by one loop
-                // iteration, it can never un-finish the pool.
+                // Monotonic progress counter: a stale Relaxed read only
+                // delays this exit check by one loop iteration, it can
+                // never un-finish the pool.
                 if processed.load(Ordering::Relaxed) >= total {
                     break;
                 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rocket-lint [--root DIR] [--config PATH] [--json] [--json-out FILE]
-//!             [--witness PATH] [--list-rules] [--print-protocol]
+//!             [--list-rules] [--print-protocol]
 //! ```
 //!
 //! Exit status: 0 clean (suppressed findings allowed), 1 unsuppressed
@@ -23,7 +23,6 @@ struct Args {
     json_out: Option<PathBuf>,
     list_rules: bool,
     print_protocol: bool,
-    witness: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -34,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         json_out: None,
         list_rules: false,
         print_protocol: false,
-        witness: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -47,9 +45,6 @@ fn parse_args() -> Result<Args, String> {
             "--json-out" => {
                 args.json_out = Some(PathBuf::from(it.next().ok_or("--json-out needs a path")?))
             }
-            "--witness" => {
-                args.witness = Some(PathBuf::from(it.next().ok_or("--witness needs a path")?))
-            }
             "--list-rules" => args.list_rules = true,
             "--print-protocol" => args.print_protocol = true,
             "--help" | "-h" => {
@@ -60,9 +55,6 @@ fn parse_args() -> Result<Args, String> {
                        --config PATH     lint.toml (default: <root>/lint.toml)\n\
                        --json            print the JSON report to stdout\n\
                        --json-out FILE   also write the JSON report to FILE\n\
-                       --witness PATH    cross-check the static lock-order model against\n\
-                                         a sanitize-run witness JSON (file, or directory\n\
-                                         of witness-*.json merged)\n\
                        --list-rules      print the rule catalog and exit\n\
                        --print-protocol  print the protocol fingerprint/version and exit");
                 std::process::exit(0);
@@ -87,20 +79,9 @@ RL-D004  determinism  unseeded RNG entry point
 RL-P001  panic-path   unwrap()/expect() on a fault path
 RL-P002  panic-path   panic!/unreachable!/todo!/unimplemented! on a fault path
 RL-P003  panic-path   slice indexing on a fault path
-RL-L001  lock-order   lock-acquisition cycle
-RL-X001  lock-order   static lock edge never witnessed at runtime (--witness)
-RL-X002  lock-order   witnessed lock edge missing from the static model (--witness)
 RL-W001  wire-drift   struct field not covered by the Wire codec
 RL-W002  wire-drift   protocol changed without a PROTOCOL_VERSION bump
-RL-W003  wire-drift   protocol fingerprint needs re-recording in lint.toml
-RL-B001  blocking     blocking op (recv/join/wait/IO/sleep) while a lock is held
-RL-B002  blocking     call that may transitively block while a lock is held
-RL-S001  shared-state static mut item
-RL-S002  shared-state non-Sync static (Cell/RefCell/Rc/raw pointer)
-RL-S003  shared-state Relaxed atomic load gating control flow
-RL-S004  shared-state Arc::get_mut mutation outside a lock
-RL-A001  hot-path     heap allocation in a designated hot function
-RL-A002  hot-path     heap allocation reachable from a hot function";
+RL-W003  wire-drift   protocol fingerprint needs re-recording in lint.toml";
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
@@ -129,11 +110,7 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let mut diags = rocket_lint::run(&args.root, &cfg)?;
-    if let Some(witness) = &args.witness {
-        diags.extend(rocket_lint::cross_check_witness(&args.root, &cfg, witness)?);
-        rocket_lint::diag::sort(&mut diags);
-    }
+    let diags = rocket_lint::run(&args.root, &cfg)?;
     let json = render_json(&diags);
     if let Some(path) = &args.json_out {
         std::fs::write(path, &json).map_err(|e| format!("write {}: {e}", path.display()))?;
