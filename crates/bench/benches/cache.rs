@@ -10,7 +10,7 @@ fn bench_hits(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
 
     group.bench_function("hit_release", |b| {
-        let mut cache: SlotCache<u32> = SlotCache::new(1024);
+        let mut cache: SlotCache<u32> = SlotCache::with_item_space(1024, 1024);
         for item in 0..1024u64 {
             if let Lookup::MustLoad(slot) = cache.get(item, || 0) {
                 cache.publish(slot);
@@ -27,7 +27,7 @@ fn bench_hits(c: &mut Criterion) {
 
     group.bench_function("miss_evict_publish", |b| {
         // Working set twice the cache: every access evicts.
-        let mut cache: SlotCache<u32> = SlotCache::new(512);
+        let mut cache: SlotCache<u32> = SlotCache::with_item_space(512, 4096);
         let mut rng = Xoshiro256::seed_from(2);
         b.iter(|| {
             let item = rng.below(4096) as u64;
@@ -45,7 +45,7 @@ fn bench_hits(c: &mut Criterion) {
 
     group.bench_function("lru_scan_resistance_1m_slots", |b| {
         // O(1) eviction must hold at Fig 9's extreme slot counts.
-        let mut cache: SlotCache<u32> = SlotCache::new(1_000_000);
+        let mut cache: SlotCache<u32> = SlotCache::with_item_space(1_000_000, 1_000_000);
         for item in 0..1_000_000u64 {
             if let Lookup::MustLoad(slot) = cache.get(item, || 0) {
                 cache.publish(slot);

@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 
-use crate::fxhash::FxHashMap;
 use crate::lru::LruList;
 use crate::stats::CacheStats;
 
@@ -49,76 +48,7 @@ enum SlotState<W> {
     Ready { item: ItemId, readers: u32 },
 }
 
-/// Item → slot lookup table.
-///
-/// Callers with a dense item space (the simulator's items are `0..n`) get
-/// an O(1) array-indexed table; open-world callers keep an Fx-hashed map.
-#[derive(Debug)]
-enum ItemMap {
-    /// General case: item ids are sparse / unbounded.
-    Hash(FxHashMap<ItemId, SlotIdx>),
-    /// Dense case: direct index by item id (`NO_SLOT` = absent). Grows on
-    /// demand, so out-of-range items stay correct, just slower to insert.
-    Dense(Vec<u32>),
-}
-
 const NO_SLOT: u32 = u32::MAX;
-
-impl ItemMap {
-    #[inline]
-    fn get(&self, item: ItemId) -> Option<SlotIdx> {
-        match self {
-            ItemMap::Hash(m) => m.get(&item).copied(),
-            ItemMap::Dense(v) => match v.get(item as usize) {
-                Some(&s) if s != NO_SLOT => Some(s as SlotIdx),
-                _ => None,
-            },
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, item: ItemId, slot: SlotIdx) {
-        match self {
-            ItemMap::Hash(m) => {
-                m.insert(item, slot);
-            }
-            ItemMap::Dense(v) => {
-                let i = item as usize;
-                if i >= v.len() {
-                    v.resize(i + 1, NO_SLOT);
-                }
-                v[i] = u32::try_from(slot).expect("slot index fits u32");
-            }
-        }
-    }
-
-    #[inline]
-    fn remove(&mut self, item: ItemId) {
-        match self {
-            ItemMap::Hash(m) => {
-                m.remove(&item);
-            }
-            ItemMap::Dense(v) => {
-                if let Some(s) = v.get_mut(item as usize) {
-                    *s = NO_SLOT;
-                }
-            }
-        }
-    }
-
-    /// All `(item, slot)` entries, in unspecified order.
-    fn entries(&self) -> Vec<(ItemId, SlotIdx)> {
-        match self {
-            ItemMap::Hash(m) => m.iter().map(|(&i, &s)| (i, s)).collect(),
-            ItemMap::Dense(v) => v
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| s != NO_SLOT)
-                .map(|(i, &s)| (i as ItemId, s as SlotIdx))
-                .collect(),
-        }
-    }
-}
 
 /// The multi-reader / single-writer slot cache.
 ///
@@ -128,8 +58,9 @@ impl ItemMap {
 #[derive(Debug)]
 pub struct SlotCache<W> {
     states: Vec<SlotState<W>>,
-    /// Item → slot index (dense array or Fx-hashed map; see [`ItemMap`]).
-    map: ItemMap,
+    /// Item → slot index, indexed by item id (`NO_SLOT` = absent). Grows
+    /// on demand, so out-of-range items stay correct, just slower to insert.
+    map: Vec<u32>,
     /// Readable slots with zero readers, LRU-ordered; plus explicit free list.
     lru: LruList,
     free: Vec<SlotIdx>,
@@ -138,14 +69,14 @@ pub struct SlotCache<W> {
 }
 
 impl<W> SlotCache<W> {
-    /// Creates a cache with `slots` empty slots.
-    pub fn new(slots: usize) -> Self {
+    /// Creates a cache with `slots` empty slots whose item ids are expected
+    /// to be dense in `0..items`: the item → slot table is a flat array, so
+    /// no lookup hashes. Items ≥ `items` remain correct (the table grows on
+    /// demand).
+    pub fn with_item_space(slots: usize, items: usize) -> Self {
         Self {
             states: (0..slots).map(|_| SlotState::Empty).collect(),
-            map: ItemMap::Hash(FxHashMap::with_capacity_and_hasher(
-                slots,
-                Default::default(),
-            )),
+            map: vec![NO_SLOT; items],
             lru: LruList::new(slots),
             free: (0..slots).rev().collect(),
             capacity_waiters: VecDeque::new(),
@@ -153,15 +84,37 @@ impl<W> SlotCache<W> {
         }
     }
 
-    /// Creates a cache with `slots` empty slots whose item ids are known to
-    /// be dense in `0..items`: the item → slot table becomes a flat array,
-    /// removing hashing from every lookup. Items ≥ `items` remain correct
-    /// (the table grows on demand).
-    pub fn with_item_space(slots: usize, items: usize) -> Self {
-        Self {
-            map: ItemMap::Dense(vec![NO_SLOT; items]),
-            ..Self::new(slots)
+    #[inline]
+    fn slot_of(&self, item: ItemId) -> Option<SlotIdx> {
+        match self.map.get(item as usize) {
+            Some(&s) if s != NO_SLOT => Some(s as SlotIdx),
+            _ => None,
         }
+    }
+
+    #[inline]
+    fn map_insert(&mut self, item: ItemId, slot: SlotIdx) {
+        let i = item as usize;
+        if i >= self.map.len() {
+            self.map.resize(i + 1, NO_SLOT);
+        }
+        self.map[i] = u32::try_from(slot).expect("slot index fits u32");
+    }
+
+    #[inline]
+    fn map_remove(&mut self, item: ItemId) {
+        if let Some(s) = self.map.get_mut(item as usize) {
+            *s = NO_SLOT;
+        }
+    }
+
+    /// All mapped `(item, slot)` entries, in item order.
+    fn entries(&self) -> impl Iterator<Item = (ItemId, SlotIdx)> + '_ {
+        self.map
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != NO_SLOT)
+            .map(|(i, &s)| (i as ItemId, s as SlotIdx))
     }
 
     /// Number of slots.
@@ -204,7 +157,7 @@ impl<W> SlotCache<W> {
     /// peers: in-flight writes don't count). Does not touch LRU order.
     pub fn contains_ready(&self, item: ItemId) -> bool {
         matches!(
-            self.map.get(item).map(|s| &self.states[s]),
+            self.slot_of(item).map(|s| &self.states[s]),
             Some(SlotState::Ready { .. })
         )
     }
@@ -216,7 +169,7 @@ impl<W> SlotCache<W> {
     /// must answer "not here" without side effects (the protocol is best
     /// effort — the requester falls back to loading locally).
     pub fn try_read(&mut self, item: ItemId) -> Option<SlotIdx> {
-        let slot = self.map.get(item)?;
+        let slot = self.slot_of(item)?;
         match &mut self.states[slot] {
             SlotState::Ready { readers, .. } => {
                 if *readers == 0 {
@@ -234,7 +187,7 @@ impl<W> SlotCache<W> {
     /// `waiter` supplies this job's token, consumed only when the result is
     /// [`Lookup::Pending`] or [`Lookup::Busy`].
     pub fn get(&mut self, item: ItemId, waiter: impl FnOnce() -> W) -> Lookup {
-        if let Some(slot) = self.map.get(item) {
+        if let Some(slot) = self.slot_of(item) {
             match &mut self.states[slot] {
                 SlotState::Ready { readers, .. } => {
                     if *readers == 0 {
@@ -263,7 +216,7 @@ impl<W> SlotCache<W> {
                 }
                 _ => unreachable!("LRU slot not in Ready state"),
             };
-            self.map.remove(old);
+            self.map_remove(old);
             self.stats.evictions += 1;
             s
         } else {
@@ -275,7 +228,7 @@ impl<W> SlotCache<W> {
             item,
             waiters: Vec::new(),
         };
-        self.map.insert(item, slot);
+        self.map_insert(item, slot);
         self.stats.misses += 1;
         Lookup::MustLoad(slot)
     }
@@ -317,7 +270,7 @@ impl<W> SlotCache<W> {
         let state = std::mem::replace(&mut self.states[slot], SlotState::Empty);
         match state {
             SlotState::Writing { item, mut waiters } => {
-                self.map.remove(item);
+                self.map_remove(item);
                 self.free.push(slot);
                 self.stats.aborts += 1;
                 if let Some(w) = self.capacity_waiters.pop_front() {
@@ -364,22 +317,17 @@ impl<W> SlotCache<W> {
 
     /// Items resident in READ state (for diagnostics / tests).
     pub fn resident_items(&self) -> Vec<ItemId> {
-        let mut v: Vec<ItemId> = self
-            .map
-            .entries()
-            .into_iter()
+        self.entries()
             .filter(|&(_, s)| matches!(self.states[s], SlotState::Ready { .. }))
             .map(|(i, _)| i)
-            .collect();
-        v.sort_unstable();
-        v
+            .collect()
     }
 
     /// Internal consistency check, used by property tests: every mapped item
     /// points at a slot holding it; LRU contains exactly the evictable
     /// slots; free slots are Empty.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (item, slot) in self.map.entries() {
+        for (item, slot) in self.entries() {
             match &self.states[slot] {
                 SlotState::Writing { item: it, .. } | SlotState::Ready { item: it, .. } => {
                     if *it != item {
@@ -413,6 +361,12 @@ mod tests {
 
     type Cache = SlotCache<u32>;
 
+    /// A cache whose item table starts smaller than the ids the tests use,
+    /// so growth on demand is exercised too.
+    fn cache(slots: usize) -> Cache {
+        Cache::with_item_space(slots, 4)
+    }
+
     fn must_load(c: &mut Cache, item: ItemId) -> SlotIdx {
         match c.get(item, || unreachable!()) {
             Lookup::MustLoad(s) => s,
@@ -428,7 +382,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut c = Cache::new(2);
+        let mut c = cache(2);
         let s = load_and_publish(&mut c, 7);
         match c.get(7, || unreachable!()) {
             Lookup::Hit(hit) => assert_eq!(hit, s),
@@ -442,7 +396,7 @@ mod tests {
 
     #[test]
     fn pending_waiters_returned_on_publish() {
-        let mut c = Cache::new(1);
+        let mut c = cache(1);
         let s = must_load(&mut c, 1);
         assert_eq!(c.get(1, || 100), Lookup::Pending);
         assert_eq!(c.get(1, || 101), Lookup::Pending);
@@ -455,7 +409,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order() {
-        let mut c = Cache::new(2);
+        let mut c = cache(2);
         load_and_publish(&mut c, 1);
         load_and_publish(&mut c, 2);
         // Touch 1 so 2 becomes LRU.
@@ -473,7 +427,7 @@ mod tests {
 
     #[test]
     fn readers_pin_slots_against_eviction() {
-        let mut c = Cache::new(1);
+        let mut c = cache(1);
         let s = load_and_publish(&mut c, 1);
         let held = match c.get(1, || unreachable!()) {
             Lookup::Hit(h) => h,
@@ -490,7 +444,7 @@ mod tests {
 
     #[test]
     fn publish_and_read_holds_lease() {
-        let mut c = Cache::new(1);
+        let mut c = cache(1);
         let s = must_load(&mut c, 1);
         assert!(c.publish_and_read(s).is_empty());
         assert_eq!(c.readers(s), 1);
@@ -502,7 +456,7 @@ mod tests {
 
     #[test]
     fn abort_frees_slot_and_wakes() {
-        let mut c = Cache::new(1);
+        let mut c = cache(1);
         let s = must_load(&mut c, 1);
         assert_eq!(c.get(1, || 7), Lookup::Pending);
         assert_eq!(c.get(2, || 8), Lookup::Busy);
@@ -517,7 +471,7 @@ mod tests {
 
     #[test]
     fn multiple_readers_counted() {
-        let mut c = Cache::new(1);
+        let mut c = cache(1);
         let s = load_and_publish(&mut c, 1);
         for expected in 1..=3 {
             assert!(matches!(c.get(1, || unreachable!()), Lookup::Hit(_)));
@@ -532,21 +486,21 @@ mod tests {
 
     #[test]
     fn zero_capacity_always_busy() {
-        let mut c = Cache::new(0);
+        let mut c = cache(0);
         assert_eq!(c.get(1, || 1), Lookup::Busy);
     }
 
     #[test]
     #[should_panic(expected = "release without readers")]
     fn release_without_lease_panics() {
-        let mut c = Cache::new(1);
+        let mut c = cache(1);
         let s = load_and_publish(&mut c, 1);
         c.release(s);
     }
 
     #[test]
     fn resident_items_sorted() {
-        let mut c = Cache::new(3);
+        let mut c = cache(3);
         load_and_publish(&mut c, 5);
         load_and_publish(&mut c, 2);
         load_and_publish(&mut c, 9);
@@ -555,7 +509,7 @@ mod tests {
 
     #[test]
     fn try_read_takes_lease_only_when_ready() {
-        let mut c = Cache::new(2);
+        let mut c = cache(2);
         // Absent item: no side effects at all.
         assert_eq!(c.try_read(1), None);
         assert_eq!(c.stats().misses, 0);
@@ -574,7 +528,7 @@ mod tests {
 
     #[test]
     fn occupied_tracks_usage() {
-        let mut c = Cache::new(3);
+        let mut c = cache(3);
         assert_eq!(c.occupied(), 0);
         load_and_publish(&mut c, 1);
         assert_eq!(c.occupied(), 1);

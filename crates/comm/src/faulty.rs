@@ -1,8 +1,8 @@
 //! [`FaultyTransport`]: deterministic fault injection on the send path.
 //!
-//! Mirrors `FaultStore`'s design in `rocket-storage`: a wrapper that makes
-//! failures a pure function of a seed, so the cluster driver's loss
-//! handling — re-deals, duplicate suppression, degraded reports — is
+//! Like `FaultStore` in `rocket-storage`, a wrapper whose failures are
+//! deterministic (here a pure function of a seed), so the cluster driver's
+//! loss handling — re-deals, duplicate suppression, degraded reports — is
 //! unit-testable in-process without real sockets or timing races.
 //!
 //! Faults are injected where the network would lose them, on *send*:

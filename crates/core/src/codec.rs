@@ -310,8 +310,6 @@ impl Wire for Scenario {
         w.put_f64(self.storage_latency);
         w.put_f64(self.net_bandwidth);
         w.put_f64(self.net_latency);
-        put_usize(w, self.io_retries);
-        w.put_u32(self.max_item_failures);
         put_bool(w, self.record_completions);
         w.put_u64(self.seed);
     }
@@ -331,8 +329,6 @@ impl Wire for Scenario {
             storage_latency: r.get_f64()?,
             net_bandwidth: r.get_f64()?,
             net_latency: r.get_f64()?,
-            io_retries: get_usize(r)?,
-            max_item_failures: r.get_u32()?,
             record_completions: get_bool(r)?,
             seed: r.get_u64()?,
         })
@@ -448,8 +444,6 @@ mod tests {
             .transport(TransportKind::Socket)
             .storage(1.5e9, 3e-3)
             .network(6e9, 25e-6)
-            .io_retries(4)
-            .max_item_failures(9)
             .record_completions(true)
             .seed(0xC0FFEE)
             .build()

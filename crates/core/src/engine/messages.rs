@@ -24,6 +24,22 @@ pub enum NodeMsg {
     },
 }
 
+impl NodeMsg {
+    /// The item the message is about.
+    pub fn item(&self) -> u64 {
+        match self {
+            NodeMsg::Dir(
+                DirectoryMsg::Request { item, .. }
+                | DirectoryMsg::Probe { item, .. }
+                | DirectoryMsg::Found { item, .. }
+                | DirectoryMsg::NotFound { item },
+            )
+            | NodeMsg::Fetch { item }
+            | NodeMsg::FetchReply { item, .. } => *item,
+        }
+    }
+}
+
 impl Wire for NodeMsg {
     fn encode(&self, w: &mut WireWriter) {
         match self {

@@ -30,6 +30,19 @@
 //! until its D2H copy completes, and the copy depends on nothing, so the
 //! pin is transient: a job that finds the slot pinned parks as a capacity
 //! waiter and the unpin wakes it.
+//!
+//! ## State layout
+//!
+//! Fill state is laid out as in the simulator: one `DevFill` row per
+//! device × item and one `ItemRow` per item, indexed by item id. Only jobs
+//! are keyed by id.
+//!
+//! ## Load failures
+//!
+//! A failed read, parse, upload, pre-process or copy is an *item failure*:
+//! the item's load restarts from storage until it has failed
+//! `MAX_ITEM_FAILURES` times, after which every pair that depends on it
+//! fails with the last cause.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,8 +55,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use rocket_sanitize::Mutex;
 
 use rocket_cache::{
-    CacheStats, Directory, DirectoryMsg, DirectoryStats, FxHashMap, FxHashSet, ItemId, Lookup,
-    Resolution, SlotCache, SlotIdx,
+    CacheStats, Directory, DirectoryStats, FxHashMap, ItemId, Lookup, Resolution, SlotCache,
+    SlotIdx,
 };
 use rocket_comm::{CommSnapshot, RecvError, Transport, Wire};
 use rocket_gpu::{BufferId, VirtualDevice};
@@ -58,6 +71,9 @@ use crate::scenario::Scenario;
 
 /// Job identifier within one node.
 type JobId = u64;
+
+/// Failed loads of one item before it is given up on.
+const MAX_ITEM_FAILURES: u32 = 5;
 
 /// What a parked waiter should do when woken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,11 +153,35 @@ struct Job {
     comparing: bool,
 }
 
+/// One device's fill of one item.
+#[derive(Debug, Default)]
+struct DevFill {
+    /// Device slot reserved in WRITE state (`Some` while a fill is in
+    /// flight).
+    slot: Option<SlotIdx>,
+    /// Host slot leased by the in-flight H2D copy, if one is running.
+    h2d_lease: Option<SlotIdx>,
+    /// Continuations to run when the fill publishes or aborts.
+    waiters: Vec<Cont>,
+}
+
+/// The in-flight load (or remote fetch) of an item into a host slot.
+#[derive(Debug)]
 struct HostFill {
     hslot: SlotIdx,
     origin_dev: usize,
     staging: Option<BufferId>,
     parsed: Option<Vec<u8>>,
+}
+
+/// Per-item row: the in-flight host fill and the failure record.
+#[derive(Debug, Default)]
+struct ItemRow {
+    fill: Option<HostFill>,
+    /// Failed loads so far.
+    failures: u32,
+    /// The last failure's cause, once the item is given up on.
+    dead: Option<String>,
 }
 
 /// Shared progress counters (read by the cluster driver).
@@ -333,17 +373,17 @@ struct Conductor<A: Application> {
     /// next one starts.
     result_bufs: Vec<BufferId>,
 
-    // Fx-hashed tables: deterministic hasher, so any incidental iteration
-    // order is a pure function of the insertion sequence (lint RL-D001).
+    /// Keyed, not a slab: a redundant wake-up can name a finished job, so
+    /// ids are never reused. Fx-hashed: a deterministic hasher keeps any
+    /// incidental iteration order a pure function of the insertion
+    /// sequence (lint RL-D001).
     jobs: FxHashMap<JobId, Job>,
     next_job: JobId,
     pending_conts: VecDeque<Cont>,
-    host_fills: FxHashMap<ItemId, HostFill>,
-    dev_fills: FxHashMap<(usize, ItemId), SlotIdx>,
-    fill_waiters: FxHashMap<(usize, ItemId), Vec<Cont>>,
-    h2d_leases: FxHashMap<(usize, ItemId), SlotIdx>,
-    dead_items: FxHashSet<ItemId>,
-    item_failures: FxHashMap<ItemId, u32>,
+    /// `dev_fills[dev][item]`.
+    dev_fills: Vec<Vec<DevFill>>,
+    /// `items[item]`.
+    items: Vec<ItemRow>,
 
     directory: Directory,
     loads: u64,
@@ -356,8 +396,6 @@ struct Conductor<A: Application> {
     counters: Arc<NodeCounters>,
     limiter: Arc<JobLimiter>,
     events_rx: Receiver<Event>,
-    #[allow(dead_code)]
-    events_tx: Sender<Event>,
     shutdown: bool,
 }
 
@@ -456,12 +494,10 @@ impl<A: Application> Conductor<A> {
             jobs: FxHashMap::default(),
             next_job: 0,
             pending_conts: VecDeque::new(),
-            host_fills: FxHashMap::default(),
-            dev_fills: FxHashMap::default(),
-            fill_waiters: FxHashMap::default(),
-            h2d_leases: FxHashMap::default(),
-            dead_items: FxHashSet::default(),
-            item_failures: FxHashMap::default(),
+            dev_fills: (0..n_dev)
+                .map(|_| (0..item_count).map(|_| DevFill::default()).collect())
+                .collect(),
+            items: (0..item_count).map(|_| ItemRow::default()).collect(),
             directory,
             loads: 0,
             remote_fetches: 0,
@@ -472,7 +508,6 @@ impl<A: Application> Conductor<A> {
             counters,
             limiter,
             events_rx,
-            events_tx,
             shutdown: false,
         }
     }
@@ -590,9 +625,12 @@ impl<A: Application> Conductor<A> {
             return;
         }
         let (pair, dev, stalled) = (job.pair, job.dev, job.stalled);
-        if self.dead_items.contains(&pair.left) || self.dead_items.contains(&pair.right) {
-            self.fail_job(id, "depends on an unloadable item".to_string());
-            return;
+        for item in [pair.left, pair.right] {
+            if let Some(cause) = &self.items[item as usize].dead {
+                let cause = format!("item {item}: {cause}");
+                self.fail_job(id, cause);
+                return;
+            }
         }
         // Acquire left, then right — except that a retry after a capacity
         // stall acquires the stalled item first (progress guarantee). On
@@ -625,9 +663,8 @@ impl<A: Application> Conductor<A> {
                 Lookup::Pending => return,
                 Lookup::MustLoad(slot) => {
                     self.start_dev_fill(dev, item, slot);
-                    self.fill_waiters
-                        .entry((dev, item))
-                        .or_default()
+                    self.dev_fills[dev][item as usize]
+                        .waiters
                         .push(Cont::Job(id));
                     return;
                 }
@@ -726,28 +763,28 @@ impl<A: Application> Conductor<A> {
     // ---- device fill ---------------------------------------------------
 
     fn start_dev_fill(&mut self, dev: usize, item: ItemId, dslot: SlotIdx) {
-        self.dev_fills.insert((dev, item), dslot);
+        self.dev_fills[dev][item as usize].slot = Some(dslot);
         self.continue_dev_fill(dev, item);
     }
 
     fn continue_dev_fill(&mut self, dev: usize, item: ItemId) {
-        if !self.dev_fills.contains_key(&(dev, item)) {
+        let fill = &self.dev_fills[dev][item as usize];
+        let Some(dslot) = fill.slot else {
             return; // already completed or aborted
-        }
+        };
         // An H2D copy is already filling this slot: a second wake (e.g. a
         // parked token plus the origin-continuation of `publish_host`)
         // must not take a second host lease.
-        if self.h2d_leases.contains_key(&(dev, item)) {
+        if fill.h2d_lease.is_some() {
             return;
         }
-        if self.dead_items.contains(&item) {
+        if self.items[item as usize].dead.is_some() {
             self.abort_dev_fill(dev, item);
             return;
         }
         match self.host_cache.get(item, || Cont::DevFill { dev, item }) {
             Lookup::Hit(hslot) => {
-                self.h2d_leases.insert((dev, item), hslot);
-                let dslot = self.dev_fills[&(dev, item)];
+                self.dev_fills[dev][item as usize].h2d_lease = Some(hslot);
                 let dbuf = self.dev_slot_bufs[dev][dslot];
                 let payload = Arc::clone(&self.host_slots[hslot]);
                 let device = Arc::clone(&self.devices[dev]);
@@ -767,7 +804,7 @@ impl<A: Application> Conductor<A> {
     }
 
     fn on_device_fill_copied(&mut self, dev: usize, item: ItemId, result: Result<(), String>) {
-        if let Some(hslot) = self.h2d_leases.remove(&(dev, item)) {
+        if let Some(hslot) = self.dev_fills[dev][item as usize].h2d_lease.take() {
             if let Some(cont) = self.host_cache.release(hslot) {
                 self.run_cont(cont);
             }
@@ -782,7 +819,7 @@ impl<A: Application> Conductor<A> {
     /// conductor keeps a read lease on the slot (no hit is counted); the
     /// caller releases it.
     fn complete_dev_fill(&mut self, dev: usize, item: ItemId, pin: bool) {
-        let Some(dslot) = self.dev_fills.remove(&(dev, item)) else {
+        let Some(dslot) = self.dev_fills[dev][item as usize].slot.take() else {
             return;
         };
         let waiters = if pin {
@@ -790,14 +827,9 @@ impl<A: Application> Conductor<A> {
         } else {
             self.dev_cache[dev].publish(dslot)
         };
-        for w in waiters {
-            self.run_cont(w);
-        }
-        if let Some(ws) = self.fill_waiters.remove(&(dev, item)) {
-            for w in ws {
-                self.run_cont(w);
-            }
-        }
+        self.pending_conts.extend(waiters);
+        self.pending_conts
+            .extend(self.dev_fills[dev][item as usize].waiters.drain(..));
         // An unpinned published slot is evictable until a reader takes it:
         // fresh capacity, so one parked capacity waiter gets a retry (a
         // pinned slot hands its waiter over at the unpin instead).
@@ -807,32 +839,24 @@ impl<A: Application> Conductor<A> {
     }
 
     fn abort_dev_fill(&mut self, dev: usize, item: ItemId) {
-        let Some(dslot) = self.dev_fills.remove(&(dev, item)) else {
+        let Some(dslot) = self.dev_fills[dev][item as usize].slot.take() else {
             return;
         };
         let waiters = self.dev_cache[dev].abort(dslot);
-        for w in waiters {
-            self.run_cont(w);
-        }
-        if let Some(ws) = self.fill_waiters.remove(&(dev, item)) {
-            for w in ws {
-                self.run_cont(w);
-            }
-        }
+        self.pending_conts.extend(waiters);
+        self.pending_conts
+            .extend(self.dev_fills[dev][item as usize].waiters.drain(..));
     }
 
     // ---- host fill -----------------------------------------------------
 
     fn start_host_fill(&mut self, item: ItemId, hslot: SlotIdx, origin_dev: usize) {
-        self.host_fills.insert(
-            item,
-            HostFill {
-                hslot,
-                origin_dev,
-                staging: None,
-                parsed: None,
-            },
-        );
+        self.items[item as usize].fill = Some(HostFill {
+            hslot,
+            origin_dev,
+            staging: None,
+            parsed: None,
+        });
         if self.scenario.distributed_cache && self.scenario.nodes.len() > 1 {
             let (to, msg) = self.directory.begin_lookup(item);
             self.send_to(to, NodeMsg::Dir(msg));
@@ -844,26 +868,11 @@ impl<A: Application> Conductor<A> {
     fn local_load(&mut self, item: ItemId) {
         let path = self.app.file_for(item);
         let store = Arc::clone(&self.store);
-        let retries = self.scenario.io_retries;
         self.io.submit(
             PerfKind::Read,
             Box::new(move || {
-                let mut last_err = String::new();
-                for _ in 0..=retries {
-                    match store.read(&path) {
-                        Ok(data) => {
-                            return Some(Event::IoDone {
-                                item,
-                                result: Ok(data),
-                            });
-                        }
-                        Err(e) => last_err = e.to_string(),
-                    }
-                }
-                Some(Event::IoDone {
-                    item,
-                    result: Err(last_err),
-                })
+                let result = store.read(&path).map_err(|e| e.to_string());
+                Some(Event::IoDone { item, result })
             }),
         );
     }
@@ -876,7 +885,7 @@ impl<A: Application> Conductor<A> {
                 return;
             }
         };
-        let Some(fill) = self.host_fills.get(&item) else {
+        let Some(fill) = &self.items[item as usize].fill else {
             return;
         };
         let app = Arc::clone(&self.app);
@@ -910,7 +919,7 @@ impl<A: Application> Conductor<A> {
     fn on_parse_done(&mut self, item: ItemId, result: Result<Vec<u8>, String>) {
         match result {
             Ok(parsed) => {
-                let Some(fill) = self.host_fills.get_mut(&item) else {
+                let Some(fill) = &mut self.items[item as usize].fill else {
                     return;
                 };
                 fill.parsed = Some(parsed);
@@ -922,7 +931,7 @@ impl<A: Application> Conductor<A> {
 
     /// Uploads parsed bytes to a staging buffer when one is available.
     fn try_stage(&mut self, item: ItemId) {
-        let Some(fill) = self.host_fills.get_mut(&item) else {
+        let Some(fill) = &mut self.items[item as usize].fill else {
             return;
         };
         let dev = fill.origin_dev;
@@ -943,15 +952,15 @@ impl<A: Application> Conductor<A> {
     }
 
     fn schedule_preprocess(&mut self, item: ItemId) {
-        let Some(fill) = self.host_fills.get(&item) else {
+        let Some(fill) = &self.items[item as usize].fill else {
             return;
         };
         let dev = fill.origin_dev;
         let staging = fill.staging.expect("staging held");
-        let Some(&dslot) = self.dev_fills.get(&(dev, item)) else {
+        let Some(dslot) = self.dev_fills[dev][item as usize].slot else {
             // The originating device fill vanished (item died): give the
             // staging buffer back and drop the pipeline.
-            self.return_staging(dev, item);
+            self.return_staging(item);
             return;
         };
         let dbuf = self.dev_slot_bufs[dev][dslot];
@@ -971,23 +980,27 @@ impl<A: Application> Conductor<A> {
         );
     }
 
-    fn return_staging(&mut self, dev: usize, item: ItemId) {
-        if let Some(fill) = self.host_fills.get_mut(&item) {
-            if let Some(staging) = fill.staging.take() {
-                self.staging_pool[dev].push(staging);
-                if let Some(next) = self.staging_queue[dev].pop_front() {
-                    self.try_stage(next);
-                }
+    /// Gives the item's staging buffer (if it holds one) back to its
+    /// device's pool and stages the next queued item.
+    fn return_staging(&mut self, item: ItemId) {
+        let Some(fill) = &mut self.items[item as usize].fill else {
+            return;
+        };
+        let dev = fill.origin_dev;
+        if let Some(staging) = fill.staging.take() {
+            self.staging_pool[dev].push(staging);
+            if let Some(next) = self.staging_queue[dev].pop_front() {
+                self.try_stage(next);
             }
         }
     }
 
     fn on_preprocess_done(&mut self, item: ItemId, result: Result<(), String>) {
-        let Some(fill) = self.host_fills.get(&item) else {
+        let Some(fill) = &self.items[item as usize].fill else {
             return;
         };
-        let dev = fill.origin_dev;
-        self.return_staging(dev, item);
+        let (dev, hslot) = (fill.origin_dev, fill.hslot);
+        self.return_staging(item);
         match result {
             Ok(()) => {
                 self.loads += 1;
@@ -997,13 +1010,12 @@ impl<A: Application> Conductor<A> {
                 // The D2H thread reads the slot, so the write-back pins it
                 // until `ItemCopiedToHost`; unpinned, an eviction could
                 // refill it mid-copy.
-                let Some(&dslot) = self.dev_fills.get(&(dev, item)) else {
+                let Some(dslot) = self.dev_fills[dev][item as usize].slot else {
                     return;
                 };
                 let dbuf = self.dev_slot_bufs[dev][dslot];
                 self.complete_dev_fill(dev, item, true);
-                let fill = self.host_fills.get(&item).expect("host fill present");
-                let payload = Arc::clone(&self.host_slots[fill.hslot]);
+                let payload = Arc::clone(&self.host_slots[hslot]);
                 let device = Arc::clone(&self.devices[dev]);
                 self.d2h[dev].submit(
                     PerfKind::CopyOut,
@@ -1031,55 +1043,39 @@ impl<A: Application> Conductor<A> {
     }
 
     fn publish_host(&mut self, item: ItemId) {
-        let Some(fill) = self.host_fills.remove(&item) else {
+        let Some(fill) = self.items[item as usize].fill.take() else {
             return;
         };
         let waiters = self.host_cache.publish(fill.hslot);
-        for w in waiters {
-            self.run_cont(w);
-        }
+        self.pending_conts.extend(waiters);
         // Fresh capacity (see complete_dev_fill): retry one parked waiter.
         if let Some(w) = self.host_cache.pop_capacity_waiter() {
             self.run_cont(w);
         }
         // The originating device fill continues if it still needs the host
         // copy (no-pre-process and remote-fetch paths).
-        if self.dev_fills.contains_key(&(fill.origin_dev, item)) {
-            self.continue_dev_fill(fill.origin_dev, item);
-        }
+        self.continue_dev_fill(fill.origin_dev, item);
     }
 
+    /// Counts a failed load of `item`: the load restarts from storage until
+    /// the item has failed [`MAX_ITEM_FAILURES`] times; then the item is
+    /// given up on and its fills abort, so dependent jobs fail with `cause`.
     fn item_failure(&mut self, item: ItemId, cause: String) {
-        let failures = self.item_failures.entry(item).or_insert(0);
-        *failures += 1;
-        if *failures < self.scenario.max_item_failures {
-            // Transient: restart the load pipeline from storage.
-            if let Some(fill) = self.host_fills.get(&item) {
-                let dev = fill.origin_dev;
-                self.return_staging(dev, item);
+        let row = &mut self.items[item as usize];
+        row.failures += 1;
+        if row.failures < MAX_ITEM_FAILURES {
+            if row.fill.is_some() {
+                self.return_staging(item);
                 self.local_load(item);
             }
             return;
         }
-        // Permanent: poison the item so dependent jobs fail fast.
-        self.dead_items.insert(item);
-        if let Some(fill) = self.host_fills.remove(&item) {
-            self.return_staging_direct(fill.origin_dev, fill.staging);
+        row.dead = Some(cause);
+        self.return_staging(item);
+        if let Some(fill) = self.items[item as usize].fill.take() {
             let waiters = self.host_cache.abort(fill.hslot);
-            for w in waiters {
-                self.run_cont(w);
-            }
+            self.pending_conts.extend(waiters);
             self.abort_dev_fill(fill.origin_dev, item);
-        }
-        let _ = cause;
-    }
-
-    fn return_staging_direct(&mut self, dev: usize, staging: Option<BufferId>) {
-        if let Some(s) = staging {
-            self.staging_pool[dev].push(s);
-            if let Some(next) = self.staging_queue[dev].pop_front() {
-                self.try_stage(next);
-            }
         }
     }
 
@@ -1097,14 +1093,14 @@ impl<A: Application> Conductor<A> {
     }
 
     fn on_remote(&mut self, from: usize, msg: NodeMsg) {
+        let item = msg.item();
+        // Rows are indexed by item id: a peer naming an id outside this
+        // run's items is dropped before it can touch one.
+        if item >= self.items.len() as u64 {
+            return;
+        }
         match msg {
             NodeMsg::Dir(dir_msg) => {
-                let lookup_item = match &dir_msg {
-                    DirectoryMsg::Found { item, .. } | DirectoryMsg::NotFound { item } => {
-                        Some(*item)
-                    }
-                    _ => None,
-                };
                 let host_cache = &self.host_cache;
                 let (outgoing, resolution) = self
                     .directory
@@ -1112,17 +1108,17 @@ impl<A: Application> Conductor<A> {
                 for (to, m) in outgoing {
                     self.send_to(to, NodeMsg::Dir(m));
                 }
+                // Only `Found`/`NotFound` resolve, and both name `item`.
+                let filling = self.items[item as usize].fill.is_some();
                 match resolution {
                     Resolution::InFlight => {}
                     Resolution::Found { holder, .. } => {
-                        let item = lookup_item.expect("found carries item");
-                        if self.host_fills.contains_key(&item) {
+                        if filling {
                             self.send_to(holder, NodeMsg::Fetch { item });
                         }
                     }
                     Resolution::LoadLocally => {
-                        let item = lookup_item.expect("not-found carries item");
-                        if self.host_fills.contains_key(&item) {
+                        if filling {
                             self.local_load(item);
                         }
                     }
@@ -1145,9 +1141,12 @@ impl<A: Application> Conductor<A> {
                 };
                 self.send_to(from, NodeMsg::FetchReply { item, data });
             }
-            NodeMsg::FetchReply { item, data } => match data {
-                Some(data) => {
-                    if let Some(fill) = self.host_fills.get(&item) {
+            NodeMsg::FetchReply { item, data } => {
+                let Some(fill) = &self.items[item as usize].fill else {
+                    return;
+                };
+                match data {
+                    Some(data) => {
                         {
                             let mut buf = self.host_slots[fill.hslot].lock();
                             let n = buf.len().min(data.len());
@@ -1156,13 +1155,9 @@ impl<A: Application> Conductor<A> {
                         self.remote_fetches += 1;
                         self.publish_host(item);
                     }
+                    None => self.local_load(item),
                 }
-                None => {
-                    if self.host_fills.contains_key(&item) {
-                        self.local_load(item);
-                    }
-                }
-            },
+            }
         }
     }
 
@@ -1180,5 +1175,126 @@ impl<A: Application> Conductor<A> {
                 Cont::DevFill { dev, item } => self.continue_dev_fill(dev, item),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rocket_cache::DirectoryMsg;
+    use rocket_storage::MemStore;
+
+    use crate::error::AppError;
+
+    const ITEMS: u64 = 4;
+
+    struct Tiny;
+
+    impl Application for Tiny {
+        type Output = ();
+        fn name(&self) -> &str {
+            "tiny"
+        }
+        fn item_count(&self) -> u64 {
+            ITEMS
+        }
+        fn file_for(&self, item: ItemId) -> String {
+            item.to_string()
+        }
+        fn parsed_bytes(&self) -> usize {
+            8
+        }
+        fn item_bytes(&self) -> usize {
+            8
+        }
+        fn result_bytes(&self) -> usize {
+            8
+        }
+        fn parse(&self, _: ItemId, _: &[u8], _: &mut [u8]) -> Result<(), AppError> {
+            Ok(())
+        }
+        fn compare(
+            &self,
+            _: (ItemId, &[u8]),
+            _: (ItemId, &[u8]),
+            _: &mut [u8],
+        ) -> Result<(), AppError> {
+            Ok(())
+        }
+        fn postprocess(&self, _: Pair, _: &[u8]) {}
+    }
+
+    /// Node 0 of a two-node run with the distributed cache on, and no
+    /// transport: anything it tried to send would panic.
+    fn conductor() -> Conductor<Tiny> {
+        let scenario = Scenario::builder()
+            .items(ITEMS)
+            .uniform_cluster(2, 1, 4, 4)
+            .build();
+        let (events_tx, events_rx) = unbounded();
+        Conductor::new(
+            Arc::new(Tiny),
+            Arc::new(scenario),
+            0,
+            Arc::new(MemStore::new()),
+            None,
+            Arc::new(Mutex::named("outputs", Vec::new())),
+            Arc::new(NodeCounters::default()),
+            Arc::new(JobLimiter::new(4)),
+            events_rx,
+            events_tx,
+            None,
+        )
+    }
+
+    fn state(c: &Conductor<Tiny>) -> String {
+        format!(
+            "{:?}",
+            (
+                &c.items,
+                &c.dev_fills,
+                &c.pending_conts,
+                c.loads,
+                c.remote_fetches,
+                &c.failed,
+                c.host_cache.stats(),
+                c.directory.stats(),
+            )
+        )
+    }
+
+    #[test]
+    fn peer_messages_naming_unknown_items_are_dropped() {
+        let mut c = conductor();
+        let before = state(&c);
+        let item = ITEMS;
+        let msgs = [
+            NodeMsg::Fetch { item },
+            NodeMsg::FetchReply {
+                item,
+                data: Some(Bytes::from(vec![7u8; 8])),
+            },
+            NodeMsg::FetchReply { item, data: None },
+            NodeMsg::Dir(DirectoryMsg::Request { item, requester: 1 }),
+            NodeMsg::Dir(DirectoryMsg::Probe {
+                item,
+                requester: 1,
+                rest: Default::default(),
+                hop: 1,
+            }),
+            NodeMsg::Dir(DirectoryMsg::Found {
+                item,
+                holder: 1,
+                hop: 1,
+            }),
+            NodeMsg::Dir(DirectoryMsg::NotFound { item }),
+        ];
+        for msg in msgs {
+            c.on_remote(1, msg);
+            c.drain_conts();
+            assert_eq!(state(&c), before);
+        }
+        assert!(c.events_rx.try_recv().is_err(), "no task was started");
+        c.finish();
     }
 }

@@ -91,10 +91,6 @@ pub struct Scenario {
     pub net_bandwidth: f64,
     /// One-way network message latency, seconds.
     pub net_latency: f64,
-    /// Storage read retries before an item load fails (threaded runtime).
-    pub io_retries: usize,
-    /// Attempts to load an item before failing dependent jobs (threaded).
-    pub max_item_failures: u32,
     /// Record per-GPU completion timestamps (Fig 14; DES backend).
     pub record_completions: bool,
     /// Root seed for every randomized decision.
@@ -216,8 +212,6 @@ impl Default for ScenarioBuilder {
                 storage_latency: 2e-3,
                 net_bandwidth: 7.0e9, // 56 Gb/s InfiniBand FDR
                 net_latency: 20e-6,
-                io_retries: 2,
-                max_item_failures: 5,
                 record_completions: false,
                 seed: 0x9E3779B97F4A7C15,
             },
@@ -321,18 +315,6 @@ impl ScenarioBuilder {
     pub fn network(mut self, bandwidth: f64, latency: f64) -> Self {
         self.scenario.net_bandwidth = bandwidth;
         self.scenario.net_latency = latency;
-        self
-    }
-
-    /// Sets storage read retries (threaded runtime).
-    pub fn io_retries(mut self, retries: usize) -> Self {
-        self.scenario.io_retries = retries;
-        self
-    }
-
-    /// Sets the per-item failure budget (threaded runtime).
-    pub fn max_item_failures(mut self, n: u32) -> Self {
-        self.scenario.max_item_failures = n;
         self
     }
 

@@ -1,8 +1,7 @@
-//! The virtual device: capacity-accounted buffers plus per-engine bookkeeping.
+//! The virtual device: capacity-accounted buffers.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -56,18 +55,6 @@ impl std::error::Error for DeviceError {}
 /// Result alias for device operations.
 pub type Result<T> = std::result::Result<T, DeviceError>;
 
-/// The three independent engines of a device (§4.3: Rocket runs one thread
-/// per engine so kernels and both copy directions overlap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Kernel execution engine.
-    Compute,
-    /// Host-to-device copy engine.
-    H2d,
-    /// Device-to-host copy engine.
-    D2h,
-}
-
 #[derive(Default)]
 struct MemState {
     buffers: HashMap<u64, Arc<RwLock<Box<[u8]>>>>,
@@ -75,8 +62,8 @@ struct MemState {
     next_id: u64,
 }
 
-/// A virtual GPU: device memory with a hard capacity, buffer storage backed
-/// by host memory, and per-engine busy-time accounting.
+/// A virtual GPU: device memory with a hard capacity and buffer storage
+/// backed by host memory.
 ///
 /// Thread-safe; buffer contents use per-buffer `RwLock`s so a kernel reading
 /// two item buffers and writing a result buffer holds exactly the locks it
@@ -85,8 +72,6 @@ struct MemState {
 pub struct VirtualDevice {
     profile: DeviceProfile,
     mem: Mutex<MemState>,
-    busy_ns: [AtomicU64; 3],
-    ops: [AtomicU64; 3],
 }
 
 impl VirtualDevice {
@@ -95,8 +80,6 @@ impl VirtualDevice {
         Self {
             profile,
             mem: Mutex::new(MemState::default()),
-            busy_ns: Default::default(),
-            ops: Default::default(),
         }
     }
 
@@ -113,16 +96,6 @@ impl VirtualDevice {
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.profile.memory_bytes
-    }
-
-    /// Bytes still free.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity_bytes() - self.used_bytes()
-    }
-
-    /// Number of live buffers.
-    pub fn buffer_count(&self) -> usize {
-        self.mem.lock().buffers.len()
     }
 
     /// Allocates a zero-initialized buffer of `size` bytes.
@@ -170,51 +143,17 @@ impl VirtualDevice {
             .ok_or(DeviceError::InvalidBuffer(id))
     }
 
-    /// Size of a live buffer.
-    pub fn buffer_size(&self, id: BufferId) -> Result<u64> {
-        Ok(self.buffer(id)?.read().len() as u64)
-    }
-
-    fn engine_index(kind: EngineKind) -> usize {
-        match kind {
-            EngineKind::Compute => 0,
-            EngineKind::H2d => 1,
-            EngineKind::D2h => 2,
-        }
-    }
-
-    fn account(&self, kind: EngineKind, ns: u64) {
-        let i = Self::engine_index(kind);
-        self.busy_ns[i].fetch_add(ns, Ordering::Relaxed);
-        self.ops[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accumulated busy nanoseconds of an engine (wall-clock in the threaded
-    /// runtime; the simulator does its own accounting).
-    pub fn engine_busy_ns(&self, kind: EngineKind) -> u64 {
-        self.busy_ns[Self::engine_index(kind)].load(Ordering::Relaxed)
-    }
-
-    /// Number of operations executed on an engine.
-    pub fn engine_ops(&self, kind: EngineKind) -> u64 {
-        self.ops[Self::engine_index(kind)].load(Ordering::Relaxed)
-    }
-
     /// Copies host data into a device buffer (H2D engine).
     pub fn copy_h2d(&self, src: &[u8], dst: BufferId) -> Result<()> {
         let buf = self.buffer(dst)?;
-        let t0 = std::time::Instant::now();
-        {
-            let mut guard = buf.write();
-            if guard.len() < src.len() {
-                return Err(DeviceError::SizeMismatch {
-                    dst: guard.len() as u64,
-                    src: src.len() as u64,
-                });
-            }
-            guard[..src.len()].copy_from_slice(src);
+        let mut guard = buf.write();
+        if guard.len() < src.len() {
+            return Err(DeviceError::SizeMismatch {
+                dst: guard.len() as u64,
+                src: src.len() as u64,
+            });
         }
-        self.account(EngineKind::H2d, t0.elapsed().as_nanos() as u64);
+        guard[..src.len()].copy_from_slice(src);
         Ok(())
     }
 
@@ -222,37 +161,9 @@ impl VirtualDevice {
     /// full buffer contents.
     pub fn copy_d2h(&self, src: BufferId, dst: &mut Vec<u8>) -> Result<()> {
         let buf = self.buffer(src)?;
-        let t0 = std::time::Instant::now();
-        {
-            let guard = buf.read();
-            dst.clear();
-            dst.extend_from_slice(&guard);
-        }
-        self.account(EngineKind::D2h, t0.elapsed().as_nanos() as u64);
-        Ok(())
-    }
-
-    /// Copies between two device buffers (device-to-device, charged to the
-    /// compute engine like CUDA's default-stream `cudaMemcpyDtoD`).
-    pub fn copy_d2d(&self, src: BufferId, dst: BufferId) -> Result<()> {
-        if src == dst {
-            return Ok(());
-        }
-        let sbuf = self.buffer(src)?;
-        let dbuf = self.buffer(dst)?;
-        let t0 = std::time::Instant::now();
-        {
-            let s = sbuf.read();
-            let mut d = dbuf.write();
-            if d.len() < s.len() {
-                return Err(DeviceError::SizeMismatch {
-                    dst: d.len() as u64,
-                    src: s.len() as u64,
-                });
-            }
-            d[..s.len()].copy_from_slice(&s);
-        }
-        self.account(EngineKind::Compute, t0.elapsed().as_nanos() as u64);
+        let guard = buf.read();
+        dst.clear();
+        dst.extend_from_slice(&guard);
         Ok(())
     }
 
@@ -275,15 +186,10 @@ impl VirtualDevice {
             .map(|&id| self.buffer(id))
             .collect::<Result<_>>()?;
         let out_arc = self.buffer(output)?;
-        let t0 = std::time::Instant::now();
-        let result = {
-            let in_guards: Vec<_> = in_arcs.iter().map(|a| a.read()).collect();
-            let in_slices: Vec<&[u8]> = in_guards.iter().map(|g| &g[..]).collect();
-            let mut out_guard = out_arc.write();
-            f(&in_slices, &mut out_guard)
-        };
-        self.account(EngineKind::Compute, t0.elapsed().as_nanos() as u64);
-        Ok(result)
+        let in_guards: Vec<_> = in_arcs.iter().map(|a| a.read()).collect();
+        let in_slices: Vec<&[u8]> = in_guards.iter().map(|g| &g[..]).collect();
+        let mut out_guard = out_arc.write();
+        Ok(f(&in_slices, &mut out_guard))
     }
 }
 
@@ -310,10 +216,8 @@ mod tests {
         let d = tiny();
         let a = d.alloc(400_000).unwrap();
         assert_eq!(d.used_bytes(), 400_000);
-        assert_eq!(d.free_bytes(), 600_000);
         d.free(a).unwrap();
         assert_eq!(d.used_bytes(), 0);
-        assert_eq!(d.buffer_count(), 0);
     }
 
     #[test]
@@ -345,8 +249,6 @@ mod tests {
         let mut out = Vec::new();
         d.copy_d2h(b, &mut out).unwrap();
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(d.engine_ops(EngineKind::H2d), 1);
-        assert_eq!(d.engine_ops(EngineKind::D2h), 1);
     }
 
     #[test]
@@ -381,7 +283,6 @@ mod tests {
         let mut host = Vec::new();
         d.copy_d2h(out, &mut host).unwrap();
         assert_eq!(host, vec![11, 22, 33, 44]);
-        assert_eq!(d.engine_ops(EngineKind::Compute), 1);
     }
 
     #[test]
@@ -389,30 +290,6 @@ mod tests {
         let d = tiny();
         let x = d.alloc(4).unwrap();
         assert!(d.launch(&[x], x, |_, _| ()).is_err());
-    }
-
-    #[test]
-    fn d2d_copy() {
-        let d = tiny();
-        let a = d.alloc(4).unwrap();
-        let b = d.alloc(4).unwrap();
-        d.copy_h2d(&[9, 9, 9, 9], a).unwrap();
-        d.copy_d2d(a, b).unwrap();
-        let mut out = Vec::new();
-        d.copy_d2h(b, &mut out).unwrap();
-        assert_eq!(out, vec![9, 9, 9, 9]);
-    }
-
-    #[test]
-    fn engine_busy_time_accumulates() {
-        let d = tiny();
-        let b = d.alloc(1000).unwrap();
-        for _ in 0..10 {
-            d.copy_h2d(&[0u8; 1000], b).unwrap();
-        }
-        assert_eq!(d.engine_ops(EngineKind::H2d), 10);
-        // busy_ns is wall-clock and may be tiny, but must be recorded.
-        assert!(d.engine_busy_ns(EngineKind::H2d) > 0 || cfg!(miri));
     }
 
     #[test]
@@ -436,6 +313,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(d.engine_ops(EngineKind::Compute), 200);
+        let mut host = Vec::new();
+        for out in outs {
+            d.copy_d2h(out, &mut host).unwrap();
+            assert_eq!(host[0], 1);
+        }
     }
 }

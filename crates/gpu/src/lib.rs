@@ -21,5 +21,5 @@
 pub mod device;
 pub mod profile;
 
-pub use device::{BufferId, DeviceError, EngineKind, VirtualDevice};
+pub use device::{BufferId, DeviceError, VirtualDevice};
 pub use profile::DeviceProfile;

@@ -1,12 +1,10 @@
 //! Bounded retry with exponential backoff and deterministic jitter.
 //!
-//! Rocket's distributed paths — worker-side storage reads against a flaky
-//! shared file server, transport connect/handshake against peers that are
-//! still booting — all retry the same way: a bounded number of attempts,
-//! exponentially growing delays, and a seeded jitter so replays of the same
-//! experiment back off identically. [`Retry`] captures that policy once so
-//! `rocket-storage` and `rocket-comm` share it instead of growing ad-hoc
-//! sleep loops.
+//! The socket transport dials peers that may still be booting: a bounded
+//! number of attempts, exponentially growing delays, and a fixed-seed
+//! jitter so every run backs off identically. [`Retry`] is that policy.
+//! (Failed storage reads are not retried here: the runtime restarts the
+//! whole load pipeline of a failed item instead.)
 
 use std::time::Duration;
 
@@ -36,12 +34,14 @@ pub struct Retry {
     factor: f64,
     cap: Duration,
     jitter: f64,
-    seed: u64,
 }
+
+/// Seed of the jitter stream.
+const JITTER_SEED: u64 = 0x5EED_BACC_0FF5;
 
 impl Retry {
     /// A policy of `attempts` total tries with delays doubling from `base`,
-    /// capped at 100× the base, with ±25% jitter and a fixed default seed.
+    /// capped at 100× the base, with ±25% jitter.
     pub fn new(attempts: u32, base: Duration) -> Self {
         Self {
             attempts,
@@ -49,13 +49,7 @@ impl Retry {
             factor: 2.0,
             cap: base.saturating_mul(100),
             jitter: 0.25,
-            seed: 0x5EED_BACC_0FF5,
         }
-    }
-
-    /// A policy that tries exactly once: no retries, no delays.
-    pub fn once() -> Self {
-        Self::new(1, Duration::ZERO)
     }
 
     /// Sets the multiplicative backoff factor (default 2.0).
@@ -79,12 +73,6 @@ impl Retry {
         self
     }
 
-    /// Sets the seed for the jitter stream.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Total number of attempts (at least one operation runs).
     pub fn attempts(&self) -> u32 {
         self.attempts.max(1)
@@ -93,7 +81,7 @@ impl Retry {
     /// The full jittered delay schedule: `attempts - 1` entries, where entry
     /// `i` is the wait before attempt `i + 1`.
     pub fn delays(&self) -> Vec<Duration> {
-        let mut state = self.seed;
+        let mut state = JITTER_SEED;
         (1..self.attempts())
             .map(|k| {
                 let raw = self.base.as_secs_f64() * self.factor.powi(k as i32 - 1);
@@ -193,21 +181,15 @@ mod tests {
 
     #[test]
     fn delays_are_deterministic_and_capped() {
-        let a = Retry::new(8, Duration::from_millis(10))
-            .cap(Duration::from_millis(50))
-            .seed(42);
-        let b = Retry::new(8, Duration::from_millis(10))
-            .cap(Duration::from_millis(50))
-            .seed(42);
-        assert_eq!(a.delays(), b.delays());
-        for d in a.delays() {
+        let policy = || Retry::new(8, Duration::from_millis(10)).cap(Duration::from_millis(50));
+        let a = policy().delays();
+        assert_eq!(a, policy().delays());
+        for d in &a {
             // cap 50ms, jitter 25% → max 62.5ms
-            assert!(d <= Duration::from_micros(62_500), "{d:?}");
+            assert!(*d <= Duration::from_micros(62_500), "{d:?}");
         }
-        let c = Retry::new(8, Duration::from_millis(10))
-            .cap(Duration::from_millis(50))
-            .seed(43);
-        assert_ne!(a.delays(), c.delays());
+        // The jitter actually varies the delays.
+        assert_ne!(a[5], a[6]);
     }
 
     #[test]
@@ -221,14 +203,5 @@ mod tests {
                 Duration::from_millis(400),
             ]
         );
-    }
-
-    #[test]
-    fn once_never_sleeps() {
-        let p = Retry::once();
-        assert_eq!(p.attempts(), 1);
-        assert!(p.delays().is_empty());
-        let out: Result<(), &str> = p.run_with(|_| panic!("no sleep"), |_| Err("e"));
-        assert!(out.is_err());
     }
 }

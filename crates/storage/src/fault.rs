@@ -1,53 +1,24 @@
-//! Deterministic fault injection and retry for robustness testing.
+//! Deterministic fault injection for robustness testing.
 //!
-//! [`FaultStore`] wraps any [`ObjectStore`] and injects transient failures
-//! on a deterministic schedule — either every Nth read, or a seeded
-//! probabilistic stream covering both reads and writes. [`RetryStore`]
-//! composes any store with a [`Retry`] policy so transient failures are
-//! absorbed the way Rocket's worker-side I/O path absorbs a flaky shared
-//! file server.
+//! [`FaultStore`] wraps any [`ObjectStore`] and fails every Nth read, which
+//! models the flaky shared file server Rocket must tolerate. The runtime
+//! absorbs such failures by restarting the failed item's load pipeline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use rocket_stats::{splitmix64, Retry};
 
 use crate::store::{ObjectStore, Result, StorageError};
 
-/// Which operations fail, and on what schedule.
-#[derive(Debug, Clone)]
-enum Schedule {
-    /// Fail every `period`-th read (1-indexed); writes pass through.
-    Every { period: u64 },
-    /// Fail each read with probability `read_p` and each write with
-    /// probability `write_p`, decided by a seeded hash of the operation
-    /// index — fully deterministic for a given seed.
-    Seeded {
-        seed: u64,
-        read_p: f64,
-        write_p: f64,
-    },
-}
-
-/// Wraps a store and fails operations deterministically.
-///
-/// Two schedules are available:
-///
-/// * [`FaultStore::every`] — fails every `period`-th read (1-indexed: with
-///   `period = 3`, reads 3, 6, 9, … fail). Writes are unaffected, matching
-///   the original read-only injection behaviour.
-/// * [`FaultStore::seeded`] — fails reads/writes with given probabilities,
-///   decided by `splitmix64(seed ^ op_index)`; the failure pattern is a pure
-///   function of the seed, so replays are bit-identical.
+/// Wraps a store and fails every `period`-th read (1-indexed: with
+/// `period = 3`, reads 3, 6, 9, … fail). Writes pass through.
 ///
 /// Failures are transient — retrying the same key succeeds unless the retry
-/// itself lands on a failing tick — which models the flaky shared file
-/// server Rocket must tolerate.
+/// itself lands on a failing tick.
 pub struct FaultStore<S> {
     inner: S,
-    schedule: Schedule,
+    period: u64,
     reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl<S: ObjectStore> FaultStore<S> {
@@ -56,51 +27,14 @@ impl<S: ObjectStore> FaultStore<S> {
     pub fn every(inner: S, period: u64) -> Self {
         Self {
             inner,
-            schedule: Schedule::Every { period },
+            period,
             reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a wrapper failing each read with probability `read_p` and
-    /// each write with probability `write_p`, deterministically from `seed`.
-    pub fn seeded(inner: S, seed: u64, read_p: f64, write_p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&read_p) && (0.0..=1.0).contains(&write_p));
-        Self {
-            inner,
-            schedule: Schedule::Seeded {
-                seed,
-                read_p,
-                write_p,
-            },
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
     /// Number of reads attempted so far.
     pub fn attempts(&self) -> u64 {
         self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Number of writes attempted so far.
-    pub fn write_attempts(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Access to the wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Deterministic coin flip for operation `n` on stream `salt`.
-    fn flip(seed: u64, salt: u64, n: u64, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        let mut state = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n;
-        let u = splitmix64(&mut state) as f64 / u64::MAX as f64;
-        u < p
     }
 }
 
@@ -115,11 +49,7 @@ impl<S: ObjectStore> ObjectStore for FaultStore<S> {
 
     fn read(&self, key: &str) -> Result<Bytes> {
         let n = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
-        let fail = match self.schedule {
-            Schedule::Every { period } => period != 0 && n.is_multiple_of(period),
-            Schedule::Seeded { seed, read_p, .. } => Self::flip(seed, 1, n, read_p),
-        };
-        if fail {
+        if self.period != 0 && n.is_multiple_of(self.period) {
             return Err(StorageError::Unavailable(format!(
                 "injected fault on read #{n} (key {key})"
             )));
@@ -128,76 +58,7 @@ impl<S: ObjectStore> ObjectStore for FaultStore<S> {
     }
 
     fn write(&self, key: &str, data: Bytes) -> Result<()> {
-        let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        let fail = match self.schedule {
-            Schedule::Every { .. } => false,
-            Schedule::Seeded { seed, write_p, .. } => Self::flip(seed, 2, n, write_p),
-        };
-        if fail {
-            return Err(StorageError::Unavailable(format!(
-                "injected fault on write #{n} (key {key})"
-            )));
-        }
         self.inner.write(key, data)
-    }
-}
-
-/// Wraps a store with a [`Retry`] policy: transient failures
-/// ([`StorageError::Unavailable`] and [`StorageError::Io`]) are retried with
-/// exponential backoff; [`StorageError::NotFound`] fails immediately since
-/// retrying cannot make an object exist.
-pub struct RetryStore<S> {
-    inner: S,
-    policy: Retry,
-}
-
-impl<S: ObjectStore> RetryStore<S> {
-    /// Wraps `inner` with `policy`.
-    pub fn new(inner: S, policy: Retry) -> Self {
-        Self { inner, policy }
-    }
-
-    /// Access to the wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    fn with_retry<T>(&self, op: impl Fn() -> Result<T>) -> Result<T> {
-        let delays = self.policy.delays();
-        let mut last = None;
-        for attempt in 0..self.policy.attempts() {
-            if attempt > 0 {
-                let d = delays[attempt as usize - 1];
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
-            }
-            match op() {
-                Ok(v) => return Ok(v),
-                // Retrying cannot make a missing object appear.
-                Err(e @ StorageError::NotFound(_)) => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt runs"))
-    }
-}
-
-impl<S: ObjectStore> ObjectStore for RetryStore<S> {
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn size(&self, key: &str) -> Result<u64> {
-        self.with_retry(|| self.inner.size(key))
-    }
-
-    fn read(&self, key: &str) -> Result<Bytes> {
-        self.with_retry(|| self.inner.read(key))
-    }
-
-    fn write(&self, key: &str, data: Bytes) -> Result<()> {
-        self.with_retry(|| self.inner.write(key, data.clone()))
     }
 }
 
@@ -205,7 +66,6 @@ impl<S: ObjectStore> ObjectStore for RetryStore<S> {
 mod tests {
     use super::*;
     use crate::store::MemStore;
-    use std::time::Duration;
 
     fn base() -> MemStore {
         MemStore::from_iter([("k", vec![9u8; 4])])
@@ -239,70 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn every_mode_leaves_writes_alone() {
+    fn writes_pass_through() {
         let s = FaultStore::every(base(), 1);
         for i in 0..5 {
             assert!(s.write(&format!("w{i}"), Bytes::from_static(b"x")).is_ok());
         }
-        assert_eq!(s.write_attempts(), 5);
-    }
-
-    #[test]
-    fn seeded_schedule_is_reproducible() {
-        let pattern = |seed: u64| -> Vec<bool> {
-            let s = FaultStore::seeded(base(), seed, 0.3, 0.0);
-            (0..64).map(|_| s.read("k").is_err()).collect()
-        };
-        let a = pattern(7);
-        assert_eq!(a, pattern(7));
-        assert_ne!(a, pattern(8));
-        let fails = a.iter().filter(|&&f| f).count();
-        assert!((5..28).contains(&fails), "p=0.3 over 64 reads: {fails}");
-    }
-
-    #[test]
-    fn seeded_write_injection() {
-        let s = FaultStore::seeded(base(), 11, 0.0, 1.0);
-        assert!(s.read("k").is_ok(), "read_p = 0 never fails reads");
-        assert!(matches!(
-            s.write("w", Bytes::new()),
-            Err(StorageError::Unavailable(_))
-        ));
-        let s = FaultStore::seeded(base(), 11, 0.0, 0.0);
-        assert!(s.write("w", Bytes::from_static(b"ok")).is_ok());
-        assert_eq!(s.inner().read("w").unwrap().as_ref(), b"ok");
-    }
-
-    #[test]
-    fn retry_store_absorbs_transient_faults() {
-        // period 2 → every other read fails; one retry always recovers.
-        let faulty = FaultStore::every(base(), 2);
-        let s = RetryStore::new(faulty, Retry::new(3, Duration::ZERO));
-        for _ in 0..8 {
-            assert!(s.read("k").is_ok());
-        }
-        assert!(s.inner().attempts() > 8, "retries hit the inner store");
-    }
-
-    #[test]
-    fn retry_store_gives_up_after_attempts() {
-        let faulty = FaultStore::every(base(), 1); // every read fails
-        let s = RetryStore::new(faulty, Retry::new(4, Duration::ZERO));
-        assert!(matches!(s.read("k"), Err(StorageError::Unavailable(_))));
-        assert_eq!(s.inner().attempts(), 4);
-    }
-
-    #[test]
-    fn retry_store_roundtrips_writes() {
-        let faulty = FaultStore::seeded(base(), 3, 0.0, 0.5);
-        let s = RetryStore::new(faulty, Retry::new(6, Duration::ZERO));
-        s.write("out", Bytes::from_static(b"payload")).unwrap();
-        assert_eq!(s.read("out").unwrap().as_ref(), b"payload");
-    }
-
-    #[test]
-    fn retry_store_not_found_is_not_retried() {
-        let s = RetryStore::new(base(), Retry::new(5, Duration::ZERO));
-        assert!(matches!(s.read("nope"), Err(StorageError::NotFound(_))));
+        assert_eq!(s.size("w4").unwrap(), 1);
+        assert_eq!(s.attempts(), 0);
     }
 }

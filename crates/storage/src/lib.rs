@@ -7,14 +7,12 @@
 //!
 //! * [`MemStore`] — in-memory objects (synthetic data sets, tests),
 //! * [`DirStore`] — a directory on the local filesystem,
-//! * [`FaultStore`] — deterministic failure injection for robustness tests,
-//! * [`RetryStore`] — composes any store with a bounded backoff-and-jitter
-//!   [`rocket_stats::Retry`] policy so transient faults are absorbed.
+//! * [`FaultStore`] — deterministic failure injection for robustness tests.
 
 #![warn(missing_docs)]
 
 pub mod fault;
 pub mod store;
 
-pub use fault::{FaultStore, RetryStore};
+pub use fault::FaultStore;
 pub use store::{DirStore, MemStore, ObjectStore, StorageError};

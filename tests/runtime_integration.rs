@@ -11,7 +11,7 @@ use rocket::apps::{
 use rocket::core::{
     AppReport, Application, Backend, NodeSpec, Pair, Scenario, ScenarioBuilder, ThreadedBackend,
 };
-use rocket::storage::{FaultStore, MemStore, ObjectStore};
+use rocket::storage::{FaultStore, MemStore, ObjectStore, StorageError};
 use rocket::trace::{chrome, PerfKind, PerfLog, PerfQuery};
 
 /// `nodes` one-GPU nodes with the given cache slots, two CPU threads each,
@@ -260,9 +260,9 @@ fn transient_storage_faults_are_retried() {
     let ds = ForensicsDataset::generate(cfg.clone());
     let app = ForensicsApp::new(&cfg);
     let expected = oracle(&app, &ds.store);
-    // Every 5th read fails; io_retries handles it transparently.
+    // Every 5th read fails; the runtime restarts the failed item's load.
     let flaky = FaultStore::every(ds.store, 5);
-    let scenario = cluster(8, 1, 4, 8).job_limit(4).io_retries(3).build();
+    let scenario = cluster(8, 1, 4, 8).job_limit(4).build();
     let report = run(app, flaky, &scenario);
     assert_outputs_match_oracle(&report, &expected);
 }
@@ -284,17 +284,16 @@ fn missing_files_fail_only_dependent_pairs() {
             partial.put(key.clone(), ds.store.read(&key).unwrap());
         }
     }
-    let scenario = cluster(8, 1, 4, 8)
-        .job_limit(4)
-        .io_retries(1)
-        .max_item_failures(2)
-        .build();
+    let scenario = cluster(8, 1, 4, 8).job_limit(4).build();
     let report = run(ForensicsApp::new(&cfg), partial, &scenario);
     assert_eq!(report.failed().len(), 7, "failed: {:?}", report.failed());
-    assert!(report
-        .failed()
-        .iter()
-        .all(|(p, _)| p.left == 3 || p.right == 3));
+    // Each failed pair names the item and the store's error.
+    let not_found = StorageError::NotFound(ForensicsDataset::key(3)).to_string();
+    for (pair, cause) in report.failed() {
+        assert!(pair.left == 3 || pair.right == 3, "{pair:?}");
+        assert!(cause.starts_with("item 3: "), "{cause}");
+        assert!(cause.contains(&not_found), "{cause}");
+    }
     assert_eq!(report.outputs.len(), 8 * 7 / 2 - 7);
 }
 
