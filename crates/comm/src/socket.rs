@@ -21,10 +21,12 @@
 //!
 //! Dropping the transport shuts every socket down; peer reader threads
 //! observe EOF and exit. Once **all** peers have hung up and the inbox is
-//! drained, receives report [`RecvError::Disconnected`] — the same
-//! graceful-shutdown signal the local transport derives from channel
-//! disconnection. Sends to a departed peer likewise report
-//! `Disconnected` (best-effort, matching the protocol's semantics).
+//! drained, receives report [`RecvError::Disconnected`] at once, however
+//! long the caller offered to wait: the last reader to exit leaves a
+//! token in the inbox that wakes a blocked receive, and the transport
+//! swallows it (never returned, never counted). Sends to a departed peer
+//! likewise report `Disconnected` (best-effort, matching the protocol's
+//! semantics).
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -58,6 +60,10 @@ const CONNECT_RETRY: Duration = Duration::from_millis(20);
 /// bytes) would wedge mesh establishment forever, while the dial side
 /// fails loudly once [`connect_policy`]'s attempts are exhausted.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The `from` rank of the token the last peer reader leaves in the inbox.
+/// No node has this rank, so the token cannot be mistaken for a message.
+const READERS_GONE: NodeId = NodeId::MAX;
 
 fn io_err(kind: io::ErrorKind, msg: String) -> io::Error {
     io::Error::new(kind, msg)
@@ -180,9 +186,17 @@ impl SocketTransport {
             let handle = std::thread::Builder::new()
                 .name(format!("rocket-sock-{rank}-from-{peer}"))
                 .spawn(move || {
-                    read_loop(peer, read_half, tx);
+                    read_loop(peer, read_half, &tx);
                     up_flag.store(false, Ordering::Release);
-                    alive.fetch_sub(1, Ordering::AcqRel);
+                    // The transport's own `loopback` sender keeps the inbox
+                    // connected, so the last reader out wakes a blocked
+                    // receive itself.
+                    if alive.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        let _ = tx.send(Incoming {
+                            from: READERS_GONE,
+                            payload: Bytes::new(),
+                        });
+                    }
                 })
                 .map_err(|e| io_err(io::ErrorKind::Other, format!("spawn reader: {e}")))?;
             readers.push(handle);
@@ -211,7 +225,7 @@ impl SocketTransport {
 /// Pumps one peer connection: decode frames, forward to the inbox. Exits
 /// on EOF (peer shut down), connection error, or a corrupt frame (a byte
 /// stream cannot resynchronize after a bad length prefix).
-fn read_loop(peer: NodeId, mut stream: TcpStream, tx: Sender<Incoming>) {
+fn read_loop(peer: NodeId, mut stream: TcpStream, tx: &Sender<Incoming>) {
     let mut decoder = FrameDecoder::new();
     let mut chunk = [0u8; 64 * 1024];
     loop {
@@ -283,27 +297,30 @@ impl Transport for SocketTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Incoming, RecvError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(msg) => Ok(self.deliver(msg)),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
-            Err(RecvTimeoutError::Timeout) => {
-                // All peers hung up (readers exited): drain what is left,
-                // then report disconnection — unless this is a
-                // single-node cluster, which has no peers to lose.
-                if self.cluster > 1 && self.live_readers.load(Ordering::Acquire) == 0 {
-                    match self.inbox.try_recv() {
-                        Ok(msg) => Ok(self.deliver(msg)),
-                        Err(_) => Err(RecvError::Disconnected),
-                    }
-                } else {
-                    Err(RecvError::Timeout)
-                }
+        loop {
+            // All peers hung up (readers exited): drain what is left, then
+            // report disconnection — unless this is a single-node cluster,
+            // which has no peers to lose.
+            if self.cluster > 1 && self.live_readers.load(Ordering::Acquire) == 0 {
+                return self.try_recv().ok_or(RecvError::Disconnected);
+            }
+            match self.inbox.recv_timeout(timeout) {
+                // The last reader left: the check above now sees it.
+                Ok(msg) if msg.from == READERS_GONE => continue,
+                Ok(msg) => return Ok(self.deliver(msg)),
+                Err(RecvTimeoutError::Timeout) => return Err(RecvError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Disconnected),
             }
         }
     }
 
     fn try_recv(&self) -> Option<Incoming> {
-        self.inbox.try_recv().ok().map(|m| self.deliver(m))
+        loop {
+            let msg = self.inbox.try_recv().ok()?;
+            if msg.from != READERS_GONE {
+                return Some(self.deliver(msg));
+            }
+        }
     }
 
     fn peer_alive(&self, peer: NodeId) -> bool {
@@ -543,6 +560,43 @@ mod tests {
     }
 
     #[test]
+    fn disconnect_is_reported_without_waiting_out_the_timeout() {
+        let mut eps = cluster(2);
+        let survivor = eps.pop().unwrap();
+        drop(eps);
+        let start = std::time::Instant::now();
+        assert_eq!(
+            survivor.recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            RecvError::Disconnected
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "Disconnected took {:?}",
+            start.elapsed()
+        );
+        // The last reader's wake-up is neither returned nor counted.
+        assert!(survivor.try_recv().is_none());
+        assert_eq!(survivor.stats().snapshot(), Default::default());
+    }
+
+    #[test]
+    fn blocked_receive_wakes_when_the_last_peer_leaves() {
+        let mut eps = cluster(3);
+        let survivor = eps.remove(0);
+        let leaver = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            drop(eps);
+        });
+        let start = std::time::Instant::now();
+        assert_eq!(
+            survivor.recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            RecvError::Disconnected
+        );
+        assert!(start.elapsed() < Duration::from_secs(1));
+        leaver.join().unwrap();
+    }
+
+    #[test]
     fn cross_thread_echo() {
         let mut eps = cluster(2);
         let b = eps.pop().unwrap();
@@ -600,7 +654,7 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         let server_w = server.try_clone().unwrap();
         let (tx, rx) = unbounded();
-        let handle = std::thread::spawn(move || read_loop(0, server, tx));
+        let handle = std::thread::spawn(move || read_loop(0, server, &tx));
         (client, server_w, handle, rx)
     }
 

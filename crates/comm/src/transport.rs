@@ -15,6 +15,14 @@
 //! / [`Transport::try_recv`]. There is deliberately no way to obtain a
 //! second receiver handle — cloned receivers silently steal messages from
 //! each other, which is how the old `Endpoint::receiver()` API was misused.
+//!
+//! Because that one consumer blocks on the inbox, another thread holding
+//! the same endpoint reaches it through the inbox too: it sends a **wake
+//! token**, an empty message to its own rank. `rocket-core`'s per-node comm
+//! pump exits on its token and `rocket-cluster`'s dispatcher wakes on its
+//! own to look at its job queue, so neither waits on a poll interval. The
+//! counters count a token like any other message, so the engine takes its
+//! traffic snapshot before sending one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -138,9 +146,13 @@ pub struct Incoming {
 ///   arrive in send order (Ibis's reliable ordered channels).
 /// * **Self-sends** — a node may address itself (the directory protocol
 ///   produces self-addressed messages); delivery is in-memory.
-/// * **Graceful shutdown** — once every peer has hung up and the inbox is
-///   drained, receives report [`RecvError::Disconnected`]; sends to a
-///   departed peer likewise.
+/// * **Graceful shutdown** — sends to a departed peer report
+///   [`RecvError::Disconnected`]. On the receive side, a medium with
+///   per-peer connections ([`crate::SocketTransport`]) reports
+///   `Disconnected` as soon as every peer has hung up and the inbox is
+///   drained. [`LocalTransport`] never does while it lives: it holds a
+///   sender to its own inbox for self-sends, so its consumer is stopped
+///   by a wake token (see the module docs), not by disconnection.
 ///
 /// Implementations are `Send + Sync` so one `Arc<dyn Transport>` can be
 /// shared between the sending thread and the (single) receiving thread.

@@ -42,14 +42,6 @@ pub fn stopwatch() -> Stopwatch {
     Stopwatch(Instant::now())
 }
 
-/// Parks the calling thread for `interval` — the sanctioned form of
-/// polling-loop pacing (`RL-D003` forbids raw `thread::sleep` in engine
-/// crates). Pacing affects only how often a loop wakes, never what it
-/// computes, which is why it is allowed here.
-pub fn pace(interval: Duration) {
-    std::thread::sleep(interval);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,7 +49,7 @@ mod tests {
     #[test]
     fn stopwatch_moves_forward() {
         let sw = stopwatch();
-        pace(Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
         assert!(sw.elapsed() >= Duration::from_millis(1));
         assert!(sw.elapsed_secs() > 0.0);
     }

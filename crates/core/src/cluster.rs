@@ -243,12 +243,10 @@ pub(crate) fn run<A: Application>(
         handles[node].submit(pair, dev);
     });
 
-    // All pairs submitted; wait for every node to drain its jobs.
-    loop {
-        if handles.iter().all(|h| h.counters.is_drained()) {
-            break;
-        }
-        clock::pace(Duration::from_millis(1));
+    // All pairs submitted. Every job holds its node's permit until it
+    // finishes, so a node has drained exactly when all permits are back.
+    for h in &handles {
+        h.limiter.wait_idle();
     }
 
     let node_reports: Vec<NodeReport> = handles.into_iter().map(|h| h.finish()).collect();

@@ -45,7 +45,6 @@
 //! fails with the last cause.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -184,21 +183,6 @@ struct ItemRow {
     dead: Option<String>,
 }
 
-/// Shared progress counters (read by the cluster driver).
-#[derive(Debug, Default)]
-pub(crate) struct NodeCounters {
-    /// Jobs submitted to this node.
-    pub submitted: AtomicU64,
-    /// Jobs finished (successfully or not).
-    pub done: AtomicU64,
-}
-
-impl NodeCounters {
-    pub(crate) fn is_drained(&self) -> bool {
-        self.done.load(Ordering::Acquire) >= self.submitted.load(Ordering::Acquire)
-    }
-}
-
 /// Statistics and outcome of one node's run.
 #[derive(Debug)]
 pub struct NodeReport {
@@ -227,41 +211,61 @@ pub struct NodeReport {
 /// Handle used by the cluster driver to feed and finalize a node.
 pub(crate) struct NodeHandle {
     pub events: Sender<Event>,
-    pub counters: Arc<NodeCounters>,
+    /// One permit per in-flight job: the driver acquires before
+    /// [`NodeHandle::submit`] and waits for all of them back to drain.
     pub limiter: Arc<JobLimiter>,
     thread: JoinHandle<NodeReport>,
-    comm_stop: Arc<AtomicBool>,
-    comm_thread: Option<JoinHandle<()>>,
+    /// The transport and the comm pump blocked on it (multi-node runs
+    /// only); the handle keeps the transport to wake the pump.
+    pump: Option<(Arc<dyn Transport>, JoinHandle<()>)>,
 }
 
 impl NodeHandle {
     /// Submits one pair job bound to a device (caller must hold a limiter
     /// permit; the conductor releases it at completion).
     pub fn submit(&self, pair: Pair, dev: usize) {
-        self.counters.submitted.fetch_add(1, Ordering::Release);
         self.events
             .send(Event::Submit { pair, dev })
             .expect("conductor gone");
     }
 
-    /// Stops the conductor and returns the node report.
+    /// Stops the conductor and the comm pump and returns the node report.
+    ///
+    /// The conductor is joined first, so its report (and with it the
+    /// transport's traffic snapshot) is taken before the pump's wake token
+    /// is sent: the token is never counted as traffic. The token is an
+    /// empty message to this node itself; the pump exits on it, or has
+    /// already exited on `Disconnected` because every peer hung up.
     pub fn finish(self) -> NodeReport {
         let _ = self.events.send(Event::Shutdown);
-        self.comm_stop.store(true, Ordering::Release);
-        if let Some(h) = self.comm_thread {
-            let _ = h.join();
+        let report = self.thread.join();
+        if let Some((transport, pump)) = self.pump {
+            let _ = transport.send(transport.node(), Bytes::new());
+            let _ = pump.join();
         }
-        self.thread.join().expect("conductor panicked")
+        report.expect("conductor panicked")
     }
 }
 
 /// Shared sink for completed pair outputs, appended by every worker.
 type SharedOutputs<A> = Arc<Mutex<Vec<(Pair, <A as Application>::Output)>>>;
 
+/// How long one receive of the comm pump waits. Not a poll interval: the
+/// pump wakes on a message, its wake token or `Disconnected`, and on a
+/// timeout simply waits again. So a lost wake token hangs the run rather
+/// than costing it a timeout.
+const PUMP_WAIT: Duration = Duration::from_secs(24 * 60 * 60);
+
 /// Spawns node `node_id` of `scenario`: conductor thread + resource threads
-/// (+ comm thread when a transport is given). `recording` carries the
+/// (+ comm pump when a transport is given). `recording` carries the
 /// run-wide clock of a recorded run; `None` records nothing and reads no
 /// clock.
+///
+/// The comm pump blocks on the transport and forwards every peer message
+/// to the conductor. It has no stop flag: it exits on the wake token that
+/// [`NodeHandle::finish`] sends (an empty message to itself; every
+/// `NodeMsg` encodes at least its tag byte, so no real message is empty),
+/// on `Disconnected`, or when the conductor is gone.
 pub(crate) fn spawn_node<A: Application>(
     app: Arc<A>,
     scenario: Arc<Scenario>,
@@ -272,7 +276,6 @@ pub(crate) fn spawn_node<A: Application>(
     recording: Option<Recording>,
 ) -> NodeHandle {
     let (events_tx, events_rx) = unbounded::<Event>();
-    let counters = Arc::new(NodeCounters::default());
     // Each job pins up to two device-cache slots; capping in-flight jobs at
     // slots/2 per device guarantees all leases fit simultaneously, which
     // keeps tiny-cache configurations free of eviction livelock. A
@@ -283,54 +286,51 @@ pub(crate) fn spawn_node<A: Application>(
     let lease_cap = (spec.gpus.len() * (spec.device_slots / 2)).max(1);
     let limiter = Arc::new(JobLimiter::new(scenario.job_limit.min(lease_cap)));
 
-    // The conductor sends, the comm thread receives; both share one
-    // transport handle (the receive side stays single-consumer — the comm
-    // thread is the only caller of `recv_timeout`).
+    // The conductor sends, the comm pump receives; both share one
+    // transport handle (the receive side stays single-consumer — the pump
+    // is the only caller of `recv_timeout`).
     let transport: Option<Arc<dyn Transport>> = transport.map(Arc::from);
 
-    // Comm thread: pumps transport messages into the event queue.
-    let comm_stop = Arc::new(AtomicBool::new(false));
-    let comm_thread = transport.as_ref().map(|t| {
+    let pump = transport.as_ref().map(|t| {
         let transport = Arc::clone(t);
         let tx = events_tx.clone();
-        let stop = Arc::clone(&comm_stop);
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(format!("rocket-comm-{node_id}"))
-            .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    match transport.recv_timeout(Duration::from_millis(20)) {
-                        Ok(incoming) => {
-                            let from = incoming.from;
-                            match NodeMsg::from_bytes(incoming.payload) {
-                                Ok(msg) => {
-                                    if tx.send(Event::Remote { from, msg }).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(e) => {
-                                    debug_assert!(false, "undecodable message: {e}");
+            .spawn(move || loop {
+                match transport.recv_timeout(PUMP_WAIT) {
+                    // The wake token from `NodeHandle::finish`.
+                    Ok(incoming) if incoming.payload.is_empty() => break,
+                    Ok(incoming) => {
+                        let from = incoming.from;
+                        match NodeMsg::from_bytes(incoming.payload) {
+                            Ok(msg) => {
+                                if tx.send(Event::Remote { from, msg }).is_err() {
+                                    break;
                                 }
                             }
+                            Err(e) => {
+                                debug_assert!(false, "undecodable message: {e}");
+                            }
                         }
-                        Err(RecvError::Timeout) => continue,
-                        // Every peer hung up: cluster-wide shutdown.
-                        Err(RecvError::Disconnected) => break,
                     }
+                    Err(RecvError::Timeout) => continue,
+                    // Every peer hung up: cluster-wide shutdown.
+                    Err(RecvError::Disconnected) => break,
                 }
             })
-            .expect("failed to spawn comm thread")
+            .expect("failed to spawn comm thread");
+        (Arc::clone(t), thread)
     });
 
     let handle_events = events_tx.clone();
     let thread = {
-        let counters = Arc::clone(&counters);
         let limiter = Arc::clone(&limiter);
         std::thread::Builder::new()
             .name(format!("rocket-conductor-{node_id}"))
             .spawn(move || {
                 let conductor = Conductor::new(
-                    app, scenario, node_id, store, transport, outputs, counters, limiter,
-                    events_rx, events_tx, recording,
+                    app, scenario, node_id, store, transport, outputs, limiter, events_rx,
+                    events_tx, recording,
                 );
                 conductor.run()
             })
@@ -339,11 +339,9 @@ pub(crate) fn spawn_node<A: Application>(
 
     NodeHandle {
         events: handle_events,
-        counters,
         limiter,
         thread,
-        comm_stop,
-        comm_thread,
+        pump,
     }
 }
 
@@ -393,7 +391,6 @@ struct Conductor<A: Application> {
     recording: Option<Recording>,
     /// The conductor's own post-process records (recorded runs only).
     post_perf: Vec<PerfRecord>,
-    counters: Arc<NodeCounters>,
     limiter: Arc<JobLimiter>,
     events_rx: Receiver<Event>,
     shutdown: bool,
@@ -408,7 +405,6 @@ impl<A: Application> Conductor<A> {
         store: Arc<dyn ObjectStore>,
         transport: Option<Arc<dyn Transport>>,
         outputs: SharedOutputs<A>,
-        counters: Arc<NodeCounters>,
         limiter: Arc<JobLimiter>,
         events_rx: Receiver<Event>,
         events_tx: Sender<Event>,
@@ -505,7 +501,6 @@ impl<A: Application> Conductor<A> {
             outputs,
             recording,
             post_perf: Vec::new(),
-            counters,
             limiter,
             events_rx,
             shutdown: false,
@@ -748,7 +743,6 @@ impl<A: Application> Conductor<A> {
 
     fn finish_job(&mut self, id: JobId) {
         self.jobs.remove(&id);
-        self.counters.done.fetch_add(1, Ordering::Release);
         self.limiter.release();
     }
 
@@ -1239,7 +1233,6 @@ mod tests {
             Arc::new(MemStore::new()),
             None,
             Arc::new(Mutex::named("outputs", Vec::new())),
-            Arc::new(NodeCounters::default()),
             Arc::new(JobLimiter::new(4)),
             events_rx,
             events_tx,

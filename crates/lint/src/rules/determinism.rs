@@ -12,7 +12,8 @@
 //! - **RL-D002** — `Instant::now()` / `SystemTime`: wall-clock reads feed
 //!   host timing into simulated results. Use `rocket_core::clock`.
 //! - **RL-D003** — `thread::sleep`: host-timed pauses in scoped code.
-//!   Use `rocket_core::clock::pace` where pacing is genuinely wanted.
+//!   Block on a channel or condition variable instead: the engines are
+//!   woken by work, never by a clock.
 //! - **RL-D004** — unseeded RNG entry points (`thread_rng`,
 //!   `from_entropy`, `OsRng`, `getrandom`): all randomness must flow from
 //!   the scenario seed.
@@ -69,7 +70,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 "RL-D003",
                 RULE,
                 t.line,
-                "host-timed sleep in deterministic code; use rocket_core::clock::pace".into(),
+                "host-timed sleep in deterministic code; block on a channel or condvar".into(),
             ),
             name if UNSEEDED.contains(&name) => emit(
                 out,

@@ -9,10 +9,21 @@
 //! transfer and I/O times come from device profiles and the storage /
 //! network model.
 //!
-//! The job and fill state machines mirror `rocket-core`'s conductor
-//! one-to-one (acquire-left-then-right with release-on-busy, device fill →
-//! host fill → distributed lookup → load pipeline), so simulator results
-//! are explanatory for the real runtime.
+//! The job and fill state machines follow `rocket-core`'s conductor
+//! (acquire-left-then-right with release-on-busy, device fill → host fill
+//! → distributed lookup → load pipeline), but they are a hand-kept copy
+//! and differ from it in three ways:
+//!
+//! * the result read-back is its own `Ev::ResultDone` event and
+//!   post-process runs on the CPU pool (`Ev::PostDone`), where the
+//!   conductor reads the result back inside the compare task and
+//!   post-processes on its own thread;
+//! * a write-back does not pin its device slot until its D2H copy ends;
+//! * there is no item-failure path: simulated loads never fail.
+//!
+//! The ROADMAP item "One node state machine, two executors" (a sans-IO
+//! `NodeCore` under both engines) removes the copy and with it these
+//! differences.
 //!
 //! This module owns the *model*: the per-node state tables and the
 //! sampling helpers. The [`rocket_core::Scenario`] is the configuration,

@@ -4,7 +4,9 @@
 //! job's completion. Without back-pressure one node could claim the whole
 //! matrix while others idle, and unbounded in-flight jobs would exhaust
 //! cache slots. The limiter is a counting semaphore: workers acquire one
-//! permit per submitted job; completions release it.
+//! permit per submitted job; completions release it. Since a job holds its
+//! permit until it finishes, a node has drained exactly when every permit
+//! is back ([`JobLimiter::wait_idle`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,15 +55,26 @@ impl JobLimiter {
         *avail -= 1;
     }
 
+    /// Blocks until every permit is back, i.e. no job is in flight.
+    ///
+    /// A job holds its permit until it finishes, so once submission has
+    /// stopped this is the wait for the node to drain. The release that
+    /// brings the last permit back always notifies (`limit ≥ limit/2`), so
+    /// the wait needs no clock.
+    pub fn wait_idle(&self) {
+        let mut avail = self.available.lock();
+        self.cond.wait_while(&mut avail, |a| *a < self.limit);
+    }
+
     /// Releases one permit.
     ///
-    /// Parked acquirers are woken together once half the permits are free,
-    /// not one per release: a submitter then refills in a batch instead of
-    /// being switched in for every completion. This loses no wake-up as
-    /// long as every held permit is released without waiting on a later
-    /// `acquire`, so that `available` climbs back to `limit`. The runtime's
-    /// permits are held by in-flight jobs, which never wait on new
-    /// submissions.
+    /// Parked acquirers and [`JobLimiter::wait_idle`] callers are woken
+    /// together once half the permits are free, not one per release: a
+    /// submitter then refills in a batch instead of being switched in for
+    /// every completion. This loses no wake-up as long as every held permit
+    /// is released without waiting on a later `acquire`, so that
+    /// `available` climbs back to `limit`. The runtime's permits are held
+    /// by in-flight jobs, which never wait on new submissions.
     pub fn release(&self) {
         let mut avail = self.available.lock();
         assert!(*avail < self.limit, "release without matching acquire");
@@ -113,6 +126,66 @@ mod tests {
         l.release();
         l.release();
         parked.join().unwrap();
+        assert_eq!(l.available(), 1);
+    }
+
+    #[test]
+    fn wait_idle_returns_at_once_when_idle() {
+        let l = JobLimiter::new(3);
+        l.wait_idle();
+        l.acquire();
+        l.release();
+        l.wait_idle();
+        assert_eq!(l.available(), 3);
+    }
+
+    #[test]
+    fn wait_idle_returns_on_the_release_of_the_last_permit() {
+        for limit in [1, 4] {
+            let l = Arc::new(JobLimiter::new(limit));
+            // Two permits at limit 4: the first release already passes the
+            // half-limit refill threshold and wakes the waiter, which must
+            // park again until the second.
+            let held = limit.min(2);
+            for _ in 0..held {
+                l.acquire();
+            }
+            let l2 = Arc::clone(&l);
+            let waiter = std::thread::spawn(move || l2.wait_idle());
+            for _ in 1..held {
+                l.release();
+            }
+            std::thread::sleep(Duration::from_millis(30));
+            assert!(
+                !waiter.is_finished(),
+                "limit {limit}: wait_idle returned while a permit was held"
+            );
+            l.release();
+            waiter.join().unwrap();
+            assert_eq!(l.available(), limit);
+        }
+    }
+
+    #[test]
+    fn parked_acquire_and_wait_idle_wake_on_one_release() {
+        let l = Arc::new(JobLimiter::new(1));
+        l.acquire();
+        let l2 = Arc::clone(&l);
+        let acquirer = std::thread::spawn(move || {
+            l2.acquire();
+            l2.release();
+        });
+        let l3 = Arc::clone(&l);
+        let idler = std::thread::spawn(move || l3.wait_idle());
+        while l.waits() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        // One release for two parked threads: waking only the idler, which
+        // then finds every permit back, would strand the acquirer.
+        l.release();
+        acquirer.join().unwrap();
+        idler.join().unwrap();
         assert_eq!(l.available(), 1);
     }
 

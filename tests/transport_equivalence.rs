@@ -145,6 +145,37 @@ fn socket_matches_local_exactly_when_deterministic() {
 }
 
 #[test]
+fn teardown_wake_token_is_not_traffic() {
+    for kind in [TransportKind::Local, TransportKind::Socket] {
+        // Without the distributed cache no node sends a `NodeMsg`, so the
+        // only message a node's transport carries is the token that stops
+        // its comm pump, sent after the report's snapshot.
+        let (scenario, backend) = cluster(kind, 2, false);
+        let report = backend.run_app(&scenario).expect("cluster run");
+        assert_eq!(report.nodes.len(), 2);
+        for node in &report.nodes {
+            assert_eq!(
+                node.comm,
+                Default::default(),
+                "{kind:?}: node {}",
+                node.node
+            );
+        }
+        let pairs: Vec<Pair> = report.sorted_outputs().iter().map(|(p, _)| *p).collect();
+        let expected: Vec<Pair> = (0..ITEMS)
+            .flat_map(|i| (i + 1..ITEMS).map(move |j| Pair::new(i, j)))
+            .collect();
+        assert_eq!(pairs, expected, "{kind:?}: missing or duplicate pairs");
+
+        // With peer traffic the pumps still stop and the run completes.
+        let (scenario, backend) = cluster(kind, 2, true);
+        let report = backend.run_app(&scenario).expect("cluster run");
+        assert_eq!(report.outputs.len() as u64, ITEMS * (ITEMS - 1) / 2);
+        assert!(report.failed().is_empty());
+    }
+}
+
+#[test]
 fn perf_records_cover_every_node_on_one_clock() {
     for kind in [TransportKind::Local, TransportKind::Socket] {
         let (scenario, backend) = cluster(kind, 2, true);
