@@ -17,22 +17,18 @@
 //!   an incremental decoder that tolerates arbitrarily torn reads.
 //! * [`wire`] — a compact binary codec over [`bytes`] with exact
 //!   encoded-size accounting; protocol messages implement [`wire::Wire`].
-//! * [`faulty`] — [`FaultyTransport`]: seeded drop/delay/disconnect
-//!   injection on the send path, for in-process fault-tolerance tests.
 //! * [`liveness`] — [`Liveness`]: heartbeat bookkeeping (ping schedules,
 //!   per-peer silence deadlines) the cluster driver layers over a
 //!   transport to detect killed workers.
 
 #![warn(missing_docs)]
 
-pub mod faulty;
 pub mod frame;
 pub mod liveness;
 pub mod socket;
 pub mod transport;
 pub mod wire;
 
-pub use faulty::{FaultCounts, FaultPlan, FaultyTransport};
 pub use frame::{encode_frame, FrameDecoder, FRAME_HEADER, MAX_FRAME};
 pub use liveness::Liveness;
 pub use socket::{SocketCluster, SocketTransport};

@@ -9,6 +9,12 @@
 //! functions; the core-local [`Scenario`], [`WorkloadProfile`],
 //! [`NodeSpec`], and [`RunReport`] get real `Wire` impls.
 //!
+//! Every struct encoder destructures its value with no `..`, and every
+//! decoder builds a struct literal, so a field added without a codec edit
+//! fails the build (E0027 in the encoder, E0063 in the decoder). Changes
+//! to the byte layout itself are caught by the protocol golden in
+//! `rocket-cluster` (`crates/cluster/tests/protocol_golden.rs`).
+//!
 //! `&'static str` fields (workload names, backend names, GPU generations)
 //! decode through a process-global interner: known strings are reused,
 //! novel ones are leaked exactly once — a worker sees a handful of
@@ -104,7 +110,15 @@ fn put_dist(w: &mut WireWriter, d: &Dist) {
     }
 }
 
+/// Nesting bound for [`Dist::Truncated`]: a hostile frame of repeated
+/// tag bytes must fail to decode, not overflow the stack.
+const MAX_DIST_DEPTH: u32 = 16;
+
 fn get_dist(r: &mut WireReader) -> Result<Dist, WireError> {
+    get_dist_within(r, MAX_DIST_DEPTH)
+}
+
+fn get_dist_within(r: &mut WireReader, depth: u32) -> Result<Dist, WireError> {
     Ok(match r.get_u8()? {
         0 => Dist::Constant(r.get_f64()?),
         1 => Dist::Uniform {
@@ -124,8 +138,8 @@ fn get_dist(r: &mut WireReader) -> Result<Dist, WireError> {
             scale: r.get_f64()?,
         },
         5 => Dist::Exponential { mean: r.get_f64()? },
-        6 => Dist::Truncated {
-            inner: Box::new(get_dist(r)?),
+        6 if depth > 0 => Dist::Truncated {
+            inner: Box::new(get_dist_within(r, depth - 1)?),
             lo: r.get_f64()?,
             hi: r.get_f64()?,
         },
@@ -152,12 +166,20 @@ fn get_opt_dist(r: &mut WireReader) -> Result<Option<Dist>, WireError> {
 }
 
 fn put_device(w: &mut WireWriter, d: &DeviceProfile) {
-    w.put_str(&d.name);
-    w.put_u64(d.memory_bytes);
-    w.put_f64(d.compute_scale);
-    w.put_f64(d.h2d_bytes_per_sec);
-    w.put_f64(d.d2h_bytes_per_sec);
-    w.put_str(d.generation);
+    let DeviceProfile {
+        name,
+        memory_bytes,
+        compute_scale,
+        h2d_bytes_per_sec,
+        d2h_bytes_per_sec,
+        generation,
+    } = d;
+    w.put_str(name);
+    w.put_u64(*memory_bytes);
+    w.put_f64(*compute_scale);
+    w.put_f64(*h2d_bytes_per_sec);
+    w.put_f64(*d2h_bytes_per_sec);
+    w.put_str(generation);
 }
 
 fn get_device(r: &mut WireReader) -> Result<DeviceProfile, WireError> {
@@ -187,12 +209,20 @@ fn get_transport(r: &mut WireReader) -> Result<TransportKind, WireError> {
 }
 
 fn put_cache_stats(w: &mut WireWriter, s: &CacheStats) {
-    w.put_u64(s.hits);
-    w.put_u64(s.hits_pending);
-    w.put_u64(s.misses);
-    w.put_u64(s.capacity_stalls);
-    w.put_u64(s.evictions);
-    w.put_u64(s.aborts);
+    let CacheStats {
+        hits,
+        hits_pending,
+        misses,
+        capacity_stalls,
+        evictions,
+        aborts,
+    } = *s;
+    w.put_u64(hits);
+    w.put_u64(hits_pending);
+    w.put_u64(misses);
+    w.put_u64(capacity_stalls);
+    w.put_u64(evictions);
+    w.put_u64(aborts);
 }
 
 fn get_cache_stats(r: &mut WireReader) -> Result<CacheStats, WireError> {
@@ -207,9 +237,14 @@ fn get_cache_stats(r: &mut WireReader) -> Result<CacheStats, WireError> {
 }
 
 fn put_directory_stats(w: &mut WireWriter, s: &DirectoryStats) {
-    s.hits_at_hop.encode(w);
-    w.put_u64(s.misses);
-    w.put_u64(s.messages_sent);
+    let DirectoryStats {
+        hits_at_hop,
+        misses,
+        messages_sent,
+    } = s;
+    hits_at_hop.encode(w);
+    w.put_u64(*misses);
+    w.put_u64(*messages_sent);
 }
 
 fn get_directory_stats(r: &mut WireReader) -> Result<DirectoryStats, WireError> {
@@ -243,16 +278,28 @@ fn get_series(r: &mut WireReader) -> Result<ThroughputSeries, WireError> {
 
 impl Wire for WorkloadProfile {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_str(self.name);
-        w.put_u64(self.items);
-        w.put_u64(self.file_bytes);
-        w.put_u64(self.item_bytes);
-        put_dist(w, &self.parse);
-        put_opt_dist(w, &self.preprocess);
-        put_dist(w, &self.compare);
-        put_dist(w, &self.postprocess);
-        put_usize(w, self.paper_device_slots);
-        put_usize(w, self.paper_host_slots);
+        let WorkloadProfile {
+            name,
+            items,
+            file_bytes,
+            item_bytes,
+            parse,
+            preprocess,
+            compare,
+            postprocess,
+            paper_device_slots,
+            paper_host_slots,
+        } = self;
+        w.put_str(name);
+        w.put_u64(*items);
+        w.put_u64(*file_bytes);
+        w.put_u64(*item_bytes);
+        put_dist(w, parse);
+        put_opt_dist(w, preprocess);
+        put_dist(w, compare);
+        put_dist(w, postprocess);
+        put_usize(w, *paper_device_slots);
+        put_usize(w, *paper_host_slots);
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -273,17 +320,25 @@ impl Wire for WorkloadProfile {
 
 impl Wire for NodeSpec {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.gpus.len() as u32);
-        for g in &self.gpus {
+        let NodeSpec {
+            gpus,
+            device_slots,
+            host_slots,
+        } = self;
+        w.put_u32(gpus.len() as u32);
+        for g in gpus {
             put_device(w, g);
         }
-        put_usize(w, self.device_slots);
-        put_usize(w, self.host_slots);
+        put_usize(w, *device_slots);
+        put_usize(w, *host_slots);
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         let n = r.get_u32()?;
-        let mut gpus = Vec::with_capacity(n as usize);
+        // The count is untrusted: reserve as `Vec::<T>::decode` does, so a
+        // corrupt prefix fails on the missing bytes instead of aborting
+        // the process on an allocation it sized.
+        let mut gpus = Vec::with_capacity(n.min(1024) as usize);
         for _ in 0..n {
             gpus.push(get_device(r)?);
         }
@@ -297,21 +352,38 @@ impl Wire for NodeSpec {
 
 impl Wire for Scenario {
     fn encode(&self, w: &mut WireWriter) {
-        self.workload.encode(w);
-        self.nodes.encode(w);
-        put_bool(w, self.distributed_cache);
-        put_usize(w, self.hops);
-        put_usize(w, self.job_limit);
-        put_usize(w, self.cpu_threads);
-        w.put_u64(self.leaf_pairs);
-        put_bool(w, self.static_partition);
-        put_transport(w, self.transport);
-        w.put_f64(self.storage_bandwidth);
-        w.put_f64(self.storage_latency);
-        w.put_f64(self.net_bandwidth);
-        w.put_f64(self.net_latency);
-        put_bool(w, self.record_completions);
-        w.put_u64(self.seed);
+        let Scenario {
+            workload,
+            nodes,
+            distributed_cache,
+            hops,
+            job_limit,
+            cpu_threads,
+            leaf_pairs,
+            static_partition,
+            transport,
+            storage_bandwidth,
+            storage_latency,
+            net_bandwidth,
+            net_latency,
+            record_completions,
+            seed,
+        } = self;
+        workload.encode(w);
+        nodes.encode(w);
+        put_bool(w, *distributed_cache);
+        put_usize(w, *hops);
+        put_usize(w, *job_limit);
+        put_usize(w, *cpu_threads);
+        w.put_u64(*leaf_pairs);
+        put_bool(w, *static_partition);
+        put_transport(w, *transport);
+        w.put_f64(*storage_bandwidth);
+        w.put_f64(*storage_latency);
+        w.put_f64(*net_bandwidth);
+        w.put_f64(*net_latency);
+        put_bool(w, *record_completions);
+        w.put_u64(*seed);
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -337,37 +409,67 @@ impl Wire for Scenario {
 
 impl Wire for RunReport {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_str(self.backend);
-        w.put_f64(self.elapsed);
-        w.put_u64(self.items);
-        w.put_u64(self.pairs);
-        w.put_u64(self.failed_pairs);
-        w.put_u64(self.loads);
-        w.put_u64(self.remote_fetches);
-        w.put_u64(self.io_bytes);
-        w.put_u64(self.net_bytes);
-        w.put_u64(self.net_msgs);
-        w.put_u64(self.steals);
-        w.put_f64(self.busy.preprocess);
-        w.put_f64(self.busy.compare);
-        w.put_f64(self.busy.h2d);
-        w.put_f64(self.busy.d2h);
-        w.put_f64(self.busy.cpu);
-        w.put_f64(self.busy.io);
-        put_cache_stats(w, &self.device_cache);
-        put_cache_stats(w, &self.host_cache);
-        put_directory_stats(w, &self.directory);
-        self.pairs_per_node.encode(w);
-        match &self.completions {
+        let RunReport {
+            backend,
+            elapsed,
+            items,
+            pairs,
+            failed_pairs,
+            loads,
+            remote_fetches,
+            io_bytes,
+            net_bytes,
+            net_msgs,
+            steals,
+            busy:
+                BusyTimes {
+                    preprocess,
+                    compare,
+                    h2d,
+                    d2h,
+                    cpu,
+                    io,
+                },
+            device_cache,
+            host_cache,
+            directory,
+            pairs_per_node,
+            completions,
+            sim_shards,
+            sim_windows,
+            degraded,
+        } = self;
+        w.put_str(backend);
+        w.put_f64(*elapsed);
+        w.put_u64(*items);
+        w.put_u64(*pairs);
+        w.put_u64(*failed_pairs);
+        w.put_u64(*loads);
+        w.put_u64(*remote_fetches);
+        w.put_u64(*io_bytes);
+        w.put_u64(*net_bytes);
+        w.put_u64(*net_msgs);
+        w.put_u64(*steals);
+        w.put_f64(*preprocess);
+        w.put_f64(*compare);
+        w.put_f64(*h2d);
+        w.put_f64(*d2h);
+        w.put_f64(*cpu);
+        w.put_f64(*io);
+        put_cache_stats(w, device_cache);
+        put_cache_stats(w, host_cache);
+        put_directory_stats(w, directory);
+        pairs_per_node.encode(w);
+        match completions {
             None => w.put_u8(0),
             Some(s) => {
                 w.put_u8(1);
                 put_series(w, s);
             }
         }
-        w.put_u32(self.sim_shards);
-        w.put_u64(self.sim_windows);
-        put_bool(w, self.degraded);
+        w.put_u32(*sim_shards);
+        w.put_u64(*sim_windows);
+        put_bool(w, *degraded);
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -560,6 +662,38 @@ mod tests {
         let a = intern("some-backend-name".to_string());
         let b = intern("some-backend-name".to_string());
         assert!(std::ptr::eq(a, b));
+    }
+
+    #[test]
+    fn hostile_gpu_count_is_an_error_not_an_abort() {
+        // A count of u32::MAX with no devices behind it: the decoder must
+        // run out of bytes, not reserve ~300 GB up front.
+        let bytes = bytes::Bytes::from_static(&[0xff; 4]);
+        assert_eq!(NodeSpec::from_bytes(bytes), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn deeply_nested_dist_is_an_error_not_a_stack_overflow() {
+        let mut w = WireWriter::new();
+        for _ in 0..100_000 {
+            w.put_u8(6);
+        }
+        assert!(matches!(
+            get_dist(&mut WireReader::new(w.finish())),
+            Err(WireError::BadTag(6))
+        ));
+        // Real nesting stays well inside the bound.
+        let mut d = Dist::Constant(1.0);
+        for _ in 0..MAX_DIST_DEPTH {
+            d = Dist::Truncated {
+                inner: Box::new(d),
+                lo: 0.0,
+                hi: 2.0,
+            };
+        }
+        let mut w = WireWriter::new();
+        put_dist(&mut w, &d);
+        assert_eq!(get_dist(&mut WireReader::new(w.finish())), Ok(d));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! `lint.toml` loading via a minimal hand-rolled TOML-subset parser.
 //!
-//! Supported syntax: `[section]` headers, `key = value` pairs where a
-//! value is a quoted string, an integer, a boolean, or a flat array of
-//! quoted strings (single line or spread across lines), and `#` comments.
-//! That subset is all the config needs; anything else is a hard error so
-//! typos fail loudly instead of silently disabling a rule.
+//! Supported syntax: `[section]` headers, `key = value` pairs where the
+//! value is a flat array of quoted strings (single line or spread across
+//! lines), and `#` comments. That subset is all the config needs;
+//! anything else is a hard error so typos fail loudly instead of silently
+//! disabling a rule.
 
 use std::collections::BTreeMap;
 
@@ -17,39 +17,11 @@ pub struct RuleScope {
     pub allow_files: Vec<String>,
 }
 
-/// Configuration for the wire-drift family.
-#[derive(Debug, Clone, Default)]
-pub struct WireDriftConfig {
-    /// Directories holding the struct definitions to cross-check.
-    pub struct_paths: Vec<String>,
-    /// Struct names whose fields must be covered by the codec.
-    pub structs: Vec<String>,
-    /// File containing the `Wire` impls.
-    pub codec: String,
-    /// File containing the protocol enums and `PROTOCOL_VERSION`.
-    pub protocol: String,
-    /// Version the recorded fingerprint was taken at.
-    pub protocol_version: u64,
-    /// FNV-1a fingerprint of the protocol file's non-test tokens
-    /// (16 hex digits); empty on first bootstrap.
-    pub protocol_fingerprint: String,
-}
-
 /// Whole-run configuration (one section per rule family).
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     pub determinism: RuleScope,
     pub panic_path: RuleScope,
-    pub wire_drift: WireDriftConfig,
-}
-
-/// A parsed TOML-subset value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Int(u64),
-    Bool(bool),
-    Array(Vec<String>),
 }
 
 fn parse_string(s: &str) -> Result<String, String> {
@@ -60,36 +32,21 @@ fn parse_string(s: &str) -> Result<String, String> {
     Ok(s[1..s.len() - 1].to_string())
 }
 
-fn parse_value(raw: &str) -> Result<Value, String> {
+fn parse_array(raw: &str) -> Result<Vec<String>, String> {
     let raw = raw.trim();
-    if raw.starts_with('[') {
-        let inner = raw
-            .strip_prefix('[')
-            .and_then(|r| r.strip_suffix(']'))
-            .ok_or_else(|| format!("unterminated array `{raw}`"))?;
-        let mut items = Vec::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            items.push(parse_string(part)?);
+    let inner = raw
+        .strip_prefix('[')
+        .and_then(|r| r.strip_suffix(']'))
+        .ok_or_else(|| format!("expected an array of strings, got `{raw}`"))?;
+    let mut items = Vec::new();
+    for part in inner.split(',') {
+        let part = part.trim();
+        if part.is_empty() {
+            continue;
         }
-        return Ok(Value::Array(items));
+        items.push(parse_string(part)?);
     }
-    if raw.starts_with('"') {
-        return Ok(Value::Str(parse_string(raw)?));
-    }
-    if raw == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if raw == "false" {
-        return Ok(Value::Bool(false));
-    }
-    raw.replace('_', "")
-        .parse::<u64>()
-        .map(Value::Int)
-        .map_err(|_| format!("cannot parse value `{raw}`"))
+    Ok(items)
 }
 
 /// Strips a trailing `#` comment, respecting quoted strings.
@@ -105,9 +62,9 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// Parses the TOML subset into section → key → value maps.
-fn parse_toml(src: &str) -> Result<BTreeMap<String, BTreeMap<String, Value>>, String> {
-    let mut out: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();
+/// Parses the TOML subset into section → key → array maps.
+fn parse_toml(src: &str) -> Result<BTreeMap<String, BTreeMap<String, Vec<String>>>, String> {
+    let mut out: BTreeMap<String, BTreeMap<String, Vec<String>>> = BTreeMap::new();
     let mut section = String::new();
     let mut lines = src.lines().enumerate().peekable();
     while let Some((n, raw_line)) = lines.next() {
@@ -140,7 +97,7 @@ fn parse_toml(src: &str) -> Result<BTreeMap<String, BTreeMap<String, Value>>, St
             };
             val.push_str(strip_comment(next).trim());
         }
-        let value = parse_value(&val).map_err(|e| format!("line {}: {e}", n + 1))?;
+        let value = parse_array(&val).map_err(|e| format!("line {}: {e}", n + 1))?;
         out.entry(section.clone())
             .or_default()
             .insert(key.trim().to_string(), value);
@@ -148,32 +105,8 @@ fn parse_toml(src: &str) -> Result<BTreeMap<String, BTreeMap<String, Value>>, St
     Ok(out)
 }
 
-fn take_array(
-    sec: &BTreeMap<String, Value>,
-    section: &str,
-    key: &str,
-) -> Result<Vec<String>, String> {
-    match sec.get(key) {
-        None => Ok(Vec::new()),
-        Some(Value::Array(a)) => Ok(a.clone()),
-        Some(_) => Err(format!("[{section}] {key}: expected an array of strings")),
-    }
-}
-
-fn take_string(sec: &BTreeMap<String, Value>, section: &str, key: &str) -> Result<String, String> {
-    match sec.get(key) {
-        None => Ok(String::new()),
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("[{section}] {key}: expected a string")),
-    }
-}
-
-fn take_int(sec: &BTreeMap<String, Value>, section: &str, key: &str) -> Result<u64, String> {
-    match sec.get(key) {
-        None => Ok(0),
-        Some(Value::Int(n)) => Ok(*n),
-        Some(_) => Err(format!("[{section}] {key}: expected an integer")),
-    }
+fn take_array(sec: &BTreeMap<String, Vec<String>>, key: &str) -> Vec<String> {
+    sec.get(key).cloned().unwrap_or_default()
 }
 
 impl LintConfig {
@@ -185,24 +118,14 @@ impl LintConfig {
             match section.as_str() {
                 "determinism" | "panic_path" => {
                     let scope = RuleScope {
-                        paths: take_array(keys, section, "paths")?,
-                        allow_files: take_array(keys, section, "allow_files")?,
+                        paths: take_array(keys, "paths"),
+                        allow_files: take_array(keys, "allow_files"),
                     };
                     if section == "determinism" {
                         cfg.determinism = scope;
                     } else {
                         cfg.panic_path = scope;
                     }
-                }
-                "wire_drift" => {
-                    cfg.wire_drift = WireDriftConfig {
-                        struct_paths: take_array(keys, section, "struct_paths")?,
-                        structs: take_array(keys, section, "structs")?,
-                        codec: take_string(keys, section, "codec")?,
-                        protocol: take_string(keys, section, "protocol")?,
-                        protocol_version: take_int(keys, section, "protocol_version")?,
-                        protocol_fingerprint: take_string(keys, section, "protocol_fingerprint")?,
-                    };
                 }
                 other => return Err(format!("unknown section [{other}]")),
             }
@@ -228,29 +151,25 @@ paths = [
     "crates/cluster/src/driver.rs",  # trailing comment
     "crates/comm/src/socket.rs",
 ]
-
-[wire_drift]
-struct_paths = ["crates/core/src"]
-structs = ["Scenario", "RunReport"]
-codec = "crates/core/src/codec.rs"
-protocol = "crates/cluster/src/protocol.rs"
-protocol_version = 1
-protocol_fingerprint = "0123456789abcdef"
 "#;
         let cfg = LintConfig::parse(src).unwrap();
         assert_eq!(cfg.determinism.paths.len(), 2);
         assert_eq!(cfg.determinism.allow_files, ["crates/core/src/clock.rs"]);
         assert_eq!(cfg.panic_path.paths.len(), 2);
-        assert_eq!(cfg.wire_drift.structs, ["Scenario", "RunReport"]);
-        assert_eq!(cfg.wire_drift.protocol_version, 1);
-        assert_eq!(cfg.wire_drift.protocol_fingerprint, "0123456789abcdef");
     }
 
     #[test]
     fn unknown_section_is_an_error() {
         // The sections of the retired families included: a stale
         // lint.toml must fail loudly rather than silently pass.
-        for section in ["typo", "lock_order", "blocking", "shared_state", "hot_path"] {
+        for section in [
+            "typo",
+            "lock_order",
+            "blocking",
+            "shared_state",
+            "hot_path",
+            "wire_drift",
+        ] {
             let src = format!("[{section}]\npaths = []\n");
             assert!(LintConfig::parse(&src).is_err(), "[{section}] accepted");
         }
@@ -259,5 +178,6 @@ protocol_fingerprint = "0123456789abcdef"
     #[test]
     fn malformed_line_is_an_error() {
         assert!(LintConfig::parse("[determinism]\nnot a kv\n").is_err());
+        assert!(LintConfig::parse("[determinism]\npaths = \"crates\"\n").is_err());
     }
 }

@@ -7,7 +7,7 @@
 pub struct Diagnostic {
     /// Stable code, e.g. `RL-D001`.
     pub code: &'static str,
-    /// Rule family: `determinism`, `panic-path` or `wire-drift`.
+    /// Rule family: `determinism` or `panic-path`.
     pub rule: &'static str,
     /// Path relative to the lint root.
     pub path: String,

@@ -1,14 +1,15 @@
 //! rocket-lint: an offline analyzer for the Rocket workspace.
 //!
 //! Rocket's correctness claims rest on properties the compiler does not
-//! check: bit-identical replay for a fixed seed, fault paths that degrade
-//! instead of aborting, and a wire codec that covers every field it
-//! claims to ship. This crate enforces all three as a CI gate, with no
-//! dependency on `syn`, `rustc` internals, or the network — it tokenizes
-//! the source directly ([`lexer`]) and runs three rule families
+//! check: bit-identical replay for a fixed seed, and fault paths that
+//! degrade instead of aborting. This crate enforces both as a CI gate,
+//! with no dependency on `syn`, `rustc` internals, or the network — it
+//! tokenizes the source directly ([`lexer`]) and runs two rule families
 //! ([`rules`]) over the scopes named in `lint.toml` ([`config`]). Lock
 //! order is checked at run time instead, by `rocket-sanitize`'s online
-//! cycle assertion under `--features sanitize`.
+//! cycle assertion under `--features sanitize`. Wire-codec completeness
+//! is checked by rustc (the codec destructures every struct it ships)
+//! and by the protocol golden in `rocket-cluster`.
 //!
 //! Findings carry stable codes (`RL-D001`, ...) and can be excused in
 //! place with a `// lint:allow(<rule-or-code>) — rationale` comment on
@@ -76,11 +77,6 @@ fn rel_display(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn load(root: &Path, path: &Path) -> Result<SourceFile, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    Ok(SourceFile::new(rel_display(root, path), &src))
-}
-
 fn load_scope(
     root: &Path,
     paths: &[String],
@@ -92,7 +88,9 @@ fn load_scope(
         if allow_files.contains(&rel) {
             continue;
         }
-        files.push(load(root, &path)?);
+        let src =
+            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        files.push(SourceFile::new(rel, &src));
     }
     Ok(files)
 }
@@ -115,16 +113,6 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<Vec<Diagnostic>, String> {
             rules::panic_path::check(&file, &mut out);
         }
     }
-    let wd = &cfg.wire_drift;
-    if !wd.structs.is_empty() {
-        let struct_files = load_scope(root, &wd.struct_paths, &[])?;
-        let codec = load(root, &root.join(&wd.codec))?;
-        rules::wire_drift::check_codec(wd, &struct_files, &codec, &mut out);
-    }
-    if !wd.protocol.is_empty() {
-        let protocol = load(root, &root.join(&wd.protocol))?;
-        rules::wire_drift::check_protocol(wd, &protocol, &mut out);
-    }
 
     diag::sort(&mut out);
     Ok(out)
@@ -136,14 +124,4 @@ pub fn run_with_config_file(root: &Path, config_path: &Path) -> Result<Vec<Diagn
         .map_err(|e| format!("read {}: {e}", config_path.display()))?;
     let cfg = LintConfig::parse(&src)?;
     run(root, &cfg)
-}
-
-/// Computes the protocol file's fingerprint and version — the values
-/// `lint.toml` records (CLI `--print-protocol`).
-pub fn protocol_identity(root: &Path, cfg: &LintConfig) -> Result<(String, Option<u64>), String> {
-    let file = load(root, &root.join(&cfg.wire_drift.protocol))?;
-    Ok((
-        rules::wire_drift::fingerprint(&file),
-        rules::wire_drift::protocol_version(&file),
-    ))
 }

@@ -1,4 +1,4 @@
-//! The three rule families.
+//! The two rule families.
 //!
 //! | Family         | Codes            | What it enforces                          |
 //! |----------------|------------------|-------------------------------------------|
@@ -6,16 +6,12 @@
 //! |                |                  | sleeps, or unseeded RNG in sim/core/steal  |
 //! | `panic-path`   | RL-P001..P003    | no unwrap/expect/panic/indexing on fault   |
 //! |                |                  | paths                                      |
-//! | `wire-drift`   | RL-W001..W003    | codec covers every struct field; protocol  |
-//! |                |                  | edits bump `PROTOCOL_VERSION`              |
 //!
-//! Each family is a per-file (or, for `wire-drift`, per-file-set) token
-//! scan; none needs a call graph. `docs/lint-rules.md` records why these
-//! three are the ones kept.
+//! Each family is a per-file token scan; neither needs a call graph.
+//! `docs/lint-rules.md` records why these two are the ones kept.
 
 pub mod determinism;
 pub mod panic_path;
-pub mod wire_drift;
 
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;

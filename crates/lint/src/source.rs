@@ -33,7 +33,7 @@ impl SourceFile {
 
 /// Index of the token matching the opener at `open` (`{`/`}`, `[`/`]`,
 /// `(`/`)`), or the last token if unbalanced.
-pub fn matching(toks: &[Tok], open: usize, open_ch: &str, close_ch: &str) -> usize {
+fn matching(toks: &[Tok], open: usize, open_ch: &str, close_ch: &str) -> usize {
     let mut depth = 0usize;
     for (i, t) in toks.iter().enumerate().skip(open) {
         if t.kind == TokKind::Punct {

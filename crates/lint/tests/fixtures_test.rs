@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use rocket_lint::config::{LintConfig, RuleScope, WireDriftConfig};
+use rocket_lint::config::{LintConfig, RuleScope};
 use rocket_lint::diag::{render_json, Diagnostic};
 
 fn fixtures() -> PathBuf {
@@ -88,62 +88,4 @@ fn panic_path_clean_is_silent() {
     };
     let diags = rocket_lint::run(&fixtures().join("panic_path"), &cfg).unwrap();
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-fn wire_cfg(fingerprint: &str) -> LintConfig {
-    LintConfig {
-        wire_drift: WireDriftConfig {
-            struct_paths: vec!["model.rs".into()],
-            structs: vec!["JobSpec".into(), "JobResult".into()],
-            codec: "codec.rs".into(),
-            protocol: "protocol.rs".into(),
-            protocol_version: 1,
-            protocol_fingerprint: fingerprint.into(),
-        },
-        ..Default::default()
-    }
-}
-
-#[test]
-fn wire_drift_clean_is_silent() {
-    let root = fixtures().join("wire_drift/clean");
-    // Record the clean tree's own fingerprint, as lint.toml would.
-    let (fp, version) = rocket_lint::protocol_identity(&root, &wire_cfg("")).unwrap();
-    assert_eq!(version, Some(1));
-    let diags = rocket_lint::run(&root, &wire_cfg(&fp)).unwrap();
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn wire_drift_drifted_matches_golden() {
-    let clean = fixtures().join("wire_drift/clean");
-    let (clean_fp, _) = rocket_lint::protocol_identity(&clean, &wire_cfg("")).unwrap();
-    // Lint the drifted tree against the fingerprint recorded when the
-    // protocol was last blessed (i.e. the clean tree's).
-    let root = fixtures().join("wire_drift/drifted");
-    let diags = rocket_lint::run(&root, &wire_cfg(&clean_fp)).unwrap();
-    let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
-    // JobSpec::priority missing from both codec directions, plus the
-    // unbumped protocol edit.
-    assert_eq!(codes, ["RL-W001", "RL-W001", "RL-W002"], "{diags:?}");
-    check_golden("wire_drift.json", &diags);
-}
-
-#[test]
-fn wire_drift_bumped_version_asks_for_rerecord() {
-    let clean = fixtures().join("wire_drift/clean");
-    let (clean_fp, _) = rocket_lint::protocol_identity(&clean, &wire_cfg("")).unwrap();
-    let root = fixtures().join("wire_drift/drifted");
-    // Same drifted tree, but pretend the recorded version predates a
-    // bump: fingerprint differs AND the file's version (1) differs from
-    // the recorded one (0) — the instructive RL-W003 path.
-    let mut cfg = wire_cfg(&clean_fp);
-    cfg.wire_drift.protocol_version = 0;
-    let diags = rocket_lint::run(&root, &cfg).unwrap();
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.code == "RL-W003" && d.message.contains("re-record")),
-        "{diags:?}"
-    );
 }

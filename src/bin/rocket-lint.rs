@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rocket-lint [--root DIR] [--config PATH] [--json] [--json-out FILE]
-//!             [--list-rules] [--print-protocol]
+//!             [--list-rules]
 //! ```
 //!
 //! Exit status: 0 clean (suppressed findings allowed), 1 unsuppressed
@@ -22,7 +22,6 @@ struct Args {
     json: bool,
     json_out: Option<PathBuf>,
     list_rules: bool,
-    print_protocol: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -32,7 +31,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         json_out: None,
         list_rules: false,
-        print_protocol: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -46,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
                 args.json_out = Some(PathBuf::from(it.next().ok_or("--json-out needs a path")?))
             }
             "--list-rules" => args.list_rules = true,
-            "--print-protocol" => args.print_protocol = true,
             "--help" | "-h" => {
                 out("rocket-lint: offline workspace analyzer\n\
                      \n\
@@ -55,8 +52,7 @@ fn parse_args() -> Result<Args, String> {
                        --config PATH     lint.toml (default: <root>/lint.toml)\n\
                        --json            print the JSON report to stdout\n\
                        --json-out FILE   also write the JSON report to FILE\n\
-                       --list-rules      print the rule catalog and exit\n\
-                       --print-protocol  print the protocol fingerprint/version and exit");
+                       --list-rules      print the rule catalog and exit");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -78,10 +74,7 @@ RL-D003  determinism  host-timed thread::sleep
 RL-D004  determinism  unseeded RNG entry point
 RL-P001  panic-path   unwrap()/expect() on a fault path
 RL-P002  panic-path   panic!/unreachable!/todo!/unimplemented! on a fault path
-RL-P003  panic-path   slice indexing on a fault path
-RL-W001  wire-drift   struct field not covered by the Wire codec
-RL-W002  wire-drift   protocol changed without a PROTOCOL_VERSION bump
-RL-W003  wire-drift   protocol fingerprint needs re-recording in lint.toml";
+RL-P003  panic-path   slice indexing on a fault path";
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
@@ -96,20 +89,6 @@ fn run() -> Result<ExitCode, String> {
     let cfg_src = std::fs::read_to_string(&config_path)
         .map_err(|e| format!("read {}: {e}", config_path.display()))?;
     let cfg = LintConfig::parse(&cfg_src)?;
-
-    if args.print_protocol {
-        let (fp, version) = rocket_lint::protocol_identity(&args.root, &cfg)?;
-        match version {
-            Some(v) => out(&format!(
-                "protocol_version = {v}\nprotocol_fingerprint = \"{fp}\""
-            )),
-            None => out(&format!(
-                "protocol_fingerprint = \"{fp}\"  # no PROTOCOL_VERSION found"
-            )),
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
     let diags = rocket_lint::run(&args.root, &cfg)?;
     let json = render_json(&diags);
     if let Some(path) = &args.json_out {

@@ -1,15 +1,30 @@
-//! Seeded mutation fuzz of the JSON readers: deterministic byte mutations
-//! (flip, insert, delete, truncate) of a real simulator perf log and a
-//! real study report, each fed to `parse_jsonl` and `Json::parse`. Every
-//! mutant must come back `Ok` or `Err` — never a panic, a stack overflow
-//! or an allocation sized by a corrupted count.
+//! Seeded mutation fuzz of the readers of untrusted bytes: deterministic
+//! byte mutations (flip, insert, delete, truncate) of
+//! - a real simulator perf log and a real study report, each fed to
+//!   `parse_jsonl` and `Json::parse`;
+//! - the canonical driver ↔ worker frames of the protocol golden and one
+//!   inter-node message per variant, fed to their `Wire` decoders and, as
+//!   a framed stream, to `FrameDecoder`.
+//!
+//! Every mutant must come back `Ok` or `Err` — never a panic, a stack
+//! overflow or an allocation sized by a corrupted count.
 
+use std::fmt::Debug;
+
+use bytes::Bytes;
+use rocket::cache::DirectoryMsg;
+use rocket::cluster::{ToDriver, ToWorker};
+use rocket::comm::{encode_frame, FrameDecoder, Wire};
+use rocket::core::engine::messages::NodeMsg;
 use rocket::core::{Backend, NodeSpec, Scenario};
 use rocket::sim::SimBackend;
 use rocket::trace::json::Json;
 use rocket::trace::perflog::{parse_jsonl, write_jsonl};
 use rocket::trace::{PerfLog, PerfMeta, PerfRollup};
 use rocket::{Axis, Study, Sweep};
+
+#[path = "../crates/cluster/tests/golden/canonical.rs"]
+mod canonical;
 
 /// Mutants per seed input.
 const MUTANTS: usize = 10_000;
@@ -126,4 +141,94 @@ fn mutated_perf_logs_and_reports_never_panic() {
         0 < json_ok && json_ok < MUTANTS,
         "report mutants accepted: {json_ok}"
     );
+}
+
+/// One inter-node message per variant, the directory protocol's included.
+fn node_msgs() -> Vec<NodeMsg> {
+    vec![
+        NodeMsg::Dir(DirectoryMsg::Request {
+            item: 7,
+            requester: 3,
+        }),
+        NodeMsg::Dir(DirectoryMsg::Probe {
+            item: 9,
+            requester: 0,
+            rest: [1, 2, 5].into_iter().collect(),
+            hop: 2,
+        }),
+        NodeMsg::Dir(DirectoryMsg::Found {
+            item: 1,
+            holder: 4,
+            hop: 1,
+        }),
+        NodeMsg::Dir(DirectoryMsg::NotFound { item: 2 }),
+        NodeMsg::Fetch { item: 11 },
+        NodeMsg::FetchReply {
+            item: 12,
+            data: Some(Bytes::from(vec![1u8, 2, 3])),
+        },
+    ]
+}
+
+/// Feeds `MUTANTS` mutants of each encoded seed to `T::from_bytes`;
+/// returns how many decoded. Whatever decodes re-encodes to bytes that
+/// decode to the same value.
+fn fuzz_wire<T: Wire + Debug>(seeds: &[T], mut rng: u64) -> usize {
+    let mut ok = 0;
+    for seed in seeds {
+        let bytes = seed.to_bytes();
+        for _ in 0..MUTANTS {
+            if let Ok(v) = T::from_bytes(mutate(&bytes, &mut rng).into()) {
+                let back = T::from_bytes(v.to_bytes()).expect("re-encoded value decodes");
+                assert_eq!(format!("{back:?}"), format!("{v:?}"));
+                ok += 1;
+            }
+        }
+    }
+    ok
+}
+
+/// Feeds `MUTANTS` mutants of a framed stream to `FrameDecoder` and
+/// decodes every frame it yields as each frame type, until the stream
+/// ends or the decoder rejects a length prefix (where a socket drops the
+/// connection). Returns the number of frames yielded.
+fn fuzz_frames(stream: &[u8], mut rng: u64) -> usize {
+    let mut frames = 0;
+    for _ in 0..MUTANTS {
+        let mut dec = FrameDecoder::new();
+        dec.extend(&mutate(stream, &mut rng));
+        while let Ok(Some(payload)) = dec.next_frame() {
+            frames += 1;
+            let _ = ToWorker::from_bytes(payload.clone());
+            let _ = ToDriver::from_bytes(payload.clone());
+            let _ = NodeMsg::from_bytes(payload);
+        }
+    }
+    frames
+}
+
+#[test]
+fn mutated_wire_frames_never_panic() {
+    let to_worker = canonical::to_worker();
+    let to_driver = canonical::to_driver();
+    let msgs = node_msgs();
+
+    // Bit flips inside a number keep a frame valid; most other edits do
+    // not, so both outcomes are exercised for every frame type.
+    let total = |n: usize| n * MUTANTS;
+    let ok = fuzz_wire(&to_worker, 0x5eed_0003);
+    assert!(0 < ok && ok < total(to_worker.len()), "ToWorker: {ok}");
+    let ok = fuzz_wire(&to_driver, 0x5eed_0004);
+    assert!(0 < ok && ok < total(to_driver.len()), "ToDriver: {ok}");
+    let ok = fuzz_wire(&msgs, 0x5eed_0005);
+    assert!(0 < ok && ok < total(msgs.len()), "NodeMsg: {ok}");
+
+    let mut stream = Vec::new();
+    let payloads = (to_worker.iter().map(Wire::to_bytes))
+        .chain(to_driver.iter().map(Wire::to_bytes))
+        .chain(msgs.iter().map(Wire::to_bytes));
+    for payload in payloads {
+        stream.extend_from_slice(&encode_frame(&payload));
+    }
+    assert!(fuzz_frames(&stream, 0x5eed_0006) > 0);
 }
