@@ -6,6 +6,8 @@
 //! stream chunks of any size (down to a single byte — TCP may tear a
 //! frame anywhere) and it yields complete payloads in order.
 
+use std::io::{self, IoSlice, Write};
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::wire::WireError;
@@ -32,17 +34,30 @@ pub fn encode_frame(payload: &[u8]) -> Bytes {
 }
 
 /// Writes one frame to a byte sink (what the socket transport sends).
+/// Header and payload go out in one vectored write, so under
+/// `TCP_NODELAY` a small frame leaves as one segment, not two; a partial
+/// write is continued until the whole frame is out.
 /// An oversized payload is an I/O error, not a panic: the send path runs
 /// on fault-critical threads that must degrade, never abort.
-pub fn write_frame<W: std::io::Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME as usize {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
             format!("frame payload of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    let header = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = slices.as_mut_slice();
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Incremental frame decoder over an arbitrary chunking of the stream.
@@ -158,5 +173,69 @@ mod tests {
         let mut out = Vec::new();
         write_frame(&mut out, b"abc").unwrap();
         assert_eq!(out, encode_frame(b"abc").as_ref());
+    }
+
+    /// A sink that counts write calls and accepts at most `per_call`
+    /// bytes in each (all of them when `None`).
+    struct Sink {
+        per_call: Option<usize>,
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut budget = self.per_call.unwrap_or(usize::MAX);
+            let before = self.bytes.len();
+            for buf in bufs {
+                let n = buf.len().min(budget);
+                self.bytes.extend_from_slice(&buf[..n]);
+                budget -= n;
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_per_frame() {
+        let mut sink = Sink {
+            per_call: None,
+            calls: 0,
+            bytes: Vec::new(),
+        };
+        let payloads = [&b"hello"[..], b"", &[7u8; 70_000]];
+        for payload in payloads {
+            write_frame(&mut sink, payload).unwrap();
+        }
+        assert_eq!(sink.calls, payloads.len());
+        let want: Vec<u8> = payloads
+            .iter()
+            .flat_map(|p| encode_frame(p).to_vec())
+            .collect();
+        assert_eq!(sink.bytes, want);
+    }
+
+    #[test]
+    fn write_frame_continues_partial_writes() {
+        let mut sink = Sink {
+            per_call: Some(1),
+            calls: 0,
+            bytes: Vec::new(),
+        };
+        let payload: Vec<u8> = (0..=255u8).collect();
+        write_frame(&mut sink, &payload).unwrap();
+        write_frame(&mut sink, b"").unwrap();
+        let want = [encode_frame(&payload).to_vec(), encode_frame(b"").to_vec()].concat();
+        assert_eq!(sink.bytes, want);
+        assert_eq!(sink.calls, want.len(), "one byte per call");
     }
 }

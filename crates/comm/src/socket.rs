@@ -283,6 +283,12 @@ impl Transport for SocketTransport {
             let Some(Some(writer)) = self.writers.get(to) else {
                 return Err(RecvError::Disconnected);
             };
+            // A peer whose reader saw it hang up is gone. The kernel would
+            // still take the first frame written after the hang-up (a
+            // frame is one write), so the write cannot be the only check.
+            if !self.peer_alive(to) {
+                return Err(RecvError::Disconnected);
+            }
             let mut stream = writer.lock();
             write_frame(&mut *stream, &payload).map_err(|_| {
                 // A failed write is positive evidence the peer is gone.

@@ -4,11 +4,12 @@
 //! channels with timeouts and disconnect detection) and [`deque`]
 //! (owner-LIFO / thief-FIFO work-stealing deques) — on top of plain mutexes
 //! and condition variables. Correctness and API compatibility over raw
-//! scalability. The threaded runtime's channels do carry per-pair messages:
-//! on the hit path each pair crosses three of them (its submission to the
-//! conductor, the compare task to a GPU thread, and the completion back).
-//! Each send is one short critical section plus a wake-up; what a hand-off
-//! costs is mostly the context switch the wake-up causes.
+//! scalability. On the threaded runtime's hit path the channels carry
+//! batches, not pairs: a submission to the conductor carries one grant of
+//! job permits, and a GPU task and its completion carry every compare that
+//! became ready in one conductor drain. Each send is one short critical
+//! section plus a wake-up; what a hand-off costs is mostly the context
+//! switch the wake-up causes.
 
 pub mod channel {
     //! Multi-producer multi-consumer unbounded channels.

@@ -236,11 +236,18 @@ pub(crate) fn run<A: Application>(
         static_partition: scenario.static_partition,
         ..Default::default()
     };
-    let steal = StealPool::run(n, &topology, &pool_cfg, |worker, pair| {
+    let steal = StealPool::run_leaves(n, &topology, &pool_cfg, |worker, leaf| {
         let (node, dev) = worker_map[worker];
+        let handle = &handles[node];
         // Back-pressure: one permit per in-flight job on the target node.
-        handles[node].limiter.acquire();
-        handles[node].submit(pair, dev);
+        // Each grant of free permits leaves as one submission.
+        let mut pairs = leaf.pairs();
+        let mut left = leaf.count() as usize;
+        while left > 0 {
+            let granted = handle.limiter.acquire_up_to(left);
+            handle.submit(pairs.by_ref().take(granted).collect(), dev);
+            left -= granted;
+        }
     });
 
     // All pairs submitted. Every job holds its node's permit until it

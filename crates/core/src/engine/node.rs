@@ -12,7 +12,24 @@
 //!
 //! A job `(i, j)` bound to device `d` acquires read leases on both items in
 //! `d`'s device cache, then: compare + result read-back (GPU thread) →
-//! post-process (conductor) → output. A device-cache miss starts a *device
+//! post-process (conductor) → output. Work crosses each thread boundary
+//! once per batch, not once per pair:
+//!
+//! * a submitter sends one `Submit` per grant of job permits, carrying as
+//!   many pairs of its leaf as there were free permits;
+//! * the conductor blocks for one event, then handles every event already
+//!   queued (a *drain*); at the end of the drain it sends each device's
+//!   ready compares as one GPU task, split only where a task would hold
+//!   more than half the node's permits — and a compare leaves at once
+//!   when its device has nothing queued, so an idle GPU never waits on a
+//!   long drain;
+//! * the GPU task runs its compares in order, each with its own result
+//!   read-back and its own `Compare` perf record, and posts one
+//!   `ComparesDone`; the conductor post-processes every pair, fails only
+//!   the pairs whose compare failed, and returns the batch's permits in one
+//!   release.
+//!
+//! A device-cache miss starts a *device
 //! fill*: host-cache hit → H2D copy; host-cache miss → *host fill*:
 //! distributed lookup → remote fetch, or the full load pipeline — read
 //! (I/O) → parse (CPU) → staging upload (H2D) → pre-process (GPU, directly
@@ -65,7 +82,7 @@ use rocket_trace::{PerfKind, PerfRecord};
 
 use crate::app::Application;
 use crate::engine::messages::NodeMsg;
-use crate::engine::resource::{Recording, Resource};
+use crate::engine::resource::{Recorder, Recording, Resource, Task};
 use crate::scenario::Scenario;
 
 /// Job identifier within one node.
@@ -86,8 +103,8 @@ enum Cont {
 /// Conductor events (posted by resource threads, the comm thread, and
 /// submitters).
 pub(crate) enum Event {
-    /// A new pair job bound to a device.
-    Submit { pair: Pair, dev: usize },
+    /// New pair jobs bound to a device, one limiter permit each.
+    Submit { pairs: Vec<Pair>, dev: usize },
     /// Storage read finished.
     IoDone {
         item: ItemId,
@@ -108,8 +125,9 @@ pub(crate) enum Event {
         item: ItemId,
         result: Result<(), String>,
     },
-    /// Pre-process kernel finished (item now in the device slot).
+    /// Pre-process kernel finished on `dev` (item now in the device slot).
     PreprocessDone {
+        dev: usize,
         item: ItemId,
         result: Result<(), String>,
     },
@@ -126,10 +144,11 @@ pub(crate) enum Event {
         item: ItemId,
         result: Result<(), String>,
     },
-    /// Comparison kernel finished and its result is on the host.
-    CompareDone {
-        job: JobId,
-        result: Result<Vec<u8>, String>,
+    /// A GPU task of compares on `dev` finished: one result per job, each
+    /// already read back to the host.
+    ComparesDone {
+        dev: usize,
+        results: Vec<(JobId, Result<Vec<u8>, String>)>,
     },
     /// A message from a peer node (with the sender's rank from the
     /// transport envelope).
@@ -150,6 +169,15 @@ struct Job {
     /// Set once the compare kernel is scheduled; guards against duplicate
     /// scheduling from redundant wake-ups.
     comparing: bool,
+}
+
+/// A compare whose job holds both leases, waiting for its device's next
+/// GPU task.
+struct Compare {
+    job: JobId,
+    pair: Pair,
+    left: BufferId,
+    right: BufferId,
 }
 
 /// One device's fill of one item.
@@ -200,7 +228,7 @@ pub struct NodeReport {
     pub remote_fetches: u64,
     /// Pairs that failed permanently, with causes.
     pub failed: Vec<(Pair, String)>,
-    /// One stage record per task the node's resource threads executed,
+    /// One stage record per stage the node's resource threads executed,
     /// plus one per post-process the conductor ran, stamped on the
     /// run-wide clock (empty unless the run is recorded).
     pub perf: Vec<PerfRecord>,
@@ -211,8 +239,9 @@ pub struct NodeReport {
 /// Handle used by the cluster driver to feed and finalize a node.
 pub(crate) struct NodeHandle {
     pub events: Sender<Event>,
-    /// One permit per in-flight job: the driver acquires before
-    /// [`NodeHandle::submit`] and waits for all of them back to drain.
+    /// One permit per in-flight job: the driver acquires one per pair
+    /// before [`NodeHandle::submit`] and waits for all of them back to
+    /// drain.
     pub limiter: Arc<JobLimiter>,
     thread: JoinHandle<NodeReport>,
     /// The transport and the comm pump blocked on it (multi-node runs
@@ -221,11 +250,12 @@ pub(crate) struct NodeHandle {
 }
 
 impl NodeHandle {
-    /// Submits one pair job bound to a device (caller must hold a limiter
-    /// permit; the conductor releases it at completion).
-    pub fn submit(&self, pair: Pair, dev: usize) {
+    /// Submits pair jobs bound to a device (the caller must hold one
+    /// limiter permit per pair; the conductor releases each at its job's
+    /// completion).
+    pub fn submit(&self, pairs: Vec<Pair>, dev: usize) {
         self.events
-            .send(Event::Submit { pair, dev })
+            .send(Event::Submit { pairs, dev })
             .expect("conductor gone");
     }
 
@@ -370,6 +400,10 @@ struct Conductor<A: Application> {
     /// time on its launch thread, each reading its result back before the
     /// next one starts.
     result_bufs: Vec<BufferId>,
+    /// GPU tasks sent to each device whose completion is not handled yet.
+    gpu_queued: Vec<usize>,
+    /// Each device's compares that wait for the end of the drain.
+    ready: Vec<Vec<Compare>>,
 
     /// Keyed, not a slab: a redundant wake-up can name a finished job, so
     /// ids are never reused. Fx-hashed: a deterministic hasher keeps any
@@ -388,9 +422,8 @@ struct Conductor<A: Application> {
     remote_fetches: u64,
     failed: Vec<(Pair, String)>,
     outputs: SharedOutputs<A>,
-    recording: Option<Recording>,
-    /// The conductor's own post-process records (recorded runs only).
-    post_perf: Vec<PerfRecord>,
+    /// Times the conductor's own post-processes (recorded runs only).
+    recorder: Recorder,
     limiter: Arc<JobLimiter>,
     events_rx: Receiver<Event>,
     shutdown: bool,
@@ -487,6 +520,8 @@ impl<A: Application> Conductor<A> {
             staging_pool,
             staging_queue,
             result_bufs,
+            gpu_queued: vec![0; n_dev],
+            ready: (0..n_dev).map(|_| Vec::new()).collect(),
             jobs: FxHashMap::default(),
             next_job: 0,
             pending_conts: VecDeque::new(),
@@ -499,22 +534,29 @@ impl<A: Application> Conductor<A> {
             remote_fetches: 0,
             failed: Vec::new(),
             outputs,
-            recording,
-            post_perf: Vec::new(),
+            recorder: Recorder::new(recording),
             limiter,
             events_rx,
             shutdown: false,
         }
     }
 
+    /// Drains the event queue: blocks for one event, then handles every
+    /// event already queued, then sends each device's ready compares.
     fn run(mut self) -> NodeReport {
-        while !self.shutdown {
-            match self.events_rx.recv() {
-                Ok(event) => {
-                    self.handle(event);
-                    self.drain_conts();
-                }
-                Err(_) => break,
+        while let Ok(event) = self.events_rx.recv() {
+            self.handle(event);
+            while !self.shutdown {
+                let Ok(event) = self.events_rx.try_recv() else {
+                    break;
+                };
+                self.handle(event);
+            }
+            for dev in 0..self.ready.len() {
+                self.launch_compares(dev);
+            }
+            if self.shutdown {
+                break;
             }
         }
         self.finish()
@@ -533,7 +575,7 @@ impl<A: Application> Conductor<A> {
             .chain(self.h2d)
             .chain(self.d2h)
             .flat_map(Resource::shutdown)
-            .chain(self.post_perf)
+            .chain(self.recorder.into_records())
             .collect();
         NodeReport {
             node: self.node_id,
@@ -552,9 +594,14 @@ impl<A: Application> Conductor<A> {
         }
     }
 
+    /// Handles one event and the continuations it queued.
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Submit { pair, dev } => self.submit_job(pair, dev),
+            Event::Submit { pairs, dev } => {
+                for pair in pairs {
+                    self.submit_job(pair, dev);
+                }
+            }
             Event::IoDone { item, result } => self.on_io_done(item, result),
             Event::ParseDone { item, result } => self.on_parse_done(item, result),
             Event::ParseIntoHostDone { item, result } => match result {
@@ -568,7 +615,10 @@ impl<A: Application> Conductor<A> {
                 Ok(()) => self.schedule_preprocess(item),
                 Err(e) => self.item_failure(item, e),
             },
-            Event::PreprocessDone { item, result } => self.on_preprocess_done(item, result),
+            Event::PreprocessDone { dev, item, result } => {
+                self.gpu_task_done(dev);
+                self.on_preprocess_done(item, result)
+            }
             Event::ItemCopiedToHost {
                 dev,
                 dslot,
@@ -587,10 +637,11 @@ impl<A: Application> Conductor<A> {
             Event::DeviceFillCopied { dev, item, result } => {
                 self.on_device_fill_copied(dev, item, result)
             }
-            Event::CompareDone { job, result } => self.on_compare_done(job, result),
+            Event::ComparesDone { dev, results } => self.on_compares_done(dev, results),
             Event::Remote { from, msg } => self.on_remote(from, msg),
             Event::Shutdown => self.shutdown = true,
         }
+        self.drain_conts();
     }
 
     // ---- job lifecycle -------------------------------------------------
@@ -690,68 +741,119 @@ impl<A: Application> Conductor<A> {
         }
     }
 
+    /// Queues a job's compare for its device's next GPU task, and sends
+    /// that task at once if the device has nothing queued.
     fn start_compare(&mut self, id: JobId) {
         let job = &self.jobs[&id];
-        let (pair, dev) = (job.pair, job.dev);
-        let left_buf = self.dev_slot_bufs[dev][job.left.expect("left lease held")];
-        let right_buf = self.dev_slot_bufs[dev][job.right.expect("right lease held")];
-        let result_buf = self.result_bufs[dev];
-        let device = Arc::clone(&self.devices[dev]);
-        let app = Arc::clone(&self.app);
-        self.gpu[dev].submit(
-            PerfKind::Compare,
-            Box::new(move || {
-                let mut out = Vec::with_capacity(app.result_bytes());
-                let result = device
-                    .launch(&[left_buf, right_buf], result_buf, |ins, out| {
-                        app.compare((pair.left, ins[0]), (pair.right, ins[1]), out)
-                    })
-                    .map_err(|e| e.to_string())
-                    .and_then(|r| r.map_err(|e| e.to_string()))
-                    .and_then(|()| {
-                        device
-                            .copy_d2h(result_buf, &mut out)
-                            .map_err(|e| format!("result copy: {e}"))
-                    })
-                    .map(|()| out);
-                Some(Event::CompareDone { job: id, result })
-            }),
-        );
+        let dev = job.dev;
+        self.ready[dev].push(Compare {
+            job: id,
+            pair: job.pair,
+            left: self.dev_slot_bufs[dev][job.left.expect("left lease held")],
+            right: self.dev_slot_bufs[dev][job.right.expect("right lease held")],
+        });
+        if self.gpu_queued[dev] == 0 {
+            self.launch_compares(dev);
+        }
     }
 
-    fn on_compare_done(&mut self, id: JobId, result: Result<Vec<u8>, String>) {
-        // The result is on the host: the device slots are free again.
-        self.release_job_leases(id);
-        match result {
-            Ok(bytes) => {
+    /// Sends `dev`'s ready compares as GPU tasks of at most half the
+    /// node's permits each. A task runs its compares in order through the
+    /// device's one result buffer, each reading its result back before
+    /// the next starts, and times each as one `Compare` stage.
+    ///
+    /// The cap keeps the GPU fed: permits come back when a whole task
+    /// finishes, so the completion of a task that held every permit would
+    /// leave the device idle until the submitter refilled it. At half the
+    /// permits, a completion frees enough to wake the submitter (the
+    /// limiter's half-limit rule) while the next task still runs.
+    fn launch_compares(&mut self, dev: usize) {
+        let cap = (self.limiter.limit() / 2).max(1);
+        while !self.ready[dev].is_empty() {
+            let take = self.ready[dev].len().min(cap);
+            let batch: Vec<Compare> = self.ready[dev].drain(..take).collect();
+            let result_buf = self.result_bufs[dev];
+            let device = Arc::clone(&self.devices[dev]);
+            let app = Arc::clone(&self.app);
+            self.submit_gpu(
+                dev,
+                Box::new(move |rec| {
+                    let results = batch
+                        .into_iter()
+                        .map(|c| {
+                            let result = rec.time(PerfKind::Compare, || {
+                                let mut out = Vec::with_capacity(app.result_bytes());
+                                device
+                                    .launch(&[c.left, c.right], result_buf, |ins, out| {
+                                        app.compare(
+                                            (c.pair.left, ins[0]),
+                                            (c.pair.right, ins[1]),
+                                            out,
+                                        )
+                                    })
+                                    .map_err(|e| e.to_string())
+                                    .and_then(|r| r.map_err(|e| e.to_string()))
+                                    .and_then(|()| {
+                                        device
+                                            .copy_d2h(result_buf, &mut out)
+                                            .map_err(|e| format!("result copy: {e}"))
+                                    })
+                                    .map(|()| out)
+                            });
+                            (c.job, result)
+                        })
+                        .collect();
+                    Some(Event::ComparesDone { dev, results })
+                }),
+            );
+        }
+    }
+
+    fn submit_gpu(&mut self, dev: usize, task: Task<Event>) {
+        self.gpu_queued[dev] += 1;
+        self.gpu[dev].submit(task);
+    }
+
+    /// A GPU task on `dev` finished: if that leaves the device with
+    /// nothing queued, its ready compares leave now, not at the end of
+    /// the drain.
+    fn gpu_task_done(&mut self, dev: usize) {
+        self.gpu_queued[dev] -= 1;
+        if self.gpu_queued[dev] == 0 {
+            self.launch_compares(dev);
+        }
+    }
+
+    fn on_compares_done(&mut self, dev: usize, results: Vec<(JobId, Result<Vec<u8>, String>)>) {
+        self.gpu_task_done(dev);
+        let permits = results.len();
+        let mut outputs = Vec::with_capacity(permits);
+        for (id, result) in results {
+            // The result is on the host: the device slots are free again.
+            self.release_job_leases(id);
+            let pair = self.jobs.remove(&id).expect("compared job exists").pair;
+            match result {
                 // Decoding a result takes nanoseconds: cheaper here than a
                 // round trip through the CPU pool.
-                let pair = self.jobs[&id].pair;
-                let post = || {
-                    let out = self.app.postprocess(pair, &bytes);
-                    self.outputs.lock().push((pair, out));
-                };
-                match self.recording {
-                    None => post(),
-                    Some(r) => r.time(PerfKind::Postprocess, &mut self.post_perf, post),
-                }
-                self.finish_job(id);
+                Ok(bytes) => outputs.push((
+                    pair,
+                    self.recorder
+                        .time(PerfKind::Postprocess, || self.app.postprocess(pair, &bytes)),
+                )),
+                Err(e) => self.failed.push((pair, format!("compare failed: {e}"))),
             }
-            Err(e) => self.fail_job(id, format!("compare failed: {e}")),
         }
+        self.outputs.lock().extend(outputs);
+        self.limiter.release_many(permits);
     }
 
-    fn finish_job(&mut self, id: JobId) {
-        self.jobs.remove(&id);
-        self.limiter.release();
-    }
-
+    /// Fails a job that never reached its compare.
     fn fail_job(&mut self, id: JobId, cause: String) {
         self.release_job_leases(id);
-        if let Some(job) = self.jobs.get(&id) {
+        if let Some(job) = self.jobs.remove(&id) {
             self.failed.push((job.pair, cause));
+            self.limiter.release();
         }
-        self.finish_job(id);
     }
 
     // ---- device fill ---------------------------------------------------
@@ -782,14 +884,14 @@ impl<A: Application> Conductor<A> {
                 let dbuf = self.dev_slot_bufs[dev][dslot];
                 let payload = Arc::clone(&self.host_slots[hslot]);
                 let device = Arc::clone(&self.devices[dev]);
-                self.h2d[dev].submit(
-                    PerfKind::CopyIn,
-                    Box::new(move || {
-                        let data = payload.lock();
-                        let result = device.copy_h2d(&data, dbuf).map_err(|e| e.to_string());
-                        Some(Event::DeviceFillCopied { dev, item, result })
-                    }),
-                );
+                self.h2d[dev].submit(Box::new(move |rec| {
+                    let result = rec.time(PerfKind::CopyIn, || {
+                        device
+                            .copy_h2d(&payload.lock(), dbuf)
+                            .map_err(|e| e.to_string())
+                    });
+                    Some(Event::DeviceFillCopied { dev, item, result })
+                }));
             }
             Lookup::Pending => {}
             Lookup::MustLoad(hslot) => self.start_host_fill(item, hslot, dev),
@@ -862,13 +964,12 @@ impl<A: Application> Conductor<A> {
     fn local_load(&mut self, item: ItemId) {
         let path = self.app.file_for(item);
         let store = Arc::clone(&self.store);
-        self.io.submit(
-            PerfKind::Read,
-            Box::new(move || {
-                let result = store.read(&path).map_err(|e| e.to_string());
-                Some(Event::IoDone { item, result })
-            }),
-        );
+        self.io.submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::Read, || {
+                store.read(&path).map_err(|e| e.to_string())
+            });
+            Some(Event::IoDone { item, result })
+        }));
     }
 
     fn on_io_done(&mut self, item: ItemId, result: Result<Bytes, String>) {
@@ -885,28 +986,25 @@ impl<A: Application> Conductor<A> {
         let app = Arc::clone(&self.app);
         if app.has_preprocess() {
             let parsed_bytes = app.parsed_bytes();
-            self.cpu.submit(
-                PerfKind::Parse,
-                Box::new(move || {
+            self.cpu.submit(Box::new(move |rec| {
+                let result = rec.time(PerfKind::Parse, || {
                     let mut parsed = vec![0u8; parsed_bytes];
-                    let result = app
-                        .parse(item, &raw, &mut parsed)
+                    app.parse(item, &raw, &mut parsed)
                         .map(|()| parsed)
-                        .map_err(|e| e.to_string());
-                    Some(Event::ParseDone { item, result })
-                }),
-            );
+                        .map_err(|e| e.to_string())
+                });
+                Some(Event::ParseDone { item, result })
+            }));
         } else {
             // No GPU pre-processing: parse straight into the host slot.
             let payload = Arc::clone(&self.host_slots[fill.hslot]);
-            self.cpu.submit(
-                PerfKind::Parse,
-                Box::new(move || {
-                    let mut buf = payload.lock();
-                    let result = app.parse(item, &raw, &mut buf).map_err(|e| e.to_string());
-                    Some(Event::ParseIntoHostDone { item, result })
-                }),
-            );
+            self.cpu.submit(Box::new(move |rec| {
+                let result = rec.time(PerfKind::Parse, || {
+                    app.parse(item, &raw, &mut payload.lock())
+                        .map_err(|e| e.to_string())
+                });
+                Some(Event::ParseIntoHostDone { item, result })
+            }));
         }
     }
 
@@ -936,13 +1034,12 @@ impl<A: Application> Conductor<A> {
         fill.staging = Some(staging);
         let parsed = fill.parsed.take().expect("parsed bytes present");
         let device = Arc::clone(&self.devices[dev]);
-        self.h2d[dev].submit(
-            PerfKind::CopyIn,
-            Box::new(move || {
-                let result = device.copy_h2d(&parsed, staging).map_err(|e| e.to_string());
-                Some(Event::StagingUploaded { item, result })
-            }),
-        );
+        self.h2d[dev].submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::CopyIn, || {
+                device.copy_h2d(&parsed, staging).map_err(|e| e.to_string())
+            });
+            Some(Event::StagingUploaded { item, result })
+        }));
     }
 
     fn schedule_preprocess(&mut self, item: ItemId) {
@@ -960,16 +1057,18 @@ impl<A: Application> Conductor<A> {
         let dbuf = self.dev_slot_bufs[dev][dslot];
         let device = Arc::clone(&self.devices[dev]);
         let app = Arc::clone(&self.app);
-        self.gpu[dev].submit(
-            PerfKind::Preprocess,
-            Box::new(move || {
-                let result = device
-                    .launch(&[staging], dbuf, |ins, out| {
-                        app.preprocess(item, ins[0], out)
-                    })
-                    .map_err(|e| e.to_string())
-                    .and_then(|r| r.map_err(|e| e.to_string()));
-                Some(Event::PreprocessDone { item, result })
+        self.submit_gpu(
+            dev,
+            Box::new(move |rec| {
+                let result = rec.time(PerfKind::Preprocess, || {
+                    device
+                        .launch(&[staging], dbuf, |ins, out| {
+                            app.preprocess(item, ins[0], out)
+                        })
+                        .map_err(|e| e.to_string())
+                        .and_then(|r| r.map_err(|e| e.to_string()))
+                });
+                Some(Event::PreprocessDone { dev, item, result })
             }),
         );
     }
@@ -1011,26 +1110,25 @@ impl<A: Application> Conductor<A> {
                 self.complete_dev_fill(dev, item, true);
                 let payload = Arc::clone(&self.host_slots[hslot]);
                 let device = Arc::clone(&self.devices[dev]);
-                self.d2h[dev].submit(
-                    PerfKind::CopyOut,
-                    Box::new(move || {
+                self.d2h[dev].submit(Box::new(move |rec| {
+                    let result = rec.time(PerfKind::CopyOut, || {
                         let mut tmp = Vec::new();
-                        let result = device
+                        device
                             .copy_d2h(dbuf, &mut tmp)
                             .map(|()| {
                                 let mut buf = payload.lock();
                                 let n = buf.len().min(tmp.len());
                                 buf[..n].copy_from_slice(&tmp[..n]);
                             })
-                            .map_err(|e| e.to_string());
-                        Some(Event::ItemCopiedToHost {
-                            dev,
-                            dslot,
-                            item,
-                            result,
-                        })
-                    }),
-                );
+                            .map_err(|e| e.to_string())
+                    });
+                    Some(Event::ItemCopiedToHost {
+                        dev,
+                        dslot,
+                        item,
+                        result,
+                    })
+                }));
             }
             Err(e) => self.item_failure(item, format!("preprocess failed: {e}")),
         }

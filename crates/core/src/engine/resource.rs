@@ -4,9 +4,11 @@
 //! different resources never contend: CPU pool, one kernel-launch thread
 //! per GPU, one H2D and one D2H copy thread per GPU, and one I/O thread.
 //! Each thread executes closures sent by the conductor and posts the
-//! resulting event back. When the run is recorded, every thread keeps a
-//! private buffer of one [`PerfRecord`] per task and hands it back at
-//! shutdown; an unrecorded run reads no clock.
+//! resulting event back. A task times its own stages through the
+//! [`Recorder`] it is handed, so a task that runs several stages (a batch
+//! of compares) logs one [`PerfRecord`] per stage. When the run is
+//! recorded, every thread keeps a private buffer of records and hands it
+//! back at shutdown; an unrecorded run reads no clock.
 
 use std::thread::JoinHandle;
 
@@ -16,8 +18,9 @@ use rocket_trace::{PerfKind, PerfRecord};
 use crate::clock::Stopwatch;
 
 /// A task executed on a resource thread, yielding an event for the
-/// conductor (or `None` for fire-and-forget tasks).
-pub(crate) type Task<E> = Box<dyn FnOnce() -> Option<E> + Send>;
+/// conductor (or `None` for fire-and-forget tasks). It times its stages
+/// with the thread's recorder.
+pub(crate) type Task<E> = Box<dyn FnOnce(&mut Recorder) -> Option<E> + Send>;
 
 /// What a recorded run stamps its records with: the run-wide clock every
 /// node shares, and the node the resource belongs to.
@@ -27,26 +30,48 @@ pub(crate) struct Recording {
     pub node: u32,
 }
 
-impl Recording {
-    /// Runs `f` and appends its duration to `perf` as one `kind` record,
-    /// stamped at completion.
-    pub fn time<R>(self, kind: PerfKind, perf: &mut Vec<PerfRecord>, f: impl FnOnce() -> R) -> R {
-        let start = self.clock.elapsed_ns();
+/// One thread's stage timer: the records of a recorded run, or nothing
+/// (and no clock read) for an unrecorded one.
+pub(crate) struct Recorder {
+    recording: Option<Recording>,
+    records: Vec<PerfRecord>,
+}
+
+impl Recorder {
+    pub fn new(recording: Option<Recording>) -> Self {
+        Self {
+            recording,
+            records: Vec::new(),
+        }
+    }
+
+    /// Runs `f`; a recorded run appends its duration as one `kind`
+    /// record, stamped at completion.
+    pub fn time<R>(&mut self, kind: PerfKind, f: impl FnOnce() -> R) -> R {
+        let Some(Recording { clock, node }) = self.recording else {
+            return f();
+        };
+        let start = clock.elapsed_ns();
         let r = f();
-        let t_ns = self.clock.elapsed_ns();
-        perf.push(PerfRecord {
+        let t_ns = clock.elapsed_ns();
+        self.records.push(PerfRecord {
             t_ns,
             kind,
-            node: self.node,
+            node,
             value: t_ns - start,
         });
         r
+    }
+
+    /// What was recorded (empty for an unrecorded run).
+    pub fn into_records(self) -> Vec<PerfRecord> {
+        self.records
     }
 }
 
 /// Handle to one resource (a thread or a pool sharing a queue).
 pub(crate) struct Resource<E> {
-    tx: Sender<(PerfKind, Task<E>)>,
+    tx: Sender<Task<E>>,
     threads: Vec<JoinHandle<Vec<PerfRecord>>>,
 }
 
@@ -60,7 +85,7 @@ impl<E: Send + 'static> Resource<E> {
         recording: Option<Recording>,
     ) -> Self {
         assert!(threads >= 1);
-        let (tx, rx): (Sender<(PerfKind, Task<E>)>, Receiver<_>) = unbounded();
+        let (tx, rx): (Sender<Task<E>>, Receiver<_>) = unbounded();
         let handles = (0..threads)
             .map(|i| {
                 let rx = rx.clone();
@@ -68,22 +93,18 @@ impl<E: Send + 'static> Resource<E> {
                 std::thread::Builder::new()
                     .name(format!("rocket-{name}-{i}"))
                     .spawn(move || {
-                        let mut perf = Vec::new();
+                        let mut recorder = Recorder::new(recording);
                         // Runs until `shutdown` drops the only sender and
                         // the queue is drained.
-                        while let Ok((kind, task)) = rx.recv() {
-                            let event = match recording {
-                                None => task(),
-                                Some(r) => r.time(kind, &mut perf, task),
-                            };
-                            if let Some(e) = event {
+                        while let Ok(task) = rx.recv() {
+                            if let Some(e) = task(&mut recorder) {
                                 // The conductor may already be gone
                                 // during shutdown; dropping the
                                 // event is fine then.
                                 let _ = events.send(e);
                             }
                         }
-                        perf
+                        recorder.into_records()
                     })
                     .expect("failed to spawn resource thread")
             })
@@ -94,9 +115,9 @@ impl<E: Send + 'static> Resource<E> {
         }
     }
 
-    /// Queues a task; `kind` is the stage a recorded run logs it as.
-    pub fn submit(&self, kind: PerfKind, task: Task<E>) {
-        self.tx.send((kind, task)).expect("resource thread gone");
+    /// Queues a task.
+    pub fn submit(&self, task: Task<E>) {
+        self.tx.send(task).expect("resource thread gone");
     }
 
     /// Stops all workers after the tasks already queued, joins them, and
@@ -126,7 +147,9 @@ mod tests {
         };
         let r = Resource::spawn("test", 1, etx, Some(recording));
         for i in 0..5u32 {
-            r.submit(PerfKind::Parse, Box::new(move || Some(i * 2)));
+            r.submit(Box::new(move |rec| {
+                rec.time(PerfKind::Parse, || Some(i * 2))
+            }));
         }
         let mut got: Vec<u32> = (0..5).map(|_| erx.recv().unwrap()).collect();
         got.sort_unstable();
@@ -141,19 +164,33 @@ mod tests {
     }
 
     #[test]
+    fn a_task_records_each_stage_it_times() {
+        let (etx, erx) = unbounded::<usize>();
+        let recording = Recording {
+            clock: clock::stopwatch(),
+            node: 0,
+        };
+        let r = Resource::spawn("batch", 1, etx, Some(recording));
+        r.submit(Box::new(|rec| {
+            Some((0..3).map(|i| rec.time(PerfKind::Compare, || i)).sum())
+        }));
+        assert_eq!(erx.recv().unwrap(), 3);
+        let perf = r.shutdown();
+        assert_eq!(perf.len(), 3, "one record per timed stage");
+        assert!(perf.iter().all(|rec| rec.kind == PerfKind::Compare));
+    }
+
+    #[test]
     fn pool_shares_queue() {
         let (etx, erx) = unbounded::<()>();
         let seen = Arc::new(AtomicU32::new(0));
         let r = Resource::spawn("pool", 3, etx, None);
         for _ in 0..30 {
             let seen = Arc::clone(&seen);
-            r.submit(
-                PerfKind::Parse,
-                Box::new(move || {
-                    seen.fetch_add(1, Ordering::Relaxed);
-                    Some(())
-                }),
-            );
+            r.submit(Box::new(move |rec| {
+                rec.time(PerfKind::Parse, || seen.fetch_add(1, Ordering::Relaxed));
+                Some(())
+            }));
         }
         for _ in 0..30 {
             erx.recv().unwrap();
@@ -166,8 +203,8 @@ mod tests {
     fn fire_and_forget_tasks() {
         let (etx, erx) = unbounded::<u8>();
         let r = Resource::spawn("ff", 1, etx, None);
-        r.submit(PerfKind::Read, Box::new(|| None));
-        r.submit(PerfKind::Read, Box::new(|| Some(1)));
+        r.submit(Box::new(|_| None));
+        r.submit(Box::new(|_| Some(1)));
         assert_eq!(erx.recv().unwrap(), 1);
         r.shutdown();
         assert!(erx.try_recv().is_err());
@@ -178,7 +215,7 @@ mod tests {
         let (etx, erx) = unbounded::<u8>();
         let r = Resource::spawn("s", 2, etx, None);
         for i in 0..8 {
-            r.submit(PerfKind::Compare, Box::new(move || Some(i)));
+            r.submit(Box::new(move |_| Some(i)));
         }
         r.shutdown();
         assert_eq!((0..8).filter(|_| erx.try_recv().is_ok()).count(), 8);

@@ -62,6 +62,15 @@ struct MemState {
     next_id: u64,
 }
 
+impl MemState {
+    fn buffer(&self, id: BufferId) -> Result<Arc<RwLock<Box<[u8]>>>> {
+        self.buffers
+            .get(&id.0)
+            .cloned()
+            .ok_or(DeviceError::InvalidBuffer(id))
+    }
+}
+
 /// A virtual GPU: device memory with a hard capacity and buffer storage
 /// backed by host memory.
 ///
@@ -135,12 +144,7 @@ impl VirtualDevice {
     }
 
     fn buffer(&self, id: BufferId) -> Result<Arc<RwLock<Box<[u8]>>>> {
-        self.mem
-            .lock()
-            .buffers
-            .get(&id.0)
-            .cloned()
-            .ok_or(DeviceError::InvalidBuffer(id))
+        self.mem.lock().buffer(id)
     }
 
     /// Copies host data into a device buffer (H2D engine).
@@ -181,11 +185,15 @@ impl VirtualDevice {
         if inputs.contains(&output) {
             return Err(DeviceError::InvalidBuffer(output));
         }
-        let in_arcs: Vec<_> = inputs
-            .iter()
-            .map(|&id| self.buffer(id))
-            .collect::<Result<_>>()?;
-        let out_arc = self.buffer(output)?;
+        // Every buffer of the call is looked up under one `mem` lock.
+        let (in_arcs, out_arc) = {
+            let mem = self.mem.lock();
+            let in_arcs: Vec<_> = inputs
+                .iter()
+                .map(|&id| mem.buffer(id))
+                .collect::<Result<_>>()?;
+            (in_arcs, mem.buffer(output)?)
+        };
         let in_guards: Vec<_> = in_arcs.iter().map(|a| a.read()).collect();
         let in_slices: Vec<&[u8]> = in_guards.iter().map(|g| &g[..]).collect();
         let mut out_guard = out_arc.write();

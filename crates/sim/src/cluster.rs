@@ -12,14 +12,17 @@
 //! The job and fill state machines follow `rocket-core`'s conductor
 //! (acquire-left-then-right with release-on-busy, device fill → host fill
 //! → distributed lookup → load pipeline), but they are a hand-kept copy
-//! and differ from it in three ways:
+//! and differ from it in four ways:
 //!
 //! * the result read-back is its own `Ev::ResultDone` event and
 //!   post-process runs on the CPU pool (`Ev::PostDone`), where the
 //!   conductor reads the result back inside the compare task and
 //!   post-processes on its own thread;
 //! * a write-back does not pin its device slot until its D2H copy ends;
-//! * there is no item-failure path: simulated loads never fail.
+//! * there is no item-failure path: simulated loads never fail;
+//! * the simulator launches one compare per job, where the conductor
+//!   batches the compares that became ready in one drain of its event
+//!   queue into one GPU task.
 //!
 //! The ROADMAP item "One node state machine, two executors" (a sans-IO
 //! `NodeCore` under both engines) removes the copy and with it these

@@ -4,7 +4,9 @@
 //! job's completion. Without back-pressure one node could claim the whole
 //! matrix while others idle, and unbounded in-flight jobs would exhaust
 //! cache slots. The limiter is a counting semaphore: workers acquire one
-//! permit per submitted job; completions release it. Since a job holds its
+//! permit per submitted job, as many at a time as are free
+//! ([`JobLimiter::acquire_up_to`]); completions release them, a batch at a
+//! time ([`JobLimiter::release_many`]). Since a job holds its
 //! permit until it finishes, a node has drained exactly when every permit
 //! is back ([`JobLimiter::wait_idle`]).
 
@@ -45,6 +47,14 @@ impl JobLimiter {
 
     /// Acquires one permit, blocking while none are available.
     pub fn acquire(&self) {
+        self.acquire_up_to(1);
+    }
+
+    /// Acquires between one and `k` permits (`k ≥ 1`): every free one up
+    /// to `k` without blocking, or, when none is free, blocks until one is.
+    /// Returns how many it took.
+    pub fn acquire_up_to(&self, k: usize) -> usize {
+        assert!(k >= 1, "acquire_up_to needs k >= 1");
         let mut avail = self.available.lock();
         if *avail == 0 {
             self.peak_waits.fetch_add(1, Ordering::Relaxed);
@@ -52,7 +62,9 @@ impl JobLimiter {
             // releases `available` while parked.
             self.cond.wait_while(&mut avail, |a| *a == 0);
         }
-        *avail -= 1;
+        let taken = k.min(*avail);
+        *avail -= taken;
+        taken
     }
 
     /// Blocks until every permit is back, i.e. no job is in flight.
@@ -66,19 +78,24 @@ impl JobLimiter {
         self.cond.wait_while(&mut avail, |a| *a < self.limit);
     }
 
-    /// Releases one permit.
+    /// Releases one permit (see [`JobLimiter::release_many`]).
+    pub fn release(&self) {
+        self.release_many(1);
+    }
+
+    /// Releases `k` permits with at most one notification.
     ///
     /// Parked acquirers and [`JobLimiter::wait_idle`] callers are woken
-    /// together once half the permits are free, not one per release: a
+    /// together once half the permits are free, not on every release: a
     /// submitter then refills in a batch instead of being switched in for
     /// every completion. This loses no wake-up as long as every held permit
     /// is released without waiting on a later `acquire`, so that
     /// `available` climbs back to `limit`. The runtime's permits are held
     /// by in-flight jobs, which never wait on new submissions.
-    pub fn release(&self) {
+    pub fn release_many(&self, k: usize) {
         let mut avail = self.available.lock();
-        assert!(*avail < self.limit, "release without matching acquire");
-        *avail += 1;
+        assert!(k <= self.limit - *avail, "release without matching acquire");
+        *avail += k;
         let refill = *avail >= (self.limit / 2).max(1);
         drop(avail);
         if refill {
@@ -168,25 +185,33 @@ mod tests {
 
     #[test]
     fn parked_acquire_and_wait_idle_wake_on_one_release() {
-        let l = Arc::new(JobLimiter::new(1));
-        l.acquire();
-        let l2 = Arc::clone(&l);
-        let acquirer = std::thread::spawn(move || {
-            l2.acquire();
-            l2.release();
-        });
-        let l3 = Arc::clone(&l);
-        let idler = std::thread::spawn(move || l3.wait_idle());
-        while l.waits() == 0 {
-            std::thread::yield_now();
+        // Limit 1 releases with `release`, limit 4 with one `release_many`.
+        for limit in [1, 4] {
+            let l = Arc::new(JobLimiter::new(limit));
+            assert_eq!(l.acquire_up_to(limit), limit);
+            let l2 = Arc::clone(&l);
+            let acquirer = std::thread::spawn(move || {
+                let k = l2.acquire_up_to(2);
+                l2.release_many(k);
+            });
+            let l3 = Arc::clone(&l);
+            let idler = std::thread::spawn(move || l3.wait_idle());
+            while l.waits() == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(30));
+            // One release for two parked threads: waking only the idler,
+            // which then finds every permit back, would strand the
+            // acquirer.
+            if limit == 1 {
+                l.release();
+            } else {
+                l.release_many(limit);
+            }
+            acquirer.join().unwrap();
+            idler.join().unwrap();
+            assert_eq!(l.available(), limit);
         }
-        std::thread::sleep(Duration::from_millis(30));
-        // One release for two parked threads: waking only the idler, which
-        // then finds every permit back, would strand the acquirer.
-        l.release();
-        acquirer.join().unwrap();
-        idler.join().unwrap();
-        assert_eq!(l.available(), 1);
     }
 
     #[test]
@@ -194,6 +219,46 @@ mod tests {
     fn over_release_panics() {
         let l = JobLimiter::new(1);
         l.release();
+    }
+
+    #[test]
+    #[should_panic(expected = "release without matching acquire")]
+    fn over_release_many_panics() {
+        let l = JobLimiter::new(4);
+        assert_eq!(l.acquire_up_to(2), 2);
+        l.release_many(3);
+    }
+
+    #[test]
+    fn acquire_up_to_takes_what_is_free_without_blocking() {
+        let l = JobLimiter::new(8);
+        assert_eq!(l.acquire_up_to(3), 3);
+        assert_eq!(l.available(), 5);
+        // Asking for more than is free takes the rest.
+        assert_eq!(l.acquire_up_to(100), 5);
+        assert_eq!(l.available(), 0);
+        l.release_many(2);
+        assert_eq!(l.acquire_up_to(7), 2);
+        assert_eq!(l.waits(), 0, "no call above had to park");
+        l.release_many(8);
+        assert_eq!(l.available(), 8);
+    }
+
+    #[test]
+    fn acquire_up_to_parks_at_zero() {
+        let l = Arc::new(JobLimiter::new(4));
+        assert_eq!(l.acquire_up_to(4), 4);
+        let l2 = Arc::clone(&l);
+        let parked = std::thread::spawn(move || l2.acquire_up_to(4));
+        // The waiter counts itself while holding the lock and releases it
+        // only by parking, so once the count shows, it is parked.
+        while l.waits() == 0 {
+            std::thread::yield_now();
+        }
+        // One batched release past the half-limit wakes it with all three.
+        l.release_many(3);
+        assert_eq!(parked.join().unwrap(), 3);
+        assert_eq!(l.available(), 0);
     }
 
     #[test]

@@ -215,17 +215,37 @@ impl StealPool {
         });
     }
 
-    /// Processes every pair of `n` items, calling `on_leaf(worker, pair)`
+    /// Processes every pair of `n` items, calling `on_pair(worker, pair)`
+    /// from pool worker threads: [`StealPool::run_leaves`] one pair at a
+    /// time.
+    pub fn run<F>(
+        n: u64,
+        topology: &WorkerTopology,
+        config: &StealPoolConfig,
+        on_pair: F,
+    ) -> StealStats
+    where
+        F: Fn(usize, Pair) + Sync,
+    {
+        Self::run_leaves(n, topology, config, |worker, leaf| {
+            for pair in leaf.pairs() {
+                on_pair(worker, pair);
+            }
+        })
+    }
+
+    /// Processes every pair of `n` items, calling `on_leaf(worker, leaf)`
+    /// once per leaf block (at most [`StealPoolConfig::leaf_pairs`] pairs)
     /// from pool worker threads. `on_leaf` may block (that is how the
     /// concurrent-job limit applies back-pressure to the scheduler).
-    pub fn run<F>(
+    pub fn run_leaves<F>(
         n: u64,
         topology: &WorkerTopology,
         config: &StealPoolConfig,
         on_leaf: F,
     ) -> StealStats
     where
-        F: Fn(usize, Pair) + Sync,
+        F: Fn(usize, Block) + Sync,
     {
         let workers = topology.workers();
         assert!(workers > 0, "pool needs at least one worker");
@@ -267,12 +287,9 @@ impl StealPool {
             loop {
                 if let Some(block) = deque.pop() {
                     idle_spins = 0;
-                    if block.count() <= config.leaf_pairs {
-                        let mut done = 0u64;
-                        for pair in block.pairs() {
-                            on_leaf(worker, pair);
-                            done += 1;
-                        }
+                    let done = block.count();
+                    if done <= config.leaf_pairs {
+                        on_leaf(worker, block);
                         per_worker[worker].fetch_add(done, Ordering::Relaxed);
                         processed.fetch_add(done, Ordering::Relaxed);
                     } else {

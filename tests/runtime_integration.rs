@@ -9,7 +9,8 @@ use rocket::apps::{
     MicroscopyConfig, MicroscopyDataset,
 };
 use rocket::core::{
-    AppReport, Application, Backend, NodeSpec, Pair, Scenario, ScenarioBuilder, ThreadedBackend,
+    AppError, AppReport, Application, Backend, NodeSpec, Pair, Scenario, ScenarioBuilder,
+    ThreadedBackend,
 };
 use rocket::storage::{FaultStore, MemStore, ObjectStore, StorageError};
 use rocket::trace::{chrome, PerfKind, PerfLog, PerfQuery};
@@ -85,6 +86,14 @@ fn assert_outputs_match_oracle<O: PartialEq + std::fmt::Debug>(
         "failed pairs: {:?}",
         report.failed()
     );
+    assert_outputs_equal(report, oracle);
+}
+
+/// The run delivered exactly `oracle`'s pairs, with its outputs.
+fn assert_outputs_equal<O: PartialEq + std::fmt::Debug>(
+    report: &AppReport<O>,
+    oracle: &[(Pair, O)],
+) {
     let got = report.sorted_outputs();
     assert_eq!(got.len(), oracle.len(), "pair count mismatch");
     for (g, o) in got.iter().zip(oracle) {
@@ -295,6 +304,89 @@ fn missing_files_fail_only_dependent_pairs() {
         assert!(cause.contains(&not_found), "{cause}");
     }
     assert_eq!(report.outputs.len(), 8 * 7 / 2 - 7);
+}
+
+/// [`ForensicsApp`] with a compare kernel that fails for one pair.
+struct FailingCompare {
+    inner: ForensicsApp,
+    bad: Pair,
+}
+
+impl Application for FailingCompare {
+    type Output = <ForensicsApp as Application>::Output;
+    fn name(&self) -> &str {
+        "failing-compare"
+    }
+    fn item_count(&self) -> u64 {
+        self.inner.item_count()
+    }
+    fn file_for(&self, item: u64) -> String {
+        self.inner.file_for(item)
+    }
+    fn parsed_bytes(&self) -> usize {
+        self.inner.parsed_bytes()
+    }
+    fn item_bytes(&self) -> usize {
+        self.inner.item_bytes()
+    }
+    fn result_bytes(&self) -> usize {
+        self.inner.result_bytes()
+    }
+    fn parse(&self, item: u64, raw: &[u8], out: &mut [u8]) -> Result<(), AppError> {
+        self.inner.parse(item, raw, out)
+    }
+    fn preprocess(&self, item: u64, input: &[u8], out: &mut [u8]) -> Result<(), AppError> {
+        self.inner.preprocess(item, input, out)
+    }
+    fn compare(
+        &self,
+        left: (u64, &[u8]),
+        right: (u64, &[u8]),
+        out: &mut [u8],
+    ) -> Result<(), AppError> {
+        if Pair::new(left.0, right.0) == self.bad {
+            return Err(AppError::new("compare", "injected"));
+        }
+        self.inner.compare(left, right, out)
+    }
+    fn postprocess(&self, pair: Pair, raw: &[u8]) -> Self::Output {
+        self.inner.postprocess(pair, raw)
+    }
+}
+
+#[test]
+fn failed_compare_fails_only_its_pair() {
+    let cfg = ForensicsConfig {
+        images: 8,
+        cameras: 2,
+        width: 32,
+        height: 32,
+        ..Default::default()
+    };
+    let ds = ForensicsDataset::generate(cfg.clone());
+    let expected = oracle(&ForensicsApp::new(&cfg), &ds.store);
+    let bad = Pair::new(2, 5);
+    // Every item fits the device and the whole triangle is one leaf, so
+    // the submitter hands over up to 16 pairs at a time and the bad
+    // pair's compare shares a GPU task (of up to 8) with others.
+    let scenario = cluster(8, 1, 32, 8).job_limit(16).leaf_pairs(28).build();
+    let app = FailingCompare {
+        inner: ForensicsApp::new(&cfg),
+        bad,
+    };
+    // The run returning at all means every permit came back: the driver
+    // waits for all of them before it finishes the node.
+    let report = run(app, ds.store, &scenario);
+    let failed = report.failed();
+    assert_eq!(failed.len(), 1, "failed: {failed:?}");
+    assert_eq!(failed[0].0, bad);
+    assert!(
+        failed[0].1.starts_with("compare failed: "),
+        "{}",
+        failed[0].1
+    );
+    let want: Vec<_> = expected.into_iter().filter(|(p, _)| *p != bad).collect();
+    assert_outputs_equal(&report, &want);
 }
 
 /// The 8-image forensics fixture behind a [`ThreadedBackend`], on
