@@ -4,9 +4,11 @@ use bytes::Bytes;
 use rocket_cache::{DirectoryMsg, HopChain, NodeId, MAX_HOPS};
 use rocket_comm::{Wire, WireError, WireReader, WireWriter};
 
-/// Everything one Rocket node says to another.
+/// Everything one Rocket node says to another, generic over the payload
+/// of a fetched item: `Bytes` on the wire ([`NodeMsg`]), `()` in the
+/// simulator, which moves no bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeMsg {
+pub enum PeerMsg<D> {
     /// Distributed-cache directory protocol (§4.1.3).
     Dir(DirectoryMsg),
     /// "Send me item `item` from your host cache."
@@ -14,28 +16,31 @@ pub enum NodeMsg {
         /// Requested item.
         item: u64,
     },
-    /// Reply to [`NodeMsg::Fetch`]: the item bytes, or `None` if the item
-    /// was no longer resident (best-effort semantics).
+    /// Reply to [`PeerMsg::Fetch`]: the item, or `None` if it was no
+    /// longer resident (best-effort semantics).
     FetchReply {
         /// The requested item.
         item: u64,
         /// Pre-processed item bytes, if still cached.
-        data: Option<Bytes>,
+        data: Option<D>,
     },
 }
 
-impl NodeMsg {
+/// The messages of the threaded cluster runtime.
+pub type NodeMsg = PeerMsg<Bytes>;
+
+impl<D> PeerMsg<D> {
     /// The item the message is about.
     pub fn item(&self) -> u64 {
         match self {
-            NodeMsg::Dir(
+            PeerMsg::Dir(
                 DirectoryMsg::Request { item, .. }
                 | DirectoryMsg::Probe { item, .. }
                 | DirectoryMsg::Found { item, .. }
                 | DirectoryMsg::NotFound { item },
             )
-            | NodeMsg::Fetch { item }
-            | NodeMsg::FetchReply { item, .. } => *item,
+            | PeerMsg::Fetch { item }
+            | PeerMsg::FetchReply { item, .. } => *item,
         }
     }
 }

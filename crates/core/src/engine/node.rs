@@ -1,19 +1,17 @@
-//! The per-node conductor: Rocket's asynchronous job engine.
+//! The per-node conductor: the threaded executor of [`NodeCore`].
 //!
-//! One conductor thread per node owns all scheduling state — the device and
-//! host slot caches, in-flight load pipelines, the distributed-cache
-//! directory — and dispatches stage tasks to the resource threads (§4.3).
-//! Resource threads post completion events back; the conductor advances the
-//! affected job/fill state machines. Because a single thread owns the state,
-//! the cache policy code is the *same synchronous state machine* the
-//! simulator drives, and there are no lock-ordering hazards.
+//! One conductor thread per node owns the node's [`NodeCore`] — both slot
+//! cache levels, the fill rows, the jobs and the distributed-cache
+//! directory — and executes it: every [`NodeIo`] call the core makes
+//! becomes a task on a resource thread (§4.3), and every task posts a
+//! completion event back, which the conductor feeds to the core. Because a
+//! single thread owns the state, there are no lock-ordering hazards. The
+//! policy itself — pipelines, deadlock freedom, the write-back pin — is
+//! documented on [`NodeCore`].
 //!
-//! ## Pipelines (the paper's Fig 2 / Fig 4)
+//! ## Batching
 //!
-//! A job `(i, j)` bound to device `d` acquires read leases on both items in
-//! `d`'s device cache, then: compare + result read-back (GPU thread) →
-//! post-process (conductor) → output. Work crosses each thread boundary
-//! once per batch, not once per pair:
+//! Work crosses each thread boundary once per batch, not once per pair:
 //!
 //! * a submitter sends one `Submit` per grant of job permits, carrying as
 //!   many pairs of its leaf as there were free permits;
@@ -29,37 +27,23 @@
 //!   the pairs whose compare failed, and returns the batch's permits in one
 //!   release.
 //!
-//! A device-cache miss starts a *device
-//! fill*: host-cache hit → H2D copy; host-cache miss → *host fill*:
-//! distributed lookup → remote fetch, or the full load pipeline — read
-//! (I/O) → parse (CPU) → staging upload (H2D) → pre-process (GPU, directly
-//! into the device slot) → write-back (D2H) into the host slot. Items are
-//! therefore always written to both the device and host caches, which is
-//! what the level-3 distributed cache relies on.
-//!
-//! ## Deadlock freedom
-//!
-//! Jobs acquire leases in `(left, right)` order and *release everything*
-//! before parking when the cache reports `Busy`, so no job holds-and-waits
-//! on cache capacity. Fill pipelines never wait on jobs. Staging buffers
-//! are drained by a queue that makes progress whenever a pipeline stage
-//! completes. A write-back pins its device slot with a read lease only
-//! until its D2H copy completes, and the copy depends on nothing, so the
-//! pin is transient: a job that finds the slot pinned parks as a capacity
-//! waiter and the unpin wakes it.
-//!
 //! ## State layout
 //!
-//! Fill state is laid out as in the simulator: one `DevFill` row per
-//! device × item and one `ItemRow` per item, indexed by item id. Only jobs
-//! are keyed by id.
+//! The core holds every policy row. The conductor holds what only a
+//! threaded executor has: the resource threads, the device slot, staging
+//! and result buffers, the host slots' bytes, each device's ready compares
+//! and queued GPU tasks, the outputs and the job limiter. Parsed bytes
+//! that wait for a staging buffer sit in their device's staging queue; a
+//! staging buffer travels with the upload and pre-process events that use
+//! it.
 //!
 //! ## Load failures
 //!
-//! A failed read, parse, upload, pre-process or copy is an *item failure*:
-//! the item's load restarts from storage until it has failed
-//! `MAX_ITEM_FAILURES` times, after which every pair that depends on it
-//! fails with the last cause.
+//! The conductor reports each stage's `Result` to the core, which retries
+//! a failed stage and gives an item up after repeated failures (see
+//! [`NodeCore`]). A pair fails with its item's cause through
+//! [`NodeIo::fail_pair`], or with `compare failed: …` when its own compare
+//! fails; either way its permit comes back.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -70,10 +54,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rocket_sanitize::Mutex;
 
-use rocket_cache::{
-    CacheStats, Directory, DirectoryStats, FxHashMap, ItemId, Lookup, Resolution, SlotCache,
-    SlotIdx,
-};
+use rocket_cache::{CacheStats, DirectoryStats, ItemId, SlotIdx};
 use rocket_comm::{CommSnapshot, RecvError, Transport, Wire};
 use rocket_gpu::{BufferId, VirtualDevice};
 use rocket_steal::{JobLimiter, Pair};
@@ -82,23 +63,9 @@ use rocket_trace::{PerfKind, PerfRecord};
 
 use crate::app::Application;
 use crate::engine::messages::NodeMsg;
+use crate::engine::node_core::{JobId, NodeCore, NodeIo};
 use crate::engine::resource::{Recorder, Recording, Resource, Task};
 use crate::scenario::Scenario;
-
-/// Job identifier within one node.
-type JobId = u64;
-
-/// Failed loads of one item before it is given up on.
-const MAX_ITEM_FAILURES: u32 = 5;
-
-/// What a parked waiter should do when woken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cont {
-    /// Re-attempt lease acquisition for a job.
-    Job(JobId),
-    /// Re-attempt the host-cache acquire of a device fill.
-    DevFill { dev: usize, item: ItemId },
-}
 
 /// Conductor events (posted by resource threads, the comm thread, and
 /// submitters).
@@ -110,31 +77,31 @@ pub(crate) enum Event {
         item: ItemId,
         result: Result<Bytes, String>,
     },
-    /// CPU parse finished (pre-process path: parsed bytes returned).
+    /// CPU parse finished: the parsed bytes on the pre-process path, none
+    /// when the parse wrote straight into the host slot.
     ParseDone {
         item: ItemId,
         result: Result<Vec<u8>, String>,
     },
-    /// CPU parse wrote directly into the host slot (no-pre-process path).
-    ParseIntoHostDone {
-        item: ItemId,
-        result: Result<(), String>,
-    },
-    /// Parsed bytes were uploaded to the staging buffer.
+    /// Parsed bytes were uploaded to `dev`'s staging buffer `staging`,
+    /// bound for device slot `dslot`.
     StagingUploaded {
+        dev: usize,
         item: ItemId,
+        dslot: SlotIdx,
+        staging: BufferId,
         result: Result<(), String>,
     },
-    /// Pre-process kernel finished on `dev` (item now in the device slot).
+    /// Pre-process kernel finished on `dev` (item now in its device slot);
+    /// staging buffer `staging` is free again.
     PreprocessDone {
         dev: usize,
         item: ItemId,
+        staging: BufferId,
         result: Result<(), String>,
     },
-    /// Device slot `dslot` was written back into the host slot.
+    /// The item's pinned device slot was written back into its host slot.
     ItemCopiedToHost {
-        dev: usize,
-        dslot: SlotIdx,
         item: ItemId,
         result: Result<(), String>,
     },
@@ -157,20 +124,6 @@ pub(crate) enum Event {
     Shutdown,
 }
 
-struct Job {
-    pair: Pair,
-    dev: usize,
-    left: Option<SlotIdx>,
-    right: Option<SlotIdx>,
-    /// The item this job last stalled on for capacity. Retries acquire it
-    /// first so the retry consumes the slot freed by our own release —
-    /// guaranteeing progress instead of live-locking on the other item.
-    stalled: Option<ItemId>,
-    /// Set once the compare kernel is scheduled; guards against duplicate
-    /// scheduling from redundant wake-ups.
-    comparing: bool,
-}
-
 /// A compare whose job holds both leases, waiting for its device's next
 /// GPU task.
 struct Compare {
@@ -178,37 +131,6 @@ struct Compare {
     pair: Pair,
     left: BufferId,
     right: BufferId,
-}
-
-/// One device's fill of one item.
-#[derive(Debug, Default)]
-struct DevFill {
-    /// Device slot reserved in WRITE state (`Some` while a fill is in
-    /// flight).
-    slot: Option<SlotIdx>,
-    /// Host slot leased by the in-flight H2D copy, if one is running.
-    h2d_lease: Option<SlotIdx>,
-    /// Continuations to run when the fill publishes or aborts.
-    waiters: Vec<Cont>,
-}
-
-/// The in-flight load (or remote fetch) of an item into a host slot.
-#[derive(Debug)]
-struct HostFill {
-    hslot: SlotIdx,
-    origin_dev: usize,
-    staging: Option<BufferId>,
-    parsed: Option<Vec<u8>>,
-}
-
-/// Per-item row: the in-flight host fill and the failure record.
-#[derive(Debug, Default)]
-struct ItemRow {
-    fill: Option<HostFill>,
-    /// Failed loads so far.
-    failures: u32,
-    /// The last failure's cause, once the item is given up on.
-    dead: Option<String>,
 }
 
 /// Statistics and outcome of one node's run.
@@ -376,26 +298,33 @@ pub(crate) fn spawn_node<A: Application>(
 }
 
 struct Conductor<A: Application> {
-    app: Arc<A>,
-    scenario: Arc<Scenario>,
     node_id: usize,
+    core: NodeCore,
+    exec: Executor<A>,
+    events_rx: Receiver<Event>,
+    shutdown: bool,
+}
+
+/// The conductor's side of every [`NodeIo`] call: resource threads,
+/// buffers, outputs and the job limiter.
+struct Executor<A: Application> {
+    app: Arc<A>,
     store: Arc<dyn ObjectStore>,
     transport: Option<Arc<dyn Transport>>,
 
-    io: Resource<Event>,
+    storage: Resource<Event>,
     cpu: Resource<Event>,
     gpu: Vec<Resource<Event>>,
     h2d: Vec<Resource<Event>>,
     d2h: Vec<Resource<Event>>,
     devices: Vec<Arc<VirtualDevice>>,
 
-    dev_cache: Vec<SlotCache<Cont>>,
     dev_slot_bufs: Vec<Vec<BufferId>>,
-    host_cache: SlotCache<Cont>,
     host_slots: Vec<Arc<Mutex<Vec<u8>>>>,
-
     staging_pool: Vec<Vec<BufferId>>,
-    staging_queue: Vec<VecDeque<ItemId>>,
+    /// Each device's parsed items waiting for a staging buffer:
+    /// `(item, device slot, parsed bytes)`.
+    staging_queue: Vec<VecDeque<(ItemId, SlotIdx, Vec<u8>)>>,
     /// One result buffer per device: compares on a device run one at a
     /// time on its launch thread, each reading its result back before the
     /// next one starts.
@@ -405,28 +334,11 @@ struct Conductor<A: Application> {
     /// Each device's compares that wait for the end of the drain.
     ready: Vec<Vec<Compare>>,
 
-    /// Keyed, not a slab: a redundant wake-up can name a finished job, so
-    /// ids are never reused. Fx-hashed: a deterministic hasher keeps any
-    /// incidental iteration order a pure function of the insertion
-    /// sequence (lint RL-D001).
-    jobs: FxHashMap<JobId, Job>,
-    next_job: JobId,
-    pending_conts: VecDeque<Cont>,
-    /// `dev_fills[dev][item]`.
-    dev_fills: Vec<Vec<DevFill>>,
-    /// `items[item]`.
-    items: Vec<ItemRow>,
-
-    directory: Directory,
-    loads: u64,
-    remote_fetches: u64,
     failed: Vec<(Pair, String)>,
     outputs: SharedOutputs<A>,
     /// Times the conductor's own post-processes (recorded runs only).
     recorder: Recorder,
     limiter: Arc<JobLimiter>,
-    events_rx: Receiver<Event>,
-    shutdown: bool,
 }
 
 impl<A: Application> Conductor<A> {
@@ -445,14 +357,12 @@ impl<A: Application> Conductor<A> {
     ) -> Self {
         let spec = &scenario.nodes[node_id];
         let n_dev = spec.gpus.len();
-        let item_count = app.item_count() as usize;
         let item_bytes = app.item_bytes() as u64;
         let parsed_bytes = app.parsed_bytes() as u64;
         let result_bytes = app.result_bytes() as u64;
         let staging_per_dev = if app.has_preprocess() { 4 } else { 0 };
 
         let mut devices = Vec::with_capacity(n_dev);
-        let mut dev_cache = Vec::with_capacity(n_dev);
         let mut dev_slot_bufs = Vec::with_capacity(n_dev);
         let mut staging_pool = Vec::with_capacity(n_dev);
         let mut result_bufs = Vec::with_capacity(n_dev);
@@ -477,10 +387,6 @@ impl<A: Application> Conductor<A> {
                 .collect();
             result_bufs.push(device.alloc(result_bytes).expect("result alloc"));
             devices.push(device);
-            // Dense item map: application items are 0..n, so the cache's
-            // O(1) array-indexed table applies (same mode the simulator
-            // runs in) instead of hashing every lookup.
-            dev_cache.push(SlotCache::with_item_space(spec.device_slots, item_count));
             dev_slot_bufs.push(slots);
             staging_pool.push(staging);
         }
@@ -492,50 +398,40 @@ impl<A: Application> Conductor<A> {
         let spawn = |name: &str, threads: usize| {
             Resource::spawn(name, threads, events_tx.clone(), recording)
         };
-        let io = spawn("io", 1);
-        let cpu = spawn("cpu", scenario.cpu_threads);
-        let gpu: Vec<_> = (0..n_dev).map(|_| spawn("gpu", 1)).collect();
-        let h2d: Vec<_> = (0..n_dev).map(|_| spawn("h2d", 1)).collect();
-        let d2h: Vec<_> = (0..n_dev).map(|_| spawn("d2h", 1)).collect();
-
-        let directory = Directory::new(node_id, scenario.nodes.len(), scenario.hops);
-        let staging_queue = vec![VecDeque::new(); n_dev];
-
-        Self {
-            app,
-            scenario,
+        let core = NodeCore::new(
+            &scenario,
             node_id,
+            app.item_count() as usize,
+            spec.device_slots,
+            spec.host_slots,
+            app.has_preprocess(),
+        );
+        let exec = Executor {
+            storage: spawn("io", 1),
+            cpu: spawn("cpu", scenario.cpu_threads),
+            gpu: (0..n_dev).map(|_| spawn("gpu", 1)).collect(),
+            h2d: (0..n_dev).map(|_| spawn("h2d", 1)).collect(),
+            d2h: (0..n_dev).map(|_| spawn("d2h", 1)).collect(),
+            app,
             store,
             transport,
-            io,
-            cpu,
-            gpu,
-            h2d,
-            d2h,
             devices,
-            dev_cache,
             dev_slot_bufs,
-            host_cache: SlotCache::with_item_space(host_slots.len(), item_count),
             host_slots,
             staging_pool,
-            staging_queue,
+            staging_queue: vec![VecDeque::new(); n_dev],
             result_bufs,
             gpu_queued: vec![0; n_dev],
             ready: (0..n_dev).map(|_| Vec::new()).collect(),
-            jobs: FxHashMap::default(),
-            next_job: 0,
-            pending_conts: VecDeque::new(),
-            dev_fills: (0..n_dev)
-                .map(|_| (0..item_count).map(|_| DevFill::default()).collect())
-                .collect(),
-            items: (0..item_count).map(|_| ItemRow::default()).collect(),
-            directory,
-            loads: 0,
-            remote_fetches: 0,
             failed: Vec::new(),
             outputs,
             recorder: Recorder::new(recording),
             limiter,
+        };
+        Self {
+            node_id,
+            core,
+            exec,
             events_rx,
             shutdown: false,
         }
@@ -552,8 +448,8 @@ impl<A: Application> Conductor<A> {
                 };
                 self.handle(event);
             }
-            for dev in 0..self.ready.len() {
-                self.launch_compares(dev);
+            for dev in 0..self.exec.ready.len() {
+                self.exec.launch_compares(dev);
             }
             if self.shutdown {
                 break;
@@ -563,200 +459,80 @@ impl<A: Application> Conductor<A> {
     }
 
     fn finish(self) -> NodeReport {
-        let mut device_cache = CacheStats::default();
-        for c in &self.dev_cache {
-            device_cache.merge(&c.stats());
-        }
+        let (core, exec) = (self.core, self.exec);
         // Resource threads finish what is still queued, then hand back
         // what they recorded.
-        let perf = [self.io, self.cpu]
+        let perf = [exec.storage, exec.cpu]
             .into_iter()
-            .chain(self.gpu)
-            .chain(self.h2d)
-            .chain(self.d2h)
+            .chain(exec.gpu)
+            .chain(exec.h2d)
+            .chain(exec.d2h)
             .flat_map(Resource::shutdown)
-            .chain(self.recorder.into_records())
+            .chain(exec.recorder.into_records())
             .collect();
         NodeReport {
             node: self.node_id,
-            device_cache,
-            host_cache: self.host_cache.stats(),
-            directory: self.directory.stats().clone(),
-            loads: self.loads,
-            remote_fetches: self.remote_fetches,
-            failed: self.failed,
+            device_cache: core.device_stats(),
+            host_cache: core.host_stats(),
+            directory: core.directory_stats().clone(),
+            loads: core.loads(),
+            remote_fetches: core.remote_fetches(),
+            failed: exec.failed,
             perf,
-            comm: self
+            comm: exec
                 .transport
-                .as_ref()
                 .map(|t| t.stats().snapshot())
                 .unwrap_or_default(),
         }
     }
 
-    /// Handles one event and the continuations it queued.
+    /// Feeds one event to the core and runs the continuations it woke.
     fn handle(&mut self, event: Event) {
+        let (core, exec) = (&mut self.core, &mut self.exec);
         match event {
             Event::Submit { pairs, dev } => {
                 for pair in pairs {
-                    self.submit_job(pair, dev);
+                    core.submit(pair, dev, exec);
                 }
             }
-            Event::IoDone { item, result } => self.on_io_done(item, result),
-            Event::ParseDone { item, result } => self.on_parse_done(item, result),
-            Event::ParseIntoHostDone { item, result } => match result {
-                Ok(()) => {
-                    self.loads += 1;
-                    self.publish_host(item);
-                }
-                Err(e) => self.item_failure(item, e),
-            },
-            Event::StagingUploaded { item, result } => match result {
-                Ok(()) => self.schedule_preprocess(item),
-                Err(e) => self.item_failure(item, e),
-            },
-            Event::PreprocessDone { dev, item, result } => {
-                self.gpu_task_done(dev);
-                self.on_preprocess_done(item, result)
-            }
-            Event::ItemCopiedToHost {
+            Event::IoDone { item, result } => core.read_done(item, result, exec),
+            Event::ParseDone { item, result } => core.parse_done(item, result, exec),
+            Event::StagingUploaded {
                 dev,
-                dslot,
                 item,
+                dslot,
+                staging,
+                result,
+            } => match result {
+                Ok(()) => exec.schedule_preprocess(dev, item, dslot, staging),
+                Err(e) => {
+                    exec.return_staging(dev, staging);
+                    core.preprocess_done(item, Err(format!("staging upload: {e}")), exec);
+                }
+            },
+            Event::PreprocessDone {
+                dev,
+                item,
+                staging,
                 result,
             } => {
-                // Unpin the device slot whether or not the copy succeeded.
-                if let Some(cont) = self.dev_cache[dev].release(dslot) {
-                    self.run_cont(cont);
-                }
-                match result {
-                    Ok(()) => self.publish_host(item),
-                    Err(e) => self.item_failure(item, e),
-                }
+                exec.gpu_task_done(dev);
+                exec.return_staging(dev, staging);
+                core.preprocess_done(item, result, exec);
             }
-            Event::DeviceFillCopied { dev, item, result } => {
-                self.on_device_fill_copied(dev, item, result)
-            }
-            Event::ComparesDone { dev, results } => self.on_compares_done(dev, results),
-            Event::Remote { from, msg } => self.on_remote(from, msg),
+            Event::ItemCopiedToHost { item, result } => core.write_back_done(item, result, exec),
+            Event::DeviceFillCopied { dev, item, result } => core.fill_copy_done(dev, item, result),
+            Event::ComparesDone { dev, results } => exec.compares_done(core, dev, results),
+            Event::Remote { from, msg } => core.on_peer(from, msg, exec),
             Event::Shutdown => self.shutdown = true,
         }
-        self.drain_conts();
+        core.drain(exec);
+        #[cfg(debug_assertions)]
+        core.check();
     }
+}
 
-    // ---- job lifecycle -------------------------------------------------
-
-    fn submit_job(&mut self, pair: Pair, dev: usize) {
-        let id = self.next_job;
-        self.next_job += 1;
-        self.jobs.insert(
-            id,
-            Job {
-                pair,
-                dev,
-                left: None,
-                right: None,
-                stalled: None,
-                comparing: false,
-            },
-        );
-        self.try_acquire_job(id);
-    }
-
-    fn try_acquire_job(&mut self, id: JobId) {
-        let Some(job) = self.jobs.get(&id) else {
-            return;
-        };
-        if job.comparing {
-            return;
-        }
-        let (pair, dev, stalled) = (job.pair, job.dev, job.stalled);
-        for item in [pair.left, pair.right] {
-            if let Some(cause) = &self.items[item as usize].dead {
-                let cause = format!("item {item}: {cause}");
-                self.fail_job(id, cause);
-                return;
-            }
-        }
-        // Acquire left, then right — except that a retry after a capacity
-        // stall acquires the stalled item first (progress guarantee). On
-        // Busy release everything and park.
-        let mut order = [(0usize, pair.left), (1usize, pair.right)];
-        if stalled == Some(pair.right) {
-            order.swap(0, 1);
-        }
-        for (which, item) in order {
-            let held = {
-                let job = &self.jobs[&id];
-                if which == 0 {
-                    job.left
-                } else {
-                    job.right
-                }
-            };
-            if held.is_some() {
-                continue;
-            }
-            match self.dev_cache[dev].get(item, || Cont::Job(id)) {
-                Lookup::Hit(slot) => {
-                    let job = self.jobs.get_mut(&id).expect("job exists");
-                    if which == 0 {
-                        job.left = Some(slot);
-                    } else {
-                        job.right = Some(slot);
-                    }
-                }
-                Lookup::Pending => return,
-                Lookup::MustLoad(slot) => {
-                    self.start_dev_fill(dev, item, slot);
-                    self.dev_fills[dev][item as usize]
-                        .waiters
-                        .push(Cont::Job(id));
-                    return;
-                }
-                Lookup::Busy => {
-                    // Deadlock avoidance: never hold-and-wait on capacity.
-                    self.jobs.get_mut(&id).expect("job exists").stalled = Some(item);
-                    self.release_job_leases(id);
-                    return;
-                }
-            }
-        }
-        let job = self.jobs.get_mut(&id).expect("job exists");
-        job.stalled = None;
-        job.comparing = true;
-        self.start_compare(id);
-    }
-
-    fn release_job_leases(&mut self, id: JobId) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        let dev = job.dev;
-        let leases = [job.left.take(), job.right.take()];
-        for slot in leases.into_iter().flatten() {
-            if let Some(cont) = self.dev_cache[dev].release(slot) {
-                self.run_cont(cont);
-            }
-        }
-    }
-
-    /// Queues a job's compare for its device's next GPU task, and sends
-    /// that task at once if the device has nothing queued.
-    fn start_compare(&mut self, id: JobId) {
-        let job = &self.jobs[&id];
-        let dev = job.dev;
-        self.ready[dev].push(Compare {
-            job: id,
-            pair: job.pair,
-            left: self.dev_slot_bufs[dev][job.left.expect("left lease held")],
-            right: self.dev_slot_bufs[dev][job.right.expect("right lease held")],
-        });
-        if self.gpu_queued[dev] == 0 {
-            self.launch_compares(dev);
-        }
-    }
-
+impl<A: Application> Executor<A> {
     /// Sends `dev`'s ready compares as GPU tasks of at most half the
     /// node's permits each. A task runs its compares in order through the
     /// device's one result buffer, each reading its result back before
@@ -824,14 +600,19 @@ impl<A: Application> Conductor<A> {
         }
     }
 
-    fn on_compares_done(&mut self, dev: usize, results: Vec<(JobId, Result<Vec<u8>, String>)>) {
+    fn compares_done(
+        &mut self,
+        core: &mut NodeCore,
+        dev: usize,
+        results: Vec<(JobId, Result<Vec<u8>, String>)>,
+    ) {
         self.gpu_task_done(dev);
         let permits = results.len();
         let mut outputs = Vec::with_capacity(permits);
         for (id, result) in results {
             // The result is on the host: the device slots are free again.
-            self.release_job_leases(id);
-            let pair = self.jobs.remove(&id).expect("compared job exists").pair;
+            core.compare_done(id);
+            let (pair, _) = core.retire(id);
             match result {
                 // Decoding a result takes nanoseconds: cheaper here than a
                 // round trip through the CPU pool.
@@ -847,213 +628,38 @@ impl<A: Application> Conductor<A> {
         self.limiter.release_many(permits);
     }
 
-    /// Fails a job that never reached its compare.
-    fn fail_job(&mut self, id: JobId, cause: String) {
-        self.release_job_leases(id);
-        if let Some(job) = self.jobs.remove(&id) {
-            self.failed.push((job.pair, cause));
-            self.limiter.release();
-        }
-    }
-
-    // ---- device fill ---------------------------------------------------
-
-    fn start_dev_fill(&mut self, dev: usize, item: ItemId, dslot: SlotIdx) {
-        self.dev_fills[dev][item as usize].slot = Some(dslot);
-        self.continue_dev_fill(dev, item);
-    }
-
-    fn continue_dev_fill(&mut self, dev: usize, item: ItemId) {
-        let fill = &self.dev_fills[dev][item as usize];
-        let Some(dslot) = fill.slot else {
-            return; // already completed or aborted
-        };
-        // An H2D copy is already filling this slot: a second wake (e.g. a
-        // parked token plus the origin-continuation of `publish_host`)
-        // must not take a second host lease.
-        if fill.h2d_lease.is_some() {
-            return;
-        }
-        if self.items[item as usize].dead.is_some() {
-            self.abort_dev_fill(dev, item);
-            return;
-        }
-        match self.host_cache.get(item, || Cont::DevFill { dev, item }) {
-            Lookup::Hit(hslot) => {
-                self.dev_fills[dev][item as usize].h2d_lease = Some(hslot);
-                let dbuf = self.dev_slot_bufs[dev][dslot];
-                let payload = Arc::clone(&self.host_slots[hslot]);
-                let device = Arc::clone(&self.devices[dev]);
-                self.h2d[dev].submit(Box::new(move |rec| {
-                    let result = rec.time(PerfKind::CopyIn, || {
-                        device
-                            .copy_h2d(&payload.lock(), dbuf)
-                            .map_err(|e| e.to_string())
-                    });
-                    Some(Event::DeviceFillCopied { dev, item, result })
-                }));
-            }
-            Lookup::Pending => {}
-            Lookup::MustLoad(hslot) => self.start_host_fill(item, hslot, dev),
-            Lookup::Busy => {}
-        }
-    }
-
-    fn on_device_fill_copied(&mut self, dev: usize, item: ItemId, result: Result<(), String>) {
-        if let Some(hslot) = self.dev_fills[dev][item as usize].h2d_lease.take() {
-            if let Some(cont) = self.host_cache.release(hslot) {
-                self.run_cont(cont);
-            }
-        }
-        match result {
-            Ok(()) => self.complete_dev_fill(dev, item, false),
-            Err(e) => self.item_failure(item, format!("H2D copy failed: {e}")),
-        }
-    }
-
-    /// Publishes a filled device slot and wakes its waiters. With `pin`, the
-    /// conductor keeps a read lease on the slot (no hit is counted); the
-    /// caller releases it.
-    fn complete_dev_fill(&mut self, dev: usize, item: ItemId, pin: bool) {
-        let Some(dslot) = self.dev_fills[dev][item as usize].slot.take() else {
-            return;
-        };
-        let waiters = if pin {
-            self.dev_cache[dev].publish_and_read(dslot)
-        } else {
-            self.dev_cache[dev].publish(dslot)
-        };
-        self.pending_conts.extend(waiters);
-        self.pending_conts
-            .extend(self.dev_fills[dev][item as usize].waiters.drain(..));
-        // An unpinned published slot is evictable until a reader takes it:
-        // fresh capacity, so one parked capacity waiter gets a retry (a
-        // pinned slot hands its waiter over at the unpin instead).
-        if let Some(w) = self.dev_cache[dev].pop_capacity_waiter() {
-            self.run_cont(w);
-        }
-    }
-
-    fn abort_dev_fill(&mut self, dev: usize, item: ItemId) {
-        let Some(dslot) = self.dev_fills[dev][item as usize].slot.take() else {
-            return;
-        };
-        let waiters = self.dev_cache[dev].abort(dslot);
-        self.pending_conts.extend(waiters);
-        self.pending_conts
-            .extend(self.dev_fills[dev][item as usize].waiters.drain(..));
-    }
-
-    // ---- host fill -----------------------------------------------------
-
-    fn start_host_fill(&mut self, item: ItemId, hslot: SlotIdx, origin_dev: usize) {
-        self.items[item as usize].fill = Some(HostFill {
-            hslot,
-            origin_dev,
-            staging: None,
-            parsed: None,
-        });
-        if self.scenario.distributed_cache && self.scenario.nodes.len() > 1 {
-            let (to, msg) = self.directory.begin_lookup(item);
-            self.send_to(to, NodeMsg::Dir(msg));
-        } else {
-            self.local_load(item);
-        }
-    }
-
-    fn local_load(&mut self, item: ItemId) {
-        let path = self.app.file_for(item);
-        let store = Arc::clone(&self.store);
-        self.io.submit(Box::new(move |rec| {
-            let result = rec.time(PerfKind::Read, || {
-                store.read(&path).map_err(|e| e.to_string())
-            });
-            Some(Event::IoDone { item, result })
-        }));
-    }
-
-    fn on_io_done(&mut self, item: ItemId, result: Result<Bytes, String>) {
-        let raw = match result {
-            Ok(raw) => raw,
-            Err(e) => {
-                self.item_failure(item, format!("storage read failed: {e}"));
-                return;
-            }
-        };
-        let Some(fill) = &self.items[item as usize].fill else {
-            return;
-        };
-        let app = Arc::clone(&self.app);
-        if app.has_preprocess() {
-            let parsed_bytes = app.parsed_bytes();
-            self.cpu.submit(Box::new(move |rec| {
-                let result = rec.time(PerfKind::Parse, || {
-                    let mut parsed = vec![0u8; parsed_bytes];
-                    app.parse(item, &raw, &mut parsed)
-                        .map(|()| parsed)
-                        .map_err(|e| e.to_string())
-                });
-                Some(Event::ParseDone { item, result })
-            }));
-        } else {
-            // No GPU pre-processing: parse straight into the host slot.
-            let payload = Arc::clone(&self.host_slots[fill.hslot]);
-            self.cpu.submit(Box::new(move |rec| {
-                let result = rec.time(PerfKind::Parse, || {
-                    app.parse(item, &raw, &mut payload.lock())
-                        .map_err(|e| e.to_string())
-                });
-                Some(Event::ParseIntoHostDone { item, result })
-            }));
-        }
-    }
-
-    fn on_parse_done(&mut self, item: ItemId, result: Result<Vec<u8>, String>) {
-        match result {
-            Ok(parsed) => {
-                let Some(fill) = &mut self.items[item as usize].fill else {
-                    return;
-                };
-                fill.parsed = Some(parsed);
-                self.try_stage(item);
-            }
-            Err(e) => self.item_failure(item, format!("parse failed: {e}")),
-        }
-    }
-
-    /// Uploads parsed bytes to a staging buffer when one is available.
-    fn try_stage(&mut self, item: ItemId) {
-        let Some(fill) = &mut self.items[item as usize].fill else {
-            return;
-        };
-        let dev = fill.origin_dev;
+    /// Uploads parsed bytes to a staging buffer when one is available, or
+    /// queues them for the next one.
+    fn stage(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, parsed: Vec<u8>) {
         let Some(staging) = self.staging_pool[dev].pop() else {
-            self.staging_queue[dev].push_back(item);
+            self.staging_queue[dev].push_back((item, dslot, parsed));
             return;
         };
-        fill.staging = Some(staging);
-        let parsed = fill.parsed.take().expect("parsed bytes present");
         let device = Arc::clone(&self.devices[dev]);
         self.h2d[dev].submit(Box::new(move |rec| {
             let result = rec.time(PerfKind::CopyIn, || {
                 device.copy_h2d(&parsed, staging).map_err(|e| e.to_string())
             });
-            Some(Event::StagingUploaded { item, result })
+            Some(Event::StagingUploaded {
+                dev,
+                item,
+                dslot,
+                staging,
+                result,
+            })
         }));
     }
 
-    fn schedule_preprocess(&mut self, item: ItemId) {
-        let Some(fill) = &self.items[item as usize].fill else {
-            return;
-        };
-        let dev = fill.origin_dev;
-        let staging = fill.staging.expect("staging held");
-        let Some(dslot) = self.dev_fills[dev][item as usize].slot else {
-            // The originating device fill vanished (item died): give the
-            // staging buffer back and drop the pipeline.
-            self.return_staging(item);
-            return;
-        };
+    /// Gives a staging buffer back to its device's pool and stages the
+    /// next queued item.
+    fn return_staging(&mut self, dev: usize, staging: BufferId) {
+        self.staging_pool[dev].push(staging);
+        if let Some((item, dslot, parsed)) = self.staging_queue[dev].pop_front() {
+            self.stage(dev, item, dslot, parsed);
+        }
+    }
+
+    fn schedule_preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, staging: BufferId) {
         let dbuf = self.dev_slot_bufs[dev][dslot];
         let device = Arc::clone(&self.devices[dev]);
         let app = Arc::clone(&self.app);
@@ -1068,112 +674,113 @@ impl<A: Application> Conductor<A> {
                         .map_err(|e| e.to_string())
                         .and_then(|r| r.map_err(|e| e.to_string()))
                 });
-                Some(Event::PreprocessDone { dev, item, result })
+                Some(Event::PreprocessDone {
+                    dev,
+                    item,
+                    staging,
+                    result,
+                })
             }),
         );
     }
+}
 
-    /// Gives the item's staging buffer (if it holds one) back to its
-    /// device's pool and stages the next queued item.
-    fn return_staging(&mut self, item: ItemId) {
-        let Some(fill) = &mut self.items[item as usize].fill else {
-            return;
-        };
-        let dev = fill.origin_dev;
-        if let Some(staging) = fill.staging.take() {
-            self.staging_pool[dev].push(staging);
-            if let Some(next) = self.staging_queue[dev].pop_front() {
-                self.try_stage(next);
-            }
+impl<A: Application> NodeIo for Executor<A> {
+    type Raw = Bytes;
+    type Parsed = Vec<u8>;
+    type Data = Bytes;
+
+    fn read(&mut self, item: ItemId) {
+        let path = self.app.file_for(item);
+        let store = Arc::clone(&self.store);
+        self.storage.submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::Read, || {
+                store.read(&path).map_err(|e| e.to_string())
+            });
+            Some(Event::IoDone { item, result })
+        }));
+    }
+
+    fn parse(&mut self, item: ItemId, hslot: SlotIdx, raw: Bytes) {
+        let app = Arc::clone(&self.app);
+        if app.has_preprocess() {
+            let parsed_bytes = app.parsed_bytes();
+            self.cpu.submit(Box::new(move |rec| {
+                let result = rec.time(PerfKind::Parse, || {
+                    let mut parsed = vec![0u8; parsed_bytes];
+                    app.parse(item, &raw, &mut parsed)
+                        .map(|()| parsed)
+                        .map_err(|e| e.to_string())
+                });
+                Some(Event::ParseDone { item, result })
+            }));
+        } else {
+            // No GPU pre-processing: parse straight into the host slot.
+            let payload = Arc::clone(&self.host_slots[hslot]);
+            self.cpu.submit(Box::new(move |rec| {
+                let result = rec.time(PerfKind::Parse, || {
+                    app.parse(item, &raw, &mut payload.lock())
+                        .map(|()| Vec::new())
+                        .map_err(|e| e.to_string())
+                });
+                Some(Event::ParseDone { item, result })
+            }));
         }
     }
 
-    fn on_preprocess_done(&mut self, item: ItemId, result: Result<(), String>) {
-        let Some(fill) = &self.items[item as usize].fill else {
-            return;
-        };
-        let (dev, hslot) = (fill.origin_dev, fill.hslot);
-        self.return_staging(item);
-        match result {
-            Ok(()) => {
-                self.loads += 1;
-                // The item is ready on the device: publish the device slot
-                // first (jobs can start comparing), then write it back to
-                // the host slot (Fig 4's "copy device slot to host slot").
-                // The D2H thread reads the slot, so the write-back pins it
-                // until `ItemCopiedToHost`; unpinned, an eviction could
-                // refill it mid-copy.
-                let Some(dslot) = self.dev_fills[dev][item as usize].slot else {
-                    return;
-                };
-                let dbuf = self.dev_slot_bufs[dev][dslot];
-                self.complete_dev_fill(dev, item, true);
-                let payload = Arc::clone(&self.host_slots[hslot]);
-                let device = Arc::clone(&self.devices[dev]);
-                self.d2h[dev].submit(Box::new(move |rec| {
-                    let result = rec.time(PerfKind::CopyOut, || {
-                        let mut tmp = Vec::new();
-                        device
-                            .copy_d2h(dbuf, &mut tmp)
-                            .map(|()| {
-                                let mut buf = payload.lock();
-                                let n = buf.len().min(tmp.len());
-                                buf[..n].copy_from_slice(&tmp[..n]);
-                            })
-                            .map_err(|e| e.to_string())
-                    });
-                    Some(Event::ItemCopiedToHost {
-                        dev,
-                        dslot,
-                        item,
-                        result,
+    fn preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, parsed: Vec<u8>) {
+        self.stage(dev, item, dslot, parsed);
+    }
+
+    fn write_back(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, hslot: SlotIdx) {
+        let dbuf = self.dev_slot_bufs[dev][dslot];
+        let payload = Arc::clone(&self.host_slots[hslot]);
+        let device = Arc::clone(&self.devices[dev]);
+        self.d2h[dev].submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::CopyOut, || {
+                let mut tmp = Vec::new();
+                device
+                    .copy_d2h(dbuf, &mut tmp)
+                    .map(|()| {
+                        let mut buf = payload.lock();
+                        let n = buf.len().min(tmp.len());
+                        buf[..n].copy_from_slice(&tmp[..n]);
                     })
-                }));
-            }
-            Err(e) => self.item_failure(item, format!("preprocess failed: {e}")),
+                    .map_err(|e| e.to_string())
+            });
+            Some(Event::ItemCopiedToHost { item, result })
+        }));
+    }
+
+    fn fill_copy(&mut self, dev: usize, item: ItemId, hslot: SlotIdx, dslot: SlotIdx) {
+        let dbuf = self.dev_slot_bufs[dev][dslot];
+        let payload = Arc::clone(&self.host_slots[hslot]);
+        let device = Arc::clone(&self.devices[dev]);
+        self.h2d[dev].submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::CopyIn, || {
+                device
+                    .copy_h2d(&payload.lock(), dbuf)
+                    .map_err(|e| e.to_string())
+            });
+            Some(Event::DeviceFillCopied { dev, item, result })
+        }));
+    }
+
+    /// Queues the compare for its device's next GPU task, and sends that
+    /// task at once if the device has nothing queued.
+    fn compare(&mut self, job: JobId, dev: usize, pair: Pair, left: SlotIdx, right: SlotIdx) {
+        self.ready[dev].push(Compare {
+            job,
+            pair,
+            left: self.dev_slot_bufs[dev][left],
+            right: self.dev_slot_bufs[dev][right],
+        });
+        if self.gpu_queued[dev] == 0 {
+            self.launch_compares(dev);
         }
     }
 
-    fn publish_host(&mut self, item: ItemId) {
-        let Some(fill) = self.items[item as usize].fill.take() else {
-            return;
-        };
-        let waiters = self.host_cache.publish(fill.hslot);
-        self.pending_conts.extend(waiters);
-        // Fresh capacity (see complete_dev_fill): retry one parked waiter.
-        if let Some(w) = self.host_cache.pop_capacity_waiter() {
-            self.run_cont(w);
-        }
-        // The originating device fill continues if it still needs the host
-        // copy (no-pre-process and remote-fetch paths).
-        self.continue_dev_fill(fill.origin_dev, item);
-    }
-
-    /// Counts a failed load of `item`: the load restarts from storage until
-    /// the item has failed [`MAX_ITEM_FAILURES`] times; then the item is
-    /// given up on and its fills abort, so dependent jobs fail with `cause`.
-    fn item_failure(&mut self, item: ItemId, cause: String) {
-        let row = &mut self.items[item as usize];
-        row.failures += 1;
-        if row.failures < MAX_ITEM_FAILURES {
-            if row.fill.is_some() {
-                self.return_staging(item);
-                self.local_load(item);
-            }
-            return;
-        }
-        row.dead = Some(cause);
-        self.return_staging(item);
-        if let Some(fill) = self.items[item as usize].fill.take() {
-            let waiters = self.host_cache.abort(fill.hslot);
-            self.pending_conts.extend(waiters);
-            self.abort_dev_fill(fill.origin_dev, item);
-        }
-    }
-
-    // ---- distributed cache ----------------------------------------------
-
-    fn send_to(&mut self, to: usize, msg: NodeMsg) {
+    fn send(&mut self, to: usize, msg: NodeMsg) {
         let t = self
             .transport
             .as_ref()
@@ -1184,208 +791,22 @@ impl<A: Application> Conductor<A> {
         let _ = t.send(to, msg.to_bytes());
     }
 
-    fn on_remote(&mut self, from: usize, msg: NodeMsg) {
-        let item = msg.item();
-        // Rows are indexed by item id: a peer naming an id outside this
-        // run's items is dropped before it can touch one.
-        if item >= self.items.len() as u64 {
-            return;
-        }
-        match msg {
-            NodeMsg::Dir(dir_msg) => {
-                let host_cache = &self.host_cache;
-                let (outgoing, resolution) = self
-                    .directory
-                    .handle(dir_msg, |i| host_cache.contains_ready(i));
-                for (to, m) in outgoing {
-                    self.send_to(to, NodeMsg::Dir(m));
-                }
-                // Only `Found`/`NotFound` resolve, and both name `item`.
-                let filling = self.items[item as usize].fill.is_some();
-                match resolution {
-                    Resolution::InFlight => {}
-                    Resolution::Found { holder, .. } => {
-                        if filling {
-                            self.send_to(holder, NodeMsg::Fetch { item });
-                        }
-                    }
-                    Resolution::LoadLocally => {
-                        if filling {
-                            self.local_load(item);
-                        }
-                    }
-                }
-            }
-            NodeMsg::Fetch { item } => {
-                // Serve from the host cache if (still) resident; the lease
-                // pins the slot while we copy the bytes out. A miss replies
-                // `None` — the protocol is best effort and the requester
-                // falls back to loading locally.
-                let data = match self.host_cache.try_read(item) {
-                    Some(hslot) => {
-                        let data = Bytes::from(self.host_slots[hslot].lock().clone());
-                        if let Some(cont) = self.host_cache.release(hslot) {
-                            self.run_cont(cont);
-                        }
-                        Some(data)
-                    }
-                    None => None,
-                };
-                self.send_to(from, NodeMsg::FetchReply { item, data });
-            }
-            NodeMsg::FetchReply { item, data } => {
-                let Some(fill) = &self.items[item as usize].fill else {
-                    return;
-                };
-                match data {
-                    Some(data) => {
-                        {
-                            let mut buf = self.host_slots[fill.hslot].lock();
-                            let n = buf.len().min(data.len());
-                            buf[..n].copy_from_slice(&data[..n]);
-                        }
-                        self.remote_fetches += 1;
-                        self.publish_host(item);
-                    }
-                    None => self.local_load(item),
-                }
-            }
-        }
+    fn serve_fetch(&mut self, to: usize, item: ItemId, hslot: Option<SlotIdx>) {
+        let data = hslot.map(|h| Bytes::from(self.host_slots[h].lock().clone()));
+        self.send(to, NodeMsg::FetchReply { item, data });
     }
 
-    /// Queues a continuation. Continuations are drained iteratively after
-    /// each event — recursing here would overflow the stack on long waiter
-    /// chains (wake → release → wake → …).
-    fn run_cont(&mut self, cont: Cont) {
-        self.pending_conts.push_back(cont);
+    fn fetched(&mut self, hslot: SlotIdx, data: Bytes) {
+        let mut buf = self.host_slots[hslot].lock();
+        let n = buf.len().min(data.len());
+        buf[..n].copy_from_slice(&data[..n]);
     }
 
-    fn drain_conts(&mut self) {
-        while let Some(cont) = self.pending_conts.pop_front() {
-            match cont {
-                Cont::Job(id) => self.try_acquire_job(id),
-                Cont::DevFill { dev, item } => self.continue_dev_fill(dev, item),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rocket_cache::DirectoryMsg;
-    use rocket_storage::MemStore;
-
-    use crate::error::AppError;
-
-    const ITEMS: u64 = 4;
-
-    struct Tiny;
-
-    impl Application for Tiny {
-        type Output = ();
-        fn name(&self) -> &str {
-            "tiny"
-        }
-        fn item_count(&self) -> u64 {
-            ITEMS
-        }
-        fn file_for(&self, item: ItemId) -> String {
-            item.to_string()
-        }
-        fn parsed_bytes(&self) -> usize {
-            8
-        }
-        fn item_bytes(&self) -> usize {
-            8
-        }
-        fn result_bytes(&self) -> usize {
-            8
-        }
-        fn parse(&self, _: ItemId, _: &[u8], _: &mut [u8]) -> Result<(), AppError> {
-            Ok(())
-        }
-        fn compare(
-            &self,
-            _: (ItemId, &[u8]),
-            _: (ItemId, &[u8]),
-            _: &mut [u8],
-        ) -> Result<(), AppError> {
-            Ok(())
-        }
-        fn postprocess(&self, _: Pair, _: &[u8]) {}
+    fn fail_pair(&mut self, pair: Pair, cause: String) {
+        self.failed.push((pair, cause));
+        self.limiter.release();
     }
 
-    /// Node 0 of a two-node run with the distributed cache on, and no
-    /// transport: anything it tried to send would panic.
-    fn conductor() -> Conductor<Tiny> {
-        let scenario = Scenario::builder()
-            .items(ITEMS)
-            .uniform_cluster(2, 1, 4, 4)
-            .build();
-        let (events_tx, events_rx) = unbounded();
-        Conductor::new(
-            Arc::new(Tiny),
-            Arc::new(scenario),
-            0,
-            Arc::new(MemStore::new()),
-            None,
-            Arc::new(Mutex::named("outputs", Vec::new())),
-            Arc::new(JobLimiter::new(4)),
-            events_rx,
-            events_tx,
-            None,
-        )
-    }
-
-    fn state(c: &Conductor<Tiny>) -> String {
-        format!(
-            "{:?}",
-            (
-                &c.items,
-                &c.dev_fills,
-                &c.pending_conts,
-                c.loads,
-                c.remote_fetches,
-                &c.failed,
-                c.host_cache.stats(),
-                c.directory.stats(),
-            )
-        )
-    }
-
-    #[test]
-    fn peer_messages_naming_unknown_items_are_dropped() {
-        let mut c = conductor();
-        let before = state(&c);
-        let item = ITEMS;
-        let msgs = [
-            NodeMsg::Fetch { item },
-            NodeMsg::FetchReply {
-                item,
-                data: Some(Bytes::from(vec![7u8; 8])),
-            },
-            NodeMsg::FetchReply { item, data: None },
-            NodeMsg::Dir(DirectoryMsg::Request { item, requester: 1 }),
-            NodeMsg::Dir(DirectoryMsg::Probe {
-                item,
-                requester: 1,
-                rest: Default::default(),
-                hop: 1,
-            }),
-            NodeMsg::Dir(DirectoryMsg::Found {
-                item,
-                holder: 1,
-                hop: 1,
-            }),
-            NodeMsg::Dir(DirectoryMsg::NotFound { item }),
-        ];
-        for msg in msgs {
-            c.on_remote(1, msg);
-            c.drain_conts();
-            assert_eq!(state(&c), before);
-        }
-        assert!(c.events_rx.try_recv().is_err(), "no task was started");
-        c.finish();
-    }
+    /// The threaded perf log records resource-thread stages only.
+    fn note(&mut self, _: PerfKind, _: ItemId) {}
 }

@@ -1,95 +1,56 @@
 //! The simulated Rocket cluster.
 //!
-//! Drives the *same policy code* as the threaded runtime — the
-//! [`SlotCache`] WRITE/READ state machine, the candidates-array
-//! [`Directory`], and the quadrant [`TaskDeque`] — but advances virtual
-//! time through resource servers instead of real threads, which makes
-//! 96-GPU experiments deterministic and laptop-fast. Stage durations are
-//! sampled from a [`WorkloadProfile`] (Table 1 / Fig 7 of the paper);
-//! transfer and I/O times come from device profiles and the storage /
-//! network model.
+//! Each simulated node runs the threaded runtime's own per-node state
+//! machine, [`rocket_core::engine::NodeCore`] — the
+//! [`SlotCache`](rocket_cache::SlotCache) WRITE/READ levels, the
+//! candidates-array [`Directory`](rocket_cache::Directory), the fill
+//! pipeline, the write-back pin and the item-failure path — beside the
+//! quadrant [`TaskDeque`], but advances virtual time through resource
+//! servers instead of real threads, which makes 96-GPU experiments
+//! deterministic and laptop-fast. Stage durations are sampled from a
+//! [`WorkloadProfile`](rocket_core::WorkloadProfile) (Table 1 / Fig 7 of
+//! the paper); transfer and I/O times come from device profiles and the
+//! storage / network model.
 //!
-//! The job and fill state machines follow `rocket-core`'s conductor
-//! (acquire-left-then-right with release-on-busy, device fill → host fill
-//! → distributed lookup → load pipeline), but they are a hand-kept copy
-//! and differ from it in four ways:
+//! The shards (`crate::shard`) are the simulator's executor of `NodeCore`:
+//! each side effect the core asks for becomes a sampled duration on a
+//! modeled server and an event at its completion. The two engines differ
+//! only in three timing models, which live in the executors:
 //!
-//! * the result read-back is its own `Ev::ResultDone` event and
-//!   post-process runs on the CPU pool (`Ev::PostDone`), where the
-//!   conductor reads the result back inside the compare task and
-//!   post-processes on its own thread;
-//! * a write-back does not pin its device slot until its D2H copy ends;
-//! * there is no item-failure path: simulated loads never fail;
+//! * the simulator reads a compare's result back as an event of its own
+//!   (`Ev::ResultDone`) and post-processes as another (`Ev::PostDone`),
+//!   where the conductor reads the result back inside the compare task;
+//! * the simulator post-processes on the node's modeled CPU pool, where
+//!   the conductor post-processes on its own thread;
 //! * the simulator launches one compare per job, where the conductor
 //!   batches the compares that became ready in one drain of its event
 //!   queue into one GPU task.
 //!
-//! The ROADMAP item "One node state machine, two executors" (a sans-IO
-//! `NodeCore` under both engines) removes the copy and with it these
-//! differences.
+//! Simulated loads never fail, so the core's item-failure path never
+//! fires here.
 //!
-//! This module owns the *model*: the per-node state tables and the
-//! sampling helpers. The [`rocket_core::Scenario`] is the configuration,
-//! read as is. The event engine and the report fold live in `crate::shard`
-//! — a conservative time-window design that runs the same model on one
-//! shard (sequential) or many (parallel over the steal pool) with
-//! byte-identical results; the shard count belongs to
+//! This module owns the executor's *model*: the per-node server and work
+//! tables and the sampling helpers. The [`rocket_core::Scenario`] is the
+//! configuration, read as is. The event engine and the report fold live in
+//! `crate::shard` — a conservative time-window design that runs the same
+//! model on one shard (sequential) or many (parallel over the steal pool)
+//! with byte-identical results; the shard count belongs to
 //! [`crate::SimBackend`].
 //!
 //! # Dense-table state layout
 //!
-//! The per-event handlers run millions of times per simulation, so all
-//! mutable simulator state is laid out for O(1) array indexing instead of
-//! hashing:
-//!
-//! * **Jobs** live in a per-node free-list slab (`SimNode::jobs` +
-//!   `SimNode::free_jobs`); a job id *is* its slab slot. Slots recycle only
-//!   after post-processing completes, and a completed job can have no
-//!   parked waiter tokens (it must have held both leases to reach the
-//!   compare stage), so recycled ids can never be reached by stale
-//!   wake-ups.
-//! * **Device-fill state** is per-GPU × per-item: `SimGpu::fills[item]`
-//!   holds the WRITE-reserved device slot, the host-slot lease of the
-//!   in-flight H2D copy, and the parked waiter tokens — replacing three
-//!   `HashMap<(gpu, item), _>` tables with one indexed row per item.
-//! * **Host-fill state** is per-node × per-item: `SimNode::host_fill[item]`
-//!   packs the origin GPU and the reserved host slot of an in-flight load.
-//! * **Stage distributions** are resolved once at construction into
-//!   `StageDists`; handlers sample through `&Dist` without cloning.
-//!
-//! The dense tables cost `O(nodes × gpus × items)` machine words of memory
-//! — a few MB for the largest scenario sweeps — in exchange for removing
-//! every hash and every `Dist` clone from the per-event path.
+//! The per-event handlers run millions of times per simulation, so state is
+//! indexed, never hashed: `NodeCore` keeps dense rows (see its docs), and
+//! stage distributions are resolved once into `StageDists`, so handlers
+//! sample through `&Dist` without cloning.
 
-use rocket_cache::{Directory, DirectoryMsg, SlotCache, SlotIdx};
+use rocket_core::engine::PeerMsg;
 use rocket_gpu::DeviceProfile;
 use rocket_stats::{Dist, Distribution, Xoshiro256};
-use rocket_steal::{Block, Pair, TaskDeque};
+use rocket_steal::{Block, TaskDeque};
 
 use crate::engine::{secs_to_ns, SimTime};
 use crate::server::{Engine, Pool};
-
-/// Waiter token: which state machine to resume on wake-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tok {
-    Job(u64),
-    DevFill { gpu: usize, item: u64 },
-}
-
-#[derive(Debug)]
-pub(crate) struct SimJob {
-    pub(crate) pair: Pair,
-    pub(crate) gpu: usize,
-    pub(crate) left: Option<SlotIdx>,
-    pub(crate) right: Option<SlotIdx>,
-    /// The item this job last stalled on (capacity). Retries acquire it
-    /// first: the retry then consumes the slot freed by our own release,
-    /// guaranteeing progress instead of live-locking on the other item.
-    pub(crate) stalled: Option<u64>,
-    /// Set once the compare kernel is scheduled; guards against duplicate
-    /// scheduling from redundant wake-ups.
-    pub(crate) comparing: bool,
-}
 
 /// The device-profile numbers a simulated GPU actually consumes on the hot
 /// path, denormalized out of [`DeviceProfile`] so handlers never chase the
@@ -111,42 +72,20 @@ impl From<&DeviceProfile> for GpuRates {
     }
 }
 
-/// Per-item device-fill row (see the module docs' dense-table layout).
-///
-/// Replaces the tuple-keyed `dev_fills` / `h2d_leases` / `fill_waiters`
-/// hash maps: `SimGpu::fills[item]` is the single source of truth for one
-/// GPU's in-flight fill of one item.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct DevFill {
-    /// Device slot reserved in WRITE state (`Some` while a fill is in
-    /// flight for this item on this GPU).
-    pub(crate) dev_slot: Option<SlotIdx>,
-    /// Host slot leased by the in-flight H2D copy, if one is running.
-    pub(crate) h2d_lease: Option<SlotIdx>,
-    /// Tokens to wake when the fill publishes.
-    pub(crate) waiters: Vec<Tok>,
-}
-
-/// Per-item host-fill row: origin GPU and the host slot reserved in WRITE
-/// state. Replaces the `host_fills` + `host_fill_slot` hash maps.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HostFill {
-    pub(crate) origin_gpu: u32,
-    pub(crate) slot: SlotIdx,
-}
-
 #[derive(Debug)]
 pub(crate) struct SimGpu {
     pub(crate) rates: GpuRates,
-    pub(crate) cache: SlotCache<Tok>,
+    /// In-flight jobs this GPU takes: each job pins up to two device
+    /// slots, so half the slots (at least one) keeps every in-flight job's
+    /// leases fitting at once — the counting argument that makes the
+    /// pipeline deadlock- and livelock-free even for tiny caches.
+    pub(crate) lease_cap: usize,
     pub(crate) compute: Engine,
     pub(crate) h2d: Engine,
     pub(crate) d2h: Engine,
     pub(crate) in_flight: usize,
     pub(crate) pre_busy_ns: u64,
     pub(crate) cmp_busy_ns: u64,
-    /// Dense per-item device-fill table, indexed by item id.
-    pub(crate) fills: Vec<DevFill>,
 }
 
 pub(crate) struct SimNode {
@@ -167,20 +106,10 @@ pub(crate) struct SimNode {
     /// unchanged; every pair taken drops it by one.
     pub(crate) pending: u64,
     pub(crate) gpus: Vec<SimGpu>,
-    pub(crate) host_cache: SlotCache<Tok>,
     pub(crate) cpu: Pool,
     pub(crate) nic: Engine,
-    pub(crate) directory: Directory,
-    /// Job slab; a job id is its slot index here.
-    pub(crate) jobs: Vec<Option<SimJob>>,
-    /// Recycled slots of `jobs`.
-    pub(crate) free_jobs: Vec<u32>,
     pub(crate) jobs_in_flight: usize,
-    /// Dense per-item host-fill table, indexed by item id.
-    pub(crate) host_fill: Vec<Option<HostFill>>,
     pub(crate) pairs_done: u64,
-    pub(crate) loads: u64,
-    pub(crate) remote_fetches: u64,
     /// Deterministic per-node stream for stage sampling. Per-node (not
     /// global) so a node's draws are invariant under the shard count.
     pub(crate) rng: Xoshiro256,
@@ -196,49 +125,8 @@ pub(crate) struct SimNode {
     pub(crate) makespan_ns: SimTime,
 }
 
-impl SimNode {
-    #[inline]
-    pub(crate) fn job(&self, id: u64) -> Option<&SimJob> {
-        self.jobs[id as usize].as_ref()
-    }
-
-    #[inline]
-    pub(crate) fn job_mut(&mut self, id: u64) -> Option<&mut SimJob> {
-        self.jobs[id as usize].as_mut()
-    }
-
-    pub(crate) fn alloc_job(&mut self, job: SimJob) -> u64 {
-        match self.free_jobs.pop() {
-            Some(slot) => {
-                debug_assert!(self.jobs[slot as usize].is_none());
-                self.jobs[slot as usize] = Some(job);
-                slot as u64
-            }
-            None => {
-                self.jobs.push(Some(job));
-                (self.jobs.len() - 1) as u64
-            }
-        }
-    }
-
-    pub(crate) fn free_job(&mut self, id: u64) -> SimJob {
-        let job = self.jobs[id as usize].take().expect("job");
-        self.free_jobs.push(id as u32);
-        job
-    }
-
-    /// Live jobs (diagnostics; the slab may hold free slots).
-    pub(crate) fn live_jobs(&self) -> usize {
-        self.jobs.iter().flatten().count()
-    }
-}
-
-#[derive(Debug)]
-pub(crate) enum Msg {
-    Dir(DirectoryMsg),
-    Fetch { item: u64, requester: usize },
-    FetchReply { item: u64, ok: bool },
-}
+/// A peer message: the simulator moves no item bytes.
+pub(crate) type Msg = PeerMsg<()>;
 
 #[derive(Debug)]
 pub(crate) enum Ev {
@@ -246,10 +134,10 @@ pub(crate) enum Ev {
     IoDone { node: usize, item: u64 },
     ParseDone { node: usize, item: u64 },
     StagingDone { node: usize, gpu: usize, item: u64 },
-    PreprocessDone { node: usize, gpu: usize, item: u64 },
+    PreprocessDone { node: usize, item: u64 },
     WritebackDone { node: usize, item: u64 },
     FillCopyDone { node: usize, gpu: usize, item: u64 },
-    CompareDone { node: usize, job: u64 },
+    CompareDone { node: usize, gpu: usize, job: u64 },
     ResultDone { node: usize, job: u64 },
     PostDone { node: usize, job: u64 },
     Net { to: usize, from: usize, msg: Msg },

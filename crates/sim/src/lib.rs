@@ -2,9 +2,11 @@
 //!
 //! The paper's evaluation runs on DAS-5 and the Cartesius supercomputer
 //! with up to 96 GPUs — hardware this reproduction does not have. The
-//! simulator substitutes for that testbed: it executes the *same* policy
-//! code as the threaded runtime (slot caches, distributed-cache directory,
-//! quadrant work-stealing) over a modelled cluster — GPUs with relative
+//! simulator substitutes for that testbed: each simulated node runs the
+//! threaded runtime's own per-node state machine,
+//! [`rocket_core::engine::NodeCore`] (slot caches, fill pipeline,
+//! distributed-cache directory), beside the same quadrant work-stealing,
+//! over a modelled cluster — GPUs with relative
 //! compute scales and PCIe links, a shared central storage pipe, per-node
 //! NICs — in deterministic virtual time. Stage durations are sampled from
 //! the paper's Table 1 / Fig 7 statistics (`rocket_apps::profiles`).
@@ -15,8 +17,9 @@
 //!   the [`EventQueue`] trait and [`SlabEventQueue`], the one queue the
 //!   engine runs on,
 //! * [`server`] — FIFO engines and k-server pools,
-//! * `cluster` — the simulated Rocket cluster's per-node state tables,
-//!   mirroring the threaded runtime's conductor,
+//! * `cluster` — the simulated Rocket cluster's per-node servers and work
+//!   tables, and the three timing models in which it differs from the
+//!   threaded runtime's conductor,
 //! * `shard` — the event engine: a conservative time-window design whose
 //!   nodes partition into `K` shards advancing in lock-step windows of
 //!   the network-latency lookahead on the steal pool, with results

@@ -43,18 +43,15 @@
 //! module's tests cover thread counts, which have no public knob.
 
 use rocket_sanitize::Mutex;
-use std::collections::VecDeque;
 
-use rocket_cache::{CacheStats, Directory, DirectoryMsg, DirectoryStats, Lookup, Resolution};
+use rocket_cache::{CacheStats, DirectoryStats, SlotIdx};
+use rocket_core::engine::{JobId, NodeCore, NodeIo};
 use rocket_core::{BusyTimes, RunReport, Scenario};
-use rocket_stats::SeedSequence;
+use rocket_stats::{SeedSequence, Xoshiro256};
 use rocket_steal::{Block, Pair, StealPool, TaskDeque};
 use rocket_trace::{PerfKind, PerfLog, PerfRecord, ThroughputSeries};
 
-use crate::cluster::{
-    sample_ns, transfer_ns, DevFill, Ev, GpuRates, HostFill, Msg, SimGpu, SimJob, SimNode,
-    StageDists, Tok,
-};
+use crate::cluster::{sample_ns, transfer_ns, Ev, GpuRates, Msg, SimGpu, SimNode, StageDists};
 use crate::engine::{ns_to_secs, secs_to_ns, EventQueue, SimTime, SlabEventQueue};
 use crate::server::{Engine, Pool};
 
@@ -116,9 +113,9 @@ pub(crate) struct ShardState {
     /// Global index of `nodes[0]`.
     base: usize,
     nodes: Vec<SimNode>,
+    /// Each node's state machine (`cores[i]` ↔ `nodes[i]`).
+    cores: Vec<NodeCore>,
     queue: SlabEventQueue<Ev>,
-    /// Same-node wake tokens, drained after every event (global node ids).
-    wakes: VecDeque<(usize, Tok)>,
     /// Cross-shard messages produced this window: `(at, prio, to, from, msg)`.
     outbox: Vec<(SimTime, u64, usize, usize, Msg)>,
     /// Deferred storage requests: `(at, prio, node, item)`.
@@ -159,7 +156,7 @@ pub(crate) struct ShardState {
 /// Barrier-side state: everything shards must never touch concurrently.
 struct Driver {
     storage: Engine,
-    steal_rng: rocket_stats::Xoshiro256,
+    steal_rng: Xoshiro256,
     steals: u64,
     windows: u64,
     /// Scratch: merged storage requests, sorted by `(at, prio)`.
@@ -173,18 +170,34 @@ struct Driver {
     perf: Option<Vec<PerfRecord>>,
 }
 
-impl Driver {
-    /// Appends a barrier-side perf record when instrumentation is on.
-    #[inline]
-    fn perf(&mut self, t_ns: SimTime, kind: PerfKind, node: usize, value: u64) {
-        if let Some(buf) = &mut self.perf {
-            buf.push(PerfRecord {
-                t_ns,
-                kind,
-                node: node as u32,
-                value,
-            });
-        }
+/// Draws the next event priority for global node `g` from its sequence
+/// counter `seq`: unique across the whole run, ordered by
+/// `(node, draw index)` within a timestamp.
+#[inline]
+fn draw_prio(seq: &mut u64, g: usize) -> u64 {
+    let s = *seq;
+    *seq += 1;
+    debug_assert!(s < 1 << PRIO_SEQ_BITS, "per-node event seq overflow");
+    ((g as u64) << PRIO_SEQ_BITS) | s
+}
+
+/// Appends a perf record when instrumentation is on — one branch, no
+/// allocation, when it is off.
+#[inline]
+fn push_perf(
+    buf: &mut Option<Vec<PerfRecord>>,
+    t_ns: SimTime,
+    kind: PerfKind,
+    node: usize,
+    value: u64,
+) {
+    if let Some(buf) = buf {
+        buf.push(PerfRecord {
+            t_ns,
+            kind,
+            node: node as u32,
+            value,
+        });
     }
 }
 
@@ -287,14 +300,16 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
     let mut shards = Vec::with_capacity(k);
     for (sid, range) in shard_ranges(p, k).into_iter().enumerate() {
         let base = range.start;
-        let nodes: Vec<SimNode> = range
+        let (nodes, cores): (Vec<SimNode>, Vec<NodeCore>) = range
             .map(|rank| {
                 let nc = &cfg.nodes[rank];
                 // Slots beyond the item count never get used: clamp to keep
                 // huge Fig 9 sweeps cheap without changing behaviour.
                 let dev_slots = nc.device_slots.min(n as usize).max(2);
                 let host_slots = nc.host_slots.min(n as usize).max(2);
-                SimNode {
+                let preprocess = cfg.workload.preprocess.is_some();
+                let core = NodeCore::new(cfg, rank, n as usize, dev_slots, host_slots, preprocess);
+                let node = SimNode {
                     deque: TaskDeque::new(),
                     cursor: None,
                     blocks: 0,
@@ -304,44 +319,37 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
                         .iter()
                         .map(|profile| SimGpu {
                             rates: GpuRates::from(profile),
-                            cache: rocket_cache::SlotCache::with_item_space(dev_slots, n as usize),
+                            lease_cap: (dev_slots / 2).max(1),
                             compute: Engine::new(),
                             h2d: Engine::new(),
                             d2h: Engine::new(),
                             in_flight: 0,
                             pre_busy_ns: 0,
                             cmp_busy_ns: 0,
-                            fills: vec![DevFill::default(); n as usize],
                         })
                         .collect(),
-                    host_cache: rocket_cache::SlotCache::with_item_space(host_slots, n as usize),
                     cpu: Pool::new(cfg.cpu_threads),
                     nic: Engine::new(),
-                    directory: Directory::new(rank, p, cfg.hops),
-                    jobs: Vec::new(),
-                    free_jobs: Vec::new(),
                     jobs_in_flight: 0,
-                    host_fill: vec![None; n as usize],
                     pairs_done: 0,
-                    loads: 0,
-                    remote_fetches: 0,
                     rng: seeds.rng_indexed("node", rank as u64),
                     hungry: false,
                     hungry_since: 0,
                     io_bytes: 0,
                     net_bytes: 0,
                     makespan_ns: 0,
-                }
+                };
+                (node, core)
             })
-            .collect();
+            .unzip();
         let seqs = vec![0; nodes.len()];
         let words = nodes.len().div_ceil(64);
         let mut shard = ShardState {
             id: sid,
             base,
             nodes,
+            cores,
             queue: SlabEventQueue::new(),
-            wakes: VecDeque::new(),
             outbox: Vec::new(),
             load_reqs: Vec::new(),
             ev_counts: [0; 11],
@@ -413,7 +421,6 @@ fn run_sequential(ctx: &Ctx, shard: &mut ShardState, drv: &mut Driver) {
                 shard.window_end = (t / win + 1) * win;
             }
             shard.handle(ctx, ev);
-            shard.drain_wakes(ctx);
             #[cfg(debug_assertions)]
             shard.validate(ctx);
             continue;
@@ -444,7 +451,6 @@ fn run_sequential(ctx: &Ctx, shard: &mut ShardState, drv: &mut Driver) {
         }
         let (_, ev) = shard.queue.pop().expect("peeked event");
         shard.handle(ctx, ev);
-        shard.drain_wakes(ctx);
         #[cfg(debug_assertions)]
         shard.validate(ctx);
     }
@@ -546,8 +552,8 @@ fn record_gauges(shards: &mut [&mut ShardState], boundary: SimTime) {
             let sid = s.id;
             let depth = s.queue.len() as u64;
             let events: u64 = s.ev_counts.iter().sum();
-            s.perf(boundary, PerfKind::QueueDepth, sid, depth);
-            s.perf(boundary, PerfKind::Window, sid, events);
+            push_perf(&mut s.perf, boundary, PerfKind::QueueDepth, sid, depth);
+            push_perf(&mut s.perf, boundary, PerfKind::Window, sid, events);
         }
     }
 }
@@ -581,7 +587,7 @@ fn flush_loads(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &mut Driver) {
             let done = drv.storage.submit(at, ctx.load_service_ns) + ctx.storage_lat_ns;
             // Read latency as the node observes it: queueing at the shared
             // storage engine plus service plus delivery latency.
-            drv.perf(done, PerfKind::Read, node, done - at);
+            push_perf(&mut drv.perf, done, PerfKind::Read, node, done - at);
             shards[ctx.node_shard[node]]
                 .queue
                 .schedule_keyed(done, p, Ev::IoDone { node, item });
@@ -640,7 +646,7 @@ fn steal_match(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &mut Driver, boun
                 let block = shards[ctx.node_shard[victim]].give_block(ctx, victim);
                 drv.steals += 1;
                 // Thief's node id, pairs moved.
-                drv.perf(boundary, PerfKind::Steal, g, block.count());
+                push_perf(&mut drv.perf, boundary, PerfKind::Steal, g, block.count());
                 let s = &mut shards[sg];
                 s.push_block(g, block);
                 s.set_hungry(g, false);
@@ -711,53 +717,18 @@ fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &st
         queue_len += s.queue.len();
         done += s.pairs_done;
         started += s.pairs_started;
-        for (li, node) in s.nodes.iter().enumerate() {
-            let i = s.base + li;
-            let dev_fills: usize = node
-                .gpus
-                .iter()
-                .map(|g| g.fills.iter().filter(|f| f.dev_slot.is_some()).count())
-                .sum();
-            let h2d_leases: usize = node
-                .gpus
-                .iter()
-                .map(|g| g.fills.iter().filter(|f| f.h2d_lease.is_some()).count())
-                .sum();
+        for (li, (node, core)) in s.nodes.iter().zip(&s.cores).enumerate() {
             diag.push_str(&format!(
-                "\n node {i}: jobs={} inflight={} blocks={} ({} pairs) hungry={} hostfills={} \
-                 devfills={} h2d_leases={} host(cap_waiters={} evictable={} occ={}/{})",
-                node.live_jobs(),
+                "\n node {}: inflight={} blocks={} ({} pairs) hungry={} {}",
+                s.base + li,
                 node.jobs_in_flight,
                 node.blocks,
                 node.pending,
                 node.hungry,
-                node.host_fill.iter().flatten().count(),
-                dev_fills,
-                h2d_leases,
-                node.host_cache.parked_capacity_waiters(),
-                node.host_cache.evictable(),
-                node.host_cache.occupied(),
-                node.host_cache.capacity(),
+                core.describe(),
             ));
             for (g, gpu) in node.gpus.iter().enumerate() {
-                diag.push_str(&format!(
-                    "\n   gpu {g}: inflight={} cap_waiters={} evictable={} occ={}/{} resident={:?}",
-                    gpu.in_flight,
-                    gpu.cache.parked_capacity_waiters(),
-                    gpu.cache.evictable(),
-                    gpu.cache.occupied(),
-                    gpu.cache.capacity(),
-                    gpu.cache.resident_items(),
-                ));
-            }
-            if i == 0 {
-                for (id, j) in node.jobs.iter().enumerate() {
-                    let Some(j) = j else { continue };
-                    diag.push_str(&format!(
-                        "\n   job {id}: pair=({},{}) left={:?} right={:?} stalled={:?} comparing={}",
-                        j.pair.left, j.pair.right, j.left, j.right, j.stalled, j.comparing
-                    ));
-                }
+                diag.push_str(&format!("\n   gpu {g}: inflight={}", gpu.in_flight));
             }
         }
     }
@@ -808,22 +779,22 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
             acc.merge(s);
         }
         r.pairs += shard.pairs_done;
-        for node in &shard.nodes {
+        for (node, core) in shard.nodes.iter().zip(&shard.cores) {
             makespan_ns = makespan_ns.max(node.makespan_ns);
-            r.loads += node.loads;
-            r.remote_fetches += node.remote_fetches;
+            r.loads += core.loads();
+            r.remote_fetches += core.remote_fetches();
             r.io_bytes += node.io_bytes;
             r.net_bytes += node.net_bytes;
             r.pairs_per_node.push(node.pairs_done);
             r.busy.cpu += ns_to_secs(node.cpu.busy_ns());
-            r.host_cache.merge(&node.host_cache.stats());
-            r.directory.merge(node.directory.stats());
+            r.host_cache.merge(&core.host_stats());
+            r.directory.merge(core.directory_stats());
+            r.device_cache.merge(&core.device_stats());
             for gpu in &node.gpus {
                 r.busy.preprocess += ns_to_secs(gpu.pre_busy_ns);
                 r.busy.compare += ns_to_secs(gpu.cmp_busy_ns);
                 r.busy.h2d += ns_to_secs(gpu.h2d.busy_ns());
                 r.busy.d2h += ns_to_secs(gpu.d2h.busy_ns());
-                r.device_cache.merge(&gpu.cache.stats());
             }
         }
     }
@@ -840,11 +811,13 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
 
 // ---- per-shard event handlers --------------------------------------------
 //
-// These are the sequential simulator's handlers with three systematic
-// changes: nodes are addressed by *global* id (`g - self.base` indexes the
-// shard's slice), every schedule draws a keyed priority from the target
-// node's monotonic sequence, and the three cross-shard channels (messages,
-// storage, steals) defer to the barrier instead of acting inline.
+// The shard is the simulator's executor of each node's `NodeCore`: it
+// feeds the core one event at a time and, through `SimIo`, turns each side
+// effect the core asks for into a timed event. Nodes are addressed by
+// *global* id (`g - self.base` indexes the shard's slice), every schedule
+// draws a keyed priority from the node's monotonic sequence, and the three
+// cross-shard channels (messages, storage, steals) defer to the barrier
+// instead of acting inline.
 
 impl ShardState {
     /// Executes every event strictly before `window_end`.
@@ -855,7 +828,6 @@ impl ShardState {
             }
             let (_, ev) = self.queue.pop().expect("peeked event");
             self.handle(ctx, ev);
-            self.drain_wakes(ctx);
             #[cfg(debug_assertions)]
             self.validate(ctx);
         }
@@ -865,11 +837,7 @@ impl ShardState {
     /// the whole run, ordered by `(node, draw index)` within a timestamp.
     #[inline]
     fn next_prio(&mut self, g: usize) -> u64 {
-        let slot = &mut self.seqs[g - self.base];
-        let seq = *slot;
-        *slot += 1;
-        debug_assert!(seq < 1 << PRIO_SEQ_BITS, "per-node event seq overflow");
-        ((g as u64) << PRIO_SEQ_BITS) | seq
+        draw_prio(&mut self.seqs[g - self.base], g)
     }
 
     /// Re-derives local node `l`'s `any`/`rich` victim bits from its
@@ -919,20 +887,6 @@ impl ShardState {
         block
     }
 
-    /// Appends a perf record when instrumentation is on — one branch, no
-    /// allocation, when it is off.
-    #[inline]
-    fn perf(&mut self, t_ns: SimTime, kind: PerfKind, node: usize, value: u64) {
-        if let Some(buf) = &mut self.perf {
-            buf.push(PerfRecord {
-                t_ns,
-                kind,
-                node: node as u32,
-                value,
-            });
-        }
-    }
-
     #[inline]
     fn set_hungry(&mut self, g: usize, flag: bool) {
         let now = self.queue.now();
@@ -950,49 +904,67 @@ impl ShardState {
         }
     }
 
+    /// Handles one event, then runs the continuations it woke on its node
+    /// (every event concerns one node) and, in debug builds, checks that
+    /// node's lease accounting.
     fn handle(&mut self, ctx: &Ctx, ev: Ev) {
-        let idx = match &ev {
-            Ev::Pull { .. } => 0,
-            Ev::IoDone { .. } => 1,
-            Ev::ParseDone { .. } => 2,
-            Ev::StagingDone { .. } => 3,
-            Ev::PreprocessDone { .. } => 4,
-            Ev::WritebackDone { .. } => 5,
-            Ev::FillCopyDone { .. } => 6,
-            Ev::CompareDone { .. } => 7,
-            Ev::ResultDone { .. } => 8,
-            Ev::PostDone { .. } => 9,
-            Ev::Net { .. } => 10,
+        let (idx, node) = match ev {
+            Ev::Pull { node } => (0, node),
+            Ev::IoDone { node, .. } => (1, node),
+            Ev::ParseDone { node, .. } => (2, node),
+            Ev::StagingDone { node, .. } => (3, node),
+            Ev::PreprocessDone { node, .. } => (4, node),
+            Ev::WritebackDone { node, .. } => (5, node),
+            Ev::FillCopyDone { node, .. } => (6, node),
+            Ev::CompareDone { node, .. } => (7, node),
+            Ev::ResultDone { node, .. } => (8, node),
+            Ev::PostDone { node, .. } => (9, node),
+            Ev::Net { to, .. } => (10, to),
         };
         self.ev_counts[idx] += 1;
         match ev {
-            Ev::Pull { node } => self.pull_work(ctx, node),
-            Ev::IoDone { node, item } => self.on_io_done(ctx, node, item),
-            Ev::ParseDone { node, item } => self.on_parse_done(ctx, node, item),
-            Ev::StagingDone { node, gpu, item } => self.schedule_preprocess(ctx, node, gpu, item),
-            Ev::PreprocessDone { node, gpu, item } => self.on_preprocess_done(ctx, node, gpu, item),
-            Ev::WritebackDone { node, item } => self.publish_host(ctx, node, item),
-            Ev::FillCopyDone { node, gpu, item } => self.on_fill_copy_done(ctx, node, gpu, item),
-            Ev::CompareDone { node, job } => self.on_compare_done(ctx, node, job),
-            Ev::ResultDone { node, job } => self.on_result_done(ctx, node, job),
-            Ev::PostDone { node, job } => self.on_post_done(ctx, node, job),
-            Ev::Net { to, from, msg } => self.on_net(ctx, to, from, msg),
+            Ev::Pull { .. } => self.pull_work(ctx, node),
+            Ev::IoDone { item, .. } => {
+                self.with_core(ctx, node, |core, io| core.read_done(item, Ok(()), io))
+            }
+            Ev::ParseDone { item, .. } => {
+                self.with_core(ctx, node, |core, io| core.parse_done(item, Ok(()), io))
+            }
+            Ev::StagingDone { gpu, item, .. } => {
+                self.with_core(ctx, node, |_, io| io.preprocess_kernel(gpu, item))
+            }
+            Ev::PreprocessDone { item, .. } => {
+                self.with_core(ctx, node, |core, io| core.preprocess_done(item, Ok(()), io))
+            }
+            Ev::WritebackDone { item, .. } => {
+                self.with_core(ctx, node, |core, io| core.write_back_done(item, Ok(()), io))
+            }
+            Ev::FillCopyDone { gpu, item, .. } => {
+                self.cores[node - self.base].fill_copy_done(gpu, item, Ok(()))
+            }
+            Ev::CompareDone { gpu, job, .. } => self.with_core(ctx, node, |core, io| {
+                // Leases can be dropped as soon as the kernel finishes.
+                core.compare_done(job);
+                io.read_back(gpu, job);
+            }),
+            Ev::ResultDone { job, .. } => self.with_core(ctx, node, |_, io| io.post_process(job)),
+            Ev::PostDone { job, .. } => self.on_post_done(ctx, node, job),
+            Ev::Net { from, msg, .. } => {
+                self.with_core(ctx, node, |core, io| core.on_peer(from, msg, io))
+            }
         }
+        if !self.cores[node - self.base].is_drained() {
+            self.with_core(ctx, node, |core, io| core.drain(io));
+        }
+        #[cfg(debug_assertions)]
+        self.cores[node - self.base].check();
     }
 
     // ---- work acquisition ------------------------------------------------
 
-    /// Per-GPU in-flight cap: each job pins up to two device slots, so
-    /// keeping jobs ≤ slots/2 per GPU guarantees every in-flight job's
-    /// leases fit simultaneously — the counting argument that makes the
-    /// pipeline deadlock- and livelock-free even for tiny caches.
-    fn gpu_cap(&self, l: usize, gpu: usize) -> usize {
-        (self.nodes[l].gpus[gpu].cache.capacity() / 2).max(1)
-    }
-
     #[inline]
     fn has_gpu_slack(&self, l: usize) -> bool {
-        (0..self.nodes[l].gpus.len()).any(|g| self.nodes[l].gpus[g].in_flight < self.gpu_cap(l, g))
+        self.nodes[l].gpus.iter().any(|g| g.in_flight < g.lease_cap)
     }
 
     fn pull_work(&mut self, ctx: &Ctx, node: usize) {
@@ -1094,476 +1066,61 @@ impl ShardState {
         let l = node - self.base;
         // Bind to the least-loaded GPU of the node (per-GPU workers) that
         // still has lease headroom.
-        let gpu = (0..self.nodes[l].gpus.len())
-            .filter(|&g| self.nodes[l].gpus[g].in_flight < self.gpu_cap(l, g))
-            .min_by_key(|&g| self.nodes[l].gpus[g].in_flight)
+        let gpus = &mut self.nodes[l].gpus;
+        let gpu = (0..gpus.len())
+            .filter(|&g| gpus[g].in_flight < gpus[g].lease_cap)
+            .min_by_key(|&g| gpus[g].in_flight)
             .expect("caller checked gpu slack");
-        self.nodes[l].gpus[gpu].in_flight += 1;
+        gpus[gpu].in_flight += 1;
         self.nodes[l].jobs_in_flight += 1;
-        let id = self.nodes[l].alloc_job(SimJob {
-            pair,
-            gpu,
-            left: None,
-            right: None,
-            stalled: None,
-            comparing: false,
-        });
-        self.try_acquire(ctx, node, id);
+        self.with_core(ctx, node, |core, io| core.submit(pair, gpu, io));
     }
 
-    // ---- job lease acquisition (mirrors the threaded conductor) ----------
-
-    fn try_acquire(&mut self, ctx: &Ctx, node: usize, id: u64) {
-        let l = node - self.base;
-        let Some(job) = self.nodes[l].job(id) else {
-            return;
-        };
-        if job.comparing {
-            return;
-        }
-        let (pair, gpu, stalled) = (job.pair, job.gpu, job.stalled);
-        // Acquire the previously stalled item first (see `SimJob::stalled`).
-        let mut order = [(0usize, pair.left), (1usize, pair.right)];
-        if stalled == Some(pair.right) {
-            order.swap(0, 1);
-        }
-        for (which, item) in order {
-            let held = {
-                let job = self.nodes[l].job(id).expect("job");
-                if which == 0 {
-                    job.left
-                } else {
-                    job.right
-                }
-            };
-            if held.is_some() {
-                continue;
-            }
-            match self.nodes[l].gpus[gpu].cache.get(item, || Tok::Job(id)) {
-                Lookup::Hit(slot) => {
-                    let job = self.nodes[l].job_mut(id).expect("job");
-                    if which == 0 {
-                        job.left = Some(slot);
-                    } else {
-                        job.right = Some(slot);
-                    }
-                    let now = self.queue.now();
-                    self.perf(now, PerfKind::DevHit, node, item);
-                }
-                Lookup::Pending => return,
-                Lookup::MustLoad(slot) => {
-                    let now = self.queue.now();
-                    self.perf(now, PerfKind::DevMiss, node, item);
-                    let fill = &mut self.nodes[l].gpus[gpu].fills[item as usize];
-                    fill.dev_slot = Some(slot);
-                    fill.waiters.push(Tok::Job(id));
-                    self.continue_dev_fill(ctx, node, gpu, item);
-                    return;
-                }
-                Lookup::Busy => {
-                    self.nodes[l].job_mut(id).expect("job").stalled = Some(item);
-                    self.release_leases(node, id);
-                    return;
-                }
-            }
-        }
-        let job = self.nodes[l].job_mut(id).expect("job");
-        job.stalled = None;
-        job.comparing = true;
-        self.schedule_compare(ctx, node, id);
-    }
-
-    fn release_leases(&mut self, node: usize, id: u64) {
-        let l = node - self.base;
-        let Some(job) = self.nodes[l].job_mut(id) else {
-            return;
-        };
-        let gpu = job.gpu;
-        let leases = [job.left.take(), job.right.take()];
-        for slot in leases.into_iter().flatten() {
-            if let Some(tok) = self.nodes[l].gpus[gpu].cache.release(slot) {
-                self.wake(node, tok);
-            }
-        }
-    }
-
-    /// Queues a wake-up. Wakes are drained iteratively after each event:
-    /// recursion here would overflow the stack on long waiter chains.
+    /// Runs `f` on node `node`'s core with the node's executor as its
+    /// [`NodeIo`].
     #[inline]
-    fn wake(&mut self, node: usize, tok: Tok) {
-        self.wakes.push_back((node, tok));
-    }
-
-    #[inline]
-    fn drain_wakes(&mut self, ctx: &Ctx) {
-        while let Some((node, tok)) = self.wakes.pop_front() {
-            match tok {
-                Tok::Job(id) => self.try_acquire(ctx, node, id),
-                Tok::DevFill { gpu, item } => self.continue_dev_fill(ctx, node, gpu, item),
-            }
-        }
-    }
-
-    // ---- compare / result / post -----------------------------------------
-
-    fn schedule_compare(&mut self, ctx: &Ctx, node: usize, id: u64) {
+    fn with_core<R>(
+        &mut self,
+        ctx: &Ctx,
+        node: usize,
+        f: impl FnOnce(&mut NodeCore, &mut SimIo) -> R,
+    ) -> R {
         let l = node - self.base;
-        let gpu = self.nodes[l].job(id).expect("job").gpu;
-        let base = sample_ns(&mut self.nodes[l].rng, &ctx.stages.compare);
-        let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
-        let dur = (base as f64 / g.rates.compute_scale) as u64;
-        let done = g.compute.submit(now, dur);
-        g.cmp_busy_ns += dur;
-        let p = self.next_prio(node);
-        self.queue
-            .schedule_keyed(done, p, Ev::CompareDone { node, job: id });
-        self.perf(done, PerfKind::Compare, node, dur);
+        let mut io = SimIo {
+            ctx,
+            node,
+            shard: self.id,
+            hw: &mut self.nodes[l],
+            seq: &mut self.seqs[l],
+            queue: &mut self.queue,
+            outbox: &mut self.outbox,
+            load_reqs: &mut self.load_reqs,
+            perf: &mut self.perf,
+        };
+        f(&mut self.cores[l], &mut io)
     }
 
-    fn on_compare_done(&mut self, ctx: &Ctx, node: usize, id: u64) {
-        // Leases can be dropped as soon as the kernel finishes.
-        self.release_leases(node, id);
-        let l = node - self.base;
-        let gpu = self.nodes[l].job(id).expect("job").gpu;
-        let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
-        let dur = transfer_ns(
-            ctx.cfg.workload.item_bytes.min(1024),
-            g.rates.d2h_bytes_per_sec,
-        );
-        let done = g.d2h.submit(now, dur);
-        let p = self.next_prio(node);
-        self.queue
-            .schedule_keyed(done, p, Ev::ResultDone { node, job: id });
-        self.perf(done, PerfKind::CopyOut, node, dur);
-    }
+    // ---- job completion ---------------------------------------------------
 
-    fn on_result_done(&mut self, ctx: &Ctx, node: usize, id: u64) {
+    fn on_post_done(&mut self, ctx: &Ctx, node: usize, job: JobId) {
         let l = node - self.base;
-        let dur = sample_ns(&mut self.nodes[l].rng, &ctx.stages.postprocess);
-        let now = self.queue.now();
-        let done = self.nodes[l].cpu.submit(now, dur);
-        let p = self.next_prio(node);
-        self.queue
-            .schedule_keyed(done, p, Ev::PostDone { node, job: id });
-        self.perf(done, PerfKind::Postprocess, node, dur);
-    }
-
-    fn on_post_done(&mut self, ctx: &Ctx, node: usize, id: u64) {
-        let l = node - self.base;
-        let job = self.nodes[l].free_job(id);
-        self.nodes[l].gpus[job.gpu].in_flight -= 1;
+        let (_, gpu) = self.cores[l].retire(job);
+        self.nodes[l].gpus[gpu].in_flight -= 1;
         self.nodes[l].jobs_in_flight -= 1;
         self.nodes[l].pairs_done += 1;
         self.pairs_done += 1;
         let now = self.queue.now();
         self.nodes[l].makespan_ns = self.nodes[l].makespan_ns.max(now);
         if let Some(series) = &mut self.completions {
-            let gid = ctx.gpu_gid_base[node] + job.gpu;
+            let gid = ctx.gpu_gid_base[node] + gpu;
             series.record(gid as u32, now);
         }
         self.pull_work(ctx, node);
     }
 
-    // ---- device fill ------------------------------------------------------
-
-    fn continue_dev_fill(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        let fill = &self.nodes[l].gpus[gpu].fills[item as usize];
-        if fill.dev_slot.is_none() {
-            return;
-        }
-        // An H2D copy is already filling this slot: a second wake (e.g. a
-        // parked token plus the origin-continuation of `publish_host`)
-        // must not take a second host lease.
-        if fill.h2d_lease.is_some() {
-            return;
-        }
-        match self.nodes[l]
-            .host_cache
-            .get(item, || Tok::DevFill { gpu, item })
-        {
-            Lookup::Hit(hslot) => {
-                let now = self.queue.now();
-                let g = &mut self.nodes[l].gpus[gpu];
-                g.fills[item as usize].h2d_lease = Some(hslot);
-                let dur = transfer_ns(ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
-                let done = g.h2d.submit(now, dur);
-                let p = self.next_prio(node);
-                self.queue
-                    .schedule_keyed(done, p, Ev::FillCopyDone { node, gpu, item });
-                self.perf(now, PerfKind::HostHit, node, item);
-                self.perf(done, PerfKind::CopyIn, node, dur);
-            }
-            Lookup::Pending | Lookup::Busy => {}
-            Lookup::MustLoad(hslot) => {
-                let now = self.queue.now();
-                self.perf(now, PerfKind::HostMiss, node, item);
-                self.nodes[l].host_fill[item as usize] = Some(HostFill {
-                    origin_gpu: gpu as u32,
-                    slot: hslot,
-                });
-                if ctx.cfg.distributed_cache && ctx.node_shard.len() > 1 {
-                    let (to, msg) = self.nodes[l].directory.begin_lookup(item);
-                    self.send(ctx, node, to, Msg::Dir(msg));
-                    self.perf(now, PerfKind::Probe, node, item);
-                } else {
-                    self.request_load(ctx, node, item);
-                }
-            }
-        }
-    }
-
-    fn on_fill_copy_done(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        if let Some(hslot) = self.nodes[l].gpus[gpu].fills[item as usize]
-            .h2d_lease
-            .take()
-        {
-            if let Some(tok) = self.nodes[l].host_cache.release(hslot) {
-                self.wake(node, tok);
-            }
-        }
-        let _ = ctx;
-        self.complete_dev_fill(node, gpu, item);
-    }
-
-    fn complete_dev_fill(&mut self, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        let fill = &mut self.nodes[l].gpus[gpu].fills[item as usize];
-        let Some(dslot) = fill.dev_slot.take() else {
-            return;
-        };
-        let ws = std::mem::take(&mut fill.waiters);
-        let waiters = self.nodes[l].gpus[gpu].cache.publish(dslot);
-        for w in waiters {
-            self.wake(node, w);
-        }
-        for w in ws {
-            self.wake(node, w);
-        }
-        // The published slot is evictable until a reader takes it: that is
-        // fresh capacity, so a parked capacity waiter must get a retry.
-        if let Some(w) = self.nodes[l].gpus[gpu].cache.pop_capacity_waiter() {
-            self.wake(node, w);
-        }
-    }
-
-    // ---- host fill / load pipeline ----------------------------------------
-
-    /// Defers a storage load. The request is priced (`io_bytes`) here but
-    /// submitted to the shared storage engine only at the next flush —
-    /// time advance when sequential, window barrier when sharded — in
-    /// global `(time, prio)` order, which is exactly the serialization the
-    /// sequential engine sees.
-    fn request_load(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        self.nodes[l].io_bytes += ctx.cfg.workload.file_bytes;
-        let now = self.queue.now();
-        let p = self.next_prio(node);
-        self.load_reqs.push((now, p, node, item));
-    }
-
-    fn on_io_done(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        let dur = sample_ns(&mut self.nodes[l].rng, &ctx.stages.parse);
-        let now = self.queue.now();
-        let done = self.nodes[l].cpu.submit(now, dur);
-        let p = self.next_prio(node);
-        self.queue
-            .schedule_keyed(done, p, Ev::ParseDone { node, item });
-        self.perf(done, PerfKind::Parse, node, dur);
-    }
-
-    fn on_parse_done(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        let Some(fill) = self.nodes[l].host_fill[item as usize] else {
-            return;
-        };
-        let gpu = fill.origin_gpu as usize;
-        if ctx.stages.preprocess.is_some() {
-            // Stage parsed bytes to the device, pre-process there, write the
-            // item back to the host slot (Fig 4's ℓ path).
-            let now = self.queue.now();
-            let g = &mut self.nodes[l].gpus[gpu];
-            let dur = transfer_ns(ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
-            let done = g.h2d.submit(now, dur);
-            let p = self.next_prio(node);
-            self.queue
-                .schedule_keyed(done, p, Ev::StagingDone { node, gpu, item });
-            self.perf(done, PerfKind::CopyIn, node, dur);
-        } else {
-            // No GPU pre-processing: the parsed bytes are the item.
-            self.nodes[l].loads += 1;
-            self.publish_host(ctx, node, item);
-        }
-    }
-
-    fn schedule_preprocess(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        let base = sample_ns(
-            &mut self.nodes[l].rng,
-            ctx.stages.preprocess.as_ref().expect("preprocess stage"),
-        );
-        let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
-        let dur = (base as f64 / g.rates.compute_scale) as u64;
-        let done = g.compute.submit(now, dur);
-        g.pre_busy_ns += dur;
-        let p = self.next_prio(node);
-        self.queue
-            .schedule_keyed(done, p, Ev::PreprocessDone { node, gpu, item });
-        self.perf(done, PerfKind::Preprocess, node, dur);
-    }
-
-    fn on_preprocess_done(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        self.nodes[l].loads += 1;
-        // Publish the device slot first (jobs can compare immediately), then
-        // write back to the host slot.
-        self.complete_dev_fill(node, gpu, item);
-        let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
-        let dur = transfer_ns(ctx.cfg.workload.item_bytes, g.rates.d2h_bytes_per_sec);
-        let done = g.d2h.submit(now, dur);
-        let p = self.next_prio(node);
-        self.queue
-            .schedule_keyed(done, p, Ev::WritebackDone { node, item });
-        self.perf(done, PerfKind::CopyOut, node, dur);
-    }
-
-    fn publish_host(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        let Some(fill) = self.nodes[l].host_fill[item as usize].take() else {
-            return;
-        };
-        let origin_gpu = fill.origin_gpu as usize;
-        let waiters = self.nodes[l].host_cache.publish(fill.slot);
-        for w in waiters {
-            self.wake(node, w);
-        }
-        // Fresh capacity (see complete_dev_fill): retry one parked waiter.
-        if let Some(w) = self.nodes[l].host_cache.pop_capacity_waiter() {
-            self.wake(node, w);
-        }
-        if self.nodes[l].gpus[origin_gpu].fills[item as usize]
-            .dev_slot
-            .is_some()
-        {
-            self.continue_dev_fill(ctx, node, origin_gpu, item);
-        }
-    }
-
-    // ---- distributed cache ------------------------------------------------
-
-    /// Routes a message from `from` (a node of this shard) to `to`,
-    /// arriving at absolute time `at`. The priority is drawn from the
-    /// *sender's* sequence — K-invariant, unlike anything involving the
-    /// receiving queue. Cross-shard messages park in the outbox until the
-    /// barrier.
-    #[inline]
-    fn route_at(&mut self, ctx: &Ctx, at: SimTime, from: usize, to: usize, msg: Msg) {
-        let p = self.next_prio(from);
-        if ctx.node_shard[to] == self.id {
-            self.queue.schedule_keyed(at, p, Ev::Net { to, from, msg });
-        } else {
-            self.outbox.push((at, p, to, from, msg));
-        }
-    }
-
-    #[inline]
-    fn send(&mut self, ctx: &Ctx, from: usize, to: usize, msg: Msg) {
-        let at = self.queue.now() + ctx.net_lat_ns;
-        self.route_at(ctx, at, from, to, msg);
-    }
-
-    fn on_net(&mut self, ctx: &Ctx, to: usize, from: usize, msg: Msg) {
-        let l = to - self.base;
-        match msg {
-            Msg::Dir(dir_msg) => {
-                let lookup_item = match &dir_msg {
-                    DirectoryMsg::Found { item, .. } | DirectoryMsg::NotFound { item } => {
-                        Some(*item)
-                    }
-                    _ => None,
-                };
-                let node = &mut self.nodes[l];
-                let host_cache = &node.host_cache;
-                let (outgoing, resolution) = node
-                    .directory
-                    .handle(dir_msg, |i| host_cache.contains_ready(i));
-                for (peer, m) in outgoing {
-                    self.send(ctx, to, peer, Msg::Dir(m));
-                }
-                match resolution {
-                    Resolution::InFlight => {}
-                    Resolution::Found { holder, .. } => {
-                        let item = lookup_item.expect("found carries item");
-                        let now = self.queue.now();
-                        self.perf(now, PerfKind::ProbeHit, to, item);
-                        if self.nodes[l].host_fill[item as usize].is_some() {
-                            self.send(
-                                ctx,
-                                to,
-                                holder,
-                                Msg::Fetch {
-                                    item,
-                                    requester: to,
-                                },
-                            );
-                        }
-                    }
-                    Resolution::LoadLocally => {
-                        let item = lookup_item.expect("not-found carries item");
-                        let now = self.queue.now();
-                        self.perf(now, PerfKind::ProbeMiss, to, item);
-                        if self.nodes[l].host_fill[item as usize].is_some() {
-                            self.request_load(ctx, to, item);
-                        }
-                    }
-                }
-            }
-            Msg::Fetch { item, requester } => {
-                // Serve from the host cache if still resident; transfer
-                // occupies this node's NIC.
-                let served = self.nodes[l].host_cache.try_read(item);
-                match served {
-                    Some(hslot) => {
-                        if let Some(tok) = self.nodes[l].host_cache.release(hslot) {
-                            self.wake(to, tok);
-                        }
-                        let bytes = ctx.cfg.workload.item_bytes;
-                        self.nodes[l].net_bytes += bytes;
-                        let dur = secs_to_ns(bytes as f64 / ctx.cfg.net_bandwidth);
-                        let now = self.queue.now();
-                        let done = self.nodes[l].nic.submit(now, dur) + ctx.net_lat_ns;
-                        self.route_at(ctx, done, to, requester, Msg::FetchReply { item, ok: true });
-                    }
-                    None => {
-                        self.send(ctx, to, requester, Msg::FetchReply { item, ok: false });
-                    }
-                }
-            }
-            Msg::FetchReply { item, ok } => {
-                let _ = from;
-                if self.nodes[l].host_fill[item as usize].is_none() {
-                    return;
-                }
-                if ok {
-                    self.nodes[l].remote_fetches += 1;
-                    self.publish_host(ctx, to, item);
-                } else {
-                    self.request_load(ctx, to, item);
-                }
-            }
-        }
-    }
-
-    /// Debug-build cross-check: every device-cache read lease is owned by
-    /// exactly one job lease, every host lease by one in-flight H2D copy;
-    /// the steal index (per-node counters, victim and hungry bits) matches
-    /// the deques it summarizes.
+    /// Debug-build cross-check: the steal index (per-node counters, victim
+    /// and hungry bits) matches the deques it summarizes. Lease accounting
+    /// is `NodeCore::check`, run after every event's drain.
     #[cfg(debug_assertions)]
     fn validate(&self, ctx: &Ctx) {
         let bit = |words: &[u64], l: usize| words[l / 64] >> (l % 64) & 1 == 1;
@@ -1602,45 +1159,196 @@ impl ShardState {
                 !node.hungry || node.blocks == 0,
                 "node {ni}: hungry with work"
             );
-            let mut dev_readers: Vec<Vec<u32>> = node
-                .gpus
-                .iter()
-                .map(|g| vec![0u32; g.cache.capacity()])
-                .collect();
-            for job in node.jobs.iter().flatten() {
-                for slot in [job.left, job.right].into_iter().flatten() {
-                    dev_readers[job.gpu][slot] += 1;
-                }
-            }
-            for (g, gpu) in node.gpus.iter().enumerate() {
-                for (slot, &expected) in dev_readers[g].iter().enumerate() {
-                    assert_eq!(
-                        gpu.cache.readers(slot),
-                        expected,
-                        "node {ni} gpu {g} slot {slot}: reader-count leak"
-                    );
-                }
-                gpu.cache
-                    .check_invariants()
-                    .expect("device cache invariants");
-            }
-            let mut host_readers = vec![0u32; node.host_cache.capacity()];
-            for gpu in &node.gpus {
-                for hslot in gpu.fills.iter().filter_map(|f| f.h2d_lease) {
-                    host_readers[hslot] += 1;
-                }
-            }
-            for (slot, &expected) in host_readers.iter().enumerate() {
-                assert_eq!(
-                    node.host_cache.readers(slot),
-                    expected,
-                    "node {ni} host slot {slot}: reader-count leak"
-                );
-            }
-            node.host_cache
-                .check_invariants()
-                .expect("host cache invariants");
         }
+    }
+}
+
+/// One node's executor while its shard handles one of the node's events:
+/// the simulator's timing model of each [`NodeIo`] call. A side effect
+/// becomes a sampled duration on a modeled server and an event at its
+/// completion, scheduled with the node's next priority.
+struct SimIo<'a> {
+    ctx: &'a Ctx<'a>,
+    /// Global id of the node.
+    node: usize,
+    shard: usize,
+    hw: &'a mut SimNode,
+    seq: &'a mut u64,
+    queue: &'a mut SlabEventQueue<Ev>,
+    outbox: &'a mut Vec<(SimTime, u64, usize, usize, Msg)>,
+    load_reqs: &'a mut Vec<(SimTime, u64, usize, u64)>,
+    perf: &'a mut Option<Vec<PerfRecord>>,
+}
+
+impl SimIo<'_> {
+    /// Schedules `ev` at `done`, the end of a `dur`-long `kind` stage, and
+    /// records the stage.
+    #[inline]
+    fn stage_done(&mut self, done: SimTime, dur: u64, kind: PerfKind, ev: Ev) {
+        let p = draw_prio(self.seq, self.node);
+        self.queue.schedule_keyed(done, p, ev);
+        push_perf(self.perf, done, kind, self.node, dur);
+    }
+
+    /// The staged parsed bytes are on the device: run the pre-process
+    /// kernel.
+    fn preprocess_kernel(&mut self, gpu: usize, item: u64) {
+        let dist = self.ctx.stages.preprocess.as_ref();
+        let base = sample_ns(&mut self.hw.rng, dist.expect("preprocess stage"));
+        let g = &mut self.hw.gpus[gpu];
+        let dur = (base as f64 / g.rates.compute_scale) as u64;
+        let done = g.compute.submit(self.queue.now(), dur);
+        g.pre_busy_ns += dur;
+        let ev = Ev::PreprocessDone {
+            node: self.node,
+            item,
+        };
+        self.stage_done(done, dur, PerfKind::Preprocess, ev);
+    }
+
+    /// A compare's result read-back: its own D2H transfer.
+    fn read_back(&mut self, gpu: usize, job: JobId) {
+        let g = &mut self.hw.gpus[gpu];
+        let bytes = self.ctx.cfg.workload.item_bytes.min(1024);
+        let dur = transfer_ns(bytes, g.rates.d2h_bytes_per_sec);
+        let done = g.d2h.submit(self.queue.now(), dur);
+        let ev = Ev::ResultDone {
+            node: self.node,
+            job,
+        };
+        self.stage_done(done, dur, PerfKind::CopyOut, ev);
+    }
+
+    /// Post-processes a read-back result on the node's CPU pool.
+    fn post_process(&mut self, job: JobId) {
+        let dur = sample_ns(&mut self.hw.rng, &self.ctx.stages.postprocess);
+        let done = self.hw.cpu.submit(self.queue.now(), dur);
+        let ev = Ev::PostDone {
+            node: self.node,
+            job,
+        };
+        self.stage_done(done, dur, PerfKind::Postprocess, ev);
+    }
+
+    /// Routes a message to `to`, arriving at absolute time `at`. The
+    /// priority is drawn from the *sender's* sequence — K-invariant, unlike
+    /// anything involving the receiving queue. Cross-shard messages park in
+    /// the outbox until the barrier.
+    #[inline]
+    fn route_at(&mut self, at: SimTime, to: usize, msg: Msg) {
+        let (from, p) = (self.node, draw_prio(self.seq, self.node));
+        if self.ctx.node_shard[to] == self.shard {
+            self.queue.schedule_keyed(at, p, Ev::Net { to, from, msg });
+        } else {
+            self.outbox.push((at, p, to, from, msg));
+        }
+    }
+}
+
+impl NodeIo for SimIo<'_> {
+    type Raw = ();
+    type Parsed = ();
+    type Data = ();
+
+    /// Defers a storage load. The request is priced (`io_bytes`) here but
+    /// submitted to the shared storage engine only at the next flush —
+    /// time advance when sequential, window barrier when sharded — in
+    /// global `(time, prio)` order, which is exactly the serialization the
+    /// sequential engine sees.
+    fn read(&mut self, item: u64) {
+        self.hw.io_bytes += self.ctx.cfg.workload.file_bytes;
+        let now = self.queue.now();
+        let p = draw_prio(self.seq, self.node);
+        self.load_reqs.push((now, p, self.node, item));
+    }
+
+    fn parse(&mut self, item: u64, _: SlotIdx, (): ()) {
+        let dur = sample_ns(&mut self.hw.rng, &self.ctx.stages.parse);
+        let done = self.hw.cpu.submit(self.queue.now(), dur);
+        let ev = Ev::ParseDone {
+            node: self.node,
+            item,
+        };
+        self.stage_done(done, dur, PerfKind::Parse, ev);
+    }
+
+    /// Stages the parsed bytes to the device; `Ev::StagingDone` then runs
+    /// the kernel.
+    fn preprocess(&mut self, gpu: usize, item: u64, _: SlotIdx, (): ()) {
+        let g = &mut self.hw.gpus[gpu];
+        let dur = transfer_ns(self.ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
+        let done = g.h2d.submit(self.queue.now(), dur);
+        let ev = Ev::StagingDone {
+            node: self.node,
+            gpu,
+            item,
+        };
+        self.stage_done(done, dur, PerfKind::CopyIn, ev);
+    }
+
+    fn write_back(&mut self, gpu: usize, item: u64, _: SlotIdx, _: SlotIdx) {
+        let g = &mut self.hw.gpus[gpu];
+        let dur = transfer_ns(self.ctx.cfg.workload.item_bytes, g.rates.d2h_bytes_per_sec);
+        let done = g.d2h.submit(self.queue.now(), dur);
+        let ev = Ev::WritebackDone {
+            node: self.node,
+            item,
+        };
+        self.stage_done(done, dur, PerfKind::CopyOut, ev);
+    }
+
+    fn fill_copy(&mut self, gpu: usize, item: u64, _: SlotIdx, _: SlotIdx) {
+        let g = &mut self.hw.gpus[gpu];
+        let dur = transfer_ns(self.ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
+        let done = g.h2d.submit(self.queue.now(), dur);
+        let ev = Ev::FillCopyDone {
+            node: self.node,
+            gpu,
+            item,
+        };
+        self.stage_done(done, dur, PerfKind::CopyIn, ev);
+    }
+
+    fn compare(&mut self, job: JobId, gpu: usize, _: Pair, _: SlotIdx, _: SlotIdx) {
+        let base = sample_ns(&mut self.hw.rng, &self.ctx.stages.compare);
+        let g = &mut self.hw.gpus[gpu];
+        let dur = (base as f64 / g.rates.compute_scale) as u64;
+        let done = g.compute.submit(self.queue.now(), dur);
+        g.cmp_busy_ns += dur;
+        let ev = Ev::CompareDone {
+            node: self.node,
+            gpu,
+            job,
+        };
+        self.stage_done(done, dur, PerfKind::Compare, ev);
+    }
+
+    fn send(&mut self, to: usize, msg: Msg) {
+        let at = self.queue.now() + self.ctx.net_lat_ns;
+        self.route_at(at, to, msg);
+    }
+
+    /// A served fetch occupies this node's NIC for the item's transfer.
+    fn serve_fetch(&mut self, to: usize, item: u64, hslot: Option<SlotIdx>) {
+        if hslot.is_none() {
+            return self.send(to, Msg::FetchReply { item, data: None });
+        }
+        let bytes = self.ctx.cfg.workload.item_bytes;
+        self.hw.net_bytes += bytes;
+        let dur = secs_to_ns(bytes as f64 / self.ctx.cfg.net_bandwidth);
+        let done = self.hw.nic.submit(self.queue.now(), dur) + self.ctx.net_lat_ns;
+        let data = Some(());
+        self.route_at(done, to, Msg::FetchReply { item, data });
+    }
+
+    fn fetched(&mut self, _: SlotIdx, (): ()) {}
+
+    fn fail_pair(&mut self, _: Pair, cause: String) {
+        unreachable!("simulated loads never fail: {cause}")
+    }
+
+    fn note(&mut self, kind: PerfKind, item: u64) {
+        push_perf(self.perf, self.queue.now(), kind, self.node, item);
     }
 }
 
