@@ -21,7 +21,8 @@
 //! * **compare** (GPU): NCC of two residuals = dot product of the
 //!   normalized patterns, summed in eight interleaved `f64` partial sums
 //!   combined in a fixed order — deterministic and exactly symmetric, and
-//!   the one kernel both a serial reference loop and the runtime call,
+//!   the one kernel both a serial reference loop and the runtime call;
+//!   it runs at AVX2 width when the CPU has AVX2, with the same bits,
 //! * **post-process** (CPU): read out the correlation score.
 
 use rocket_core::bytesutil;
@@ -236,7 +237,21 @@ const LANES: usize = 8;
 /// `dot(b, a)` bit for bit. Folding in halves keeps sum `i` in vector
 /// lane `i % width`, so the loop needs no shuffles; combining
 /// neighbours, `(s0+s1)+…`, measured 1.7× slower with SSE2.
+///
+/// On an x86-64 CPU with AVX2 the sum runs in [`dot_le_f32_avx2`], which
+/// computes the same bits; elsewhere in [`dot_le_f32_portable`].
 fn dot_le_f32(a: &[u8], b: &[u8]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { dot_le_f32_avx2(a, b) };
+    }
+    dot_le_f32_portable(a, b)
+}
+
+/// [`dot_le_f32`] in scalar Rust: the only path on CPUs without AVX2, and
+/// the reference the AVX2 body is tested against.
+fn dot_le_f32_portable(a: &[u8], b: &[u8]) -> f64 {
     let f32_at = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
     let term = |x: &[u8], y: &[u8]| (f32_at(x) * f32_at(y)) as f64;
     let (a_chunks, b_chunks) = (a.chunks_exact(4 * LANES), b.chunks_exact(4 * LANES));
@@ -253,6 +268,48 @@ fn dot_le_f32(a: &[u8], b: &[u8]) -> f64 {
     let [s0, s1, s2, s3, s4, s5, s6, s7] = lanes;
     let dot = ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7));
     tail.fold(dot, |dot, (x, y)| dot + term(x, y))
+}
+
+/// [`dot_le_f32`] at AVX2 width, bit for bit [`dot_le_f32_portable`].
+///
+/// Partial sums 0–3 live in `lo` and 4–7 in `hi`. Each 32-byte chunk is
+/// one 8-wide `f32` multiply, so every product rounds to `f32` before it
+/// widens (no FMA), then two widening converts and two `f64` adds. The
+/// fold adds `hi` to `lo`, giving `(s0+s4, s1+s5, s2+s6, s3+s7)`, then
+/// the upper 128-bit half to the lower, giving `((s0+s4)+(s2+s6),
+/// (s1+s5)+(s3+s7))`, then those two: the portable fold exactly.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_le_f32_avx2(a: &[u8], b: &[u8]) -> f64 {
+    use std::arch::x86_64::*;
+    let (a_chunks, b_chunks) = (a.chunks_exact(4 * LANES), b.chunks_exact(4 * LANES));
+    let tail = (a_chunks.remainder().chunks_exact(4)).zip(b_chunks.remainder().chunks_exact(4));
+    let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    for (ca, cb) in a_chunks.zip(b_chunks) {
+        // SAFETY: `chunks_exact(32)` makes `ca` and `cb` 32 bytes each, one
+        // unaligned 8-float load; x86-64 is little-endian.
+        let (x, y) = unsafe {
+            (
+                _mm256_loadu_ps(ca.as_ptr().cast()),
+                _mm256_loadu_ps(cb.as_ptr().cast()),
+            )
+        };
+        let p = _mm256_mul_ps(x, y);
+        lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
+        hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(p)));
+    }
+    let quad = _mm256_add_pd(lo, hi);
+    let pair = _mm_add_pd(
+        _mm256_castpd256_pd128(quad),
+        _mm256_extractf128_pd::<1>(quad),
+    );
+    let dot = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
+    let f32_at = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    tail.fold(dot, |dot, (x, y)| dot + (f32_at(x) * f32_at(y)) as f64)
 }
 
 impl Application for ForensicsApp {
@@ -516,6 +573,20 @@ mod tests {
         v.into_iter().map(|x| x / norm).collect()
     }
 
+    /// Like [`unit_vector`], but each value scaled by 2^-k, k uniform in
+    /// 0..40. Products of residual-like values span so few binades that
+    /// their `f64` sums are usually exact in any order, which would hide a
+    /// changed fold or tail order. Products spread over 80 binades make
+    /// the sums round, so the bits depend on the order.
+    fn wide_unit_vector(n: usize, seed: u64) -> Vec<f32> {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let v: Vec<f32> = (0..n)
+            .map(|_| (rng.f64() as f32 * 2.0 - 1.0) * 2f32.powi(-(rng.below(40) as i32)))
+            .collect();
+        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        v.into_iter().map(|x| x / norm).collect()
+    }
+
     fn app_of(width: usize, height: usize) -> ForensicsApp {
         ForensicsApp::new(&ForensicsConfig {
             width,
@@ -548,6 +619,30 @@ mod tests {
             let ab = score(&app, &abuf, &bbuf);
             assert!((ab - serial).abs() < 1e-12, "{w}x{h}: {ab} vs {serial}");
             assert_eq!(ab.to_bits(), score(&app, &bbuf, &abuf).to_bits());
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_dot_matches_portable_bit_for_bit() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        // Lengths in floats: all tail (0, 1, 7), one chunk with and without
+        // a tail (8, 9), a 7-term tail after seven chunks (63, the 7×9
+        // image), one term past eight chunks (65), and the 128×128 image.
+        for (seed, n) in [0, 1, 7, 8, 9, 63, 65, 128 * 128].into_iter().enumerate() {
+            let seed = 2 * seed as u64;
+            let (a, b) = (wide_unit_vector(n, seed), wide_unit_vector(n, seed + 1));
+            let (mut abuf, mut bbuf) = (vec![0u8; 4 * n], vec![0u8; 4 * n]);
+            bytesutil::write_f32(&mut abuf, &a);
+            bytesutil::write_f32(&mut bbuf, &b);
+            for (x, y) in [(&abuf, &bbuf), (&bbuf, &abuf)] {
+                // SAFETY: the CPU supports AVX2, checked above.
+                let fast = unsafe { dot_le_f32_avx2(x, y) };
+                let portable = dot_le_f32_portable(x, y);
+                assert_eq!(fast.to_bits(), portable.to_bits(), "{n} floats");
+            }
         }
     }
 

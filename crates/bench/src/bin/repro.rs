@@ -30,6 +30,8 @@
 //! `--list` prints every experiment with a one-line description; unknown
 //! experiment names suggest the closest match.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -6,6 +6,7 @@
 //! micro-benchmarks for the framework components live under `benches/`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod anchors;
 pub mod experiments;

@@ -21,6 +21,7 @@
 //! which is what lets both execution engines share one policy implementation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod directory;
 pub mod fxhash;

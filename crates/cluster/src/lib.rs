@@ -21,6 +21,7 @@
 //! | [`worker`] | [`serve`]: the worker process main loop |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod protocol;

@@ -22,6 +22,7 @@
 //!   transport to detect killed workers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod frame;
 pub mod liveness;

@@ -8,6 +8,8 @@
 //! reference bumps, never copies — so swapping the real dependency back in
 //! requires only a manifest change.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 

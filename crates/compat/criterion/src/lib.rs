@@ -11,6 +11,8 @@
 //! any bare argument is a substring filter on `group/name` ids; all other
 //! criterion flags are accepted and ignored.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

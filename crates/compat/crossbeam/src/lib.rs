@@ -11,6 +11,8 @@
 //! section plus a wake-up; what a hand-off costs is mostly the context
 //! switch the wake-up causes.
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     //! Multi-producer multi-consumer unbounded channels.
 

@@ -6,6 +6,8 @@
 //! does not poison the lock for everyone else, matching `parking_lot`
 //! semantics.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};

@@ -7,6 +7,8 @@
 //! here is within contract; everything Rocket relies on for determinism goes
 //! through its own seeded `Xoshiro256` in `rocket-stats` anyway.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Error type for fallible RNG operations (never produced by Rocket's

@@ -14,7 +14,7 @@ use rocket_trace::PerfKind;
 
 use crate::app::Application;
 use crate::clock;
-use crate::engine::node::{spawn_node, NodeReport};
+use crate::engine::node::{node_limiter, spawn_node, NodeReport};
 use crate::engine::resource::Recording;
 use crate::error::RocketError;
 use crate::report::{BusyTimes, RunReport};
@@ -213,6 +213,7 @@ pub(crate) fn run<A: Application>(
         node_of: worker_map.iter().map(|&(n, _)| n).collect(),
     };
 
+    let limiters: Vec<_> = (0..nodes).map(|id| node_limiter(&scenario, id)).collect();
     let handles: Vec<_> = (0..nodes)
         .map(|node_id| {
             spawn_node(
@@ -222,6 +223,7 @@ pub(crate) fn run<A: Application>(
                 Arc::clone(store),
                 endpoints[node_id].take(),
                 Arc::clone(&outputs),
+                &limiters,
                 record.then_some(Recording {
                     clock: start,
                     node: node_id as u32,
@@ -240,23 +242,33 @@ pub(crate) fn run<A: Application>(
         let (node, dev) = worker_map[worker];
         let handle = &handles[node];
         // Back-pressure: one permit per in-flight job on the target node.
-        // Each grant of free permits leaves as one submission.
+        // Each grant of free permits leaves as one submission. A closed
+        // limiter grants none: a conductor panicked, and the run stops.
         let mut pairs = leaf.pairs();
         let mut left = leaf.count() as usize;
         while left > 0 {
             let granted = handle.limiter.acquire_up_to(left);
+            if granted == 0 {
+                return;
+            }
             handle.submit(pairs.by_ref().take(granted).collect(), dev);
             left -= granted;
         }
     });
 
     // All pairs submitted. Every job holds its node's permit until it
-    // finishes, so a node has drained exactly when all permits are back.
+    // finishes, so a node has drained exactly when all permits are back,
+    // or its limiter is closed.
     for h in &handles {
         h.limiter.wait_idle();
     }
 
-    let node_reports: Vec<NodeReport> = handles.into_iter().map(|h| h.finish()).collect();
+    // Finish every node before re-raising the first conductor panic.
+    let finished: Vec<_> = handles.into_iter().map(|h| h.finish()).collect();
+    let node_reports: Vec<NodeReport> = finished
+        .into_iter()
+        .collect::<std::thread::Result<_>>()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     let elapsed = start.elapsed();
     let outputs = Arc::try_unwrap(outputs)
         .map(|m| m.into_inner())

@@ -44,6 +44,14 @@
 //! [`NodeCore`]). A pair fails with its item's cause through
 //! [`NodeIo::fail_pair`], or with `compare failed: …` when its own compare
 //! fails; either way its permit comes back.
+//!
+//! ## Conductor panics
+//!
+//! A panicking conductor, such as one whose debug-build
+//! [`NodeCore::check`] trips, can never return its permits. As its thread
+//! unwinds it closes every node's job limiter, so the driver's permit
+//! waits return; `NodeHandle::finish` then hands the panic to the driver,
+//! which re-raises it once every node has finished.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -174,28 +182,58 @@ pub(crate) struct NodeHandle {
 impl NodeHandle {
     /// Submits pair jobs bound to a device (the caller must hold one
     /// limiter permit per pair; the conductor releases each at its job's
-    /// completion).
+    /// completion). A conductor that is gone has panicked, and
+    /// [`NodeHandle::finish`] reports that; the pairs are dropped.
     pub fn submit(&self, pairs: Vec<Pair>, dev: usize) {
-        self.events
-            .send(Event::Submit { pairs, dev })
-            .expect("conductor gone");
+        let _ = self.events.send(Event::Submit { pairs, dev });
     }
 
-    /// Stops the conductor and the comm pump and returns the node report.
+    /// Stops the conductor and the comm pump and returns the node report,
+    /// or the conductor's panic payload.
     ///
     /// The conductor is joined first, so its report (and with it the
     /// transport's traffic snapshot) is taken before the pump's wake token
     /// is sent: the token is never counted as traffic. The token is an
     /// empty message to this node itself; the pump exits on it, or has
     /// already exited on `Disconnected` because every peer hung up.
-    pub fn finish(self) -> NodeReport {
+    pub fn finish(self) -> std::thread::Result<NodeReport> {
         let _ = self.events.send(Event::Shutdown);
         let report = self.thread.join();
         if let Some((transport, pump)) = self.pump {
             let _ = transport.send(transport.node(), Bytes::new());
             let _ = pump.join();
         }
-        report.expect("conductor panicked")
+        report
+    }
+}
+
+/// The job limiter of node `node_id`: in-flight jobs capped so that every
+/// job's device leases fit at once.
+///
+/// Each job pins up to two device-cache slots; capping in-flight jobs at
+/// slots/2 per device guarantees all leases fit simultaneously, which
+/// keeps tiny-cache configurations free of eviction livelock. A
+/// write-back's pin can take a slot beyond that budget, but only until its
+/// D2H copy completes; a job it crowds out parks as a capacity waiter and
+/// the unpin wakes it.
+pub(crate) fn node_limiter(scenario: &Scenario, node_id: usize) -> Arc<JobLimiter> {
+    let spec = &scenario.nodes[node_id];
+    let lease_cap = (spec.gpus.len() * (spec.device_slots / 2)).max(1);
+    Arc::new(JobLimiter::new(scenario.job_limit.min(lease_cap)))
+}
+
+/// Closes every node's job limiter when the conductor thread that owns it
+/// unwinds: a dead conductor returns no permits, and peers may wait on
+/// its messages, so no node's permit wait could otherwise end.
+struct CloseOnPanic(Vec<Arc<JobLimiter>>);
+
+impl Drop for CloseOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for limiter in &self.0 {
+                limiter.close();
+            }
+        }
     }
 }
 
@@ -209,15 +247,16 @@ type SharedOutputs<A> = Arc<Mutex<Vec<(Pair, <A as Application>::Output)>>>;
 const PUMP_WAIT: Duration = Duration::from_secs(24 * 60 * 60);
 
 /// Spawns node `node_id` of `scenario`: conductor thread + resource threads
-/// (+ comm pump when a transport is given). `recording` carries the
-/// run-wide clock of a recorded run; `None` records nothing and reads no
-/// clock.
+/// (+ comm pump when a transport is given). `limiters` holds every node's
+/// [`node_limiter`], indexed by rank. `recording` carries the run-wide
+/// clock of a recorded run; `None` records nothing and reads no clock.
 ///
 /// The comm pump blocks on the transport and forwards every peer message
 /// to the conductor. It has no stop flag: it exits on the wake token that
 /// [`NodeHandle::finish`] sends (an empty message to itself; every
 /// `NodeMsg` encodes at least its tag byte, so no real message is empty),
 /// on `Disconnected`, or when the conductor is gone.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_node<A: Application>(
     app: Arc<A>,
     scenario: Arc<Scenario>,
@@ -225,18 +264,11 @@ pub(crate) fn spawn_node<A: Application>(
     store: Arc<dyn ObjectStore>,
     transport: Option<Box<dyn Transport>>,
     outputs: SharedOutputs<A>,
+    limiters: &[Arc<JobLimiter>],
     recording: Option<Recording>,
 ) -> NodeHandle {
     let (events_tx, events_rx) = unbounded::<Event>();
-    // Each job pins up to two device-cache slots; capping in-flight jobs at
-    // slots/2 per device guarantees all leases fit simultaneously, which
-    // keeps tiny-cache configurations free of eviction livelock. A
-    // write-back's pin can take a slot beyond that budget, but only until
-    // its D2H copy completes; a job it crowds out parks as a capacity
-    // waiter and the unpin wakes it.
-    let spec = &scenario.nodes[node_id];
-    let lease_cap = (spec.gpus.len() * (spec.device_slots / 2)).max(1);
-    let limiter = Arc::new(JobLimiter::new(scenario.job_limit.min(lease_cap)));
+    let limiter = Arc::clone(&limiters[node_id]);
 
     // The conductor sends, the comm pump receives; both share one
     // transport handle (the receive side stays single-consumer — the pump
@@ -277,9 +309,11 @@ pub(crate) fn spawn_node<A: Application>(
     let handle_events = events_tx.clone();
     let thread = {
         let limiter = Arc::clone(&limiter);
+        let close_on_panic = CloseOnPanic(limiters.to_vec());
         std::thread::Builder::new()
             .name(format!("rocket-conductor-{node_id}"))
             .spawn(move || {
+                let _close_on_panic = close_on_panic;
                 let conductor = Conductor::new(
                     app, scenario, node_id, store, transport, outputs, limiter, events_rx,
                     events_tx, recording,
@@ -737,15 +771,12 @@ impl<A: Application> NodeIo for Executor<A> {
         let payload = Arc::clone(&self.host_slots[hslot]);
         let device = Arc::clone(&self.devices[dev]);
         self.d2h[dev].submit(Box::new(move |rec| {
+            // One copy into the host slot's own capacity (both hold
+            // `item_bytes`). Lock order host slot → device buffer, as in
+            // `fill_copy`.
             let result = rec.time(PerfKind::CopyOut, || {
-                let mut tmp = Vec::new();
                 device
-                    .copy_d2h(dbuf, &mut tmp)
-                    .map(|()| {
-                        let mut buf = payload.lock();
-                        let n = buf.len().min(tmp.len());
-                        buf[..n].copy_from_slice(&tmp[..n]);
-                    })
+                    .copy_d2h(dbuf, &mut payload.lock())
                     .map_err(|e| e.to_string())
             });
             Some(Event::ItemCopiedToHost { item, result })

@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod app;
 pub mod backend;

@@ -17,6 +17,7 @@
 //! per-device threads serialize engine use exactly like CUDA streams.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod device;
 pub mod profile;

@@ -20,6 +20,8 @@
 //! The `rocket-lint` binary (in the workspace root crate) is the CLI:
 //! exit 0 when clean, 1 on unsuppressed diagnostics, 2 on config errors.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod diag;
 pub mod lexer;

@@ -23,6 +23,8 @@
 //! - the global graph is checked for cycles on every new edge, and the
 //!   panic message names the locks on the cycle.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::time::Duration;

@@ -34,6 +34,7 @@
 //!   efficiency).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 mod cluster;

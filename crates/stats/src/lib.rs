@@ -21,6 +21,7 @@
 //!   shared by the storage and transport fault-tolerance paths.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod histogram;

@@ -20,6 +20,7 @@
 //! execution engine built on `crossbeam-deque`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod block;
 pub mod deque;

@@ -8,7 +8,9 @@
 //! ([`JobLimiter::acquire_up_to`]); completions release them, a batch at a
 //! time ([`JobLimiter::release_many`]). Since a job holds its
 //! permit until it finishes, a node has drained exactly when every permit
-//! is back ([`JobLimiter::wait_idle`]).
+//! is back ([`JobLimiter::wait_idle`]). A limiter whose permits can no
+//! longer come back, because the thread that releases them died, is
+//! [closed](JobLimiter::close): every wait on it returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,9 +20,16 @@ use rocket_sanitize::{Condvar, Mutex};
 #[derive(Debug)]
 pub struct JobLimiter {
     limit: usize,
-    available: Mutex<usize>,
+    permits: Mutex<Permits>,
     cond: Condvar,
     peak_waits: AtomicU64,
+}
+
+/// The limiter's state, behind one lock.
+#[derive(Debug)]
+struct Permits {
+    available: usize,
+    closed: bool,
 }
 
 impl JobLimiter {
@@ -29,7 +38,13 @@ impl JobLimiter {
         assert!(limit >= 1, "concurrent job limit must be positive");
         Self {
             limit,
-            available: Mutex::named("available", limit),
+            permits: Mutex::named(
+                "available",
+                Permits {
+                    available: limit,
+                    closed: false,
+                },
+            ),
             cond: Condvar::new(),
             peak_waits: AtomicU64::new(0),
         }
@@ -42,28 +57,33 @@ impl JobLimiter {
 
     /// Permits currently available.
     pub fn available(&self) -> usize {
-        *self.available.lock()
+        self.permits.lock().available
     }
 
-    /// Acquires one permit, blocking while none are available.
+    /// Acquires one permit, blocking while none are available. On a closed
+    /// limiter it returns at once without one.
     pub fn acquire(&self) {
         self.acquire_up_to(1);
     }
 
     /// Acquires between one and `k` permits (`k ≥ 1`): every free one up
     /// to `k` without blocking, or, when none is free, blocks until one is.
-    /// Returns how many it took.
+    /// Returns how many it took: 0 once the limiter is closed.
     pub fn acquire_up_to(&self, k: usize) -> usize {
         assert!(k >= 1, "acquire_up_to needs k >= 1");
-        let mut avail = self.available.lock();
-        if *avail == 0 {
+        let mut permits = self.permits.lock();
+        if permits.available == 0 && !permits.closed {
             self.peak_waits.fetch_add(1, Ordering::Relaxed);
             // The semaphore exists to block here; the wait atomically
-            // releases `available` while parked.
-            self.cond.wait_while(&mut avail, |a| *a == 0);
+            // releases `permits` while parked.
+            self.cond
+                .wait_while(&mut permits, |p| p.available == 0 && !p.closed);
         }
-        let taken = k.min(*avail);
-        *avail -= taken;
+        if permits.closed {
+            return 0;
+        }
+        let taken = k.min(permits.available);
+        permits.available -= taken;
         taken
     }
 
@@ -72,10 +92,20 @@ impl JobLimiter {
     /// A job holds its permit until it finishes, so once submission has
     /// stopped this is the wait for the node to drain. The release that
     /// brings the last permit back always notifies (`limit ≥ limit/2`), so
-    /// the wait needs no clock.
+    /// the wait needs no clock. It also returns once the limiter is closed.
     pub fn wait_idle(&self) {
-        let mut avail = self.available.lock();
-        self.cond.wait_while(&mut avail, |a| *a < self.limit);
+        let mut permits = self.permits.lock();
+        self.cond
+            .wait_while(&mut permits, |p| p.available < self.limit && !p.closed);
+    }
+
+    /// Closes the limiter for good: parked and later acquisitions return
+    /// without a permit, and [`JobLimiter::wait_idle`] returns. For a
+    /// limiter whose permits will never come back, such as a node whose
+    /// conductor panicked.
+    pub fn close(&self) {
+        self.permits.lock().closed = true;
+        self.cond.notify_all();
     }
 
     /// Releases one permit (see [`JobLimiter::release_many`]).
@@ -93,11 +123,14 @@ impl JobLimiter {
     /// `available` climbs back to `limit`. The runtime's permits are held
     /// by in-flight jobs, which never wait on new submissions.
     pub fn release_many(&self, k: usize) {
-        let mut avail = self.available.lock();
-        assert!(k <= self.limit - *avail, "release without matching acquire");
-        *avail += k;
-        let refill = *avail >= (self.limit / 2).max(1);
-        drop(avail);
+        let mut permits = self.permits.lock();
+        assert!(
+            k <= self.limit - permits.available,
+            "release without matching acquire"
+        );
+        permits.available += k;
+        let refill = permits.available >= (self.limit / 2).max(1);
+        drop(permits);
         if refill {
             self.cond.notify_all();
         }
@@ -212,6 +245,31 @@ mod tests {
             idler.join().unwrap();
             assert_eq!(l.available(), limit);
         }
+    }
+
+    #[test]
+    fn close_wakes_parked_acquirers_and_idlers() {
+        let l = Arc::new(JobLimiter::new(2));
+        assert_eq!(l.acquire_up_to(2), 2);
+        let l2 = Arc::clone(&l);
+        let acquirer = std::thread::spawn(move || l2.acquire_up_to(1));
+        let l3 = Arc::clone(&l);
+        let idler = std::thread::spawn(move || l3.wait_idle());
+        while l.waits() == 0 {
+            std::thread::yield_now();
+        }
+        l.close();
+        assert_eq!(
+            acquirer.join().unwrap(),
+            0,
+            "no permit from a closed limiter"
+        );
+        idler.join().unwrap();
+        // Later calls return at once too.
+        assert_eq!(l.acquire_up_to(1), 0);
+        l.acquire();
+        l.wait_idle();
+        assert_eq!(l.available(), 0);
     }
 
     #[test]

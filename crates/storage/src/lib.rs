@@ -10,6 +10,7 @@
 //! * [`FaultStore`] — deterministic failure injection for robustness tests.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod store;

@@ -18,6 +18,7 @@
 //! the discrete-event simulator (virtual time).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod json;

@@ -9,6 +9,8 @@
 //! diagnostics, 2 configuration or I/O error — so CI can distinguish
 //! "code is dirty" from "the linter itself broke".
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;

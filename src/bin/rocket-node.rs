@@ -23,6 +23,8 @@
 //! my-study-driver   # rank 0: ClusterBackend::join(addrs), Study::run(...)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;

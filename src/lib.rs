@@ -69,6 +69,8 @@
 //! assert_eq!(study.cells.len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // The sweep/study driver types at the crate root: parameter grids are the
 // primary way experiments are expressed (see `core::Sweep`/`core::Study`).
 pub use rocket_core::{Axis, AxisValue, CellReport, ReplicationPolicy, Study, StudyReport, Sweep};

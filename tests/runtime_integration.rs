@@ -306,10 +306,12 @@ fn missing_files_fail_only_dependent_pairs() {
     assert_eq!(report.outputs.len(), 8 * 7 / 2 - 7);
 }
 
-/// [`ForensicsApp`] with a compare kernel that fails for one pair.
+/// [`ForensicsApp`] with a fault injected on one pair: its compare kernel
+/// fails, or, with `panic_in_postprocess`, its post-process panics.
 struct FailingCompare {
     inner: ForensicsApp,
     bad: Pair,
+    panic_in_postprocess: bool,
 }
 
 impl Application for FailingCompare {
@@ -344,12 +346,16 @@ impl Application for FailingCompare {
         right: (u64, &[u8]),
         out: &mut [u8],
     ) -> Result<(), AppError> {
-        if Pair::new(left.0, right.0) == self.bad {
+        if Pair::new(left.0, right.0) == self.bad && !self.panic_in_postprocess {
             return Err(AppError::new("compare", "injected"));
         }
         self.inner.compare(left, right, out)
     }
     fn postprocess(&self, pair: Pair, raw: &[u8]) -> Self::Output {
+        assert!(
+            pair != self.bad || !self.panic_in_postprocess,
+            "injected post-process panic"
+        );
         self.inner.postprocess(pair, raw)
     }
 }
@@ -373,6 +379,7 @@ fn failed_compare_fails_only_its_pair() {
     let app = FailingCompare {
         inner: ForensicsApp::new(&cfg),
         bad,
+        panic_in_postprocess: false,
     };
     // The run returning at all means every permit came back: the driver
     // waits for all of them before it finishes the node.
@@ -387,6 +394,59 @@ fn failed_compare_fails_only_its_pair() {
     );
     let want: Vec<_> = expected.into_iter().filter(|(p, _)| *p != bad).collect();
     assert_outputs_equal(&report, &want);
+}
+
+/// A post-process runs on its node's conductor, so a panicking one kills
+/// the conductor and with it every permit it holds. The run must end and
+/// re-raise that panic, not wait forever for those permits: on one node,
+/// and on two, where the live node may wait on the dead one's messages.
+#[test]
+fn conductor_panic_ends_the_run() {
+    let cfg = ForensicsConfig {
+        images: 8,
+        cameras: 2,
+        width: 32,
+        height: 32,
+        ..Default::default()
+    };
+    for nodes in [1, 2] {
+        let ds = ForensicsDataset::generate(cfg.clone());
+        let app = FailingCompare {
+            inner: ForensicsApp::new(&cfg),
+            bad: Pair::new(2, 5),
+            panic_in_postprocess: true,
+        };
+        let scenario = cluster(8, nodes, 4, 4)
+            .job_limit(4)
+            .distributed_cache(true)
+            .build();
+        let backend = ThreadedBackend::new(Arc::new(app), Arc::new(ds.store));
+        // The runner drops `done` as it returns or unwinds, which ends the
+        // wait early either way.
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let runner = std::thread::spawn(move || {
+            let _done = done;
+            backend.run_app(&scenario).map(|r| r.outputs.len())
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(30));
+        assert!(
+            waited != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "{nodes} node(s): the run still hangs 30 s after a conductor panic"
+        );
+        let payload = match runner.join() {
+            Err(payload) => payload,
+            Ok(outcome) => panic!("{nodes} node(s): the run returned {outcome:?}"),
+        };
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("injected post-process panic"),
+            "{nodes} node(s): re-raised {message:?}"
+        );
+    }
 }
 
 /// The 8-image forensics fixture behind a [`ThreadedBackend`], on
