@@ -72,9 +72,17 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the deterministic fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "std's table with a fixed hasher: iteration order is the same every run"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the deterministic fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "std's table with a fixed hasher: iteration order is the same every run"
+)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

@@ -9,6 +9,18 @@
 //! distribution parameters, which is what makes a re-dealt job
 //! deterministic on its new worker.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use rocket_comm::wire::{Wire, WireError, WireReader, WireWriter};
 use rocket_core::{RunReport, Scenario};
 
@@ -21,9 +33,11 @@ pub const PROTOCOL_VERSION: u32 = 5;
 pub const DRIVER_RANK: usize = 0;
 
 /// Frames the driver sends to a worker.
-// Frames are ephemeral (built, encoded, dropped); the payload variants
-// dwarfing Ping/Shutdown costs nothing worth an indirection.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "frames are built, encoded and dropped; the payload variants \
+              dwarfing Ping/Shutdown cost nothing worth an indirection"
+)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToWorker {
     /// Execute `scenario` and report back under `id`.
@@ -74,7 +88,10 @@ impl Wire for ToWorker {
 }
 
 /// Frames a worker sends to the driver.
-#[allow(clippy::large_enum_variant)] // same as ToWorker: transient frames
+#[allow(
+    clippy::large_enum_variant,
+    reason = "same as ToWorker: transient frames"
+)]
 #[derive(Debug, Clone)]
 pub enum ToDriver {
     /// Handshake: the worker is up and accepting jobs.

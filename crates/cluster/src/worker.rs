@@ -10,6 +10,18 @@
 //! [`ToWorker::Shutdown`] or when the driver's connection drops, joining
 //! in-flight jobs before returning.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::time::Duration;
 
 use rocket_comm::wire::Wire;

@@ -6,6 +6,18 @@
 //! stream chunks of any size (down to a single byte — TCP may tear a
 //! frame anywhere) and it yields complete payloads in order.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::io::{self, IoSlice, Write};
 
 use bytes::{BufMut, Bytes, BytesMut};

@@ -9,6 +9,18 @@
 //! takes every timestamp as an explicit argument, so tests can replay
 //! arbitrary schedules without sleeping.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::time::{Duration, Instant};
 
 use crate::transport::NodeId;

@@ -5,6 +5,18 @@
 //! the paper's Fig 12 reports, and encoding keeps node state genuinely
 //! shared-nothing (a message cannot smuggle references).
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Decoding errors.

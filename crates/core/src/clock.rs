@@ -2,13 +2,13 @@
 //!
 //! The determinism bar (byte-identical results across thread counts,
 //! transports, and worker loss) means engine code must not consult the
-//! wall clock: `rocket-lint` rule `RL-D002` forbids `Instant::now` /
-//! `SystemTime` in `crates/sim`, `crates/core`, and `crates/steal`.
-//! Wall-clock *measurement* is still legitimate — `RunReport::elapsed` on
-//! the threaded runtime is real time by definition — so every such read
-//! funnels through this module, which is the single file the lint
-//! allowlists (`[determinism] allow_files` in `lint.toml`). That keeps
-//! the audit surface one screen long: anything measured here may feed
+//! wall clock: the `clippy.toml` of `crates/sim`, `crates/core`,
+//! `crates/steal` and `crates/cache` disallows `Instant::now` and
+//! `SystemTime`. Wall-clock *measurement* is still legitimate —
+//! `RunReport::elapsed` on the threaded runtime is real time by
+//! definition — so every such read funnels through [`stopwatch`], the one
+//! `#[expect(clippy::disallowed_methods)]` for the clock. That keeps the
+//! audit surface one screen long: anything measured here may feed
 //! reporting, never scheduling or results.
 
 use std::time::{Duration, Instant};
@@ -38,6 +38,10 @@ impl Stopwatch {
 }
 
 /// Starts a stopwatch for measuring a run's wall-clock duration.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned clock read: a Stopwatch only reports elapsed time"
+)]
 pub fn stopwatch() -> Stopwatch {
     Stopwatch(Instant::now())
 }

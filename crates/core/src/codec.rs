@@ -20,6 +20,18 @@
 //! novel ones are leaked exactly once — a worker sees a handful of
 //! distinct names over its whole lifetime, so the leak is bounded.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::sync::Mutex;
 use std::sync::OnceLock;
 

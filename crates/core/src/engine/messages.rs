@@ -1,5 +1,17 @@
 //! Inter-node messages of the threaded cluster runtime.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use bytes::Bytes;
 use rocket_cache::{DirectoryMsg, HopChain, NodeId, MAX_HOPS};
 use rocket_comm::{Wire, WireError, WireReader, WireWriter};

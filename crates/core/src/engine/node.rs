@@ -256,7 +256,10 @@ const PUMP_WAIT: Duration = Duration::from_secs(24 * 60 * 60);
 /// [`NodeHandle::finish`] sends (an empty message to itself; every
 /// `NodeMsg` encodes at least its tag byte, so no real message is empty),
 /// on `Disconnected`, or when the conductor is gone.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the node's run-wide handles, passed once at spawn"
+)]
 pub(crate) fn spawn_node<A: Application>(
     app: Arc<A>,
     scenario: Arc<Scenario>,
@@ -376,7 +379,10 @@ struct Executor<A: Application> {
 }
 
 impl<A: Application> Conductor<A> {
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the node's run-wide handles, passed once at spawn"
+    )]
     fn new(
         app: Arc<A>,
         scenario: Arc<Scenario>,

@@ -21,6 +21,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the determinism set in clippy.toml binds library code; tests may time themselves"
+    )
+)]
 
 pub mod block;
 pub mod deque;

@@ -335,9 +335,11 @@ impl StealPool {
                 if !stolen {
                     idle_spins += 1;
                     if idle_spins > 64 {
-                        // lint:allow(determinism) — idle backoff paces the
-                        // steal loop; which pairs run where is decided by
-                        // the deques, not by wake-up timing.
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "idle backoff paces the steal loop; which pairs run \
+                                      where is decided by the deques, not by wake-up timing"
+                        )]
                         std::thread::sleep(std::time::Duration::from_micros(100));
                     } else {
                         std::thread::yield_now();

@@ -6,6 +6,18 @@
 //! numbers as text so integers read back exactly. Both reject what strict
 //! JSON rejects and return `Err`, never panic, on hostile input.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};

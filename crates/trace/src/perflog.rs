@@ -21,6 +21,18 @@
 //!   nanoseconds — no floating-point accumulation order to vary — so the
 //!   same records give byte-identical rollups on any thread count.
 
+// The panic-path set: faults and hostile bytes return errors (docs/static-checks.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -40,7 +52,7 @@ pub const PERFLOG_SCHEMA: u32 = 1;
 /// `Steal` carries the pairs moved; `QueueDepth` and `Window` are engine
 /// gauges sampled at window barriers (`node` is then the shard id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variant meanings are the table above
+#[allow(missing_docs, reason = "variant meanings are the table above")]
 pub enum PerfKind {
     Read,
     Parse,
@@ -461,7 +473,7 @@ pub fn percentile(sorted: &[u64], p: u8) -> Option<u64> {
         return None;
     }
     let rank = (u64::from(p) * sorted.len() as u64).div_ceil(100);
-    Some(sorted[rank as usize - 1])
+    sorted.get(rank as usize - 1).copied()
 }
 
 /// p50/p99 summary of one stage kind.
