@@ -51,6 +51,10 @@ canary rocket-core 'disallowed method `std::thread::sleep`' \
 canary rocket-steal 'disallowed type `std::hash::RandomState`' \
     'fn clippy_canary() -> std::collections::hash_map::RandomState { Default::default() }' \
     crates/steal/src/lib.rs
+# named locks: the same four crates use rocket-sanitize's wrappers
+canary rocket-cache 'disallowed type `std::sync::Mutex`' \
+    'fn clippy_canary() -> std::sync::Mutex<u8> { Default::default() }' \
+    crates/cache/src/lib.rs
 canary rocket-core '`allow` attribute without specifying a reason' \
     '#[allow(clippy::inline_always)] fn clippy_canary() {}' \
     crates/core/src/engine/node.rs

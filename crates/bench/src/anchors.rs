@@ -1,6 +1,7 @@
-//! Canonical benchmark scenarios ("anchors") shared by the criterion
-//! benches (`benches/des.rs`), the `benchmark/` harness, and the
-//! simulator's shard-equivalence tests.
+//! Canonical benchmark scenarios ("anchors") shared by the `benchmark/`
+//! harness and the `repro` experiments. The simulator's determinism and
+//! shard-equivalence tests copy [`toy_workload`] (rocket-sim cannot depend
+//! on this crate), so they pin the same configurations.
 //!
 //! Keeping these in one place means the repo's benchmark
 //! (`BENCHMARK.json`), the CI smoke runs, and the equivalence suite all

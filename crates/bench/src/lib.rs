@@ -2,8 +2,9 @@
 //!
 //! Each table and figure of the paper's evaluation (§6) has a driver in
 //! [`experiments`]; the `repro` binary dispatches to them and writes both a
-//! human-readable report and CSV series under `results/`. Criterion
-//! micro-benchmarks for the framework components live under `benches/`.
+//! human-readable report and CSV series under `results/`. The canonical
+//! benchmark scenarios live in [`anchors`]; the repository's benchmark
+//! (`BENCHMARK.json`) times them and every framework layer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

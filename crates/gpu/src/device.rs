@@ -2,9 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use crate::profile::DeviceProfile;
 
@@ -99,7 +97,7 @@ impl VirtualDevice {
 
     /// Bytes currently allocated.
     pub fn used_bytes(&self) -> u64 {
-        self.mem.lock().used
+        self.mem.lock().unwrap_or_else(PoisonError::into_inner).used
     }
 
     /// Total capacity in bytes.
@@ -109,7 +107,7 @@ impl VirtualDevice {
 
     /// Allocates a zero-initialized buffer of `size` bytes.
     pub fn alloc(&self, size: u64) -> Result<BufferId> {
-        let mut mem = self.mem.lock();
+        let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
         let free = self.profile.memory_bytes - mem.used;
         if size > free {
             return Err(DeviceError::OutOfMemory {
@@ -130,27 +128,30 @@ impl VirtualDevice {
     /// Frees a buffer. Blocks until no kernel or copy is using it.
     pub fn free(&self, id: BufferId) -> Result<()> {
         let arc = {
-            let mut mem = self.mem.lock();
+            let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
             let arc = mem
                 .buffers
                 .remove(&id.0)
                 .ok_or(DeviceError::InvalidBuffer(id))?;
-            mem.used -= arc.read().len() as u64;
+            mem.used -= arc.read().unwrap_or_else(PoisonError::into_inner).len() as u64;
             arc
         };
         // Wait for in-flight users: taking the write lock serializes with them.
-        drop(arc.write());
+        drop(arc.write().unwrap_or_else(PoisonError::into_inner));
         Ok(())
     }
 
     fn buffer(&self, id: BufferId) -> Result<Arc<RwLock<Box<[u8]>>>> {
-        self.mem.lock().buffer(id)
+        self.mem
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .buffer(id)
     }
 
     /// Copies host data into a device buffer (H2D engine).
     pub fn copy_h2d(&self, src: &[u8], dst: BufferId) -> Result<()> {
         let buf = self.buffer(dst)?;
-        let mut guard = buf.write();
+        let mut guard = buf.write().unwrap_or_else(PoisonError::into_inner);
         if guard.len() < src.len() {
             return Err(DeviceError::SizeMismatch {
                 dst: guard.len() as u64,
@@ -165,7 +166,7 @@ impl VirtualDevice {
     /// full buffer contents.
     pub fn copy_d2h(&self, src: BufferId, dst: &mut Vec<u8>) -> Result<()> {
         let buf = self.buffer(src)?;
-        let guard = buf.read();
+        let guard = buf.read().unwrap_or_else(PoisonError::into_inner);
         dst.clear();
         dst.extend_from_slice(&guard);
         Ok(())
@@ -187,16 +188,19 @@ impl VirtualDevice {
         }
         // Every buffer of the call is looked up under one `mem` lock.
         let (in_arcs, out_arc) = {
-            let mem = self.mem.lock();
+            let mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
             let in_arcs: Vec<_> = inputs
                 .iter()
                 .map(|&id| mem.buffer(id))
                 .collect::<Result<_>>()?;
             (in_arcs, mem.buffer(output)?)
         };
-        let in_guards: Vec<_> = in_arcs.iter().map(|a| a.read()).collect();
+        let in_guards: Vec<_> = in_arcs
+            .iter()
+            .map(|a| a.read().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         let in_slices: Vec<&[u8]> = in_guards.iter().map(|g| &g[..]).collect();
-        let mut out_guard = out_arc.write();
+        let mut out_guard = out_arc.write().unwrap_or_else(PoisonError::into_inner);
         Ok(f(&in_slices, &mut out_guard))
     }
 }

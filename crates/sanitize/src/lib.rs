@@ -1,18 +1,21 @@
 //! Lock-order sanitizer: the workspace's only lock-order check, made at
 //! run time.
 //!
-//! Instrumented code replaces `parking_lot::Mutex::new(v)` with
+//! Production locks are built with
 //! [`Mutex::named("label", v)`](Mutex::named), and every acquisition
 //! then records *(held, acquired)* edges in a process-global graph,
 //! asserting acyclicity online — a real lock-order inversion panics
 //! with the witnessed cycle the moment it first happens, instead of
 //! deadlocking a CI runner some day.
 //!
+//! The wrappers hold `std::sync` primitives and ignore poisoning: a
+//! thread that panics while holding a lock does not poison it for
+//! everyone else, so the survivors can still reach the state a failure
+//! left behind.
+//!
 //! With the `enabled` feature **off** (the default for every normal
-//! build), the wrappers compile to the underlying parking_lot
-//! primitives plus a zero-sized token with no `Drop` impl: no atomics,
-//! no thread-locals, no branches on the lock path, so the bench
-//! noise-band gate sees nothing.
+//! build), that is all they are, plus a zero-sized token with no `Drop`
+//! impl: no atomics, no thread-locals, no branches on the lock path.
 //!
 //! With `enabled` **on** (workspace feature `sanitize`, i.e.
 //! `cargo test --features sanitize`):
@@ -27,21 +30,19 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
-
-pub use parking_lot::WaitTimeoutResult;
+use std::sync::PoisonError;
 
 /// A named mutex. The name is the identity the witness graph records and
 /// the label a cycle panic prints.
 pub struct Mutex<T: ?Sized> {
     name: &'static str,
-    inner: parking_lot::Mutex<T>,
+    inner: std::sync::Mutex<T>,
 }
 
 /// RAII guard for [`Mutex`]; releases the witness token, then the lock.
 pub struct MutexGuard<'a, T: ?Sized> {
     _token: track::Token,
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -49,13 +50,15 @@ impl<T> Mutex<T> {
     pub const fn named(name: &'static str, value: T) -> Self {
         Self {
             name,
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -67,23 +70,8 @@ impl<T: ?Sized> Mutex<T> {
         let token = track::acquire(self.name);
         MutexGuard {
             _token: token,
-            inner: self.inner.lock(),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
-    }
-
-    /// Attempts to acquire without blocking. A successful try-lock is a
-    /// real acquisition and is witnessed like any other.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = self.inner.try_lock()?;
-        Some(MutexGuard {
-            _token: track::acquire(self.name),
-            inner,
-        })
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 
     /// The witness label.
@@ -118,19 +106,19 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 /// the order hazard is the same either way.
 pub struct RwLock<T: ?Sized> {
     name: &'static str,
-    inner: parking_lot::RwLock<T>,
+    inner: std::sync::RwLock<T>,
 }
 
 /// Shared-read guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     _token: track::Token,
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: std::sync::RwLockReadGuard<'a, T>,
 }
 
 /// Exclusive-write guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     _token: track::Token,
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: std::sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RwLock<T> {
@@ -138,13 +126,15 @@ impl<T> RwLock<T> {
     pub const fn named(name: &'static str, value: T) -> Self {
         Self {
             name,
-            inner: parking_lot::RwLock::new(value),
+            inner: std::sync::RwLock::new(value),
         }
     }
 
     /// Consumes the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -154,7 +144,7 @@ impl<T: ?Sized> RwLock<T> {
         let token = track::acquire(self.name);
         RwLockReadGuard {
             _token: token,
-            inner: self.inner.read(),
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
@@ -163,7 +153,7 @@ impl<T: ?Sized> RwLock<T> {
         let token = track::acquire(self.name);
         RwLockWriteGuard {
             _token: token,
-            inner: self.inner.write(),
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
@@ -204,39 +194,33 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 
 /// A condition variable operating on sanitize [`MutexGuard`]s. The lock
 /// stays on the thread's held stack across the wait — it is reacquired
-/// before `wait` returns, and the same thread cannot interleave another
-/// acquisition meanwhile.
+/// before `wait_while` returns, and the same thread cannot interleave
+/// another acquisition meanwhile.
 #[derive(Debug, Default)]
-pub struct Condvar(parking_lot::Condvar);
+pub struct Condvar(std::sync::Condvar);
 
 impl Condvar {
     /// Creates a condition variable.
     pub const fn new() -> Self {
-        Self(parking_lot::Condvar::new())
+        Self(std::sync::Condvar::new())
     }
 
-    /// Blocks until notified, atomically releasing and reacquiring the
-    /// lock.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        self.0.wait(&mut guard.inner);
-    }
-
-    /// Blocks while `condition` returns true.
-    pub fn wait_while<T>(
+    /// Blocks while `condition` returns true, atomically releasing the
+    /// lock while parked, and returns the reacquired guard. The guard's
+    /// witness token is carried across the wait, not re-recorded.
+    pub fn wait_while<'a, T>(
         &self,
-        guard: &mut MutexGuard<'_, T>,
+        guard: MutexGuard<'a, T>,
         condition: impl FnMut(&mut T) -> bool,
-    ) {
-        self.0.wait_while(&mut guard.inner, condition);
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        self.0.wait_for(&mut guard.inner, timeout)
+    ) -> MutexGuard<'a, T> {
+        let MutexGuard { _token, inner } = guard;
+        MutexGuard {
+            _token,
+            inner: self
+                .0
+                .wait_while(inner, condition)
+                .unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     /// Wakes one waiter.
@@ -392,6 +376,8 @@ mod track {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::thread;
 
     #[test]
     fn guards_deref() {
@@ -406,11 +392,43 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::named("cv_m", ());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+    fn condvar_wait_while_hands_off() {
+        let shared = Arc::new((Mutex::named("cv_m", false), Condvar::new()));
+        let peer = Arc::clone(&shared);
+        let waker = thread::spawn(move || {
+            *peer.0.lock() = true;
+            peer.1.notify_all();
+        });
+        let (m, cv) = &*shared;
+        let ready = cv.wait_while(m.lock(), |ready| !*ready);
+        assert!(*ready);
+        // The returned guard still holds its witness token: a lock taken
+        // under it records an edge from `cv_m`.
+        let after = Mutex::named("cv_after", ());
+        drop(after.lock());
+        #[cfg(feature = "enabled")]
+        assert!(edges().contains(&("cv_m".to_string(), "cv_after".to_string())));
+        drop(ready);
+        waker.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_holder_does_not_poison() {
+        let m = Arc::new(Mutex::named("poison_m", 0));
+        let l = Arc::new(RwLock::named("poison_l", 0));
+        let (m2, l2) = (Arc::clone(&m), Arc::clone(&l));
+        let holder = thread::spawn(move || {
+            let _w = l2.write();
+            let mut g = m2.lock();
+            *g += 1;
+            panic!("holder panics with both locks held");
+        });
+        assert!(holder.join().is_err());
+        *m.lock() += 1;
+        *l.write() += 1;
+        assert_eq!(*l.read(), 1);
+        let m = Arc::try_unwrap(m).ok().unwrap();
+        assert_eq!(m.into_inner(), 2);
     }
 
     #[cfg(feature = "enabled")]

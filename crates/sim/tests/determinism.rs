@@ -4,18 +4,19 @@
 //! zero-clone samplers) must not perturb simulation results: a run is a
 //! pure function of its `Scenario` + seed. These tests lock that in by
 //! requiring *byte-identical* full reports — every counter, busy time, and
-//! per-node series — across repeated runs of the exact configurations the
-//! `des` criterion benchmarks measure, plus recorded steal decisions that a
-//! build cannot match by agreeing with itself. The engine has one event
-//! queue, so there is no queue axis to cross-check.
+//! per-node series — across repeated runs of the benchmark anchors'
+//! configurations (`rocket_bench::anchors`), plus recorded steal decisions
+//! that a build cannot match by agreeing with itself. The engine has one
+//! event queue, so there is no queue axis to cross-check.
 
 use rocket_apps::WorkloadProfile;
 use rocket_core::{Backend, NodeSpec, RunReport, Scenario};
 use rocket_sim::SimBackend;
 use rocket_stats::Dist;
 
-/// The `benches/des.rs` workload, duplicated here so the regression pins
-/// the benchmarked configuration byte-for-byte.
+/// The anchors' `toy_workload`, duplicated here (rocket-bench depends on
+/// rocket-sim) so the regression pins the benchmarked configuration
+/// byte-for-byte.
 fn bench_workload(items: u64) -> WorkloadProfile {
     WorkloadProfile {
         name: "bench",

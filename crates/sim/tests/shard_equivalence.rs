@@ -14,9 +14,9 @@ use rocket_core::{Backend, NodeSpec, RunReport, Scenario};
 use rocket_sim::SimBackend;
 use rocket_stats::Dist;
 
-/// The `benches/des.rs` anchor workload, duplicated here (rocket-bench
-/// depends on rocket-sim, so this crate cannot import the anchors module
-/// without a cycle).
+/// The anchors' `toy_workload` (`rocket_bench::anchors`), duplicated here
+/// (rocket-bench depends on rocket-sim, so this crate cannot import the
+/// anchors module without a cycle).
 fn bench_workload(items: u64) -> WorkloadProfile {
     WorkloadProfile {
         name: "bench",

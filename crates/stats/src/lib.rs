@@ -2,15 +2,15 @@
 //! summary statistics for the Rocket framework.
 //!
 //! Everything in the Rocket workspace that needs randomness — synthetic data
-//! generators, victim selection in the work-stealing scheduler, service-time
-//! sampling in the discrete-event simulator — draws from this crate so that
-//! every experiment is reproducible from a single `u64` seed.
+//! generators, service-time sampling in the discrete-event simulator — draws
+//! from this crate so that every experiment is reproducible from a single
+//! `u64` seed.
 //!
 //! The crate provides:
 //!
-//! * [`rng`] — a self-contained `xoshiro256**` generator ([`rng::Xoshiro256`])
-//!   implementing [`rand::RngCore`], plus [`rng::SeedSequence`] for deriving
-//!   independent child seeds for sub-components,
+//! * [`rng`] — a self-contained `xoshiro256**` generator ([`rng::Xoshiro256`]),
+//!   plus [`rng::SeedSequence`] for deriving independent child seeds for
+//!   sub-components,
 //! * [`dist`] — continuous distributions (normal, log-normal, gamma,
 //!   exponential, …) implemented directly on top of the generator since
 //!   `rand_distr` is not available offline,

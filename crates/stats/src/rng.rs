@@ -1,12 +1,10 @@
 //! Deterministic pseudo-random number generation.
 //!
-//! The workspace standardizes on `xoshiro256**` seeded via SplitMix64, which
-//! is stable across `rand` versions (unlike `StdRng`, whose algorithm is
-//! explicitly unspecified). [`SeedSequence`] derives statistically
+//! The workspace standardizes on `xoshiro256**` seeded via SplitMix64, a
+//! fixed algorithm, so a seed gives the same stream on every build.
+//! [`SeedSequence`] derives statistically
 //! independent child seeds so each node / worker / generator in a simulation
 //! gets its own stream.
-
-use rand::{Error, RngCore, SeedableRng};
 
 /// SplitMix64 step: used to expand a single `u64` seed into a full
 /// `xoshiro256**` state, as recommended by the xoshiro authors.
@@ -122,45 +120,6 @@ impl Xoshiro256 {
     }
 }
 
-impl RngCore for Xoshiro256 {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for Xoshiro256 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::seed_from(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::seed_from(state)
-    }
-}
-
 /// Derives independent child seeds from a root seed.
 ///
 /// Each `(root, label)` pair maps to a distinct stream; labels are hashed so
@@ -262,18 +221,6 @@ mod tests {
         let mut rng = Xoshiro256::seed_from(3);
         for _ in 0..100 {
             assert_eq!(rng.below(1), 0);
-        }
-    }
-
-    #[test]
-    fn fill_bytes_handles_remainders() {
-        let mut rng = Xoshiro256::seed_from(5);
-        for len in 0..=17 {
-            let mut buf = vec![0u8; len];
-            rng.fill_bytes(&mut buf);
-            if len >= 8 {
-                assert!(buf.iter().any(|&b| b != 0), "len {len} produced all zeros");
-            }
         }
     }
 

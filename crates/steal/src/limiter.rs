@@ -76,8 +76,9 @@ impl JobLimiter {
             self.peak_waits.fetch_add(1, Ordering::Relaxed);
             // The semaphore exists to block here; the wait atomically
             // releases `permits` while parked.
-            self.cond
-                .wait_while(&mut permits, |p| p.available == 0 && !p.closed);
+            permits = self
+                .cond
+                .wait_while(permits, |p| p.available == 0 && !p.closed);
         }
         if permits.closed {
             return 0;
@@ -94,9 +95,9 @@ impl JobLimiter {
     /// brings the last permit back always notifies (`limit ≥ limit/2`), so
     /// the wait needs no clock. It also returns once the limiter is closed.
     pub fn wait_idle(&self) {
-        let mut permits = self.permits.lock();
-        self.cond
-            .wait_while(&mut permits, |p| p.available < self.limit && !p.closed);
+        let _idle = self.cond.wait_while(self.permits.lock(), |p| {
+            p.available < self.limit && !p.closed
+        });
     }
 
     /// Closes the limiter for good: parked and later acquisitions return

@@ -3,8 +3,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::block::{Block, Pair};
 
@@ -273,9 +271,7 @@ impl StealPool {
         let per_worker: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
 
         let run_worker = |worker: usize, deque: Deque<Block>| {
-            let mut rng = StdRng::seed_from_u64(
-                config.seed ^ (worker as u64).wrapping_mul(0x9E3779B97F4A7C15),
-            );
+            let mut rng = VictimRng(config.seed ^ (worker as u64).wrapping_mul(0x9E3779B97F4A7C15));
             let my_node = topology.node_of[worker];
             let siblings: Vec<usize> = (0..workers)
                 .filter(|&w| w != worker && topology.node_of[w] == my_node)
@@ -316,7 +312,7 @@ impl StealPool {
                     if siblings.is_empty() {
                         break;
                     }
-                    let victim = siblings[rng.gen_range(0..siblings.len())];
+                    let victim = siblings[rng.below(siblings.len())];
                     if let Steal::Success(block) = stealers[victim].steal() {
                         deque.push(block);
                         local_steals.fetch_add(1, Ordering::Relaxed);
@@ -325,7 +321,7 @@ impl StealPool {
                     }
                 }
                 if !stolen && !strangers.is_empty() {
-                    let victim = strangers[rng.gen_range(0..strangers.len())];
+                    let victim = strangers[rng.below(strangers.len())];
                     if let Steal::Success(block) = stealers[victim].steal() {
                         deque.push(block);
                         remote_steals.fetch_add(1, Ordering::Relaxed);
@@ -423,6 +419,23 @@ impl Drop for LeaveOnDrop<'_> {
     }
 }
 
+/// A worker's victim chooser: a splitmix64 stream, reduced into `0..len`
+/// by multiply-shift. It is private rather than `rocket_stats::Xoshiro256`
+/// because a `rocket-stats` edge on this crate would fail the benchmark's
+/// `--locked` build: `benchmark/Cargo.lock` pins this crate's dependencies.
+struct VictimRng(u64);
+
+impl VictimRng {
+    fn below(&mut self, len: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        ((u128::from(z) * len as u128) >> 64) as usize
+    }
+}
+
 /// Splits the pair triangle of `n` items into at least `workers` non-empty
 /// blocks (fewer when the triangle is too small to split that far), in a
 /// deterministic breadth-first order.
@@ -451,8 +464,9 @@ fn partition(n: u64, workers: usize) -> Vec<Block> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use rocket_sanitize::Mutex;
     use std::collections::HashSet;
+    use std::sync::OnceLock;
     use std::thread::ThreadId;
 
     #[test]
@@ -491,7 +505,7 @@ mod tests {
 
     #[test]
     fn all_pairs_processed_exactly_once() {
-        let seen = Mutex::new(HashSet::new());
+        let seen = Mutex::named("seen", HashSet::new());
         let n = 40u64;
         let stats = StealPool::run(
             n,
@@ -609,7 +623,7 @@ mod tests {
     fn check_run_rounds(tasks: usize, threads: usize) {
         let rounds = 5usize;
         let hits: Vec<AtomicU64> = (0..tasks).map(|_| AtomicU64::new(0)).collect();
-        let owners: Vec<Mutex<Option<ThreadId>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        let owners: Vec<OnceLock<ThreadId>> = (0..tasks).map(|_| OnceLock::new()).collect();
         let caller = std::thread::current().id();
         let mut round = 0usize;
         StealPool::run_rounds(
@@ -618,7 +632,7 @@ mod tests {
             |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
                 let me = std::thread::current().id();
-                let owner = *owners[i].lock().get_or_insert(me);
+                let owner = *owners[i].get_or_init(|| me);
                 assert_eq!(owner, me, "task {i} changed threads");
             },
             || {

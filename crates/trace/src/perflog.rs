@@ -35,9 +35,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json;
 
@@ -227,7 +225,7 @@ impl PerfLog {
     #[inline]
     pub fn record(&self, rec: PerfRecord) {
         if let Some(buf) = &self.inner {
-            buf.lock().push(rec);
+            buf.lock().unwrap_or_else(PoisonError::into_inner).push(rec);
         }
     }
 
@@ -235,14 +233,16 @@ impl PerfLog {
     /// per-shard during the run, extend once at the end.
     pub fn extend(&self, records: impl IntoIterator<Item = PerfRecord>) {
         if let Some(buf) = &self.inner {
-            buf.lock().extend(records);
+            buf.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(records);
         }
     }
 
     /// Takes every record out of the handle (empty afterwards).
     pub fn take(&self) -> Vec<PerfRecord> {
         match &self.inner {
-            Some(buf) => std::mem::take(&mut *buf.lock()),
+            Some(buf) => std::mem::take(&mut *buf.lock().unwrap_or_else(PoisonError::into_inner)),
             None => Vec::new(),
         }
     }
@@ -250,7 +250,7 @@ impl PerfLog {
     /// Copies the records out without draining.
     pub fn snapshot(&self) -> Vec<PerfRecord> {
         match &self.inner {
-            Some(buf) => buf.lock().clone(),
+            Some(buf) => buf.lock().unwrap_or_else(PoisonError::into_inner).clone(),
             None => Vec::new(),
         }
     }
@@ -258,7 +258,7 @@ impl PerfLog {
     /// Number of records currently held.
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(buf) => buf.lock().len(),
+            Some(buf) => buf.lock().unwrap_or_else(PoisonError::into_inner).len(),
             None => 0,
         }
     }
