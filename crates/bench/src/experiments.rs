@@ -950,43 +950,82 @@ fn fig13(opts: &ExpOptions) -> StudyReport {
     report
 }
 
+/// The simulator with every run also recorded into `log`: Fig 14 reads
+/// the `pair_done` records of the one run its study makes, while a
+/// `--perf-log` study still receives the same records in its own log.
+struct Recorded {
+    inner: SimBackend,
+    log: PerfLog,
+}
+
+impl Backend for Recorded {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn run(&self, scenario: &Scenario) -> Result<RunReport, RocketError> {
+        self.inner.run_with_perf(scenario, &self.log)
+    }
+
+    fn run_with_perf(&self, scenario: &Scenario, perf: &PerfLog) -> Result<RunReport, RocketError> {
+        let report = self.run(scenario)?;
+        perf.extend(self.log.snapshot());
+        Ok(report)
+    }
+}
+
 fn fig14(opts: &ExpOptions) -> StudyReport {
     let (w, scale) = scaled(profiles::microscopy(), opts);
     let nodes = heterogeneous_nodes(&w, scale);
-    let gpu_names: Vec<String> = nodes
+    // (label, node, device index on the node): the `pair_done` record key.
+    let gpus: Vec<(String, u32, u64)> = nodes
         .iter()
         .enumerate()
         .flat_map(|(n, nc)| {
-            nc.gpus
-                .iter()
-                .map(move |g| format!("{} (node {})", g.name, ["I", "II", "III", "IV"][n]))
+            nc.gpus.iter().enumerate().map(move |(d, g)| {
+                let label = format!("{} (node {})", g.name, ["I", "II", "III", "IV"][n]);
+                (label, n as u32, d as u64)
+            })
         })
         .collect();
-    let mut base = scenario_of(&w, nodes, opts);
-    base.record_completions = true;
-    let sweep = Sweep::over(base)
+    let sweep = Sweep::over(scenario_of(&w, nodes, opts))
         .axis(Axis::tag("config", ["heterogeneous"]))
         .try_build()
         .expect("fig14 sweep");
+    let backend = Recorded {
+        inner: SimBackend::new(),
+        log: PerfLog::enabled(),
+    };
     let mut report = study("fig14", opts)
-        .run(&SimBackend::new(), &sweep)
+        .run(&backend, &sweep)
         .expect("fig14 study");
+    let records = backend.log.take();
 
-    let r = report.cells[0].run();
-    let series = r.completions.as_ref().expect("completions recorded");
-    let end_ns = (r.elapsed * 1e9) as u64;
+    let end_ns = (report.cells[0].run().elapsed * 1e9) as u64;
     let window = 60_000_000_000u64; // 1-minute rolling average, like the paper
     let step = window / 2;
     let mut csv = String::from("gpu,t_s,pairs_per_s\n");
     let mut t = Table::new(&["GPU", "avg pairs/s", "total pairs"]);
-    for (gid, name) in gpu_names.iter().enumerate() {
-        for (ts, rate) in series.rolling(gid as u32, window, step, end_ns) {
-            csv.push_str(&format!("{name},{ts:.1},{rate:.4}\n"));
+    for (name, node, device) in &gpus {
+        let mut done: Vec<u64> = PerfQuery::new(&records)
+            .kind(PerfKind::PairDone)
+            .node(*node)
+            .iter()
+            .filter(|r| r.value == *device)
+            .map(|r| r.t_ns)
+            .collect();
+        done.sort_unstable();
+        let done_by = |at: u64| done.partition_point(|&t_ns| t_ns <= at);
+        for at in (0..=end_ns).step_by(step as usize) {
+            let in_window = done_by(at) - done_by(at.saturating_sub(window));
+            let window_s = window.min(at.max(1)) as f64 / 1e9;
+            let rate = in_window as f64 / window_s;
+            csv.push_str(&format!("{name},{:.1},{rate:.4}\n", at as f64 / 1e9));
         }
         t.row(vec![
             name.clone(),
-            format!("{:.2}", series.average(gid as u32, end_ns)),
-            series.total(gid as u32).to_string(),
+            format!("{:.2}", done.len() as f64 / (end_ns as f64 / 1e9)),
+            done.len().to_string(),
         ]);
     }
     write_result(&opts.out_dir, "fig14.csv", &csv);
@@ -1533,6 +1572,38 @@ mod tests {
                 .collect();
             let total: f64 = parts.iter().sum();
             assert!((total - 100.0).abs() < 1.0, "outcomes sum to {total}");
+        }
+        assert_round_trips(&report);
+    }
+
+    #[test]
+    fn fig14_has_one_series_per_gpu() {
+        let opts = tiny_opts();
+        let report = fig14(&opts);
+        let table: Vec<&str> = report
+            .notes
+            .lines()
+            .filter(|l| l.contains("(node "))
+            .collect();
+        assert_eq!(table.len(), 7, "one row per GPU:\n{}", report.notes);
+        let total: u64 = table
+            .iter()
+            .map(|row| {
+                row.split_whitespace()
+                    .last()
+                    .unwrap()
+                    .parse::<u64>()
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(total, report.cells[0].run().pairs);
+        let csv = std::fs::read_to_string(opts.out_dir.join("fig14.csv")).unwrap();
+        for row in &table {
+            let name = row.trim_start().split("  ").next().unwrap();
+            assert!(
+                csv.lines().any(|l| l.starts_with(&format!("{name},"))),
+                "no series for {name}"
+            );
         }
         assert_round_trips(&report);
     }

@@ -259,11 +259,6 @@ impl Directory {
         &self.stats
     }
 
-    /// Number of items this node currently mediates.
-    pub fn mediated_items(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Starts a lookup for `item`: returns the message to send (possibly to
     /// this very node — the driver must deliver self-addressed messages).
     pub fn begin_lookup(&mut self, item: u64) -> (NodeId, DirectoryMsg) {

@@ -299,14 +299,6 @@ impl<W> SlotCache<W> {
         }
     }
 
-    /// The item a slot currently holds (if any).
-    pub fn slot_item(&self, slot: SlotIdx) -> Option<ItemId> {
-        match &self.states[slot] {
-            SlotState::Empty => None,
-            SlotState::Writing { item, .. } | SlotState::Ready { item, .. } => Some(*item),
-        }
-    }
-
     /// Current reader count of a slot (0 for non-READ states).
     pub fn readers(&self, slot: SlotIdx) -> u32 {
         match &self.states[slot] {

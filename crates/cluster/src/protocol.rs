@@ -27,7 +27,7 @@ use rocket_core::{RunReport, Scenario};
 /// Protocol revision carried in [`ToDriver::Ready`]; the driver refuses
 /// workers that speak a different revision (mixed deployments fail fast
 /// instead of mis-decoding frames).
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Rank of the driver process in the cluster mesh.
 pub const DRIVER_RANK: usize = 0;

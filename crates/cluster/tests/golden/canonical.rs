@@ -4,13 +4,13 @@
 //!
 //! Every integer, float and string in the `Job` and `Done` payloads is
 //! distinct from every other and from its default, so swapping two fields
-//! of one type in the codec changes the bytes. (Three bools cannot all
-//! differ: `distributed_cache` differs from the other two.) The structs
+//! of one type in the codec changes the bytes; the two `Scenario` bools
+//! differ from each other. The structs
 //! are built as literals, so a new field of `Scenario`, `WorkloadProfile`,
 //! `NodeSpec`, `RunReport` or `BusyTimes` does not compile here until it
-//! has a canonical value too. A second `Job` and a second `Done` carry
-//! what the first ones cannot: the other two `Dist` variants and the
-//! `None` of both `Option` fields.
+//! has a canonical value too. A second `Job` carries what the first one
+//! cannot: the other two `Dist` variants and the `None` of the
+//! preprocess stage.
 
 use rocket_cluster::{ToDriver, ToWorker, PROTOCOL_VERSION};
 use rocket_core::{BusyTimes, NodeSpec, RunReport, Scenario, TransportKind, WorkloadProfile};
@@ -72,7 +72,6 @@ fn scenario() -> Scenario {
         storage_latency: 3.5e-3,
         net_bandwidth: 6.5e9,
         net_latency: 4.5e-5,
-        record_completions: true,
         seed: 1012,
     }
 }
@@ -116,7 +115,6 @@ fn report() -> RunReport {
         host_cache: Default::default(),
         directory: Default::default(),
         pairs_per_node: vec![3026, 3027],
-        completions: Some(Default::default()),
         sim_shards: 3031,
         sim_windows: 3032,
         degraded: true,
@@ -136,11 +134,6 @@ fn report() -> RunReport {
     r.directory.hits_at_hop = vec![3022, 3023];
     r.directory.misses = 3024;
     r.directory.messages_sent = 3025;
-    if let Some(s) = &mut r.completions {
-        s.record(0, 3028);
-        s.record(0, 3029);
-        s.record(3, 3030);
-    }
     r
 }
 
@@ -169,8 +162,8 @@ pub fn to_worker() -> Vec<ToWorker> {
     out
 }
 
-/// One value per `ToDriver` variant, in tag order, plus a `Done` without
-/// completions (chained as in [`to_worker`]).
+/// One value per `ToDriver` variant, in tag order (chained as in
+/// [`to_worker`]).
 pub fn to_driver() -> Vec<ToDriver> {
     let mut out = Vec::new();
     let mut next = Some(ToDriver::Ready {
@@ -182,13 +175,6 @@ pub fn to_driver() -> Vec<ToDriver> {
             ToDriver::Pong { .. } => Some(ToDriver::Done {
                 id: 4004,
                 report: report(),
-            }),
-            ToDriver::Done { id: 4004, .. } => Some(ToDriver::Done {
-                id: 4007,
-                report: RunReport {
-                    completions: None,
-                    ..report()
-                },
             }),
             ToDriver::Done { .. } => Some(ToDriver::Failed {
                 id: 4005,

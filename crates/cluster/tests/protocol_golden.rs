@@ -8,10 +8,10 @@
 //! one `PROTOCOL_VERSION`: the handshake would then let them misread each
 //! other's frames instead of refusing. So a deliberate layout change
 //! bumps `PROTOCOL_VERSION` and replaces the golden file with the hex this
-//! test prints.
+//! test prints; the old version's file is deleted, not kept beside it.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use rocket_cluster::{ToDriver, ToWorker, PROTOCOL_VERSION};
 use rocket_comm::wire::Wire;
@@ -45,12 +45,14 @@ fn render() -> String {
     out
 }
 
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
 #[test]
 fn frame_bytes_match_the_golden_for_this_protocol_version() {
     let name = format!("protocol-v{PROTOCOL_VERSION}.hex");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(&name);
+    let path = golden_dir().join(&name);
     let actual = render();
     let expected = std::fs::read_to_string(&path).unwrap_or_default();
     assert!(
@@ -61,6 +63,24 @@ fn frame_bytes_match_the_golden_for_this_protocol_version() {
          crates/cluster/tests/golden/protocol-v<new version>.hex holding \
          exactly the text below.\n\
          ---- fresh golden ----\n{actual}---- end ----"
+    );
+}
+
+/// A version bump replaces the golden: a file left from an earlier
+/// version pins nothing and would read as if it still did.
+#[test]
+fn only_this_protocol_versions_golden_is_kept() {
+    let current = format!("protocol-v{PROTOCOL_VERSION}.hex");
+    let stale: Vec<String> = std::fs::read_dir(golden_dir())
+        .expect("golden dir")
+        .map(|entry| entry.expect("golden dir entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.starts_with("protocol-v") && name.ends_with(".hex"))
+        .filter(|name| *name != current)
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "tests/golden holds {stale:?} beside {current}: delete the old version's golden"
     );
 }
 

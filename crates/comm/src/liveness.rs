@@ -141,15 +141,6 @@ impl Liveness {
     pub fn alive(&self) -> usize {
         self.peers.iter().filter(|p| !p.lost).count()
     }
-
-    /// All peers still considered alive.
-    pub fn alive_peers(&self) -> Vec<NodeId> {
-        self.peers
-            .iter()
-            .filter(|p| !p.lost)
-            .map(|p| p.peer)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +169,7 @@ mod tests {
         assert!(l.newly_lost(t0 + 60 * MS).is_empty(), "reported once");
         assert!(l.is_lost(1));
         assert_eq!(l.alive(), 1);
-        assert_eq!(l.alive_peers(), vec![2]);
+        assert!(!l.is_lost(2));
         // Peer 2 eventually goes quiet too.
         assert_eq!(l.newly_lost(t0 + 95 * MS), vec![2]);
         assert_eq!(l.alive(), 0);

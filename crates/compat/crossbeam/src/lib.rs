@@ -280,14 +280,6 @@ pub mod deque {
             }
         }
 
-        /// Creates a deque whose owner pops in FIFO order.
-        pub fn new_fifo() -> Self {
-            // The lock-based queue serves both disciplines; owner pop order
-            // is decided in `pop` by construction (LIFO) which is what
-            // Rocket uses. FIFO owners are not needed; keep LIFO semantics.
-            Self::new_lifo()
-        }
-
         /// Pushes a task onto the owner's end.
         pub fn push(&self, task: T) {
             self.shared

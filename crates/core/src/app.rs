@@ -108,39 +108,6 @@ pub mod bytesutil {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect()
     }
-
-    /// Writes `values` as little-endian f64s at the start of `out`.
-    pub fn write_f64(out: &mut [u8], values: &[f64]) {
-        assert!(out.len() >= values.len() * 8, "buffer too small");
-        for (chunk, v) in out.chunks_exact_mut(8).zip(values) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Reads `count` little-endian f64s from the start of `buf`.
-    pub fn read_f64(buf: &[u8], count: usize) -> Vec<f64> {
-        assert!(buf.len() >= count * 8, "buffer too small");
-        buf.chunks_exact(8)
-            .take(count)
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect()
-    }
-
-    /// Writes one u32 length header followed by f32 payload; returns bytes
-    /// used. A common layout for variable-length sparse data in fixed slots.
-    pub fn write_len_prefixed_f32(out: &mut [u8], values: &[f32]) -> usize {
-        let need = 4 + values.len() * 4;
-        assert!(out.len() >= need, "buffer too small");
-        out[..4].copy_from_slice(&(values.len() as u32).to_le_bytes());
-        write_f32(&mut out[4..], values);
-        need
-    }
-
-    /// Reads a u32-length-prefixed f32 payload.
-    pub fn read_len_prefixed_f32(buf: &[u8]) -> Vec<f32> {
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        read_f32(&buf[4..], len)
-    }
 }
 
 #[cfg(test)]
@@ -153,23 +120,6 @@ mod tests {
         let mut buf = vec![0u8; 16];
         write_f32(&mut buf, &vals);
         assert_eq!(read_f32(&buf, 4), vals);
-    }
-
-    #[test]
-    fn f64_roundtrip() {
-        let vals = [std::f64::consts::PI, -0.5];
-        let mut buf = vec![0u8; 16];
-        write_f64(&mut buf, &vals);
-        assert_eq!(read_f64(&buf, 2), vals);
-    }
-
-    #[test]
-    fn len_prefixed_roundtrip() {
-        let vals = [3.0f32, 4.0, 5.0];
-        let mut buf = vec![0u8; 64];
-        let used = write_len_prefixed_f32(&mut buf, &vals);
-        assert_eq!(used, 16);
-        assert_eq!(read_len_prefixed_f32(&buf), vals);
     }
 
     #[test]

@@ -162,7 +162,6 @@ impl<O> AppReport<O> {
             host_cache: self.host_cache(),
             directory: self.directory(),
             pairs_per_node,
-            completions: None,
             sim_shards: 0,
             sim_windows: 0,
             degraded: false,
@@ -236,7 +235,6 @@ pub(crate) fn run<A: Application>(
         leaf_pairs: scenario.leaf_pairs,
         seed: scenario.seed,
         static_partition: scenario.static_partition,
-        ..Default::default()
     };
     let steal = StealPool::run_leaves(n, &topology, &pool_cfg, |worker, leaf| {
         let (node, dev) = worker_map[worker];

@@ -39,7 +39,6 @@ use rocket_comm::wire::{Wire, WireError, WireReader, WireWriter};
 use rocket_comm::TransportKind;
 use rocket_gpu::DeviceProfile;
 use rocket_stats::Dist;
-use rocket_trace::ThroughputSeries;
 
 use crate::report::{BusyTimes, RunReport};
 use crate::scenario::{NodeSpec, Scenario};
@@ -272,27 +271,6 @@ fn get_directory_stats(r: &mut WireReader) -> Result<DirectoryStats, WireError> 
     })
 }
 
-fn put_series(w: &mut WireWriter, s: &ThroughputSeries) {
-    let sources = s.sources();
-    w.put_u32(sources.len() as u32);
-    for src in sources {
-        w.put_u32(src);
-        s.timestamps(src).to_vec().encode(w);
-    }
-}
-
-fn get_series(r: &mut WireReader) -> Result<ThroughputSeries, WireError> {
-    let n = r.get_u32()?;
-    let mut s = ThroughputSeries::new();
-    for _ in 0..n {
-        let src = r.get_u32()?;
-        for t in Vec::<u64>::decode(r)? {
-            s.record(src, t);
-        }
-    }
-    Ok(s)
-}
-
 impl Wire for WorkloadProfile {
     fn encode(&self, w: &mut WireWriter) {
         let WorkloadProfile {
@@ -383,7 +361,6 @@ impl Wire for Scenario {
             storage_latency,
             net_bandwidth,
             net_latency,
-            record_completions,
             seed,
         } = self;
         workload.encode(w);
@@ -399,7 +376,6 @@ impl Wire for Scenario {
         w.put_f64(*storage_latency);
         w.put_f64(*net_bandwidth);
         w.put_f64(*net_latency);
-        put_bool(w, *record_completions);
         w.put_u64(*seed);
     }
 
@@ -418,7 +394,6 @@ impl Wire for Scenario {
             storage_latency: r.get_f64()?,
             net_bandwidth: r.get_f64()?,
             net_latency: r.get_f64()?,
-            record_completions: get_bool(r)?,
             seed: r.get_u64()?,
         })
     }
@@ -451,7 +426,6 @@ impl Wire for RunReport {
             host_cache,
             directory,
             pairs_per_node,
-            completions,
             sim_shards,
             sim_windows,
             degraded,
@@ -477,13 +451,6 @@ impl Wire for RunReport {
         put_cache_stats(w, host_cache);
         put_directory_stats(w, directory);
         pairs_per_node.encode(w);
-        match completions {
-            None => w.put_u8(0),
-            Some(s) => {
-                w.put_u8(1);
-                put_series(w, s);
-            }
-        }
         w.put_u32(*sim_shards);
         w.put_u64(*sim_windows);
         put_bool(w, *degraded);
@@ -514,11 +481,6 @@ impl Wire for RunReport {
             host_cache: get_cache_stats(r)?,
             directory: get_directory_stats(r)?,
             pairs_per_node: Vec::<u64>::decode(r)?,
-            completions: match r.get_u8()? {
-                0 => None,
-                1 => Some(get_series(r)?),
-                t => return Err(WireError::BadTag(t)),
-            },
             sim_shards: r.get_u32()?,
             sim_windows: r.get_u64()?,
             degraded: get_bool(r)?,
@@ -563,7 +525,6 @@ mod tests {
             .transport(TransportKind::Socket)
             .storage(1.5e9, 3e-3)
             .network(6e9, 25e-6)
-            .record_completions(true)
             .seed(0xC0FFEE)
             .build()
     }
@@ -592,10 +553,6 @@ mod tests {
 
     #[test]
     fn report_roundtrips() {
-        let mut series = ThroughputSeries::new();
-        series.record(0, 10);
-        series.record(0, 20);
-        series.record(3, 15);
         let r = RunReport {
             backend: "sim",
             elapsed: 12.5,
@@ -631,7 +588,6 @@ mod tests {
                 messages_sent: 40,
             },
             pairs_per_node: vec![100, 176],
-            completions: Some(series),
             sim_shards: 4,
             sim_windows: 1234,
             degraded: true,
@@ -639,13 +595,10 @@ mod tests {
         let back = RunReport::from_bytes(r.to_bytes()).expect("decode");
         assert_eq!(format!("{back:?}"), format!("{r:?}"));
         assert_eq!(back.backend, "sim");
-        let c = back.completions.as_ref().unwrap();
-        assert_eq!(c.timestamps(0), &[10, 20]);
-        assert_eq!(c.timestamps(3), &[15]);
     }
 
     #[test]
-    fn report_without_completions_roundtrips() {
+    fn empty_report_roundtrips() {
         let mut r = RunReport {
             backend: "threaded",
             elapsed: 0.0,
@@ -663,7 +616,6 @@ mod tests {
             host_cache: CacheStats::default(),
             directory: DirectoryStats::default(),
             pairs_per_node: Vec::new(),
-            completions: None,
             sim_shards: 0,
             sim_windows: 0,
             degraded: false,

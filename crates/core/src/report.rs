@@ -7,7 +7,6 @@
 
 use rocket_cache::{CacheStats, DirectoryStats};
 use rocket_trace::json;
-use rocket_trace::ThroughputSeries;
 
 fn push_u64_array(out: &mut String, values: impl Iterator<Item = u64>) {
     out.push('[');
@@ -107,8 +106,6 @@ pub struct RunReport {
     pub directory: DirectoryStats,
     /// Pairs completed per node.
     pub pairs_per_node: Vec<u64>,
-    /// Per-GPU completion timestamps (only when the scenario records them).
-    pub completions: Option<ThroughputSeries>,
     /// Shards the DES backend ran on (0 for backends without sharding).
     pub sim_shards: u32,
     /// Time windows the sharded DES entered (invariant under the shard
@@ -251,7 +248,6 @@ mod tests {
             host_cache: CacheStats::default(),
             directory: DirectoryStats::default(),
             pairs_per_node: vec![45],
-            completions: None,
             sim_shards: 0,
             sim_windows: 0,
             degraded: false,

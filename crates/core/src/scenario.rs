@@ -91,8 +91,6 @@ pub struct Scenario {
     pub net_bandwidth: f64,
     /// One-way network message latency, seconds.
     pub net_latency: f64,
-    /// Record per-GPU completion timestamps (Fig 14; DES backend).
-    pub record_completions: bool,
     /// Root seed for every randomized decision.
     pub seed: u64,
 }
@@ -212,7 +210,6 @@ impl Default for ScenarioBuilder {
                 storage_latency: 2e-3,
                 net_bandwidth: 7.0e9, // 56 Gb/s InfiniBand FDR
                 net_latency: 20e-6,
-                record_completions: false,
                 seed: 0x9E3779B97F4A7C15,
             },
         }
@@ -315,12 +312,6 @@ impl ScenarioBuilder {
     pub fn network(mut self, bandwidth: f64, latency: f64) -> Self {
         self.scenario.net_bandwidth = bandwidth;
         self.scenario.net_latency = latency;
-        self
-    }
-
-    /// Records per-GPU completion timestamps (DES backend, Fig 14).
-    pub fn record_completions(mut self, on: bool) -> Self {
-        self.scenario.record_completions = on;
         self
     }
 

@@ -27,7 +27,7 @@
 //! #             remote_fetches: 0, io_bytes: 0, net_bytes: 0, net_msgs: 0, steals: 0,
 //! #             busy: Default::default(), device_cache: Default::default(),
 //! #             host_cache: Default::default(), directory: Default::default(),
-//! #             pairs_per_node: vec![s.workload.pairs()], completions: None,
+//! #             pairs_per_node: vec![s.workload.pairs()],
 //! #             sim_shards: 0, sim_windows: 0,
 //! #             degraded: false,
 //! #         })
@@ -334,15 +334,6 @@ impl CellReport {
     /// re-dealt after a worker loss, or it finished below quorum).
     pub fn degraded(&self) -> bool {
         self.report.runs.iter().any(|r| r.degraded)
-    }
-
-    /// Coordinates as a compact `name=value, …` string.
-    pub fn coords_label(&self) -> String {
-        self.coords
-            .iter()
-            .map(|(name, value)| format!("{name}={value}"))
-            .collect::<Vec<_>>()
-            .join(", ")
     }
 
     fn coords_json(&self) -> String {
@@ -709,7 +700,6 @@ mod tests {
                 host_cache: Default::default(),
                 directory: Default::default(),
                 pairs_per_node: vec![s.workload.pairs()],
-                completions: None,
                 sim_shards: 0,
                 sim_windows: 0,
                 degraded: false,
@@ -867,7 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn coord_lookup_and_labels() {
+    fn coord_lookup() {
         let study = Study::new("grid").run(&ToyBackend, &sweep_2x2()).unwrap();
         let cell = &study.cells[1];
         assert_eq!(cell.coord("nodes"), Some(&AxisValue::U64(1)));
@@ -876,6 +866,5 @@ mod tests {
             Some(&AxisValue::Bool(false))
         );
         assert_eq!(cell.coord("missing"), None);
-        assert_eq!(cell.coords_label(), "nodes=1, distributed_cache=false");
     }
 }

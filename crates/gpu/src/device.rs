@@ -101,7 +101,7 @@ impl VirtualDevice {
     }
 
     /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
+    fn capacity_bytes(&self) -> u64 {
         self.profile.memory_bytes
     }
 

@@ -87,27 +87,10 @@ impl DeviceProfile {
         self
     }
 
-    /// Overrides the compute scale.
-    pub fn with_compute_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0);
-        self.compute_scale = scale;
-        self
-    }
-
     /// Time for this device to run a kernel that takes `baseline` on the
     /// TitanX Maxwell reference.
     pub fn scaled(&self, baseline: Duration) -> Duration {
         Duration::from_secs_f64(baseline.as_secs_f64() / self.compute_scale)
-    }
-
-    /// Modelled host-to-device transfer time for `bytes` bytes.
-    pub fn h2d_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.h2d_bytes_per_sec)
-    }
-
-    /// Modelled device-to-host transfer time for `bytes` bytes.
-    pub fn d2h_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.d2h_bytes_per_sec)
     }
 }
 
@@ -131,14 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_times_scale_with_size() {
-        let p = DeviceProfile::titanx_maxwell();
-        let t1 = p.h2d_time(12_000_000_000);
-        assert!((t1.as_secs_f64() - 1.0).abs() < 1e-9);
-        assert!(p.d2h_time(0).is_zero());
-    }
-
-    #[test]
     fn paper_device_memories() {
         assert_eq!(DeviceProfile::k20m().memory_bytes, 5 * GB);
         assert_eq!(DeviceProfile::rtx2080ti().memory_bytes, 11 * GB);
@@ -147,11 +122,8 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let p = DeviceProfile::test_tiny()
-            .with_memory(42)
-            .with_compute_scale(3.0);
+        let p = DeviceProfile::test_tiny().with_memory(42);
         assert_eq!(p.memory_bytes, 42);
-        assert_eq!(p.compute_scale, 3.0);
     }
 
     #[test]

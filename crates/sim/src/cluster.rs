@@ -316,15 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn completions_recorded_when_asked() {
-        let mut s = toy_scenario(10, 1, 16);
-        s.record_completions = true;
-        let r = sim(&s);
-        let series = r.completions.expect("completions");
-        assert_eq!(series.total(0), 45);
-    }
-
-    #[test]
     fn busy_times_accounted() {
         let r = sim(&toy_scenario(16, 1, 64));
         // 16 loads × 5 ms preprocess; 120 pairs × 1 ms compare.

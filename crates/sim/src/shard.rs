@@ -49,7 +49,7 @@ use rocket_core::engine::{JobId, NodeCore, NodeIo};
 use rocket_core::{BusyTimes, RunReport, Scenario};
 use rocket_stats::{SeedSequence, Xoshiro256};
 use rocket_steal::{Block, Pair, StealPool, TaskDeque};
-use rocket_trace::{PerfKind, PerfLog, PerfRecord, ThroughputSeries};
+use rocket_trace::{PerfKind, PerfLog, PerfRecord};
 
 use crate::cluster::{sample_ns, transfer_ns, Ev, GpuRates, Msg, SimGpu, SimNode, StageDists};
 use crate::engine::{ns_to_secs, secs_to_ns, EventQueue, SimTime, SlabEventQueue};
@@ -98,8 +98,6 @@ pub(crate) struct Ctx<'a> {
     storage_lat_ns: u64,
     /// Storage service time of one file load (constant per run).
     load_service_ns: u64,
-    /// First global GPU id of each node (Fig 14 completion sources).
-    gpu_gid_base: Vec<usize>,
     /// Owning shard of each global node.
     node_shard: Vec<usize>,
     /// Backlog (pairs) at which a victim is "rich": see
@@ -121,7 +119,6 @@ pub(crate) struct ShardState {
     /// Deferred storage requests: `(at, prio, node, item)`.
     load_reqs: Vec<(SimTime, u64, usize, u64)>,
     ev_counts: [u64; 11],
-    completions: Option<ThroughputSeries>,
     /// End (exclusive) of the window this shard may currently execute.
     window_end: SimTime,
     /// Nodes of this shard with `hungry` set (steal candidates).
@@ -250,12 +247,6 @@ fn build_ctx<'a>(cfg: &'a Scenario, perf: &'a PerfLog, k: usize) -> Ctx<'a> {
     assert!(!cfg.nodes.is_empty(), "cluster needs nodes");
     let n = cfg.workload.items;
     let p = cfg.nodes.len();
-    let mut gpu_gid_base = Vec::with_capacity(p);
-    let mut base = 0usize;
-    for nc in &cfg.nodes {
-        gpu_gid_base.push(base);
-        base += nc.gpus.len();
-    }
     let mut node_shard = vec![0usize; p];
     for (s, range) in shard_ranges(p, k).into_iter().enumerate() {
         for g in range {
@@ -287,7 +278,6 @@ fn build_ctx<'a>(cfg: &'a Scenario, perf: &'a PerfLog, k: usize) -> Ctx<'a> {
         net_lat_ns,
         storage_lat_ns,
         load_service_ns,
-        gpu_gid_base,
         node_shard,
         rich_pairs,
     }
@@ -353,7 +343,6 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
             outbox: Vec::new(),
             load_reqs: Vec::new(),
             ev_counts: [0; 11],
-            completions: cfg.record_completions.then(ThroughputSeries::new),
             window_end: 0,
             hungry_count: 0,
             pairs_done: 0,
@@ -761,7 +750,6 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
         host_cache: CacheStats::default(),
         directory: DirectoryStats::default(),
         pairs_per_node: Vec::with_capacity(ctx.node_shard.len()),
-        completions: ctx.cfg.record_completions.then(ThroughputSeries::new),
         sim_shards: shards.len() as u32,
         sim_windows: drv.windows,
         degraded: false,
@@ -774,9 +762,6 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
         // sequence byte-stable across thread counts at a fixed shard count.
         if let (Some(acc), Some(buf)) = (&mut perf_records, &mut shard.perf) {
             acc.append(buf);
-        }
-        if let (Some(acc), Some(s)) = (&mut r.completions, &shard.completions) {
-            acc.merge(s);
         }
         r.pairs += shard.pairs_done;
         for (node, core) in shard.nodes.iter().zip(&shard.cores) {
@@ -1111,10 +1096,7 @@ impl ShardState {
         self.pairs_done += 1;
         let now = self.queue.now();
         self.nodes[l].makespan_ns = self.nodes[l].makespan_ns.max(now);
-        if let Some(series) = &mut self.completions {
-            let gid = ctx.gpu_gid_base[node] + gpu;
-            series.record(gid as u32, now);
-        }
+        push_perf(&mut self.perf, now, PerfKind::PairDone, node, gpu as u64);
         self.pull_work(ctx, node);
     }
 

@@ -7,7 +7,10 @@
 //! covers every field, so string equality is byte-identical data.
 
 use rocket_apps::WorkloadProfile;
-use rocket_core::{Axis, Backend, NodeSpec, PerfKind, PerfLog, PerfRollup, Scenario, Study, Sweep};
+use rocket_core::{
+    Axis, Backend, NodeSpec, PerfClass, PerfKind, PerfLog, PerfQuery, PerfRecord, PerfRollup,
+    Scenario, Study, Sweep,
+};
 use rocket_sim::SimBackend;
 use rocket_stats::Dist;
 use rocket_trace::perflog::{parse_jsonl, write_jsonl};
@@ -135,4 +138,53 @@ fn study_pipeline_writes_per_cell_logs() {
     assert!(csv.lines().next().unwrap().contains("read_p50_ns"));
     assert!(report.to_json().contains("\"perf\""));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pair_done_records_every_pair_once_per_device() {
+    let s = Scenario::builder()
+        .workload(noisy_workload(32))
+        .nodes(4, NodeSpec::uniform(2, 8, 16))
+        .build();
+    let mut streams = Vec::new();
+    for shards in [1, 2, 4] {
+        let perf = PerfLog::enabled();
+        let r = SimBackend::sharded(shards)
+            .run_with_perf(&s, &perf)
+            .expect("run");
+        let mut done: Vec<PerfRecord> = PerfQuery::new(&perf.take())
+            .class(PerfClass::Progress)
+            .iter()
+            .copied()
+            .collect();
+        assert!(done.iter().all(|rec| rec.kind == PerfKind::PairDone));
+        assert_eq!(
+            done.len() as u64,
+            r.pairs,
+            "K = {shards}: one record per pair"
+        );
+        for (node, &pairs) in r.pairs_per_node.iter().enumerate() {
+            let per_device: Vec<u64> = (0..2)
+                .map(|device| {
+                    let on = |rec: &&PerfRecord| rec.node == node as u32 && rec.value == device;
+                    done.iter().filter(on).count() as u64
+                })
+                .collect();
+            assert!(
+                per_device.iter().all(|&n| n > 0),
+                "node {node}: idle device"
+            );
+            assert_eq!(
+                per_device.iter().sum::<u64>(),
+                pairs,
+                "K = {shards}, node {node}"
+            );
+        }
+        // Shards interleave their nodes' records differently; each node's
+        // own stream must not depend on the shard count.
+        done.sort_by_key(|rec| rec.node);
+        streams.push(format!("{done:?}"));
+    }
+    assert_eq!(streams[0], streams[1], "K = 1 vs K = 2");
+    assert_eq!(streams[0], streams[2], "K = 1 vs K = 4");
 }

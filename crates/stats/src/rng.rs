@@ -87,13 +87,6 @@ impl Xoshiro256 {
         }
     }
 
-    /// Uniform `u64` in `[lo, hi)`.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.below((hi - lo) as usize) as u64
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     #[inline]
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
@@ -246,14 +239,5 @@ mod tests {
         assert_ne!(seq.derive_indexed("node", 0), seq.derive_indexed("node", 1));
         // Stable: the same label always yields the same seed.
         assert_eq!(seq.derive("node"), seq.derive("node"));
-    }
-
-    #[test]
-    fn range_u64_endpoints() {
-        let mut rng = Xoshiro256::seed_from(21);
-        for _ in 0..1000 {
-            let x = rng.range_u64(10, 20);
-            assert!((10..20).contains(&x));
-        }
     }
 }

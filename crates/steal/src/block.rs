@@ -78,7 +78,7 @@ impl Block {
     }
 
     /// Width and height.
-    pub fn dims(&self) -> (u64, u64) {
+    fn dims(&self) -> (u64, u64) {
         (
             self.row_hi.saturating_sub(self.row_lo),
             self.col_hi.saturating_sub(self.col_lo),

@@ -36,6 +36,9 @@ impl WorkerTopology {
     }
 }
 
+/// Same-node steal attempts before trying a remote victim.
+const LOCAL_ATTEMPTS: usize = 2;
+
 /// Pool tuning knobs.
 #[derive(Debug, Clone)]
 pub struct StealPoolConfig {
@@ -43,8 +46,6 @@ pub struct StealPoolConfig {
     pub leaf_pairs: u64,
     /// Seed for victim selection.
     pub seed: u64,
-    /// Same-node steal attempts before trying a remote victim.
-    pub local_attempts: usize,
     /// Deterministic assignment mode: pre-split the pair triangle into at
     /// least one block per worker, deal the blocks out round-robin, and
     /// disable stealing. Work distribution (and therefore
@@ -60,7 +61,6 @@ impl Default for StealPoolConfig {
         Self {
             leaf_pairs: 1,
             seed: 0x9E3779B97F4A7C15,
-            local_attempts: 2,
             static_partition: false,
         }
     }
@@ -308,7 +308,7 @@ impl StealPool {
                 }
                 // Hierarchical steal: same node first, then remote.
                 let mut stolen = false;
-                for _ in 0..config.local_attempts {
+                for _ in 0..LOCAL_ATTEMPTS {
                     if siblings.is_empty() {
                         break;
                     }

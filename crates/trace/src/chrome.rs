@@ -28,8 +28,8 @@ fn resource(kind: PerfKind) -> Option<(u32, &'static str)> {
 /// resources become "threads", which renders each resource on its own row
 /// like the paper's Fig 6 (a pooled resource — the CPU workers, a node's
 /// GPUs — shares one row). Event-valued records (cache, directory, steal,
-/// engine gauges) have no duration and are skipped. Works on the log of
-/// either engine.
+/// engine gauges, pair completions) have no duration and are skipped.
+/// Works on the log of either engine.
 pub fn to_chrome_json(records: &[PerfRecord]) -> String {
     let mut out = String::with_capacity(64 + records.len() * 96);
     out.push('[');

@@ -23,9 +23,7 @@
 pub mod chrome;
 pub mod json;
 pub mod perflog;
-pub mod throughput;
 
 pub use perflog::{
     PerfClass, PerfKind, PerfLog, PerfMeta, PerfQuery, PerfRecord, PerfRollup, StageStats,
 };
-pub use throughput::ThroughputSeries;

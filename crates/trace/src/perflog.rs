@@ -48,7 +48,9 @@ pub const PERFLOG_SCHEMA: u32 = 1;
 /// Stage kinds carry a duration in `value` (nanoseconds of service time);
 /// cache and directory kinds are discrete events (`value` is the item);
 /// `Steal` carries the pairs moved; `QueueDepth` and `Window` are engine
-/// gauges sampled at window barriers (`node` is then the shard id).
+/// gauges sampled at window barriers (`node` is then the shard id);
+/// `PairDone` marks one finished pair (`value` is the device index on
+/// `node`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs, reason = "variant meanings are the table above")]
 pub enum PerfKind {
@@ -69,6 +71,7 @@ pub enum PerfKind {
     Steal,
     QueueDepth,
     Window,
+    PairDone,
 }
 
 /// Coarse resource class of a [`PerfKind`] (the `resource` filter axis).
@@ -84,6 +87,8 @@ pub enum PerfClass {
     Steal,
     /// Event-engine gauges (queue depth, window cost).
     Engine,
+    /// Pair completions per device (Fig 14's throughput series).
+    Progress,
 }
 
 impl PerfKind {
@@ -106,6 +111,7 @@ impl PerfKind {
         PerfKind::Steal,
         PerfKind::QueueDepth,
         PerfKind::Window,
+        PerfKind::PairDone,
     ];
 
     /// Stable wire label (the JSONL `k` field).
@@ -128,6 +134,7 @@ impl PerfKind {
             PerfKind::Steal => "steal",
             PerfKind::QueueDepth => "queue_depth",
             PerfKind::Window => "window",
+            PerfKind::PairDone => "pair_done",
         }
     }
 
@@ -152,6 +159,7 @@ impl PerfKind {
             PerfKind::Probe | PerfKind::ProbeHit | PerfKind::ProbeMiss => PerfClass::Directory,
             PerfKind::Steal => PerfClass::Steal,
             PerfKind::QueueDepth | PerfKind::Window => PerfClass::Engine,
+            PerfKind::PairDone => PerfClass::Progress,
         }
     }
 
@@ -456,15 +464,6 @@ impl<'a> PerfQuery<'a> {
     pub fn percentile(&self, p: u8) -> Option<u64> {
         percentile(&self.values(), p)
     }
-
-    /// Matching events per second of `span_ns` (0 for an empty span).
-    pub fn rate_per_sec(&self, span_ns: u64) -> f64 {
-        if span_ns == 0 {
-            0.0
-        } else {
-            self.count() as f64 * 1e9 / span_ns as f64
-        }
-    }
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
@@ -677,8 +676,6 @@ mod tests {
         assert_eq!(q.between(20, 40).count(), 2);
         assert_eq!(q.kind(PerfKind::Compare).percentile(50), Some(100));
         assert_eq!(q.kind(PerfKind::Steal).total(), 4);
-        // 5 events over 50 ns.
-        assert!((q.rate_per_sec(50) - 1e8).abs() < 1e-6);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | [`gpu`] | virtual GPU device model |
 //! | [`storage`] | object storage substrate |
 //! | [`sim`] | discrete-event cluster simulator + performance model |
-//! | [`trace`] | the perf log, its Chrome export, throughput series |
+//! | [`trace`] | the perf log and its Chrome export |
 //! | [`stats`] | deterministic RNG, distributions, summaries |
 //!
 //! ## Quickstart
