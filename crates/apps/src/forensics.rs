@@ -22,11 +22,14 @@
 //!   normalized patterns, summed in eight interleaved `f64` partial sums
 //!   combined in a fixed order — deterministic and exactly symmetric, and
 //!   the one kernel both a serial reference loop and the runtime call;
-//!   it runs at AVX2 width when the CPU has AVX2, with the same bits,
+//!   it runs at AVX2 width when the CPU has AVX2, with the same bits. The
+//!   runtime compares a GPU task's pairs in one batch, up to four at a
+//!   time: on a CPU with AVX-512F one pass over the residuals keeps every
+//!   pair's sums in flight, again with the bits of one compare per pair,
 //! * **post-process** (CPU): read out the correlation score.
 
 use rocket_core::bytesutil;
-use rocket_core::{AppError, Application, ItemId, Pair};
+use rocket_core::{AppError, Application, ItemId, Operand, Pair};
 use rocket_stats::Xoshiro256;
 use rocket_storage::MemStore;
 
@@ -157,6 +160,29 @@ impl ForensicsApp {
         self.width * self.height
     }
 
+    /// A pair's residuals, each cut to one item: an error names the pair
+    /// when an operand is shorter than that.
+    fn operands<'a>(
+        &self,
+        left: (ItemId, &'a [u8]),
+        right: (ItemId, &'a [u8]),
+    ) -> Result<(&'a [u8], &'a [u8]), AppError> {
+        let len = self.pixels() * 4;
+        match (left.1.get(..len), right.1.get(..len)) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => Err(AppError::new(
+                "compare",
+                format!(
+                    "items {} and {}: operands of {} and {} bytes, expected {len}",
+                    left.0,
+                    right.0,
+                    left.1.len(),
+                    right.1.len()
+                ),
+            )),
+        }
+    }
+
     /// 3×3 box-filter local mean (the denoising filter of the residual
     /// extraction), exposed for kernel testing.
     ///
@@ -250,7 +276,7 @@ fn dot_le_f32(a: &[u8], b: &[u8]) -> f64 {
 }
 
 /// [`dot_le_f32`] in scalar Rust: the only path on CPUs without AVX2, and
-/// the reference the AVX2 body is tested against.
+/// the reference the AVX2 and AVX-512 bodies are tested against.
 fn dot_le_f32_portable(a: &[u8], b: &[u8]) -> f64 {
     let f32_at = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
     let term = |x: &[u8], y: &[u8]| (f32_at(x) * f32_at(y)) as f64;
@@ -274,10 +300,9 @@ fn dot_le_f32_portable(a: &[u8], b: &[u8]) -> f64 {
 ///
 /// Partial sums 0–3 live in `lo` and 4–7 in `hi`. Each 32-byte chunk is
 /// one 8-wide `f32` multiply, so every product rounds to `f32` before it
-/// widens (no FMA), then two widening converts and two `f64` adds. The
-/// fold adds `hi` to `lo`, giving `(s0+s4, s1+s5, s2+s6, s3+s7)`, then
-/// the upper 128-bit half to the lower, giving `((s0+s4)+(s2+s6),
-/// (s1+s5)+(s3+s7))`, then those two: the portable fold exactly.
+/// widens (no FMA), then two widening converts and two `f64` adds. Adding
+/// `hi` to `lo` gives `(s0+s4, s1+s5, s2+s6, s3+s7)`, which
+/// [`fold_and_tail`] finishes.
 ///
 /// # Safety
 ///
@@ -287,7 +312,7 @@ fn dot_le_f32_portable(a: &[u8], b: &[u8]) -> f64 {
 fn dot_le_f32_avx2(a: &[u8], b: &[u8]) -> f64 {
     use std::arch::x86_64::*;
     let (a_chunks, b_chunks) = (a.chunks_exact(4 * LANES), b.chunks_exact(4 * LANES));
-    let tail = (a_chunks.remainder().chunks_exact(4)).zip(b_chunks.remainder().chunks_exact(4));
+    let tail = (a_chunks.remainder(), b_chunks.remainder());
     let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
     for (ca, cb) in a_chunks.zip(b_chunks) {
         // SAFETY: `chunks_exact(32)` makes `ca` and `cb` 32 bytes each, one
@@ -302,14 +327,124 @@ fn dot_le_f32_avx2(a: &[u8], b: &[u8]) -> f64 {
         lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
         hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(p)));
     }
-    let quad = _mm256_add_pd(lo, hi);
+    fold_and_tail(_mm256_add_pd(lo, hi), tail)
+}
+
+/// The end of the AVX bodies: `quad` holds `(s0+s4, s1+s5, s2+s6,
+/// s3+s7)`. Adding its upper 128-bit half to the lower gives
+/// `((s0+s4)+(s2+s6), (s1+s5)+(s3+s7))`, then those two are added: the
+/// portable fold exactly. The terms of `tail`, the bytes past the last
+/// whole chunk, are then added in order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_and_tail(quad: std::arch::x86_64::__m256d, tail: (&[u8], &[u8])) -> f64 {
+    use std::arch::x86_64::*;
     let pair = _mm_add_pd(
         _mm256_castpd256_pd128(quad),
         _mm256_extractf128_pd::<1>(quad),
     );
     let dot = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
     let f32_at = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-    tail.fold(dot, |dot, (x, y)| dot + (f32_at(x) * f32_at(y)) as f64)
+    (tail.0.chunks_exact(4).zip(tail.1.chunks_exact(4)))
+        .fold(dot, |dot, (x, y)| dot + (f32_at(x) * f32_at(y)) as f64)
+}
+
+/// Pairs one pass of [`dot_le_f32_avx512`] scores at most.
+const GROUP: usize = 4;
+
+/// `dots[k]` = [`dot_le_f32`] of pair `k`, bit for bit, for pairs whose
+/// buffers all have one length.
+///
+/// The pairs go in groups of at most [`GROUP`], as even as possible (five
+/// pairs as 3 + 2, not 4 + 1). On an x86-64 CPU with AVX-512F a group of
+/// two or more runs in [`dot_le_f32_avx512`], one pass that keeps every
+/// pair's sums in flight; [`dot_le_f32_avx2`] adds each chunk of its one
+/// pair into the same two accumulators, so each add waits on the last. A
+/// group of one, or any group elsewhere, runs [`dot_le_f32`] per pair.
+fn dot_le_f32_batch(pairs: &[(&[u8], &[u8])], dots: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+    let groups = pairs.len().div_ceil(GROUP).max(1);
+    let size = pairs.len().div_ceil(groups).max(1);
+    for (group, dots) in pairs.chunks(size).zip(dots.chunks_mut(size)) {
+        #[cfg(target_arch = "x86_64")]
+        if avx512 && group.len() > 1 {
+            // SAFETY: the CPU supports AVX-512F, checked above.
+            unsafe { dot_le_f32_group_avx512(group, dots) };
+            continue;
+        }
+        for (dot, &(a, b)) in dots.iter_mut().zip(group) {
+            *dot = dot_le_f32(a, b);
+        }
+    }
+}
+
+/// [`dot_le_f32_avx512`] on a group of two to four pairs.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn dot_le_f32_group_avx512(group: &[(&[u8], &[u8])], dots: &mut [f64]) {
+    match *group {
+        [p, q] => dots.copy_from_slice(&dot_le_f32_avx512([p, q])),
+        [p, q, r] => dots.copy_from_slice(&dot_le_f32_avx512([p, q, r])),
+        [p, q, r, s] => dots.copy_from_slice(&dot_le_f32_avx512([p, q, r, s])),
+        _ => unreachable!("a group of {} pairs", group.len()),
+    }
+}
+
+/// [`dot_le_f32`] of `N` pairs in one pass, each bit for bit
+/// [`dot_le_f32_portable`].
+///
+/// Pair `k`'s partial sums s0–s7 live in one `__m512d`, sum `i` in lane
+/// `i`. Per 32-byte chunk each pair costs one 8-wide `f32` multiply (every
+/// product rounds to `f32` before it widens; no FMA), one widening convert
+/// and one `f64` add, and the `N` adds of a chunk do not wait on each
+/// other. Adding the upper 256 bits of the sums to the lower gives
+/// `(s0+s4, s1+s5, s2+s6, s3+s7)`, which [`fold_and_tail`] finishes.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+///
+/// # Panics
+///
+/// If the buffers do not all have one length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn dot_le_f32_avx512<const N: usize>(pairs: [(&[u8], &[u8]); N]) -> [f64; N] {
+    use std::arch::x86_64::*;
+    let len = pairs.first().map_or(0, |(a, _)| a.len());
+    assert!(
+        pairs.iter().all(|(a, b)| a.len() == len && b.len() == len),
+        "operands of one length"
+    );
+    let whole = len - len % (4 * LANES);
+    let mut sums = [_mm512_setzero_pd(); N];
+    for at in (0..whole).step_by(4 * LANES) {
+        for (sum, (a, b)) in sums.iter_mut().zip(pairs) {
+            // SAFETY: `at + 32 <= whole <= len`, the length of every buffer
+            // (asserted above): one unaligned 8-float load from each;
+            // x86-64 is little-endian.
+            let (x, y) = unsafe {
+                (
+                    _mm256_loadu_ps(a.as_ptr().add(at).cast()),
+                    _mm256_loadu_ps(b.as_ptr().add(at).cast()),
+                )
+            };
+            *sum = _mm512_add_pd(*sum, _mm512_cvtps_pd(_mm256_mul_ps(x, y)));
+        }
+    }
+    std::array::from_fn(|k| {
+        let (sum, (a, b)) = (sums[k], pairs[k]);
+        let quad = _mm256_add_pd(
+            _mm512_castpd512_pd256(sum),
+            _mm512_extractf64x4_pd::<1>(sum),
+        );
+        fold_and_tail(quad, (&a[whole..], &b[whole..]))
+    })
 }
 
 impl Application for ForensicsApp {
@@ -384,21 +519,34 @@ impl Application for ForensicsApp {
     ) -> Result<(), AppError> {
         // NCC of unit-norm residuals = dot product; read directly from the
         // device buffers to avoid allocating per pair.
-        let len = self.pixels() * 4;
-        let (Some(a), Some(b)) = (left.1.get(..len), right.1.get(..len)) else {
-            return Err(AppError::new(
-                "compare",
-                format!(
-                    "items {} and {}: operands of {} and {} bytes, expected {len}",
-                    left.0,
-                    right.0,
-                    left.1.len(),
-                    right.1.len()
-                ),
-            ));
-        };
+        let (a, b) = self.operands(left, right)?;
         out[..8].copy_from_slice(&dot_le_f32(a, b).to_le_bytes());
         Ok(())
+    }
+
+    /// Scores the pairs whose operands are whole in groups of up to four,
+    /// with the bits `compare` gives each; a pair with a short operand
+    /// fails alone.
+    fn compare_batch(
+        &self,
+        pairs: &[(Operand, Operand)],
+        out: &mut [u8],
+    ) -> Vec<Result<(), AppError>> {
+        let operands: Vec<_> = pairs
+            .iter()
+            .map(|&(left, right)| self.operands(left, right))
+            .collect();
+        let whole: Vec<_> = operands.iter().flatten().copied().collect();
+        let mut dots = vec![0.0; whole.len()];
+        dot_le_f32_batch(&whole, &mut dots);
+        let scored = out
+            .chunks_exact_mut(8)
+            .zip(&operands)
+            .filter(|(_, ab)| ab.is_ok());
+        for ((out, _), dot) in scored.zip(dots) {
+            out.copy_from_slice(&dot.to_le_bytes());
+        }
+        operands.into_iter().map(|ab| ab.map(|_| ())).collect()
     }
 
     fn postprocess(&self, _pair: Pair, raw: &[u8]) -> f64 {
@@ -622,26 +770,85 @@ mod tests {
         }
     }
 
+    /// Lengths in floats: all tail (0, 1, 7), one chunk with and without
+    /// a tail (8, 9), a 7-term tail after seven chunks (63, the 7×9
+    /// image), one term past eight chunks (65), and the 128×128 image.
+    const LENGTHS: [usize; 8] = [0, 1, 7, 8, 9, 63, 65, 128 * 128];
+
+    /// Nine [`wide_unit_vector`] residuals of `n` floats each.
+    fn wide_residuals(n: usize) -> Vec<Vec<u8>> {
+        (0..9)
+            .map(|seed| {
+                let mut buf = vec![0u8; 4 * n];
+                bytesutil::write_f32(&mut buf, &wide_unit_vector(n, 10 * n as u64 + seed));
+                buf
+            })
+            .collect()
+    }
+
+    /// Batches of one to eight pairs over nine buffers: each pair's left
+    /// operand is the first buffer (a row of the all-pairs triangle, as a
+    /// GPU task usually holds), or each pair has its own two buffers.
+    fn batches(bufs: &[Vec<u8>]) -> Vec<Vec<(&[u8], &[u8])>> {
+        let mut batches = Vec::new();
+        for size in 1..=8 {
+            let shared = (1..=size).map(|k| (&bufs[0][..], &bufs[k][..]));
+            let distinct = (0..size).map(|k| (&bufs[k][..], &bufs[(k + 2) % 9][..]));
+            batches.push(shared.collect());
+            batches.push(distinct.collect());
+        }
+        batches
+    }
+
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn avx2_dot_matches_portable_bit_for_bit() {
+    fn simd_dots_match_portable_bit_for_bit() {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return;
         }
-        // Lengths in floats: all tail (0, 1, 7), one chunk with and without
-        // a tail (8, 9), a 7-term tail after seven chunks (63, the 7×9
-        // image), one term past eight chunks (65), and the 128×128 image.
-        for (seed, n) in [0, 1, 7, 8, 9, 63, 65, 128 * 128].into_iter().enumerate() {
-            let seed = 2 * seed as u64;
-            let (a, b) = (wide_unit_vector(n, seed), wide_unit_vector(n, seed + 1));
-            let (mut abuf, mut bbuf) = (vec![0u8; 4 * n], vec![0u8; 4 * n]);
-            bytesutil::write_f32(&mut abuf, &a);
-            bytesutil::write_f32(&mut bbuf, &b);
-            for (x, y) in [(&abuf, &bbuf), (&bbuf, &abuf)] {
+        for n in LENGTHS {
+            let bufs = wide_residuals(n);
+            for (x, y) in [(&bufs[0], &bufs[1]), (&bufs[1], &bufs[0])] {
                 // SAFETY: the CPU supports AVX2, checked above.
                 let fast = unsafe { dot_le_f32_avx2(x, y) };
                 let portable = dot_le_f32_portable(x, y);
                 assert_eq!(fast.to_bits(), portable.to_bits(), "{n} floats");
+            }
+        }
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            return;
+        }
+        for n in LENGTHS {
+            let bufs = wide_residuals(n);
+            let groups = batches(&bufs).into_iter();
+            for group in groups.filter(|g| (2..=GROUP).contains(&g.len())) {
+                let mut fast = vec![f64::NAN; group.len()];
+                // SAFETY: the CPU supports AVX-512F, checked above.
+                unsafe { dot_le_f32_group_avx512(&group, &mut fast) };
+                for (&(x, y), fast) in group.iter().zip(fast) {
+                    let portable = dot_le_f32_portable(x, y);
+                    assert_eq!(fast.to_bits(), portable.to_bits(), "{n} floats");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compare_batch_matches_compare_bit_for_bit() {
+        for n in LENGTHS {
+            let app = app_of(n, 1);
+            let bufs = wide_residuals(n);
+            for batch in batches(&bufs) {
+                let pairs: Vec<_> = batch.iter().map(|&(a, b)| ((0, a), (1, b))).collect();
+                let mut out = vec![0u8; 8 * pairs.len()];
+                let results = app.compare_batch(&pairs, &mut out);
+                assert_eq!(results.len(), pairs.len());
+                for (k, (&(a, b), result)) in batch.iter().zip(results).enumerate() {
+                    result.unwrap();
+                    let batched = app.postprocess(Pair::new(0, 1), &out[8 * k..]);
+                    let alone = score(&app, a, b);
+                    assert_eq!(batched.to_bits(), alone.to_bits(), "{n} floats, pair {k}");
+                }
             }
         }
     }
@@ -657,6 +864,28 @@ mod tests {
         // A longer buffer (a larger device slot) is read up to its item.
         let long = vec![0u8; app.item_bytes() + 4];
         assert!(app.compare((0, &long), (1, &full), &mut result).is_ok());
+
+        // In a batch, a short operand fails only its own pair; the other
+        // pairs are scored as if alone.
+        let app = app_of(7, 9);
+        let bufs = wide_residuals(63);
+        let (a, b, c) = (&bufs[0][..], &bufs[1][..], &bufs[2][..]);
+        let pairs = [
+            ((0, a), (1, b)),
+            ((0, a), (2, &short[..])),
+            ((0, a), (3, c)),
+            ((4, &short[..]), (1, b)),
+            ((1, b), (3, c)),
+        ];
+        let mut out = vec![0u8; 8 * pairs.len()];
+        let results = app.compare_batch(&pairs, &mut out);
+        let failed: Vec<bool> = results.iter().map(Result::is_err).collect();
+        assert_eq!(failed, [false, true, false, true, false]);
+        for k in [0, 2, 4] {
+            let ((_, x), (_, y)) = pairs[k];
+            let batched = app.postprocess(Pair::new(0, 1), &out[8 * k..]);
+            assert_eq!(batched.to_bits(), score(&app, x, y).to_bits(), "pair {k}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! paper's Table 1 timing/size characteristics for the simulator.
 
 #![warn(missing_docs)]
-// The forensics compare kernel's AVX2 body is the workspace's one
-// `unsafe` code; every other crate root forbids it.
+// The forensics compare kernel's AVX2 and AVX-512F bodies are the
+// workspace's one `unsafe` code; every other crate root forbids it.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod bioinfo;

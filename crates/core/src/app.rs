@@ -6,7 +6,7 @@
 //! |------------------|-------------------|----------|
 //! | `parseFile`      | [`Application::parse`]       | CPU |
 //! | `preprocessGPU`  | [`Application::preprocess`]  | GPU |
-//! | `compareGPU`     | [`Application::compare`]     | GPU |
+//! | `compareGPU`     | [`Application::compare`], [`Application::compare_batch`] | GPU |
 //! | `postprocess`    | [`Application::postprocess`] | CPU |
 //!
 //! plus `getFilePathForKey` → [`Application::file_for`]. Rocket handles
@@ -21,6 +21,9 @@ use rocket_cache::ItemId;
 use rocket_steal::Pair;
 
 use crate::error::AppError;
+
+/// One operand of a compare: the item and its pre-processed bytes.
+pub type Operand<'a> = (ItemId, &'a [u8]);
 
 /// An all-pairs application (the paper's Fig 3 interface).
 ///
@@ -80,6 +83,25 @@ pub trait Application: Send + Sync + 'static {
         right: (ItemId, &[u8]),
         out: &mut [u8],
     ) -> Result<(), AppError>;
+
+    /// GPU stage: compares a batch of pairs in one kernel launch, writing
+    /// pair `k`'s result at `out[k * result_bytes()..]` and returning one
+    /// `Result` per pair, so a failed pair fails alone. The runtime sends
+    /// each GPU task of compares through this call; the default runs
+    /// [`Application::compare`] on each pair in order. An override must
+    /// give every pair the bits `compare` would.
+    fn compare_batch(
+        &self,
+        pairs: &[(Operand, Operand)],
+        out: &mut [u8],
+    ) -> Vec<Result<(), AppError>> {
+        let n = self.result_bytes();
+        pairs
+            .iter()
+            .enumerate()
+            .map(|(k, &(left, right))| self.compare(left, right, &mut out[k * n..(k + 1) * n]))
+            .collect()
+    }
 
     /// CPU stage: interpret the raw result buffer.
     fn postprocess(&self, pair: Pair, raw: &[u8]) -> Self::Output;

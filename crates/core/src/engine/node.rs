@@ -21,11 +21,12 @@
 //!   more than half the node's permits — and a compare leaves at once
 //!   when its device has nothing queued, so an idle GPU never waits on a
 //!   long drain;
-//! * the GPU task runs its compares in order, each with its own result
-//!   read-back and its own `Compare` perf record, and posts one
-//!   `ComparesDone`; the conductor post-processes every pair, fails only
-//!   the pairs whose compare failed, and returns the batch's permits in one
-//!   release.
+//! * a GPU task is one kernel launch, which compares all of its pairs
+//!   through [`Application::compare_batch`], and one read-back of their
+//!   results; it logs one `Compare` perf record per pair, each an equal
+//!   share of the launch, and posts one `ComparesDone`; the conductor
+//!   post-processes every pair, fails only the pairs whose compare failed,
+//!   and returns the batch's permits in one release.
 //!
 //! ## State layout
 //!
@@ -362,9 +363,11 @@ struct Executor<A: Application> {
     /// Each device's parsed items waiting for a staging buffer:
     /// `(item, device slot, parsed bytes)`.
     staging_queue: Vec<VecDeque<(ItemId, SlotIdx, Vec<u8>)>>,
-    /// One result buffer per device: compares on a device run one at a
-    /// time on its launch thread, each reading its result back before the
-    /// next one starts.
+    /// Most compares one GPU task holds: half the node's permits.
+    task_cap: usize,
+    /// One result buffer per device, `task_cap` results long: GPU tasks on
+    /// a device run one at a time on its launch thread, each reading its
+    /// results back before the next one starts.
     result_bufs: Vec<BufferId>,
     /// GPU tasks sent to each device whose completion is not handled yet.
     gpu_queued: Vec<usize>,
@@ -401,6 +404,7 @@ impl<A: Application> Conductor<A> {
         let parsed_bytes = app.parsed_bytes() as u64;
         let result_bytes = app.result_bytes() as u64;
         let staging_per_dev = if app.has_preprocess() { 4 } else { 0 };
+        let task_cap = (limiter.limit() / 2).max(1);
 
         let mut devices = Vec::with_capacity(n_dev);
         let mut dev_slot_bufs = Vec::with_capacity(n_dev);
@@ -412,7 +416,7 @@ impl<A: Application> Conductor<A> {
             // small (the simulator models capacities faithfully instead).
             let needed = spec.device_slots as u64 * item_bytes
                 + staging_per_dev as u64 * parsed_bytes
-                + result_bytes;
+                + task_cap as u64 * result_bytes;
             let profile = if profile.memory_bytes < needed {
                 profile.clone().with_memory(needed)
             } else {
@@ -425,7 +429,11 @@ impl<A: Application> Conductor<A> {
             let staging: Vec<BufferId> = (0..staging_per_dev)
                 .map(|_| device.alloc(parsed_bytes).expect("staging alloc"))
                 .collect();
-            result_bufs.push(device.alloc(result_bytes).expect("result alloc"));
+            result_bufs.push(
+                device
+                    .alloc(task_cap as u64 * result_bytes)
+                    .expect("result alloc"),
+            );
             devices.push(device);
             dev_slot_bufs.push(slots);
             staging_pool.push(staging);
@@ -460,6 +468,7 @@ impl<A: Application> Conductor<A> {
             host_slots,
             staging_pool,
             staging_queue: vec![VecDeque::new(); n_dev],
+            task_cap,
             result_bufs,
             gpu_queued: vec![0; n_dev],
             ready: (0..n_dev).map(|_| Vec::new()).collect(),
@@ -573,10 +582,10 @@ impl<A: Application> Conductor<A> {
 }
 
 impl<A: Application> Executor<A> {
-    /// Sends `dev`'s ready compares as GPU tasks of at most half the
-    /// node's permits each. A task runs its compares in order through the
-    /// device's one result buffer, each reading its result back before
-    /// the next starts, and times each as one `Compare` stage.
+    /// Sends `dev`'s ready compares as GPU tasks of at most `task_cap`
+    /// each. A task is one launch of [`Application::compare_batch`] into
+    /// the device's result buffer and one read-back of every result, timed
+    /// as one `Compare` stage per pair.
     ///
     /// The cap keeps the GPU fed: permits come back when a whole task
     /// finishes, so the completion of a task that held every permit would
@@ -584,9 +593,8 @@ impl<A: Application> Executor<A> {
     /// permits, a completion frees enough to wake the submitter (the
     /// limiter's half-limit rule) while the next task still runs.
     fn launch_compares(&mut self, dev: usize) {
-        let cap = (self.limiter.limit() / 2).max(1);
         while !self.ready[dev].is_empty() {
-            let take = self.ready[dev].len().min(cap);
+            let take = self.ready[dev].len().min(self.task_cap);
             let batch: Vec<Compare> = self.ready[dev].drain(..take).collect();
             let result_buf = self.result_bufs[dev];
             let device = Arc::clone(&self.devices[dev]);
@@ -594,31 +602,9 @@ impl<A: Application> Executor<A> {
             self.submit_gpu(
                 dev,
                 Box::new(move |rec| {
-                    let results = batch
-                        .into_iter()
-                        .map(|c| {
-                            let result = rec.time(PerfKind::Compare, || {
-                                let mut out = Vec::with_capacity(app.result_bytes());
-                                device
-                                    .launch(&[c.left, c.right], result_buf, |ins, out| {
-                                        app.compare(
-                                            (c.pair.left, ins[0]),
-                                            (c.pair.right, ins[1]),
-                                            out,
-                                        )
-                                    })
-                                    .map_err(|e| e.to_string())
-                                    .and_then(|r| r.map_err(|e| e.to_string()))
-                                    .and_then(|()| {
-                                        device
-                                            .copy_d2h(result_buf, &mut out)
-                                            .map_err(|e| format!("result copy: {e}"))
-                                    })
-                                    .map(|()| out)
-                            });
-                            (c.job, result)
-                        })
-                        .collect();
+                    let results = rec.time_shared(PerfKind::Compare, batch.len(), || {
+                        run_compares(&*app, &device, result_buf, &batch)
+                    });
                     Some(Event::ComparesDone { dev, results })
                 }),
             );
@@ -723,6 +709,50 @@ impl<A: Application> Executor<A> {
             }),
         );
     }
+}
+
+/// One GPU task: a launch of [`Application::compare_batch`] on `batch`
+/// into `result_buf`, then one read-back of every result. Returns each
+/// job's result bytes, or why its compare failed.
+fn run_compares<A: Application>(
+    app: &A,
+    device: &VirtualDevice,
+    result_buf: BufferId,
+    batch: &[Compare],
+) -> Vec<(JobId, Result<Vec<u8>, String>)> {
+    let n = app.result_bytes();
+    // Input 2k is pair k's left operand and 2k + 1 its right; the device
+    // locks a buffer that several pairs share once.
+    let inputs: Vec<BufferId> = batch.iter().flat_map(|c| [c.left, c.right]).collect();
+    let mut host = Vec::new();
+    let launched = device
+        .launch(&inputs, result_buf, |ins, out| {
+            let pairs: Vec<_> = (batch.iter().zip(ins.chunks_exact(2)))
+                .map(|(c, ins)| ((c.pair.left, ins[0]), (c.pair.right, ins[1])))
+                .collect();
+            app.compare_batch(&pairs, &mut out[..pairs.len() * n])
+        })
+        .map_err(|e| e.to_string())
+        .and_then(|results| {
+            device
+                .copy_d2h(result_buf, &mut host)
+                .map_err(|e| format!("result copy: {e}"))?;
+            Ok(results)
+        });
+    let mut results = match launched {
+        Ok(results) => results.into_iter(),
+        Err(e) => return batch.iter().map(|c| (c.job, Err(e.clone()))).collect(),
+    };
+    (batch.iter().enumerate())
+        .map(|(k, c)| {
+            let result = match results.next() {
+                Some(Ok(())) => Ok(host[k * n..(k + 1) * n].to_vec()),
+                Some(Err(e)) => Err(e.to_string()),
+                None => Err("compare_batch returned no result".to_string()),
+            };
+            (c.job, result)
+        })
+        .collect()
 }
 
 impl<A: Application> NodeIo for Executor<A> {

@@ -5,10 +5,11 @@
 //! per GPU, one H2D and one D2H copy thread per GPU, and one I/O thread.
 //! Each thread executes closures sent by the conductor and posts the
 //! resulting event back. A task times its own stages through the
-//! [`Recorder`] it is handed, so a task that runs several stages (a batch
-//! of compares) logs one [`PerfRecord`] per stage. When the run is
-//! recorded, every thread keeps a private buffer of records and hands it
-//! back at shutdown; an unrecorded run reads no clock.
+//! [`Recorder`] it is handed, so a task that runs several stages logs one
+//! [`PerfRecord`] per stage, and one launch that compares a batch of pairs
+//! logs one record per pair. When the run is recorded, every thread keeps
+//! a private buffer of records and hands it back at shutdown; an
+//! unrecorded run reads no clock.
 
 use std::thread::JoinHandle;
 
@@ -48,18 +49,36 @@ impl Recorder {
     /// Runs `f`; a recorded run appends its duration as one `kind`
     /// record, stamped at completion.
     pub fn time<R>(&mut self, kind: PerfKind, f: impl FnOnce() -> R) -> R {
+        self.time_shared(kind, 1, f)
+    }
+
+    /// Runs `f` as `n` stages of one kind, such as one kernel launch that
+    /// compares `n` pairs: a recorded run appends `n` `kind` records that
+    /// split its duration into equal shares (the first `duration % n`
+    /// one nanosecond longer), stamped back to back, so they sum to the
+    /// duration exactly and the last is stamped at completion.
+    pub fn time_shared<R>(&mut self, kind: PerfKind, n: usize, f: impl FnOnce() -> R) -> R {
         let Some(Recording { clock, node }) = self.recording else {
             return f();
         };
         let start = clock.elapsed_ns();
         let r = f();
-        let t_ns = clock.elapsed_ns();
-        self.records.push(PerfRecord {
-            t_ns,
-            kind,
-            node,
-            value: t_ns - start,
-        });
+        let duration = clock.elapsed_ns() - start;
+        let (share, longer) = match n as u64 {
+            0 => (0, 0),
+            n => (duration / n, duration % n),
+        };
+        let mut t_ns = start;
+        for i in 0..n as u64 {
+            let value = share + u64::from(i < longer);
+            t_ns += value;
+            self.records.push(PerfRecord {
+                t_ns,
+                kind,
+                node,
+                value,
+            });
+        }
         r
     }
 
@@ -178,6 +197,29 @@ mod tests {
         let perf = r.shutdown();
         assert_eq!(perf.len(), 3, "one record per timed stage");
         assert!(perf.iter().all(|rec| rec.kind == PerfKind::Compare));
+    }
+
+    #[test]
+    fn shared_records_split_one_duration_exactly() {
+        let recording = Recording {
+            clock: clock::stopwatch(),
+            node: 0,
+        };
+        let mut rec = Recorder::new(Some(recording));
+        let before = recording.clock.elapsed_ns();
+        let r = rec.time_shared(PerfKind::Compare, 3, || 7);
+        let after = recording.clock.elapsed_ns();
+        assert_eq!(r, 7);
+        let perf = rec.into_records();
+        assert_eq!(perf.len(), 3);
+        let (first, last) = (&perf[0], &perf[2]);
+        let total: u64 = perf.iter().map(|p| p.value).sum();
+        assert_eq!(total, last.t_ns - (first.t_ns - first.value));
+        assert!(before <= first.t_ns - first.value && last.t_ns <= after);
+        for w in perf.windows(2) {
+            assert!(w[0].value - w[1].value <= 1, "{perf:?}");
+            assert_eq!(w[1].t_ns - w[1].value, w[0].t_ns, "back to back");
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod study;
 pub mod sweep;
 pub mod workload;
 
-pub use app::{bytesutil, Application};
+pub use app::{bytesutil, Application, Operand};
 pub use backend::{Backend, ThreadedBackend};
 pub use cluster::AppReport;
 pub use engine::NodeReport;

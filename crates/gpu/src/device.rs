@@ -175,8 +175,12 @@ impl VirtualDevice {
     /// Launches a kernel: `f` receives read-only views of `inputs` and a
     /// mutable view of `output`, all resident in device memory.
     ///
-    /// `output` must not appear in `inputs` (that would deadlock, exactly as
-    /// aliased buffers are undefined on a real device — here it is detected).
+    /// A buffer may appear in `inputs` more than once, such as the shared
+    /// operand of a batch of compares: each distinct buffer is locked once
+    /// (std does not promise that a thread may take a read lock it already
+    /// holds), and every position gets a view of it. `output` must not
+    /// appear in `inputs` (that would deadlock, exactly as aliased buffers
+    /// are undefined on a real device — here it is detected).
     pub fn launch<R>(
         &self,
         inputs: &[BufferId],
@@ -186,10 +190,21 @@ impl VirtualDevice {
         if inputs.contains(&output) {
             return Err(DeviceError::InvalidBuffer(output));
         }
+        // `distinct[slot[i]]` is input `i`.
+        let mut distinct: Vec<BufferId> = Vec::with_capacity(inputs.len());
+        let slot: Vec<usize> = inputs
+            .iter()
+            .map(|id| {
+                distinct.iter().position(|d| d == id).unwrap_or_else(|| {
+                    distinct.push(*id);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
         // Every buffer of the call is looked up under one `mem` lock.
         let (in_arcs, out_arc) = {
             let mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-            let in_arcs: Vec<_> = inputs
+            let in_arcs: Vec<_> = distinct
                 .iter()
                 .map(|&id| mem.buffer(id))
                 .collect::<Result<_>>()?;
@@ -199,7 +214,7 @@ impl VirtualDevice {
             .iter()
             .map(|a| a.read().unwrap_or_else(PoisonError::into_inner))
             .collect();
-        let in_slices: Vec<&[u8]> = in_guards.iter().map(|g| &g[..]).collect();
+        let in_slices: Vec<&[u8]> = slot.iter().map(|&i| &in_guards[i][..]).collect();
         let mut out_guard = out_arc.write().unwrap_or_else(PoisonError::into_inner);
         Ok(f(&in_slices, &mut out_guard))
     }
@@ -295,6 +310,22 @@ mod tests {
         let mut host = Vec::new();
         d.copy_d2h(out, &mut host).unwrap();
         assert_eq!(host, vec![11, 22, 33, 44]);
+    }
+
+    #[test]
+    fn kernel_may_read_one_buffer_twice() {
+        let d = tiny();
+        let x = d.alloc(2).unwrap();
+        let y = d.alloc(2).unwrap();
+        let out = d.alloc(2).unwrap();
+        d.copy_h2d(&[1, 2], x).unwrap();
+        d.copy_h2d(&[3, 4], y).unwrap();
+        let seen = d
+            .launch(&[x, y, x], out, |ins, _| {
+                ins.iter().map(|v| v.to_vec()).collect::<Vec<_>>()
+            })
+            .unwrap();
+        assert_eq!(seen, vec![vec![1, 2], vec![3, 4], vec![1, 2]]);
     }
 
     #[test]

@@ -509,6 +509,38 @@ fn perf_log_captures_all_pipeline_stages() {
     assert_eq!(json.matches("\"ph\":\"X\"").count(), records.len());
 }
 
+/// A GPU task is one kernel launch, logged as one `Compare` record per
+/// pair: the records count the delivered pairs, and they sum to the run's
+/// compare busy time.
+#[test]
+fn one_compare_record_per_delivered_pair() {
+    let cfg = ForensicsConfig {
+        images: 12,
+        cameras: 2,
+        width: 32,
+        height: 32,
+        ..Default::default()
+    };
+    let ds = ForensicsDataset::generate(cfg.clone());
+    // One leaf and 16 permits: GPU tasks of up to 8 compares.
+    let scenario = cluster(12, 1, 32, 12).job_limit(16).leaf_pairs(66).build();
+    let backend = ThreadedBackend::new(Arc::new(ForensicsApp::new(&cfg)), Arc::new(ds.store));
+    let perf = PerfLog::enabled();
+    let report = backend
+        .run_app_with_perf(&scenario, &perf)
+        .expect("recorded run");
+    assert_eq!(report.outputs.len(), 66);
+    let records = perf.take();
+    let compares = PerfQuery::new(&records).kind(PerfKind::Compare);
+    assert_eq!(compares.count(), report.outputs.len() as u64);
+    let busy_ns = report.unified(&scenario).busy.compare * 1e9;
+    let total_ns = compares.total() as f64;
+    assert!(
+        (busy_ns - total_ns).abs() <= 1e-9 * total_ns,
+        "busy.compare {busy_ns} ns vs {total_ns} ns of Compare records"
+    );
+}
+
 #[test]
 fn recording_never_changes_results() {
     let (scenario, backend) = forensics_fixture();
