@@ -93,7 +93,7 @@ pub fn all() -> Vec<WorkloadProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocket_stats::{Distribution, OnlineStats, Xoshiro256};
+    use rocket_stats::{OnlineStats, Xoshiro256};
 
     #[test]
     fn paper_pair_counts() {

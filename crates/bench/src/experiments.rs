@@ -34,7 +34,7 @@ use rocket_core::{
 };
 use rocket_gpu::DeviceProfile;
 use rocket_sim::{model, SimBackend};
-use rocket_stats::{Distribution, Histogram, OnlineStats, Xoshiro256};
+use rocket_stats::{Histogram, OnlineStats, Xoshiro256};
 use rocket_trace::{PerfKind, PerfLog, PerfQuery};
 
 use crate::anchors;

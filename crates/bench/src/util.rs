@@ -111,8 +111,11 @@ mod tests {
     fn csv_escapes_commas() {
         let mut t = Table::new(&["k", "v"]);
         t.row(vec!["a,b".into(), "plain".into()]);
+        t.row(vec!["two\nlines".into(), "cr\r".into()]);
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\",plain"));
+        // A line break inside a field must not split its row.
+        assert!(csv.contains("\"two\nlines\",\"cr\r\""));
     }
 
     #[test]

@@ -64,10 +64,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use rocket_comm::wire::Wire;
 use rocket_comm::{Incoming, Liveness, RecvError, SocketTransport, Transport};
 use rocket_core::{Backend, RocketError, RunReport, Scenario};
+use rocket_sanitize::channel::{unbounded, Receiver, Sender};
 use rocket_sanitize::Mutex;
 
 use crate::protocol::{ToDriver, ToWorker, DRIVER_RANK, PROTOCOL_VERSION};

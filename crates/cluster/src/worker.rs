@@ -110,9 +110,9 @@ fn send(transport: &dyn Transport, frame: &ToDriver) -> Result<(), RecvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{unbounded, Receiver, Sender};
     use rocket_comm::TransportKind;
     use rocket_core::{NodeSpec, RocketError, RunReport, Scenario};
+    use rocket_sanitize::channel::{unbounded, Receiver, Sender};
     use rocket_sim::SimBackend;
 
     fn scenario(seed: u64) -> Scenario {

@@ -8,8 +8,8 @@
 //! message sizes).
 //!
 //! * [`transport`] — the [`Transport`] trait (send / receive / stats) and
-//!   [`LocalTransport`]: crossbeam channels between threads of one
-//!   process. [`TransportKind`] selects an implementation by name.
+//!   [`LocalTransport`]: `rocket_sanitize` channels between threads of
+//!   one process. [`TransportKind`] selects an implementation by name.
 //! * [`socket`] — [`SocketTransport`]: the same contract over per-peer
 //!   TCP connections with a rank-exchanging handshake; what a
 //!   multi-process deployment runs on ([`SocketTransport::join`]).

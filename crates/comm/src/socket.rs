@@ -50,8 +50,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use rocket_stats::Retry;
+use rocket_sanitize::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use rocket_stats::splitmix64;
 
 use crate::frame::{write_frame, FrameDecoder};
 use crate::transport::{CommStats, Incoming, NodeId, RecvError, Transport};
@@ -70,7 +70,7 @@ const CONNECT_RETRY: Duration = Duration::from_millis(20);
 /// Cap on one handshake read and on the whole accept phase — without it a
 /// peer that never starts (or a stray connection that sends fewer than 12
 /// bytes) would wedge mesh establishment forever, while the dial side
-/// fails loudly once [`connect_policy`]'s attempts are exhausted.
+/// fails loudly once [`dial_delays`] is exhausted.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The `from` rank of the token the last peer reader leaves in the inbox.
@@ -120,19 +120,43 @@ fn recv_hello(stream: &mut TcpStream, cluster: usize) -> io::Result<usize> {
     Ok(rank)
 }
 
-/// Backoff for dialing a peer whose listener may not be up yet (separate
-/// OS processes start in arbitrary order): ~10 s of total budget, delays
-/// growing 20 ms → 500 ms with a little jitter so co-started processes
-/// don't hammer a slow listener in lockstep.
-fn connect_policy() -> Retry {
-    Retry::new(28, Duration::from_millis(20))
-        .factor(1.5)
-        .cap(Duration::from_millis(500))
-        .jitter(0.1)
+/// Waits between dials of a peer whose listener may not be up yet
+/// (separate OS processes start in arbitrary order): 27 waits of
+/// `min(20 ms·1.5^k, 500 ms)`, about 10 s in all, each scaled by ±10 %
+/// jitter. The jitter stream is seeded from the dialing rank, so a rank
+/// always backs off the same way while co-started processes do not hammer
+/// a slow listener in lockstep.
+fn dial_delays(rank: usize) -> impl Iterator<Item = Duration> {
+    let mut jitter = rank as u64;
+    (0..27).map(move |k| {
+        let nominal = (0.020 * 1.5f64.powi(k)).min(0.5);
+        let u = splitmix64(&mut jitter) as f64 / u64::MAX as f64;
+        Duration::from_secs_f64(nominal * (0.9 + 0.2 * u))
+    })
 }
 
-fn connect_with_retry(addr: SocketAddr) -> io::Result<TcpStream> {
-    connect_policy().run(|_| TcpStream::connect(addr))
+/// Runs `op` once, then once more after each of `delays` until it
+/// succeeds; returns the first success or the last error.
+fn with_backoff<T>(
+    delays: impl Iterator<Item = Duration>,
+    mut sleep: impl FnMut(Duration),
+    mut op: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
+    let mut result = op();
+    for delay in delays {
+        if result.is_ok() {
+            break;
+        }
+        sleep(delay);
+        result = op();
+    }
+    result
+}
+
+fn connect_with_retry(addr: SocketAddr, rank: usize) -> io::Result<TcpStream> {
+    with_backoff(dial_delays(rank), std::thread::sleep, || {
+        TcpStream::connect(addr)
+    })
 }
 
 /// [`Transport`] over per-peer TCP connections (loopback or LAN).
@@ -430,7 +454,7 @@ fn establish_mesh(
     let p = addrs.len();
     let mut conns: Vec<Option<TcpStream>> = (0..p).map(|_| None).collect();
     for (peer, &addr) in addrs.iter().enumerate().take(rank) {
-        let mut stream = connect_with_retry(addr)?;
+        let mut stream = connect_with_retry(addr, rank)?;
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         send_hello(&mut stream, rank, p)?;
         let said = recv_hello(&mut stream, p)?;
@@ -762,5 +786,62 @@ mod tests {
             }
         }
         assert!(!a.peer_alive(1));
+    }
+
+    #[test]
+    fn dial_schedule_is_deterministic_capped_and_rank_specific() {
+        let delays: Vec<Duration> = dial_delays(1).collect();
+        assert_eq!(delays.len(), 27);
+        assert_eq!(delays, dial_delays(1).collect::<Vec<_>>());
+        assert_ne!(delays, dial_delays(2).collect::<Vec<_>>());
+        for (k, d) in delays.iter().enumerate() {
+            let nominal = (0.020 * 1.5f64.powi(k as i32)).min(0.5);
+            let ratio = d.as_secs_f64() / nominal;
+            assert!((0.9..=1.1).contains(&ratio), "wait {k}: {d:?}");
+        }
+        let total: Duration = delays.iter().sum();
+        assert!(
+            (Duration::from_secs(9)..Duration::from_secs(12)).contains(&total),
+            "{total:?}"
+        );
+    }
+
+    #[test]
+    fn backoff_stops_at_the_first_success() {
+        for failures in 0..3 {
+            let mut slept = Vec::new();
+            let mut attempts = 0;
+            let out = with_backoff(
+                dial_delays(0),
+                |d| slept.push(d),
+                || {
+                    attempts += 1;
+                    if attempts <= failures {
+                        Err(io::Error::other("refused"))
+                    } else {
+                        Ok(attempts)
+                    }
+                },
+            );
+            assert_eq!(out.unwrap(), failures + 1);
+            // No wait precedes the first dial.
+            assert_eq!(slept, dial_delays(0).take(failures).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_dial_that_keeps_failing_returns_the_last_error() {
+        let mut slept = 0;
+        let mut attempts = 0;
+        let out: io::Result<()> = with_backoff(
+            dial_delays(0),
+            |_| slept += 1,
+            || {
+                attempts += 1;
+                Err(io::Error::other(format!("attempt {attempts}")))
+            },
+        );
+        assert_eq!(out.unwrap_err().to_string(), "attempt 28");
+        assert_eq!(slept, 27);
     }
 }

@@ -5,8 +5,8 @@
 //! original Rocket), plus per-endpoint traffic counters. Two
 //! implementations exist:
 //!
-//! * [`LocalTransport`] (here) — crossbeam channels between threads of one
-//!   process; zero-copy, no serialization on the transport itself.
+//! * [`LocalTransport`] (here) — `rocket_sanitize` channels between threads
+//!   of one process; zero-copy, no serialization on the transport itself.
 //! * [`crate::SocketTransport`] — length-prefixed frames over TCP; real
 //!   sockets, one connection per peer pair, ordered per peer.
 //!
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use rocket_sanitize::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 /// Cluster node identifier (rank).
 pub type NodeId = usize;
@@ -225,7 +225,7 @@ impl TransportKind {
     }
 }
 
-/// In-process [`Transport`] over crossbeam channels.
+/// In-process [`Transport`] over `rocket_sanitize::channel` channels.
 ///
 /// Sends are non-blocking (unbounded queues); receive order from a single
 /// peer is FIFO. Nodes are threads of one process; the latency/bandwidth

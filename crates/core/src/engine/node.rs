@@ -60,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use rocket_sanitize::channel::{unbounded, Receiver, Sender};
 use rocket_sanitize::Mutex;
 
 use rocket_cache::{CacheStats, DirectoryStats, ItemId, SlotIdx};

@@ -13,7 +13,7 @@
 
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use rocket_sanitize::channel::{unbounded, Receiver, Sender};
 use rocket_trace::{PerfKind, PerfRecord};
 
 use crate::clock::Stopwatch;

@@ -652,11 +652,12 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// `s` as one CSV field: quoted, with `"` doubled, when it holds a comma
-/// or a quote. The one CSV escaper of the workspace — [`StudyReport::to_csv`]
-/// uses it, and so does the experiment harness's `Table` builder.
+/// `s` as one CSV field: quoted, with `"` doubled, when it holds a comma,
+/// a quote, a CR or an LF (RFC 4180). The one CSV escaper of the
+/// workspace — [`StudyReport::to_csv`] uses it, and so does the experiment
+/// harness's `Table` builder.
 pub fn csv_field(s: &str) -> Cow<'_, str> {
-    if s.contains(',') || s.contains('"') {
+    if s.contains([',', '"', '\r', '\n']) {
         Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
     } else {
         Cow::Borrowed(s)

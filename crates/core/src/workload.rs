@@ -65,7 +65,6 @@ impl WorkloadProfile {
 
     /// Mean time of one full load `ℓ` (parse + pre-process), seconds.
     pub fn mean_load_seconds(&self) -> f64 {
-        use rocket_stats::Distribution;
         self.parse.mean() + self.preprocess.as_ref().map_or(0.0, |d| d.mean())
     }
 

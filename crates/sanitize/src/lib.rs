@@ -25,12 +25,19 @@
 //!   *before* blocking on it (so a deadlock-to-be still reports);
 //! - the global graph is checked for cycles on every new edge, and the
 //!   panic message names the locks on the cycle.
+//!
+//! [`channel`] is the runtime's unbounded multi-producer,
+//! multi-consumer channel, built on these wrappers so that its lock is
+//! witnessed like every other.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::{PoisonError, WaitTimeoutResult};
+use std::time::Duration;
+
+pub mod channel;
 
 /// A named mutex. The name is the identity the witness graph records and
 /// the label a cycle panic prints.
@@ -221,6 +228,23 @@ impl Condvar {
                 .wait_while(inner, condition)
                 .unwrap_or_else(PoisonError::into_inner),
         }
+    }
+
+    /// Like [`wait_while`](Self::wait_while), but gives up once `timeout`
+    /// has elapsed; the result says whether it timed out with `condition`
+    /// still true.
+    pub fn wait_timeout_while<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: Duration,
+        condition: impl FnMut(&mut T) -> bool,
+    ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
+        let MutexGuard { _token, inner } = guard;
+        let (inner, result) = self
+            .0
+            .wait_timeout_while(inner, timeout, condition)
+            .unwrap_or_else(PoisonError::into_inner);
+        (MutexGuard { _token, inner }, result)
     }
 
     /// Wakes one waiter.

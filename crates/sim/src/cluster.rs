@@ -46,7 +46,7 @@
 
 use rocket_core::engine::PeerMsg;
 use rocket_gpu::DeviceProfile;
-use rocket_stats::{Dist, Distribution, Xoshiro256};
+use rocket_stats::{Dist, Xoshiro256};
 use rocket_steal::{Block, TaskDeque};
 
 use crate::engine::{secs_to_ns, SimTime};

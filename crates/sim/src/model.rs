@@ -16,7 +16,6 @@
 
 use rocket_core::WorkloadProfile;
 use rocket_gpu::DeviceProfile;
-use rocket_stats::Distribution;
 
 /// Eq 1: total GPU processing time for a given reuse factor R.
 pub fn t_gpu(w: &WorkloadProfile, r: f64) -> f64 {

@@ -15,19 +15,10 @@
 
 use crate::rng::Xoshiro256;
 
-/// A continuous distribution over `f64` sampled from a [`Xoshiro256`].
-pub trait Distribution {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut Xoshiro256) -> f64;
-
-    /// The distribution mean (exact where closed-form, used by the
-    /// performance model of §6.1).
-    fn mean(&self) -> f64;
-}
-
-/// A concrete, clonable distribution. An enum (rather than trait objects)
-/// keeps simulator configuration plain data: serializable, comparable, and
-/// cheap to copy into per-node samplers.
+/// A continuous distribution over `f64`, sampled from a [`Xoshiro256`].
+/// An enum (rather than trait objects) keeps simulator configuration plain
+/// data: serializable, comparable, and cheap to copy into per-node
+/// samplers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Dist {
     /// Always returns the value.
@@ -165,8 +156,9 @@ fn gamma_mt(rng: &mut Xoshiro256, shape: f64) -> f64 {
     }
 }
 
-impl Distribution for Dist {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
+impl Dist {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         match self {
             Dist::Constant(v) => *v,
             Dist::Uniform { lo, hi } => rng.range_f64(*lo, *hi),
@@ -208,7 +200,9 @@ impl Distribution for Dist {
         }
     }
 
-    fn mean(&self) -> f64 {
+    /// The distribution mean (exact where closed-form, used by the
+    /// performance model of §6.1).
+    pub fn mean(&self) -> f64 {
         match self {
             Dist::Constant(v) => *v,
             Dist::Uniform { lo, hi } => (lo + hi) / 2.0,

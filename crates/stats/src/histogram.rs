@@ -1,19 +1,16 @@
-//! Fixed-bin histograms and percentile summaries.
+//! Fixed-bin histograms.
 //!
-//! Used by the reproduction harness for Fig 7 (comparison-time histograms)
-//! and for reporting run-time distributions in EXPERIMENTS.md.
+//! Used by the reproduction harness for Fig 7 (comparison-time histograms).
 
 /// A histogram with uniform bins over `[lo, hi)`.
 ///
-/// Samples outside the range are counted in saturating under/overflow bins so
-/// no observation is silently dropped.
+/// Samples outside the range land in no bin but still count in
+/// [`count`](Self::count), so no observation is silently dropped.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
     bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
     count: u64,
 }
 
@@ -26,8 +23,6 @@ impl Histogram {
             lo,
             hi,
             bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
             count: 0,
         }
     }
@@ -35,11 +30,7 @@ impl Histogram {
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
+        if (self.lo..self.hi).contains(&x) {
             let w = (self.hi - self.lo) / self.bins.len() as f64;
             let idx = ((x - self.lo) / w) as usize;
             // Floating-point edge: (hi - eps) can round up to bins.len().
@@ -51,11 +42,6 @@ impl Histogram {
     /// Total number of observations (including out-of-range).
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Counts below `lo` / at-or-above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
     }
 
     /// The raw bin counts.
@@ -73,18 +59,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Index of the fullest bin (mode), if any sample landed in range.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.bins.iter().all(|&c| c == 0) {
-            return None;
-        }
-        self.bins
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(i, _)| i)
-    }
-
     /// Renders a compact ASCII sparkline-style row, used in `repro fig7`.
     pub fn ascii(&self, width_per_bin: usize) -> String {
         let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
@@ -100,44 +74,6 @@ impl Histogram {
     }
 }
 
-/// Percentile summary of a sample set (exact, by sorting a copy).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Percentiles {
-    /// 50th percentile (median).
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Percentiles {
-    /// Computes percentiles of a non-empty sample set using the
-    /// nearest-rank method on a sorted copy.
-    pub fn of(samples: &[f64]) -> Option<Percentiles> {
-        if samples.is_empty() {
-            return None;
-        }
-        let mut v = samples.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let rank = |p: f64| -> f64 {
-            let idx = ((p / 100.0) * v.len() as f64).ceil() as usize;
-            v[idx.clamp(1, v.len()) - 1]
-        };
-        Some(Percentiles {
-            p50: rank(50.0),
-            p90: rank(90.0),
-            p99: rank(99.0),
-            min: v[0],
-            max: v[v.len() - 1],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +86,6 @@ mod tests {
         }
         assert_eq!(h.count(), 10);
         assert!(h.bins().iter().all(|&c| c == 1));
-        assert_eq!(h.out_of_range(), (0, 0));
     }
 
     #[test]
@@ -161,7 +96,7 @@ mod tests {
         h.push(5.0);
         h.push(0.5);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.out_of_range(), (1, 2));
+        assert_eq!(h.bins(), &[0, 0, 1, 0]);
     }
 
     #[test]
@@ -172,50 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn mode_bin_found() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        h.push(1.5);
-        h.push(1.6);
-        h.push(0.5);
-        assert_eq!(h.mode_bin(), Some(1));
-    }
-
-    #[test]
-    fn mode_bin_empty() {
-        let h = Histogram::new(0.0, 3.0, 3);
-        assert_eq!(h.mode_bin(), None);
-    }
-
-    #[test]
     fn centers_are_midpoints() {
         let h = Histogram::new(0.0, 4.0, 4);
         let centers: Vec<f64> = h.centers().iter().map(|&(c, _)| c).collect();
         assert_eq!(centers, vec![0.5, 1.5, 2.5, 3.5]);
-    }
-
-    #[test]
-    fn percentiles_of_known_set() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let p = Percentiles::of(&samples).unwrap();
-        assert_eq!(p.p50, 50.0);
-        assert_eq!(p.p90, 90.0);
-        assert_eq!(p.p99, 99.0);
-        assert_eq!(p.min, 1.0);
-        assert_eq!(p.max, 100.0);
-    }
-
-    #[test]
-    fn percentiles_empty_is_none() {
-        assert!(Percentiles::of(&[]).is_none());
-    }
-
-    #[test]
-    fn percentiles_single_sample() {
-        let p = Percentiles::of(&[7.0]).unwrap();
-        assert_eq!(p.p50, 7.0);
-        assert_eq!(p.p99, 7.0);
-        assert_eq!(p.min, 7.0);
-        assert_eq!(p.max, 7.0);
     }
 
     #[test]

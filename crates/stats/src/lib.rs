@@ -15,10 +15,8 @@
 //!   exponential, …) implemented directly on top of the generator since
 //!   `rand_distr` is not available offline,
 //! * [`online`] — streaming mean/variance/min/max (Welford),
-//! * [`histogram`] — fixed-bin histograms and percentile summaries used by
-//!   the figure reproduction harness,
-//! * [`retry`] — a bounded exponential-backoff policy with seeded jitter,
-//!   shared by the storage and transport fault-tolerance paths.
+//! * [`histogram`] — fixed-bin histograms used by the figure reproduction
+//!   harness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,11 +24,9 @@
 pub mod dist;
 pub mod histogram;
 pub mod online;
-pub mod retry;
 pub mod rng;
 
-pub use dist::{Dist, Distribution};
-pub use histogram::{Histogram, Percentiles};
+pub use dist::Dist;
+pub use histogram::Histogram;
 pub use online::OnlineStats;
-pub use retry::Retry;
 pub use rng::{splitmix64, SeedSequence, Xoshiro256};

@@ -1,10 +1,9 @@
 //! The pop-newest / steal-oldest task deque policy as plain data.
 //!
-//! `crossbeam-deque` implements this policy lock-free for the threaded pool;
-//! the discrete-event simulator needs the *same policy* but single-threaded
-//! and deterministic, so it drives this plain `VecDeque`-backed version.
-//! Keeping the policy in one shape in both engines is what makes simulator
-//! results explanatory for the real runtime.
+//! Both engines run this one type. The threaded pool keeps one per worker
+//! behind a lock; the discrete-event simulator drives it single-threaded
+//! and deterministically. Keeping the policy in one shape in both engines
+//! is what makes simulator results explanatory for the real runtime.
 
 use std::collections::VecDeque;
 
@@ -87,6 +86,18 @@ mod tests {
         d.push(blk(3));
         assert_eq!(d.steal(), Some(blk(2)));
         assert_eq!(d.steal(), Some(blk(3)));
+        assert_eq!(d.steal(), None);
+    }
+
+    #[test]
+    fn owner_and_thief_interleave_at_opposite_ends() {
+        let mut d = TaskDeque::new();
+        d.push(blk(2));
+        d.push(blk(3));
+        d.push(blk(4));
+        assert_eq!(d.pop(), Some(blk(4))); // owner: depth-first
+        assert_eq!(d.steal(), Some(blk(2))); // thief: oldest
+        assert_eq!(d.pop(), Some(blk(3)));
         assert_eq!(d.steal(), None);
     }
 

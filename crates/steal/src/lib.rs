@@ -16,8 +16,8 @@
 //!   so one fast worker cannot claim the whole matrix.
 //!
 //! [`deque::TaskDeque`] captures the pop-newest/steal-oldest policy as plain
-//! data (shared with the simulator); [`pool::StealPool`] is the threaded
-//! execution engine built on `crossbeam-deque`.
+//! data, shared by the simulator and [`pool::StealPool`], the threaded
+//! execution engine, which keeps one locked `TaskDeque` per worker.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

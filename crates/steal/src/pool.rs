@@ -1,10 +1,12 @@
-//! Threaded hierarchical work-stealing pool over `crossbeam-deque`.
+//! Threaded hierarchical work-stealing pool: one [`TaskDeque`] per worker,
+//! each behind its own named lock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crossbeam::deque::{Steal, Stealer, Worker as Deque};
+use rocket_sanitize::Mutex;
 
 use crate::block::{Block, Pair};
+use crate::deque::TaskDeque;
 
 /// Maps each worker to the node it lives on; stealing prefers same-node
 /// victims (§4.2: "workers first attempt to steal from a worker on the same
@@ -236,6 +238,12 @@ impl StealPool {
     /// once per leaf block (at most [`StealPoolConfig::leaf_pairs`] pairs)
     /// from pool worker threads. `on_leaf` may block (that is how the
     /// concurrent-job limit applies back-pressure to the scheduler).
+    ///
+    /// Each worker owns one [`TaskDeque`] under a lock named `"deques"`.
+    /// A thread never holds two deque locks at once: a thief takes the
+    /// victim's block in one statement and only then pushes it onto its
+    /// own deque. The witness cannot see a nested acquisition of two
+    /// same-named locks, so that nesting would deadlock without a report.
     pub fn run_leaves<F>(
         n: u64,
         topology: &WorkerTopology,
@@ -255,14 +263,15 @@ impl StealPool {
             };
         }
 
-        let deques: Vec<Deque<Block>> = (0..workers).map(|_| Deque::new_lifo()).collect();
-        let stealers: Vec<Stealer<Block>> = deques.iter().map(Deque::stealer).collect();
+        let deques: Vec<Mutex<TaskDeque>> = (0..workers)
+            .map(|_| Mutex::named("deques", TaskDeque::new()))
+            .collect();
         if config.static_partition {
             for (i, block) in partition(n, workers).into_iter().enumerate() {
-                deques[i % workers].push(block);
+                deques[i % workers].lock().push(block);
             }
         } else {
-            deques[0].push(Block::root(n));
+            deques[0].lock().push(Block::root(n));
         }
 
         let processed = AtomicU64::new(0);
@@ -270,7 +279,9 @@ impl StealPool {
         let remote_steals = AtomicU64::new(0);
         let per_worker: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
 
-        let run_worker = |worker: usize, deque: Deque<Block>| {
+        let steal_from = |victim: usize| deques[victim].lock().steal();
+        let run_worker = |worker: usize| {
+            let deque = &deques[worker];
             let mut rng = VictimRng(config.seed ^ (worker as u64).wrapping_mul(0x9E3779B97F4A7C15));
             let my_node = topology.node_of[worker];
             let siblings: Vec<usize> = (0..workers)
@@ -281,7 +292,10 @@ impl StealPool {
                 .collect();
             let mut idle_spins = 0u32;
             loop {
-                if let Some(block) = deque.pop() {
+                // Bound first: a guard in the `if let` scrutinee would stay
+                // locked through `on_leaf`.
+                let next = deque.lock().pop();
+                if let Some(block) = next {
                     idle_spins = 0;
                     let done = block.count();
                     if done <= config.leaf_pairs {
@@ -289,8 +303,10 @@ impl StealPool {
                         per_worker[worker].fetch_add(done, Ordering::Relaxed);
                         processed.fetch_add(done, Ordering::Relaxed);
                     } else {
-                        for child in block.split() {
-                            deque.push(child);
+                        let children = block.split();
+                        let mut own = deque.lock();
+                        for child in children {
+                            own.push(child);
                         }
                     }
                     continue;
@@ -313,8 +329,8 @@ impl StealPool {
                         break;
                     }
                     let victim = siblings[rng.below(siblings.len())];
-                    if let Steal::Success(block) = stealers[victim].steal() {
-                        deque.push(block);
+                    if let Some(block) = steal_from(victim) {
+                        deque.lock().push(block);
                         local_steals.fetch_add(1, Ordering::Relaxed);
                         stolen = true;
                         break;
@@ -322,8 +338,8 @@ impl StealPool {
                 }
                 if !stolen && !strangers.is_empty() {
                     let victim = strangers[rng.below(strangers.len())];
-                    if let Steal::Success(block) = stealers[victim].steal() {
-                        deque.push(block);
+                    if let Some(block) = steal_from(victim) {
+                        deque.lock().push(block);
                         remote_steals.fetch_add(1, Ordering::Relaxed);
                         stolen = true;
                     }
@@ -346,9 +362,9 @@ impl StealPool {
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            for (worker, deque) in deques.into_iter().enumerate() {
+            for worker in 0..workers {
                 let run_worker = &run_worker;
-                handles.push(scope.spawn(move || run_worker(worker, deque)));
+                handles.push(scope.spawn(move || run_worker(worker)));
             }
             for h in handles {
                 h.join().expect("pool worker panicked");
@@ -464,7 +480,6 @@ fn partition(n: u64, workers: usize) -> Vec<Block> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocket_sanitize::Mutex;
     use std::collections::HashSet;
     use std::sync::OnceLock;
     use std::thread::ThreadId;

@@ -17,7 +17,8 @@ use rocket::steal::JobLimiter;
 #[test]
 fn instrumented_workloads_are_witnessed_and_inversions_panic() {
     // Phase 1: real workloads under instrumentation. The threaded engine
-    // exercises host_slots/outputs/objects; the limiter its semaphore.
+    // exercises host_slots/outputs/objects, its channels and the steal
+    // pool's deques; the limiter its semaphore.
     let cfg = ForensicsConfig {
         images: 10,
         cameras: 2,
@@ -44,7 +45,14 @@ fn instrumented_workloads_are_witnessed_and_inversions_panic() {
     limiter.release();
 
     let locks = sanitize::locks();
-    for name in ["available", "host_slots", "outputs", "objects"] {
+    for name in [
+        "available",
+        "host_slots",
+        "outputs",
+        "objects",
+        "channel",
+        "deques",
+    ] {
         assert!(
             locks.iter().any(|l| l == name),
             "lock `{name}` not witnessed: {locks:?}"
