@@ -12,12 +12,13 @@
 //! formatting and persistence of those reports:
 //!
 //! * stdout + `--out DIR/<name>.txt` — the rendered report (comparison
-//!   table plus the figure narrative); figure-specific CSV series land in
-//!   the same directory,
+//!   table plus the figure's text); the figure's CSV series land in the
+//!   same directory (`--out` defaults to `results`),
 //! * `--json PATH` — one JSON-Lines record per grid cell
 //!   (`{"experiment":…,"cell":…,"coords":…,"report":…}`) — the durable
-//!   format for cross-PR performance tracking; the file is truncated at
-//!   startup so one invocation produces one coherent snapshot,
+//!   format for tracking performance across changes; the file is
+//!   rewritten after each experiment so one invocation produces one
+//!   coherent snapshot,
 //! * `--csv PATH` — the study grid as CSV (axis columns + headline
 //!   replication statistics); with multiple experiments the file holds
 //!   one header+rows section per study, separated by blank lines,
@@ -27,16 +28,17 @@
 //!   p50/p99 stage rollups (see `docs/perf-log.md`). Recording never
 //!   changes results — instrumentation stays out-of-band.
 //!
-//! `--list` prints every experiment with a one-line description; unknown
-//! experiment names suggest the closest match.
+//! `--scale N` divides every data set further (`N` ≥ 1). `--list` prints
+//! every experiment with a one-line description; unknown experiment names
+//! suggest the closest match. An experiment that fails prints
+//! `experiment <name> failed: <error>` and exits 1.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rocket_bench::experiments::{run_experiment, ExpOptions, ALL_EXPERIMENTS};
-use rocket_bench::util::write_result;
+use rocket_bench::{ExpOptions, Experiment, EXPERIMENTS};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -44,20 +46,16 @@ fn usage() -> ExitCode {
     );
     eprintln!("       repro --list");
     eprintln!("experiments:");
-    for (name, _) in ALL_EXPERIMENTS {
-        eprintln!("  {name}");
+    for e in EXPERIMENTS {
+        eprintln!("  {}", e.name);
     }
     ExitCode::FAILURE
 }
 
 fn list() -> ExitCode {
-    let width = ALL_EXPERIMENTS
-        .iter()
-        .map(|(n, _)| n.len())
-        .max()
-        .unwrap_or(0);
-    for (name, exp) in ALL_EXPERIMENTS {
-        println!("{name:<width$}  {}", exp.description());
+    let width = EXPERIMENTS.iter().map(|e| e.name.len()).max().unwrap_or(0);
+    for e in EXPERIMENTS {
+        println!("{:<width$}  {}", e.name, e.description);
     }
     ExitCode::SUCCESS
 }
@@ -82,9 +80,9 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// The known experiment name closest to `target` (including `all`), if
 /// any is close enough to plausibly be a typo.
 fn closest_experiment(target: &str) -> Option<&'static str> {
-    ALL_EXPERIMENTS
+    EXPERIMENTS
         .iter()
-        .map(|&(n, _)| n)
+        .map(|e| e.name)
         .chain(std::iter::once("all"))
         .map(|n| (edit_distance(target, n), n))
         .min()
@@ -92,24 +90,15 @@ fn closest_experiment(target: &str) -> Option<&'static str> {
         .map(|(_, n)| n)
 }
 
-/// Truncates `path` (creating parent directories), so appended records
-/// form one coherent snapshot per invocation.
-fn start_fresh(path: &PathBuf) -> Result<(), std::io::Error> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
+/// Writes each `(path, content)`, creating parent directories as needed.
+fn write_files(files: &[(PathBuf, &str)]) -> Result<(), std::io::Error> {
+    for (path, content) in files {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(path, content)?;
     }
-    std::fs::write(path, "")
-}
-
-fn append(path: &PathBuf, content: &str) {
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, content.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("warning: could not persist to {}: {e}", path.display());
-    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -122,48 +111,45 @@ fn main() -> ExitCode {
     }
     let mut target = String::new();
     let mut opts = ExpOptions::default();
+    let mut out_dir = PathBuf::from("results");
     let mut json_out: Option<PathBuf> = None;
     let mut csv_out: Option<PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            usage();
+            return ExitCode::SUCCESS;
+        }
+        if !arg.starts_with("--") && target.is_empty() {
+            target = arg;
+            continue;
+        }
+        // Every option takes one value.
+        let Some(value) = it.next() else {
+            return usage();
+        };
         match arg.as_str() {
-            "--scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.extra_scale = v,
-                None => return usage(),
+            "--out" => out_dir = PathBuf::from(value),
+            "--json" => json_out = Some(PathBuf::from(value)),
+            "--csv" => csv_out = Some(PathBuf::from(value)),
+            "--perf-log" => opts.perf_log = Some(PathBuf::from(value)),
+            // A `NonZeroU64`: `--scale 0` is rejected, not read as 1.
+            "--scale" => match value.parse() {
+                Ok(v) => opts.extra_scale = v,
+                Err(_) => return usage(),
             },
-            "--out" => match it.next() {
-                Some(v) => opts.out_dir = PathBuf::from(v),
-                None => return usage(),
+            "--seed" => match value.parse() {
+                Ok(v) => opts.seed = v,
+                Err(_) => return usage(),
             },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.seed = v,
-                None => return usage(),
-            },
-            "--json" => match it.next() {
-                Some(v) => json_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--csv" => match it.next() {
-                Some(v) => csv_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--perf-log" => match it.next() {
-                Some(v) => opts.perf_log = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            name if target.is_empty() => target = name.to_string(),
             _ => return usage(),
         }
     }
-    let selected: Vec<_> = if target == "all" {
-        ALL_EXPERIMENTS.to_vec()
+    let selected: Vec<&Experiment> = if target == "all" {
+        EXPERIMENTS.iter().collect()
     } else {
-        match ALL_EXPERIMENTS.iter().find(|&&(n, _)| n == target) {
-            Some(&entry) => vec![entry],
+        match EXPERIMENTS.iter().find(|e| e.name == target) {
+            Some(e) => vec![e],
             None => {
                 eprintln!("unknown experiment '{target}'");
                 if let Some(suggestion) = closest_experiment(&target) {
@@ -173,40 +159,47 @@ fn main() -> ExitCode {
             }
         }
     };
-    // One invocation = one snapshot: start the sink files fresh.
-    for path in [&json_out, &csv_out].into_iter().flatten() {
-        if let Err(e) = start_fresh(path) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut first_csv = true;
-    for (name, exp) in selected {
+    // One invocation = one snapshot: the JSON and CSV sinks hold every
+    // experiment run so far and are rewritten whole after each one.
+    let (mut json, mut csv) = (String::new(), String::new());
+    for exp in selected {
+        let name = exp.name;
         eprintln!("== running {name} ==");
         let t0 = std::time::Instant::now();
-        let report = run_experiment(exp, &opts);
+        let figure = match (exp.run)(&opts) {
+            Ok(figure) => figure,
+            Err(e) => {
+                eprintln!("experiment {name} failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let report = &figure.report;
         let rendered = report.render();
         println!("{rendered}");
-        write_result(&opts.out_dir, &format!("{name}.txt"), &rendered);
-        if let Some(path) = &json_out {
-            let mut lines = report.json_lines().join("\n");
-            lines.push('\n');
-            append(path, &lines);
+        for line in report.json_lines() {
+            json.push_str(&line);
+            json.push('\n');
         }
-        if let Some(path) = &csv_out {
-            let mut section = String::new();
-            if !first_csv {
-                section.push('\n');
-            }
-            section.push_str(&report.to_csv());
-            append(path, &section);
-            first_csv = false;
+        if !csv.is_empty() {
+            csv.push('\n');
+        }
+        csv.push_str(&report.to_csv());
+        let txt = out_dir.join(format!("{name}.txt"));
+        let mut files = vec![(txt.clone(), rendered.as_str())];
+        for (stem, content) in &figure.csv {
+            files.push((out_dir.join(format!("{stem}.csv")), content.as_str()));
+        }
+        files.extend(json_out.iter().map(|p| (p.clone(), json.as_str())));
+        files.extend(csv_out.iter().map(|p| (p.clone(), csv.as_str())));
+        if let Err(e) = write_files(&files) {
+            eprintln!("cannot write the results of {name}: {e}");
+            return ExitCode::FAILURE;
         }
         eprintln!(
             "== {name} done in {:.1}s ({} cells, written to {}) ==\n",
             t0.elapsed().as_secs_f64(),
             report.cells.len(),
-            opts.out_dir.join(format!("{name}.txt")).display()
+            txt.display()
         );
     }
     ExitCode::SUCCESS

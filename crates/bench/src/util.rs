@@ -1,42 +1,163 @@
-//! Report formatting and CSV output helpers.
+//! The figures' one table type: each column is declared once, and the text
+//! table and the CSV render from the same rows.
 
-use std::path::{Path, PathBuf};
+use rocket_core::study::{csv_field, render_table};
 
-use rocket_core::study::csv_field;
+/// How a column shows its values, in the text table and in the CSV. A
+/// float prints `{:.4}` in the CSV under every formatter but
+/// [`Fmt::Plain`] and [`Fmt::Gb`]; every other value prints as is there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fmt {
+    /// As is (`Display`) in both renderings.
+    Plain,
+    /// Seconds: [`fmt_secs`] in the text (`3.6 min`).
+    Secs,
+    /// A fraction: `86.3%` in the text, `0.8627` in the CSV.
+    Pct,
+    /// A percentage already in points: `86.3%` in the text, `86.2700` in
+    /// the CSV.
+    Points,
+    /// `{:.N}` in the text.
+    Fixed(usize),
+    /// `{:.N}` plus a unit in the text: speedups (`1.0x`), wall times.
+    Suffix(usize, &'static str),
+    /// Gigabytes: `20 GB` in the text, `20` in the CSV.
+    Gb,
+    /// A byte count: [`fmt_bytes`] in the text (`32.9 KB`).
+    Bytes,
+    /// A flag: `on`/`off` in the text, `true`/`false` in the CSV.
+    OnOff,
+}
 
-/// A simple fixed-width text table builder for terminal reports.
+/// A value a [`Table`] cell holds.
+pub trait Cell {
+    /// The value under `fmt`, as `(text, csv)`.
+    fn render(&self, fmt: Fmt) -> (String, String);
+}
+
+impl Cell for f64 {
+    fn render(&self, fmt: Fmt) -> (String, String) {
+        let x = *self;
+        let text = match fmt {
+            Fmt::Secs => fmt_secs(x),
+            Fmt::Pct => format!("{:.1}%", x * 100.0),
+            Fmt::Points => format!("{x:.1}%"),
+            Fmt::Fixed(d) => format!("{x:.d$}"),
+            Fmt::Suffix(d, unit) => format!("{x:.d$}{unit}"),
+            Fmt::Gb => format!("{x} GB"),
+            Fmt::Plain | Fmt::Bytes | Fmt::OnOff => x.to_string(),
+        };
+        let csv = match fmt {
+            Fmt::Plain | Fmt::Gb => x.to_string(),
+            _ => format!("{x:.4}"),
+        };
+        (text, csv)
+    }
+}
+
+impl Cell for u64 {
+    fn render(&self, fmt: Fmt) -> (String, String) {
+        let text = match fmt {
+            Fmt::Bytes => fmt_bytes(*self),
+            _ => self.to_string(),
+        };
+        (text, self.to_string())
+    }
+}
+
+impl Cell for bool {
+    fn render(&self, fmt: Fmt) -> (String, String) {
+        let text = match (fmt, self) {
+            (Fmt::OnOff, true) => "on".into(),
+            (Fmt::OnOff, false) => "off".into(),
+            _ => self.to_string(),
+        };
+        (text, self.to_string())
+    }
+}
+
+/// `Cell` for values shown as is under every formatter.
+macro_rules! plain_cells {
+    ($($t:ty),*) => {$(
+        impl Cell for $t {
+            fn render(&self, _: Fmt) -> (String, String) {
+                (self.to_string(), self.to_string())
+            }
+        }
+    )*};
+}
+
+plain_cells!(usize, &str, String);
+
+/// A table row: a tuple of cells, one per column.
+pub trait Row {
+    /// The row's cells in column order.
+    fn cells(&self) -> Vec<&dyn Cell>;
+}
+
+/// `Row` for every tuple of two to eight cells.
+macro_rules! tuple_rows {
+    ($v:ident) => {};
+    ($v:ident, $($vs:ident),+) => {
+        impl<$v: Cell, $($vs: Cell),+> Row for ($v, $($vs,)+) {
+            #[allow(non_snake_case)]
+            fn cells(&self) -> Vec<&dyn Cell> {
+                let ($v, $($vs,)+) = self;
+                vec![$v, $($vs),+]
+            }
+        }
+        tuple_rows!($($vs),+);
+    };
+}
+
+tuple_rows!(A, B, C, D, E, F, G, H);
+
+/// One column: its CSV header, its text label and its formatter.
+pub type Col = (&'static str, &'static str, Fmt);
+
+/// A figure's table: rows of values under declared columns, rendered as
+/// an aligned text table ([`Table::render`]) and as CSV
+/// ([`Table::to_csv`]).
 #[derive(Debug, Default)]
 pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+    cols: Vec<Col>,
+    text: Vec<Vec<String>>,
+    csv: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    /// An empty table over `cols`.
+    pub fn new(cols: &[Col]) -> Self {
         Self {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            cols: cols.to_vec(),
+            ..Self::default()
         }
     }
 
-    /// Appends a row (must match the header width).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells);
+    /// Appends a row (must match the column count).
+    pub fn row(&mut self, row: impl Row) -> &mut Self {
+        let cells = row.cells();
+        assert_eq!(cells.len(), self.cols.len(), "row width mismatch");
+        let fmts = self.cols.iter().map(|c| c.2);
+        let (text, csv) = cells.iter().zip(fmts).map(|(c, f)| c.render(f)).unzip();
+        self.text.push(text);
+        self.csv.push(csv);
         self
     }
 
-    /// Renders with aligned columns (delegates to the driver API's shared
-    /// renderer, so experiment tables and study tables look alike).
+    /// Renders the text labels and values with aligned columns (the
+    /// renderer `StudyReport::table` uses too, so figure tables and study
+    /// tables look alike).
     pub fn render(&self) -> String {
-        rocket_core::study::render_table(&self.header, &self.rows)
+        let labels: Vec<String> = self.cols.iter().map(|c| c.1.to_string()).collect();
+        render_table(&labels, &self.text)
     }
 
-    /// Renders as CSV.
+    /// Renders the CSV headers and values.
     pub fn to_csv(&self) -> String {
+        let header: Vec<String> = self.cols.iter().map(|c| c.0.to_string()).collect();
         let mut out = String::new();
-        for row in std::iter::once(&self.header).chain(&self.rows) {
+        for row in std::iter::once(&header).chain(&self.csv) {
             let fields: Vec<_> = row.iter().map(|c| csv_field(c)).collect();
             out.push_str(&fields.join(","));
             out.push('\n');
@@ -75,47 +196,58 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Writes `content` under the results directory, creating it as needed;
-/// returns the path.
-pub fn write_result(dir: &Path, name: &str, content: &str) -> PathBuf {
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    std::fs::write(&path, content).expect("write result file");
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new(&["name", "value"]);
-        t.row(vec!["a".into(), "1".into()]);
-        t.row(vec!["long-name".into(), "200".into()]);
+        let mut t = Table::new(&[("name", "name", Fmt::Plain), ("v", "value", Fmt::Plain)]);
+        t.row(("a", 1u64));
+        t.row(("long-name", 200u64));
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("name"));
+        assert!(lines[0].contains("value"));
         assert!(lines[2].ends_with("1"));
+        assert_eq!(t.to_csv(), "name,v\na,1\nlong-name,200\n");
     }
 
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn table_rejects_bad_rows() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["only-one".into()]);
+        let mut t = Table::new(&[("a", "a", Fmt::Plain), ("b", "b", Fmt::Plain)]);
+        t.row(("only-one", "and", "three"));
     }
 
     #[test]
     fn csv_escapes_commas() {
-        let mut t = Table::new(&["k", "v"]);
-        t.row(vec!["a,b".into(), "plain".into()]);
-        t.row(vec!["two\nlines".into(), "cr\r".into()]);
+        let mut t = Table::new(&[("k", "k", Fmt::Plain), ("v", "v", Fmt::Plain)]);
+        t.row(("a,b", "plain"));
+        t.row(("two\nlines", "cr\r"));
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\",plain"));
         // A line break inside a field must not split its row.
         assert!(csv.contains("\"two\nlines\",\"cr\r\""));
+    }
+
+    #[test]
+    fn one_formatter_gives_both_renderings() {
+        let cases: [(Fmt, &dyn Cell, &str, &str); 10] = [
+            (Fmt::Plain, &0.5, "0.5", "0.5"),
+            (Fmt::Secs, &216.0, "3.6 min", "216.0000"),
+            (Fmt::Pct, &0.86271, "86.3%", "0.8627"),
+            (Fmt::Points, &86.271, "86.3%", "86.2710"),
+            (Fmt::Fixed(2), &1.23456, "1.23", "1.2346"),
+            (Fmt::Suffix(1, "x"), &1.0, "1.0x", "1.0000"),
+            (Fmt::Gb, &20.0, "20 GB", "20"),
+            (Fmt::Bytes, &32_900u64, "32.9 KB", "32900"),
+            (Fmt::OnOff, &true, "on", "true"),
+            (Fmt::Plain, &7usize, "7", "7"),
+        ];
+        for (fmt, cell, text, csv) in cases {
+            assert_eq!(cell.render(fmt), (text.into(), csv.into()), "{fmt:?}");
+        }
     }
 
     #[test]
@@ -127,13 +259,5 @@ mod tests {
         assert_eq!(fmt_bytes(512), "512 B");
         assert_eq!(fmt_bytes(38_100_000), "38.1 MB");
         assert_eq!(fmt_bytes(19_400_000_000), "19.4 GB");
-    }
-
-    #[test]
-    fn write_result_creates_file() {
-        let dir = std::env::temp_dir().join(format!("rocket-results-{}", std::process::id()));
-        let p = write_result(&dir, "x.txt", "hello");
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
