@@ -4,7 +4,9 @@
 //! scenario *execution*. Two implementations exist:
 //!
 //! * [`ThreadedBackend`] (here) — the real runtime: threads, virtual GPUs,
-//!   an actual [`Application`] over an object store,
+//!   an actual [`Application`] over an object store; its
+//!   [`ThreadedBackend::run_app`] returns the typed outputs and failed
+//!   pairs beside the report, as one [`AppReport`],
 //! * `rocket_sim::SimBackend` — the discrete-event simulator, which samples
 //!   the scenario's workload profile in virtual time.
 //!
@@ -82,8 +84,9 @@ impl<A: Application> ThreadedBackend<A> {
         &self.store
     }
 
-    /// Runs the scenario and returns the typed report (per-pair outputs
-    /// included). [`Backend::run`] is this plus [`AppReport::unified`].
+    /// Runs the scenario and returns the typed per-pair outputs, the
+    /// failed pairs and the run's report. [`Backend::run`] is this
+    /// report alone.
     ///
     /// The scenario's item count must match the application's — the
     /// runtime sizes every structure from the app, so a mismatch means
@@ -97,7 +100,7 @@ impl<A: Application> ThreadedBackend<A> {
     /// its post-processes (one stage record per task, stamped at completion
     /// on a clock all nodes share, `value` = duration); it receives the
     /// records once the run is complete.
-    /// [`Backend::run_with_perf`] is this plus [`AppReport::unified`].
+    /// [`Backend::run_with_perf`] is this report alone.
     /// Recording changes only the report's busy times, never the computed
     /// results.
     pub fn run_app_with_perf(
@@ -114,11 +117,7 @@ impl<A: Application> ThreadedBackend<A> {
                 self.app.item_count()
             )));
         }
-        let report = cluster::run(&self.app, &self.store, scenario, perf.is_enabled())?;
-        for node in &report.nodes {
-            perf.extend(node.perf.iter().copied());
-        }
-        Ok(report)
+        cluster::run(&self.app, &self.store, scenario, perf)
     }
 }
 
@@ -128,10 +127,10 @@ impl<A: Application> Backend for ThreadedBackend<A> {
     }
 
     fn run(&self, scenario: &Scenario) -> Result<RunReport, RocketError> {
-        Ok(self.run_app(scenario)?.unified(scenario))
+        Ok(self.run_app(scenario)?.report)
     }
 
     fn run_with_perf(&self, scenario: &Scenario, perf: &PerfLog) -> Result<RunReport, RocketError> {
-        Ok(self.run_app_with_perf(scenario, perf)?.unified(scenario))
+        Ok(self.run_app_with_perf(scenario, perf)?.report)
     }
 }

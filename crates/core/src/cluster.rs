@@ -1,16 +1,16 @@
 //! Cluster driver: wires nodes, the work-stealing pool, and result
-//! collection into one `run` call.
+//! collection into one `run` call, which returns the typed outputs, the
+//! failed pairs and the run's [`RunReport`] as one [`AppReport`].
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use rocket_sanitize::Mutex;
 
 use rocket_cache::{CacheStats, DirectoryStats};
-use rocket_comm::{CommSnapshot, Transport, TransportKind};
-use rocket_steal::{Pair, StealPool, StealPoolConfig, StealStats, WorkerTopology};
+use rocket_comm::{Transport, TransportKind};
+use rocket_steal::{Pair, StealPool, StealPoolConfig, WorkerTopology};
 use rocket_storage::ObjectStore;
-use rocket_trace::PerfKind;
+use rocket_trace::{PerfKind, PerfLog, PerfRecord};
 
 use crate::app::Application;
 use crate::clock;
@@ -20,85 +20,20 @@ use crate::error::RocketError;
 use crate::report::{BusyTimes, RunReport};
 use crate::scenario::Scenario;
 
-/// Outcome of a full all-pairs run of a real [`Application`], including
-/// the typed per-pair outputs.
+/// Outcome of a full all-pairs run of a real [`Application`]: the typed
+/// per-pair outputs, the failed pairs and the run's [`RunReport`].
 #[derive(Debug)]
 pub struct AppReport<O> {
-    /// Number of items in the data set.
-    pub items: u64,
     /// Per-pair outputs (submission order; use
     /// [`AppReport::sorted_outputs`] for a canonical order).
     pub outputs: Vec<(Pair, O)>,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-    /// Per-node statistics.
-    pub nodes: Vec<NodeReport>,
-    /// Work-stealing statistics.
-    pub steal: StealStats,
+    /// Pairs that failed permanently, with causes.
+    pub failed: Vec<(Pair, String)>,
+    /// The run's report, the same shape [`crate::Backend::run`] returns.
+    pub report: RunReport,
 }
 
 impl<O> AppReport<O> {
-    /// Total executions of the load pipeline ℓ across the cluster.
-    pub fn total_loads(&self) -> u64 {
-        self.nodes.iter().map(|n| n.loads).sum()
-    }
-
-    /// The paper's R metric: loads relative to the data-set size (§6.1).
-    pub fn r_factor(&self) -> f64 {
-        if self.items == 0 {
-            0.0
-        } else {
-            self.total_loads() as f64 / self.items as f64
-        }
-    }
-
-    /// Items served from remote host caches (level-3 hits).
-    pub fn total_remote_fetches(&self) -> u64 {
-        self.nodes.iter().map(|n| n.remote_fetches).sum()
-    }
-
-    /// Cluster-wide transport traffic (sum of every node's counters;
-    /// all-zero on single-node runs, which have no transport).
-    pub fn comm_totals(&self) -> CommSnapshot {
-        let mut total = CommSnapshot::default();
-        for n in &self.nodes {
-            total.merge(&n.comm);
-        }
-        total
-    }
-
-    /// Merged device-cache statistics.
-    pub fn device_cache(&self) -> CacheStats {
-        let mut s = CacheStats::default();
-        for n in &self.nodes {
-            s.merge(&n.device_cache);
-        }
-        s
-    }
-
-    /// Merged host-cache statistics.
-    pub fn host_cache(&self) -> CacheStats {
-        let mut s = CacheStats::default();
-        for n in &self.nodes {
-            s.merge(&n.host_cache);
-        }
-        s
-    }
-
-    /// Merged distributed-cache lookup statistics (Fig 11's data).
-    pub fn directory(&self) -> DirectoryStats {
-        let mut s = DirectoryStats::default();
-        for n in &self.nodes {
-            s.merge(&n.directory);
-        }
-        s
-    }
-
-    /// All permanently failed pairs with causes.
-    pub fn failed(&self) -> Vec<&(Pair, String)> {
-        self.nodes.iter().flat_map(|n| n.failed.iter()).collect()
-    }
-
     /// Outputs sorted by pair (canonical order for comparisons).
     pub fn sorted_outputs(&self) -> Vec<&(Pair, O)> {
         let mut v: Vec<&(Pair, O)> = self.outputs.iter().collect();
@@ -106,65 +41,28 @@ impl<O> AppReport<O> {
         v
     }
 
-    /// Folds this typed report into the backend-agnostic [`RunReport`].
-    ///
-    /// `scenario` supplies the topology (to roll per-worker steal counters
-    /// up into per-node pair counts) and the transport kind (which names
-    /// the backend — `"threaded"` or `"threaded+socket"`). Busy times come
-    /// from the nodes' perf records when the run was recorded, zero otherwise;
-    /// `net_bytes` is the cluster-wide transport payload traffic, and
-    /// `io_bytes` is not tracked by the threaded runtime (reports zero).
-    pub fn unified(&self, scenario: &Scenario) -> RunReport {
-        // One pass over the (O(pairs)-sized) record list folds every class.
-        let mut busy = BusyTimes::default();
-        for rec in self.nodes.iter().flat_map(|n| &n.perf) {
-            let secs = rec.value as f64 / 1e9;
-            match rec.kind {
-                PerfKind::Preprocess => busy.preprocess += secs,
-                PerfKind::Compare => busy.compare += secs,
-                PerfKind::CopyIn => busy.h2d += secs,
-                PerfKind::CopyOut => busy.d2h += secs,
-                PerfKind::Parse | PerfKind::Postprocess => busy.cpu += secs,
-                PerfKind::Read => busy.io += secs,
-                // Event-valued kinds carry no duration.
-                _ => {}
-            }
-        }
-        // steal.pairs_per_worker is indexed by (node, device) in topology
-        // order — fold workers back onto their nodes.
-        let mut pairs_per_node = vec![0u64; scenario.nodes.len()];
-        let mut worker = 0usize;
-        for (node, spec) in scenario.nodes.iter().enumerate() {
-            for _ in 0..spec.gpus.len() {
-                if let Some(&pairs) = self.steal.pairs_per_worker.get(worker) {
-                    pairs_per_node[node] += pairs;
-                }
-                worker += 1;
-            }
-        }
-        RunReport {
-            backend: match scenario.transport {
-                TransportKind::Local => "threaded",
-                TransportKind::Socket => "threaded+socket",
-            },
-            elapsed: self.elapsed.as_secs_f64(),
-            items: self.items,
-            pairs: self.outputs.len() as u64,
-            failed_pairs: self.failed().len() as u64,
-            loads: self.total_loads(),
-            remote_fetches: self.total_remote_fetches(),
-            io_bytes: 0,
-            net_bytes: self.comm_totals().bytes_sent,
-            net_msgs: self.comm_totals().msgs_sent,
-            steals: self.steal.local_steals + self.steal.remote_steals,
-            busy,
-            device_cache: self.device_cache(),
-            host_cache: self.host_cache(),
-            directory: self.directory(),
-            pairs_per_node,
-            sim_shards: 0,
-            sim_windows: 0,
-            degraded: false,
+    /// A copy of [`AppReport::report`]; `scenario` is unused. Kept only
+    /// because the benchmark harness (`benchmark/src/workloads/rt.rs`)
+    /// calls it; new code reads `.report`.
+    pub fn unified(&self, _scenario: &Scenario) -> RunReport {
+        self.report.clone()
+    }
+}
+
+/// Adds the durations of a node's stage records to the busy times of their
+/// resource classes.
+fn add_busy(busy: &mut BusyTimes, records: &[PerfRecord]) {
+    for rec in records {
+        let secs = rec.value as f64 / 1e9;
+        match rec.kind {
+            PerfKind::Preprocess => busy.preprocess += secs,
+            PerfKind::Compare => busy.compare += secs,
+            PerfKind::CopyIn => busy.h2d += secs,
+            PerfKind::CopyOut => busy.d2h += secs,
+            PerfKind::Parse | PerfKind::Postprocess => busy.cpu += secs,
+            PerfKind::Read => busy.io += secs,
+            // Event-valued kinds carry no duration.
+            _ => {}
         }
     }
 }
@@ -174,14 +72,20 @@ impl<O> AppReport<O> {
 /// work-stealing worker per GPU, and waits for every node to drain. The
 /// caller has validated `scenario`.
 ///
-/// With `record` on, every resource thread logs its tasks into
-/// [`NodeReport::perf`] against the stopwatch that also measures
-/// [`AppReport::elapsed`], so all nodes share one clock.
+/// The report is built once, as the conductors finish: each node's
+/// [`crate::engine::NodeCore`] folds its statistics into it, and its
+/// transport counters, failed pairs and perf records follow. Busy times
+/// come from the perf records, so they are zero unless `perf` is enabled;
+/// `io_bytes` is not tracked here and stays zero.
+///
+/// With `perf` enabled, every resource thread times its tasks against the
+/// stopwatch that also measures [`RunReport::elapsed`], so all nodes share
+/// one clock, and `perf` receives every node's records.
 pub(crate) fn run<A: Application>(
     app: &Arc<A>,
     store: &Arc<dyn ObjectStore>,
     scenario: &Scenario,
-    record: bool,
+    perf: &PerfLog,
 ) -> Result<AppReport<A::Output>, RocketError> {
     let scenario = Arc::new(scenario.clone());
     let nodes = scenario.nodes.len();
@@ -223,7 +127,7 @@ pub(crate) fn run<A: Application>(
                 endpoints[node_id].take(),
                 Arc::clone(&outputs),
                 &limiters,
-                record.then_some(Recording {
+                perf.is_enabled().then_some(Recording {
                     clock: start,
                     node: node_id as u32,
                 }),
@@ -272,11 +176,50 @@ pub(crate) fn run<A: Application>(
         .map(|m| m.into_inner())
         .unwrap_or_default();
 
-    Ok(AppReport {
+    // steal.pairs_per_worker is indexed by worker in topology order: fold
+    // workers back onto their nodes.
+    let mut pairs_per_node = vec![0u64; nodes];
+    for (&(node, _), &pairs) in worker_map.iter().zip(&steal.pairs_per_worker) {
+        pairs_per_node[node] += pairs;
+    }
+    let mut report = RunReport {
+        backend: match scenario.transport {
+            TransportKind::Local => "threaded",
+            TransportKind::Socket => "threaded+socket",
+        },
+        elapsed: elapsed.as_secs_f64(),
         items: n,
+        pairs: outputs.len() as u64,
+        failed_pairs: 0,
+        loads: 0,
+        remote_fetches: 0,
+        io_bytes: 0,
+        net_bytes: 0,
+        net_msgs: 0,
+        steals: steal.local_steals + steal.remote_steals,
+        busy: BusyTimes::default(),
+        device_cache: CacheStats::default(),
+        host_cache: CacheStats::default(),
+        directory: DirectoryStats::default(),
+        pairs_per_node,
+        sim_shards: 0,
+        sim_windows: 0,
+        degraded: false,
+    };
+    let mut failed = Vec::new();
+    for node in node_reports {
+        node.core.fold_into(&mut report);
+        report.net_bytes += node.comm.bytes_sent;
+        report.net_msgs += node.comm.msgs_sent;
+        add_busy(&mut report.busy, &node.perf);
+        perf.extend(node.perf);
+        failed.extend(node.failed);
+    }
+    report.failed_pairs = failed.len() as u64;
+
+    Ok(AppReport {
         outputs,
-        elapsed,
-        nodes: node_reports,
-        steal,
+        failed,
+        report,
     })
 }

@@ -63,7 +63,7 @@ use bytes::Bytes;
 use rocket_sanitize::channel::{unbounded, Receiver, Sender};
 use rocket_sanitize::Mutex;
 
-use rocket_cache::{CacheStats, DirectoryStats, ItemId, SlotIdx};
+use rocket_cache::{ItemId, SlotIdx};
 use rocket_comm::{CommSnapshot, RecvError, Transport, Wire};
 use rocket_gpu::{BufferId, VirtualDevice};
 use rocket_steal::{JobLimiter, Pair};
@@ -142,21 +142,11 @@ struct Compare {
     right: BufferId,
 }
 
-/// Statistics and outcome of one node's run.
-#[derive(Debug)]
-pub struct NodeReport {
-    /// Node rank.
-    pub node: usize,
-    /// Merged per-device cache counters (level 1).
-    pub device_cache: CacheStats,
-    /// Host cache counters (level 2).
-    pub host_cache: CacheStats,
-    /// Distributed-cache lookup counters (level 3).
-    pub directory: DirectoryStats,
-    /// Executions of the load pipeline ℓ on this node.
-    pub loads: u64,
-    /// Items obtained from remote host caches.
-    pub remote_fetches: u64,
+/// What one node's conductor hands back when it stops: its core, whose
+/// statistics `cluster::run` folds into the run's report, and what
+/// only the threaded executor observes.
+pub(crate) struct NodeReport {
+    pub core: NodeCore,
     /// Pairs that failed permanently, with causes.
     pub failed: Vec<(Pair, String)>,
     /// One stage record per stage the node's resource threads executed,
@@ -336,7 +326,6 @@ pub(crate) fn spawn_node<A: Application>(
 }
 
 struct Conductor<A: Application> {
-    node_id: usize,
     core: NodeCore,
     exec: Executor<A>,
     events_rx: Receiver<Event>,
@@ -478,7 +467,6 @@ impl<A: Application> Conductor<A> {
             limiter,
         };
         Self {
-            node_id,
             core,
             exec,
             events_rx,
@@ -520,12 +508,7 @@ impl<A: Application> Conductor<A> {
             .chain(exec.recorder.into_records())
             .collect();
         NodeReport {
-            node: self.node_id,
-            device_cache: core.device_stats(),
-            host_cache: core.host_stats(),
-            directory: core.directory_stats().clone(),
-            loads: core.loads(),
-            remote_fetches: core.remote_fetches(),
+            core,
             failed: exec.failed,
             perf,
             comm: exec

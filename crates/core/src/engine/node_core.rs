@@ -66,14 +66,12 @@
 
 use std::collections::VecDeque;
 
-use rocket_cache::{
-    CacheStats, Directory, DirectoryStats, FxHashMap, ItemId, Lookup, Resolution, SlotCache,
-    SlotIdx,
-};
+use rocket_cache::{Directory, FxHashMap, ItemId, Lookup, Resolution, SlotCache, SlotIdx};
 use rocket_steal::Pair;
 use rocket_trace::PerfKind;
 
 pub use crate::engine::messages::PeerMsg;
+use crate::report::RunReport;
 use crate::scenario::Scenario;
 
 /// Job identifier within one node: its slab index.
@@ -233,33 +231,18 @@ impl NodeCore {
         }
     }
 
-    /// Executions of the load pipeline ℓ on this node.
-    pub fn loads(&self) -> u64 {
-        self.loads
-    }
-
-    /// Items obtained from remote host caches.
-    pub fn remote_fetches(&self) -> u64 {
-        self.remote_fetches
-    }
-
-    /// Device cache counters, merged over the node's devices.
-    pub fn device_stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
+    /// Adds this node's statistics to `report`: its loads and remote
+    /// fetches, its devices' and host's cache counters and its directory's
+    /// lookup counters. Both engines build their [`RunReport`] through
+    /// this one roll-up, node by node.
+    pub fn fold_into(&self, report: &mut RunReport) {
+        report.loads += self.loads;
+        report.remote_fetches += self.remote_fetches;
         for cache in &self.dev_cache {
-            stats.merge(&cache.stats());
+            report.device_cache.merge(&cache.stats());
         }
-        stats
-    }
-
-    /// Host cache counters.
-    pub fn host_stats(&self) -> CacheStats {
-        self.host_cache.stats()
-    }
-
-    /// Distributed-cache lookup counters.
-    pub fn directory_stats(&self) -> &DirectoryStats {
-        self.directory.stats()
+        report.host_cache.merge(&self.host_cache.stats());
+        report.directory.merge(self.directory.stats());
     }
 
     // ---- inputs ----------------------------------------------------------

@@ -54,7 +54,7 @@
 //! let backend = ThreadedBackend::new(Arc::new(ByteSum), Arc::new(store));
 //! let report = backend.run_app(&scenario).unwrap();
 //! assert_eq!(report.outputs.len(), 6); // C(4,2) pairs
-//! assert!(report.failed().is_empty());
+//! assert!(report.failed.is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -86,7 +86,6 @@ pub mod workload;
 pub use app::{bytesutil, Application, Operand};
 pub use backend::{Backend, ThreadedBackend};
 pub use cluster::AppReport;
-pub use engine::NodeReport;
 pub use error::{AppError, RocketError};
 pub use replications::{AdaptiveReplications, ReplicationReport, Replications};
 pub use report::{BusyTimes, RunReport};

@@ -766,15 +766,11 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
         r.pairs += shard.pairs_done;
         for (node, core) in shard.nodes.iter().zip(&shard.cores) {
             makespan_ns = makespan_ns.max(node.makespan_ns);
-            r.loads += core.loads();
-            r.remote_fetches += core.remote_fetches();
+            core.fold_into(&mut r);
             r.io_bytes += node.io_bytes;
             r.net_bytes += node.net_bytes;
             r.pairs_per_node.push(node.pairs_done);
             r.busy.cpu += ns_to_secs(node.cpu.busy_ns());
-            r.host_cache.merge(&core.host_stats());
-            r.directory.merge(core.directory_stats());
-            r.device_cache.merge(&core.device_stats());
             for gpu in &node.gpus {
                 r.busy.preprocess += ns_to_secs(gpu.pre_busy_ns);
                 r.busy.compare += ns_to_secs(gpu.cmp_busy_ns);

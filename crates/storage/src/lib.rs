@@ -6,7 +6,6 @@
 //! list, size, read — expressed by the [`ObjectStore`] trait. Backends:
 //!
 //! * [`MemStore`] — in-memory objects (synthetic data sets, tests),
-//! * [`DirStore`] — a directory on the local filesystem,
 //! * [`FaultStore`] — deterministic failure injection for robustness tests.
 
 #![warn(missing_docs)]
@@ -16,4 +15,4 @@ pub mod fault;
 pub mod store;
 
 pub use fault::FaultStore;
-pub use store::{DirStore, MemStore, ObjectStore, StorageError};
+pub use store::{MemStore, ObjectStore, StorageError};

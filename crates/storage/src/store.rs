@@ -1,9 +1,7 @@
-//! The [`ObjectStore`] trait and the basic in-memory / on-disk backends.
+//! The [`ObjectStore`] trait and the in-memory backend.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
-use std::path::PathBuf;
 
 use bytes::Bytes;
 use rocket_sanitize::RwLock;
@@ -13,8 +11,6 @@ use rocket_sanitize::RwLock;
 pub enum StorageError {
     /// The requested object does not exist.
     NotFound(String),
-    /// An underlying I/O failure (on-disk backend, injected faults).
-    Io(io::Error),
     /// The store rejected the request (e.g. injected fault).
     Unavailable(String),
 }
@@ -23,23 +19,12 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::NotFound(key) => write!(f, "object not found: {key}"),
-            StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
             StorageError::Unavailable(why) => write!(f, "storage unavailable: {why}"),
         }
     }
 }
 
 impl std::error::Error for StorageError {}
-
-impl From<io::Error> for StorageError {
-    fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::NotFound {
-            StorageError::NotFound(e.to_string())
-        } else {
-            StorageError::Io(e)
-        }
-    }
-}
 
 /// Result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;
@@ -155,83 +140,6 @@ impl ObjectStore for MemStore {
     }
 }
 
-/// Filesystem-backed store rooted at a directory. Keys are paths relative to
-/// the root; only regular files directly under the root (recursively) are
-/// listed.
-#[derive(Debug)]
-pub struct DirStore {
-    root: PathBuf,
-}
-
-impl DirStore {
-    /// Creates a store rooted at `root`.
-    pub fn new(root: impl Into<PathBuf>) -> Self {
-        Self { root: root.into() }
-    }
-
-    /// The root directory.
-    pub fn root(&self) -> &PathBuf {
-        &self.root
-    }
-
-    fn resolve(&self, key: &str) -> Result<PathBuf> {
-        // Reject path traversal: keys must stay under the root.
-        if key.split('/').any(|c| c == "..") || key.starts_with('/') {
-            return Err(StorageError::Unavailable(format!(
-                "key escapes store root: {key}"
-            )));
-        }
-        Ok(self.root.join(key))
-    }
-
-    fn walk(dir: &PathBuf, prefix: &str, out: &mut Vec<String>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let rel = if prefix.is_empty() {
-                name.clone()
-            } else {
-                format!("{prefix}/{name}")
-            };
-            let path = entry.path();
-            if path.is_dir() {
-                Self::walk(&path, &rel, out);
-            } else if path.is_file() {
-                out.push(rel);
-            }
-        }
-    }
-}
-
-impl ObjectStore for DirStore {
-    fn list(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        Self::walk(&self.root, "", &mut out);
-        out.sort_unstable();
-        out
-    }
-
-    fn size(&self, key: &str) -> Result<u64> {
-        let path = self.resolve(key)?;
-        Ok(std::fs::metadata(path)?.len())
-    }
-
-    fn read(&self, key: &str) -> Result<Bytes> {
-        let path = self.resolve(key)?;
-        Ok(Bytes::from(std::fs::read(path)?))
-    }
-
-    fn write(&self, key: &str, data: Bytes) -> Result<()> {
-        let path = self.resolve(key)?;
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        Ok(std::fs::write(path, &data)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,53 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn dirstore_lists_and_reads() {
-        let dir = std::env::temp_dir().join(format!("rocket-dirstore-{}", std::process::id()));
-        let sub = dir.join("sub");
-        std::fs::create_dir_all(&sub).unwrap();
-        std::fs::write(dir.join("one.txt"), b"hello").unwrap();
-        std::fs::write(sub.join("two.txt"), b"world!").unwrap();
-
-        let s = DirStore::new(&dir);
-        assert_eq!(s.list(), vec!["one.txt", "sub/two.txt"]);
-        assert_eq!(s.size("one.txt").unwrap(), 5);
-        assert_eq!(s.read("sub/two.txt").unwrap().as_ref(), b"world!");
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dirstore_rejects_traversal() {
-        let s = DirStore::new("/tmp");
-        assert!(matches!(
-            s.read("../etc/passwd"),
-            Err(StorageError::Unavailable(_))
-        ));
-        assert!(matches!(
-            s.read("/etc/passwd"),
-            Err(StorageError::Unavailable(_))
-        ));
-    }
-
-    #[test]
     fn memstore_write_roundtrip() {
         let s = MemStore::new();
         s.write("w.bin", Bytes::from_static(b"abc")).unwrap();
         assert_eq!(s.read("w.bin").unwrap().as_ref(), b"abc");
-    }
-
-    #[test]
-    fn dirstore_write_creates_parents() {
-        let dir = std::env::temp_dir().join(format!("rocket-dirstore-w-{}", std::process::id()));
-        let s = DirStore::new(&dir);
-        s.write("deep/nested/out.bin", Bytes::from_static(b"xyz"))
-            .unwrap();
-        assert_eq!(s.read("deep/nested/out.bin").unwrap().as_ref(), b"xyz");
-        assert!(matches!(
-            s.write("../escape.bin", Bytes::new()),
-            Err(StorageError::Unavailable(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -328,15 +193,6 @@ mod tests {
         assert!(matches!(
             ReadOnly.write("k", Bytes::new()),
             Err(StorageError::Unavailable(_))
-        ));
-    }
-
-    #[test]
-    fn dirstore_missing_file_maps_to_not_found() {
-        let s = DirStore::new(std::env::temp_dir());
-        assert!(matches!(
-            s.read("definitely-not-here-3141592.bin"),
-            Err(StorageError::NotFound(_))
         ));
     }
 }

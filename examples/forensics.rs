@@ -40,12 +40,12 @@ fn main() {
     let report = backend.run_app(&scenario).expect("run failed");
 
     println!(
-        "compared {} pairs in {:?} | loads {} (R = {:.2}) | host hits {:.0}%",
+        "compared {} pairs in {:.3}s | loads {} (R = {:.2}) | host hits {:.0}%",
         report.outputs.len(),
-        report.elapsed,
-        report.total_loads(),
-        report.r_factor(),
-        report.host_cache().hit_ratio() * 100.0
+        report.report.elapsed,
+        report.report.loads,
+        report.report.r_factor(),
+        report.report.host_cache.hit_ratio() * 100.0
     );
 
     // Score separation: the smallest same-camera NCC must exceed the

@@ -34,9 +34,9 @@ fn main() {
     let backend = ThreadedBackend::new(app, Arc::new(dataset.store));
     let report = backend.run_app(&scenario).expect("run failed");
     println!(
-        "registered {} particle pairs in {:?}",
+        "registered {} particle pairs in {:.3}s",
         report.outputs.len(),
-        report.elapsed
+        report.report.elapsed
     );
 
     let tau = std::f64::consts::TAU;

@@ -35,10 +35,10 @@ fn main() {
     let backend = ThreadedBackend::new(app, Arc::new(dataset.store));
     let report = backend.run_app(&scenario).expect("run failed");
     println!(
-        "computed {} pairwise distances in {:?} (R = {:.2})",
+        "computed {} pairwise distances in {:.3}s (R = {:.2})",
         report.outputs.len(),
-        report.elapsed,
-        report.r_factor()
+        report.report.elapsed,
+        report.report.r_factor()
     );
 
     // Assemble the condensed distance matrix in canonical order.

@@ -103,15 +103,15 @@ fn main() {
     let report = backend.run_app(&scenario).expect("run failed");
 
     println!(
-        "processed {} pairs in {:?}",
+        "processed {} pairs in {:.3}s",
         report.outputs.len(),
-        report.elapsed
+        report.report.elapsed
     );
     println!(
         "loads: {} (R = {:.2}), device cache hit ratio {:.0}%",
-        report.total_loads(),
-        report.r_factor(),
-        report.device_cache().hit_ratio() * 100.0
+        report.report.loads,
+        report.report.r_factor(),
+        report.report.device_cache.hit_ratio() * 100.0
     );
     let identical: Vec<_> = report
         .sorted_outputs()

@@ -50,18 +50,16 @@ fn main() {
             .static_partition(true)
             .transport(kind)
             .build();
-        let report = backend.run_app(&scenario).expect("cluster run");
-        let comm = report.comm_totals();
-        let unified = report.unified(&scenario);
+        let report = backend.run_app(&scenario).expect("cluster run").report;
         println!(
             "{:<10}  {:>16}  {:>7}  {:>5.2}  {:>9}  {:>12}  {:>8.2}s",
             kind.label(),
-            unified.backend,
-            unified.pairs,
-            unified.r_factor(),
-            comm.msgs_sent,
-            comm.bytes_sent,
-            unified.elapsed,
+            report.backend,
+            report.pairs,
+            report.r_factor(),
+            report.net_msgs,
+            report.net_bytes,
+            report.elapsed,
         );
     }
     println!(

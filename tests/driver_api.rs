@@ -236,7 +236,7 @@ fn threaded_backend_reports_unified_shape() {
     // Typed path: outputs present and correct count.
     let app_report = backend.run_app(&scenario).expect("run_app");
     assert_eq!(app_report.outputs.len(), 28);
-    assert!(app_report.failed().is_empty());
+    assert!(app_report.failed.is_empty());
 
     // Unified path: same aggregate shape as the simulator's.
     let report = backend
@@ -292,4 +292,57 @@ fn threaded_backend_rejects_item_count_mismatch() {
         .build();
     let err = backend.run_app(&scenario).unwrap_err();
     assert!(err.to_string().contains("8 items"), "{err}");
+}
+
+/// The report's conservation laws hold on both engines, with the
+/// distributed cache on and off: every pair is accounted for once, on
+/// some node; every item is loaded at least once and R = loads/n; each
+/// pair asks the device cache for both of its items; and without the
+/// distributed cache no node looks up or fetches from a peer.
+#[test]
+fn reports_obey_conservation_laws_on_both_engines() {
+    let n = 12u64;
+    let store = MemStore::from_iter((0..n).map(|i| (format!("{i}.bin"), vec![i as u8; 16])));
+    let threaded = ThreadedBackend::new(Arc::new(ByteSum { files: n }), Arc::new(store));
+    let sim = SimBackend::new();
+    for distributed in [true, false] {
+        let scenario = Scenario::builder()
+            .items(n)
+            .nodes(2, NodeSpec::uniform(1, 4, 6))
+            .job_limit(4)
+            .cpu_threads(2)
+            .leaf_pairs(2)
+            .distributed_cache(distributed)
+            .build();
+        let engines: [&dyn Backend; 2] = [&sim, &threaded];
+        for engine in engines {
+            let r = engine.run(&scenario).expect("run");
+            let label = format!("{} (distributed cache {distributed})", r.backend);
+            let pairs = n * (n - 1) / 2;
+            assert_eq!(r.pairs + r.failed_pairs, pairs, "{label}: pairs");
+            assert_eq!(r.failed_pairs, 0, "{label}: failed pairs");
+            assert_eq!(r.pairs_per_node.len(), 2, "{label}: nodes");
+            assert_eq!(
+                r.pairs_per_node.iter().sum::<u64>(),
+                pairs,
+                "{label}: pairs per node"
+            );
+            assert!(r.loads >= n, "{label}: {} loads of {n} items", r.loads);
+            assert_eq!(
+                r.r_factor(),
+                r.loads as f64 / n as f64,
+                "{label}: R = loads/n"
+            );
+            assert!(
+                r.device_cache.requests() >= 2 * r.pairs,
+                "{label}: {} device-cache requests for {} pairs",
+                r.device_cache.requests(),
+                r.pairs
+            );
+            if !distributed {
+                assert_eq!(r.directory.lookups(), 0, "{label}: lookups");
+                assert_eq!(r.remote_fetches, 0, "{label}: remote fetches");
+            }
+        }
+    }
 }

@@ -82,9 +82,9 @@ fn assert_outputs_match_oracle<O: PartialEq + std::fmt::Debug>(
     oracle: &[(Pair, O)],
 ) {
     assert!(
-        report.failed().is_empty(),
+        report.failed.is_empty(),
         "failed pairs: {:?}",
-        report.failed()
+        report.failed
     );
     assert_outputs_equal(report, oracle);
 }
@@ -176,15 +176,11 @@ fn multi_node_cluster_produces_identical_results() {
         .build();
     let report = run(app, ds.store, &scenario);
     assert_outputs_match_oracle(&report, &expected);
-    assert_eq!(report.nodes.len(), 3);
-    // All nodes participated.
-    let active = report
-        .steal
-        .pairs_per_worker
-        .iter()
-        .filter(|&&c| c > 0)
-        .count();
-    assert!(active >= 2, "workers: {:?}", report.steal.pairs_per_worker);
+    // All nodes participated (one worker per node).
+    let per_node = &report.report.pairs_per_node;
+    assert_eq!(per_node.len(), 3);
+    let active = per_node.iter().filter(|&&c| c > 0).count();
+    assert!(active >= 2, "pairs per node: {per_node:?}");
 }
 
 /// A write-back reads its device slot on the D2H thread after the slot is
@@ -244,17 +240,18 @@ fn distributed_cache_reduces_cluster_loads() {
     };
     let with = make(true);
     let without = make(false);
-    assert!(with.failed().is_empty() && without.failed().is_empty());
+    assert!(with.failed.is_empty() && without.failed.is_empty());
+    let (with, without) = (with.report, without.report);
     assert_eq!(
-        with.total_loads() + with.total_remote_fetches(),
-        without.total_loads(),
+        with.loads + with.remote_fetches,
+        without.loads,
         "every item a node needs is filled once, locally or remotely"
     );
     assert!(
-        with.total_remote_fetches() > 0,
+        with.remote_fetches > 0,
         "the distributed cache must replace some loads"
     );
-    assert_eq!(without.total_remote_fetches(), 0);
+    assert_eq!(without.remote_fetches, 0);
 }
 
 #[test]
@@ -295,10 +292,10 @@ fn missing_files_fail_only_dependent_pairs() {
     }
     let scenario = cluster(8, 1, 4, 8).job_limit(4).build();
     let report = run(ForensicsApp::new(&cfg), partial, &scenario);
-    assert_eq!(report.failed().len(), 7, "failed: {:?}", report.failed());
+    assert_eq!(report.failed.len(), 7, "failed: {:?}", report.failed);
     // Each failed pair names the item and the store's error.
     let not_found = StorageError::NotFound(ForensicsDataset::key(3)).to_string();
-    for (pair, cause) in report.failed() {
+    for (pair, cause) in &report.failed {
         assert!(pair.left == 3 || pair.right == 3, "{pair:?}");
         assert!(cause.starts_with("item 3: "), "{cause}");
         assert!(cause.contains(&not_found), "{cause}");
@@ -384,7 +381,7 @@ fn failed_compare_fails_only_its_pair() {
     // The run returning at all means every permit came back: the driver
     // waits for all of them before it finishes the node.
     let report = run(app, ds.store, &scenario);
-    let failed = report.failed();
+    let failed = &report.failed;
     assert_eq!(failed.len(), 1, "failed: {failed:?}");
     assert_eq!(failed[0].0, bad);
     assert!(
@@ -482,7 +479,7 @@ fn perf_log_captures_all_pipeline_stages() {
     assert!(q.kind(PerfKind::Preprocess).count() >= 8);
     // No resource is busier than its servers allow: the summed stage
     // durations fit into elapsed × servers (one node, one GPU here).
-    let elapsed_ns = report.elapsed.as_nanos() as u64;
+    let elapsed_ns = (report.report.elapsed * 1e9).round() as u64;
     let gpus = scenario.total_gpus() as u64;
     let resources: [(&str, &[PerfKind], u64); 5] = [
         (
@@ -533,7 +530,7 @@ fn one_compare_record_per_delivered_pair() {
     let records = perf.take();
     let compares = PerfQuery::new(&records).kind(PerfKind::Compare);
     assert_eq!(compares.count(), report.outputs.len() as u64);
-    let busy_ns = report.unified(&scenario).busy.compare * 1e9;
+    let busy_ns = report.report.busy.compare * 1e9;
     let total_ns = compares.total() as f64;
     assert!(
         (busy_ns - total_ns).abs() <= 1e-9 * total_ns,
@@ -550,10 +547,11 @@ fn recording_never_changes_results() {
         .run_app_with_perf(&scenario, &perf)
         .expect("recorded run");
     assert!(!perf.is_empty());
-    assert!(plain.nodes.iter().all(|n| n.perf.is_empty()));
     assert_eq!(plain.sorted_outputs(), recorded.sorted_outputs());
-    assert_eq!(plain.total_loads(), recorded.total_loads());
-    let (plain, recorded) = (plain.unified(&scenario), recorded.unified(&scenario));
+    let (plain, recorded) = (plain.report, recorded.report);
+    // The plain run recorded nothing: every busy time, which is folded
+    // from the records, is zero.
+    assert!(plain.busy.rows().iter().all(|&(_, secs)| secs == 0.0));
     assert_eq!((plain.pairs, plain.loads), (recorded.pairs, recorded.loads));
     assert!(recorded.busy.compare > 0.0 && plain.busy.compare == 0.0);
 
@@ -578,8 +576,9 @@ fn tiny_caches_still_complete() {
     let ds = ForensicsDataset::generate(cfg.clone());
     let scenario = cluster(10, 1, 2, 2).job_limit(8).build();
     let report = run(ForensicsApp::new(&cfg), ds.store, &scenario);
-    assert!(report.failed().is_empty());
+    assert!(report.failed.is_empty());
     assert_eq!(report.outputs.len(), 45);
     // With 2 slots, items are reloaded constantly.
-    assert!(report.r_factor() > 2.0, "R = {}", report.r_factor());
+    let r = report.report.r_factor();
+    assert!(r > 2.0, "R = {r}");
 }
