@@ -754,7 +754,9 @@ fn fig13(opts: &ExpOptions) -> Result<Figure, RocketError> {
         ("config", "config", Plain),
         ("throughput_pairs_per_s", "throughput (pairs/s)", Fixed(1)),
     ]);
-    let mut shares = Vec::new();
+    // The shape check reads the rows: each app's `all` as a share of its
+    // `sum`, and the apps whose combined run keeps up (at least 90 %).
+    let (mut shares, mut kept) = (Vec::new(), Vec::new());
     for cells in report.cells.chunks(FIG13_CONFIGS.len()) {
         let app = cells[0].scenario.workload.name;
         let mut sum = 0.0;
@@ -765,9 +767,11 @@ fn fig13(opts: &ExpOptions) -> Result<Figure, RocketError> {
         let all = cells[4].run().throughput();
         t.row((app, "sum", sum));
         t.row((app, "all", all));
-        shares.push((app, all / sum));
+        shares.push(format!("{app} {:.0}%", all / sum * 100.0));
+        if all >= 0.9 * sum {
+            kept.push(app);
+        }
     }
-    let after = fig13_shape(&shares);
     Ok(figure(
         report,
         "fig13",
@@ -775,39 +779,14 @@ fn fig13(opts: &ExpOptions) -> Result<Figure, RocketError> {
          node-1: K20m | node-2: GTX980 + TitanX-Pascal | node-3: 2x RTX2080Ti |\n\
          node-4: GTX-Titan + TitanX-Pascal",
         &t,
-        &after,
+        &format!(
+            "Shape check: combined throughput (all) as a share of the sum of the\n\
+             individual nodes (sum): {}.\n\
+             The combined run keeps up with its parts (>= 90%) only for: [{}].\n",
+            shares.join(", "),
+            kept.join(", "),
+        ),
     ))
-}
-
-/// Fig 13's shape check, read from its rows: each app's combined
-/// throughput (`all`) as a share of the sum of its nodes' (`sum`), and
-/// the apps whose combined run keeps up with its parts (at least 90 %).
-fn fig13_shape(shares: &[(&str, f64)]) -> String {
-    let listed: Vec<String> = shares
-        .iter()
-        .map(|(app, share)| format!("{app} {:.0}%", share * 100.0))
-        .collect();
-    let (keep, short): (Vec<_>, Vec<_>) = shares.iter().partition(|(_, share)| *share >= 0.9);
-    let names = |apps: &[&(&str, f64)]| match apps {
-        [] => "no app".to_string(),
-        _ => apps
-            .iter()
-            .map(|(app, _)| *app)
-            .collect::<Vec<_>>()
-            .join(", "),
-    };
-    let mut text = format!(
-        "Shape check: combined throughput (all) as a share of the sum of the\n\
-         individual nodes (sum): {}.\n\
-         The combined run keeps up with its parts (>= 90%) for {}",
-        listed.join(", "),
-        names(&keep),
-    );
-    if !short.is_empty() {
-        text.push_str(&format!(";\nit falls short for {}", names(&short)));
-    }
-    text.push_str(".\n");
-    text
 }
 
 /// Fig 14: per-GPU throughput over time, microscopy on the heterogeneous
@@ -1275,8 +1254,7 @@ mod tests {
         );
         assert!(
             notes.contains(
-                "keeps up with its parts (>= 90%) for forensics, bioinformatics;\n\
-                 it falls short for microscopy."
+                "keeps up with its parts (>= 90%) only for: [forensics, bioinformatics]."
             ),
             "{notes}"
         );

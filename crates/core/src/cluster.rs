@@ -72,7 +72,7 @@ fn add_busy(busy: &mut BusyTimes, records: &[PerfRecord]) {
 /// work-stealing worker per GPU, and waits for every node to drain. The
 /// caller has validated `scenario`.
 ///
-/// The report is built once, as the conductors finish: each node's
+/// The report is built once, after the conductors finish: each node's
 /// [`crate::engine::NodeCore`] folds its statistics into it, and its
 /// transport counters, failed pairs and perf records follow. Busy times
 /// come from the perf records, so they are zero unless `perf` is enabled;
@@ -87,6 +87,28 @@ pub(crate) fn run<A: Application>(
     scenario: &Scenario,
     perf: &PerfLog,
 ) -> Result<AppReport<A::Output>, RocketError> {
+    let (mut run, node_reports) = run_nodes(app, store, scenario, perf)?;
+    let report = &mut run.report;
+    for node in node_reports {
+        node.core.fold_into(report);
+        report.net_bytes += node.comm.bytes_sent;
+        report.net_msgs += node.comm.msgs_sent;
+        add_busy(&mut report.busy, &node.perf);
+        perf.extend(node.perf);
+        run.failed.extend(node.failed);
+    }
+    report.failed_pairs = run.failed.len() as u64;
+    Ok(run)
+}
+
+/// Runs the nodes to completion and returns the outputs and the run's
+/// report before the nodes are folded into it, with one report per node.
+fn run_nodes<A: Application>(
+    app: &Arc<A>,
+    store: &Arc<dyn ObjectStore>,
+    scenario: &Scenario,
+    perf: &PerfLog,
+) -> Result<(AppReport<A::Output>, Vec<NodeReport>), RocketError> {
     let scenario = Arc::new(scenario.clone());
     let nodes = scenario.nodes.len();
     let n = app.item_count();
@@ -182,7 +204,7 @@ pub(crate) fn run<A: Application>(
     for (&(node, _), &pairs) in worker_map.iter().zip(&steal.pairs_per_worker) {
         pairs_per_node[node] += pairs;
     }
-    let mut report = RunReport {
+    let report = RunReport {
         backend: match scenario.transport {
             TransportKind::Local => "threaded",
             TransportKind::Socket => "threaded+socket",
@@ -206,20 +228,92 @@ pub(crate) fn run<A: Application>(
         sim_windows: 0,
         degraded: false,
     };
-    let mut failed = Vec::new();
-    for node in node_reports {
-        node.core.fold_into(&mut report);
-        report.net_bytes += node.comm.bytes_sent;
-        report.net_msgs += node.comm.msgs_sent;
-        add_busy(&mut report.busy, &node.perf);
-        perf.extend(node.perf);
-        failed.extend(node.failed);
-    }
-    report.failed_pairs = failed.len() as u64;
-
-    Ok(AppReport {
+    let run = AppReport {
         outputs,
-        failed,
+        failed: Vec::new(),
         report,
-    })
+    };
+    Ok((run, node_reports))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::AppError;
+    use crate::scenario::NodeSpec;
+    use rocket_comm::CommSnapshot;
+    use rocket_storage::MemStore;
+
+    /// Each item is one byte; a pair's result is their difference.
+    struct Diff;
+
+    impl Application for Diff {
+        type Output = i64;
+        fn name(&self) -> &str {
+            "diff"
+        }
+        fn item_count(&self) -> u64 {
+            12
+        }
+        fn file_for(&self, item: u64) -> String {
+            item.to_string()
+        }
+        fn parsed_bytes(&self) -> usize {
+            1
+        }
+        fn item_bytes(&self) -> usize {
+            1
+        }
+        fn result_bytes(&self) -> usize {
+            1
+        }
+        fn parse(&self, _item: u64, raw: &[u8], out: &mut [u8]) -> Result<(), AppError> {
+            out[0] = raw[0];
+            Ok(())
+        }
+        fn compare(
+            &self,
+            left: (u64, &[u8]),
+            right: (u64, &[u8]),
+            out: &mut [u8],
+        ) -> Result<(), AppError> {
+            out[0] = left.1[0].wrapping_sub(right.1[0]);
+            Ok(())
+        }
+        fn postprocess(&self, _pair: Pair, raw: &[u8]) -> i64 {
+            raw[0] as i8 as i64
+        }
+    }
+
+    /// Without the distributed cache no node sends a `NodeMsg`, so the
+    /// only message a transport carries is the token that stops its
+    /// node's comm pump. Every node's snapshot, taken before any token is
+    /// sent, counts nothing on either side; and an unrecorded run hands
+    /// back no perf records.
+    #[test]
+    fn teardown_wake_token_is_not_counted_on_any_node() {
+        for kind in [TransportKind::Local, TransportKind::Socket] {
+            let scenario = Scenario::builder()
+                .items(12)
+                .nodes(2, NodeSpec::uniform(1, 4, 12))
+                .job_limit(4)
+                .static_partition(true)
+                .distributed_cache(false)
+                .transport(kind)
+                .build();
+            let app = Arc::new(Diff);
+            let store: Arc<dyn ObjectStore> = Arc::new(MemStore::from_iter(
+                (0..12u8).map(|i| (i.to_string(), vec![i])),
+            ));
+            let (run, nodes) =
+                run_nodes(&app, &store, &scenario, &PerfLog::disabled()).expect("cluster run");
+            assert_eq!(run.outputs.len(), 66, "{kind:?}");
+            assert_eq!(nodes.len(), 2, "{kind:?}");
+            for (id, node) in nodes.iter().enumerate() {
+                assert_eq!(node.comm, CommSnapshot::default(), "{kind:?}: node {id}");
+                assert!(node.perf.is_empty(), "{kind:?}: node {id}");
+                assert!(node.failed.is_empty(), "{kind:?}: node {id}");
+            }
+        }
+    }
 }

@@ -178,7 +178,7 @@ fn multi_node_cluster_produces_identical_results() {
     assert_outputs_match_oracle(&report, &expected);
     // All nodes participated (one worker per node).
     let per_node = &report.report.pairs_per_node;
-    assert_eq!(per_node.len(), 3);
+    assert_eq!(per_node.iter().sum::<u64>(), report.outputs.len() as u64);
     let active = per_node.iter().filter(|&&c| c > 0).count();
     assert!(active >= 2, "pairs per node: {per_node:?}");
 }
@@ -549,9 +549,6 @@ fn recording_never_changes_results() {
     assert!(!perf.is_empty());
     assert_eq!(plain.sorted_outputs(), recorded.sorted_outputs());
     let (plain, recorded) = (plain.report, recorded.report);
-    // The plain run recorded nothing: every busy time, which is folded
-    // from the records, is zero.
-    assert!(plain.busy.rows().iter().all(|&(_, secs)| secs == 0.0));
     assert_eq!((plain.pairs, plain.loads), (recorded.pairs, recorded.loads));
     assert!(recorded.busy.compare > 0.0 && plain.busy.compare == 0.0);
 

@@ -149,11 +149,11 @@ fn teardown_wake_token_is_not_traffic() {
     for kind in [TransportKind::Local, TransportKind::Socket] {
         // Without the distributed cache no node sends a `NodeMsg`, so the
         // only message a node's transport carries is the token that stops
-        // its comm pump, sent after the report's snapshot.
+        // its comm pump, sent after the report's snapshot. (Each node's
+        // receive counters are checked in `rocket_core::cluster`'s tests.)
         let (scenario, backend) = cluster(kind, 2, false);
         let report = backend.run_app(&scenario).expect("cluster run");
         let r = &report.report;
-        assert_eq!(r.pairs_per_node.len(), 2);
         assert_eq!((r.net_msgs, r.net_bytes), (0, 0), "{kind:?}");
         let pairs: Vec<Pair> = report.sorted_outputs().iter().map(|(p, _)| *p).collect();
         let expected: Vec<Pair> = (0..ITEMS)
