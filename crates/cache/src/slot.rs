@@ -162,6 +162,16 @@ impl<W> SlotCache<W> {
         )
     }
 
+    /// The slot `item` is being written into, if its load is in flight
+    /// (WRITE state). Callers key per-fill state by this slot: it stays
+    /// the item's from `MustLoad` until `publish` or `abort`, and a WRITE
+    /// slot is never evicted.
+    #[inline]
+    pub fn filling(&self, item: ItemId) -> Option<SlotIdx> {
+        let slot = self.slot_of(item)?;
+        matches!(self.states[slot], SlotState::Writing { .. }).then_some(slot)
+    }
+
     /// Takes a read lease on `item` only if it is already resident in READ
     /// state; never reserves a slot, parks a waiter, or counts a miss.
     ///
@@ -515,6 +525,31 @@ mod tests {
         assert_eq!(got, s);
         assert_eq!(c.readers(s), 1);
         c.release(s);
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn filling_names_the_slot_only_while_its_load_is_in_flight() {
+        let mut c = cache(2);
+        // Empty: nothing mapped, nothing filling.
+        assert_eq!(c.filling(1), None);
+        // WRITE: the reserved slot.
+        let s = must_load(&mut c, 1);
+        assert_eq!(c.filling(1), Some(s));
+        assert_eq!(c.filling(2), None);
+        // READ: resident, no longer filling — with or without readers.
+        c.publish(s);
+        assert_eq!(c.filling(1), None);
+        assert!(matches!(c.get(1, || unreachable!()), Lookup::Hit(_)));
+        assert_eq!(c.filling(1), None);
+        c.release(s);
+        // Aborted: the slot is free and the item unmapped.
+        let t = must_load(&mut c, 2);
+        assert_eq!(c.filling(2), Some(t));
+        c.abort(t);
+        assert_eq!(c.filling(2), None);
+        // Out of the item table's range: absent, no growth.
+        assert_eq!(c.filling(1 << 40), None);
         c.check_invariants().unwrap();
     }
 

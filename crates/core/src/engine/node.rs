@@ -365,7 +365,8 @@ struct Executor<A: Application> {
 
     failed: Vec<(Pair, String)>,
     outputs: SharedOutputs<A>,
-    /// Times the conductor's own post-processes (recorded runs only).
+    /// Times the conductor's own post-processes and logs the core's cache
+    /// and probe events (recorded runs only).
     recorder: Recorder,
     limiter: Arc<JobLimiter>,
 }
@@ -857,6 +858,9 @@ impl<A: Application> NodeIo for Executor<A> {
         self.limiter.release();
     }
 
-    /// The threaded perf log records resource-thread stages only.
-    fn note(&mut self, _: PerfKind, _: ItemId) {}
+    /// A recorded run logs the core's cache and probe events on the
+    /// conductor's recorder, stamped when the core notes them.
+    fn note(&mut self, kind: PerfKind, item: ItemId) {
+        self.recorder.note(kind, item);
+    }
 }

@@ -2,9 +2,9 @@
 //!
 //! [`NodeCore`] is the paper's per-node policy: the §4.1 device → host →
 //! distributed cache levels and the §4.3 fill pipeline. It owns both slot
-//! cache levels, one fill row per device × item and one host-fill row per
-//! item, the jobs, the distributed-cache [`Directory`], the queue of
-//! continuations and the `loads`/`remote_fetches` counters.
+//! cache levels, one fill row per device slot and one per host slot, the
+//! jobs, the distributed-cache [`Directory`], the queue of continuations
+//! and the `loads`/`remote_fetches` counters.
 //!
 //! It is sans-IO. It takes one input at a time — a pair submitted to a
 //! device, a pipeline stage finished, a peer's message — and performs every
@@ -61,8 +61,23 @@
 //! has failed `MAX_ITEM_FAILURES` times. Then the item is given up on: its
 //! fills abort and every job that needs it fails with the last cause
 //! ([`NodeIo::fail_pair`]). Failure counts and causes live in sparse side
-//! tables, not in the rows: failures are rare (the simulator has none), and
-//! the rows are most of a 1 024-node simulation's memory.
+//! tables: failures are rare (the simulator has none).
+//!
+//! # State layout
+//!
+//! A fill's row is keyed by the slot it writes into, not by its item: one
+//! `DevFill` row per device slot and one `HostFill` row per host slot,
+//! so a node's fill state scales with its slot counts (§4.1), never with
+//! the data set. The cache already knows which slot that is: a slot is in
+//! WRITE state exactly while its fill is in flight — opened by the
+//! `MustLoad` of `try_acquire` (device) or `continue_dev_fill` (host),
+//! closed by `complete_dev_fill` or `abort_dev_fill` (device) and
+//! `publish_host` or `kill` (host) — and a WRITE slot is never evicted, so
+//! [`SlotCache::filling`] maps an item to its in-flight row. A stale
+//! continuation naming an item whose fill has ended finds no WRITE slot
+//! and does nothing, even when another item's fill has reused the slot.
+//! The only dense per-item state a node keeps is its caches' item → slot
+//! maps; the failure tables and the directory's mediator lists are sparse.
 
 use std::collections::VecDeque;
 
@@ -146,12 +161,10 @@ struct Job {
     comparing: bool,
 }
 
-/// One device's fill of one item.
+/// The in-flight fill of one device slot (its row is idle while the slot
+/// is not in WRITE state).
 #[derive(Debug, Default, Clone)]
 struct DevFill {
-    /// Device slot reserved in WRITE state (`Some` while a fill is in
-    /// flight).
-    slot: Option<SlotIdx>,
     /// Host slot leased by the in-flight fill copy, if one is running.
     h2d_lease: Option<SlotIdx>,
     /// Continuations to run when the fill publishes or aborts.
@@ -159,15 +172,12 @@ struct DevFill {
 }
 
 /// The in-flight load (or remote fetch) of an item into a host slot.
-/// Narrow fields keep `Option<HostFill>` at 16 bytes: there is one per
-/// item per node.
 #[derive(Debug, Clone, Copy)]
 struct HostFill {
-    hslot: u32,
     /// The device whose fill started the load: the pre-process target.
-    dev: u32,
+    dev: usize,
     /// The device slot the write-back reads, leased until it completes.
-    pin: Option<u32>,
+    pin: Option<SlotIdx>,
 }
 
 /// One node's cache levels, fill pipelines and jobs: see the module docs.
@@ -175,11 +185,13 @@ struct HostFill {
 pub struct NodeCore {
     dev_cache: Vec<SlotCache<Cont>>,
     host_cache: SlotCache<Cont>,
-    /// `dev_fills[dev * items + item]`, flat: one hop from the core to a
-    /// row.
+    /// `dev_fills[dev * device_slots + dslot]`, flat: one hop from the
+    /// core to a row.
     dev_fills: Vec<DevFill>,
-    /// `host_fills[item]`.
+    /// `host_fills[hslot]`: `Some` exactly while `hslot` is in WRITE state.
     host_fills: Vec<Option<HostFill>>,
+    /// Item ids run over `0..items`.
+    items: u64,
     jobs: Vec<Option<Job>>,
     /// Retired slots of `jobs`.
     free_jobs: Vec<u32>,
@@ -216,8 +228,9 @@ impl NodeCore {
                 .map(|_| SlotCache::with_item_space(device_slots, items))
                 .collect(),
             host_cache: SlotCache::with_item_space(host_slots, items),
-            dev_fills: vec![DevFill::default(); devices * items],
-            host_fills: vec![None; items],
+            dev_fills: vec![DevFill::default(); devices * device_slots],
+            host_fills: vec![None; host_slots],
+            items: items as u64,
             jobs: Vec::new(),
             free_jobs: Vec::new(),
             pending: VecDeque::new(),
@@ -292,8 +305,8 @@ impl NodeCore {
     ) {
         match result {
             Ok(raw) => {
-                if let Some(fill) = self.host_fills[item as usize] {
-                    io.parse(item, fill.hslot as SlotIdx, raw);
+                if let Some((hslot, _)) = self.host_fill(item) {
+                    io.parse(item, hslot, raw);
                 }
             }
             Err(e) => self.item_failure(item, format!("storage read failed: {e}"), io),
@@ -311,14 +324,14 @@ impl NodeCore {
             Ok(parsed) => parsed,
             Err(e) => return self.item_failure(item, format!("parse failed: {e}"), io),
         };
-        let Some(fill) = self.host_fills[item as usize] else {
+        let Some((_, fill)) = self.host_fill(item) else {
             return;
         };
         if self.preprocess {
-            let dev = fill.dev as usize;
+            let dev = fill.dev;
             // The origin device fill waits on this load: only the load's
             // own pre-process or death ends it.
-            if let Some(dslot) = self.dev_fills[self.row(dev, item)].slot {
+            if let Some(dslot) = self.dev_cache[dev].filling(item) {
                 io.preprocess(dev, item, dslot, parsed);
             }
         } else {
@@ -334,7 +347,7 @@ impl NodeCore {
         result: Result<(), String>,
         io: &mut impl NodeIo,
     ) {
-        let Some(fill) = self.host_fills[item as usize] else {
+        let Some((hslot, fill)) = self.host_fill(item) else {
             return;
         };
         if let Err(e) = result {
@@ -347,15 +360,15 @@ impl NodeCore {
         // the slot, so it keeps a read lease on it — the pin — until
         // `write_back_done`; unpinned, an eviction could refill it
         // mid-copy.
-        let dev = fill.dev as usize;
+        let dev = fill.dev;
         let Some(dslot) = self.complete_dev_fill(dev, item, true) else {
             return;
         };
-        self.host_fills[item as usize] = Some(HostFill {
-            pin: Some(dslot as u32),
+        self.host_fills[hslot] = Some(HostFill {
+            pin: Some(dslot),
             ..fill
         });
-        io.write_back(dev, item, dslot, fill.hslot as SlotIdx);
+        io.write_back(dev, item, dslot, hslot);
     }
 
     /// `item`'s write-back into its host slot finished.
@@ -365,11 +378,11 @@ impl NodeCore {
         result: Result<(), String>,
         io: &mut impl NodeIo,
     ) {
-        let Some(fill) = self.host_fills[item as usize] else {
+        let Some((hslot, fill)) = self.host_fill(item) else {
             return;
         };
-        let dev = fill.dev as usize;
-        let dslot = fill.pin.expect("a write-back pins its device slot") as SlotIdx;
+        let dev = fill.dev;
+        let dslot = fill.pin.expect("a write-back pins its device slot");
         match result {
             Ok(()) => {
                 if let Some(cont) = self.dev_cache[dev].release(dslot) {
@@ -382,7 +395,7 @@ impl NodeCore {
                     self.kill(item);
                 } else {
                     // The item is still in the pinned slot: copy again.
-                    io.write_back(dev, item, dslot, fill.hslot as SlotIdx);
+                    io.write_back(dev, item, dslot, hslot);
                 }
             }
         }
@@ -391,10 +404,11 @@ impl NodeCore {
     /// The fill copy of `item` into device `dev` finished.
     #[inline]
     pub fn fill_copy_done(&mut self, dev: usize, item: ItemId, result: Result<(), String>) {
-        let row = self.row(dev, item);
-        if let Some(hslot) = self.dev_fills[row].h2d_lease.take() {
-            if let Some(cont) = self.host_cache.release(hslot) {
-                self.pending.push_back(cont);
+        if let Some((_, row)) = self.dev_fill(dev, item) {
+            if let Some(hslot) = self.dev_fills[row].h2d_lease.take() {
+                if let Some(cont) = self.host_cache.release(hslot) {
+                    self.pending.push_back(cont);
+                }
             }
         }
         match result {
@@ -412,9 +426,9 @@ impl NodeCore {
     /// A message from peer `from`.
     pub fn on_peer<I: NodeIo>(&mut self, from: usize, msg: PeerMsg<I::Data>, io: &mut I) {
         let item = msg.item();
-        // Rows are indexed by item id: a peer naming an id outside this
-        // run's items is dropped before it can touch one.
-        if item >= self.host_fills.len() as u64 {
+        // A peer naming an id outside this run's items is dropped before
+        // it can touch the directory or a cache's item map.
+        if item >= self.items {
             return;
         }
         match msg {
@@ -427,7 +441,7 @@ impl NodeCore {
                     io.send(to, PeerMsg::Dir(m));
                 }
                 // Only `Found`/`NotFound` resolve, and both name `item`.
-                let filling = self.host_fills[item as usize].is_some();
+                let filling = self.host_fill(item).is_some();
                 match resolution {
                     Resolution::InFlight => {}
                     Resolution::Found { holder, .. } => {
@@ -456,12 +470,12 @@ impl NodeCore {
                 }
             }
             PeerMsg::FetchReply { item, data } => {
-                let Some(fill) = self.host_fills[item as usize] else {
+                let Some((hslot, _)) = self.host_fill(item) else {
                     return;
                 };
                 match data {
                     Some(data) => {
-                        io.fetched(fill.hslot as SlotIdx, data);
+                        io.fetched(hslot, data);
                         self.remote_fetches += 1;
                         self.publish_host(item, io);
                     }
@@ -527,9 +541,9 @@ impl NodeCore {
                 Lookup::Pending => return,
                 Lookup::MustLoad(slot) => {
                     io.note(PerfKind::DevMiss, item);
-                    let row = self.row(dev, item);
+                    let row = self.dev_row(dev, slot);
                     let fill = &mut self.dev_fills[row];
-                    fill.slot = Some(slot);
+                    debug_assert!(fill.waiters.is_empty() && fill.h2d_lease.is_none());
                     fill.waiters.push(Cont::Job(id));
                     self.continue_dev_fill(dev, item, io);
                     return;
@@ -549,10 +563,24 @@ impl NodeCore {
         io.compare(id, dev, pair, left, right);
     }
 
-    /// Index of device `dev`'s fill row for `item`.
+    /// Index of device `dev`'s fill row for device slot `dslot`.
     #[inline]
-    fn row(&self, dev: usize, item: ItemId) -> usize {
-        dev * self.host_fills.len() + item as usize
+    fn dev_row(&self, dev: usize, dslot: SlotIdx) -> usize {
+        dev * self.dev_cache[dev].capacity() + dslot
+    }
+
+    /// Device `dev`'s in-flight fill of `item`: its device slot and row.
+    #[inline]
+    fn dev_fill(&self, dev: usize, item: ItemId) -> Option<(SlotIdx, usize)> {
+        let dslot = self.dev_cache[dev].filling(item)?;
+        Some((dslot, self.dev_row(dev, dslot)))
+    }
+
+    /// The in-flight host fill of `item`: its host slot and row.
+    #[inline]
+    fn host_fill(&self, item: ItemId) -> Option<(SlotIdx, HostFill)> {
+        let hslot = self.host_cache.filling(item)?;
+        self.host_fills[hslot].map(|fill| (hslot, fill))
     }
 
     #[inline]
@@ -583,15 +611,13 @@ impl NodeCore {
     // ---- device fill -----------------------------------------------------
 
     fn continue_dev_fill(&mut self, dev: usize, item: ItemId, io: &mut impl NodeIo) {
-        let row = self.row(dev, item);
-        let fill = &self.dev_fills[row];
-        let Some(dslot) = fill.slot else {
+        let Some((dslot, row)) = self.dev_fill(dev, item) else {
             return; // already completed or aborted
         };
         // A fill copy is already filling this slot: a second wake (e.g. a
         // parked token plus the origin-continuation of `publish_host`)
         // must not take a second host lease.
-        if fill.h2d_lease.is_some() {
+        if self.dev_fills[row].h2d_lease.is_some() {
             return;
         }
         if self.is_dead(item) {
@@ -607,11 +633,8 @@ impl NodeCore {
             Lookup::Pending | Lookup::Busy => {}
             Lookup::MustLoad(hslot) => {
                 io.note(PerfKind::HostMiss, item);
-                self.host_fills[item as usize] = Some(HostFill {
-                    hslot: hslot as u32,
-                    dev: dev as u32,
-                    pin: None,
-                });
+                debug_assert!(self.host_fills[hslot].is_none());
+                self.host_fills[hslot] = Some(HostFill { dev, pin: None });
                 if self.distributed {
                     let (to, msg) = self.directory.begin_lookup(item);
                     io.send(to, PeerMsg::Dir(msg));
@@ -628,10 +651,8 @@ impl NodeCore {
     /// counted) for the caller to release.
     #[inline]
     fn complete_dev_fill(&mut self, dev: usize, item: ItemId, pin: bool) -> Option<SlotIdx> {
-        let row = self.row(dev, item);
-        let fill = &mut self.dev_fills[row];
-        let dslot = fill.slot.take()?;
-        let waiters = std::mem::take(&mut fill.waiters);
+        let (dslot, row) = self.dev_fill(dev, item)?;
+        let waiters = std::mem::take(&mut self.dev_fills[row].waiters);
         let cache = &mut self.dev_cache[dev];
         self.pending.extend(if pin {
             cache.publish_and_read(dslot)
@@ -651,12 +672,10 @@ impl NodeCore {
 
     #[inline]
     fn abort_dev_fill(&mut self, dev: usize, item: ItemId) {
-        let row = self.row(dev, item);
-        let fill = &mut self.dev_fills[row];
-        let Some(dslot) = fill.slot.take() else {
+        let Some((dslot, row)) = self.dev_fill(dev, item) else {
             return;
         };
-        let waiters = std::mem::take(&mut fill.waiters);
+        let waiters = std::mem::take(&mut self.dev_fills[row].waiters);
         self.pending.extend(self.dev_cache[dev].abort(dslot));
         self.pending.extend(waiters);
     }
@@ -664,10 +683,11 @@ impl NodeCore {
     // ---- host fill -------------------------------------------------------
 
     fn publish_host(&mut self, item: ItemId, io: &mut impl NodeIo) {
-        let Some(fill) = self.host_fills[item as usize].take() else {
+        let Some((hslot, fill)) = self.host_fill(item) else {
             return;
         };
-        let waiters = self.host_cache.publish(fill.hslot as SlotIdx);
+        self.host_fills[hslot] = None;
+        let waiters = self.host_cache.publish(hslot);
         self.pending.extend(waiters);
         // Fresh capacity (see `complete_dev_fill`): retry one parked waiter.
         if let Some(w) = self.host_cache.pop_capacity_waiter() {
@@ -675,7 +695,7 @@ impl NodeCore {
         }
         // The originating device fill continues if it still needs the host
         // copy (no-pre-process and remote-fetch paths).
-        self.continue_dev_fill(fill.dev as usize, item, io);
+        self.continue_dev_fill(fill.dev, item, io);
     }
 
     /// Counts a failed load stage of `item`: the load restarts from storage
@@ -683,7 +703,7 @@ impl NodeCore {
     fn item_failure(&mut self, item: ItemId, cause: String, io: &mut impl NodeIo) {
         if self.give_up(item, cause) {
             self.kill(item);
-        } else if self.host_fills[item as usize].is_some() {
+        } else if self.host_fill(item).is_some() {
             io.read(item);
         }
     }
@@ -708,17 +728,17 @@ impl NodeCore {
     /// Aborts a dead item's host fill and the device fill that started it;
     /// the woken waiters see the item dead and abort or fail in turn.
     fn kill(&mut self, item: ItemId) {
-        let Some(fill) = self.host_fills[item as usize].take() else {
+        let Some((hslot, fill)) = self.host_fill(item) else {
             return;
         };
-        let dev = fill.dev as usize;
+        self.host_fills[hslot] = None;
+        let dev = fill.dev;
         if let Some(dslot) = fill.pin {
-            if let Some(cont) = self.dev_cache[dev].release(dslot as SlotIdx) {
+            if let Some(cont) = self.dev_cache[dev].release(dslot) {
                 self.pending.push_back(cont);
             }
         }
-        self.pending
-            .extend(self.host_cache.abort(fill.hslot as SlotIdx));
+        self.pending.extend(self.host_cache.abort(hslot));
         self.abort_dev_fill(dev, item);
     }
 
@@ -745,13 +765,9 @@ impl NodeCore {
             for slot in jobs.flat_map(|j| j.leases.iter().flatten()) {
                 leases[*slot] += 1;
             }
-            let fills = self
-                .host_fills
-                .iter()
-                .flatten()
-                .filter(|f| f.dev as usize == dev);
+            let fills = self.host_fills.iter().flatten().filter(|f| f.dev == dev);
             for pin in fills.filter_map(|f| f.pin) {
-                leases[pin as usize] += 1;
+                leases[pin] += 1;
             }
             expect(cache, leases, format!("device {dev}"));
         }
@@ -771,7 +787,12 @@ impl NodeCore {
             format!("cap_waiters={waiters} evictable={evictable} occ={occupied}/{slots}")
         };
         let host_fills = self.host_fills.iter().flatten().count();
-        let dev_fills = self.dev_fills.iter().filter(|f| f.slot.is_some()).count();
+        // Occupied slots not in READ state are in WRITE state: filling.
+        let dev_fills: usize = self
+            .dev_cache
+            .iter()
+            .map(|c| c.occupied() - c.resident_items().len())
+            .sum();
         let mut out = format!("hostfills={host_fills} devfills={dev_fills}");
         out += &format!(" host({})", cache(&self.host_cache));
         for (dev, c) in self.dev_cache.iter().enumerate() {
@@ -981,11 +1002,54 @@ mod tests {
         assert_eq!(io.0, [Call::Fail(Pair::new(0, 2), cause)]);
     }
 
-    /// The rows hold one entry per item per node (per device): on a
-    /// 1 024-node simulation they are most of its memory.
+    /// A fill's row belongs to its slot only while the slot is in WRITE
+    /// state. Item 0 fills device slot `s`, completes and is evicted; item
+    /// 2 then fills `s`. A stale continuation for item 0 finds no fill in
+    /// flight: it starts nothing and leaves item 2's row and every lease
+    /// as they were.
     #[test]
-    fn rows_stay_small() {
-        assert_eq!(std::mem::size_of::<Option<HostFill>>(), 16);
-        assert_eq!(std::mem::size_of::<DevFill>(), 56);
+    fn a_stale_fill_continuation_ignores_the_fill_that_reused_its_slot() {
+        let (mut core, mut io) = (core(1, 2), Rec::default());
+        step(&mut core, &mut io, |c, io| c.submit(Pair::new(0, 1), 0, io));
+        let s = load(&mut core, &mut io, 0);
+        load(&mut core, &mut io, 1);
+        for item in [0, 1] {
+            step(&mut core, &mut io, |c, io| {
+                c.write_back_done(item, Ok(()), io)
+            });
+        }
+        core.compare_done(0);
+        core.retire(0);
+        core.drain(&mut io);
+        core.check();
+
+        // Item 1 hits; item 2 misses and evicts item 0, the LRU slot.
+        step(&mut core, &mut io, |c, io| c.submit(Pair::new(2, 1), 0, io));
+        assert_eq!(core.dev_cache[0].filling(0), None);
+        assert_eq!(core.dev_cache[0].filling(2), Some(s));
+        let before = format!("{core:?}");
+        let calls = io.0.len();
+        step(&mut core, &mut io, |c, _| {
+            c.pending.push_back(Cont::DevFill { dev: 0, item: 0 });
+        });
+        assert_eq!(io.0[calls..], [], "the stale continuation started nothing");
+        assert_eq!(format!("{core:?}"), before);
+
+        // Item 2's fill goes on undisturbed and its job compares.
+        assert_eq!(load(&mut core, &mut io, 2), s);
+        assert!(io.0.contains(&Call::Compare(0, Pair::new(2, 1))));
+    }
+
+    /// Fill rows are per slot: a node over 2^20 items with 4 device slots
+    /// and 8 host slots holds 4 + 8 rows, however many items there are.
+    #[test]
+    fn fill_rows_scale_with_slots_not_items() {
+        let items = 1 << 20;
+        let scenario = Scenario::builder()
+            .items(items as u64)
+            .uniform_cluster(1, 1, 4, 8)
+            .build();
+        let core = NodeCore::new(&scenario, 0, items, 4, 8, true);
+        assert_eq!(core.dev_fills.len() + core.host_fills.len(), 4 + 8);
     }
 }

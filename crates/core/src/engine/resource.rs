@@ -82,6 +82,19 @@ impl Recorder {
         r
     }
 
+    /// A recorded run appends one `kind` record carrying `value` (such as
+    /// the item a cache event was about), stamped now.
+    pub fn note(&mut self, kind: PerfKind, value: u64) {
+        if let Some(Recording { clock, node }) = self.recording {
+            self.records.push(PerfRecord {
+                t_ns: clock.elapsed_ns(),
+                kind,
+                node,
+                value,
+            });
+        }
+    }
+
     /// What was recorded (empty for an unrecorded run).
     pub fn into_records(self) -> Vec<PerfRecord> {
         self.records

@@ -40,9 +40,12 @@
 //! # Dense-table state layout
 //!
 //! The per-event handlers run millions of times per simulation, so state is
-//! indexed, never hashed: `NodeCore` keeps dense rows (see its docs), and
-//! stage distributions are resolved once into `StageDists`, so handlers
-//! sample through `&Dist` without cloning.
+//! indexed, never hashed: `NodeCore` keeps one dense fill row per cache
+//! slot, found through its caches' flat item → slot maps (see its docs),
+//! and stage distributions are resolved once into `StageDists`, so
+//! handlers sample through `&Dist` without cloning. A node's fill rows
+//! scale with its slot counts, not with the data set; the item maps, one
+//! `u32` per item per cache level, are its only per-item state.
 
 use rocket_core::engine::PeerMsg;
 use rocket_gpu::DeviceProfile;

@@ -10,7 +10,9 @@
 use std::sync::Arc;
 
 use rocket::apps::{ForensicsApp, ForensicsConfig, ForensicsDataset};
-use rocket::core::{Application, NodeSpec, Scenario, ThreadedBackend, TransportKind};
+use rocket::core::{
+    AppReport, Application, NodeSpec, Pair, Scenario, ThreadedBackend, TransportKind,
+};
 
 fn main() {
     let nodes: usize = std::env::args()
@@ -38,6 +40,7 @@ fn main() {
         "{:<10}  {:>16}  {:>7}  {:>5}  {:>9}  {:>12}  {:>9}",
         "transport", "backend", "pairs", "R", "net msgs", "net bytes", "runtime"
     );
+    let mut runs = Vec::new();
     for kind in [TransportKind::Local, TransportKind::Socket] {
         let scenario = Scenario::builder()
             .items(items)
@@ -50,7 +53,8 @@ fn main() {
             .static_partition(true)
             .transport(kind)
             .build();
-        let report = backend.run_app(&scenario).expect("cluster run").report;
+        let run = backend.run_app(&scenario).expect("cluster run");
+        let report = &run.report;
         println!(
             "{:<10}  {:>16}  {:>7}  {:>5.2}  {:>9}  {:>12}  {:>8.2}s",
             kind.label(),
@@ -61,10 +65,30 @@ fn main() {
             report.net_bytes,
             report.elapsed,
         );
+        runs.push(run);
     }
+    let [local, socket] = &runs[..] else {
+        unreachable!("one run per transport")
+    };
+    for run in [local, socket] {
+        assert_eq!(run.report.failed_pairs, 0, "{}", run.report.backend);
+    }
+    assert_eq!(local.report.pairs, socket.report.pairs, "pairs");
+    assert_eq!(
+        local.report.pairs_per_node, socket.report.pairs_per_node,
+        "pairs per node (static partition)"
+    );
+    let scores = |run: &AppReport<f64>| -> Vec<(Pair, u64)> {
+        run.sorted_outputs()
+            .into_iter()
+            .map(|&(pair, score)| (pair, score.to_bits()))
+            .collect()
+    };
+    assert_eq!(scores(local), scores(socket), "scores differ bit for bit");
     println!(
         "\nthe socket row names the backend \"threaded+socket\" and pushes\n\
-         its traffic through real TCP frames; pair counts are identical —\n\
-         the transport changes the wire, never the answer."
+         its traffic through real TCP frames; pair counts, per-node pair\n\
+         counts and every score are identical — the transport changes the\n\
+         wire, never the answer."
     );
 }

@@ -11,7 +11,7 @@ use rocket::core::{
 use rocket::sim::SimBackend;
 use rocket::stats::Dist;
 use rocket::storage::MemStore;
-use rocket::trace::{chrome, PerfClass, PerfLog, PerfQuery};
+use rocket::trace::{chrome, PerfClass, PerfKind, PerfLog, PerfQuery};
 
 /// A stochastic simulation workload: randomized stage times make the
 /// replication statistics non-degenerate.
@@ -344,5 +344,51 @@ fn reports_obey_conservation_laws_on_both_engines() {
                 assert_eq!(r.remote_fetches, 0, "{label}: remote fetches");
             }
         }
+    }
+}
+
+/// Both engines log every cache and probe event the node core notes. On
+/// a recorded 2-node run with the distributed cache on, each cache level's
+/// hit and miss records equal the report's counters, and the probe records
+/// equal the probe hits plus misses, one per directory lookup.
+#[test]
+fn perf_log_cache_and_probe_records_match_the_report_on_both_engines() {
+    use PerfKind::{DevHit, DevMiss, HostHit, HostMiss, Probe, ProbeHit, ProbeMiss};
+    let n = 12u64;
+    let store = MemStore::from_iter((0..n).map(|i| (format!("{i}.bin"), vec![i as u8; 16])));
+    let threaded = ThreadedBackend::new(Arc::new(ByteSum { files: n }), Arc::new(store));
+    let sim = SimBackend::new();
+    let scenario = Scenario::builder()
+        .items(n)
+        .nodes(2, NodeSpec::uniform(1, 4, 6))
+        .job_limit(4)
+        .cpu_threads(2)
+        .leaf_pairs(2)
+        .distributed_cache(true)
+        .build();
+    let engines: [&dyn Backend; 2] = [&sim, &threaded];
+    for engine in engines {
+        let perf = PerfLog::enabled();
+        let r = engine.run_with_perf(&scenario, &perf).expect("run");
+        let records = perf.take();
+        let count = |kind| PerfQuery::new(&records).kind(kind).count();
+        let label = r.backend;
+        assert_eq!(r.failed_pairs, 0, "{label}: failed pairs");
+        let levels = [
+            ("device", r.device_cache, DevHit, DevMiss),
+            ("host", r.host_cache, HostHit, HostMiss),
+        ];
+        for (level, stats, hit, miss) in levels {
+            assert_eq!(count(hit), stats.hits, "{label}: {level} hits");
+            assert_eq!(count(miss), stats.misses, "{label}: {level} misses");
+        }
+        let probes = count(Probe);
+        assert!(probes > 0, "{label}: no directory probe on a 2-node run");
+        assert_eq!(
+            count(ProbeHit) + count(ProbeMiss),
+            probes,
+            "{label}: probe resolutions"
+        );
+        assert_eq!(r.directory.lookups(), probes, "{label}: lookups");
     }
 }

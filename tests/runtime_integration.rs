@@ -13,7 +13,7 @@ use rocket::core::{
     ThreadedBackend,
 };
 use rocket::storage::{FaultStore, MemStore, ObjectStore, StorageError};
-use rocket::trace::{chrome, PerfKind, PerfLog, PerfQuery};
+use rocket::trace::{chrome, PerfClass, PerfKind, PerfLog, PerfQuery};
 
 /// `nodes` one-GPU nodes with the given cache slots, two CPU threads each,
 /// and single-pair leaf tasks: many small tasks keep every node of a
@@ -500,10 +500,16 @@ fn perf_log_captures_all_pipeline_stages() {
             "{name}: {busy} ns busy exceeds {elapsed_ns} ns × {servers} servers"
         );
     }
-    // Chrome export is well-formed and carries one event per task.
+    // Besides its stages, the log holds the node's cache events (one
+    // node: no directory probes).
+    let stages = q.class(PerfClass::Stage).count();
+    let cache = q.class(PerfClass::Cache).count();
+    assert!(cache > 0, "the run noted no cache event");
+    assert_eq!(stages + cache, records.len() as u64);
+    // Chrome export is well-formed and carries one event per stage record.
     let json = chrome::to_chrome_json(&records);
     assert!(json.starts_with('[') && json.ends_with(']'));
-    assert_eq!(json.matches("\"ph\":\"X\"").count(), records.len());
+    assert_eq!(json.matches("\"ph\":\"X\"").count() as u64, stages);
 }
 
 /// A GPU task is one kernel launch, logged as one `Compare` record per

@@ -13,7 +13,7 @@ use rocket::core::{
 };
 use rocket::stats::Xoshiro256;
 use rocket::storage::MemStore;
-use rocket::trace::PerfLog;
+use rocket::trace::{PerfClass, PerfLog};
 
 /// Toy application: sums bytes, compares sums (deterministic outputs).
 struct ByteSum {
@@ -185,13 +185,22 @@ fn perf_records_cover_every_node_on_one_clock() {
                 "{kind:?}: node {node} recorded nothing"
             );
         }
-        // One run-wide clock: no record is stamped after the run ended or
-        // started before it began, whichever node wrote it.
+        // One run-wide clock: no record is stamped after the run ended,
+        // and no stage started before it began, whichever node wrote it.
+        // Besides stages, the nodes log only their cache and probe events.
         let elapsed_ns = (report.elapsed * 1e9) as u64;
         for r in &records {
-            assert!(r.kind.is_stage(), "{kind:?}: {r:?}");
+            let started = !r.kind.is_stage() || r.value <= r.t_ns;
             assert!(
-                r.node < 2 && r.value <= r.t_ns && r.t_ns <= elapsed_ns,
+                r.node < 2 && started && r.t_ns <= elapsed_ns,
+                "{kind:?}: {r:?}"
+            );
+            let class = r.kind.class();
+            assert!(
+                matches!(
+                    class,
+                    PerfClass::Stage | PerfClass::Cache | PerfClass::Directory
+                ),
                 "{kind:?}: {r:?}"
             );
         }
