@@ -595,16 +595,9 @@ fn fig9(opts: &ExpOptions) -> Result<Figure, RocketError> {
     for (cell, gb) in report.cells.iter().zip(FIG9_SIZES_GB.iter().cycle()) {
         let w = &cell.scenario.workload;
         let r = cell.run();
-        let node = &cell.scenario.nodes[0];
+        let (dev_slots, host_slots) = cell.scenario.nodes[0].sim_slots(w.items);
         let eff = model::system_efficiency(w, &cell.scenario.all_gpus(), r.elapsed);
-        t.row((
-            w.name,
-            *gb,
-            node.device_slots,
-            node.host_slots,
-            eff,
-            r.r_factor(),
-        ));
+        t.row((w.name, *gb, dev_slots, host_slots, eff, r.r_factor()));
     }
     Ok(figure(
         report,
@@ -1258,6 +1251,29 @@ mod tests {
             ),
             "{notes}"
         );
+    }
+
+    /// Fig 9 prints the slot counts the simulator ran, which never exceed
+    /// the cell's item count, not the scenario's unclamped ones.
+    #[test]
+    fn fig9_slot_columns_never_exceed_items() {
+        let fig = fig9(&tiny_opts()).expect("fig9");
+        let mut lines = csv(&fig, "fig9").lines();
+        let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+        let col = |name: &str| header.iter().position(|h| *h == name).expect(name);
+        let (dev, host) = (col("device_slots"), col("host_slots"));
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+        assert_eq!(rows.len(), fig.report.cells.len());
+        for (row, cell) in rows.iter().zip(&fig.report.cells) {
+            let items = cell.scenario.workload.items;
+            for slots in [row[dev], row[host]] {
+                let slots: u64 = slots.parse().expect("slot count");
+                assert!(
+                    (2..=items.max(2)).contains(&slots),
+                    "{row:?}: {items} items"
+                );
+            }
+        }
     }
 
     /// The figure's CSV file named `stem`.

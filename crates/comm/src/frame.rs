@@ -20,7 +20,7 @@
 
 use std::io::{self, IoSlice, Write};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::wire::WireError;
 
@@ -36,13 +36,14 @@ pub const MAX_FRAME: u32 = 1 << 30;
 /// Bytes of framing overhead per message (the length prefix).
 pub const FRAME_HEADER: usize = 4;
 
-/// Encodes one frame (header + payload) into a standalone buffer.
+/// Encodes one frame (header + payload) into a standalone buffer, with
+/// the bytes [`write_frame`] sends. Panics if the payload exceeds
+/// [`MAX_FRAME`].
 pub fn encode_frame(payload: &[u8]) -> Bytes {
-    assert!(payload.len() <= MAX_FRAME as usize, "frame too large");
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(payload);
-    buf.freeze()
+    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
+    let written = write_frame(&mut buf, payload);
+    assert!(written.is_ok(), "frame too large");
+    Bytes::from(buf)
 }
 
 /// Writes one frame to a byte sink (what the socket transport sends).

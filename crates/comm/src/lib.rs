@@ -15,8 +15,10 @@
 //!   multi-process deployment runs on ([`SocketTransport::join`]).
 //! * [`frame`] — length-prefixed framing for byte-stream transports, with
 //!   an incremental decoder that tolerates arbitrarily torn reads.
-//! * [`wire`] — a compact binary codec over [`bytes`] with exact
-//!   encoded-size accounting; protocol messages implement [`wire::Wire`].
+//! * [`wire`] — a compact binary codec with exact encoded-size
+//!   accounting: it writes a plain `Vec<u8>` and reads [`bytes::Bytes`]
+//!   (the workspace's `Bytes`-only shim), handing out byte strings as
+//!   zero-copy slices; protocol messages implement [`wire::Wire`].
 //! * [`liveness`] — [`Liveness`]: heartbeat bookkeeping (ping schedules,
 //!   per-peer silence deadlines) the cluster driver layers over a
 //!   transport to detect killed workers.

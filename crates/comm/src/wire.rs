@@ -17,7 +17,7 @@
     clippy::allow_attributes_without_reason
 )]
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +48,7 @@ const MAX_LEN: u64 = 1 << 32;
 /// Writer over a growable byte buffer.
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
@@ -59,28 +59,28 @@ impl WireWriter {
 
     /// Appends an u8.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a little-endian u32.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u64.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an f64 (IEEE-754 bits, little-endian).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_u64_le(v.to_bits());
+        self.put_u64(v.to_bits());
     }
 
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -88,58 +88,53 @@ impl WireWriter {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Finalizes into an immutable buffer.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 }
 
-/// Reader over an immutable byte buffer.
+/// Reader over an immutable byte buffer: a cursor that every `get_*`
+/// advances, and that never moves past the end.
 #[derive(Debug)]
 pub struct WireReader {
     buf: Bytes,
+    /// Start of the unconsumed bytes; never past `buf.len()`.
+    pos: usize,
 }
 
 impl WireReader {
     /// Creates a reader over `buf`.
     pub fn new(buf: Bytes) -> Self {
-        Self { buf }
+        Self { buf, pos: 0 }
     }
 
-    fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.remaining() < n {
-            Err(WireError::Truncated)
-        } else {
-            Ok(())
-        }
+    /// Consumes the next `N` bytes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let chunk = self
+            .buf
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<N>)
+            .ok_or(WireError::Truncated)?;
+        let out = *chunk;
+        self.pos += N;
+        Ok(out)
     }
 
     /// Reads an u8.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        let [b] = self.take()?;
+        Ok(b)
     }
 
     /// Reads a little-endian u32.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        self.take().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian u64.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        self.take().map(u64::from_le_bytes)
     }
 
     /// Reads an f64.
@@ -153,8 +148,13 @@ impl WireReader {
         if len > MAX_LEN {
             return Err(WireError::BadLength(len));
         }
-        self.need(len as usize)?;
-        Ok(self.buf.split_to(len as usize))
+        let len = usize::try_from(len).map_err(|_| WireError::BadLength(len))?;
+        if self.remaining() < len {
+            return Err(WireError::Truncated);
+        }
+        let out = self.buf.slice(self.pos..self.pos + len);
+        self.pos += len;
+        Ok(out)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -165,7 +165,7 @@ impl WireReader {
 
     /// Unconsumed bytes.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 }
 
@@ -192,13 +192,6 @@ pub trait Wire: Sized {
             return Err(WireError::Truncated);
         }
         Ok(v)
-    }
-
-    /// Exact encoded size in bytes.
-    fn wire_size(&self) -> usize {
-        let mut w = WireWriter::new();
-        self.encode(&mut w);
-        w.len()
     }
 }
 
@@ -331,20 +324,34 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_matches_encoding() {
+    fn encoded_sizes() {
         let v: Vec<u64> = vec![0; 10];
-        assert_eq!(v.wire_size(), 8 + 10 * 8);
+        assert_eq!(v.to_bytes().len(), 8 + 10 * 8);
         let s = "abc".to_string();
-        assert_eq!(s.wire_size(), 8 + 3);
+        assert_eq!(s.to_bytes().len(), 8 + 3);
     }
 
     #[test]
-    fn bytes_zero_copy_slice() {
+    fn get_bytes_is_a_view_into_the_input() {
         let payload = Bytes::from(vec![9u8; 1000]);
         let encoded = payload.to_bytes();
-        let decoded = Bytes::from_bytes(encoded).unwrap();
-        assert_eq!(decoded.len(), 1000);
-        assert_eq!(decoded[0], 9);
+        let decoded = Bytes::from_bytes(encoded.clone()).unwrap();
+        assert_eq!(decoded, payload);
+        // The payload starts after its 8-byte length prefix, in the same
+        // allocation: no byte was copied.
+        assert_eq!(decoded.as_ptr(), encoded[8..].as_ptr());
+    }
+
+    #[test]
+    fn truncated_byte_string_leaves_reader_usable() {
+        let mut w = WireWriter::new();
+        w.put_u64(5);
+        w.put_u32(7);
+        let mut r = WireReader::new(w.finish());
+        assert_eq!(r.get_bytes(), Err(WireError::Truncated));
+        assert_eq!(r.remaining(), 4);
+        assert_eq!(r.get_u32(), Ok(7));
+        assert_eq!(r.get_u8(), Err(WireError::Truncated));
     }
 
     #[test]

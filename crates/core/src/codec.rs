@@ -38,6 +38,7 @@ use rocket_cache::{CacheStats, DirectoryStats, FxHashSet};
 use rocket_comm::wire::{Wire, WireError, WireReader, WireWriter};
 use rocket_comm::TransportKind;
 use rocket_gpu::DeviceProfile;
+use rocket_sanitize::Mutex;
 use rocket_stats::Dist;
 
 use crate::report::{BusyTimes, RunReport};
@@ -46,18 +47,11 @@ use crate::workload::WorkloadProfile;
 
 /// Interns a decoded string into a `&'static str`, leaking each distinct
 /// string at most once per process.
-#[expect(
-    clippy::disallowed_types,
-    reason = "a leaf lock held for one set probe and insert, never around another \
-              lock, so the lock-order witness has no edge to record"
-)]
 fn intern(s: String) -> &'static str {
-    use std::sync::Mutex;
     static CACHE: OnceLock<Mutex<FxHashSet<&'static str>>> = OnceLock::new();
     let mut cache = CACHE
-        .get_or_init(|| Mutex::new(FxHashSet::default()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+        .get_or_init(|| Mutex::named("interner", FxHashSet::default()))
+        .lock();
     if let Some(&known) = cache.get(s.as_str()) {
         return known;
     }

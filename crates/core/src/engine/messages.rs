@@ -212,7 +212,7 @@ mod tests {
             item: 1,
             data: Some(Bytes::from(vec![0u8; 1000])),
         };
-        assert_eq!(big.wire_size() - small.wire_size(), 990);
+        assert_eq!(big.to_bytes().len() - small.to_bytes().len(), 990);
     }
 
     #[test]

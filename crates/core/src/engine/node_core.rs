@@ -17,8 +17,20 @@
 //! (`engine::node`) maps each call to a task on a resource thread; the
 //! simulator's shards (`rocket-sim`) map it to a sampled duration on a
 //! modeled server. Both call [`NodeCore::drain`] after each event they
-//! handle. They differ only in timing models, which live in the executors:
-//! the simulator's module docs list the three.
+//! handle. They differ in five details, all in the executors (the
+//! simulator's module docs give each in full):
+//!
+//! * three timing models: the simulator reads a result back and
+//!   post-processes it as two events of their own, post-processes on the
+//!   node's CPU pool rather than on a conductor thread, and launches one
+//!   compare per job where the conductor batches a drain's ready compares
+//!   into one GPU task;
+//! * staging: the conductor stages parsed items through four buffers per
+//!   device; the simulator puts no limit on staging;
+//! * the in-flight cap: the simulator caps jobs per GPU at half the
+//!   device slots clamped by [`NodeSpec::sim_slots`](crate::NodeSpec::sim_slots),
+//!   the conductor per node at `min(job_limit, gpus × device_slots / 2)`
+//!   over the configured slots.
 //!
 //! # Pipelines (the paper's Fig 2 / Fig 4)
 //!

@@ -55,7 +55,6 @@ impl Replications {
             base_seed,
             rel_half_width,
             max_n,
-            batch: 4,
             threads: 0,
         }
     }
@@ -118,29 +117,25 @@ impl Replications {
 /// Runs replications until the elapsed-time confidence interval is tight
 /// (build with [`Replications::until_ci`]).
 ///
-/// Stopping rule: after each batch, stop when
+/// Stopping rule: after each batch of [`AdaptiveReplications::BATCH`]
+/// replications, stop when
 /// `ci95_half_width(elapsed) ≤ rel_half_width · |mean(elapsed)|`.
-/// At least one full batch (minimum two replications — a CI needs two
-/// observations) always runs; `max_n` caps the total. Seeds come from the
-/// deterministic stream seeded by `base_seed`, so on a deterministic
-/// backend the entire procedure — which seeds run and the aggregate
-/// report — is a pure function of `(scenario, base_seed)`.
+/// At least one full batch always runs (a CI needs two observations);
+/// `max_n` caps the total. Seeds come from the deterministic stream
+/// seeded by `base_seed`, so on a deterministic backend the entire
+/// procedure — which seeds run and the aggregate report — is a pure
+/// function of `(scenario, base_seed)`.
 #[derive(Debug, Clone)]
 pub struct AdaptiveReplications {
     base_seed: u64,
     rel_half_width: f64,
     max_n: usize,
-    batch: usize,
     threads: usize,
 }
 
 impl AdaptiveReplications {
-    /// Sets the batch size (replications added per round; default 4,
-    /// clamped to at least 2 so the first round yields a CI).
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
+    /// Replications added per round.
+    pub const BATCH: usize = 4;
 
     /// Caps the worker-thread count (`0`, the default, uses the machine's
     /// available parallelism). Does not affect the result.
@@ -166,12 +161,11 @@ impl AdaptiveReplications {
                 "adaptive replications need max_n >= 2 (a CI needs two runs)".into(),
             ));
         }
-        let batch = self.batch.max(2);
         let mut state = self.base_seed;
         let mut seeds: Vec<u64> = Vec::new();
         let mut runs: Vec<RunReport> = Vec::new();
         loop {
-            let take = batch.min(self.max_n - seeds.len());
+            let take = Self::BATCH.min(self.max_n - seeds.len());
             let fresh: Vec<u64> = (0..take).map(|_| splitmix64(&mut state)).collect();
             let round = Replications::from_seeds(fresh.clone())
                 .threads(self.threads)

@@ -53,6 +53,15 @@ impl NodeSpec {
             host_slots,
         }
     }
+
+    /// The `(device, host)` slot counts the simulator runs for a data set
+    /// of `items` items: each level clamped to `min(slots, items)`, and to
+    /// at least 2. Slots beyond the item count never get used, so the
+    /// clamp keeps huge Fig 9 caches cheap without changing behaviour.
+    pub fn sim_slots(&self, items: u64) -> (usize, usize) {
+        let clamp = |slots: usize| slots.min(items as usize).max(2);
+        (clamp(self.device_slots), clamp(self.host_slots))
+    }
 }
 
 /// A complete, validated description of one all-pairs run.

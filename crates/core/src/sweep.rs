@@ -214,23 +214,6 @@ impl Axis {
         )
     }
 
-    /// GPUs-per-node axis (`gpus_per_node`): every node's GPU list becomes
-    /// `count` copies of its own first device profile.
-    pub fn gpus_per_node(counts: impl IntoIterator<Item = usize>) -> Self {
-        Self::points(
-            "gpus_per_node",
-            counts.into_iter().map(|count| {
-                (AxisValue::from(count), move |s: &mut Scenario| {
-                    for node in &mut s.nodes {
-                        if let Some(gpu) = node.gpus.first().cloned() {
-                            node.gpus = vec![gpu; count];
-                        }
-                    }
-                })
-            }),
-        )
-    }
-
     /// Data-set-size axis (`n_items`): sets the workload's item count.
     pub fn items(counts: impl IntoIterator<Item = u64>) -> Self {
         Self::points(
@@ -605,15 +588,13 @@ mod tests {
     }
 
     #[test]
-    fn gpus_and_items_axes_apply() {
+    fn items_axis_applies() {
         let sweep = Sweep::over(base())
-            .axis(Axis::gpus_per_node([4]))
             .axis(Axis::items([100]))
             .try_build()
             .unwrap();
         let cell = &sweep.cells()[0];
-        assert_eq!(cell.scenario.nodes[0].gpus.len(), 4);
         assert_eq!(cell.scenario.workload.items, 100);
-        assert_eq!(cell.coords[1].0, "n_items");
+        assert_eq!(cell.coords[0].0, "n_items");
     }
 }

@@ -15,7 +15,8 @@
 //! The shards (`crate::shard`) are the simulator's executor of `NodeCore`:
 //! each side effect the core asks for becomes a sampled duration on a
 //! modeled server and an event at its completion. The two engines differ
-//! only in three timing models, which live in the executors:
+//! in five details, all of which live in the executors. Three are timing
+//! models:
 //!
 //! * the simulator reads a compare's result back as an event of its own
 //!   (`Ev::ResultDone`) and post-processes as another (`Ev::PostDone`),
@@ -25,6 +26,20 @@
 //! * the simulator launches one compare per job, where the conductor
 //!   batches the compares that became ready in one drain of its event
 //!   queue into one GPU task.
+//!
+//! Two are limits:
+//!
+//! * staging: with a pre-process stage, the conductor stages parsed items
+//!   on each device through four staging buffers, and an item that finds
+//!   none waits in its device's staging queue; the simulator puts no
+//!   limit on staging;
+//! * the in-flight cap: the simulator caps jobs per GPU at
+//!   `(dev_slots / 2).max(1)`, over the slot counts that
+//!   [`NodeSpec::sim_slots`](rocket_core::NodeSpec::sim_slots) clamps to
+//!   the item count, beside the node's `job_limit`; the conductor caps them
+//!   per node at `min(job_limit, gpus × device_slots / 2)` (at least 1),
+//!   over the configured slots. The two differ on multi-GPU nodes and when
+//!   the slots exceed the item count.
 //!
 //! Simulated loads never fail, so the core's item-failure path never
 //! fires here.

@@ -293,10 +293,7 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
         let (nodes, cores): (Vec<SimNode>, Vec<NodeCore>) = range
             .map(|rank| {
                 let nc = &cfg.nodes[rank];
-                // Slots beyond the item count never get used: clamp to keep
-                // huge Fig 9 sweeps cheap without changing behaviour.
-                let dev_slots = nc.device_slots.min(n as usize).max(2);
-                let host_slots = nc.host_slots.min(n as usize).max(2);
+                let (dev_slots, host_slots) = nc.sim_slots(n);
                 let preprocess = cfg.workload.preprocess.is_some();
                 let core = NodeCore::new(cfg, rank, n as usize, dev_slots, host_slots, preprocess);
                 let node = SimNode {

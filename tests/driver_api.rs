@@ -115,7 +115,6 @@ fn adaptive_replications_honor_the_stopping_rule() {
 
     // An unattainable target runs to the cap, not forever.
     let capped = Replications::until_ci(3, 1e-12, 7)
-        .batch(3)
         .run(&backend, &scenario)
         .expect("capped run");
     assert_eq!(capped.replications(), 7);
