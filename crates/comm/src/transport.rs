@@ -237,33 +237,27 @@ pub struct LocalTransport {
     stats: Arc<CommStats>,
 }
 
-impl LocalTransport {
-    /// This endpoint's rank.
-    pub fn node(&self) -> NodeId {
+impl Transport for LocalTransport {
+    fn node(&self) -> NodeId {
         self.node
     }
 
-    /// Number of nodes in the cluster.
-    pub fn cluster_size(&self) -> usize {
+    fn cluster_size(&self) -> usize {
         self.peers.len()
     }
 
-    /// Sends `payload` to node `to` (which may be this node itself — the
-    /// directory protocol produces self-addressed messages).
-    pub fn send(&self, to: NodeId, payload: Bytes) -> Result<(), RecvError> {
+    /// An unknown rank reports `Disconnected`, as a departed peer does.
+    fn send(&self, to: NodeId, payload: Bytes) -> Result<(), RecvError> {
         let len = payload.len();
-        self.peers[to]
-            .send(Incoming {
-                from: self.node,
-                payload,
-            })
-            .map_err(|_| RecvError::Disconnected)?;
+        let from = self.node;
+        (self.peers.get(to))
+            .and_then(|peer| peer.send(Incoming { from, payload }).ok())
+            .ok_or(RecvError::Disconnected)?;
         self.stats.record_send(len);
         Ok(())
     }
 
-    /// Receives the next message, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Incoming, RecvError> {
+    fn recv_timeout(&self, timeout: Duration) -> Result<Incoming, RecvError> {
         let msg = self.inbox.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => RecvError::Timeout,
             RecvTimeoutError::Disconnected => RecvError::Disconnected,
@@ -272,42 +266,14 @@ impl LocalTransport {
         Ok(msg)
     }
 
-    /// Receives without blocking.
-    pub fn try_recv(&self) -> Option<Incoming> {
+    fn try_recv(&self) -> Option<Incoming> {
         let msg = self.inbox.try_recv().ok()?;
         self.stats.record_recv(msg.payload.len());
         Some(msg)
     }
 
-    /// This endpoint's traffic counters.
-    pub fn stats(&self) -> Arc<CommStats> {
-        Arc::clone(&self.stats)
-    }
-}
-
-impl Transport for LocalTransport {
-    fn node(&self) -> NodeId {
-        LocalTransport::node(self)
-    }
-
-    fn cluster_size(&self) -> usize {
-        LocalTransport::cluster_size(self)
-    }
-
-    fn send(&self, to: NodeId, payload: Bytes) -> Result<(), RecvError> {
-        LocalTransport::send(self, to, payload)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Incoming, RecvError> {
-        LocalTransport::recv_timeout(self, timeout)
-    }
-
-    fn try_recv(&self) -> Option<Incoming> {
-        LocalTransport::try_recv(self)
-    }
-
     fn stats(&self) -> Arc<CommStats> {
-        LocalTransport::stats(self)
+        Arc::clone(&self.stats)
     }
 }
 
@@ -371,6 +337,14 @@ mod tests {
             let msg = eps[1].try_recv().unwrap();
             assert_eq!(msg.payload[0], i);
         }
+    }
+
+    #[test]
+    fn send_to_an_unknown_rank_is_disconnected() {
+        let eps = LocalCluster::connect(2);
+        let sent = eps[0].send(2, Bytes::from_static(b"lost"));
+        assert_eq!(sent.unwrap_err(), RecvError::Disconnected);
+        assert_eq!(eps[0].stats().msgs_sent(), 0);
     }
 
     #[test]

@@ -150,7 +150,8 @@ pub(crate) struct NodeReport {
     /// Pairs that failed permanently, with causes.
     pub failed: Vec<(Pair, String)>,
     /// One stage record per stage the node's resource threads executed,
-    /// plus one per post-process the conductor ran, stamped on the
+    /// plus the conductor's own: a `postprocess` and a `pair_done` per
+    /// delivered pair and the core's cache and probe notes, stamped on the
     /// run-wide clock (empty unless the run is recorded).
     pub perf: Vec<PerfRecord>,
     /// Transport traffic counters (zero on single-node runs).
@@ -198,19 +199,16 @@ impl NodeHandle {
     }
 }
 
-/// The job limiter of node `node_id`: in-flight jobs capped so that every
-/// job's device leases fit at once.
-///
-/// Each job pins up to two device-cache slots; capping in-flight jobs at
-/// slots/2 per device guarantees all leases fit simultaneously, which
-/// keeps tiny-cache configurations free of eviction livelock. A
-/// write-back's pin can take a slot beyond that budget, but only until its
-/// D2H copy completes; a job it crowds out parks as a capacity waiter and
-/// the unpin wakes it.
+/// The job limiter of node `node_id`: in-flight jobs capped at
+/// [`NodeSpec::job_cap`](crate::NodeSpec::job_cap) over the configured
+/// slots. A write-back's pin can take a slot beyond that budget, but only
+/// until its D2H copy completes; a job it crowds out parks as a capacity
+/// waiter and the unpin wakes it.
 pub(crate) fn node_limiter(scenario: &Scenario, node_id: usize) -> Arc<JobLimiter> {
     let spec = &scenario.nodes[node_id];
-    let lease_cap = (spec.gpus.len() * (spec.device_slots / 2)).max(1);
-    Arc::new(JobLimiter::new(scenario.job_limit.min(lease_cap)))
+    Arc::new(JobLimiter::new(
+        spec.job_cap(scenario.job_limit, spec.device_slots),
+    ))
 }
 
 /// Closes every node's job limiter when the conductor thread that owns it
@@ -626,11 +624,13 @@ impl<A: Application> Executor<A> {
             match result {
                 // Decoding a result takes nanoseconds: cheaper here than a
                 // round trip through the CPU pool.
-                Ok(bytes) => outputs.push((
-                    pair,
-                    self.recorder
-                        .time(PerfKind::Postprocess, || self.app.postprocess(pair, &bytes)),
-                )),
+                Ok(bytes) => {
+                    let rec = &mut self.recorder;
+                    let output =
+                        rec.time(PerfKind::Postprocess, || self.app.postprocess(pair, &bytes));
+                    rec.note(PerfKind::PairDone, dev as u64);
+                    outputs.push((pair, output));
+                }
                 Err(e) => self.failed.push((pair, format!("compare failed: {e}"))),
             }
         }

@@ -62,6 +62,16 @@ impl NodeSpec {
         let clamp = |slots: usize| slots.min(items as usize).max(2);
         (clamp(self.device_slots), clamp(self.host_slots))
     }
+
+    /// The node's in-flight job cap over `device_slots` slots per GPU:
+    /// `min(job_limit, max(1, gpus × (device_slots / 2)))`. Both engines
+    /// use it, over the slots each runs. Each job pins up to two device
+    /// slots, so half the slots per GPU keeps every in-flight job's leases
+    /// fitting at once — the counting argument that keeps tiny caches free
+    /// of eviction livelock.
+    pub fn job_cap(&self, job_limit: usize, device_slots: usize) -> usize {
+        job_limit.min((self.gpus.len() * (device_slots / 2)).max(1))
+    }
 }
 
 /// A complete, validated description of one all-pairs run.

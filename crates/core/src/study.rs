@@ -336,18 +336,26 @@ impl CellReport {
         self.report.runs.iter().any(|r| r.degraded)
     }
 
-    fn coords_json(&self) -> String {
-        let mut out = String::from("{");
+    /// Appends `"cell":…,"coords":{…},"report":…` (and `"perf":…` when
+    /// recorded), then closes the object the caller opened: the one
+    /// per-cell writer behind both JSON forms of a study.
+    fn push_json_fields(&self, out: &mut String) {
+        out.push_str(&format!("\"cell\":{},\"coords\":{{", self.cell));
         for (i, (name, value)) in self.coords.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json::push_str(&mut out, name);
+            json::push_str(out, name);
             out.push(':');
             out.push_str(&value.to_json());
         }
+        out.push_str("},\"report\":");
+        out.push_str(&self.report.to_json());
+        if let Some(perf) = &self.perf {
+            out.push_str(",\"perf\":");
+            out.push_str(&perf.to_json());
+        }
         out.push('}');
-        out
     }
 }
 
@@ -449,16 +457,8 @@ impl StudyReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"cell\":{},\"coords\":{},\"report\":{}",
-                cell.cell,
-                cell.coords_json(),
-                cell.report.to_json()
-            ));
-            if let Some(perf) = &cell.perf {
-                out.push_str(&format!(",\"perf\":{}", perf.to_json()));
-            }
-            out.push('}');
+            out.push('{');
+            cell.push_json_fields(&mut out);
         }
         out.push_str("]}");
         out
@@ -474,16 +474,8 @@ impl StudyReport {
                 let mut out = String::with_capacity(1024);
                 out.push_str("{\"experiment\":");
                 json::push_str(&mut out, &self.experiment);
-                out.push_str(&format!(
-                    ",\"cell\":{},\"coords\":{},\"report\":{}",
-                    cell.cell,
-                    cell.coords_json(),
-                    cell.report.to_json()
-                ));
-                if let Some(perf) = &cell.perf {
-                    out.push_str(&format!(",\"perf\":{}", perf.to_json()));
-                }
-                out.push('}');
+                out.push(',');
+                cell.push_json_fields(&mut out);
                 out
             })
             .collect()

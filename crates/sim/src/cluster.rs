@@ -14,32 +14,24 @@
 //!
 //! The shards (`crate::shard`) are the simulator's executor of `NodeCore`:
 //! each side effect the core asks for becomes a sampled duration on a
-//! modeled server and an event at its completion. The two engines differ
-//! in five details, all of which live in the executors. Three are timing
-//! models:
+//! modeled server and an event at its completion. A compare is one task
+//! and one event, as on the conductor: the kernel and the result
+//! read-back run on the GPU's compute engine, the node post-processes the
+//! result itself, and `Ev::CompareDone` retires the job. Both engines cap
+//! in-flight jobs with [`NodeSpec::job_cap`](rocket_core::NodeSpec::job_cap).
+//! They differ in three details, all in the executors:
 //!
-//! * the simulator reads a compare's result back as an event of its own
-//!   (`Ev::ResultDone`) and post-processes as another (`Ev::PostDone`),
-//!   where the conductor reads the result back inside the compare task;
-//! * the simulator post-processes on the node's modeled CPU pool, where
-//!   the conductor post-processes on its own thread;
-//! * the simulator launches one compare per job, where the conductor
-//!   batches the compares that became ready in one drain of its event
-//!   queue into one GPU task.
-//!
-//! Two are limits:
-//!
+//! * batching: the simulator launches one compare per job, where the
+//!   conductor batches the compares that became ready in one drain of its
+//!   event queue into one GPU task;
 //! * staging: with a pre-process stage, the conductor stages parsed items
 //!   on each device through four staging buffers, and an item that finds
 //!   none waits in its device's staging queue; the simulator puts no
 //!   limit on staging;
-//! * the in-flight cap: the simulator caps jobs per GPU at
-//!   `(dev_slots / 2).max(1)`, over the slot counts that
-//!   [`NodeSpec::sim_slots`](rocket_core::NodeSpec::sim_slots) clamps to
-//!   the item count, beside the node's `job_limit`; the conductor caps them
-//!   per node at `min(job_limit, gpus × device_slots / 2)` (at least 1),
-//!   over the configured slots. The two differ on multi-GPU nodes and when
-//!   the slots exceed the item count.
+//! * the slot counts the shared cap is computed over: the simulator's are
+//!   clamped to the item count by
+//!   [`NodeSpec::sim_slots`](rocket_core::NodeSpec::sim_slots), the
+//!   conductor's are the configured ones.
 //!
 //! Simulated loads never fail, so the core's item-failure path never
 //! fires here.
@@ -93,11 +85,6 @@ impl From<&DeviceProfile> for GpuRates {
 #[derive(Debug)]
 pub(crate) struct SimGpu {
     pub(crate) rates: GpuRates,
-    /// In-flight jobs this GPU takes: each job pins up to two device
-    /// slots, so half the slots (at least one) keeps every in-flight job's
-    /// leases fitting at once — the counting argument that makes the
-    /// pipeline deadlock- and livelock-free even for tiny caches.
-    pub(crate) lease_cap: usize,
     pub(crate) compute: Engine,
     pub(crate) h2d: Engine,
     pub(crate) d2h: Engine,
@@ -125,7 +112,14 @@ pub(crate) struct SimNode {
     pub(crate) pending: u64,
     pub(crate) gpus: Vec<SimGpu>,
     pub(crate) cpu: Pool,
+    /// Post-process time, charged to `busy.cpu` but not run on `cpu`:
+    /// like the conductor, the node decodes each result itself.
+    pub(crate) post_busy_ns: u64,
     pub(crate) nic: Engine,
+    /// In-flight job cap: [`NodeSpec::job_cap`](rocket_core::NodeSpec::job_cap)
+    /// over the clamped slots. Jobs go to the least-loaded GPU, so no GPU
+    /// holds more than half its slots' worth.
+    pub(crate) job_cap: usize,
     pub(crate) jobs_in_flight: usize,
     pub(crate) pairs_done: u64,
     /// Deterministic per-node stream for stage sampling. Per-node (not
@@ -155,9 +149,7 @@ pub(crate) enum Ev {
     PreprocessDone { node: usize, item: u64 },
     WritebackDone { node: usize, item: u64 },
     FillCopyDone { node: usize, gpu: usize, item: u64 },
-    CompareDone { node: usize, gpu: usize, job: u64 },
-    ResultDone { node: usize, job: u64 },
-    PostDone { node: usize, job: u64 },
+    CompareDone { node: usize, job: u64 },
     Net { to: usize, from: usize, msg: Msg },
 }
 
@@ -335,10 +327,13 @@ mod tests {
 
     #[test]
     fn busy_times_accounted() {
+        use super::transfer_ns;
         let r = sim(&toy_scenario(16, 1, 64));
-        // 16 loads × 5 ms preprocess; 120 pairs × 1 ms compare.
+        // 16 loads × 5 ms preprocess; 120 pairs × (1 ms compare + the
+        // 1 KB result read-back), one task each on the compute engine.
+        let read_back = transfer_ns(1024, DeviceProfile::titanx_maxwell().d2h_bytes_per_sec);
         assert!((r.busy.preprocess - 16.0 * 5e-3).abs() < 1e-9);
-        assert!((r.busy.compare - 120.0 * 1e-3).abs() < 1e-9);
+        assert_eq!(r.busy.compare, (120 * (1_000_000 + read_back)) as f64 / 1e9);
         assert!(r.busy.cpu > 0.0);
         assert!(r.busy.io > 0.0);
     }

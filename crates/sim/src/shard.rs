@@ -118,7 +118,7 @@ pub(crate) struct ShardState {
     outbox: Vec<(SimTime, u64, usize, usize, Msg)>,
     /// Deferred storage requests: `(at, prio, node, item)`.
     load_reqs: Vec<(SimTime, u64, usize, u64)>,
-    ev_counts: [u64; 11],
+    ev_counts: [u64; 9],
     /// End (exclusive) of the window this shard may currently execute.
     window_end: SimTime,
     /// Nodes of this shard with `hungry` set (steal candidates).
@@ -167,6 +167,21 @@ struct Driver {
     perf: Option<Vec<PerfRecord>>,
 }
 
+impl Driver {
+    fn new(cfg: &Scenario, perf: &PerfLog) -> Self {
+        Self {
+            storage: Engine::new(),
+            steal_rng: SeedSequence::new(cfg.seed).rng("steal"),
+            steals: 0,
+            windows: 0,
+            loads: Vec::new(),
+            msgs: Vec::new(),
+            thieves: Vec::new(),
+            perf: perf.is_enabled().then(Vec::new),
+        }
+    }
+}
+
 /// Draws the next event priority for global node `g` from its sequence
 /// counter `seq`: unique across the whole run, ordered by
 /// `(node, draw index)` within a timestamp.
@@ -210,16 +225,7 @@ pub(crate) fn run(scenario: &Scenario, shards: usize, threads: usize, perf: &Per
     let k = shards.max(1).min(scenario.nodes.len().max(1));
     let ctx = build_ctx(scenario, perf, k);
     let mut shards = build_shards(scenario, &ctx, k);
-    let mut drv = Driver {
-        storage: Engine::new(),
-        steal_rng: SeedSequence::new(scenario.seed).rng("steal"),
-        steals: 0,
-        windows: 0,
-        loads: Vec::new(),
-        msgs: Vec::new(),
-        thieves: Vec::new(),
-        perf: perf.is_enabled().then(Vec::new),
-    };
+    let mut drv = Driver::new(scenario, perf);
     if ctx.total_pairs > 0 {
         if k == 1 {
             run_sequential(&ctx, &mut shards[0], &mut drv);
@@ -306,7 +312,6 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
                         .iter()
                         .map(|profile| SimGpu {
                             rates: GpuRates::from(profile),
-                            lease_cap: (dev_slots / 2).max(1),
                             compute: Engine::new(),
                             h2d: Engine::new(),
                             d2h: Engine::new(),
@@ -316,7 +321,9 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
                         })
                         .collect(),
                     cpu: Pool::new(cfg.cpu_threads),
+                    post_busy_ns: 0,
                     nic: Engine::new(),
+                    job_cap: nc.job_cap(cfg.job_limit, dev_slots),
                     jobs_in_flight: 0,
                     pairs_done: 0,
                     rng: seeds.rng_indexed("node", rank as u64),
@@ -339,7 +346,7 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
             queue: SlabEventQueue::new(),
             outbox: Vec::new(),
             load_reqs: Vec::new(),
-            ev_counts: [0; 11],
+            ev_counts: [0; 9],
             window_end: 0,
             hungry_count: 0,
             pairs_done: 0,
@@ -693,7 +700,7 @@ fn select_bit(words: &[u64], mut k: usize) -> Result<usize, usize> {
 
 fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &str) -> ! {
     let mut diag = String::new();
-    let mut ev_counts = [0u64; 11];
+    let mut ev_counts = [0u64; 9];
     let mut queue_len = 0usize;
     let (mut done, mut started) = (0u64, 0u64);
     for s in shards.iter() {
@@ -719,7 +726,7 @@ fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &st
         }
     }
     panic!(
-        "simulation stalled ({why}): {done}/{} pairs done (started {started}){diag}\n              event counts [pull,io,parse,staging,pre,writeback,fillcopy,cmp,res,post,net]: {ev_counts:?}\n              windows {} queue len {queue_len}",
+        "simulation stalled ({why}): {done}/{} pairs done (started {started}){diag}\n              event counts [pull,io,parse,staging,pre,writeback,fillcopy,cmp,net]: {ev_counts:?}\n              windows {} queue len {queue_len}",
         ctx.total_pairs, drv.windows,
     );
 }
@@ -767,7 +774,7 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
             r.io_bytes += node.io_bytes;
             r.net_bytes += node.net_bytes;
             r.pairs_per_node.push(node.pairs_done);
-            r.busy.cpu += ns_to_secs(node.cpu.busy_ns());
+            r.busy.cpu += ns_to_secs(node.cpu.busy_ns() + node.post_busy_ns);
             for gpu in &node.gpus {
                 r.busy.preprocess += ns_to_secs(gpu.pre_busy_ns);
                 r.busy.compare += ns_to_secs(gpu.cmp_busy_ns);
@@ -895,9 +902,7 @@ impl ShardState {
             Ev::WritebackDone { node, .. } => (5, node),
             Ev::FillCopyDone { node, .. } => (6, node),
             Ev::CompareDone { node, .. } => (7, node),
-            Ev::ResultDone { node, .. } => (8, node),
-            Ev::PostDone { node, .. } => (9, node),
-            Ev::Net { to, .. } => (10, to),
+            Ev::Net { to, .. } => (8, to),
         };
         self.ev_counts[idx] += 1;
         match ev {
@@ -920,13 +925,7 @@ impl ShardState {
             Ev::FillCopyDone { gpu, item, .. } => {
                 self.cores[node - self.base].fill_copy_done(gpu, item, Ok(()))
             }
-            Ev::CompareDone { gpu, job, .. } => self.with_core(ctx, node, |core, io| {
-                // Leases can be dropped as soon as the kernel finishes.
-                core.compare_done(job);
-                io.read_back(gpu, job);
-            }),
-            Ev::ResultDone { job, .. } => self.with_core(ctx, node, |_, io| io.post_process(job)),
-            Ev::PostDone { job, .. } => self.on_post_done(ctx, node, job),
+            Ev::CompareDone { job, .. } => self.on_compare_done(ctx, node, job),
             Ev::Net { from, msg, .. } => {
                 self.with_core(ctx, node, |core, io| core.on_peer(from, msg, io))
             }
@@ -940,15 +939,10 @@ impl ShardState {
 
     // ---- work acquisition ------------------------------------------------
 
-    #[inline]
-    fn has_gpu_slack(&self, l: usize) -> bool {
-        self.nodes[l].gpus.iter().any(|g| g.in_flight < g.lease_cap)
-    }
-
     fn pull_work(&mut self, ctx: &Ctx, node: usize) {
         let l = node - self.base;
         loop {
-            if self.nodes[l].jobs_in_flight >= ctx.cfg.job_limit || !self.has_gpu_slack(l) {
+            if self.nodes[l].jobs_in_flight >= self.nodes[l].job_cap {
                 // Capacity-limited, not starved: job completions re-pull.
                 self.set_hungry(node, false);
                 return;
@@ -1042,13 +1036,11 @@ impl ShardState {
     fn start_job(&mut self, ctx: &Ctx, node: usize, pair: Pair) {
         self.pairs_started += 1;
         let l = node - self.base;
-        // Bind to the least-loaded GPU of the node (per-GPU workers) that
-        // still has lease headroom.
+        // Bind to the least-loaded GPU of the node (per-GPU workers).
         let gpus = &mut self.nodes[l].gpus;
         let gpu = (0..gpus.len())
-            .filter(|&g| gpus[g].in_flight < gpus[g].lease_cap)
             .min_by_key(|&g| gpus[g].in_flight)
-            .expect("caller checked gpu slack");
+            .expect("nodes have GPUs");
         gpus[gpu].in_flight += 1;
         self.nodes[l].jobs_in_flight += 1;
         self.with_core(ctx, node, |core, io| core.submit(pair, gpu, io));
@@ -1080,9 +1072,17 @@ impl ShardState {
 
     // ---- job completion ---------------------------------------------------
 
-    fn on_post_done(&mut self, ctx: &Ctx, node: usize, job: JobId) {
+    /// A compare task ended with its result on the host, post-processed:
+    /// the job drops its leases and retires. The capacity waiters the
+    /// freed slots wake run before the node pulls new work, as on the
+    /// conductor.
+    fn on_compare_done(&mut self, ctx: &Ctx, node: usize, job: JobId) {
         let l = node - self.base;
-        let (_, gpu) = self.cores[l].retire(job);
+        let (_, gpu) = self.with_core(ctx, node, |core, io| {
+            core.compare_done(job);
+            core.drain(io);
+            core.retire(job)
+        });
         self.nodes[l].gpus[gpu].in_flight -= 1;
         self.nodes[l].jobs_in_flight -= 1;
         self.nodes[l].pairs_done += 1;
@@ -1181,30 +1181,6 @@ impl SimIo<'_> {
         self.stage_done(done, dur, PerfKind::Preprocess, ev);
     }
 
-    /// A compare's result read-back: its own D2H transfer.
-    fn read_back(&mut self, gpu: usize, job: JobId) {
-        let g = &mut self.hw.gpus[gpu];
-        let bytes = self.ctx.cfg.workload.item_bytes.min(1024);
-        let dur = transfer_ns(bytes, g.rates.d2h_bytes_per_sec);
-        let done = g.d2h.submit(self.queue.now(), dur);
-        let ev = Ev::ResultDone {
-            node: self.node,
-            job,
-        };
-        self.stage_done(done, dur, PerfKind::CopyOut, ev);
-    }
-
-    /// Post-processes a read-back result on the node's CPU pool.
-    fn post_process(&mut self, job: JobId) {
-        let dur = sample_ns(&mut self.hw.rng, &self.ctx.stages.postprocess);
-        let done = self.hw.cpu.submit(self.queue.now(), dur);
-        let ev = Ev::PostDone {
-            node: self.node,
-            job,
-        };
-        self.stage_done(done, dur, PerfKind::Postprocess, ev);
-    }
-
     /// Routes a message to `to`, arriving at absolute time `at`. The
     /// priority is drawn from the *sender's* sequence — K-invariant, unlike
     /// anything involving the receiving queue. Cross-shard messages park in
@@ -1284,18 +1260,25 @@ impl NodeIo for SimIo<'_> {
         self.stage_done(done, dur, PerfKind::CopyIn, ev);
     }
 
+    /// One GPU task, as the conductor's launch thread runs it: the kernel,
+    /// then the result read-back, on the compute engine. The sampled
+    /// post-process time follows on the node itself.
     fn compare(&mut self, job: JobId, gpu: usize, _: Pair, _: SlotIdx, _: SlotIdx) {
         let base = sample_ns(&mut self.hw.rng, &self.ctx.stages.compare);
+        let post = sample_ns(&mut self.hw.rng, &self.ctx.stages.postprocess);
         let g = &mut self.hw.gpus[gpu];
-        let dur = (base as f64 / g.rates.compute_scale) as u64;
-        let done = g.compute.submit(self.queue.now(), dur);
+        let result_bytes = self.ctx.cfg.workload.item_bytes.min(1024);
+        let dur = (base as f64 / g.rates.compute_scale) as u64
+            + transfer_ns(result_bytes, g.rates.d2h_bytes_per_sec);
+        let ran = g.compute.submit(self.queue.now(), dur);
         g.cmp_busy_ns += dur;
+        self.hw.post_busy_ns += post;
+        push_perf(self.perf, ran, PerfKind::Compare, self.node, dur);
         let ev = Ev::CompareDone {
             node: self.node,
-            gpu,
             job,
         };
-        self.stage_done(done, dur, PerfKind::Compare, ev);
+        self.stage_done(ran + post, post, PerfKind::Postprocess, ev);
     }
 
     fn send(&mut self, to: usize, msg: Msg) {
@@ -1504,6 +1487,27 @@ mod tests {
             let local: usize = words.iter().map(|w| w.count_ones() as usize).sum();
             assert_eq!(select_bit(words, local + 3), Err(3));
         }
+    }
+
+    /// A compared pair costs one event, as on the conductor: with every
+    /// item cached on one node, the load pipeline's events are a cost per
+    /// item, so the run handles fewer than two events per pair.
+    #[test]
+    fn a_compared_pair_costs_one_event() {
+        let cfg = toy_scenario(32, 1, 64);
+        let off = PerfLog::disabled();
+        let ctx = build_ctx(&cfg, &off, 1);
+        let mut shards = build_shards(&cfg, &ctx, 1);
+        run_sequential(&ctx, &mut shards[0], &mut Driver::new(&cfg, &off));
+        let s = &shards[0];
+        assert_eq!(s.pairs_done, 32 * 31 / 2);
+        let events: u64 = s.ev_counts.iter().sum();
+        assert!(
+            events < 2 * s.pairs_done,
+            "{events} events for {} pairs: {:?}",
+            s.pairs_done,
+            s.ev_counts
+        );
     }
 
     #[test]

@@ -115,7 +115,9 @@ fn stochastic_stage_times_same_seed_identical_report() {
 /// counters. It was recorded before the engine built `RunReport` directly
 /// instead of folding a private result type, and re-derived when the
 /// report dropped its completion series: each value is the old rendering
-/// with its `, completions: …` field cut out.
+/// with its `, completions: …` field cut out. Every value was re-recorded
+/// when a compare became one task and one event (kernel and result
+/// read-back on the compute engine, post-process on the node).
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -139,34 +141,34 @@ fn steal_decisions_match_recorded_golden() {
             "64 nodes, 1 ms links",
             cloud,
             Golden {
-                steals: 447,
-                windows: 2995,
-                loads: 3550,
-                remote_fetches: 4671,
-                makespan_bits: 0x4007_f56a_9a75_032f,
+                steals: 401,
+                windows: 2776,
+                loads: 3286,
+                remote_fetches: 4825,
+                makespan_bits: 0x4006_3490_8ec7_c845,
                 pairs_per_node: &[
-                    608, 428, 516, 416, 392, 568, 396, 524, 516, 536, 412, 632, 520, 500, 524, 580,
-                    548, 456, 516, 584, 575, 508, 500, 455, 644, 580, 468, 508, 576, 548, 524, 504,
-                    516, 524, 588, 616, 584, 452, 348, 364, 476, 524, 580, 524, 560, 508, 504, 540,
-                    520, 524, 496, 452, 460, 448, 416, 452, 552, 520, 444, 542, 500, 524, 464, 556,
+                    480, 496, 476, 412, 576, 480, 452, 392, 596, 544, 513, 623, 484, 482, 479, 640,
+                    452, 564, 515, 477, 448, 557, 512, 466, 504, 525, 448, 507, 456, 640, 462, 444,
+                    692, 512, 564, 524, 544, 408, 444, 464, 440, 521, 588, 572, 460, 524, 520, 628,
+                    516, 540, 481, 580, 542, 584, 480, 508, 517, 455, 469, 516, 456, 468, 448, 573,
                 ],
-                report_fnv: 0xea83_06e3_b823_ced0,
+                report_fnv: 0x350f_f4dd_066e_bf5f,
             },
         ),
         (
             "16-node 4-GPU anchor",
             anchor,
             Golden {
-                steals: 70,
-                windows: 18425,
-                loads: 655,
-                remote_fetches: 1603,
-                makespan_bits: 0x3feb_2eaa_f35e_310e,
+                steals: 69,
+                windows: 18084,
+                loads: 686,
+                remote_fetches: 1557,
+                makespan_bits: 0x3feb_1906_864e_5aa3,
                 pairs_per_node: &[
-                    1712, 1845, 2353, 1800, 2112, 2355, 2304, 1720, 2280, 2240, 1800, 1912, 2055,
-                    2064, 2240, 1848,
+                    1648, 1952, 2304, 1704, 2048, 2288, 2304, 1720, 2176, 2240, 1840, 1912, 2056,
+                    2240, 2296, 1912,
                 ],
-                report_fnv: 0x2ca2_6eb9_eaf5_38be,
+                report_fnv: 0x1765_6680_4545_c20a,
             },
         ),
     ];

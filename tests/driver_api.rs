@@ -346,13 +346,19 @@ fn reports_obey_conservation_laws_on_both_engines() {
     }
 }
 
-/// Both engines log every cache and probe event the node core notes. On
-/// a recorded 2-node run with the distributed cache on, each cache level's
-/// hit and miss records equal the report's counters, and the probe records
-/// equal the probe hits plus misses, one per directory lookup.
+/// Both engines log every cache and probe event the node core notes, and
+/// the same records per pair. On a recorded 2-node run with the
+/// distributed cache on, each cache level's hit and miss records equal the
+/// report's counters, and the probe records equal the probe hits plus
+/// misses, one per directory lookup. Each pair logs one `compare`, one
+/// `postprocess` and one `pair_done`; `copy_out` is write-backs only, so
+/// never more than the loads.
 #[test]
 fn perf_log_cache_and_probe_records_match_the_report_on_both_engines() {
-    use PerfKind::{DevHit, DevMiss, HostHit, HostMiss, Probe, ProbeHit, ProbeMiss};
+    use PerfKind::{
+        Compare, CopyOut, DevHit, DevMiss, HostHit, HostMiss, PairDone, Postprocess, Probe,
+        ProbeHit, ProbeMiss,
+    };
     let n = 12u64;
     let store = MemStore::from_iter((0..n).map(|i| (format!("{i}.bin"), vec![i as u8; 16])));
     let threaded = ThreadedBackend::new(Arc::new(ByteSum { files: n }), Arc::new(store));
@@ -389,5 +395,9 @@ fn perf_log_cache_and_probe_records_match_the_report_on_both_engines() {
             "{label}: probe resolutions"
         );
         assert_eq!(r.directory.lookups(), probes, "{label}: lookups");
+        for kind in [Compare, Postprocess, PairDone] {
+            assert_eq!(count(kind), r.pairs, "{label}: {kind:?} records");
+        }
+        assert!(count(CopyOut) <= r.loads, "{label}: copy_out records");
     }
 }

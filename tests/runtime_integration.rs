@@ -501,11 +501,12 @@ fn perf_log_captures_all_pipeline_stages() {
         );
     }
     // Besides its stages, the log holds the node's cache events (one
-    // node: no directory probes).
+    // node: no directory probes) and one `pair_done` per pair.
     let stages = q.class(PerfClass::Stage).count();
     let cache = q.class(PerfClass::Cache).count();
     assert!(cache > 0, "the run noted no cache event");
-    assert_eq!(stages + cache, records.len() as u64);
+    assert_eq!(q.kind(PerfKind::PairDone).count(), 28);
+    assert_eq!(stages + cache + 28, records.len() as u64);
     // Chrome export is well-formed and carries one event per stage record.
     let json = chrome::to_chrome_json(&records);
     assert!(json.starts_with('[') && json.ends_with(']'));

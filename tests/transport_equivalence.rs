@@ -187,7 +187,8 @@ fn perf_records_cover_every_node_on_one_clock() {
         }
         // One run-wide clock: no record is stamped after the run ended,
         // and no stage started before it began, whichever node wrote it.
-        // Besides stages, the nodes log only their cache and probe events.
+        // Besides stages, the nodes log only their cache and probe events
+        // and their pair completions.
         let elapsed_ns = (report.elapsed * 1e9) as u64;
         for r in &records {
             let started = !r.kind.is_stage() || r.value <= r.t_ns;
@@ -199,7 +200,10 @@ fn perf_records_cover_every_node_on_one_clock() {
             assert!(
                 matches!(
                     class,
-                    PerfClass::Stage | PerfClass::Cache | PerfClass::Directory
+                    PerfClass::Stage
+                        | PerfClass::Cache
+                        | PerfClass::Directory
+                        | PerfClass::Progress
                 ),
                 "{kind:?}: {r:?}"
             );
