@@ -7,4 +7,4 @@ pub mod node;
 pub mod node_core;
 pub(crate) mod resource;
 
-pub use node_core::{JobId, NodeCore, NodeIo, PeerMsg};
+pub use node_core::{JobId, NodeCore, NodeIo, PeerMsg, ReadyCompare};

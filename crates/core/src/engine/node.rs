@@ -16,11 +16,10 @@
 //! * a submitter sends one `Submit` per grant of job permits, carrying as
 //!   many pairs of its leaf as there were free permits;
 //! * the conductor blocks for one event, then handles every event already
-//!   queued (a *drain*); at the end of the drain it sends each device's
-//!   ready compares as one GPU task, split only where a task would hold
-//!   more than half the node's permits — and a compare leaves at once
-//!   when its device has nothing queued, so an idle GPU never waits on a
-//!   long drain;
+//!   queued (a *drain*), then calls [`NodeCore::flush`]: the core forms
+//!   each GPU task from the compares that became ready (see its § GPU
+//!   tasks), so an idle GPU never waits on a long drain, and a busy one
+//!   gets the drain's compares together;
 //! * a GPU task is one kernel launch, which compares all of its pairs
 //!   through [`Application::compare_batch`], and one read-back of their
 //!   results; it logs one `Compare` perf record per pair, each an equal
@@ -30,13 +29,13 @@
 //!
 //! ## State layout
 //!
-//! The core holds every policy row. The conductor holds what only a
-//! threaded executor has: the resource threads, the device slot, staging
-//! and result buffers, the host slots' bytes, each device's ready compares
-//! and queued GPU tasks, the outputs and the job limiter. Parsed bytes
-//! that wait for a staging buffer sit in their device's staging queue; a
-//! staging buffer travels with the upload and pre-process events that use
-//! it.
+//! The core holds every policy row, each device's ready compares and
+//! issued GPU tasks, its staging indices and the items that wait for one.
+//! The conductor holds what only a threaded executor has: the resource
+//! threads, the buffers behind the device slots, staging indices and
+//! results, the host slots' bytes, each parsed item's bytes until its
+//! upload, the outputs and the job limiter. A staging index travels with
+//! the upload and pre-process events that use it.
 //!
 //! ## Load failures
 //!
@@ -54,7 +53,6 @@
 //! waits return; `NodeHandle::finish` then hands the panic to the driver,
 //! which re-raises it once every node has finished.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -63,7 +61,7 @@ use bytes::Bytes;
 use rocket_sanitize::channel::{unbounded, Receiver, Sender};
 use rocket_sanitize::Mutex;
 
-use rocket_cache::{ItemId, SlotIdx};
+use rocket_cache::{FxHashMap, ItemId, SlotIdx};
 use rocket_comm::{CommSnapshot, RecvError, Transport, Wire};
 use rocket_gpu::{BufferId, VirtualDevice};
 use rocket_steal::{JobLimiter, Pair};
@@ -72,8 +70,8 @@ use rocket_trace::{PerfKind, PerfRecord};
 
 use crate::app::Application;
 use crate::engine::messages::NodeMsg;
-use crate::engine::node_core::{JobId, NodeCore, NodeIo};
-use crate::engine::resource::{Recorder, Recording, Resource, Task};
+use crate::engine::node_core::{JobId, NodeCore, NodeIo, ReadyCompare, STAGING_BUFFERS};
+use crate::engine::resource::{Recorder, Recording, Resource};
 use crate::scenario::Scenario;
 
 /// Conductor events (posted by resource threads, the comm thread, and
@@ -90,23 +88,23 @@ pub(crate) enum Event {
     /// when the parse wrote straight into the host slot.
     ParseDone {
         item: ItemId,
-        result: Result<Vec<u8>, String>,
+        result: Result<Option<Vec<u8>>, String>,
     },
-    /// Parsed bytes were uploaded to `dev`'s staging buffer `staging`,
+    /// Parsed bytes were uploaded to `dev`'s staging index `staging`,
     /// bound for device slot `dslot`.
     StagingUploaded {
         dev: usize,
         item: ItemId,
         dslot: SlotIdx,
-        staging: BufferId,
+        staging: usize,
         result: Result<(), String>,
     },
     /// Pre-process kernel finished on `dev` (item now in its device slot);
-    /// staging buffer `staging` is free again.
+    /// staging index `staging` is free again.
     PreprocessDone {
         dev: usize,
         item: ItemId,
-        staging: BufferId,
+        staging: usize,
         result: Result<(), String>,
     },
     /// The item's pinned device slot was written back into its host slot.
@@ -131,15 +129,6 @@ pub(crate) enum Event {
     Remote { from: usize, msg: NodeMsg },
     /// Stop the conductor (sent after cluster-wide completion).
     Shutdown,
-}
-
-/// A compare whose job holds both leases, waiting for its device's next
-/// GPU task.
-struct Compare {
-    job: JobId,
-    pair: Pair,
-    left: BufferId,
-    right: BufferId,
 }
 
 /// What one node's conductor hands back when it stops: its core, whose
@@ -346,20 +335,14 @@ struct Executor<A: Application> {
 
     dev_slot_bufs: Vec<Vec<BufferId>>,
     host_slots: Vec<Arc<Mutex<Vec<u8>>>>,
-    staging_pool: Vec<Vec<BufferId>>,
-    /// Each device's parsed items waiting for a staging buffer:
-    /// `(item, device slot, parsed bytes)`.
-    staging_queue: Vec<VecDeque<(ItemId, SlotIdx, Vec<u8>)>>,
-    /// Most compares one GPU task holds: half the node's permits.
-    task_cap: usize,
-    /// One result buffer per device, `task_cap` results long: GPU tasks on
-    /// a device run one at a time on its launch thread, each reading its
-    /// results back before the next one starts.
+    /// Parsed bytes waiting for their pre-process, by item.
+    parsed: FxHashMap<ItemId, Vec<u8>>,
+    /// Each device's staging buffers, by staging index.
+    staging_bufs: Vec<Vec<BufferId>>,
+    /// One result buffer per device, [`NodeCore::task_cap`] results long:
+    /// GPU tasks on a device run one at a time on its launch thread, each
+    /// reading its results back before the next one starts.
     result_bufs: Vec<BufferId>,
-    /// GPU tasks sent to each device whose completion is not handled yet.
-    gpu_queued: Vec<usize>,
-    /// Each device's compares that wait for the end of the drain.
-    ready: Vec<Vec<Compare>>,
 
     failed: Vec<(Pair, String)>,
     outputs: SharedOutputs<A>,
@@ -391,12 +374,20 @@ impl<A: Application> Conductor<A> {
         let item_bytes = app.item_bytes() as u64;
         let parsed_bytes = app.parsed_bytes() as u64;
         let result_bytes = app.result_bytes() as u64;
-        let staging_per_dev = if app.has_preprocess() { 4 } else { 0 };
-        let task_cap = (limiter.limit() / 2).max(1);
+        let staging_per_dev = STAGING_BUFFERS * usize::from(app.has_preprocess());
+        let core = NodeCore::new(
+            &scenario,
+            node_id,
+            app.item_count() as usize,
+            spec.device_slots,
+            spec.host_slots,
+            app.has_preprocess(),
+        );
+        let task_cap = core.task_cap();
 
         let mut devices = Vec::with_capacity(n_dev);
         let mut dev_slot_bufs = Vec::with_capacity(n_dev);
-        let mut staging_pool = Vec::with_capacity(n_dev);
+        let mut staging_bufs = Vec::with_capacity(n_dev);
         let mut result_bufs = Vec::with_capacity(n_dev);
         for profile in &spec.gpus {
             // The threaded runtime treats the configured slot count as
@@ -424,7 +415,7 @@ impl<A: Application> Conductor<A> {
             );
             devices.push(device);
             dev_slot_bufs.push(slots);
-            staging_pool.push(staging);
+            staging_bufs.push(staging);
         }
 
         let host_slots: Vec<Arc<Mutex<Vec<u8>>>> = (0..spec.host_slots)
@@ -434,14 +425,6 @@ impl<A: Application> Conductor<A> {
         let spawn = |name: &str, threads: usize| {
             Resource::spawn(name, threads, events_tx.clone(), recording)
         };
-        let core = NodeCore::new(
-            &scenario,
-            node_id,
-            app.item_count() as usize,
-            spec.device_slots,
-            spec.host_slots,
-            app.has_preprocess(),
-        );
         let exec = Executor {
             storage: spawn("io", 1),
             cpu: spawn("cpu", scenario.cpu_threads),
@@ -454,12 +437,9 @@ impl<A: Application> Conductor<A> {
             devices,
             dev_slot_bufs,
             host_slots,
-            staging_pool,
-            staging_queue: vec![VecDeque::new(); n_dev],
-            task_cap,
+            parsed: FxHashMap::default(),
+            staging_bufs,
             result_bufs,
-            gpu_queued: vec![0; n_dev],
-            ready: (0..n_dev).map(|_| Vec::new()).collect(),
             failed: Vec::new(),
             outputs,
             recorder: Recorder::new(recording),
@@ -474,7 +454,7 @@ impl<A: Application> Conductor<A> {
     }
 
     /// Drains the event queue: blocks for one event, then handles every
-    /// event already queued, then sends each device's ready compares.
+    /// event already queued, then flushes the core's ready compares.
     fn run(mut self) -> NodeReport {
         while let Ok(event) = self.events_rx.recv() {
             self.handle(event);
@@ -484,9 +464,7 @@ impl<A: Application> Conductor<A> {
                 };
                 self.handle(event);
             }
-            for dev in 0..self.exec.ready.len() {
-                self.exec.launch_compares(dev);
-            }
+            self.core.flush(&mut self.exec);
             if self.shutdown {
                 break;
             }
@@ -527,7 +505,10 @@ impl<A: Application> Conductor<A> {
                 }
             }
             Event::IoDone { item, result } => core.read_done(item, result, exec),
-            Event::ParseDone { item, result } => core.parse_done(item, result, exec),
+            Event::ParseDone { item, result } => {
+                let result = result.map(|parsed| exec.parsed.extend(parsed.map(|p| (item, p))));
+                core.parse_done(item, result, exec)
+            }
             Event::StagingUploaded {
                 dev,
                 item,
@@ -537,8 +518,8 @@ impl<A: Application> Conductor<A> {
             } => match result {
                 Ok(()) => exec.schedule_preprocess(dev, item, dslot, staging),
                 Err(e) => {
-                    exec.return_staging(dev, staging);
-                    core.preprocess_done(item, Err(format!("staging upload: {e}")), exec);
+                    let result = Err(format!("staging upload: {e}"));
+                    core.preprocess_done(dev, staging, item, result, exec);
                 }
             },
             Event::PreprocessDone {
@@ -546,11 +527,7 @@ impl<A: Application> Conductor<A> {
                 item,
                 staging,
                 result,
-            } => {
-                exec.gpu_task_done(dev);
-                exec.return_staging(dev, staging);
-                core.preprocess_done(item, result, exec);
-            }
+            } => core.preprocess_done(dev, staging, item, result, exec),
             Event::ItemCopiedToHost { item, result } => core.write_back_done(item, result, exec),
             Event::DeviceFillCopied { dev, item, result } => core.fill_copy_done(dev, item, result),
             Event::ComparesDone { dev, results } => exec.compares_done(core, dev, results),
@@ -564,57 +541,13 @@ impl<A: Application> Conductor<A> {
 }
 
 impl<A: Application> Executor<A> {
-    /// Sends `dev`'s ready compares as GPU tasks of at most `task_cap`
-    /// each. A task is one launch of [`Application::compare_batch`] into
-    /// the device's result buffer and one read-back of every result, timed
-    /// as one `Compare` stage per pair.
-    ///
-    /// The cap keeps the GPU fed: permits come back when a whole task
-    /// finishes, so the completion of a task that held every permit would
-    /// leave the device idle until the submitter refilled it. At half the
-    /// permits, a completion frees enough to wake the submitter (the
-    /// limiter's half-limit rule) while the next task still runs.
-    fn launch_compares(&mut self, dev: usize) {
-        while !self.ready[dev].is_empty() {
-            let take = self.ready[dev].len().min(self.task_cap);
-            let batch: Vec<Compare> = self.ready[dev].drain(..take).collect();
-            let result_buf = self.result_bufs[dev];
-            let device = Arc::clone(&self.devices[dev]);
-            let app = Arc::clone(&self.app);
-            self.submit_gpu(
-                dev,
-                Box::new(move |rec| {
-                    let results = rec.time_shared(PerfKind::Compare, batch.len(), || {
-                        run_compares(&*app, &device, result_buf, &batch)
-                    });
-                    Some(Event::ComparesDone { dev, results })
-                }),
-            );
-        }
-    }
-
-    fn submit_gpu(&mut self, dev: usize, task: Task<Event>) {
-        self.gpu_queued[dev] += 1;
-        self.gpu[dev].submit(task);
-    }
-
-    /// A GPU task on `dev` finished: if that leaves the device with
-    /// nothing queued, its ready compares leave now, not at the end of
-    /// the drain.
-    fn gpu_task_done(&mut self, dev: usize) {
-        self.gpu_queued[dev] -= 1;
-        if self.gpu_queued[dev] == 0 {
-            self.launch_compares(dev);
-        }
-    }
-
     fn compares_done(
         &mut self,
         core: &mut NodeCore,
         dev: usize,
         results: Vec<(JobId, Result<Vec<u8>, String>)>,
     ) {
-        self.gpu_task_done(dev);
+        core.task_done(dev, self);
         let permits = results.len();
         let mut outputs = Vec::with_capacity(permits);
         for (id, result) in results {
@@ -638,79 +571,44 @@ impl<A: Application> Executor<A> {
         self.limiter.release_many(permits);
     }
 
-    /// Uploads parsed bytes to a staging buffer when one is available, or
-    /// queues them for the next one.
-    fn stage(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, parsed: Vec<u8>) {
-        let Some(staging) = self.staging_pool[dev].pop() else {
-            self.staging_queue[dev].push_back((item, dslot, parsed));
-            return;
-        };
+    fn schedule_preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, staging: usize) {
+        let sbuf = self.staging_bufs[dev][staging];
+        let dbuf = self.dev_slot_bufs[dev][dslot];
         let device = Arc::clone(&self.devices[dev]);
-        self.h2d[dev].submit(Box::new(move |rec| {
-            let result = rec.time(PerfKind::CopyIn, || {
-                device.copy_h2d(&parsed, staging).map_err(|e| e.to_string())
+        let app = Arc::clone(&self.app);
+        self.gpu[dev].submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::Preprocess, || {
+                device
+                    .launch(&[sbuf], dbuf, |ins, out| app.preprocess(item, ins[0], out))
+                    .map_err(|e| e.to_string())
+                    .and_then(|r| r.map_err(|e| e.to_string()))
             });
-            Some(Event::StagingUploaded {
+            Some(Event::PreprocessDone {
                 dev,
                 item,
-                dslot,
                 staging,
                 result,
             })
         }));
     }
-
-    /// Gives a staging buffer back to its device's pool and stages the
-    /// next queued item.
-    fn return_staging(&mut self, dev: usize, staging: BufferId) {
-        self.staging_pool[dev].push(staging);
-        if let Some((item, dslot, parsed)) = self.staging_queue[dev].pop_front() {
-            self.stage(dev, item, dslot, parsed);
-        }
-    }
-
-    fn schedule_preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, staging: BufferId) {
-        let dbuf = self.dev_slot_bufs[dev][dslot];
-        let device = Arc::clone(&self.devices[dev]);
-        let app = Arc::clone(&self.app);
-        self.submit_gpu(
-            dev,
-            Box::new(move |rec| {
-                let result = rec.time(PerfKind::Preprocess, || {
-                    device
-                        .launch(&[staging], dbuf, |ins, out| {
-                            app.preprocess(item, ins[0], out)
-                        })
-                        .map_err(|e| e.to_string())
-                        .and_then(|r| r.map_err(|e| e.to_string()))
-                });
-                Some(Event::PreprocessDone {
-                    dev,
-                    item,
-                    staging,
-                    result,
-                })
-            }),
-        );
-    }
 }
 
 /// One GPU task: a launch of [`Application::compare_batch`] on `batch`
-/// into `result_buf`, then one read-back of every result. Returns each
-/// job's result bytes, or why its compare failed.
+/// into `result_buf`, then one read-back of every result. Input `2k` is
+/// pair `k`'s left operand and `2k + 1` its right; the device locks a
+/// buffer that several pairs share once. Returns each job's result
+/// bytes, or why its compare failed.
 fn run_compares<A: Application>(
     app: &A,
     device: &VirtualDevice,
     result_buf: BufferId,
-    batch: &[Compare],
+    batch: &[ReadyCompare],
+    inputs: &[BufferId],
 ) -> Vec<(JobId, Result<Vec<u8>, String>)> {
     let n = app.result_bytes();
-    // Input 2k is pair k's left operand and 2k + 1 its right; the device
-    // locks a buffer that several pairs share once.
-    let inputs: Vec<BufferId> = batch.iter().flat_map(|c| [c.left, c.right]).collect();
     let mut host = Vec::new();
     let launched = device
-        .launch(&inputs, result_buf, |ins, out| {
+        .launch(inputs, result_buf, |ins, out| {
             let pairs: Vec<_> = (batch.iter().zip(ins.chunks_exact(2)))
                 .map(|(c, ins)| ((c.pair.left, ins[0]), (c.pair.right, ins[1])))
                 .collect();
@@ -741,7 +639,6 @@ fn run_compares<A: Application>(
 
 impl<A: Application> NodeIo for Executor<A> {
     type Raw = Bytes;
-    type Parsed = Vec<u8>;
     type Data = Bytes;
 
     fn read(&mut self, item: ItemId) {
@@ -763,7 +660,7 @@ impl<A: Application> NodeIo for Executor<A> {
                 let result = rec.time(PerfKind::Parse, || {
                     let mut parsed = vec![0u8; parsed_bytes];
                     app.parse(item, &raw, &mut parsed)
-                        .map(|()| parsed)
+                        .map(|()| Some(parsed))
                         .map_err(|e| e.to_string())
                 });
                 Some(Event::ParseDone { item, result })
@@ -774,7 +671,7 @@ impl<A: Application> NodeIo for Executor<A> {
             self.cpu.submit(Box::new(move |rec| {
                 let result = rec.time(PerfKind::Parse, || {
                     app.parse(item, &raw, &mut payload.lock())
-                        .map(|()| Vec::new())
+                        .map(|()| None)
                         .map_err(|e| e.to_string())
                 });
                 Some(Event::ParseDone { item, result })
@@ -782,8 +679,22 @@ impl<A: Application> NodeIo for Executor<A> {
         }
     }
 
-    fn preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, parsed: Vec<u8>) {
-        self.stage(dev, item, dslot, parsed);
+    fn preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, staging: usize) {
+        let parsed = self.parsed.remove(&item).expect("the parse kept the bytes");
+        let sbuf = self.staging_bufs[dev][staging];
+        let device = Arc::clone(&self.devices[dev]);
+        self.h2d[dev].submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::CopyIn, || {
+                device.copy_h2d(&parsed, sbuf).map_err(|e| e.to_string())
+            });
+            Some(Event::StagingUploaded {
+                dev,
+                item,
+                dslot,
+                staging,
+                result,
+            })
+        }));
     }
 
     fn write_back(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, hslot: SlotIdx) {
@@ -817,18 +728,22 @@ impl<A: Application> NodeIo for Executor<A> {
         }));
     }
 
-    /// Queues the compare for its device's next GPU task, and sends that
-    /// task at once if the device has nothing queued.
-    fn compare(&mut self, job: JobId, dev: usize, pair: Pair, left: SlotIdx, right: SlotIdx) {
-        self.ready[dev].push(Compare {
-            job,
-            pair,
-            left: self.dev_slot_bufs[dev][left],
-            right: self.dev_slot_bufs[dev][right],
-        });
-        if self.gpu_queued[dev] == 0 {
-            self.launch_compares(dev);
-        }
+    /// One launch of [`Application::compare_batch`] into the device's
+    /// result buffer and one read-back of every result, timed as one
+    /// `Compare` stage per pair.
+    fn compare_batch(&mut self, dev: usize, batch: &[ReadyCompare]) {
+        let slots = &self.dev_slot_bufs[dev];
+        let inputs = Vec::from_iter(batch.iter().flat_map(|c| [slots[c.left], slots[c.right]]));
+        let batch = batch.to_vec();
+        let result_buf = self.result_bufs[dev];
+        let device = Arc::clone(&self.devices[dev]);
+        let app = Arc::clone(&self.app);
+        self.gpu[dev].submit(Box::new(move |rec| {
+            let results = rec.time_shared(PerfKind::Compare, batch.len(), || {
+                run_compares(&*app, &device, result_buf, &batch, &inputs)
+            });
+            Some(Event::ComparesDone { dev, results })
+        }));
     }
 
     fn send(&mut self, to: usize, msg: NodeMsg) {

@@ -10,30 +10,25 @@
 //! device, a pipeline stage finished, a peer's message — and performs every
 //! side effect through a [`NodeIo`] call, inline and in the order the
 //! policy needs it. It reads no clock, spawns nothing and touches no bytes:
-//! a file's raw bytes, an item's parsed bytes and a fetched item's bytes
-//! are the executor's associated types, which the core only hands on.
+//! a file's raw bytes and a fetched item's bytes are the executor's
+//! associated types, which the core only hands on.
 //!
 //! Two executors implement [`NodeIo`]. The threaded conductor
 //! (`engine::node`) maps each call to a task on a resource thread; the
 //! simulator's shards (`rocket-sim`) map it to a sampled duration on a
 //! modeled server. Both call [`NodeCore::drain`] after each event they
-//! handle, and both cap in-flight jobs with
-//! [`NodeSpec::job_cap`](crate::NodeSpec::job_cap). They differ in three
-//! details, all in the executors (the simulator's module docs give each in
-//! full):
-//!
-//! * batching: the conductor sends a drain's ready compares as one GPU
-//!   task; the simulator runs one compare task per job;
-//! * staging: the conductor stages parsed items through four buffers per
-//!   device; the simulator puts no limit on staging;
-//! * slot counts: the simulator computes the shared cap over slots
-//!   clamped by [`NodeSpec::sim_slots`](crate::NodeSpec::sim_slots), the
-//!   conductor over the configured slots.
+//! handle and [`NodeCore::flush`] after each drain of their event queue
+//! (one simulator event is one drain), and both cap in-flight jobs with
+//! [`NodeSpec::job_cap`](crate::NodeSpec::job_cap). They differ in one
+//! detail: the slot counts the core is built with, and so the cap computed
+//! over them. The simulator clamps them with
+//! [`NodeSpec::sim_slots`](crate::NodeSpec::sim_slots); the conductor runs
+//! the configured ones.
 //!
 //! # Pipelines (the paper's Fig 2 / Fig 4)
 //!
 //! A job `(i, j)` bound to device `d` acquires read leases on both items in
-//! `d`'s device cache, then compares ([`NodeIo::compare`]);
+//! `d`'s device cache, then compares in one of `d`'s GPU tasks (below);
 //! [`NodeCore::compare_done`] drops its leases and [`NodeCore::retire`]
 //! ends it. A device-cache miss starts a *device fill*: host-cache hit →
 //! H2D copy ([`NodeIo::fill_copy`]); host-cache miss → *host fill*:
@@ -43,6 +38,21 @@
 //! host slot. Without a pre-process stage, parse writes straight into the
 //! host slot. Items are therefore always written to both the device and
 //! host caches, which is what the distributed cache relies on.
+//!
+//! # GPU tasks (§4.3)
+//!
+//! A job holding both leases is a *ready* compare. It leaves at once, as a
+//! task of one, when its device has no GPU task issued; otherwise it waits
+//! for [`NodeCore::flush`], which sends each device's ready compares in
+//! tasks of at most half the job cap: jobs retire when their whole task
+//! ends, so at half, one task's end frees room for more while the next
+//! runs. A pre-process is issued from its staging upload, and the end of
+//! any task that leaves its device idle sends the device's ready compares.
+//! With a pre-process stage each device has [`STAGING_BUFFERS`] staging
+//! indices; an item that finds none waits in its device's queue. Its
+//! parsed bytes wait in the executor under the item's id as a ticket: an
+//! item has one load in flight, and bytes the core never reads need no
+//! type in [`NodeIo`] or parameter on the core.
 //!
 //! # Deadlock freedom
 //!
@@ -105,35 +115,38 @@ pub type JobId = u64;
 /// Failed loads of one item before it is given up on.
 const MAX_ITEM_FAILURES: u32 = 5;
 
+/// Staging indices per device when the workload pre-processes.
+pub const STAGING_BUFFERS: usize = 4;
+
 /// The side effects of a [`NodeCore`], one method each. The core calls
 /// them inline, in policy order; the executor starts the work and later
 /// reports its completion through the matching `NodeCore` input.
 pub trait NodeIo {
     /// A file's bytes as read from storage.
     type Raw;
-    /// An item's parsed bytes, on their way to the pre-process stage.
-    type Parsed;
     /// A fetched item's bytes, as carried by [`PeerMsg::FetchReply`].
     type Data;
 
     /// Reads `item`'s file; completes with [`NodeCore::read_done`].
     fn read(&mut self, item: ItemId);
-    /// Parses `item`; without a pre-process stage, straight into host slot
-    /// `hslot`. Completes with [`NodeCore::parse_done`].
+    /// Parses `item`: without a pre-process stage straight into host slot
+    /// `hslot`, with one into bytes the executor keeps for `item`'s
+    /// pre-process. Completes with [`NodeCore::parse_done`].
     fn parse(&mut self, item: ItemId, hslot: SlotIdx, raw: Self::Raw);
-    /// Stages `item`'s parsed bytes on device `dev` and pre-processes them
-    /// into device slot `dslot`; completes with
-    /// [`NodeCore::preprocess_done`].
-    fn preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, parsed: Self::Parsed);
+    /// Stages `item`'s parsed bytes on device `dev` through staging index
+    /// `staging` and pre-processes them into device slot `dslot`;
+    /// completes with [`NodeCore::preprocess_done`].
+    fn preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, staging: usize);
     /// Copies device slot `dslot` back into host slot `hslot`; completes
     /// with [`NodeCore::write_back_done`].
     fn write_back(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, hslot: SlotIdx);
     /// Copies host slot `hslot` into device slot `dslot`; completes with
     /// [`NodeCore::fill_copy_done`].
     fn fill_copy(&mut self, dev: usize, item: ItemId, hslot: SlotIdx, dslot: SlotIdx);
-    /// Compares `pair` from device slots `left` and `right`; completes
-    /// with [`NodeCore::compare_done`].
-    fn compare(&mut self, job: JobId, dev: usize, pair: Pair, left: SlotIdx, right: SlotIdx);
+    /// Runs `batch` as one GPU task on device `dev`; completes with
+    /// [`NodeCore::task_done`], then [`NodeCore::compare_done`] and
+    /// [`NodeCore::retire`] for each of its jobs.
+    fn compare_batch(&mut self, dev: usize, batch: &[ReadyCompare]);
     /// Sends `msg` to peer `to`.
     fn send(&mut self, to: usize, msg: PeerMsg<Self::Data>);
     /// Answers peer `to`'s fetch of `item` with host slot `hslot`'s bytes,
@@ -155,6 +168,19 @@ enum Cont {
     Job(JobId),
     /// Re-attempt the host-cache acquire of a device fill.
     DevFill { dev: usize, item: ItemId },
+}
+
+/// A compare whose job holds both leases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadyCompare {
+    /// The job, as [`NodeCore::compare_done`] takes it.
+    pub job: JobId,
+    /// The compared pair.
+    pub pair: Pair,
+    /// Device slot of `pair.left`.
+    pub left: SlotIdx,
+    /// Device slot of `pair.right`.
+    pub right: SlotIdx,
 }
 
 #[derive(Debug)]
@@ -190,7 +216,22 @@ struct HostFill {
     pin: Option<SlotIdx>,
 }
 
-/// One node's cache levels, fill pipelines and jobs: see the module docs.
+/// One device's jobs and GPU tasks: see § GPU tasks.
+#[derive(Debug, Default)]
+struct Device {
+    /// Live jobs bound to the device.
+    jobs: usize,
+    /// GPU tasks issued and not done.
+    issued: usize,
+    ready: Vec<ReadyCompare>,
+    /// Staging indices in use, one bit each.
+    staging: u32,
+    /// Items waiting for a staging index, with their device slots.
+    staging_queue: VecDeque<(ItemId, SlotIdx)>,
+}
+
+/// One node's cache levels, fill pipelines, jobs and GPU tasks: see the
+/// module docs.
 #[derive(Debug)]
 pub struct NodeCore {
     dev_cache: Vec<SlotCache<Cont>>,
@@ -205,6 +246,10 @@ pub struct NodeCore {
     jobs: Vec<Option<Job>>,
     /// Retired slots of `jobs`.
     free_jobs: Vec<u32>,
+    job_cap: usize,
+    devs: Vec<Device>,
+    /// Ready compares on every device, read without touching `devs`.
+    waiting: usize,
     /// Continuations woken by the current input, run by [`NodeCore::drain`]
     /// — iteratively: recursing would overflow the stack on long waiter
     /// chains (wake → release → wake → …).
@@ -232,7 +277,8 @@ impl NodeCore {
         host_slots: usize,
         preprocess: bool,
     ) -> Self {
-        let devices = scenario.nodes[node].gpus.len();
+        let spec = &scenario.nodes[node];
+        let devices = spec.gpus.len();
         Self {
             dev_cache: (0..devices)
                 .map(|_| SlotCache::with_item_space(device_slots, items))
@@ -243,6 +289,9 @@ impl NodeCore {
             items: items as u64,
             jobs: Vec::new(),
             free_jobs: Vec::new(),
+            job_cap: spec.job_cap(scenario.job_limit, device_slots),
+            devs: (0..devices).map(|_| Device::default()).collect(),
+            waiting: 0,
             pending: VecDeque::new(),
             directory: Directory::new(node, scenario.nodes.len(), scenario.hops),
             failures: FxHashMap::default(),
@@ -252,6 +301,26 @@ impl NodeCore {
             loads: 0,
             remote_fetches: 0,
         }
+    }
+
+    /// Whether the node runs fewer jobs than its cap,
+    /// [`NodeSpec::job_cap`](crate::NodeSpec::job_cap) over the slots the
+    /// core was built with.
+    #[inline]
+    pub fn has_room(&self) -> bool {
+        self.jobs.len() - self.free_jobs.len() < self.job_cap
+    }
+
+    /// Most compares one GPU task holds: half the job cap.
+    #[inline]
+    pub fn task_cap(&self) -> usize {
+        (self.job_cap / 2).max(1)
+    }
+
+    /// Jobs submitted to device `dev` and not yet retired.
+    #[inline]
+    pub fn jobs_on(&self, dev: usize) -> usize {
+        self.devs[dev].jobs
     }
 
     /// Adds this node's statistics to `report`: its loads and remote
@@ -272,6 +341,7 @@ impl NodeCore {
 
     /// A pair submitted to device `dev` becomes a job.
     pub fn submit(&mut self, pair: Pair, dev: usize, io: &mut impl NodeIo) {
+        self.devs[dev].jobs += 1;
         let job = Job {
             pair,
             dev,
@@ -303,7 +373,24 @@ impl NodeCore {
     pub fn retire(&mut self, job: JobId) -> (Pair, usize) {
         let done = self.jobs[job as usize].take().expect("retired job exists");
         self.free_jobs.push(job as u32);
+        self.devs[done.dev].jobs -= 1;
         (done.pair, done.dev)
+    }
+
+    /// A compare task on device `dev` ended.
+    pub fn task_done(&mut self, dev: usize, io: &mut impl NodeIo) {
+        self.devs[dev].issued -= 1;
+        if self.devs[dev].issued == 0 {
+            self.launch(dev, io);
+        }
+    }
+
+    /// Sends every device's ready compares. Executors call it after each
+    /// drain of their event queue.
+    pub fn flush(&mut self, io: &mut impl NodeIo) {
+        for dev in 0..self.devs.len() {
+            self.launch(dev, io);
+        }
     }
 
     /// `item`'s file was read.
@@ -324,16 +411,10 @@ impl NodeCore {
     }
 
     /// `item` was parsed.
-    pub fn parse_done<I: NodeIo>(
-        &mut self,
-        item: ItemId,
-        result: Result<I::Parsed, String>,
-        io: &mut I,
-    ) {
-        let parsed = match result {
-            Ok(parsed) => parsed,
-            Err(e) => return self.item_failure(item, format!("parse failed: {e}"), io),
-        };
+    pub fn parse_done(&mut self, item: ItemId, result: Result<(), String>, io: &mut impl NodeIo) {
+        if let Err(e) = result {
+            return self.item_failure(item, format!("parse failed: {e}"), io);
+        }
         let Some((_, fill)) = self.host_fill(item) else {
             return;
         };
@@ -342,7 +423,7 @@ impl NodeCore {
             // The origin device fill waits on this load: only the load's
             // own pre-process or death ends it.
             if let Some(dslot) = self.dev_cache[dev].filling(item) {
-                io.preprocess(dev, item, dslot, parsed);
+                self.stage(dev, item, dslot, io);
             }
         } else {
             self.loads += 1;
@@ -350,13 +431,21 @@ impl NodeCore {
         }
     }
 
-    /// `item` was pre-processed into its origin device's slot.
+    /// `item` was pre-processed into device `dev`'s slot through staging
+    /// index `staging`, which is free again either way.
     pub fn preprocess_done(
         &mut self,
+        dev: usize,
+        staging: usize,
         item: ItemId,
         result: Result<(), String>,
         io: &mut impl NodeIo,
     ) {
+        self.task_done(dev, io);
+        self.devs[dev].staging &= !(1 << staging);
+        if let Some((next, dslot)) = self.devs[dev].staging_queue.pop_front() {
+            self.stage(dev, next, dslot, io);
+        }
         let Some((hslot, fill)) = self.host_fill(item) else {
             return;
         };
@@ -370,7 +459,6 @@ impl NodeCore {
         // the slot, so it keeps a read lease on it — the pin — until
         // `write_back_done`; unpinned, an eviction could refill it
         // mid-copy.
-        let dev = fill.dev;
         let Some(dslot) = self.complete_dev_fill(dev, item, true) else {
             return;
         };
@@ -495,11 +583,12 @@ impl NodeCore {
         }
     }
 
-    /// Whether no woken continuation waits for [`NodeCore::drain`]: an
-    /// executor can skip setting up a drain that would do nothing.
+    /// Whether no woken continuation waits for [`NodeCore::drain`] and no
+    /// ready compare for [`NodeCore::flush`]: an executor can skip setting
+    /// up a drain and flush that would do nothing.
     #[inline]
     pub fn is_drained(&self) -> bool {
-        self.pending.is_empty()
+        self.pending.is_empty() && self.waiting == 0
     }
 
     /// Runs the continuations the last inputs woke. Executors call it after
@@ -570,7 +659,47 @@ impl NodeCore {
         job.stalled = None;
         job.comparing = true;
         let [left, right] = job.leases.map(|s| s.expect("both leases held"));
-        io.compare(id, dev, pair, left, right);
+        let ready = ReadyCompare {
+            job: id,
+            pair,
+            left,
+            right,
+        };
+        // A device with nothing issued has no ready compares either.
+        let d = &mut self.devs[dev];
+        if d.issued == 0 {
+            d.issued += 1;
+            io.compare_batch(dev, std::slice::from_ref(&ready));
+        } else {
+            d.ready.push(ready);
+            self.waiting += 1;
+        }
+    }
+
+    // ---- GPU tasks -------------------------------------------------------
+
+    /// Sends device `dev`'s ready compares, [`NodeCore::task_cap`] a task.
+    fn launch(&mut self, dev: usize, io: &mut impl NodeIo) {
+        let (cap, d) = (self.task_cap(), &mut self.devs[dev]);
+        for batch in d.ready.chunks(cap) {
+            io.compare_batch(dev, batch);
+            d.issued += 1;
+        }
+        self.waiting -= d.ready.len();
+        d.ready.clear();
+    }
+
+    /// Uploads `item`'s parsed bytes through a free staging index, or
+    /// queues the item for the next one.
+    fn stage(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, io: &mut impl NodeIo) {
+        let d = &mut self.devs[dev];
+        let staging = d.staging.trailing_ones() as usize;
+        if staging == STAGING_BUFFERS {
+            return d.staging_queue.push_back((item, dslot));
+        }
+        d.staging |= 1 << staging;
+        d.issued += 1;
+        io.preprocess(dev, item, dslot, staging);
     }
 
     /// Index of device `dev`'s fill row for device slot `dslot`.
@@ -757,7 +886,9 @@ impl NodeCore {
     /// Lease accounting, checked by both executors after every drain in
     /// debug builds: each device slot's read leases are its job leases plus
     /// its write-back pin, each host slot's are its in-flight fill copies,
-    /// and both cache levels pass their own invariants.
+    /// and both cache levels pass their own invariants. Each device counts
+    /// its live jobs, holds ready compares only behind an issued task, and
+    /// queues items only while every staging index is in use.
     pub fn check(&self) {
         // Every slot's readers must equal the leases counted for it.
         let expect = |cache: &SlotCache<Cont>, leases: Vec<u32>, what: String| {
@@ -771,7 +902,14 @@ impl NodeCore {
         };
         for (dev, cache) in self.dev_cache.iter().enumerate() {
             let mut leases = vec![0u32; cache.capacity()];
-            let jobs = self.jobs.iter().flatten().filter(|j| j.dev == dev);
+            let (d, jobs) = (&self.devs[dev], self.jobs.iter().flatten());
+            let jobs = jobs.filter(|j| j.dev == dev);
+            let full = d.staging.trailing_ones() as usize == STAGING_BUFFERS;
+            let ok = d.jobs == jobs.clone().count() && (d.ready.is_empty() || d.issued > 0);
+            assert!(
+                ok && (full || d.staging_queue.is_empty()),
+                "device {dev}: {d:?}"
+            );
             for slot in jobs.flat_map(|j| j.leases.iter().flatten()) {
                 leases[*slot] += 1;
             }
@@ -826,17 +964,28 @@ mod tests {
     use super::*;
     use rocket_cache::DirectoryMsg;
 
-    const ITEMS: u64 = 4;
+    const ITEMS: u64 = 8;
 
     /// A side effect the core asked for.
     #[derive(Debug, Clone, PartialEq, Eq)]
     enum Call {
         Read(ItemId),
         Parse(ItemId),
-        Preprocess { item: ItemId, dslot: SlotIdx },
-        WriteBack { item: ItemId, dslot: SlotIdx },
-        FillCopy { item: ItemId, dslot: SlotIdx },
-        Compare(JobId, Pair),
+        Preprocess {
+            item: ItemId,
+            dslot: SlotIdx,
+            staging: usize,
+        },
+        WriteBack {
+            item: ItemId,
+            dslot: SlotIdx,
+        },
+        FillCopy {
+            item: ItemId,
+            dslot: SlotIdx,
+        },
+        /// One GPU task: its jobs.
+        Compares(Vec<JobId>),
         Send(usize, PeerMsg<()>),
         Serve(usize, ItemId, Option<SlotIdx>),
         Fetched(SlotIdx),
@@ -850,7 +999,6 @@ mod tests {
 
     impl NodeIo for Rec {
         type Raw = ();
-        type Parsed = ();
         type Data = ();
 
         fn read(&mut self, item: ItemId) {
@@ -859,8 +1007,12 @@ mod tests {
         fn parse(&mut self, item: ItemId, _: SlotIdx, (): ()) {
             self.0.push(Call::Parse(item));
         }
-        fn preprocess(&mut self, _: usize, item: ItemId, dslot: SlotIdx, (): ()) {
-            self.0.push(Call::Preprocess { item, dslot });
+        fn preprocess(&mut self, _: usize, item: ItemId, dslot: SlotIdx, staging: usize) {
+            self.0.push(Call::Preprocess {
+                item,
+                dslot,
+                staging,
+            });
         }
         fn write_back(&mut self, _: usize, item: ItemId, dslot: SlotIdx, _: SlotIdx) {
             self.0.push(Call::WriteBack { item, dslot });
@@ -868,8 +1020,9 @@ mod tests {
         fn fill_copy(&mut self, _: usize, item: ItemId, _: SlotIdx, dslot: SlotIdx) {
             self.0.push(Call::FillCopy { item, dslot });
         }
-        fn compare(&mut self, job: JobId, _: usize, pair: Pair, _: SlotIdx, _: SlotIdx) {
-            self.0.push(Call::Compare(job, pair));
+        fn compare_batch(&mut self, _: usize, batch: &[ReadyCompare]) {
+            self.0
+                .push(Call::Compares(batch.iter().map(|c| c.job).collect()));
         }
         fn send(&mut self, to: usize, msg: PeerMsg<()>) {
             self.0.push(Call::Send(to, msg));
@@ -905,21 +1058,40 @@ mod tests {
         core.check();
     }
 
+    /// Ends the compare task of `jobs` on device 0: the task, then each
+    /// job.
+    fn finish_task(core: &mut NodeCore, io: &mut Rec, jobs: &[JobId]) {
+        step(core, io, |c, io| {
+            c.task_done(0, io);
+            for &job in jobs {
+                c.compare_done(job);
+                c.retire(job);
+            }
+        });
+    }
+
+    /// The device slot and staging index of `item`'s last pre-process.
+    fn preprocessed(io: &Rec, item: ItemId) -> Option<(SlotIdx, usize)> {
+        io.0.iter().rev().find_map(|call| match *call {
+            Call::Preprocess {
+                item: i,
+                dslot,
+                staging,
+            } if i == item => Some((dslot, staging)),
+            _ => None,
+        })
+    }
+
     /// Completes the read, parse and pre-process of `item`, whose load must
     /// be in flight; returns the device slot it was pre-processed into. Its
     /// write-back stays in flight.
     fn load(core: &mut NodeCore, io: &mut Rec, item: ItemId) -> SlotIdx {
         step(core, io, |c, io| c.read_done(item, Ok(()), io));
         step(core, io, |c, io| c.parse_done(item, Ok(()), io));
-        let dslot =
-            io.0.iter()
-                .rev()
-                .find_map(|call| match *call {
-                    Call::Preprocess { item: i, dslot } if i == item => Some(dslot),
-                    _ => None,
-                })
-                .expect("the parse started the pre-process");
-        step(core, io, |c, io| c.preprocess_done(item, Ok(()), io));
+        let (dslot, staging) = preprocessed(io, item).expect("the parse started the pre-process");
+        step(core, io, |c, io| {
+            c.preprocess_done(0, staging, item, Ok(()), io)
+        });
         assert!(io.0.contains(&Call::WriteBack { item, dslot }));
         dslot
     }
@@ -935,11 +1107,8 @@ mod tests {
         let s0 = load(&mut core, &mut io, 0);
         let s1 = load(&mut core, &mut io, 1);
         step(&mut core, &mut io, |c, io| c.write_back_done(1, Ok(()), io));
-        assert!(io.0.contains(&Call::Compare(0, Pair::new(0, 1))));
-        core.compare_done(0);
-        assert_eq!(core.retire(0), (Pair::new(0, 1), 0));
-        core.drain(&mut io);
-        core.check();
+        assert!(io.0.contains(&Call::Compares(vec![0])));
+        finish_task(&mut core, &mut io, &[0]);
 
         // Item 0's write-back still reads s0; s1 is the only evictable
         // slot.
@@ -1028,10 +1197,7 @@ mod tests {
                 c.write_back_done(item, Ok(()), io)
             });
         }
-        core.compare_done(0);
-        core.retire(0);
-        core.drain(&mut io);
-        core.check();
+        finish_task(&mut core, &mut io, &[0]);
 
         // Item 1 hits; item 2 misses and evicts item 0, the LRU slot.
         step(&mut core, &mut io, |c, io| c.submit(Pair::new(2, 1), 0, io));
@@ -1047,7 +1213,98 @@ mod tests {
 
         // Item 2's fill goes on undisturbed and its job compares.
         assert_eq!(load(&mut core, &mut io, 2), s);
-        assert!(io.0.contains(&Call::Compare(0, Pair::new(2, 1))));
+        assert!(io.0.contains(&Call::Compares(vec![0])));
+    }
+
+    /// The jobs of every GPU task sent so far, in order.
+    fn tasks(io: &Rec) -> Vec<Vec<JobId>> {
+        (io.0.iter())
+            .filter_map(|call| match call {
+                Call::Compares(jobs) => Some(jobs.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Submits `n` jobs of pair `(0, 1)`, whose items are resident.
+    fn submit_resident(core: &mut NodeCore, io: &mut Rec, n: usize) {
+        for _ in 0..n {
+            step(core, io, |c, io| c.submit(Pair::new(0, 1), 0, io));
+        }
+    }
+
+    /// A compare on a device with nothing issued leaves at once, as a task
+    /// of one. Compares readied while that task runs wait; when it is done
+    /// and leaves the device idle, they leave together.
+    #[test]
+    fn a_compare_on_an_idle_device_leaves_at_once() {
+        let (mut core, mut io) = (core(1, 8), Rec::default());
+        step(&mut core, &mut io, |c, io| c.submit(Pair::new(0, 1), 0, io));
+        load(&mut core, &mut io, 0);
+        load(&mut core, &mut io, 1);
+        assert_eq!(tasks(&io), [vec![0]]);
+        submit_resident(&mut core, &mut io, 2);
+        assert_eq!(tasks(&io), [vec![0]], "the device has a task issued");
+        finish_task(&mut core, &mut io, &[0]);
+        assert_eq!(tasks(&io), [vec![0], vec![1, 2]]);
+    }
+
+    /// Compares readied while a task is issued leave together at `flush`,
+    /// in tasks of at most half the job cap: 8 slots on one device cap the
+    /// node at 4 jobs, so tasks hold 2.
+    #[test]
+    fn ready_compares_leave_at_flush_split_at_half_the_job_cap() {
+        let (mut core, mut io) = (core(1, 8), Rec::default());
+        assert_eq!((core.job_cap, core.task_cap()), (4, 2));
+        step(&mut core, &mut io, |c, io| c.submit(Pair::new(0, 1), 0, io));
+        load(&mut core, &mut io, 0);
+        load(&mut core, &mut io, 1);
+        submit_resident(&mut core, &mut io, 5);
+        assert_eq!(tasks(&io), [vec![0]]);
+        assert!(!core.is_drained(), "five compares wait for the flush");
+        core.flush(&mut io);
+        assert_eq!(tasks(&io), [vec![0], vec![1, 2], vec![3, 4], vec![5]]);
+        assert!(core.is_drained());
+    }
+
+    /// Each device has `STAGING_BUFFERS` staging indices. A fifth parsed
+    /// item waits for one, and a pre-process hands its index back when it
+    /// fails as when it succeeds.
+    #[test]
+    fn a_fifth_preprocess_waits_for_a_staging_index() {
+        let (mut core, mut io) = (core(1, 8), Rec::default());
+        for item in 0..5 {
+            step(&mut core, &mut io, |c, io| {
+                c.submit(Pair::new(item, 7), 0, io)
+            });
+            step(&mut core, &mut io, |c, io| c.read_done(item, Ok(()), io));
+            step(&mut core, &mut io, |c, io| c.parse_done(item, Ok(()), io));
+        }
+        let staged = |io: &Rec, item| preprocessed(io, item).map(|(_, staging)| staging);
+        let indices: Vec<_> = (0..4).map(|item| staged(&io, item)).collect();
+        assert_eq!(indices, [Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(staged(&io, 4), None, "item 4 waits for an index");
+
+        // Item 2's pre-process fails: item 4 takes its index, and item 2
+        // loads again and waits in turn.
+        step(&mut core, &mut io, |c, io| {
+            c.preprocess_done(0, 2, 2, Err("boom".into()), io)
+        });
+        assert_eq!(staged(&io, 4), Some(2));
+        assert_eq!(io.0.iter().filter(|&c| *c == Call::Read(2)).count(), 2);
+        step(&mut core, &mut io, |c, io| c.read_done(2, Ok(()), io));
+        step(&mut core, &mut io, |c, io| c.parse_done(2, Ok(()), io));
+        let uploads = |io: &Rec, item| {
+            let staged = |c: &&Call| matches!(c, Call::Preprocess { item: i, .. } if *i == item);
+            io.0.iter().filter(staged).count()
+        };
+        assert_eq!(uploads(&io, 2), 1, "item 2 waits for an index");
+
+        // Item 0's pre-process succeeds: item 2 takes its index.
+        step(&mut core, &mut io, |c, io| {
+            c.preprocess_done(0, 0, 0, Ok(()), io)
+        });
+        assert_eq!(staged(&io, 2), Some(0));
     }
 
     /// Fill rows are per slot: a node over 2^20 items with 4 device slots
@@ -1059,7 +1316,7 @@ mod tests {
             .items(items as u64)
             .uniform_cluster(1, 1, 4, 8)
             .build();
-        let core = NodeCore::new(&scenario, 0, items, 4, 8, true);
+        let core: NodeCore = NodeCore::new(&scenario, 0, items, 4, 8, true);
         assert_eq!(core.dev_fills.len() + core.host_fills.len(), 4 + 8);
     }
 }

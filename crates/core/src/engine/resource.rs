@@ -54,9 +54,8 @@ impl Recorder {
 
     /// Runs `f` as `n` stages of one kind, such as one kernel launch that
     /// compares `n` pairs: a recorded run appends `n` `kind` records that
-    /// split its duration into equal shares (the first `duration % n`
-    /// one nanosecond longer), stamped back to back, so they sum to the
-    /// duration exactly and the last is stamped at completion.
+    /// split its duration into equal shares ([`PerfRecord::shares`]), the
+    /// last stamped at completion.
     pub fn time_shared<R>(&mut self, kind: PerfKind, n: usize, f: impl FnOnce() -> R) -> R {
         let Some(Recording { clock, node }) = self.recording else {
             return f();
@@ -64,21 +63,8 @@ impl Recorder {
         let start = clock.elapsed_ns();
         let r = f();
         let duration = clock.elapsed_ns() - start;
-        let (share, longer) = match n as u64 {
-            0 => (0, 0),
-            n => (duration / n, duration % n),
-        };
-        let mut t_ns = start;
-        for i in 0..n as u64 {
-            let value = share + u64::from(i < longer);
-            t_ns += value;
-            self.records.push(PerfRecord {
-                t_ns,
-                kind,
-                node,
-                value,
-            });
-        }
+        self.records
+            .extend(PerfRecord::shares(start, duration, n, kind, node));
         r
     }
 

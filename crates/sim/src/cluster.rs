@@ -14,24 +14,19 @@
 //!
 //! The shards (`crate::shard`) are the simulator's executor of `NodeCore`:
 //! each side effect the core asks for becomes a sampled duration on a
-//! modeled server and an event at its completion. A compare is one task
-//! and one event, as on the conductor: the kernel and the result
-//! read-back run on the GPU's compute engine, the node post-processes the
-//! result itself, and `Ev::CompareDone` retires the job. Both engines cap
-//! in-flight jobs with [`NodeSpec::job_cap`](rocket_core::NodeSpec::job_cap).
-//! They differ in three details, all in the executors:
-//!
-//! * batching: the simulator launches one compare per job, where the
-//!   conductor batches the compares that became ready in one drain of its
-//!   event queue into one GPU task;
-//! * staging: with a pre-process stage, the conductor stages parsed items
-//!   on each device through four staging buffers, and an item that finds
-//!   none waits in its device's staging queue; the simulator puts no
-//!   limit on staging;
-//! * the slot counts the shared cap is computed over: the simulator's are
-//!   clamped to the item count by
-//!   [`NodeSpec::sim_slots`](rocket_core::NodeSpec::sim_slots), the
-//!   conductor's are the configured ones.
+//! modeled server and an event at its completion. The core decides what
+//! each GPU runs — which ready compares form one task, and which parsed
+//! item holds which of the device's staging indices — and the shards run
+//! it as the conductor does: a compare task is its kernels and one
+//! read-back of its results on the GPU's compute engine and one
+//! `Ev::CompareDone`; the node then post-processes the task's results on
+//! its own server, and the jobs retire when that ends. One simulator event
+//! is one drain of the conductor's event queue, so the shards flush the
+//! core after each event. The engines differ in one detail: the slot
+//! counts each core is built with, and so the job cap computed over them.
+//! The simulator's are clamped to the item count by
+//! [`NodeSpec::sim_slots`](rocket_core::NodeSpec::sim_slots), the
+//! conductor's are the configured ones.
 //!
 //! Simulated loads never fail, so the core's item-failure path never
 //! fires here.
@@ -54,7 +49,9 @@
 //! scale with its slot counts, not with the data set; the item maps, one
 //! `u32` per item per cache level, are its only per-item state.
 
-use rocket_core::engine::PeerMsg;
+use std::collections::VecDeque;
+
+use rocket_core::engine::{JobId, PeerMsg};
 use rocket_gpu::DeviceProfile;
 use rocket_stats::{Dist, Xoshiro256};
 use rocket_steal::{Block, TaskDeque};
@@ -88,9 +85,34 @@ pub(crate) struct SimGpu {
     pub(crate) compute: Engine,
     pub(crate) h2d: Engine,
     pub(crate) d2h: Engine,
-    pub(crate) in_flight: usize,
+    /// The jobs of the compare tasks on `compute`.
+    pub(crate) tasks: Batches,
     pub(crate) pre_busy_ns: u64,
     pub(crate) cmp_busy_ns: u64,
+}
+
+/// A FIFO server's batches, oldest first, each as its length and then its
+/// jobs: the server ends its batches in submission order. One ring that
+/// keeps its capacity, so nothing is allocated per batch.
+#[derive(Debug, Default)]
+pub(crate) struct Batches(VecDeque<JobId>);
+
+impl Batches {
+    pub(crate) fn push(&mut self, jobs: impl ExactSizeIterator<Item = JobId>) {
+        self.0.push_back(jobs.len() as JobId);
+        self.0.extend(jobs);
+    }
+
+    /// The oldest batch's jobs, left in place.
+    pub(crate) fn oldest(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.0.range(1..=self.0[0] as usize).copied()
+    }
+
+    /// Takes the oldest batch's jobs.
+    pub(crate) fn pop(&mut self) -> impl ExactSizeIterator<Item = JobId> + '_ {
+        let len = self.0.pop_front().expect("a batch is in flight");
+        (0..len as usize).map(|_| self.0.pop_front().expect("the batch's jobs"))
+    }
 }
 
 pub(crate) struct SimNode {
@@ -112,15 +134,12 @@ pub(crate) struct SimNode {
     pub(crate) pending: u64,
     pub(crate) gpus: Vec<SimGpu>,
     pub(crate) cpu: Pool,
-    /// Post-process time, charged to `busy.cpu` but not run on `cpu`:
-    /// like the conductor, the node decodes each result itself.
-    pub(crate) post_busy_ns: u64,
+    /// Post-processes results one at a time, charged to `busy.cpu` but
+    /// not run on `cpu`: like the conductor, the node decodes each result
+    /// itself. `retiring` holds the jobs of the batches it runs.
+    pub(crate) post: Engine,
+    pub(crate) retiring: Batches,
     pub(crate) nic: Engine,
-    /// In-flight job cap: [`NodeSpec::job_cap`](rocket_core::NodeSpec::job_cap)
-    /// over the clamped slots. Jobs go to the least-loaded GPU, so no GPU
-    /// holds more than half its slots' worth.
-    pub(crate) job_cap: usize,
-    pub(crate) jobs_in_flight: usize,
     pub(crate) pairs_done: u64,
     /// Deterministic per-node stream for stage sampling. Per-node (not
     /// global) so a node's draws are invariant under the shard count.
@@ -145,12 +164,21 @@ pub(crate) enum Ev {
     Pull { node: usize },
     IoDone { node: usize, item: u64 },
     ParseDone { node: usize, item: u64 },
-    StagingDone { node: usize, gpu: usize, item: u64 },
-    PreprocessDone { node: usize, item: u64 },
+    StagingDone { node: usize, s: Staged },
+    PreprocessDone { node: usize, s: Staged },
     WritebackDone { node: usize, item: u64 },
     FillCopyDone { node: usize, gpu: usize, item: u64 },
-    CompareDone { node: usize, job: u64 },
+    CompareDone { node: usize, gpu: usize },
+    PostDone { node: usize },
     Net { to: usize, from: usize, msg: Msg },
+}
+
+/// A parsed item's way into GPU `gpu` through staging index `staging`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Staged {
+    pub(crate) gpu: usize,
+    pub(crate) item: u64,
+    pub(crate) staging: usize,
 }
 
 /// Workload stage-time distributions, resolved once at construction so the
@@ -327,15 +355,27 @@ mod tests {
 
     #[test]
     fn busy_times_accounted() {
-        use super::transfer_ns;
         let r = sim(&toy_scenario(16, 1, 64));
-        // 16 loads × 5 ms preprocess; 120 pairs × (1 ms compare + the
-        // 1 KB result read-back), one task each on the compute engine.
-        let read_back = transfer_ns(1024, DeviceProfile::titanx_maxwell().d2h_bytes_per_sec);
+        // 16 loads × 5 ms preprocess; 120 pairs × 1 ms compare, plus each
+        // compare task's one read-back of its 1 KB results: 120 KB over
+        // the run's tasks at 85.3 ns a KB, 10 230 ns once each task's
+        // time is rounded to the nanosecond.
         assert!((r.busy.preprocess - 16.0 * 5e-3).abs() < 1e-9);
-        assert_eq!(r.busy.compare, (120 * (1_000_000 + read_back)) as f64 / 1e9);
+        assert_eq!(r.busy.compare, (120 * 1_000_000 + 10_230) as f64 / 1e9);
         assert!(r.busy.cpu > 0.0);
         assert!(r.busy.io > 0.0);
+    }
+
+    /// A node post-processes one result at a time, as the conductor
+    /// decodes them on its thread: 120 pairs × 10 ms of post-processing
+    /// on one node take at least 1.2 s, however the GPU overlaps them.
+    #[test]
+    fn post_processing_runs_on_one_server_per_node() {
+        let mut s = toy_scenario(16, 1, 64);
+        s.workload.postprocess = Dist::Constant(10e-3);
+        let r = sim(&s);
+        assert_eq!(r.pairs, 120);
+        assert!(r.elapsed >= 1.2, "makespan {}", r.elapsed);
     }
 
     #[test]

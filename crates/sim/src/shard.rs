@@ -45,13 +45,14 @@
 use rocket_sanitize::Mutex;
 
 use rocket_cache::{CacheStats, DirectoryStats, SlotIdx};
-use rocket_core::engine::{JobId, NodeCore, NodeIo};
+use rocket_core::engine::{NodeCore, NodeIo, ReadyCompare};
 use rocket_core::{BusyTimes, RunReport, Scenario};
 use rocket_stats::{SeedSequence, Xoshiro256};
 use rocket_steal::{Block, Pair, StealPool, TaskDeque};
 use rocket_trace::{PerfKind, PerfLog, PerfRecord};
 
-use crate::cluster::{sample_ns, transfer_ns, Ev, GpuRates, Msg, SimGpu, SimNode, StageDists};
+use crate::cluster::{sample_ns, transfer_ns, Batches, Ev, GpuRates, Msg, SimGpu, SimNode};
+use crate::cluster::{StageDists, Staged};
 use crate::engine::{ns_to_secs, secs_to_ns, EventQueue, SimTime, SlabEventQueue};
 use crate::server::{Engine, Pool};
 
@@ -118,7 +119,7 @@ pub(crate) struct ShardState {
     outbox: Vec<(SimTime, u64, usize, usize, Msg)>,
     /// Deferred storage requests: `(at, prio, node, item)`.
     load_reqs: Vec<(SimTime, u64, usize, u64)>,
-    ev_counts: [u64; 9],
+    ev_counts: [u64; 10],
     /// End (exclusive) of the window this shard may currently execute.
     window_end: SimTime,
     /// Nodes of this shard with `hungry` set (steal candidates).
@@ -315,16 +316,15 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
                             compute: Engine::new(),
                             h2d: Engine::new(),
                             d2h: Engine::new(),
-                            in_flight: 0,
+                            tasks: Batches::default(),
                             pre_busy_ns: 0,
                             cmp_busy_ns: 0,
                         })
                         .collect(),
                     cpu: Pool::new(cfg.cpu_threads),
-                    post_busy_ns: 0,
+                    post: Engine::new(),
+                    retiring: Batches::default(),
                     nic: Engine::new(),
-                    job_cap: nc.job_cap(cfg.job_limit, dev_slots),
-                    jobs_in_flight: 0,
                     pairs_done: 0,
                     rng: seeds.rng_indexed("node", rank as u64),
                     hungry: false,
@@ -346,7 +346,7 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
             queue: SlabEventQueue::new(),
             outbox: Vec::new(),
             load_reqs: Vec::new(),
-            ev_counts: [0; 9],
+            ev_counts: [0; 10],
             window_end: 0,
             hungry_count: 0,
             pairs_done: 0,
@@ -700,7 +700,7 @@ fn select_bit(words: &[u64], mut k: usize) -> Result<usize, usize> {
 
 fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &str) -> ! {
     let mut diag = String::new();
-    let mut ev_counts = [0u64; 9];
+    let mut ev_counts = [0u64; 10];
     let mut queue_len = 0usize;
     let (mut done, mut started) = (0u64, 0u64);
     for s in shards.iter() {
@@ -712,21 +712,17 @@ fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &st
         started += s.pairs_started;
         for (li, (node, core)) in s.nodes.iter().zip(&s.cores).enumerate() {
             diag.push_str(&format!(
-                "\n node {}: inflight={} blocks={} ({} pairs) hungry={} {}",
+                "\n node {}: blocks={} ({} pairs) hungry={} {}",
                 s.base + li,
-                node.jobs_in_flight,
                 node.blocks,
                 node.pending,
                 node.hungry,
                 core.describe(),
             ));
-            for (g, gpu) in node.gpus.iter().enumerate() {
-                diag.push_str(&format!("\n   gpu {g}: inflight={}", gpu.in_flight));
-            }
         }
     }
     panic!(
-        "simulation stalled ({why}): {done}/{} pairs done (started {started}){diag}\n              event counts [pull,io,parse,staging,pre,writeback,fillcopy,cmp,net]: {ev_counts:?}\n              windows {} queue len {queue_len}",
+        "simulation stalled ({why}): {done}/{} pairs done (started {started}){diag}\n              event counts [pull,io,parse,staging,pre,writeback,fillcopy,cmp,post,net]: {ev_counts:?}\n              windows {} queue len {queue_len}",
         ctx.total_pairs, drv.windows,
     );
 }
@@ -774,7 +770,7 @@ fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
             r.io_bytes += node.io_bytes;
             r.net_bytes += node.net_bytes;
             r.pairs_per_node.push(node.pairs_done);
-            r.busy.cpu += ns_to_secs(node.cpu.busy_ns() + node.post_busy_ns);
+            r.busy.cpu += ns_to_secs(node.cpu.busy_ns() + node.post.busy_ns());
             for gpu in &node.gpus {
                 r.busy.preprocess += ns_to_secs(gpu.pre_busy_ns);
                 r.busy.compare += ns_to_secs(gpu.cmp_busy_ns);
@@ -890,8 +886,9 @@ impl ShardState {
     }
 
     /// Handles one event, then runs the continuations it woke on its node
-    /// (every event concerns one node) and, in debug builds, checks that
-    /// node's lease accounting.
+    /// (every event concerns one node) and flushes its ready compares, as
+    /// the conductor does after a drain of its event queue, and, in debug
+    /// builds, checks that node's lease accounting.
     fn handle(&mut self, ctx: &Ctx, ev: Ev) {
         let (idx, node) = match ev {
             Ev::Pull { node } => (0, node),
@@ -902,7 +899,8 @@ impl ShardState {
             Ev::WritebackDone { node, .. } => (5, node),
             Ev::FillCopyDone { node, .. } => (6, node),
             Ev::CompareDone { node, .. } => (7, node),
-            Ev::Net { to, .. } => (8, to),
+            Ev::PostDone { node } => (8, node),
+            Ev::Net { to, .. } => (9, to),
         };
         self.ev_counts[idx] += 1;
         match ev {
@@ -913,25 +911,27 @@ impl ShardState {
             Ev::ParseDone { item, .. } => {
                 self.with_core(ctx, node, |core, io| core.parse_done(item, Ok(()), io))
             }
-            Ev::StagingDone { gpu, item, .. } => {
-                self.with_core(ctx, node, |_, io| io.preprocess_kernel(gpu, item))
-            }
-            Ev::PreprocessDone { item, .. } => {
-                self.with_core(ctx, node, |core, io| core.preprocess_done(item, Ok(()), io))
-            }
+            Ev::StagingDone { s, .. } => self.with_core(ctx, node, |_, io| io.preprocess_kernel(s)),
+            Ev::PreprocessDone { s, .. } => self.with_core(ctx, node, |core, io| {
+                core.preprocess_done(s.gpu, s.staging, s.item, Ok(()), io)
+            }),
             Ev::WritebackDone { item, .. } => {
                 self.with_core(ctx, node, |core, io| core.write_back_done(item, Ok(()), io))
             }
             Ev::FillCopyDone { gpu, item, .. } => {
                 self.cores[node - self.base].fill_copy_done(gpu, item, Ok(()))
             }
-            Ev::CompareDone { job, .. } => self.on_compare_done(ctx, node, job),
+            Ev::CompareDone { gpu, .. } => self.on_compare_done(ctx, node, gpu),
+            Ev::PostDone { .. } => self.retire(ctx, node, None),
             Ev::Net { from, msg, .. } => {
                 self.with_core(ctx, node, |core, io| core.on_peer(from, msg, io))
             }
         }
         if !self.cores[node - self.base].is_drained() {
-            self.with_core(ctx, node, |core, io| core.drain(io));
+            self.with_core(ctx, node, |core, io| {
+                core.drain(io);
+                core.flush(io);
+            });
         }
         #[cfg(debug_assertions)]
         self.cores[node - self.base].check();
@@ -942,7 +942,7 @@ impl ShardState {
     fn pull_work(&mut self, ctx: &Ctx, node: usize) {
         let l = node - self.base;
         loop {
-            if self.nodes[l].jobs_in_flight >= self.nodes[l].job_cap {
+            if !self.cores[l].has_room() {
                 // Capacity-limited, not starved: job completions re-pull.
                 self.set_hungry(node, false);
                 return;
@@ -1037,12 +1037,10 @@ impl ShardState {
         self.pairs_started += 1;
         let l = node - self.base;
         // Bind to the least-loaded GPU of the node (per-GPU workers).
-        let gpus = &mut self.nodes[l].gpus;
-        let gpu = (0..gpus.len())
-            .min_by_key(|&g| gpus[g].in_flight)
+        let core = &self.cores[l];
+        let gpu = (0..self.nodes[l].gpus.len())
+            .min_by_key(|&g| core.jobs_on(g))
             .expect("nodes have GPUs");
-        gpus[gpu].in_flight += 1;
-        self.nodes[l].jobs_in_flight += 1;
         self.with_core(ctx, node, |core, io| core.submit(pair, gpu, io));
     }
 
@@ -1072,24 +1070,57 @@ impl ShardState {
 
     // ---- job completion ---------------------------------------------------
 
-    /// A compare task ended with its result on the host, post-processed:
-    /// the job drops its leases and retires. The capacity waiters the
-    /// freed slots wake run before the node pulls new work, as on the
-    /// conductor.
-    fn on_compare_done(&mut self, ctx: &Ctx, node: usize, job: JobId) {
-        let l = node - self.base;
-        let (_, gpu) = self.with_core(ctx, node, |core, io| {
+    /// A compare task on `gpu` ended with its results on the host: its
+    /// jobs drop their leases, and the woken waiters run before the node
+    /// pulls new work, as on the conductor. The node post-processes the
+    /// results one at a time on its own server, as the conductor decodes
+    /// them on its thread, and the jobs retire when that ends. It is
+    /// submitted now, not at launch, so the server takes batches in the
+    /// order they end.
+    fn on_compare_done(&mut self, ctx: &Ctx, node: usize, gpu: usize) {
+        let (l, now) = (node - self.base, self.queue.now());
+        let (n, core) = (&mut self.nodes[l], &mut self.cores[l]);
+        let start = n.post.free_at().max(now);
+        let mut t = start;
+        for job in n.gpus[gpu].tasks.oldest() {
             core.compare_done(job);
+            let dur = sample_ns(&mut n.rng, &ctx.stages.postprocess);
+            t += dur;
+            push_perf(&mut self.perf, t, PerfKind::Postprocess, node, dur);
+        }
+        let done = n.post.submit(now, t - start);
+        if done > now {
+            n.retiring.push(n.gpus[gpu].tasks.pop());
+        }
+        self.with_core(ctx, node, |core, io| {
+            core.task_done(gpu, io);
             core.drain(io);
-            core.retire(job)
         });
-        self.nodes[l].gpus[gpu].in_flight -= 1;
-        self.nodes[l].jobs_in_flight -= 1;
-        self.nodes[l].pairs_done += 1;
-        self.pairs_done += 1;
-        let now = self.queue.now();
-        self.nodes[l].makespan_ns = self.nodes[l].makespan_ns.max(now);
-        push_perf(&mut self.perf, now, PerfKind::PairDone, node, gpu as u64);
+        if done > now {
+            let p = self.next_prio(node);
+            self.queue.schedule_keyed(done, p, Ev::PostDone { node });
+        } else {
+            self.retire(ctx, node, Some(gpu));
+        }
+    }
+
+    /// Retires the oldest batch of `gpu`'s compare tasks, or with `None`
+    /// of the node's post-process server, and pulls new work.
+    fn retire(&mut self, ctx: &Ctx, node: usize, gpu: Option<usize>) {
+        let (l, now) = (node - self.base, self.queue.now());
+        let n = &mut self.nodes[l];
+        let jobs = match gpu {
+            Some(gpu) => n.gpus[gpu].tasks.pop(),
+            None => n.retiring.pop(),
+        };
+        let k = jobs.len() as u64;
+        for job in jobs {
+            let (_, gpu) = self.cores[l].retire(job);
+            push_perf(&mut self.perf, now, PerfKind::PairDone, node, gpu as u64);
+        }
+        n.pairs_done += k;
+        n.makespan_ns = n.makespan_ns.max(now);
+        self.pairs_done += k;
         self.pull_work(ctx, node);
     }
 
@@ -1167,17 +1198,14 @@ impl SimIo<'_> {
 
     /// The staged parsed bytes are on the device: run the pre-process
     /// kernel.
-    fn preprocess_kernel(&mut self, gpu: usize, item: u64) {
+    fn preprocess_kernel(&mut self, s: Staged) {
         let dist = self.ctx.stages.preprocess.as_ref();
         let base = sample_ns(&mut self.hw.rng, dist.expect("preprocess stage"));
-        let g = &mut self.hw.gpus[gpu];
+        let g = &mut self.hw.gpus[s.gpu];
         let dur = (base as f64 / g.rates.compute_scale) as u64;
         let done = g.compute.submit(self.queue.now(), dur);
         g.pre_busy_ns += dur;
-        let ev = Ev::PreprocessDone {
-            node: self.node,
-            item,
-        };
+        let ev = Ev::PreprocessDone { node: self.node, s };
         self.stage_done(done, dur, PerfKind::Preprocess, ev);
     }
 
@@ -1198,7 +1226,6 @@ impl SimIo<'_> {
 
 impl NodeIo for SimIo<'_> {
     type Raw = ();
-    type Parsed = ();
     type Data = ();
 
     /// Defers a storage load. The request is priced (`io_bytes`) here but
@@ -1225,16 +1252,17 @@ impl NodeIo for SimIo<'_> {
 
     /// Stages the parsed bytes to the device; `Ev::StagingDone` then runs
     /// the kernel.
-    fn preprocess(&mut self, gpu: usize, item: u64, _: SlotIdx, (): ()) {
+    fn preprocess(&mut self, gpu: usize, item: u64, _: SlotIdx, staging: usize) {
         let g = &mut self.hw.gpus[gpu];
         let dur = transfer_ns(self.ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
         let done = g.h2d.submit(self.queue.now(), dur);
-        let ev = Ev::StagingDone {
-            node: self.node,
-            gpu,
-            item,
-        };
-        self.stage_done(done, dur, PerfKind::CopyIn, ev);
+        let s = Staged { gpu, item, staging };
+        self.stage_done(
+            done,
+            dur,
+            PerfKind::CopyIn,
+            Ev::StagingDone { node: self.node, s },
+        );
     }
 
     fn write_back(&mut self, gpu: usize, item: u64, _: SlotIdx, _: SlotIdx) {
@@ -1260,25 +1288,39 @@ impl NodeIo for SimIo<'_> {
         self.stage_done(done, dur, PerfKind::CopyIn, ev);
     }
 
-    /// One GPU task, as the conductor's launch thread runs it: the kernel,
-    /// then the result read-back, on the compute engine. The sampled
-    /// post-process time follows on the node itself.
-    fn compare(&mut self, job: JobId, gpu: usize, _: Pair, _: SlotIdx, _: SlotIdx) {
-        let base = sample_ns(&mut self.hw.rng, &self.ctx.stages.compare);
-        let post = sample_ns(&mut self.hw.rng, &self.ctx.stages.postprocess);
+    /// One GPU task, as the conductor's launch thread runs it: the
+    /// batch's kernels, then one read-back of its results, on the compute
+    /// engine. Each pair logs an equal share of the task.
+    fn compare_batch(&mut self, gpu: usize, batch: &[ReadyCompare]) {
         let g = &mut self.hw.gpus[gpu];
-        let result_bytes = self.ctx.cfg.workload.item_bytes.min(1024);
-        let dur = (base as f64 / g.rates.compute_scale) as u64
-            + transfer_ns(result_bytes, g.rates.d2h_bytes_per_sec);
-        let ran = g.compute.submit(self.queue.now(), dur);
+        let results = self.ctx.cfg.workload.item_bytes.min(1024) * batch.len() as u64;
+        let mut dur = transfer_ns(results, g.rates.d2h_bytes_per_sec);
+        for _ in batch {
+            let base = sample_ns(&mut self.hw.rng, &self.ctx.stages.compare);
+            dur += (base as f64 / g.rates.compute_scale) as u64;
+        }
+        let done = g.compute.submit(self.queue.now(), dur);
         g.cmp_busy_ns += dur;
-        self.hw.post_busy_ns += post;
-        push_perf(self.perf, ran, PerfKind::Compare, self.node, dur);
-        let ev = Ev::CompareDone {
-            node: self.node,
-            job,
-        };
-        self.stage_done(ran + post, post, PerfKind::Postprocess, ev);
+        g.tasks.push(batch.iter().map(|c| c.job));
+        if let Some(buf) = self.perf {
+            let (k, node) = (batch.len(), self.node as u32);
+            buf.extend(PerfRecord::shares(
+                done - dur,
+                dur,
+                k,
+                PerfKind::Compare,
+                node,
+            ));
+        }
+        let p = draw_prio(self.seq, self.node);
+        (self.queue).schedule_keyed(
+            done,
+            p,
+            Ev::CompareDone {
+                node: self.node,
+                gpu,
+            },
+        );
     }
 
     fn send(&mut self, to: usize, msg: Msg) {
@@ -1489,7 +1531,7 @@ mod tests {
         }
     }
 
-    /// A compared pair costs one event, as on the conductor: with every
+    /// A compare task costs one event, as on the conductor: with every
     /// item cached on one node, the load pipeline's events are a cost per
     /// item, so the run handles fewer than two events per pair.
     #[test]

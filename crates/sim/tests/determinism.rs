@@ -117,7 +117,10 @@ fn stochastic_stage_times_same_seed_identical_report() {
 /// report dropped its completion series: each value is the old rendering
 /// with its `, completions: …` field cut out. Every value was re-recorded
 /// when a compare became one task and one event (kernel and result
-/// read-back on the compute engine, post-process on the node).
+/// read-back on the compute engine, post-process on the node), and again
+/// when `NodeCore` began to batch the compares that become ready behind a
+/// busy GPU into one task and to stage parsed items through four buffers
+/// per GPU.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -141,34 +144,34 @@ fn steal_decisions_match_recorded_golden() {
             "64 nodes, 1 ms links",
             cloud,
             Golden {
-                steals: 401,
-                windows: 2776,
-                loads: 3286,
-                remote_fetches: 4825,
-                makespan_bits: 0x4006_3490_8ec7_c845,
+                steals: 408,
+                windows: 2944,
+                loads: 3499,
+                remote_fetches: 4767,
+                makespan_bits: 0x4007_8d4f_70e7_afe3,
                 pairs_per_node: &[
-                    480, 496, 476, 412, 576, 480, 452, 392, 596, 544, 513, 623, 484, 482, 479, 640,
-                    452, 564, 515, 477, 448, 557, 512, 466, 504, 525, 448, 507, 456, 640, 462, 444,
-                    692, 512, 564, 524, 544, 408, 444, 464, 440, 521, 588, 572, 460, 524, 520, 628,
-                    516, 540, 481, 580, 542, 584, 480, 508, 517, 455, 469, 516, 456, 468, 448, 573,
+                    480, 484, 555, 536, 399, 552, 395, 452, 524, 512, 640, 505, 517, 510, 558, 556,
+                    432, 564, 522, 400, 448, 640, 572, 404, 616, 545, 454, 520, 489, 704, 492, 560,
+                    520, 508, 518, 560, 584, 516, 456, 420, 404, 519, 576, 460, 391, 532, 524, 514,
+                    609, 524, 481, 528, 525, 530, 412, 445, 492, 460, 456, 491, 500, 532, 476, 640,
                 ],
-                report_fnv: 0x350f_f4dd_066e_bf5f,
+                report_fnv: 0x3128_619a_81db_8f00,
             },
         ),
         (
             "16-node 4-GPU anchor",
             anchor,
             Golden {
-                steals: 69,
-                windows: 18084,
-                loads: 686,
-                remote_fetches: 1557,
-                makespan_bits: 0x3feb_1906_864e_5aa3,
+                steals: 73,
+                windows: 18170,
+                loads: 784,
+                remote_fetches: 1396,
+                makespan_bits: 0x3fec_5d10_004a_a004,
                 pairs_per_node: &[
-                    1648, 1952, 2304, 1704, 2048, 2288, 2304, 1720, 2176, 2240, 1840, 1912, 2056,
-                    2240, 2296, 1912,
+                    1720, 2024, 2424, 2032, 2216, 2168, 2192, 1840, 1992, 2128, 1816, 1840, 2072,
+                    2176, 2176, 1824,
                 ],
-                report_fnv: 0x1765_6680_4545_c20a,
+                report_fnv: 0x9019_b415_e55d_91e8,
             },
         ),
     ];

@@ -50,11 +50,6 @@ impl JobLimiter {
         }
     }
 
-    /// The configured limit.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
     /// Permits currently available.
     pub fn available(&self) -> usize {
         self.permits.lock().available

@@ -192,6 +192,32 @@ pub struct PerfRecord {
     pub value: u64,
 }
 
+impl PerfRecord {
+    /// `n` `kind` records that split a `dur`-long task from `t0` into
+    /// equal shares, such as one launch that compares `n` pairs: the first
+    /// `dur % n` one nanosecond longer, stamped back to back, so they sum
+    /// to `dur` exactly and the last is stamped at the task's end.
+    pub fn shares(
+        t0: u64,
+        dur: u64,
+        n: usize,
+        kind: PerfKind,
+        node: u32,
+    ) -> impl Iterator<Item = Self> {
+        let (n, mut t_ns) = (n as u64, t0);
+        (0..n).map(move |i| {
+            let value = dur / n + u64::from(i < dur % n);
+            t_ns += value;
+            Self {
+                t_ns,
+                kind,
+                node,
+                value,
+            }
+        })
+    }
+}
+
 /// Shared recording handle. Cheap to clone; disabled by default.
 ///
 /// A disabled handle makes every [`PerfLog::record`] a single branch —
