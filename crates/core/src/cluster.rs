@@ -6,16 +6,16 @@ use std::sync::Arc;
 
 use rocket_sanitize::Mutex;
 
-use rocket_cache::{CacheStats, DirectoryStats};
 use rocket_comm::{Transport, TransportKind};
-use rocket_steal::{Pair, StealPool, StealPoolConfig, WorkerTopology};
+use rocket_steal::{JobLimiter, Pair, StealPool, StealPoolConfig, WorkerTopology};
 use rocket_storage::ObjectStore;
 use rocket_trace::{PerfKind, PerfLog, PerfRecord};
 
 use crate::app::Application;
 use crate::clock;
-use crate::engine::node::{node_limiter, spawn_node, NodeReport};
+use crate::engine::node::{spawn_node, NodeReport};
 use crate::engine::resource::Recording;
+use crate::engine::NodeCore;
 use crate::error::RocketError;
 use crate::report::{BusyTimes, RunReport};
 use crate::scenario::Scenario;
@@ -138,13 +138,22 @@ fn run_nodes<A: Application>(
         node_of: worker_map.iter().map(|&(n, _)| n).collect(),
     };
 
-    let limiters: Vec<_> = (0..nodes).map(|id| node_limiter(&scenario, id)).collect();
-    let handles: Vec<_> = (0..nodes)
-        .map(|node_id| {
+    let pre = app.has_preprocess();
+    let cores: Vec<_> = (scenario.nodes.iter().enumerate())
+        .map(|(id, s)| NodeCore::new(&scenario, id, n as usize, s.device_slots, s.host_slots, pre))
+        .collect();
+    // A node's limiter holds its core's job cap in permits. A write-back's
+    // pin can take a slot beyond it only until its D2H copy completes.
+    let limiters: Vec<_> = (cores.iter())
+        .map(|core| Arc::new(JobLimiter::new(core.job_cap())))
+        .collect();
+    let handles: Vec<_> = (cores.into_iter().enumerate())
+        .map(|(node_id, core)| {
             spawn_node(
                 Arc::clone(app),
                 Arc::clone(&scenario),
                 node_id,
+                core,
                 Arc::clone(store),
                 endpoints[node_id].take(),
                 Arc::clone(&outputs),
@@ -212,21 +221,9 @@ fn run_nodes<A: Application>(
         elapsed: elapsed.as_secs_f64(),
         items: n,
         pairs: outputs.len() as u64,
-        failed_pairs: 0,
-        loads: 0,
-        remote_fetches: 0,
-        io_bytes: 0,
-        net_bytes: 0,
-        net_msgs: 0,
         steals: steal.local_steals + steal.remote_steals,
-        busy: BusyTimes::default(),
-        device_cache: CacheStats::default(),
-        host_cache: CacheStats::default(),
-        directory: DirectoryStats::default(),
         pairs_per_node,
-        sim_shards: 0,
-        sim_windows: 0,
-        degraded: false,
+        ..RunReport::default()
     };
     let run = AppReport {
         outputs,

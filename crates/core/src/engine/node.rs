@@ -188,18 +188,6 @@ impl NodeHandle {
     }
 }
 
-/// The job limiter of node `node_id`: in-flight jobs capped at
-/// [`NodeSpec::job_cap`](crate::NodeSpec::job_cap) over the configured
-/// slots. A write-back's pin can take a slot beyond that budget, but only
-/// until its D2H copy completes; a job it crowds out parks as a capacity
-/// waiter and the unpin wakes it.
-pub(crate) fn node_limiter(scenario: &Scenario, node_id: usize) -> Arc<JobLimiter> {
-    let spec = &scenario.nodes[node_id];
-    Arc::new(JobLimiter::new(
-        spec.job_cap(scenario.job_limit, spec.device_slots),
-    ))
-}
-
 /// Closes every node's job limiter when the conductor thread that owns it
 /// unwinds: a dead conductor returns no permits, and peers may wait on
 /// its messages, so no node's permit wait could otherwise end.
@@ -224,10 +212,11 @@ type SharedOutputs<A> = Arc<Mutex<Vec<(Pair, <A as Application>::Output)>>>;
 /// than costing it a timeout.
 const PUMP_WAIT: Duration = Duration::from_secs(24 * 60 * 60);
 
-/// Spawns node `node_id` of `scenario`: conductor thread + resource threads
-/// (+ comm pump when a transport is given). `limiters` holds every node's
-/// [`node_limiter`], indexed by rank. `recording` carries the run-wide
-/// clock of a recorded run; `None` records nothing and reads no clock.
+/// Spawns node `node_id` of `scenario`, whose state machine is `core`:
+/// conductor thread + resource threads (+ comm pump when a transport is
+/// given). `limiters` holds every node's job limiter, indexed by rank.
+/// `recording` carries the run-wide clock of a recorded run; `None`
+/// records nothing and reads no clock.
 ///
 /// The comm pump blocks on the transport and forwards every peer message
 /// to the conductor. It has no stop flag: it exits on the wake token that
@@ -242,6 +231,7 @@ pub(crate) fn spawn_node<A: Application>(
     app: Arc<A>,
     scenario: Arc<Scenario>,
     node_id: usize,
+    core: NodeCore,
     store: Arc<dyn ObjectStore>,
     transport: Option<Box<dyn Transport>>,
     outputs: SharedOutputs<A>,
@@ -296,7 +286,7 @@ pub(crate) fn spawn_node<A: Application>(
             .spawn(move || {
                 let _close_on_panic = close_on_panic;
                 let conductor = Conductor::new(
-                    app, scenario, node_id, store, transport, outputs, limiter, events_rx,
+                    app, scenario, node_id, core, store, transport, outputs, limiter, events_rx,
                     events_tx, recording,
                 );
                 conductor.run()
@@ -361,6 +351,7 @@ impl<A: Application> Conductor<A> {
         app: Arc<A>,
         scenario: Arc<Scenario>,
         node_id: usize,
+        core: NodeCore,
         store: Arc<dyn ObjectStore>,
         transport: Option<Arc<dyn Transport>>,
         outputs: SharedOutputs<A>,
@@ -375,14 +366,6 @@ impl<A: Application> Conductor<A> {
         let parsed_bytes = app.parsed_bytes() as u64;
         let result_bytes = app.result_bytes() as u64;
         let staging_per_dev = STAGING_BUFFERS * usize::from(app.has_preprocess());
-        let core = NodeCore::new(
-            &scenario,
-            node_id,
-            app.item_count() as usize,
-            spec.device_slots,
-            spec.host_slots,
-            app.has_preprocess(),
-        );
         let task_cap = core.task_cap();
 
         let mut devices = Vec::with_capacity(n_dev);
@@ -396,11 +379,9 @@ impl<A: Application> Conductor<A> {
             let needed = spec.device_slots as u64 * item_bytes
                 + staging_per_dev as u64 * parsed_bytes
                 + task_cap as u64 * result_bytes;
-            let profile = if profile.memory_bytes < needed {
-                profile.clone().with_memory(needed)
-            } else {
-                profile.clone()
-            };
+            let profile = profile
+                .clone()
+                .with_memory(profile.memory_bytes.max(needed));
             let device = Arc::new(VirtualDevice::new(profile));
             let slots: Vec<BufferId> = (0..spec.device_slots)
                 .map(|_| device.alloc(item_bytes).expect("device slot alloc"))
@@ -408,11 +389,8 @@ impl<A: Application> Conductor<A> {
             let staging: Vec<BufferId> = (0..staging_per_dev)
                 .map(|_| device.alloc(parsed_bytes).expect("staging alloc"))
                 .collect();
-            result_bufs.push(
-                device
-                    .alloc(task_cap as u64 * result_bytes)
-                    .expect("result alloc"),
-            );
+            let results = device.alloc(task_cap as u64 * result_bytes);
+            result_bufs.push(results.expect("result alloc"));
             devices.push(device);
             dev_slot_bufs.push(slots);
             staging_bufs.push(staging);
@@ -623,7 +601,7 @@ fn run_compares<A: Application>(
         });
     let mut results = match launched {
         Ok(results) => results.into_iter(),
-        Err(e) => return batch.iter().map(|c| (c.job, Err(e.clone()))).collect(),
+        Err(e) => return batch.iter().map(|c| (c.id, Err(e.clone()))).collect(),
     };
     (batch.iter().enumerate())
         .map(|(k, c)| {
@@ -632,7 +610,7 @@ fn run_compares<A: Application>(
                 Some(Err(e)) => Err(e.to_string()),
                 None => Err("compare_batch returned no result".to_string()),
             };
-            (c.job, result)
+            (c.id, result)
         })
         .collect()
 }
@@ -654,29 +632,19 @@ impl<A: Application> NodeIo for Executor<A> {
 
     fn parse(&mut self, item: ItemId, hslot: SlotIdx, raw: Bytes) {
         let app = Arc::clone(&self.app);
-        if app.has_preprocess() {
-            let parsed_bytes = app.parsed_bytes();
-            self.cpu.submit(Box::new(move |rec| {
-                let result = rec.time(PerfKind::Parse, || {
-                    let mut parsed = vec![0u8; parsed_bytes];
-                    app.parse(item, &raw, &mut parsed)
-                        .map(|()| Some(parsed))
-                        .map_err(|e| e.to_string())
-                });
-                Some(Event::ParseDone { item, result })
-            }));
-        } else {
-            // No GPU pre-processing: parse straight into the host slot.
-            let payload = Arc::clone(&self.host_slots[hslot]);
-            self.cpu.submit(Box::new(move |rec| {
-                let result = rec.time(PerfKind::Parse, || {
-                    app.parse(item, &raw, &mut payload.lock())
-                        .map(|()| None)
-                        .map_err(|e| e.to_string())
-                });
-                Some(Event::ParseDone { item, result })
-            }));
-        }
+        // No GPU pre-processing: parse straight into the host slot.
+        let payload = (!app.has_preprocess()).then(|| Arc::clone(&self.host_slots[hslot]));
+        self.cpu.submit(Box::new(move |rec| {
+            let result = rec.time(PerfKind::Parse, || match payload {
+                Some(payload) => app.parse(item, &raw, &mut payload.lock()).map(|()| None),
+                None => {
+                    let mut parsed = vec![0u8; app.parsed_bytes()];
+                    app.parse(item, &raw, &mut parsed).map(|()| Some(parsed))
+                }
+            });
+            let result = result.map_err(|e| e.to_string());
+            Some(Event::ParseDone { item, result })
+        }));
     }
 
     fn preprocess(&mut self, dev: usize, item: ItemId, dslot: SlotIdx, staging: usize) {
@@ -733,7 +701,7 @@ impl<A: Application> NodeIo for Executor<A> {
     /// `Compare` stage per pair.
     fn compare_batch(&mut self, dev: usize, batch: &[ReadyCompare]) {
         let slots = &self.dev_slot_bufs[dev];
-        let inputs = Vec::from_iter(batch.iter().flat_map(|c| [slots[c.left], slots[c.right]]));
+        let inputs = Vec::from_iter(batch.iter().flat_map(|c| c.slots.map(|s| slots[s])));
         let batch = batch.to_vec();
         let result_buf = self.result_bufs[dev];
         let device = Arc::clone(&self.devices[dev]);

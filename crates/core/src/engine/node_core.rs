@@ -174,13 +174,11 @@ enum Cont {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadyCompare {
     /// The job, as [`NodeCore::compare_done`] takes it.
-    pub job: JobId,
+    pub id: JobId,
     /// The compared pair.
     pub pair: Pair,
-    /// Device slot of `pair.left`.
-    pub left: SlotIdx,
-    /// Device slot of `pair.right`.
-    pub right: SlotIdx,
+    /// The device slots of `[pair.left, pair.right]`.
+    pub slots: [SlotIdx; 2],
 }
 
 #[derive(Debug)]
@@ -248,8 +246,6 @@ pub struct NodeCore {
     free_jobs: Vec<u32>,
     job_cap: usize,
     devs: Vec<Device>,
-    /// Ready compares on every device, read without touching `devs`.
-    waiting: usize,
     /// Continuations woken by the current input, run by [`NodeCore::drain`]
     /// — iteratively: recursing would overflow the stack on long waiter
     /// chains (wake → release → wake → …).
@@ -291,7 +287,6 @@ impl NodeCore {
             free_jobs: Vec::new(),
             job_cap: spec.job_cap(scenario.job_limit, device_slots),
             devs: (0..devices).map(|_| Device::default()).collect(),
-            waiting: 0,
             pending: VecDeque::new(),
             directory: Directory::new(node, scenario.nodes.len(), scenario.hops),
             failures: FxHashMap::default(),
@@ -303,21 +298,24 @@ impl NodeCore {
         }
     }
 
-    /// Whether the node runs fewer jobs than its cap,
-    /// [`NodeSpec::job_cap`](crate::NodeSpec::job_cap) over the slots the
-    /// core was built with.
+    /// The node's in-flight job cap: [`NodeSpec::job_cap`](crate::NodeSpec::job_cap)
+    /// over the slots the core was built with.
+    pub fn job_cap(&self) -> usize {
+        self.job_cap
+    }
+
+    /// Whether the node runs fewer jobs than its cap.
     #[inline]
     pub fn has_room(&self) -> bool {
         self.jobs.len() - self.free_jobs.len() < self.job_cap
     }
 
     /// Most compares one GPU task holds: half the job cap.
-    #[inline]
     pub fn task_cap(&self) -> usize {
         (self.job_cap / 2).max(1)
     }
 
-    /// Jobs submitted to device `dev` and not yet retired.
+    /// Live jobs bound to device `dev`.
     #[inline]
     pub fn jobs_on(&self, dev: usize) -> usize {
         self.devs[dev].jobs
@@ -588,7 +586,7 @@ impl NodeCore {
     /// up a drain and flush that would do nothing.
     #[inline]
     pub fn is_drained(&self) -> bool {
-        self.pending.is_empty() && self.waiting == 0
+        self.pending.is_empty() && self.devs.iter().all(|d| d.ready.is_empty())
     }
 
     /// Runs the continuations the last inputs woke. Executors call it after
@@ -658,21 +656,10 @@ impl NodeCore {
         let job = self.job_mut(id);
         job.stalled = None;
         job.comparing = true;
-        let [left, right] = job.leases.map(|s| s.expect("both leases held"));
-        let ready = ReadyCompare {
-            job: id,
-            pair,
-            left,
-            right,
-        };
-        // A device with nothing issued has no ready compares either.
-        let d = &mut self.devs[dev];
-        if d.issued == 0 {
-            d.issued += 1;
-            io.compare_batch(dev, std::slice::from_ref(&ready));
-        } else {
-            d.ready.push(ready);
-            self.waiting += 1;
+        let slots = job.leases.map(|s| s.expect("both leases held"));
+        self.devs[dev].ready.push(ReadyCompare { id, pair, slots });
+        if self.devs[dev].issued == 0 {
+            self.launch(dev, io);
         }
     }
 
@@ -685,7 +672,6 @@ impl NodeCore {
             io.compare_batch(dev, batch);
             d.issued += 1;
         }
-        self.waiting -= d.ready.len();
         d.ready.clear();
     }
 
@@ -906,10 +892,8 @@ impl NodeCore {
             let jobs = jobs.filter(|j| j.dev == dev);
             let full = d.staging.trailing_ones() as usize == STAGING_BUFFERS;
             let ok = d.jobs == jobs.clone().count() && (d.ready.is_empty() || d.issued > 0);
-            assert!(
-                ok && (full || d.staging_queue.is_empty()),
-                "device {dev}: {d:?}"
-            );
+            let ok = ok && (full || d.staging_queue.is_empty());
+            assert!(ok, "device {dev}: {d:?}");
             for slot in jobs.flat_map(|j| j.leases.iter().flatten()) {
                 leases[*slot] += 1;
             }
@@ -984,8 +968,8 @@ mod tests {
             item: ItemId,
             dslot: SlotIdx,
         },
-        /// One GPU task: its jobs.
-        Compares(Vec<JobId>),
+        /// One GPU task: its jobs and their pairs.
+        Compares(Vec<(JobId, Pair)>),
         Send(usize, PeerMsg<()>),
         Serve(usize, ItemId, Option<SlotIdx>),
         Fetched(SlotIdx),
@@ -1021,8 +1005,8 @@ mod tests {
             self.0.push(Call::FillCopy { item, dslot });
         }
         fn compare_batch(&mut self, _: usize, batch: &[ReadyCompare]) {
-            self.0
-                .push(Call::Compares(batch.iter().map(|c| c.job).collect()));
+            let jobs = batch.iter().map(|c| (c.id, c.pair)).collect();
+            self.0.push(Call::Compares(jobs));
         }
         fn send(&mut self, to: usize, msg: PeerMsg<()>) {
             self.0.push(Call::Send(to, msg));
@@ -1059,13 +1043,13 @@ mod tests {
     }
 
     /// Ends the compare task of `jobs` on device 0: the task, then each
-    /// job.
-    fn finish_task(core: &mut NodeCore, io: &mut Rec, jobs: &[JobId]) {
+    /// job, which retires with its pair and device.
+    fn finish_task(core: &mut NodeCore, io: &mut Rec, jobs: &[(JobId, Pair)]) {
         step(core, io, |c, io| {
             c.task_done(0, io);
-            for &job in jobs {
+            for &(job, pair) in jobs {
                 c.compare_done(job);
-                c.retire(job);
+                assert_eq!(c.retire(job), (pair, 0));
             }
         });
     }
@@ -1107,8 +1091,9 @@ mod tests {
         let s0 = load(&mut core, &mut io, 0);
         let s1 = load(&mut core, &mut io, 1);
         step(&mut core, &mut io, |c, io| c.write_back_done(1, Ok(()), io));
-        assert!(io.0.contains(&Call::Compares(vec![0])));
-        finish_task(&mut core, &mut io, &[0]);
+        let job = (0, Pair::new(0, 1));
+        assert!(io.0.contains(&Call::Compares(vec![job])));
+        finish_task(&mut core, &mut io, &[job]);
 
         // Item 0's write-back still reads s0; s1 is the only evictable
         // slot.
@@ -1197,7 +1182,7 @@ mod tests {
                 c.write_back_done(item, Ok(()), io)
             });
         }
-        finish_task(&mut core, &mut io, &[0]);
+        finish_task(&mut core, &mut io, &[(0, Pair::new(0, 1))]);
 
         // Item 1 hits; item 2 misses and evicts item 0, the LRU slot.
         step(&mut core, &mut io, |c, io| c.submit(Pair::new(2, 1), 0, io));
@@ -1211,16 +1196,18 @@ mod tests {
         assert_eq!(io.0[calls..], [], "the stale continuation started nothing");
         assert_eq!(format!("{core:?}"), before);
 
-        // Item 2's fill goes on undisturbed and its job compares.
+        // Item 2's fill goes on undisturbed and its job, which reuses job
+        // id 0, compares.
         assert_eq!(load(&mut core, &mut io, 2), s);
-        assert!(io.0.contains(&Call::Compares(vec![0])));
+        let task = Call::Compares(vec![(0, Pair::new(2, 1))]);
+        assert!(io.0[calls..].contains(&task));
     }
 
     /// The jobs of every GPU task sent so far, in order.
     fn tasks(io: &Rec) -> Vec<Vec<JobId>> {
         (io.0.iter())
             .filter_map(|call| match call {
-                Call::Compares(jobs) => Some(jobs.clone()),
+                Call::Compares(jobs) => Some(jobs.iter().map(|&(job, _)| job).collect()),
                 _ => None,
             })
             .collect()
@@ -1245,7 +1232,7 @@ mod tests {
         assert_eq!(tasks(&io), [vec![0]]);
         submit_resident(&mut core, &mut io, 2);
         assert_eq!(tasks(&io), [vec![0]], "the device has a task issued");
-        finish_task(&mut core, &mut io, &[0]);
+        finish_task(&mut core, &mut io, &[(0, Pair::new(0, 1))]);
         assert_eq!(tasks(&io), [vec![0], vec![1, 2]]);
     }
 

@@ -62,9 +62,8 @@ impl Recorder {
         };
         let start = clock.elapsed_ns();
         let r = f();
-        let duration = clock.elapsed_ns() - start;
-        self.records
-            .extend(PerfRecord::shares(start, duration, n, kind, node));
+        let task = PerfRecord::new(start, kind, node, clock.elapsed_ns() - start);
+        self.records.extend(task.shares(n));
         r
     }
 
@@ -72,12 +71,8 @@ impl Recorder {
     /// the item a cache event was about), stamped now.
     pub fn note(&mut self, kind: PerfKind, value: u64) {
         if let Some(Recording { clock, node }) = self.recording {
-            self.records.push(PerfRecord {
-                t_ns: clock.elapsed_ns(),
-                kind,
-                node,
-                value,
-            });
+            let t_ns = clock.elapsed_ns();
+            self.records.push(PerfRecord::new(t_ns, kind, node, value));
         }
     }
 

@@ -71,7 +71,7 @@ impl BusyTimes {
 /// meaning on both. Counters a backend cannot observe are zero (`io_bytes`
 /// on the threaded runtime, and its busy times unless the run is recorded
 /// through `Backend::run_with_perf`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Name of the backend that produced the report.
     pub backend: &'static str,

@@ -15,18 +15,15 @@
 //! The shards (`crate::shard`) are the simulator's executor of `NodeCore`:
 //! each side effect the core asks for becomes a sampled duration on a
 //! modeled server and an event at its completion. The core decides what
-//! each GPU runs — which ready compares form one task, and which parsed
-//! item holds which of the device's staging indices — and the shards run
-//! it as the conductor does: a compare task is its kernels and one
-//! read-back of its results on the GPU's compute engine and one
-//! `Ev::CompareDone`; the node then post-processes the task's results on
-//! its own server, and the jobs retire when that ends. One simulator event
-//! is one drain of the conductor's event queue, so the shards flush the
-//! core after each event. The engines differ in one detail: the slot
-//! counts each core is built with, and so the job cap computed over them.
-//! The simulator's are clamped to the item count by
-//! [`NodeSpec::sim_slots`](rocket_core::NodeSpec::sim_slots), the
-//! conductor's are the configured ones.
+//! each GPU runs, and the shards run it as the conductor does: a compare
+//! task is its kernels and one read-back of its results on the GPU's
+//! compute engine, then one `Ev::CompareDone`; the node post-processes
+//! the results on its own server, and the jobs retire when that ends. One
+//! simulator event is one drain of the conductor's event queue, so the
+//! shards flush the core after each event. The engines differ in one
+//! detail: the slot counts each core is built with, and so its job cap.
+//! The simulator clamps them to the item count with
+//! [`NodeSpec::sim_slots`](rocket_core::NodeSpec::sim_slots).
 //!
 //! Simulated loads never fail, so the core's item-failure path never
 //! fires here.
@@ -44,8 +41,8 @@
 //! The per-event handlers run millions of times per simulation, so state is
 //! indexed, never hashed: `NodeCore` keeps one dense fill row per cache
 //! slot, found through its caches' flat item → slot maps (see its docs),
-//! and stage distributions are resolved once into `StageDists`, so
-//! handlers sample through `&Dist` without cloning. A node's fill rows
+//! and handlers sample the scenario's stage distributions through `&Dist`
+//! without cloning them. A node's fill rows
 //! scale with its slot counts, not with the data set; the item maps, one
 //! `u32` per item per cache level, are its only per-item state.
 
@@ -85,34 +82,12 @@ pub(crate) struct SimGpu {
     pub(crate) compute: Engine,
     pub(crate) h2d: Engine,
     pub(crate) d2h: Engine,
-    /// The jobs of the compare tasks on `compute`.
-    pub(crate) tasks: Batches,
+    /// The jobs of the compare tasks on `compute`, oldest first: the
+    /// engine ends its tasks in submission order, and each task's
+    /// `Ev::CompareDone` carries its length.
+    pub(crate) tasks: VecDeque<JobId>,
     pub(crate) pre_busy_ns: u64,
     pub(crate) cmp_busy_ns: u64,
-}
-
-/// A FIFO server's batches, oldest first, each as its length and then its
-/// jobs: the server ends its batches in submission order. One ring that
-/// keeps its capacity, so nothing is allocated per batch.
-#[derive(Debug, Default)]
-pub(crate) struct Batches(VecDeque<JobId>);
-
-impl Batches {
-    pub(crate) fn push(&mut self, jobs: impl ExactSizeIterator<Item = JobId>) {
-        self.0.push_back(jobs.len() as JobId);
-        self.0.extend(jobs);
-    }
-
-    /// The oldest batch's jobs, left in place.
-    pub(crate) fn oldest(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.0.range(1..=self.0[0] as usize).copied()
-    }
-
-    /// Takes the oldest batch's jobs.
-    pub(crate) fn pop(&mut self) -> impl ExactSizeIterator<Item = JobId> + '_ {
-        let len = self.0.pop_front().expect("a batch is in flight");
-        (0..len as usize).map(|_| self.0.pop_front().expect("the batch's jobs"))
-    }
 }
 
 pub(crate) struct SimNode {
@@ -136,9 +111,10 @@ pub(crate) struct SimNode {
     pub(crate) cpu: Pool,
     /// Post-processes results one at a time, charged to `busy.cpu` but
     /// not run on `cpu`: like the conductor, the node decodes each result
-    /// itself. `retiring` holds the jobs of the batches it runs.
+    /// itself. `retiring` holds the jobs of the tasks it runs, oldest
+    /// first, as `tasks` does for a GPU.
     pub(crate) post: Engine,
-    pub(crate) retiring: Batches,
+    pub(crate) retiring: VecDeque<JobId>,
     pub(crate) nic: Engine,
     pub(crate) pairs_done: u64,
     /// Deterministic per-node stream for stage sampling. Per-node (not
@@ -168,8 +144,8 @@ pub(crate) enum Ev {
     PreprocessDone { node: usize, s: Staged },
     WritebackDone { node: usize, item: u64 },
     FillCopyDone { node: usize, gpu: usize, item: u64 },
-    CompareDone { node: usize, gpu: usize },
-    PostDone { node: usize },
+    CompareDone { node: usize, gpu: usize, k: usize },
+    PostDone { node: usize, k: usize },
     Net { to: usize, from: usize, msg: Msg },
 }
 
@@ -181,18 +157,9 @@ pub(crate) struct Staged {
     pub(crate) staging: usize,
 }
 
-/// Workload stage-time distributions, resolved once at construction so the
-/// per-event handlers sample through `&Dist` with zero clones.
-pub(crate) struct StageDists {
-    pub(crate) parse: Dist,
-    pub(crate) preprocess: Option<Dist>,
-    pub(crate) compare: Dist,
-    pub(crate) postprocess: Dist,
-}
-
 /// Samples a stage duration in nanoseconds. A free function over disjoint
 /// borrows (`&mut rng`, `&Dist`) — the shape that lets handlers sample
-/// from shared stage tables while mutating a node's RNG without cloning
+/// from the shared scenario while mutating a node's RNG without cloning
 /// the distribution.
 #[inline]
 pub(crate) fn sample_ns(rng: &mut Xoshiro256, dist: &Dist) -> u64 {

@@ -18,8 +18,7 @@
 //!   engine runs on,
 //! * [`server`] — FIFO engines and k-server pools,
 //! * `cluster` — the simulated Rocket cluster's per-node servers and work
-//!   tables, and the three timing models in which it differs from the
-//!   threaded runtime's conductor,
+//!   tables,
 //! * `shard` — the event engine: a conservative time-window design whose
 //!   nodes partition into `K` shards advancing in lock-step windows of
 //!   the network-latency lookahead on the steal pool, with results

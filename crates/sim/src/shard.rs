@@ -42,17 +42,18 @@
 //! fuzzes the claim over shard counts through `SimBackend::sharded`; this
 //! module's tests cover thread counts, which have no public knob.
 
+use std::collections::VecDeque;
+
 use rocket_sanitize::Mutex;
 
-use rocket_cache::{CacheStats, DirectoryStats, SlotIdx};
+use rocket_cache::SlotIdx;
 use rocket_core::engine::{NodeCore, NodeIo, ReadyCompare};
 use rocket_core::{BusyTimes, RunReport, Scenario};
 use rocket_stats::{SeedSequence, Xoshiro256};
 use rocket_steal::{Block, Pair, StealPool, TaskDeque};
 use rocket_trace::{PerfKind, PerfLog, PerfRecord};
 
-use crate::cluster::{sample_ns, transfer_ns, Batches, Ev, GpuRates, Msg, SimGpu, SimNode};
-use crate::cluster::{StageDists, Staged};
+use crate::cluster::{sample_ns, transfer_ns, Ev, GpuRates, Msg, SimGpu, SimNode, Staged};
 use crate::engine::{ns_to_secs, secs_to_ns, EventQueue, SimTime, SlabEventQueue};
 use crate::server::{Engine, Pool};
 
@@ -91,7 +92,6 @@ pub(crate) struct Ctx<'a> {
     cfg: &'a Scenario,
     /// Perf-sample sink; records fold into it once the report is final.
     perf: &'a PerfLog,
-    stages: StageDists,
     total_pairs: u64,
     /// Lock-step window width in ns: the conservative lookahead.
     window_ns: u64,
@@ -205,12 +205,7 @@ fn push_perf(
     value: u64,
 ) {
     if let Some(buf) = buf {
-        buf.push(PerfRecord {
-            t_ns,
-            kind,
-            node: node as u32,
-            value,
-        });
+        buf.push(PerfRecord::new(t_ns, kind, node as u32, value));
     }
 }
 
@@ -274,12 +269,6 @@ fn build_ctx<'a>(cfg: &'a Scenario, perf: &'a PerfLog, k: usize) -> Ctx<'a> {
     Ctx {
         cfg,
         perf,
-        stages: StageDists {
-            parse: cfg.workload.parse.clone(),
-            preprocess: cfg.workload.preprocess.clone(),
-            compare: cfg.workload.compare.clone(),
-            postprocess: cfg.workload.postprocess.clone(),
-        },
         total_pairs,
         window_ns,
         net_lat_ns,
@@ -316,14 +305,14 @@ fn build_shards(cfg: &Scenario, ctx: &Ctx, k: usize) -> Vec<ShardState> {
                             compute: Engine::new(),
                             h2d: Engine::new(),
                             d2h: Engine::new(),
-                            tasks: Batches::default(),
+                            tasks: VecDeque::new(),
                             pre_busy_ns: 0,
                             cmp_busy_ns: 0,
                         })
                         .collect(),
                     cpu: Pool::new(cfg.cpu_threads),
                     post: Engine::new(),
-                    retiring: Batches::default(),
+                    retiring: VecDeque::new(),
                     nic: Engine::new(),
                     pairs_done: 0,
                     rng: seeds.rng_indexed("node", rank as u64),
@@ -730,29 +719,19 @@ fn stall_panic(ctx: &Ctx, shards: &mut [&mut ShardState], drv: &Driver, why: &st
 /// Folds per-node state in global node order into the [`RunReport`] — the
 /// fold never depends on the shard count, only on the node order.
 fn finish(ctx: &Ctx, shards: Vec<ShardState>, drv: Driver) -> RunReport {
+    // No pair fails: the simulator models no storage faults.
     let mut r = RunReport {
         backend: "sim",
-        elapsed: 0.0,
         items: ctx.cfg.workload.items,
-        pairs: 0,
-        failed_pairs: 0, // the simulator models no storage faults
-        loads: 0,
-        remote_fetches: 0,
-        io_bytes: 0,
-        net_bytes: 0,
-        net_msgs: 0,
         steals: drv.steals,
         busy: BusyTimes {
             io: ns_to_secs(drv.storage.busy_ns()),
             ..BusyTimes::default()
         },
-        device_cache: CacheStats::default(),
-        host_cache: CacheStats::default(),
-        directory: DirectoryStats::default(),
         pairs_per_node: Vec::with_capacity(ctx.node_shard.len()),
         sim_shards: shards.len() as u32,
         sim_windows: drv.windows,
-        degraded: false,
+        ..RunReport::default()
     };
     let mut makespan_ns: SimTime = 0;
     let mut perf_records = ctx.perf.is_enabled().then(Vec::new);
@@ -899,7 +878,7 @@ impl ShardState {
             Ev::WritebackDone { node, .. } => (5, node),
             Ev::FillCopyDone { node, .. } => (6, node),
             Ev::CompareDone { node, .. } => (7, node),
-            Ev::PostDone { node } => (8, node),
+            Ev::PostDone { node, .. } => (8, node),
             Ev::Net { to, .. } => (9, to),
         };
         self.ev_counts[idx] += 1;
@@ -921,8 +900,8 @@ impl ShardState {
             Ev::FillCopyDone { gpu, item, .. } => {
                 self.cores[node - self.base].fill_copy_done(gpu, item, Ok(()))
             }
-            Ev::CompareDone { gpu, .. } => self.on_compare_done(ctx, node, gpu),
-            Ev::PostDone { .. } => self.retire(ctx, node, None),
+            Ev::CompareDone { gpu, k, .. } => self.on_compare_done(ctx, node, gpu, k),
+            Ev::PostDone { k, .. } => self.retire(ctx, node, k),
             Ev::Net { from, msg, .. } => {
                 self.with_core(ctx, node, |core, io| core.on_peer(from, msg, io))
             }
@@ -1070,57 +1049,49 @@ impl ShardState {
 
     // ---- job completion ---------------------------------------------------
 
-    /// A compare task on `gpu` ended with its results on the host: its
-    /// jobs drop their leases, and the woken waiters run before the node
-    /// pulls new work, as on the conductor. The node post-processes the
-    /// results one at a time on its own server, as the conductor decodes
-    /// them on its thread, and the jobs retire when that ends. It is
-    /// submitted now, not at launch, so the server takes batches in the
-    /// order they end.
-    fn on_compare_done(&mut self, ctx: &Ctx, node: usize, gpu: usize) {
+    /// A compare task of `k` jobs on `gpu` ended: its jobs drop their
+    /// leases, and the woken waiters run before the node pulls new work,
+    /// as on the conductor. The node's server post-processes the results,
+    /// submitted now so that it takes tasks in the order they end, and the
+    /// jobs retire when it is done.
+    fn on_compare_done(&mut self, ctx: &Ctx, node: usize, gpu: usize, k: usize) {
         let (l, now) = (node - self.base, self.queue.now());
         let (n, core) = (&mut self.nodes[l], &mut self.cores[l]);
         let start = n.post.free_at().max(now);
         let mut t = start;
-        for job in n.gpus[gpu].tasks.oldest() {
+        for job in n.gpus[gpu].tasks.drain(..k) {
             core.compare_done(job);
-            let dur = sample_ns(&mut n.rng, &ctx.stages.postprocess);
+            let dur = sample_ns(&mut n.rng, &ctx.cfg.workload.postprocess);
             t += dur;
             push_perf(&mut self.perf, t, PerfKind::Postprocess, node, dur);
+            n.retiring.push_back(job);
         }
         let done = n.post.submit(now, t - start);
-        if done > now {
-            n.retiring.push(n.gpus[gpu].tasks.pop());
-        }
         self.with_core(ctx, node, |core, io| {
             core.task_done(gpu, io);
             core.drain(io);
         });
         if done > now {
             let p = self.next_prio(node);
-            self.queue.schedule_keyed(done, p, Ev::PostDone { node });
+            self.queue.schedule_keyed(done, p, Ev::PostDone { node, k });
         } else {
-            self.retire(ctx, node, Some(gpu));
+            self.retire(ctx, node, k);
         }
     }
 
-    /// Retires the oldest batch of `gpu`'s compare tasks, or with `None`
-    /// of the node's post-process server, and pulls new work.
-    fn retire(&mut self, ctx: &Ctx, node: usize, gpu: Option<usize>) {
+    /// Retires the node's `k` oldest post-processed jobs, whose
+    /// post-processes have all ended (the server is FIFO), and pulls new
+    /// work.
+    fn retire(&mut self, ctx: &Ctx, node: usize, k: usize) {
         let (l, now) = (node - self.base, self.queue.now());
         let n = &mut self.nodes[l];
-        let jobs = match gpu {
-            Some(gpu) => n.gpus[gpu].tasks.pop(),
-            None => n.retiring.pop(),
-        };
-        let k = jobs.len() as u64;
-        for job in jobs {
+        for job in n.retiring.drain(..k) {
             let (_, gpu) = self.cores[l].retire(job);
             push_perf(&mut self.perf, now, PerfKind::PairDone, node, gpu as u64);
         }
-        n.pairs_done += k;
+        n.pairs_done += k as u64;
         n.makespan_ns = n.makespan_ns.max(now);
-        self.pairs_done += k;
+        self.pairs_done += k as u64;
         self.pull_work(ctx, node);
     }
 
@@ -1199,7 +1170,7 @@ impl SimIo<'_> {
     /// The staged parsed bytes are on the device: run the pre-process
     /// kernel.
     fn preprocess_kernel(&mut self, s: Staged) {
-        let dist = self.ctx.stages.preprocess.as_ref();
+        let dist = self.ctx.cfg.workload.preprocess.as_ref();
         let base = sample_ns(&mut self.hw.rng, dist.expect("preprocess stage"));
         let g = &mut self.hw.gpus[s.gpu];
         let dur = (base as f64 / g.rates.compute_scale) as u64;
@@ -1241,7 +1212,7 @@ impl NodeIo for SimIo<'_> {
     }
 
     fn parse(&mut self, item: u64, _: SlotIdx, (): ()) {
-        let dur = sample_ns(&mut self.hw.rng, &self.ctx.stages.parse);
+        let dur = sample_ns(&mut self.hw.rng, &self.ctx.cfg.workload.parse);
         let done = self.hw.cpu.submit(self.queue.now(), dur);
         let ev = Ev::ParseDone {
             node: self.node,
@@ -1256,13 +1227,8 @@ impl NodeIo for SimIo<'_> {
         let g = &mut self.hw.gpus[gpu];
         let dur = transfer_ns(self.ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
         let done = g.h2d.submit(self.queue.now(), dur);
-        let s = Staged { gpu, item, staging };
-        self.stage_done(
-            done,
-            dur,
-            PerfKind::CopyIn,
-            Ev::StagingDone { node: self.node, s },
-        );
+        let (node, s) = (self.node, Staged { gpu, item, staging });
+        self.stage_done(done, dur, PerfKind::CopyIn, Ev::StagingDone { node, s });
     }
 
     fn write_back(&mut self, gpu: usize, item: u64, _: SlotIdx, _: SlotIdx) {
@@ -1292,35 +1258,24 @@ impl NodeIo for SimIo<'_> {
     /// batch's kernels, then one read-back of its results, on the compute
     /// engine. Each pair logs an equal share of the task.
     fn compare_batch(&mut self, gpu: usize, batch: &[ReadyCompare]) {
+        let (node, k) = (self.node, batch.len());
         let g = &mut self.hw.gpus[gpu];
-        let results = self.ctx.cfg.workload.item_bytes.min(1024) * batch.len() as u64;
+        let results = self.ctx.cfg.workload.item_bytes.min(1024) * k as u64;
         let mut dur = transfer_ns(results, g.rates.d2h_bytes_per_sec);
         for _ in batch {
-            let base = sample_ns(&mut self.hw.rng, &self.ctx.stages.compare);
+            let base = sample_ns(&mut self.hw.rng, &self.ctx.cfg.workload.compare);
             dur += (base as f64 / g.rates.compute_scale) as u64;
         }
         let done = g.compute.submit(self.queue.now(), dur);
         g.cmp_busy_ns += dur;
-        g.tasks.push(batch.iter().map(|c| c.job));
+        g.tasks.extend(batch.iter().map(|c| c.id));
         if let Some(buf) = self.perf {
-            let (k, node) = (batch.len(), self.node as u32);
-            buf.extend(PerfRecord::shares(
-                done - dur,
-                dur,
-                k,
-                PerfKind::Compare,
-                node,
-            ));
+            let task = PerfRecord::new(done - dur, PerfKind::Compare, node as u32, dur);
+            buf.extend(task.shares(k));
         }
-        let p = draw_prio(self.seq, self.node);
-        (self.queue).schedule_keyed(
-            done,
-            p,
-            Ev::CompareDone {
-                node: self.node,
-                gpu,
-            },
-        );
+        let p = draw_prio(self.seq, node);
+        self.queue
+            .schedule_keyed(done, p, Ev::CompareDone { node, gpu, k });
     }
 
     fn send(&mut self, to: usize, msg: Msg) {

@@ -193,27 +193,27 @@ pub struct PerfRecord {
 }
 
 impl PerfRecord {
-    /// `n` `kind` records that split a `dur`-long task from `t0` into
-    /// equal shares, such as one launch that compares `n` pairs: the first
-    /// `dur % n` one nanosecond longer, stamped back to back, so they sum
-    /// to `dur` exactly and the last is stamped at the task's end.
-    pub fn shares(
-        t0: u64,
-        dur: u64,
-        n: usize,
-        kind: PerfKind,
-        node: u32,
-    ) -> impl Iterator<Item = Self> {
-        let (n, mut t_ns) = (n as u64, t0);
+    /// A `kind` sample of node `node` carrying `value`, stamped at `t_ns`.
+    pub fn new(t_ns: u64, kind: PerfKind, node: u32, value: u64) -> Self {
+        Self {
+            t_ns,
+            kind,
+            node,
+            value,
+        }
+    }
+
+    /// Splits a task, given as its duration (`value`) stamped at its
+    /// start, into `n` records of equal shares, such as one launch that
+    /// compares `n` pairs: the first `value % n` one nanosecond longer,
+    /// stamped back to back, so they sum to the duration exactly and the
+    /// last is stamped at the task's end.
+    pub fn shares(self, n: usize) -> impl Iterator<Item = Self> {
+        let (n, dur, mut record) = (n as u64, self.value, self);
         (0..n).map(move |i| {
-            let value = dur / n + u64::from(i < dur % n);
-            t_ns += value;
-            Self {
-                t_ns,
-                kind,
-                node,
-                value,
-            }
+            record.value = dur / n + u64::from(i < dur % n);
+            record.t_ns += record.value;
+            record
         })
     }
 }
